@@ -2,8 +2,10 @@
 
 One JSON config file names the inputs (metadata, sonnet texts,
 annotation files, lexicons); flags override the run-level choices (key
-mode, output directory, report format).  Subcommands emit delimited
-reports plus JSON mirrors into the output directory:
+mode, output directory, report format).  Each subcommand runs one
+:class:`~versemood.pipeline.Session` over the reports that
+``pipeline.COMMANDS`` lists for it and writes delimited reports plus
+JSON mirrors into the output directory:
 
     stats      corpus_stats          word counts and per-tag totals
     agree      agreement             alpha per feature and annotator pair
@@ -12,46 +14,34 @@ reports plus JSON mirrors into the output directory:
     validate   bivariate, partial_dependence, anova
     all        everything above
 
-Exit codes: 0 on success, 1 on input errors, 2 when --strict is set and
-a computation degenerated (non-computable regression rows, degenerate
-agreement cells, skipped ANOVA combinations).
+This module parses arguments, attaches the decisions log, prints what
+was written, and maps outcomes to exit codes: 0 on success, 1 on input
+errors, 2 when --strict is set and a computation degenerated
+(non-computable regression rows, degenerate agreement cells, skipped
+ANOVA combinations).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import logging
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Sequence
 
-from . import agreement as agreement_mod
-from . import corpus as corpus_mod
-from . import features as features_mod
-from . import lexicon as lexicon_mod
-from . import validation as validation_mod
-from .textnorm import MODES, NormalizationConfig, default_stopwords, load_lemma_table, load_stopwords
+from .pipeline import COMMANDS, FORMATS, ReportWriter, Session
+from .textnorm import MODES, InputError
 
 __all__ = ["main"]
 
-logger = logging.getLogger(__name__)
-
-_COMMANDS = ("stats", "coverage", "agree", "features", "validate", "all")
-
-_CONFIG_DEFAULTS: dict[str, Any] = {
-    "reversed_valence_annotators": [],
-    "stopwords": None,
-    "lemma_table": None,
-    "mode": "stem",
-    "out_dir": "reports",
-    "format": "both",
+_HELP = {
+    "stats": "corpus word-count statistics and per-tag totals",
+    "coverage": "lexicon coverage of the corpus vocabulary",
+    "agree": "inter-annotator agreement table",
+    "features": "per-sonnet feature matrix",
+    "validate": "bivariate, regression, and ANOVA reports",
+    "all": "every report in one run",
 }
-
-
-class InputError(ValueError):
-    """Configuration or input-file problem; maps to exit code 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,20 +56,13 @@ def _build_parser() -> _Parser:
         prog="versemood",
         description="Affective profiling of Spanish sonnets from lexical norms.",
     )
-    sub = parser.add_subparsers(dest="command", metavar="|".join(_COMMANDS))
-    for name, help_text in (
-        ("stats", "corpus word-count statistics and per-tag totals"),
-        ("coverage", "lexicon coverage of the corpus vocabulary"),
-        ("agree", "inter-annotator agreement table"),
-        ("features", "per-sonnet feature matrix"),
-        ("validate", "bivariate, regression, and ANOVA reports"),
-        ("all", "every report in one run"),
-    ):
+    sub = parser.add_subparsers(dest="command", metavar="|".join(_HELP))
+    for name, help_text in _HELP.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--mode", choices=MODES, help="key mode override")
         p.add_argument("--out", help="output directory override")
-        p.add_argument("--format", choices=("csv", "json", "both"), help="report format override")
+        p.add_argument("--format", choices=FORMATS, help="report format override")
         p.add_argument(
             "--missing-words",
             action="store_true",
@@ -98,480 +81,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_config(args: argparse.Namespace) -> dict[str, Any]:
-    config_path = Path(args.config)
-    try:
-        raw = json.loads(config_path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise InputError(f"cannot read config {config_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{config_path}: invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise InputError(f"{config_path}: config must be a JSON object")
-    cfg = dict(_CONFIG_DEFAULTS)
-    cfg.update(raw)
-    cfg["_dir"] = config_path.parent
-    if args.mode:
-        cfg["mode"] = args.mode
-    if args.out:
-        cfg["out_dir"] = args.out
-    if args.format:
-        cfg["format"] = args.format
-    if cfg["mode"] not in MODES:
-        raise InputError(f"unknown mode {cfg['mode']!r}; expected one of {MODES}")
-    if cfg["format"] not in ("csv", "json", "both"):
-        raise InputError(f"unknown format {cfg['format']!r}")
-    return cfg
-
-
-def _resolve(cfg: dict[str, Any], value: str) -> Path:
-    path = Path(value)
-    return path if path.is_absolute() else cfg["_dir"] / path
-
-
-def _require_file(cfg: dict[str, Any], key_path: str, label: str) -> Path:
-    path = _resolve(cfg, key_path)
-    if not path.is_file():
-        raise InputError(f"{label} not found: {path}")
-    return path
-
-
-def _check_inputs(cfg: dict[str, Any], need_texts: bool, need_lexicons: bool) -> None:
-    """Fail on missing inputs before any computation starts."""
-    if "metadata" not in cfg:
-        raise InputError("config is missing 'metadata'")
-    _require_file(cfg, cfg["metadata"], "metadata file")
-    annotations = cfg.get("annotations")
-    if not isinstance(annotations, list) or len(annotations) < 2:
-        raise InputError("config needs an 'annotations' list with at least two files")
-    for entry in annotations:
-        _require_file(cfg, entry, "annotation file")
-    if need_texts:
-        if not cfg.get("corpus_root"):
-            raise InputError("config is missing 'corpus_root' (needed to read sonnet texts)")
-        root = _resolve(cfg, cfg["corpus_root"])
-        if not root.is_dir():
-            raise InputError(f"corpus_root is not a directory: {root}")
-    if need_lexicons:
-        lexicons = cfg.get("lexicons")
-        if not isinstance(lexicons, list) or not lexicons:
-            raise InputError("config needs a non-empty 'lexicons' list")
-        for entry in lexicons:
-            if isinstance(entry, str):
-                _require_file(cfg, entry, "lexicon file")
-            elif isinstance(entry, dict) and "path" in entry:
-                _require_file(cfg, entry["path"], "lexicon file")
-                if entry.get("descriptor"):
-                    _require_file(cfg, entry["descriptor"], "lexicon descriptor")
-            else:
-                raise InputError(
-                    "each lexicons entry must be a path or an object with a 'path'"
-                )
-    if cfg.get("stopwords"):
-        _require_file(cfg, cfg["stopwords"], "stopword list")
-    if cfg.get("lemma_table"):
-        _require_file(cfg, cfg["lemma_table"], "lemma table")
-    if cfg["mode"] == "lemma" and not cfg.get("lemma_table"):
-        raise InputError("lemma mode requires a 'lemma_table' in the config")
-
-
-def _norm_config(cfg: dict[str, Any]) -> NormalizationConfig:
-    stopwords = (
-        load_stopwords(_resolve(cfg, cfg["stopwords"]))
-        if cfg.get("stopwords")
-        else default_stopwords()
-    )
-    lemma_table = (
-        load_lemma_table(_resolve(cfg, cfg["lemma_table"])) if cfg.get("lemma_table") else None
-    )
-    return NormalizationConfig(mode=cfg["mode"], stopwords=stopwords, lemma_table=lemma_table)
-
-
-def _load_corpus(cfg: dict[str, Any], with_texts: bool) -> corpus_mod.Corpus:
-    root = _resolve(cfg, cfg["corpus_root"]) if with_texts else None
-    return corpus_mod.load_corpus(_resolve(cfg, cfg["metadata"]), root)
-
-
-def _load_sets(cfg: dict[str, Any], corp: corpus_mod.Corpus) -> list[corpus_mod.AnnotationSet]:
-    sets = []
-    for idx, entry in enumerate(cfg["annotations"], start=1):
-        sets.append(
-            corpus_mod.load_annotation_set(
-                _resolve(cfg, entry), annotator_id=idx, sonnet_ids=corp.sonnet_ids
-            )
-        )
-    reversed_ids = cfg.get("reversed_valence_annotators") or []
-    for rid in reversed_ids:
-        matches = [i for i, s in enumerate(sets) if s.annotator_id == rid]
-        if not matches:
-            raise InputError(f"reversed_valence_annotators names unknown annotator {rid}")
-        i = matches[0]
-        sets[i] = corpus_mod.reverse_ordinal_scale(sets[i], "valence")
-        logger.info("reversed valence scale for annotator %d", rid)
-    return sets
-
-
-def _median_pipeline(
-    sets: list[corpus_mod.AnnotationSet],
-) -> tuple[list[corpus_mod.AnnotationSet], list[corpus_mod.UnfilledCell], corpus_mod.AnnotationSet]:
-    if len(sets) != 3:
-        raise InputError(
-            f"this command needs exactly three annotation sets to build the median "
-            f"annotator; config lists {len(sets)}"
-        )
-    filled, unfilled = corpus_mod.fill_missing_psych(sets)
-    median = corpus_mod.build_median_annotator(filled)
-    return filled, unfilled, median
-
-
-def _load_merged(
-    cfg: dict[str, Any], norm: NormalizationConfig
-) -> tuple[list[lexicon_mod.SourceLexicon], lexicon_mod.MergedLexicon]:
-    sources = []
-    for entry in cfg["lexicons"]:
-        if isinstance(entry, str):
-            sources.append(lexicon_mod.load_lexicon(_resolve(cfg, entry)))
-        else:
-            descriptor = (
-                _resolve(cfg, entry["descriptor"]) if entry.get("descriptor") else None
-            )
-            sources.append(
-                lexicon_mod.load_lexicon(
-                    _resolve(cfg, entry["path"]),
-                    descriptor=descriptor,
-                    source_id=entry.get("source_id"),
-                )
-            )
-    return sources, lexicon_mod.merge_lexicons(sources, norm)
-
-
-# ---------------------------------------------------------------------------
-# report serialization
-
-
-def _fmt(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.10g}"
-    return str(value)
-
-
-def _json_safe(value: Any) -> Any:
-    if isinstance(value, float):
-        if value != value or value in (float("inf"), float("-inf")):
-            return str(value)
-        return value
-    if isinstance(value, dict):
-        return {str(k): _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    return value
-
-
-class ReportWriter:
-    """Writes csv/json report pairs and remembers what was written."""
-
-    def __init__(self, out_dir: Path, fmt: str):
-        self.out_dir = out_dir
-        self.fmt = fmt
-        self.written: list[Path] = []
-
-    def emit(self, name: str, header: list[str], rows: list[list[Any]], mirror: Any) -> None:
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        if self.fmt in ("csv", "both"):
-            path = self.out_dir / f"{name}.csv"
-            with path.open("w", encoding="utf-8", newline="") as handle:
-                writer = csv.writer(handle, lineterminator="\n")
-                writer.writerow(header)
-                for row in rows:
-                    writer.writerow([_fmt(cell) for cell in row])
-            self.written.append(path)
-        if self.fmt in ("json", "both"):
-            path = self.out_dir / f"{name}.json"
-            text = json.dumps(_json_safe(mirror), indent=2, ensure_ascii=False, sort_keys=False)
-            path.write_text(text + "\n", encoding="utf-8")
-            self.written.append(path)
-
-
-# ---------------------------------------------------------------------------
-# subcommand bodies (each returns the number of degeneracies it saw)
-
-
-def _emit_stats(
-    writer: ReportWriter,
-    corp: corpus_mod.Corpus,
-    median: corpus_mod.AnnotationSet,
-    unfilled: list[corpus_mod.UnfilledCell],
-    norm: NormalizationConfig,
-) -> int:
-    stats = corpus_mod.corpus_statistics(corp, median, norm)
-    rows: list[list[Any]] = [
-        ["summary", "n_sonnets", stats.n_sonnets],
-        ["summary", "word_mean", stats.word_mean],
-        ["summary", "word_sd", stats.word_sd],
-    ]
-    for bin_ in stats.histogram:
-        rows.append(["histogram", f"{bin_.low:.10g}-{bin_.high:.10g}", bin_.count])
-    for tag, count in stats.tag_counts.items():
-        rows.append(["tag_count", tag, count])
-    mirror = {
-        "n_sonnets": stats.n_sonnets,
-        "word_mean": stats.word_mean,
-        "word_sd": stats.word_sd,
-        "histogram": [
-            {"low": b.low, "high": b.high, "count": b.count} for b in stats.histogram
-        ],
-        "tag_counts": stats.tag_counts,
-        "unfilled_cells": [
-            {"sonnet_id": c.sonnet_id, "feature": c.feature, "n_present": c.n_present}
-            for c in unfilled
-        ],
-    }
-    writer.emit("corpus_stats", ["record", "name", "value"], rows, mirror)
-    return 0
-
-
-def _emit_agreement(
-    writer: ReportWriter,
-    sets: list[corpus_mod.AnnotationSet],
-    median: corpus_mod.AnnotationSet | None,
-) -> int:
-    report = agreement_mod.agreement_report(sets, median)
-    columns: list[str] = []
-    for row in report:
-        for label in row.cells:
-            if label not in columns:
-                columns.append(label)
-    rows = []
-    degenerate = 0
-    mirror_rows = []
-    for row in report:
-        csv_row: list[Any] = [row.feature, row.level]
-        cell_mirror: dict[str, Any] = {}
-        for label in columns:
-            result = row.cells.get(label)
-            if result is None:
-                csv_row.append(None)
-                cell_mirror[label] = None
-                degenerate += 1
-                continue
-            csv_row.append(result.alpha)
-            cell_mirror[label] = {
-                "alpha": result.alpha,
-                "n_pairable": result.n_pairable,
-                "band": result.band,
-                "degenerate": result.degenerate,
-                "note": result.note,
-            }
-            if result.degenerate:
-                degenerate += 1
-        csv_row.append(";".join(row.below_threshold))
-        rows.append(csv_row)
-        mirror_rows.append(
-            {
-                "feature": row.feature,
-                "level": row.level,
-                "cells": cell_mirror,
-                "below_threshold": list(row.below_threshold),
-            }
-        )
-    writer.emit(
-        "agreement",
-        ["feature", "level", *columns, "below_threshold"],
-        rows,
-        {"columns": columns, "rows": mirror_rows},
-    )
-    return degenerate
-
-
-def _emit_coverage(
-    writer: ReportWriter,
-    corp: corpus_mod.Corpus,
-    sources: list[lexicon_mod.SourceLexicon],
-    merged: lexicon_mod.MergedLexicon,
-    norm: NormalizationConfig,
-    median: corpus_mod.AnnotationSet | None,
-    with_missing: bool,
-) -> int:
-    counts = lexicon_mod.word_count_report(corp, norm, median)
-    writer.emit(
-        "word_counts",
-        ["category", "raw", "stem", "lemma"],
-        [[r.category, r.counts["raw"], r.counts["stem"], r.counts["lemma"]] for r in counts],
-        [
-            {"category": r.category, **{m: r.counts[m] for m in ("raw", "stem", "lemma")}}
-            for r in counts
-        ],
-    )
-    coverage = lexicon_mod.coverage_report(corp, sources, merged, norm, median)
-    source_ids = [s.source_id for s in sources]
-    writer.emit(
-        "coverage",
-        ["category", "mode", "n_keys", "merged", *source_ids],
-        [
-            [r.category, norm.mode, r.n_keys, r.fraction_merged]
-            + [r.per_source[sid] for sid in source_ids]
-            for r in coverage
-        ],
-        [
-            {
-                "category": r.category,
-                "mode": norm.mode,
-                "n_keys": r.n_keys,
-                "merged": r.fraction_merged,
-                "per_source": r.per_source,
-            }
-            for r in coverage
-        ],
-    )
-    if with_missing:
-        missing = lexicon_mod.missing_word_report(corp, merged, norm)
-        writer.emit(
-            "missing_words",
-            ["key", "occurrences"],
-            [[k, c] for k, c in missing],
-            [{"key": k, "occurrences": c} for k, c in missing],
-        )
-    return 0
-
-
-def _emit_features(
-    writer: ReportWriter, matrix: features_mod.FeatureMatrix
-) -> int:
-    names = list(features_mod.FEATURE_NAMES)
-    rows = []
-    mirror = []
-    for sid in matrix.sonnet_ids:
-        vec = matrix.vectors[sid]
-        rows.append([sid] + [vec.values[n] for n in names])
-        mirror.append(
-            {
-                "sonnet_id": sid,
-                "values": {n: vec.values[n] for n in names},
-                "reasons": dict(vec.reasons),
-            }
-        )
-    writer.emit(
-        "features",
-        ["sonnet_id", *names],
-        rows,
-        {"features": names, "undefined_counts": matrix.undefined_counts, "rows": mirror},
-    )
-    return 0
-
-
-def _emit_validation(
-    writer: ReportWriter,
-    matrix: features_mod.FeatureMatrix,
-    median: corpus_mod.AnnotationSet,
-) -> int:
-    degenerate = 0
-
-    cells = validation_mod.bivariate_report(matrix, median)
-    writer.emit(
-        "bivariate",
-        ["annotated_feature", "gam_feature", "n", "rho", "band", "note"],
-        [[c.annotated_feature, c.gam_feature, c.n, c.rho, c.band, c.note] for c in cells],
-        [
-            {
-                "annotated_feature": c.annotated_feature,
-                "gam_feature": c.gam_feature,
-                "n": c.n,
-                "rho": c.rho,
-                "band": c.band,
-                "note": c.note,
-            }
-            for c in cells
-        ],
-    )
-
-    pd_rows = validation_mod.partial_dependence_report(matrix, median)
-    degenerate += sum(1 for r in pd_rows if r.note is not None)
-    writer.emit(
-        "partial_dependence",
-        [
-            "category", "annotated_feature", "gam_feature", "n", "n_predictors",
-            "r_squared", "adjusted_r_squared", "coefficient", "p_value",
-            "significant", "pruned", "dropped_columns", "note",
-        ],
-        [
-            [
-                r.category, r.annotated_feature, r.gam_feature, r.n, r.n_predictors,
-                r.r_squared, r.adjusted_r_squared, r.coefficient, r.p_value,
-                r.significant, r.pruned, ";".join(r.dropped_columns), r.note,
-            ]
-            for r in pd_rows
-        ],
-        [
-            {
-                "category": r.category,
-                "annotated_feature": r.annotated_feature,
-                "gam_feature": r.gam_feature,
-                "n": r.n,
-                "n_predictors": r.n_predictors,
-                "r_squared": r.r_squared,
-                "adjusted_r_squared": r.adjusted_r_squared,
-                "coefficient": r.coefficient,
-                "p_value": r.p_value,
-                "significant": r.significant,
-                "pruned": r.pruned,
-                "dropped_columns": list(r.dropped_columns),
-                "note": r.note,
-            }
-            for r in pd_rows
-        ],
-    )
-
-    anova = validation_mod.anova_report(matrix, median)
-    degenerate += len(anova.skipped)
-    writer.emit(
-        "anova",
-        [
-            "category", "gam_feature", "n_in", "n_out",
-            "mean_in", "mean_out", "f_statistic", "p_value",
-        ],
-        [
-            [
-                r.category, r.gam_feature, r.n_in, r.n_out,
-                r.mean_in, r.mean_out, r.f_statistic, r.p_value,
-            ]
-            for r in anova.rows
-        ],
-        {
-            "n_total": anova.n_total,
-            "n_significant": anova.n_significant,
-            "skipped": [list(s) for s in anova.skipped],
-            "rows": [
-                {
-                    "category": r.category,
-                    "gam_feature": r.gam_feature,
-                    "n_in": r.n_in,
-                    "n_out": r.n_out,
-                    "mean_in": r.mean_in,
-                    "mean_out": r.mean_out,
-                    "f_statistic": r.f_statistic,
-                    "p_value": r.p_value,
-                }
-                for r in anova.rows
-            ],
-        },
-    )
-    return degenerate
-
-
 def _run(args: argparse.Namespace) -> int:
-    command = args.command
-    cfg = _load_config(args)
-    need_texts = command != "agree"
-    need_lexicons = command in ("coverage", "features", "validate", "all")
-    _check_inputs(cfg, need_texts=need_texts, need_lexicons=need_lexicons)
-
-    out_dir = Path(cfg["out_dir"])
+    reports = [
+        name for name in COMMANDS[args.command]
+        if name != "missing_words" or args.missing_words
+    ]
+    session = Session(
+        args.config, reports, mode=args.mode, out_dir=args.out, fmt=args.format
+    )
+    out_dir = Path(session.config["out_dir"])
     if not out_dir.is_absolute():
         out_dir = Path.cwd() / out_dir
+    writer = ReportWriter(out_dir, session.config["format"])
     decisions_handler: logging.FileHandler | None = None
     if args.log_decisions:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -584,54 +105,11 @@ def _run(args: argparse.Namespace) -> int:
         package_logger.addHandler(decisions_handler)
         package_logger.setLevel(logging.INFO)
     try:
-        return _run_reports(args, cfg, out_dir)
+        degenerate = session.write(writer)
     finally:
         if decisions_handler is not None:
             logging.getLogger(__package__).removeHandler(decisions_handler)
             decisions_handler.close()
-
-
-def _run_reports(args: argparse.Namespace, cfg: dict[str, Any], out_dir: Path) -> int:
-    command = args.command
-    writer = ReportWriter(out_dir, cfg["format"])
-    norm = _norm_config(cfg)
-    corp = _load_corpus(cfg, with_texts=command != "agree")
-    sets = _load_sets(cfg, corp)
-    degenerate = 0
-
-    median: corpus_mod.AnnotationSet | None = None
-    unfilled: list[corpus_mod.UnfilledCell] = []
-    needs_median = command in ("stats", "coverage", "validate", "all")
-    if needs_median:
-        sets, unfilled, median = _median_pipeline(sets)
-    elif command == "agree":
-        if len(sets) == 3:
-            sets, unfilled, median = _median_pipeline(sets)
-        else:
-            print(
-                "warning: the median column requires three annotation sets; "
-                "emitting a pairwise-only report",
-                file=sys.stderr,
-            )
-
-    if command in ("stats", "all"):
-        assert median is not None
-        degenerate += _emit_stats(writer, corp, median, unfilled, norm)
-    if command in ("agree", "all"):
-        degenerate += _emit_agreement(writer, sets, median)
-    if command in ("coverage", "features", "validate", "all"):
-        sources, merged = _load_merged(cfg, norm)
-        if command in ("coverage", "all"):
-            degenerate += _emit_coverage(
-                writer, corp, sources, merged, norm, median, args.missing_words
-            )
-        if command in ("features", "validate", "all"):
-            matrix = features_mod.compute_corpus_matrix(corp, merged, norm)
-            if command in ("features", "all"):
-                degenerate += _emit_features(writer, matrix)
-            if command in ("validate", "all"):
-                assert median is not None
-                degenerate += _emit_validation(writer, matrix, median)
 
     for path in writer.written:
         print(f"wrote {path}")
@@ -667,13 +145,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     try:
         return _run(args)
-    except (
-        InputError,
-        corpus_mod.CorpusFormatError,
-        corpus_mod.AnnotationFormatError,
-        lexicon_mod.LexiconFormatError,
-        OSError,
-    ) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,9 +15,9 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .textnorm import NormalizationConfig, normalize
+from .textnorm import InputError
 
 __all__ = [
     "AnnotationFormatError",
@@ -47,11 +47,11 @@ ORDINAL_MIN = 1
 ORDINAL_MAX = 4
 
 
-class AnnotationFormatError(ValueError):
+class AnnotationFormatError(InputError):
     """Malformed annotation file (bad header, cell value, or row count)."""
 
 
-class CorpusFormatError(ValueError):
+class CorpusFormatError(InputError):
     """Malformed corpus metadata or unreadable sonnet text."""
 
 
@@ -76,15 +76,6 @@ class FeatureCatalog:
     @property
     def all_features(self) -> tuple[str, ...]:
         return self.affective + self.lexico_semantic + self.psychological
-
-    def kind(self, feature: str) -> str:
-        if feature in self.affective:
-            return "affective"
-        if feature in self.lexico_semantic:
-            return "lexico_semantic"
-        if feature in self.psychological:
-            return "psychological"
-        raise KeyError(feature)
 
 
 DEFAULT_CATALOG = FeatureCatalog(
@@ -163,12 +154,6 @@ class AnnotationSet:
     features: tuple[str, ...]
     values: dict[tuple[str, str], float]
 
-    def get(self, sonnet_id: str, feature: str) -> float | None:
-        return self.values.get((sonnet_id, feature))
-
-    def present(self, sonnet_id: str, feature: str) -> bool:
-        return (sonnet_id, feature) in self.values
-
 
 class UnfilledCell(NamedTuple):
     """A psychological cell missing in two or more annotation sets."""
@@ -208,7 +193,7 @@ def load_corpus(metadata_path: str | Path, corpus_root: str | Path | None) -> Co
     """
     metadata_path = Path(metadata_path)
     try:
-        handle = metadata_path.open(encoding="utf-8", newline="")
+        handle = metadata_path.open(encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise CorpusFormatError(f"cannot read metadata file {metadata_path}: {exc}") from exc
     with handle:
@@ -264,7 +249,7 @@ def load_annotation_set(
     """
     path = Path(path)
     try:
-        handle = path.open(encoding="utf-8", newline="")
+        handle = path.open(encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise AnnotationFormatError(f"cannot read annotation file {path}: {exc}") from exc
     with handle:
@@ -476,24 +461,20 @@ def subset_by_tag(
 
 
 def corpus_statistics(
-    corpus: Corpus,
+    keys: Mapping[str, Sequence[str]],
     median: AnnotationSet,
-    config: NormalizationConfig,
     catalog: FeatureCatalog = DEFAULT_CATALOG,
     n_bins: int = 10,
 ) -> CorpusStats:
     """Word-count distribution and per-tag counts.
 
-    Word counts are surviving tokens after stopword removal (repeats
-    included).  The standard deviation is the sample one (n-1 in the
-    denominator); the histogram uses ``n_bins`` equal-width bins over
-    the observed range with the last bin closed on the right.
+    ``keys`` holds each sonnet's normalized keys.  Word counts are
+    surviving tokens after stopword removal (repeats included).  The
+    standard deviation is the sample one (n-1 in the denominator); the
+    histogram uses ``n_bins`` equal-width bins over the observed range
+    with the last bin closed on the right.
     """
-    counts = []
-    for sonnet in corpus.sonnets:
-        if sonnet.text is None:
-            raise ValueError(f"sonnet {sonnet.sonnet_id} was loaded without text")
-        counts.append(len(normalize(sonnet.text, config)))
+    counts = [len(sonnet_keys) for sonnet_keys in keys.values()]
     n = len(counts)
     mean = sum(counts) / n
     if n > 1:

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
-from .corpus import Corpus
 from .lexicon import DIMENSIONS, MergedLexicon
 from .stats import spearman
 from .textnorm import NormalizationConfig, normalize
@@ -63,9 +62,8 @@ FEATURE_NAMES: tuple[str, ...] = MEAN_SD_FEATURES + (
 
 @dataclass(frozen=True)
 class WordObservation:
-    """One lexicon-matched token: where it sits and what the norms say."""
+    """One lexicon-matched token: its key, where it sits and what the norms say."""
 
-    surface: str
     key: str
     position: int
     dims: dict[str, tuple[float, float | None]]
@@ -83,11 +81,14 @@ class GamFeatureVector:
     values: dict[str, float | None] = field(default_factory=dict)
     reasons: dict[str, str] = field(default_factory=dict)
 
-    def get(self, name: str) -> float | None:
-        return self.values[name]
 
-    def defined(self, name: str) -> bool:
-        return self.values[name] is not None
+def _observe_keys(keys: Sequence[str], merged: MergedLexicon) -> list[WordObservation]:
+    observations = []
+    for position, key in enumerate(keys, start=1):
+        entry = merged.lookup(key)
+        if entry is not None:
+            observations.append(WordObservation(key=key, position=position, dims=entry))
+    return observations
 
 
 def observe_words(
@@ -99,19 +100,7 @@ def observe_words(
     position sequence of the observations may have gaps where unmatched
     words sat.
     """
-    observations = []
-    for token in normalize(text, config):
-        entry = merged.lookup(token.normalized)
-        if entry is not None:
-            observations.append(
-                WordObservation(
-                    surface=token.surface,
-                    key=token.normalized,
-                    position=token.position,
-                    dims=entry,
-                )
-            )
-    return observations
+    return _observe_keys([token.normalized for token in normalize(text, config)], merged)
 
 
 def _position_correlation(
@@ -209,21 +198,23 @@ class FeatureMatrix:
 
 
 def compute_corpus_matrix(
-    corpus: Corpus, merged: MergedLexicon, config: NormalizationConfig
+    keys: Mapping[str, Sequence[str]], merged: MergedLexicon
 ) -> FeatureMatrix:
-    """Feature vectors for every sonnet plus per-feature undefined counts."""
+    """Feature vectors for every sonnet plus per-feature undefined counts.
+
+    ``keys`` holds each sonnet's normalized keys in corpus order; a key's
+    position is its index + 1.
+    """
     vectors: dict[str, GamFeatureVector] = {}
     undefined = {name: 0 for name in FEATURE_NAMES}
-    for sonnet in corpus.sonnets:
-        if sonnet.text is None:
-            raise ValueError(f"sonnet {sonnet.sonnet_id} was loaded without text")
-        vec = compute_features(sonnet.text, merged, config)
-        vectors[sonnet.sonnet_id] = vec
+    for sonnet_id, sonnet_keys in keys.items():
+        vec = features_from_observations(_observe_keys(sonnet_keys, merged))
+        vectors[sonnet_id] = vec
         for name in FEATURE_NAMES:
             if vec.values[name] is None:
                 undefined[name] += 1
     return FeatureMatrix(
-        sonnet_ids=corpus.sonnet_ids,
+        sonnet_ids=tuple(keys),
         vectors=vectors,
         undefined_counts=undefined,
     )

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import DEFAULT_CATALOG, AnnotationSet, Corpus, FeatureCatalog, subset_by_tag
-from .textnorm import NormalizationConfig, lemmatize, normalize, stem
+from .corpus import DEFAULT_CATALOG, AnnotationSet, FeatureCatalog, subset_by_tag
+from .textnorm import InputError, NormalizationConfig, lemmatize, stem
 
 __all__ = [
     "CANONICAL_SCALES",
@@ -32,7 +32,9 @@ __all__ = [
     "DIMENSIONS",
     "LexiconFormatError",
     "MergedLexicon",
+    "MissingWordRow",
     "SourceLexicon",
+    "WordCountRow",
     "coverage_report",
     "load_lexicon",
     "merge_lexicons",
@@ -59,7 +61,7 @@ CANONICAL_SCALES: dict[str, tuple[float, float]] = {
 DIMENSIONS: tuple[str, ...] = tuple(CANONICAL_SCALES)
 
 
-class LexiconFormatError(ValueError):
+class LexiconFormatError(InputError):
     """Malformed lexicon file or descriptor (coordinates in the message)."""
 
 
@@ -75,10 +77,6 @@ class SourceLexicon:
     source_id: str
     scales: dict[str, tuple[float, float]]
     entries: dict[str, dict[str, tuple[float, float | None]]]
-
-    @property
-    def words(self) -> tuple[str, ...]:
-        return tuple(self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -160,7 +158,7 @@ def _finish_source(
 
 
 def _load_canonical(path: Path, source_id: str) -> SourceLexicon:
-    with path.open(encoding="utf-8", newline="") as handle:
+    with path.open(encoding="utf-8-sig", newline="") as handle:
         reader = csv.DictReader(handle)
         required = {"word", "dimension", "mean", "sd", "scale_min", "scale_max"}
         have = set(reader.fieldnames or [])
@@ -204,17 +202,16 @@ def _load_canonical(path: Path, source_id: str) -> SourceLexicon:
     return _finish_source(source_id, scales, raw)
 
 
-def _load_descriptor(descriptor: Mapping | str | Path) -> tuple[Mapping, Path | None]:
+def _load_descriptor(descriptor: Mapping | str | Path) -> Mapping:
     if isinstance(descriptor, (str, Path)):
         desc_path = Path(descriptor)
         try:
-            loaded = json.loads(desc_path.read_text(encoding="utf-8"))
+            return json.loads(desc_path.read_text(encoding="utf-8"))
         except OSError as exc:
             raise LexiconFormatError(f"cannot read descriptor {desc_path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise LexiconFormatError(f"{desc_path}: invalid JSON: {exc}") from exc
-        return loaded, desc_path.parent
-    return descriptor, None
+    return descriptor
 
 
 def _load_described(path: Path, descriptor: Mapping, source_id: str) -> SourceLexicon:
@@ -249,7 +246,7 @@ def _load_described(path: Path, descriptor: Mapping, source_id: str) -> SourceLe
             )
         scales[dim] = (lo, hi)
 
-    with path.open(encoding="utf-8", newline="") as handle:
+    with path.open(encoding="utf-8-sig", newline="") as handle:
         reader = csv.DictReader(handle, delimiter=delimiter)
         header = set(reader.fieldnames or [])
         needed = {word_column} | {spec["mean"] for spec in dims_spec.values()}
@@ -307,14 +304,9 @@ def load_lexicon(
         raise LexiconFormatError(f"lexicon file not found: {path}")
     if descriptor is None:
         return _load_canonical(path, source_id or path.stem)
-    desc, _ = _load_descriptor(descriptor)
+    desc = _load_descriptor(descriptor)
     sid = source_id or desc.get("source_id") or path.stem
     return _load_described(path, desc, sid)
-
-
-def _median(values: list[float]) -> float:
-    """Median with the even-count convention: mean of the two middle values."""
-    return statistics.median(values)
 
 
 def _normalize_key(word: str, config: NormalizationConfig) -> str:
@@ -365,9 +357,9 @@ def merge_lexicons(
             n_collisions += 1
         for dim, (means, sds) in by_surface[word].items():
             key_means, key_sds = slot.setdefault(dim, ([], []))
-            key_means.append(_median(means))
+            key_means.append(statistics.median(means))
             if sds:
-                key_sds.append(_median(sds))
+                key_sds.append(statistics.median(sds))
     if n_collisions:
         logger.info(
             "merge: %d surface words collapsed onto existing keys (%s mode)",
@@ -391,29 +383,18 @@ class CoverageRow:
     """Coverage of one corpus category's distinct keys."""
 
     category: str
+    mode: str
     n_keys: int
-    fraction_merged: float
+    merged: float
     per_source: dict[str, float]
 
 
-def _keys_for_sonnets(
-    corpus: Corpus, sonnet_ids: Sequence[str], config: NormalizationConfig
-) -> set[str]:
-    keys: set[str] = set()
-    for sid in sonnet_ids:
-        sonnet = corpus.get(sid)
-        if sonnet.text is None:
-            raise ValueError(f"sonnet {sid} was loaded without text")
-        keys.update(tok.normalized for tok in normalize(sonnet.text, config))
-    return keys
-
-
 def _categories(
-    corpus: Corpus,
+    sonnet_ids: Sequence[str],
     median: AnnotationSet | None,
     catalog: FeatureCatalog,
-) -> list[tuple[str, tuple[str, ...]]]:
-    cats: list[tuple[str, tuple[str, ...]]] = [("all", corpus.sonnet_ids)]
+) -> list[tuple[str, Sequence[str]]]:
+    cats: list[tuple[str, Sequence[str]]] = [("all", sonnet_ids)]
     if median is not None:
         for tag in catalog.psychological:
             cats.append((tag, subset_by_tag(median, tag, catalog)[0]))
@@ -421,7 +402,7 @@ def _categories(
 
 
 def coverage_report(
-    corpus: Corpus,
+    keys: Mapping[str, Sequence[str]],
     sources: Sequence[SourceLexicon],
     merged: MergedLexicon,
     config: NormalizationConfig,
@@ -430,30 +411,34 @@ def coverage_report(
 ) -> list[CoverageRow]:
     """Fraction of distinct corpus keys found in the merged lexicon.
 
-    One row for the whole corpus and, when a median annotation set is
-    given, one per psychological tag (over its tagged sonnets only).
-    Per-source fractions check the same keys against each source's words
-    normalized under the same mode.
+    ``keys`` holds each sonnet's keys under ``config.mode``.  One row
+    for the whole corpus and, when a median annotation set is given, one
+    per psychological tag (over its tagged sonnets only).  Per-source
+    fractions check the same keys against each source's words normalized
+    under the same mode.
     """
     source_keys = {
         s.source_id: {_normalize_key(w, config) for w in s.entries} for s in sources
     }
     rows = []
-    for category, ids in _categories(corpus, median, catalog):
-        keys = _keys_for_sonnets(corpus, ids, config)
-        if not keys:
-            rows.append(CoverageRow(category, 0, 0.0, {s: 0.0 for s in source_keys}))
+    for category, ids in _categories(tuple(keys), median, catalog):
+        distinct = {k for sid in ids for k in keys[sid]}
+        if not distinct:
+            rows.append(
+                CoverageRow(category, config.mode, 0, 0.0, {s: 0.0 for s in source_keys})
+            )
             continue
-        hit = sum(1 for k in keys if k in merged)
+        hit = sum(1 for k in distinct if k in merged)
         per_source = {
-            sid: sum(1 for k in keys if k in sk) / len(keys)
+            sid: sum(1 for k in distinct if k in sk) / len(distinct)
             for sid, sk in source_keys.items()
         }
         rows.append(
             CoverageRow(
                 category=category,
-                n_keys=len(keys),
-                fraction_merged=hit / len(keys),
+                mode=config.mode,
+                n_keys=len(distinct),
+                merged=hit / len(distinct),
                 per_source=per_source,
             )
         )
@@ -465,62 +450,45 @@ class WordCountRow:
     """Distinct-key counts per normalization mode for one category."""
 
     category: str
-    counts: dict[str, int | None]
+    raw: int
+    stem: int
+    lemma: int | None
 
 
 def word_count_report(
-    corpus: Corpus,
-    config: NormalizationConfig,
+    raw: Mapping[str, Sequence[str]],
+    stem: Mapping[str, Sequence[str]],
+    lemma: Mapping[str, Sequence[str]] | None = None,
     median: AnnotationSet | None = None,
     catalog: FeatureCatalog = DEFAULT_CATALOG,
 ) -> list[WordCountRow]:
     """Distinct keys per category under raw, stem, and lemma modes.
 
-    The lemma column is None when no lemma table is configured.  The
-    stopword list of the supplied config applies to all three modes.
+    Each mapping holds every sonnet's keys under that mode, normalized
+    with the same stopword list.  The lemma column is None when no lemma
+    keys are given (no lemma table is configured).
     """
-    configs: dict[str, NormalizationConfig | None] = {
-        "raw": NormalizationConfig(
-            mode="raw",
-            stopwords=config.stopwords,
-            lowercase=config.lowercase,
-            strip_punctuation=config.strip_punctuation,
-        ),
-        "stem": NormalizationConfig(
-            mode="stem",
-            stopwords=config.stopwords,
-            lowercase=config.lowercase,
-            strip_punctuation=config.strip_punctuation,
-        ),
-        "lemma": (
-            NormalizationConfig(
-                mode="lemma",
-                stopwords=config.stopwords,
-                lemma_table=config.lemma_table,
-                lowercase=config.lowercase,
-                strip_punctuation=config.strip_punctuation,
-            )
-            if config.lemma_table
-            else None
-        ),
-    }
     rows = []
-    for category, ids in _categories(corpus, median, catalog):
-        counts: dict[str, int | None] = {}
-        for mode, mode_config in configs.items():
-            if mode_config is None:
-                counts[mode] = None
-            else:
-                counts[mode] = len(_keys_for_sonnets(corpus, ids, mode_config))
-        rows.append(WordCountRow(category=category, counts=counts))
+    for category, ids in _categories(tuple(raw), median, catalog):
+        raw_n, stem_n, lemma_n = (
+            None if keys is None else len({k for sid in ids for k in keys[sid]})
+            for keys in (raw, stem, lemma)
+        )
+        rows.append(WordCountRow(category, raw_n, stem_n, lemma_n))
     return rows
 
 
+@dataclass(frozen=True)
+class MissingWordRow:
+    """A corpus key absent from the merged lexicon."""
+
+    key: str
+    occurrences: int
+
+
 def missing_word_report(
-    corpus: Corpus,
-    merged: MergedLexicon,
-    config: NormalizationConfig,
-) -> list[tuple[str, int]]:
+    keys: Mapping[str, Sequence[str]], merged: MergedLexicon
+) -> list[MissingWordRow]:
     """Corpus keys absent from the merged lexicon, with occurrence counts.
 
     Counts are token occurrences (not distinct sonnets), stopwords
@@ -528,10 +496,9 @@ def missing_word_report(
     alphabetically.
     """
     counts: dict[str, int] = {}
-    for sonnet in corpus.sonnets:
-        if sonnet.text is None:
-            raise ValueError(f"sonnet {sonnet.sonnet_id} was loaded without text")
-        for tok in normalize(sonnet.text, config):
-            if tok.normalized not in merged:
-                counts[tok.normalized] = counts.get(tok.normalized, 0) + 1
-    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    for sonnet_keys in keys.values():
+        for key in sonnet_keys:
+            if key not in merged:
+                counts[key] = counts.get(key, 0) + 1
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    return [MissingWordRow(key, n) for key, n in ranked]

@@ -1,0 +1,561 @@
+"""Pipeline session: one run config, its inputs, and the reports drawn from them.
+
+A :class:`Session` reads the JSON run config and, before any computation
+starts, checks the inputs that its reports need.  It then loads each
+input on first use and computes each derived artifact once: the key
+tuples per normalization mode, the filled annotation sets and the median
+annotator, the merged lexicon, and the feature matrix.
+
+``REPORTS`` defines every report once, with the inputs it needs;
+``COMMANDS`` names the reports of each subcommand.  A report made of
+row dataclasses goes through one helper, ``_table``, which derives the
+CSV header and cells and the JSON rows from the fields by one rule.
+"""
+
+from __future__ import annotations
+
+import csv
+import dataclasses
+import json
+import logging
+import sys
+from functools import cached_property
+from pathlib import Path
+from typing import Any, Callable, NamedTuple, Sequence
+
+from . import agreement as agreement_mod
+from . import corpus as corpus_mod
+from . import features as features_mod
+from . import lexicon as lexicon_mod
+from . import validation as validation_mod
+from .textnorm import (
+    MODES,
+    InputError,
+    NormalizationConfig,
+    default_stopwords,
+    load_lemma_table,
+    load_stopwords,
+    normalize,
+)
+
+__all__ = ["COMMANDS", "FORMATS", "REPORTS", "ReportWriter", "Session"]
+
+logger = logging.getLogger(__name__)
+
+FORMATS = ("csv", "json", "both")
+
+_CONFIG_DEFAULTS: dict[str, Any] = {
+    "reversed_valence_annotators": [],
+    "stopwords": None,
+    "lemma_table": None,
+    "mode": "stem",
+    "out_dir": "reports",
+    "format": "both",
+}
+
+
+def _load_config(
+    config_path: Path, mode: str | None, out_dir: str | None, fmt: str | None
+) -> dict[str, Any]:
+    try:
+        raw = json.loads(config_path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise InputError(f"cannot read config {config_path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{config_path}: invalid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise InputError(f"{config_path}: config must be a JSON object")
+    cfg = dict(_CONFIG_DEFAULTS)
+    cfg.update(raw)
+    cfg["_dir"] = config_path.parent
+    for key, override in (("mode", mode), ("out_dir", out_dir), ("format", fmt)):
+        if override:
+            cfg[key] = override
+    if cfg["mode"] not in MODES:
+        raise InputError(f"unknown mode {cfg['mode']!r}; expected one of {MODES}")
+    if cfg["format"] not in FORMATS:
+        raise InputError(f"unknown format {cfg['format']!r}")
+    return cfg
+
+
+def _resolve(cfg: dict[str, Any], value: str) -> Path:
+    path = Path(value)
+    return path if path.is_absolute() else cfg["_dir"] / path
+
+
+def _require_file(cfg: dict[str, Any], key_path: str, label: str) -> Path:
+    path = _resolve(cfg, key_path)
+    if not path.is_file():
+        raise InputError(f"{label} not found: {path}")
+    return path
+
+
+def _check_inputs(cfg: dict[str, Any], needs: set[str]) -> None:
+    """Fail on missing inputs before any computation starts."""
+    if "metadata" not in cfg:
+        raise InputError("config is missing 'metadata'")
+    _require_file(cfg, cfg["metadata"], "metadata file")
+    annotations = cfg.get("annotations")
+    if not isinstance(annotations, list) or len(annotations) < 2:
+        raise InputError("config needs an 'annotations' list with at least two files")
+    for entry in annotations:
+        _require_file(cfg, entry, "annotation file")
+    if "median" in needs and len(annotations) != 3:
+        raise InputError(
+            f"this command needs exactly three annotation sets to build the median "
+            f"annotator; config lists {len(annotations)}"
+        )
+    for rid in cfg.get("reversed_valence_annotators") or []:
+        if rid not in range(1, len(annotations) + 1):
+            raise InputError(f"reversed_valence_annotators names unknown annotator {rid}")
+    if "texts" in needs:
+        if not cfg.get("corpus_root"):
+            raise InputError("config is missing 'corpus_root' (needed to read sonnet texts)")
+        root = _resolve(cfg, cfg["corpus_root"])
+        if not root.is_dir():
+            raise InputError(f"corpus_root is not a directory: {root}")
+    if "lexicons" in needs:
+        lexicons = cfg.get("lexicons")
+        if not isinstance(lexicons, list) or not lexicons:
+            raise InputError("config needs a non-empty 'lexicons' list")
+        for entry in lexicons:
+            if isinstance(entry, str):
+                _require_file(cfg, entry, "lexicon file")
+            elif isinstance(entry, dict) and "path" in entry:
+                _require_file(cfg, entry["path"], "lexicon file")
+                if entry.get("descriptor"):
+                    _require_file(cfg, entry["descriptor"], "lexicon descriptor")
+            else:
+                raise InputError(
+                    "each lexicons entry must be a path or an object with a 'path'"
+                )
+    if cfg.get("stopwords"):
+        _require_file(cfg, cfg["stopwords"], "stopword list")
+    if cfg.get("lemma_table"):
+        _require_file(cfg, cfg["lemma_table"], "lemma table")
+    if cfg["mode"] == "lemma" and not cfg.get("lemma_table"):
+        raise InputError("lemma mode requires a 'lemma_table' in the config")
+
+
+# ---------------------------------------------------------------------------
+# report serialization
+
+
+def _fmt(value: Any) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.10g}"
+    return str(value)
+
+
+def _json_safe(value: Any) -> Any:
+    if isinstance(value, float):
+        if value != value or value in (float("inf"), float("-inf")):
+            return str(value)
+        return value
+    if isinstance(value, dict):
+        return {str(k): _json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    return value
+
+
+class _Table(NamedTuple):
+    """One report ready to write, with the degeneracies it counted."""
+
+    header: list[str]
+    rows: list[list[Any]]
+    mirror: Any
+    degenerate: int = 0
+
+
+def _table(row_type: type, rows: Sequence[Any]) -> _Table:
+    """CSV header and cells and JSON rows of a list of row dataclasses.
+
+    Fields go in declaration order.  A tuple becomes one ';'-joined cell
+    and a JSON list; a dict becomes one column per key (the keys of the
+    first row) and a nested object.
+    """
+    names = [f.name for f in dataclasses.fields(row_type)]
+    columns: dict[str, list[str]] = {}
+    if rows:
+        for name in names:
+            value = getattr(rows[0], name)
+            if isinstance(value, dict):
+                columns[name] = list(value)
+    header = [col for name in names for col in columns.get(name, [name])]
+    cells = []
+    for row in rows:
+        line: list[Any] = []
+        for name in names:
+            value = getattr(row, name)
+            if name in columns:
+                line.extend(value[key] for key in columns[name])
+            elif isinstance(value, tuple):
+                line.append(";".join(_fmt(v) for v in value))
+            else:
+                line.append(value)
+        cells.append(line)
+    mirror = [{name: getattr(row, name) for name in names} for row in rows]
+    return _Table(header, cells, mirror)
+
+
+class ReportWriter:
+    """Writes csv/json report pairs and remembers what was written."""
+
+    def __init__(self, out_dir: Path, fmt: str):
+        self.out_dir = out_dir
+        self.fmt = fmt
+        self.written: list[Path] = []
+
+    def emit(self, name: str, header: list[str], rows: list[list[Any]], mirror: Any) -> None:
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        if self.fmt in ("csv", "both"):
+            path = self.out_dir / f"{name}.csv"
+            with path.open("w", encoding="utf-8", newline="") as handle:
+                writer = csv.writer(handle, lineterminator="\n")
+                writer.writerow(header)
+                for row in rows:
+                    writer.writerow([_fmt(cell) for cell in row])
+            self.written.append(path)
+        if self.fmt in ("json", "both"):
+            path = self.out_dir / f"{name}.json"
+            text = json.dumps(_json_safe(mirror), indent=2, ensure_ascii=False, sort_keys=False)
+            path.write_text(text + "\n", encoding="utf-8")
+            self.written.append(path)
+
+
+# ---------------------------------------------------------------------------
+# report definitions
+
+
+def _corpus_stats(session: Session) -> _Table:
+    stats = corpus_mod.corpus_statistics(session.keys(session.norm.mode), session.median)
+    rows: list[list[Any]] = [
+        ["summary", "n_sonnets", stats.n_sonnets],
+        ["summary", "word_mean", stats.word_mean],
+        ["summary", "word_sd", stats.word_sd],
+    ]
+    for bin_ in stats.histogram:
+        rows.append(["histogram", f"{bin_.low:.10g}-{bin_.high:.10g}", bin_.count])
+    for tag, count in stats.tag_counts.items():
+        rows.append(["tag_count", tag, count])
+    mirror = {
+        "n_sonnets": stats.n_sonnets,
+        "word_mean": stats.word_mean,
+        "word_sd": stats.word_sd,
+        "histogram": [
+            {"low": b.low, "high": b.high, "count": b.count} for b in stats.histogram
+        ],
+        "tag_counts": stats.tag_counts,
+        "unfilled_cells": [
+            {"sonnet_id": c.sonnet_id, "feature": c.feature, "n_present": c.n_present}
+            for c in session.annotations[1]
+        ],
+    }
+    return _Table(["record", "name", "value"], rows, mirror)
+
+
+def _agreement(session: Session) -> _Table:
+    sets, median = session.annotations[0], None
+    if len(sets) == 3:
+        median = session.median
+    else:
+        print(
+            "warning: the median column requires three annotation sets; "
+            "emitting a pairwise-only report",
+            file=sys.stderr,
+        )
+    report = agreement_mod.agreement_report(sets, median)
+    columns: list[str] = []
+    for row in report:
+        for label in row.cells:
+            if label not in columns:
+                columns.append(label)
+    rows = []
+    degenerate = 0
+    mirror_rows = []
+    for row in report:
+        csv_row: list[Any] = [row.feature, row.level]
+        cell_mirror: dict[str, Any] = {}
+        for label in columns:
+            result = row.cells.get(label)
+            if result is None:
+                csv_row.append(None)
+                cell_mirror[label] = None
+                degenerate += 1
+                continue
+            csv_row.append(result.alpha)
+            cell_mirror[label] = {
+                "alpha": result.alpha,
+                "n_pairable": result.n_pairable,
+                "band": result.band,
+                "degenerate": result.degenerate,
+                "note": result.note,
+            }
+            if result.degenerate:
+                degenerate += 1
+        csv_row.append(";".join(row.below_threshold))
+        rows.append(csv_row)
+        mirror_rows.append(
+            {
+                "feature": row.feature,
+                "level": row.level,
+                "cells": cell_mirror,
+                "below_threshold": list(row.below_threshold),
+            }
+        )
+    return _Table(
+        ["feature", "level", *columns, "below_threshold"],
+        rows,
+        {"columns": columns, "rows": mirror_rows},
+        degenerate,
+    )
+
+
+def _word_counts(session: Session) -> _Table:
+    lemma = session.keys("lemma") if session.norm.lemma_table else None
+    rows = lexicon_mod.word_count_report(
+        session.keys("raw"), session.keys("stem"), lemma, session.median
+    )
+    return _table(lexicon_mod.WordCountRow, rows)
+
+
+def _coverage(session: Session) -> _Table:
+    norm = session.norm
+    rows = lexicon_mod.coverage_report(
+        session.keys(norm.mode), session.sources, session.merged, norm, session.median
+    )
+    return _table(lexicon_mod.CoverageRow, rows)
+
+
+def _missing_words(session: Session) -> _Table:
+    rows = lexicon_mod.missing_word_report(session.keys(session.norm.mode), session.merged)
+    return _table(lexicon_mod.MissingWordRow, rows)
+
+
+def _features(session: Session) -> _Table:
+    matrix = session.matrix
+    names = list(features_mod.FEATURE_NAMES)
+    rows = []
+    mirror = []
+    for sid in matrix.sonnet_ids:
+        vec = matrix.vectors[sid]
+        rows.append([sid] + [vec.values[n] for n in names])
+        mirror.append(
+            {
+                "sonnet_id": sid,
+                "values": {n: vec.values[n] for n in names},
+                "reasons": dict(vec.reasons),
+            }
+        )
+    return _Table(
+        ["sonnet_id", *names],
+        rows,
+        {"features": names, "undefined_counts": matrix.undefined_counts, "rows": mirror},
+    )
+
+
+def _bivariate(session: Session) -> _Table:
+    cells = validation_mod.bivariate_report(session.matrix, session.median)
+    return _table(validation_mod.BivariateCell, cells)
+
+
+def _partial_dependence(session: Session) -> _Table:
+    rows = validation_mod.partial_dependence_report(session.matrix, session.median)
+    report = _table(validation_mod.PartialDependenceRow, rows)
+    return report._replace(degenerate=sum(1 for r in rows if r.note is not None))
+
+
+def _anova(session: Session) -> _Table:
+    anova = validation_mod.anova_report(session.matrix, session.median)
+    header, rows, mirror, _ = _table(validation_mod.AnovaRow, anova.rows)
+    return _Table(
+        header,
+        rows,
+        {
+            "n_total": anova.n_total,
+            "n_significant": anova.n_significant,
+            "skipped": anova.skipped,
+            "rows": mirror,
+        },
+        len(anova.skipped),
+    )
+
+
+class _Report(NamedTuple):
+    """A report: the inputs it needs and how a session builds it."""
+
+    needs: frozenset[str]
+    build: Callable[[Session], _Table]
+
+
+_TEXTS = frozenset({"texts"})
+_MEDIAN = frozenset({"median"})
+_LEXICONS = frozenset({"lexicons"})
+
+# Report name -> definition, in the order `all` writes them.
+REPORTS: dict[str, _Report] = {
+    "corpus_stats": _Report(_TEXTS | _MEDIAN, _corpus_stats),
+    "agreement": _Report(frozenset(), _agreement),
+    "word_counts": _Report(_TEXTS | _MEDIAN, _word_counts),
+    "coverage": _Report(_TEXTS | _LEXICONS | _MEDIAN, _coverage),
+    "missing_words": _Report(_TEXTS | _LEXICONS, _missing_words),
+    "features": _Report(_TEXTS | _LEXICONS, _features),
+    "bivariate": _Report(_TEXTS | _LEXICONS | _MEDIAN, _bivariate),
+    "partial_dependence": _Report(_TEXTS | _LEXICONS | _MEDIAN, _partial_dependence),
+    "anova": _Report(_TEXTS | _LEXICONS | _MEDIAN, _anova),
+}
+
+# Subcommand -> its reports; missing_words is written only when asked for.
+COMMANDS: dict[str, tuple[str, ...]] = {
+    "stats": ("corpus_stats",),
+    "coverage": ("word_counts", "coverage", "missing_words"),
+    "agree": ("agreement",),
+    "features": ("features",),
+    "validate": ("bivariate", "partial_dependence", "anova"),
+    "all": tuple(REPORTS),
+}
+
+
+class Session:
+    """One run: a resolved config, its inputs, and what is derived from them.
+
+    Constructing a session reads the config (``mode``, ``out_dir`` and
+    ``fmt`` override its entries) and checks that the inputs the named
+    reports need exist.  Nothing else is read until first use, and every
+    input and derived artifact is loaded or computed once.
+    """
+
+    def __init__(
+        self,
+        config_path: str | Path,
+        reports: Sequence[str] = tuple(REPORTS),
+        *,
+        mode: str | None = None,
+        out_dir: str | None = None,
+        fmt: str | None = None,
+    ):
+        self.config = _load_config(Path(config_path), mode, out_dir, fmt)
+        self.reports = tuple(reports)
+        self._needs: set[str] = set().union(*(REPORTS[name].needs for name in self.reports))
+        _check_inputs(self.config, self._needs)
+        self._keys: dict[str, dict[str, tuple[str, ...]]] = {}
+
+    def _path(self, value: str) -> Path:
+        return _resolve(self.config, value)
+
+    @cached_property
+    def norm(self) -> NormalizationConfig:
+        """Normalization settings of the configured key mode."""
+        cfg = self.config
+        stopwords = (
+            load_stopwords(self._path(cfg["stopwords"]))
+            if cfg.get("stopwords")
+            else default_stopwords()
+        )
+        lemma_table = (
+            load_lemma_table(self._path(cfg["lemma_table"])) if cfg.get("lemma_table") else None
+        )
+        return NormalizationConfig(mode=cfg["mode"], stopwords=stopwords, lemma_table=lemma_table)
+
+    @cached_property
+    def corpus(self) -> corpus_mod.Corpus:
+        """Sonnet metadata, with texts when a report needs them."""
+        root = self._path(self.config["corpus_root"]) if "texts" in self._needs else None
+        return corpus_mod.load_corpus(self._path(self.config["metadata"]), root)
+
+    def keys(self, mode: str) -> dict[str, tuple[str, ...]]:
+        """Each sonnet's normalized keys under ``mode``, in corpus order.
+
+        A key's token position is its index + 1.  Every (sonnet, mode)
+        is normalized once per session.
+        """
+        if mode not in self._keys:
+            config = dataclasses.replace(self.norm, mode=mode)
+            # Tokens of one word share one string object; the memoized tuples
+            # then cost a pointer per token instead of a string per token.
+            distinct: dict[str, str] = {}
+            by_sonnet = {}
+            for sonnet in self.corpus.sonnets:
+                if sonnet.text is None:
+                    raise ValueError(f"sonnet {sonnet.sonnet_id} was loaded without text")
+                by_sonnet[sonnet.sonnet_id] = tuple(
+                    distinct.setdefault(token.normalized, token.normalized)
+                    for token in normalize(sonnet.text, config)
+                )
+            self._keys[mode] = by_sonnet
+        return self._keys[mode]
+
+    @cached_property
+    def annotations(
+        self,
+    ) -> tuple[list[corpus_mod.AnnotationSet], list[corpus_mod.UnfilledCell]]:
+        """The annotation sets and the psychological cells left missing.
+
+        Valence is reversed where configured.  Three sets, as the median
+        annotator needs, come filled: a tag missing in just one set is 0,
+        and the cells missing in two or more are listed.  Fewer sets come
+        as loaded, with no cells listed.
+        """
+        sets = [
+            corpus_mod.load_annotation_set(
+                self._path(entry), annotator_id=idx, sonnet_ids=self.corpus.sonnet_ids
+            )
+            for idx, entry in enumerate(self.config["annotations"], start=1)
+        ]
+        for rid in self.config.get("reversed_valence_annotators") or []:
+            sets[rid - 1] = corpus_mod.reverse_ordinal_scale(sets[rid - 1], "valence")
+            logger.info("reversed valence scale for annotator %d", rid)
+        if len(sets) != 3:
+            return sets, []
+        return corpus_mod.fill_missing_psych(sets)
+
+    @cached_property
+    def median(self) -> corpus_mod.AnnotationSet:
+        """The median annotator over the three filled sets."""
+        return corpus_mod.build_median_annotator(self.annotations[0])
+
+    @cached_property
+    def sources(self) -> list[lexicon_mod.SourceLexicon]:
+        """The configured lexicons on their native scales, source ids unique."""
+        sources = []
+        seen: dict[str, Path] = {}
+        for entry in self.config["lexicons"]:
+            if isinstance(entry, str):
+                entry = {"path": entry}
+            path = self._path(entry["path"])
+            descriptor = self._path(entry["descriptor"]) if entry.get("descriptor") else None
+            source = lexicon_mod.load_lexicon(
+                path, descriptor=descriptor, source_id=entry.get("source_id")
+            )
+            if source.source_id in seen:
+                raise InputError(
+                    f"lexicons {seen[source.source_id]} and {path} share the source id "
+                    f"{source.source_id!r}; set a distinct 'source_id' for one of them"
+                )
+            seen[source.source_id] = path
+            sources.append(source)
+        return sources
+
+    @cached_property
+    def merged(self) -> lexicon_mod.MergedLexicon:
+        """The sources merged onto keys of the configured mode."""
+        return lexicon_mod.merge_lexicons(self.sources, self.norm)
+
+    @cached_property
+    def matrix(self) -> features_mod.FeatureMatrix:
+        """The 32-feature matrix of the corpus."""
+        return features_mod.compute_corpus_matrix(self.keys(self.norm.mode), self.merged)
+
+    def write(self, writer: ReportWriter) -> int:
+        """Write the session's reports; return the degeneracies they counted."""
+        degenerate = 0
+        for name in self.reports:
+            header, rows, mirror, count = REPORTS[name].build(self)
+            writer.emit(name, header, rows, mirror)
+            degenerate += count
+        return degenerate

@@ -196,10 +196,6 @@ class CorrelationResult:
     band: str | None
     undefined_reason: str | None = None
 
-    @property
-    def defined(self) -> bool:
-        return self.rho is not None
-
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     """Spearman rank correlation with average ranks for ties.

@@ -21,6 +21,7 @@ from . import snowball_es
 
 __all__ = [
     "MODES",
+    "InputError",
     "NormalizationConfig",
     "Token",
     "default_stopwords",
@@ -36,6 +37,10 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 MODES = ("raw", "stem", "lemma")
+
+
+class InputError(ValueError):
+    """Malformed or missing input; the message names the file (and line)."""
 
 _stem_cached = functools.lru_cache(maxsize=None)(snowball_es.stem)
 
@@ -69,16 +74,16 @@ def load_lemma_table(path: str | Path) -> dict[str, str]:
     raw = path.read_text(encoding="utf-8").splitlines()
     rows = [line for line in raw if line.strip()]
     if not rows:
-        raise ValueError(f"{path}: lemma table is empty")
+        raise InputError(f"{path}: lemma table is empty")
     delim = "\t" if "\t" in rows[0] else ","
     table: dict[str, str] = {}
     for lineno, row in enumerate(csv.reader(rows, delimiter=delim), start=1):
         if len(row) < 2:
-            raise ValueError(f"{path}: line {lineno}: expected two columns")
+            raise InputError(f"{path}: line {lineno}: expected two columns")
         surface = row[0].strip().lower()
         lemma = row[1].strip().lower()
         if not surface or not lemma:
-            raise ValueError(f"{path}: line {lineno}: empty surface or lemma")
+            raise InputError(f"{path}: line {lineno}: empty surface or lemma")
         table.setdefault(surface, lemma)
     return table
 

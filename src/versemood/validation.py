@@ -62,8 +62,8 @@ class BivariateCell:
 
     annotated_feature: str
     gam_feature: str
-    rho: float | None
     n: int
+    rho: float | None
     band: str | None
     note: str | None = None
 
@@ -93,7 +93,7 @@ def bivariate_report(
             if len(xs) < 2:
                 cells.append(
                     BivariateCell(
-                        annotated, gam_feature, None, len(xs), None,
+                        annotated, gam_feature, len(xs), None, None,
                         note="fewer than two paired sonnets",
                     )
                 )

@@ -19,13 +19,11 @@ They are never replaced by synthetic stand-ins.
 import json
 import math
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import oracles
-from versemood import cli as cli_mod
 from versemood.agreement import (
     ReliabilityMatrix,
     agreement_report,
@@ -42,10 +40,10 @@ from versemood.corpus import (
 from versemood.features import (
     FEATURE_NAMES,
     WordObservation,
-    compute_corpus_matrix,
     features_from_observations,
 )
 from versemood.lexicon import DIMENSIONS, coverage_report, word_count_report
+from versemood.pipeline import Session
 from versemood.stats import (
     min_sample_size,
     ols,
@@ -149,15 +147,6 @@ REFERENCE_REGRESSION_ALL = {
 REFERENCE_SOLITUDE_VALENCE_MEANS = (5.23, 5.34)
 REFERENCE_SIGNIFICANT_COMBINATIONS = 127
 REFERENCE_TOTAL_COMBINATIONS = 210
-
-
-def _load_published_pipeline(config: Path):
-    args = SimpleNamespace(config=str(config), mode=None, out=None, format=None)
-    cfg = cli_mod._load_config(args)
-    corp = cli_mod._load_corpus(cfg, with_texts=True)
-    sets = cli_mod._load_sets(cfg, corp)
-    filled, unfilled, median = cli_mod._median_pipeline(sets)
-    return cfg, corp, filled, median
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +276,7 @@ def _random_observations(rng):
         if not dims:
             dims["valence"] = (float(rng.uniform(1, 9)), float(rng.uniform(0.1, 2.5)))
         observations.append(
-            WordObservation(surface=f"w{i}", key=f"w{i}", position=position, dims=dims)
+            WordObservation(key=f"w{i}", position=position, dims=dims)
         )
     return observations
 
@@ -309,7 +298,7 @@ def test_profile_features_hold_order_and_scale_properties():
         rng.shuffle(shuffled_positions)
         shuffled = sorted(
             (
-                WordObservation(o.surface, o.key, p, o.dims)
+                WordObservation(o.key, p, o.dims)
                 for o, p in zip(observations, shuffled_positions)
             ),
             key=lambda o: o.position,
@@ -327,7 +316,7 @@ def test_profile_features_hold_order_and_scale_properties():
         top = max(positions)
         reflected = sorted(
             (
-                WordObservation(o.surface, o.key, top - o.position, o.dims)
+                WordObservation(o.key, top - o.position, o.dims)
                 for o in observations
             ),
             key=lambda o: o.position,
@@ -470,10 +459,11 @@ def test_published_annotation_tables_reproduce():
     if config is None:
         pytest.skip(SKIP_REASON)
 
-    cfg, corp, filled, median = _load_published_pipeline(config)
-    assert len(corp) == REFERENCE_N_SONNETS
+    session = Session(config)
+    filled, median = session.annotations[0], session.median
+    assert len(session.corpus) == REFERENCE_N_SONNETS
 
-    stats = corpus_statistics(corp, median, cli_mod._norm_config(cfg))
+    stats = corpus_statistics(session.keys(session.norm.mode), median)
     assert stats.tag_counts == REFERENCE_TAG_COUNTS
 
     report = {row.feature: row for row in agreement_report(filled, median)}
@@ -497,28 +487,29 @@ def test_published_lexicon_tables_reproduce():
     if config is None:
         pytest.skip(SKIP_REASON)
 
-    cfg, corp, filled, median = _load_published_pipeline(config)
-    assert cfg.get("lemma_table"), "the published lemma table is required here"
+    session = Session(config)
+    median = session.median
+    assert session.config.get("lemma_table"), "the published lemma table is required here"
 
-    norm = cli_mod._norm_config(cfg)
-    counts = {r.category: r.counts for r in word_count_report(corp, norm, median)}
+    word_counts = word_count_report(
+        session.keys("raw"), session.keys("stem"), session.keys("lemma"), median
+    )
+    counts = {r.category: r for r in word_counts}
     for category, (raw, stem, lemma) in REFERENCE_WORD_COUNTS.items():
         got = counts[category]
-        assert abs(got["raw"] - raw) <= 0.05 * raw, category
-        assert abs(got["stem"] - stem) <= 0.05 * stem, category
-        assert abs(got["lemma"] - lemma) <= 0.05 * lemma, category
+        assert abs(got.raw - raw) <= 0.05 * raw, category
+        assert abs(got.stem - stem) <= 0.05 * stem, category
+        assert abs(got.lemma - lemma) <= 0.05 * lemma, category
 
     for mode, expected in REFERENCE_MERGED_COVERAGE.items():
-        mode_cfg = dict(cfg)
-        mode_cfg["mode"] = mode
-        mode_norm = cli_mod._norm_config(mode_cfg)
-        sources, merged = cli_mod._load_merged(mode_cfg, mode_norm)
-        rows = coverage_report(corp, sources, merged, mode_norm, median)
+        by_mode = Session(config, mode=mode)
+        rows = coverage_report(
+            by_mode.keys(mode), by_mode.sources, by_mode.merged, by_mode.norm, by_mode.median
+        )
         all_row = next(r for r in rows if r.category == "all")
-        assert all_row.fraction_merged == pytest.approx(expected, abs=0.03), mode
+        assert all_row.merged == pytest.approx(expected, abs=0.03), mode
 
-    sources, merged = cli_mod._load_merged(cfg, norm)
-    matrix = compute_corpus_matrix(corp, merged, norm)
+    matrix = session.matrix
     pd_rows = {
         r.annotated_feature: r
         for r in partial_dependence_report(matrix, median)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -319,6 +320,51 @@ def test_config_problems_exit_1(workspace, tmp_path, capsys, mutate, message):
     assert code == 1
     assert err.startswith("error:") or "error:" in err
     assert message in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "name", ["metadata.csv", "annotator1.csv", "lex_a.csv", "lex_b.tsv"]
+)
+def test_utf8_bom_inputs_give_identical_reports(all_run, workspace, tmp_path, capsys, name):
+    # Spreadsheet exports start CSV files with a byte order mark.
+    copy = tmp_path / "workspace"
+    shutil.copytree(workspace, copy)
+    path = copy / name
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    code, _, err = run(
+        capsys, "all", "--config", str(copy / "config.json"),
+        "--out", str(tmp_path / "out"), "--missing-words",
+    )
+    assert code == 0, err
+    for report in sorted(all_run.iterdir()):
+        assert (tmp_path / "out" / report.name).read_bytes() == report.read_bytes(), report.name
+
+
+@pytest.mark.parametrize(
+    "case", ["empty lemma table", "one-column lemma table", "duplicate lexicon stem"]
+)
+def test_bad_input_file_exits_1_naming_it(workspace, tmp_path, capsys, case):
+    cfg = absolute_config(workspace)
+    if case == "duplicate lexicon stem":
+        other = tmp_path / "other" / "lex_a.csv"
+        other.parent.mkdir()
+        shutil.copy(workspace / "lex_a.csv", other)
+        cfg["lexicons"].append(str(other))
+        named = [str(workspace / "lex_a.csv"), str(other)]
+    else:
+        table = tmp_path / "lemmas.tsv"
+        table.write_text("" if case == "empty lemma table" else "cenizas\n", encoding="utf-8")
+        cfg["lemma_table"] = str(table)
+        named = [str(table)]
+    config = dump_config(cfg, tmp_path)
+    code, _, err = run(
+        capsys, "validate", "--config", str(config), "--out", str(tmp_path / "out")
+    )
+    assert code == 1
+    assert "Traceback" not in err
+    for path in named:
+        assert path in err
     assert not (tmp_path / "out").exists()
 
 

@@ -21,7 +21,7 @@ from versemood.corpus import (
     reverse_ordinal_scale,
     subset_by_tag,
 )
-from versemood.textnorm import NormalizationConfig
+from versemood.textnorm import NormalizationConfig, normalize
 
 CATALOG = DEFAULT_CATALOG
 
@@ -342,7 +342,9 @@ def test_corpus_statistics_counts_and_histogram(tmp_path):
     corp = load_corpus(meta, tmp_path)
     sets = aligned_triple()
     median = build_median_annotator(sets)
-    stats = corpus_statistics(corp, median, NormalizationConfig(mode="raw"), n_bins=2)
+    raw = NormalizationConfig(mode="raw")
+    keys = {s.sonnet_id: [t.normalized for t in normalize(s.text, raw)] for s in corp.sonnets}
+    stats = corpus_statistics(keys, median, n_bins=2)
     assert stats.n_sonnets == 2
     assert stats.word_mean == pytest.approx(2.5)
     assert stats.word_sd == pytest.approx(np.std([2, 3], ddof=1))

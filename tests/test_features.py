@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from versemood.corpus import Corpus, Sonnet
 from versemood.features import (
     FEATURE_NAMES,
     MEAN_SD_FEATURES,
@@ -16,6 +15,7 @@ from versemood.features import (
     observe_words,
 )
 from versemood.lexicon import CANONICAL_SCALES, SourceLexicon, merge_lexicons
+from versemood.pipeline import Session
 from versemood.textnorm import NormalizationConfig
 
 ORDER_FREE = tuple(n for n in FEATURE_NAMES if not n.startswith(("cor_", "abs_cor_")))
@@ -24,7 +24,6 @@ ORDER_FREE = tuple(n for n in FEATURE_NAMES if not n.startswith(("cor_", "abs_co
 def obs(position, **dims):
     """Observation with dims given as name=(mean, sd) pairs."""
     return WordObservation(
-        surface=f"w{position}",
         key=f"w{position}",
         position=position,
         dims={k: v for k, v in dims.items()},
@@ -43,16 +42,14 @@ def random_observations(rng, n=None, with_sd=True):
             sd = float(rng.uniform(0.05, 1.5)) if with_sd and rng.random() < 0.8 else None
             dims[dim] = (float(rng.uniform(lo, hi)), sd)
         out.append(
-            WordObservation(
-                surface=f"w{position}", key=f"w{position}", position=position, dims=dims
-            )
+            WordObservation(key=f"w{position}", position=position, dims=dims)
         )
     return out
 
 
 def renumbered(observations):
     return [
-        WordObservation(o.surface, o.key, i + 1, o.dims)
+        WordObservation(o.key, i + 1, o.dims)
         for i, o in enumerate(observations)
     ]
 
@@ -216,7 +213,7 @@ def test_observe_words_skips_unknown_tokens():
     merged = small_merged()
     config = NormalizationConfig(mode="raw", stopwords=frozenset({"el"}))
     observations = observe_words("el amor desconocido muert", merged, config)
-    assert [(o.surface, o.position) for o in observations] == [("amor", 1), ("muert", 3)]
+    assert [(o.key, o.position) for o in observations] == [("amor", 1), ("muert", 3)]
 
 
 def test_compute_features_end_to_end():
@@ -229,21 +226,16 @@ def test_compute_features_end_to_end():
 
 def test_compute_corpus_matrix_order_and_undefined_counts():
     merged = small_merged()
-    config = NormalizationConfig(mode="raw", stopwords=frozenset())
-    corp = Corpus(sonnets=(
-        Sonnet("s1", "A", "1600", "T", "amor muert"),
-        Sonnet("s2", "B", "1601", "U", "sin palabras conocidas"),
-    ))
-    matrix = compute_corpus_matrix(corp, merged, config)
+    keys = {"s1": ("amor", "muert"), "s2": ("sin", "palabras", "conocidas")}
+    matrix = compute_corpus_matrix(keys, merged)
     assert matrix.sonnet_ids == ("s1", "s2")
     assert matrix.undefined_counts["valence_mean"] == 1  # s2 matched nothing
     column = matrix.column("valence_mean")
     assert [sid for sid, _ in column] == ["s1"]
 
 
-def test_compute_corpus_matrix_requires_texts():
-    merged = small_merged()
-    config = NormalizationConfig(mode="raw", stopwords=frozenset())
-    corp = Corpus(sonnets=(Sonnet("s1", "A", "1600", "T", None),))
+def test_compute_corpus_matrix_requires_texts(workspace_config):
+    # A session whose reports need no texts loads the metadata only.
+    session = Session(workspace_config, ["agreement"])
     with pytest.raises(ValueError, match="without text"):
-        compute_corpus_matrix(corp, merged, config)
+        session.matrix

@@ -19,10 +19,18 @@ from versemood.lexicon import (
     rescale_value,
     word_count_report,
 )
-from versemood.textnorm import NormalizationConfig
+from versemood.textnorm import NormalizationConfig, normalize
 
 RAW = NormalizationConfig(mode="raw", stopwords=frozenset())
 STEMMED = NormalizationConfig(mode="stem", stopwords=frozenset())
+
+
+def keys_of(corp, config):
+    """Each sonnet's normalized keys, as a pipeline session holds them."""
+    return {
+        s.sonnet_id: tuple(t.normalized for t in normalize(s.text, config))
+        for s in corp.sonnets
+    }
 
 
 def source(source_id, entries, scales=None):
@@ -276,12 +284,12 @@ def tiny_corpus():
 
 def test_word_count_report_modes():
     corp = tiny_corpus()
-    rows = word_count_report(corp, STEMMED)
+    rows = word_count_report(keys_of(corp, RAW), keys_of(corp, STEMMED))
     all_row = next(r for r in rows if r.category == "all")
     # raw forms: amor, cenizas, ceniza, muerte; stems: amor, ceniz, muert
-    assert all_row.counts["raw"] == 4
-    assert all_row.counts["stem"] == 3
-    assert all_row.counts["lemma"] is None
+    assert all_row.raw == 4
+    assert all_row.stem == 3
+    assert all_row.lemma is None
 
 
 def test_coverage_union_dominates_sources():
@@ -291,10 +299,10 @@ def test_coverage_union_dominates_sources():
         source("b", {"muerte": {"valence": (2.0, None)}}),
     ]
     merged = merge_lexicons(sources, STEMMED)
-    rows = coverage_report(corp, sources, merged, STEMMED)
+    rows = coverage_report(keys_of(corp, STEMMED), sources, merged, STEMMED)
     all_row = next(r for r in rows if r.category == "all")
-    assert all_row.fraction_merged >= max(all_row.per_source.values())
-    assert 0.0 <= all_row.fraction_merged <= 1.0
+    assert all_row.merged >= max(all_row.per_source.values())
+    assert 0.0 <= all_row.merged <= 1.0
 
 
 def test_stem_coverage_at_least_raw_coverage():
@@ -307,21 +315,22 @@ def test_stem_coverage_at_least_raw_coverage():
     merged_raw = merge_lexicons(sources, RAW)
     merged_stem = merge_lexicons(sources, STEMMED)
     raw_row = next(
-        r for r in coverage_report(corp, sources, merged_raw, RAW) if r.category == "all"
+        r for r in coverage_report(keys_of(corp, RAW), sources, merged_raw, RAW)
+        if r.category == "all"
     )
     stem_row = next(
-        r for r in coverage_report(corp, sources, merged_stem, STEMMED)
+        r for r in coverage_report(keys_of(corp, STEMMED), sources, merged_stem, STEMMED)
         if r.category == "all"
     )
     # "cenizas" only matches once stemming folds it onto "ceniza"
-    assert stem_row.fraction_merged >= raw_row.fraction_merged
-    assert stem_row.fraction_merged == pytest.approx(1.0)
+    assert stem_row.merged >= raw_row.merged
+    assert stem_row.merged == pytest.approx(1.0)
 
 
 def test_missing_word_report_sorted():
     corp = tiny_corpus()
     sources = [source("a", {"amor": {"valence": (8.0, None)}})]
     merged = merge_lexicons(sources, STEMMED)
-    missing = missing_word_report(corp, merged, STEMMED)
-    assert missing[0] == ("ceniz", 2)
-    assert [m[0] for m in missing] == ["ceniz", "muert"]
+    missing = missing_word_report(keys_of(corp, STEMMED), merged)
+    assert (missing[0].key, missing[0].occurrences) == ("ceniz", 2)
+    assert [m.key for m in missing] == ["ceniz", "muert"]
