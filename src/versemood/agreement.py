@@ -29,7 +29,6 @@ __all__ = [
     "agreement_band",
     "agreement_report",
     "krippendorff_alpha",
-    "pairwise_alpha",
     "reliability_from_sets",
 ]
 
@@ -199,23 +198,6 @@ def krippendorff_alpha(matrix: ReliabilityMatrix) -> AlphaResult:
         )
     alpha = 1.0 - observed / expected
     return AlphaResult(alpha=alpha, n_pairable=n, band=agreement_band(alpha))
-
-
-def pairwise_alpha(
-    sets: Sequence[AnnotationSet], feature: str, level: str
-) -> dict[tuple[int, int] | str, AlphaResult]:
-    """Alpha for every annotator pair plus the joint 'all' coefficient."""
-    if len(sets) < 2:
-        raise ValueError("need at least two annotation sets")
-    results: dict[tuple[int, int] | str, AlphaResult] = {}
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            key = (sets[i].annotator_id, sets[j].annotator_id)
-            results[key] = krippendorff_alpha(
-                reliability_from_sets([sets[i], sets[j]], feature, level)
-            )
-    results["all"] = krippendorff_alpha(reliability_from_sets(sets, feature, level))
-    return results
 
 
 @dataclass(frozen=True)

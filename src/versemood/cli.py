@@ -93,6 +93,8 @@ def _run(args: argparse.Namespace) -> int:
     if not out_dir.is_absolute():
         out_dir = Path.cwd() / out_dir
     writer = ReportWriter(out_dir, session.config["format"])
+    package_logger = logging.getLogger(__package__)
+    package_level = package_logger.level
     decisions_handler: logging.FileHandler | None = None
     if args.log_decisions:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -101,14 +103,14 @@ def _run(args: argparse.Namespace) -> int:
         )
         decisions_handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
         decisions_handler.setLevel(logging.INFO)
-        package_logger = logging.getLogger(__package__)
         package_logger.addHandler(decisions_handler)
         package_logger.setLevel(logging.INFO)
     try:
         degenerate = session.write(writer)
     finally:
         if decisions_handler is not None:
-            logging.getLogger(__package__).removeHandler(decisions_handler)
+            package_logger.removeHandler(decisions_handler)
+            package_logger.setLevel(package_level)
             decisions_handler.close()
 
     for path in writer.written:

@@ -19,6 +19,7 @@ import numpy as np
 __all__ = [
     "AnovaResult",
     "CorrelationResult",
+    "LinearDesign",
     "RankDeficiencyError",
     "RegressionResult",
     "correlation_band",
@@ -172,18 +173,22 @@ def correlation_band(rho: float) -> str:
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """Ranks 1..n where tied values share the average of their positions."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=float)
-    sorted_vals = values[order]
+    """Ranks 1..n where tied values share the average of their positions.
+
+    Ties are the runs of equal values in the stable sort order; NaN
+    equals nothing, so each NaN is a run of its own.
+    """
     n = len(values)
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    order = np.argsort(values, kind="stable")
+    sorted_vals = values[order]
+    # run edges: 0, every position whose value differs from the one before, n
+    is_edge = np.ones(n + 1, dtype=bool)
+    np.not_equal(sorted_vals[1:], sorted_vals[:-1], out=is_edge[1:n])
+    edges = np.flatnonzero(is_edge)
+    starts = edges[:-1]
+    ends = edges[1:] - 1
+    ranks = np.empty(n, dtype=float)
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     return ranks
 
 
@@ -260,6 +265,91 @@ def _dependent_columns(design: np.ndarray, rtol: float = 1e-10) -> list[int]:
     return dependent
 
 
+class LinearDesign:
+    """A checked and factored OLS design: an implicit intercept plus X.
+
+    The constructor does everything that depends on the predictors only:
+    the shape checks, the rank check, the QR decomposition and the
+    inverse of R.  ``fit`` then solves one response against that
+    factorization, so several responses on one design share the work and
+    each gets the same floats as its own ``ols`` call.  The design is
+    required to have full column rank (relative tolerance 1e-10);
+    dependent columns raise RankDeficiencyError naming them instead of
+    being dropped silently.
+    """
+
+    def __init__(
+        self,
+        X: Sequence[Sequence[float]],
+        column_names: Sequence[str] | None = None,
+    ):
+        Xm = np.asarray(X, dtype=float)
+        if Xm.ndim == 1:
+            Xm = Xm.reshape(-1, 1)
+        if Xm.ndim != 2:
+            raise ValueError("X must be n x k")
+        n, k = Xm.shape
+        if column_names is not None and len(column_names) != k:
+            raise ValueError("column_names length must match the number of predictors")
+        if n < k + 2:
+            raise ValueError(
+                f"need more observations than predictors plus intercept (n={n}, k={k})"
+            )
+        design = np.column_stack([np.ones(n), Xm])
+        dependent = _dependent_columns(design)
+        if dependent:
+            labels = ["intercept"] + (
+                list(column_names) if column_names is not None else [f"x{j}" for j in range(k)]
+            )
+            raise RankDeficiencyError([labels[j] for j in dependent])
+        self.n = n
+        self.k = k
+        self._design = design
+        self._q, self._r = np.linalg.qr(design)
+        r_inv = np.linalg.solve(self._r, np.eye(k + 1))
+        self._cov_diag = np.diag(r_inv @ r_inv.T)
+
+    def fit(self, y: Sequence[float]) -> RegressionResult:
+        """Least-squares fit of one response, with two-sided t-test p-values."""
+        yv = np.asarray(y, dtype=float)
+        n, k = self.n, self.k
+        if yv.ndim != 1 or len(yv) != n:
+            raise ValueError(f"y must be one-dimensional of length n={n}")
+        beta = np.linalg.solve(self._r, self._q.T @ yv)
+        resid = yv - self._design @ beta
+        ssr = float(resid @ resid)
+        sst = float(np.sum((yv - yv.mean()) ** 2))
+        if sst == 0.0:
+            raise ValueError("response has zero variance")
+        dof = n - k - 1
+        sigma2 = ssr / dof
+        se = np.sqrt(np.maximum(sigma2 * self._cov_diag, 0.0))
+        t_vals = np.empty(k + 1)
+        p_vals = np.empty(k + 1)
+        for j in range(k + 1):
+            if se[j] == 0.0:
+                t_vals[j] = math.copysign(math.inf, beta[j]) if beta[j] != 0.0 else 0.0
+                p_vals[j] = 0.0 if beta[j] != 0.0 else 1.0
+            else:
+                t_vals[j] = beta[j] / se[j]
+                p_vals[j] = t_tail(float(t_vals[j]), dof)
+        r2 = min(1.0, max(0.0, 1.0 - ssr / sst))
+        adjusted = 1.0 - (1.0 - r2) * (n - 1) / dof
+        return RegressionResult(
+            coefficients=tuple(float(b) for b in beta[1:]),
+            intercept=float(beta[0]),
+            std_errors=tuple(float(s) for s in se[1:]),
+            intercept_std_error=float(se[0]),
+            t_values=tuple(float(t) for t in t_vals[1:]),
+            p_values=tuple(float(p) for p in p_vals[1:]),
+            intercept_p_value=float(p_vals[0]),
+            r_squared=r2,
+            adjusted_r_squared=float(adjusted),
+            n=n,
+            k=k,
+        )
+
+
 def ols(
     X: Sequence[Sequence[float]],
     y: Sequence[float],
@@ -268,67 +358,10 @@ def ols(
     """Ordinary least squares with an implicit intercept.
 
     Fits y = b0 + X @ b through a QR decomposition of the design matrix
-    and reports two-sided t-test p-values per coefficient.  The design
-    is required to have full column rank (relative tolerance 1e-10);
-    dependent columns raise RankDeficiencyError naming them instead of
-    being dropped silently.
+    and reports two-sided t-test p-values per coefficient; see
+    LinearDesign, which does the work.
     """
-    Xm = np.asarray(X, dtype=float)
-    yv = np.asarray(y, dtype=float)
-    if Xm.ndim == 1:
-        Xm = Xm.reshape(-1, 1)
-    if Xm.ndim != 2 or yv.ndim != 1 or Xm.shape[0] != len(yv):
-        raise ValueError("X must be n x k with y of length n")
-    n, k = Xm.shape
-    if column_names is not None and len(column_names) != k:
-        raise ValueError("column_names length must match the number of predictors")
-    if n < k + 2:
-        raise ValueError(
-            f"need more observations than predictors plus intercept (n={n}, k={k})"
-        )
-    design = np.column_stack([np.ones(n), Xm])
-    dependent = _dependent_columns(design)
-    if dependent:
-        labels = ["intercept"] + (
-            list(column_names) if column_names is not None else [f"x{j}" for j in range(k)]
-        )
-        raise RankDeficiencyError([labels[j] for j in dependent])
-    q, r = np.linalg.qr(design)
-    beta = np.linalg.solve(r, q.T @ yv)
-    resid = yv - design @ beta
-    ssr = float(resid @ resid)
-    sst = float(np.sum((yv - yv.mean()) ** 2))
-    if sst == 0.0:
-        raise ValueError("response has zero variance")
-    dof = n - k - 1
-    sigma2 = ssr / dof
-    r_inv = np.linalg.solve(r, np.eye(k + 1))
-    cov = sigma2 * (r_inv @ r_inv.T)
-    se = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    t_vals = np.empty(k + 1)
-    p_vals = np.empty(k + 1)
-    for j in range(k + 1):
-        if se[j] == 0.0:
-            t_vals[j] = math.copysign(math.inf, beta[j]) if beta[j] != 0.0 else 0.0
-            p_vals[j] = 0.0 if beta[j] != 0.0 else 1.0
-        else:
-            t_vals[j] = beta[j] / se[j]
-            p_vals[j] = t_tail(float(t_vals[j]), dof)
-    r2 = min(1.0, max(0.0, 1.0 - ssr / sst))
-    adjusted = 1.0 - (1.0 - r2) * (n - 1) / dof
-    return RegressionResult(
-        coefficients=tuple(float(b) for b in beta[1:]),
-        intercept=float(beta[0]),
-        std_errors=tuple(float(s) for s in se[1:]),
-        intercept_std_error=float(se[0]),
-        t_values=tuple(float(t) for t in t_vals[1:]),
-        p_values=tuple(float(p) for p in p_vals[1:]),
-        intercept_p_value=float(p_vals[0]),
-        r_squared=r2,
-        adjusted_r_squared=float(adjusted),
-        n=n,
-        k=k,
-    )
+    return LinearDesign(X, column_names).fit(y)
 
 
 @dataclass

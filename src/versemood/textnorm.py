@@ -59,7 +59,7 @@ def default_stopwords() -> frozenset[str]:
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Read a stopword list, one word per line, blank lines ignored."""
-    words = Path(path).read_text(encoding="utf-8").split()
+    words = Path(path).read_text(encoding="utf-8-sig").split()
     return frozenset(w.lower() for w in words)
 
 
@@ -71,7 +71,7 @@ def load_lemma_table(path: str | Path) -> dict[str, str]:
     the first entry.
     """
     path = Path(path)
-    raw = path.read_text(encoding="utf-8").splitlines()
+    raw = path.read_text(encoding="utf-8-sig").splitlines()
     rows = [line for line in raw if line.strip()]
     if not rows:
         raise InputError(f"{path}: lemma table is empty")

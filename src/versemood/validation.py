@@ -19,9 +19,11 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
+import numpy as np
+
 from .corpus import DEFAULT_CATALOG, AnnotationSet, FeatureCatalog, subset_by_tag
 from .features import FEATURE_NAMES, MEAN_FEATURES, MEAN_SD_FEATURES, FeatureMatrix
-from .stats import RankDeficiencyError, ols, one_way_anova, spearman
+from .stats import LinearDesign, RankDeficiencyError, one_way_anova, spearman
 
 __all__ = [
     "ALL_CATEGORY",
@@ -157,89 +159,111 @@ def _not_computable(
     )
 
 
-def _listwise_ids(
-    matrix: FeatureMatrix, ids: tuple[str, ...], predictors: tuple[str, ...]
-) -> list[str]:
-    return [
-        sid
-        for sid in ids
-        if all(matrix.vectors[sid].values[p] is not None for p in predictors)
-    ]
+_FEATURE_COLUMN = {name: j for j, name in enumerate(FEATURE_NAMES)}
 
 
-def _fit_pairing(
-    matrix: FeatureMatrix,
+def _category_rows(
+    values: np.ndarray,
+    ids: tuple[str, ...],
+    row_of: dict[str, int],
     median: AnnotationSet,
     category: str,
-    ids: tuple[str, ...],
-    annotated: str,
-    gam_feature: str,
-) -> PartialDependenceRow:
+) -> list[PartialDependenceRow]:
+    """The 10 pairing rows of one category, all fitted on one design.
+
+    The rows, predictors and dropped columns depend on the category
+    only, so the prune / drop-dependent-columns loop runs once; each
+    pairing then replays its steps and stops at its first terminal
+    event, exactly as a separate fit per pairing would: its paired
+    feature dropped as collinear, then an unusable design, then a
+    failing fit.
+    """
+    sub = values[[row_of[sid] for sid in ids]]
     predictors = FEATURE_NAMES
-    rows = _listwise_ids(matrix, ids, predictors)
+    # undefined feature values are NaN, so one mask drops sonnets listwise
+    keep = ~np.isnan(sub).any(axis=1)
     pruned = False
-    if len(rows) <= len(predictors) + 1:
+    if keep.sum() <= len(predictors) + 1:
         predictors = MEAN_SD_FEATURES
         pruned = True
-        rows = _listwise_ids(matrix, ids, predictors)
-        logger.info(
-            "partial dependence %s/%s: pruned predictors to mean/sd set (n=%d)",
-            category, annotated, len(rows),
-        )
-    if len(rows) <= len(predictors) + 1:
-        return _not_computable(
-            category, annotated, gam_feature, len(rows),
-            f"insufficient rows for regression ({len(rows)} sonnets, "
-            f"{len(predictors)} predictors)",
-        )
+        keep = ~np.isnan(sub[:, [_FEATURE_COLUMN[p] for p in predictors]]).any(axis=1)
+    rows = [ids[i] for i in np.flatnonzero(keep)]
+    sub = sub[keep]
+    insufficient = len(rows) <= len(predictors) + 1
 
-    y = [median.values[(sid, annotated)] for sid in rows]
-    dropped: list[str] = []
+    steps: list[list[str]] = []
+    failure = None
+    design = None
     active = list(predictors)
-    while True:
-        X = [[matrix.vectors[sid].values[p] for p in active] for sid in rows]
+    while not insufficient:
+        X = np.ascontiguousarray(sub[:, [_FEATURE_COLUMN[p] for p in active]])
         try:
-            fit = ols(X, y, column_names=active)
+            design = LinearDesign(X, column_names=active)
             break
         except RankDeficiencyError as exc:
             bad = [c for c in exc.columns if c != "intercept"]
             if not bad:
-                return _not_computable(
-                    category, annotated, gam_feature, len(rows),
-                    "design matrix not usable (intercept degenerate)",
-                )
+                failure = "design matrix not usable (intercept degenerate)"
+                break
+            steps.append(bad)
+            active = [p for p in active if p not in bad]
+        except ValueError as exc:
+            failure = str(exc)
+            break
+
+    out = []
+    for annotated, gam_feature in FEATURE_PAIRINGS:
+        if pruned:
+            logger.info(
+                "partial dependence %s/%s: pruned predictors to mean/sd set (n=%d)",
+                category, annotated, len(rows),
+            )
+        if insufficient:
+            out.append(_not_computable(
+                category, annotated, gam_feature, len(rows),
+                f"insufficient rows for regression ({len(rows)} sonnets, "
+                f"{len(predictors)} predictors)",
+            ))
+            continue
+        y = [median.values[(sid, annotated)] for sid in rows]
+        dropped: list[str] = []
+        note = failure
+        for bad in steps:
             logger.info(
                 "partial dependence %s/%s: dropped dependent columns %s",
                 category, annotated, ", ".join(bad),
             )
             dropped.extend(bad)
-            active = [p for p in active if p not in bad]
-            if gam_feature not in active:
-                return _not_computable(
-                    category, annotated, gam_feature, len(rows),
-                    f"paired feature {gam_feature} is collinear in this category",
-                )
-        except ValueError as exc:
-            return _not_computable(category, annotated, gam_feature, len(rows), str(exc))
-
-    idx = active.index(gam_feature)
-    coefficient = fit.coefficients[idx]
-    p_value = fit.p_values[idx]
-    return PartialDependenceRow(
-        category=category,
-        annotated_feature=annotated,
-        gam_feature=gam_feature,
-        n=fit.n,
-        n_predictors=fit.k,
-        r_squared=fit.r_squared,
-        adjusted_r_squared=fit.adjusted_r_squared,
-        coefficient=coefficient,
-        p_value=p_value,
-        significant=p_value < SIGNIFICANCE_LEVEL and coefficient > 0.0,
-        pruned=pruned,
-        dropped_columns=tuple(dropped),
-        note=None,
-    )
+            if gam_feature in bad:
+                note = f"paired feature {gam_feature} is collinear in this category"
+                break
+        if note is None:
+            try:
+                fit = design.fit(y)
+            except ValueError as exc:
+                note = str(exc)
+        if note is not None:
+            out.append(_not_computable(category, annotated, gam_feature, len(rows), note))
+            continue
+        idx = active.index(gam_feature)
+        coefficient = fit.coefficients[idx]
+        p_value = fit.p_values[idx]
+        out.append(PartialDependenceRow(
+            category=category,
+            annotated_feature=annotated,
+            gam_feature=gam_feature,
+            n=fit.n,
+            n_predictors=fit.k,
+            r_squared=fit.r_squared,
+            adjusted_r_squared=fit.adjusted_r_squared,
+            coefficient=coefficient,
+            p_value=p_value,
+            significant=p_value < SIGNIFICANCE_LEVEL and coefficient > 0.0,
+            pruned=pruned,
+            dropped_columns=tuple(dropped),
+            note=None,
+        ))
+    return out
 
 
 def partial_dependence_report(
@@ -253,15 +277,21 @@ def partial_dependence_report(
     subset.  Sonnets with any undefined value among the active
     predictors are dropped listwise per category.
     """
+    # dtype=float turns an undefined (None) value into NaN
+    values = np.array(
+        [
+            [matrix.vectors[sid].values[name] for name in FEATURE_NAMES]
+            for sid in matrix.sonnet_ids
+        ],
+        dtype=float,
+    ).reshape(len(matrix.sonnet_ids), len(FEATURE_NAMES))
+    row_of = {sid: i for i, sid in enumerate(matrix.sonnet_ids)}
     categories: list[tuple[str, tuple[str, ...]]] = [(ALL_CATEGORY, matrix.sonnet_ids)]
     for tag in catalog.psychological:
         categories.append((tag, subset_by_tag(median, tag, catalog)[0]))
     rows = []
     for category, ids in categories:
-        for annotated, gam_feature in FEATURE_PAIRINGS:
-            rows.append(
-                _fit_pairing(matrix, median, category, ids, annotated, gam_feature)
-            )
+        rows.extend(_category_rows(values, ids, row_of, median, category))
     return rows
 
 

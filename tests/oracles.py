@@ -182,3 +182,102 @@ def two_sample_power(alpha: float, cohens_d: float, n_per_group: int) -> float:
         return chi2_pdf(v) * (upper + lower)
 
     return float(mp.quad(integrand, [0, df, mp.inf]))
+
+
+def partial_dependence(matrix, median, catalog):
+    """Partial dependence rows the literal way: one ``ols`` per pairing.
+
+    Every pairing lists its rows, prunes, drops dependent columns and
+    refits on its own, exactly as ``validation.partial_dependence_report``
+    did before its categories shared one design.  Returns the rows and
+    the pruned/dropped decision messages in emission order.
+    """
+    from versemood.corpus import subset_by_tag
+    from versemood.features import FEATURE_NAMES, MEAN_SD_FEATURES
+    from versemood.stats import RankDeficiencyError, ols
+    from versemood.validation import (
+        ALL_CATEGORY,
+        FEATURE_PAIRINGS,
+        SIGNIFICANCE_LEVEL,
+        PartialDependenceRow,
+    )
+
+    messages = []
+
+    def not_computable(category, annotated, gam_feature, n, reason):
+        return PartialDependenceRow(
+            category, annotated, gam_feature, n, 0, None, None, None, None,
+            False, False, (), reason,
+        )
+
+    def listwise(ids, predictors):
+        return [
+            sid for sid in ids
+            if all(matrix.vectors[sid].values[p] is not None for p in predictors)
+        ]
+
+    def fit_pairing(category, ids, annotated, gam_feature):
+        predictors = FEATURE_NAMES
+        rows = listwise(ids, predictors)
+        pruned = False
+        if len(rows) <= len(predictors) + 1:
+            predictors = MEAN_SD_FEATURES
+            pruned = True
+            rows = listwise(ids, predictors)
+            messages.append(
+                f"partial dependence {category}/{annotated}: "
+                f"pruned predictors to mean/sd set (n={len(rows)})"
+            )
+        if len(rows) <= len(predictors) + 1:
+            return not_computable(
+                category, annotated, gam_feature, len(rows),
+                f"insufficient rows for regression ({len(rows)} sonnets, "
+                f"{len(predictors)} predictors)",
+            )
+        y = [median.values[(sid, annotated)] for sid in rows]
+        dropped = []
+        active = list(predictors)
+        while True:
+            X = [[matrix.vectors[sid].values[p] for p in active] for sid in rows]
+            try:
+                fit = ols(X, y, column_names=active)
+                break
+            except RankDeficiencyError as exc:
+                bad = [c for c in exc.columns if c != "intercept"]
+                if not bad:
+                    return not_computable(
+                        category, annotated, gam_feature, len(rows),
+                        "design matrix not usable (intercept degenerate)",
+                    )
+                messages.append(
+                    f"partial dependence {category}/{annotated}: "
+                    f"dropped dependent columns {', '.join(bad)}"
+                )
+                dropped.extend(bad)
+                active = [p for p in active if p not in bad]
+                if gam_feature not in active:
+                    return not_computable(
+                        category, annotated, gam_feature, len(rows),
+                        f"paired feature {gam_feature} is collinear in this category",
+                    )
+            except ValueError as exc:
+                return not_computable(category, annotated, gam_feature, len(rows), str(exc))
+        idx = active.index(gam_feature)
+        coefficient = fit.coefficients[idx]
+        p_value = fit.p_values[idx]
+        return PartialDependenceRow(
+            category, annotated, gam_feature, fit.n, fit.k, fit.r_squared,
+            fit.adjusted_r_squared, coefficient, p_value,
+            p_value < SIGNIFICANCE_LEVEL and coefficient > 0.0,
+            pruned, tuple(dropped), None,
+        )
+
+    categories = [(ALL_CATEGORY, matrix.sonnet_ids)]
+    for tag in catalog.psychological:
+        categories.append((tag, subset_by_tag(median, tag, catalog)[0]))
+    rows = [
+        fit_pairing(category, ids, annotated, gam_feature)
+        for category, ids in categories
+        for annotated, gam_feature in FEATURE_PAIRINGS
+    ]
+    return rows, messages

@@ -11,7 +11,6 @@ from versemood.agreement import (
     agreement_band,
     agreement_report,
     krippendorff_alpha,
-    pairwise_alpha,
     reliability_from_sets,
 )
 from versemood.corpus import DEFAULT_CATALOG, AnnotationSet
@@ -202,10 +201,11 @@ def test_reliability_from_sets_collects_cells():
 
 def test_pairwise_alpha_keys_and_all():
     sets = small_sets({1: [1, 2, 3, 4], 2: [1, 2, 3, 4], 3: [4, 3, 2, 1]})
-    results = pairwise_alpha(sets, "valence", "ordinal")
-    assert set(results) == {(1, 2), (1, 3), (2, 3), "all"}
-    assert results[(1, 2)].alpha == 1.0
-    assert results[(1, 3)].alpha < 0
+    row = next(r for r in agreement_report(sets) if r.feature == "valence")
+    assert set(row.cells) == {"a1-a2", "a1-a3", "a2-a3", "all"}
+    assert row.cells["all"] is not None
+    assert row.cells["a1-a2"].alpha == 1.0
+    assert row.cells["a1-a3"].alpha < 0
 
 
 def test_agreement_report_levels_and_columns():

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import logging
 import shutil
 from pathlib import Path
 
@@ -250,6 +251,21 @@ def test_log_decisions_writes_fallback_log(workspace_config, tmp_path, capsys):
     text = (tmp_path / "decisions.log").read_text(encoding="utf-8")
     assert "reversed valence scale for annotator 1" in text
     assert all(line.startswith("versemood") for line in text.splitlines() if line)
+
+
+def test_log_decisions_restores_the_package_logger_level(workspace_config, tmp_path, capsys):
+    package_logger = logging.getLogger("versemood")
+    saved = package_logger.level
+    package_logger.setLevel(logging.WARNING)
+    try:
+        code, _, _ = run(
+            capsys, "stats", "--config", str(workspace_config),
+            "--out", str(tmp_path), "--log-decisions",
+        )
+        assert code == 0
+        assert package_logger.level == logging.WARNING
+    finally:
+        package_logger.setLevel(saved)
 
 
 def test_json_mirrors_agree_with_csv(all_run):

@@ -1,12 +1,13 @@
 """Pipeline session: derived artifacts computed once, exports that resolve."""
 
 import importlib
+import json
 import pkgutil
 import sys
 from collections import Counter
 
 import versemood
-from versemood import textnorm
+from versemood import stats, textnorm
 from versemood.cli import main
 
 
@@ -27,6 +28,29 @@ def test_all_normalizes_each_sonnet_once_per_mode(workspace_config, tmp_path, mo
     # 40 sonnets under raw (word counts) and stem (everything else); no lemma table.
     assert len(calls) == 40 * 2
     assert max(calls.values()) == 1
+
+
+def test_partial_dependence_checks_each_category_design_once(
+    workspace_config, tmp_path, monkeypatch
+):
+    original = stats._dependent_columns
+    calls = []
+
+    def counting(design, *args, **kwargs):
+        calls.append(design.shape)
+        return original(design, *args, **kwargs)
+
+    monkeypatch.setattr(stats, "_dependent_columns", counting)
+    argv = ["all", "--config", str(workspace_config), "--out", str(tmp_path)]
+    assert main(argv) == 0
+    rows = json.loads((tmp_path / "partial_dependence.json").read_text(encoding="utf-8"))
+    fitted = {
+        r["category"] for r in rows
+        if not (r["note"] or "").startswith("insufficient rows")
+    }
+    assert fitted
+    # one scan finds the two spans, one more confirms the rest is full rank
+    assert 0 < len(calls) <= 2 * len(fitted)
 
 
 def test_every_exported_name_resolves():

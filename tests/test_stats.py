@@ -9,7 +9,9 @@ import scipy.stats
 
 import oracles
 from versemood.stats import (
+    LinearDesign,
     RankDeficiencyError,
+    _average_ranks,
     correlation_band,
     min_sample_size,
     ols,
@@ -161,6 +163,14 @@ def test_spearman_reversal_antisymmetry():
         assert flipped == pytest.approx(-forward, abs=1e-12)
 
 
+def test_average_ranks_equal_brute_force_ranks_exactly():
+    rng = np.random.default_rng(14)
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        x = rng.integers(0, int(rng.integers(1, 6)), size=n).astype(float)
+        assert _average_ranks(x).tolist() == oracles._brute_ranks(x.tolist())
+
+
 def test_spearman_matches_brute_force_and_scipy():
     rng = np.random.default_rng(13)
     for _ in range(250):
@@ -277,6 +287,23 @@ def test_ols_input_validation():
     X = rng.normal(size=(10, 2))
     with pytest.raises(ValueError, match="zero variance"):
         ols(X, np.full(10, 5.0))
+
+
+def test_linear_design_fits_equal_separate_ols_bit_for_bit():
+    rng = np.random.default_rng(28)
+    for _ in range(10):
+        n = int(rng.integers(10, 60))
+        k = int(rng.integers(1, 8))
+        X = rng.normal(size=(n, k))
+        names = [f"c{j}" for j in range(k)]
+        design = LinearDesign(X, names)
+        for _ in range(5):
+            y = X @ rng.normal(size=k) + rng.normal(size=n)
+            assert design.fit(y) == ols(X, y, column_names=names)
+        with pytest.raises(ValueError, match="zero variance"):
+            design.fit(np.full(n, 2.0))
+        with pytest.raises(ValueError):
+            design.fit(rng.normal(size=n + 1))
 
 
 # ---------------------------------------------------------------------------

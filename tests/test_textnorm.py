@@ -223,3 +223,17 @@ def test_load_lemma_table_formats(tmp_path):
     comma = tmp_path / "lemmas.csv"
     comma.write_text("cenizas,ceniza\n", encoding="utf-8")
     assert load_lemma_table(comma) == {"cenizas": "ceniza"}
+
+
+def test_byte_order_mark_is_not_part_of_the_first_entry(tmp_path):
+    for name, text, load in (
+        ("lemmas.tsv", "cenizas\tceniza\narden\tarder\n", load_lemma_table),
+        ("lemmas.csv", "cenizas,ceniza\n", load_lemma_table),
+        ("stop.txt", "amor\nel\n", load_stopwords),
+    ):
+        clean = tmp_path / name
+        clean.write_text(text, encoding="utf-8")
+        marked = tmp_path / f"bom_{name}"
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load(marked) == load(clean)

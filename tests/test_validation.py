@@ -1,10 +1,12 @@
 """Validation reports: correlation grid, regression table, per-tag ANOVA."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
 
+import oracles
 from versemood.corpus import DEFAULT_CATALOG, AnnotationSet
 from versemood.features import FEATURE_NAMES, FeatureMatrix, GamFeatureVector
 from versemood.stats import spearman
@@ -238,6 +240,69 @@ def test_listwise_deletion_drops_incomplete_sonnets():
         r for r in rows if r.category == "all" and r.annotated_feature == "valence"
     )
     assert row.n == 55
+
+
+def _spans_dropped():
+    rng = np.random.default_rng(94)
+    matrix = synthetic_matrix(rng, 60)
+    return matrix, median_for(matrix, rng, annotated_from={
+        "valence": lambda v: 2.0 * v["valence_mean"] + rng.normal(scale=0.1),
+    })
+
+
+def _pruned():
+    rng = np.random.default_rng(97)
+    matrix = synthetic_matrix(rng, 26)
+    return matrix, median_for(matrix, rng)
+
+
+def _paired_feature_collinear():
+    rng = np.random.default_rng(105)
+    matrix = synthetic_matrix(rng, 60)
+    for sid in matrix.sonnet_ids:
+        values = matrix.vectors[sid].values
+        values["arousal_mean"] = 2.0 * values["valence_mean"] - 1.0
+    return matrix, median_for(matrix, rng)
+
+
+def _zero_variance_response():
+    rng = np.random.default_rng(106)
+    matrix = synthetic_matrix(rng, 60)
+    return matrix, median_for(matrix, rng, annotated_from={"fear": lambda v: 3.0})
+
+
+def _category_too_small():
+    rng = np.random.default_rng(98)
+    matrix = synthetic_matrix(rng, 40)
+    members = set(matrix.sonnet_ids[:4])
+    return matrix, median_for(matrix, rng, tag_members={"Solitude": members})
+
+
+def _listwise_incomplete():
+    rng = np.random.default_rng(100)
+    matrix = synthetic_matrix(rng, 60)
+    for sid in matrix.sonnet_ids[:5]:
+        matrix.vectors[sid].values["disgust_sd"] = None
+    return matrix, median_for(matrix, rng)
+
+
+@pytest.mark.parametrize("build, shows", [
+    (_spans_dropped, lambda r: r.dropped_columns == ("arousal_span", "valence_span")),
+    (_pruned, lambda r: r.pruned),
+    (_paired_feature_collinear, lambda r: "arousal_mean is collinear" in (r.note or "")),
+    (_zero_variance_response, lambda r: r.note == "response has zero variance"),
+    (_category_too_small, lambda r: "insufficient rows" in (r.note or "")),
+    (_listwise_incomplete, lambda r: r.n == 55),
+], ids=["spans", "pruned", "collinear", "zero-variance", "too-small", "listwise"])
+def test_partial_dependence_matches_one_fit_per_pairing(build, shows, caplog):
+    matrix, median = build()
+    caplog.set_level(logging.INFO, logger="versemood.validation")
+    rows = partial_dependence_report(matrix, median)
+    messages = [r.getMessage() for r in caplog.records if r.name == "versemood.validation"]
+    ref_rows, ref_messages = oracles.partial_dependence(matrix, median, CATALOG)
+    assert any(shows(row) for row in rows)
+    assert rows == ref_rows
+    assert messages == ref_messages
 
 
 # ---------------------------------------------------------------------------
