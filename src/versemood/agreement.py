@@ -14,9 +14,10 @@ chance would; values are reported as computed, without clamping.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .corpus import DEFAULT_CATALOG, AnnotationSet, FeatureCatalog
 
@@ -116,77 +117,56 @@ def reliability_from_sets(
     return ReliabilityMatrix(level=level, raters=raters, units=tuple(all_units), values=values)
 
 
-def _ordinal_delta_sq(categories: list[float], marginals: list[float]):
-    """Squared ordinal distance from cumulative coincidence marginals.
-
-    For categories c <= k (by rank) the distance is the total marginal
-    mass from c through k minus half the mass at the two endpoints,
-    squared.  Identical categories are at distance zero.
-    """
-    index = {c: i for i, c in enumerate(categories)}
-    prefix = [0.0]
-    for m in marginals:
-        prefix.append(prefix[-1] + m)
-
-    def delta_sq(c: float, k: float) -> float:
-        i, j = sorted((index[c], index[k]))
-        if i == j:
-            return 0.0
-        between = prefix[j + 1] - prefix[i]
-        return (between - 0.5 * (marginals[i] + marginals[j])) ** 2
-
-    return delta_sq
-
-
 def krippendorff_alpha(matrix: ReliabilityMatrix) -> AlphaResult:
     """Krippendorff's alpha for the matrix's measurement level.
 
     Units with fewer than two values are excluded.  When the pairable
     values show no variation at all, expected disagreement is zero and
     the result is alpha = 1 flagged as degenerate.
+
+    With m values in a unit weighted 1/(m - 1), every coincidence,
+    marginal and product below is an exact binary fraction for up to
+    three raters, so the sums do not depend on their order.
     """
-    unit_values = []
-    for unit in matrix.units:
-        vals = [
-            matrix.values[(unit, rater)]
-            for rater in matrix.raters
-            if (unit, rater) in matrix.values
-        ]
-        if len(vals) >= 2:
-            unit_values.append(vals)
-    if not unit_values:
+    # units x raters, NaN where a rater gave no value
+    table = np.array(
+        [[matrix.values.get((unit, rater), np.nan) for rater in matrix.raters]
+         for unit in matrix.units],
+        dtype=float,
+    ).reshape(len(matrix.units), len(matrix.raters))
+    present = ~np.isnan(table)
+    m = present.sum(axis=1)
+    pairable = m >= 2
+    if not pairable.any():
         raise AgreementError("no unit has two or more values; alpha is not computable")
+    table, present, m = table[pairable], present[pairable], m[pairable]
 
-    n = sum(len(vals) for vals in unit_values)
-    coincidence: dict[tuple[float, float], float] = defaultdict(float)
-    for vals in unit_values:
-        weight = 1.0 / (len(vals) - 1)
-        for i, vi in enumerate(vals):
-            for j, vj in enumerate(vals):
-                if i != j:
-                    coincidence[(vi, vj)] += weight
-
-    categories = sorted({c for pair in coincidence for c in pair})
-    marginals = [
-        sum(coincidence.get((c, k), 0.0) for k in categories) for c in categories
-    ]
+    units, _ = np.nonzero(present)
+    categories, codes = np.unique(table[present], return_inverse=True)
+    n = int(m.sum())
+    # N[u, c]: values of category c in unit u
+    counts = np.zeros((len(table), len(categories)))
+    np.add.at(counts, (units, codes), 1.0)
+    weighted = counts / (m - 1)[:, None]
+    coincidence = weighted.T @ counts - np.diag(weighted.sum(axis=0))
+    marginals = coincidence.sum(axis=1)
 
     if matrix.level == "nominal":
-        delta_sq = lambda c, k: 0.0 if c == k else 1.0  # noqa: E731
+        delta_sq = 1.0 - np.eye(len(categories))
     elif matrix.level == "interval":
-        delta_sq = lambda c, k: (c - k) ** 2  # noqa: E731
+        delta_sq = np.subtract.outer(categories, categories) ** 2
     else:
-        delta_sq = _ordinal_delta_sq(categories, marginals)
+        # the marginal mass from category i through j, less half the mass
+        # at both ends; identical categories are at distance zero
+        index = np.arange(len(categories))
+        lo = np.minimum.outer(index, index)
+        hi = np.maximum.outer(index, index)
+        cumulative = np.concatenate(([0.0], np.cumsum(marginals)))
+        between = cumulative[hi + 1] - cumulative[lo]
+        delta_sq = (between - 0.5 * (marginals[lo] + marginals[hi])) ** 2
 
-    observed = sum(
-        weight * delta_sq(c, k) for (c, k), weight in coincidence.items()
-    ) / n
-    expected = sum(
-        marginals[i] * marginals[j] * delta_sq(categories[i], categories[j])
-        for i in range(len(categories))
-        for j in range(len(categories))
-        if i != j
-    ) / (n * (n - 1))
+    observed = float((coincidence * delta_sq).sum()) / n
+    expected = float((np.outer(marginals, marginals) * delta_sq).sum()) / (n * (n - 1))
 
     if expected == 0.0:
         return AlphaResult(

@@ -11,13 +11,14 @@ psychological tags missing in exactly one of the three sets.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
-from .textnorm import InputError
+from .textnorm import InputError, read_input
 
 __all__ = [
     "AnnotationFormatError",
@@ -192,41 +193,43 @@ def load_corpus(metadata_path: str | Path, corpus_root: str | Path | None) -> Co
     loading for commands that only need identities.
     """
     metadata_path = Path(metadata_path)
-    try:
-        handle = metadata_path.open(encoding="utf-8-sig", newline="")
-    except OSError as exc:
-        raise CorpusFormatError(f"cannot read metadata file {metadata_path}: {exc}") from exc
-    with handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        missing = [c for c in _METADATA_COLUMNS if c not in header]
-        if missing:
+    text = read_input(metadata_path, "metadata file")
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    header = reader.fieldnames or []
+    missing = [c for c in _METADATA_COLUMNS if c not in header]
+    if missing:
+        raise CorpusFormatError(
+            f"{metadata_path}: missing metadata columns: {', '.join(missing)}"
+        )
+    sonnets = []
+    first_line: dict[str, int] = {}
+    for row in reader:
+        lineno = reader.line_num
+        sonnet_id = (row["id_sonnet"] or "").strip()
+        if not sonnet_id:
+            raise CorpusFormatError(f"{metadata_path}: line {lineno}: empty id_sonnet")
+        if sonnet_id in first_line:
             raise CorpusFormatError(
-                f"{metadata_path}: missing metadata columns: {', '.join(missing)}"
+                f"{metadata_path}: line {lineno}: duplicate sonnet id {sonnet_id!r} "
+                f"(first on line {first_line[sonnet_id]})"
             )
-        sonnets = []
-        for lineno, row in enumerate(reader, start=2):
-            sonnet_id = (row["id_sonnet"] or "").strip()
-            if not sonnet_id:
-                raise CorpusFormatError(f"{metadata_path}: line {lineno}: empty id_sonnet")
-            text: str | None = None
-            if corpus_root is not None:
-                text_path = Path(corpus_root) / (row["file_path"] or "").strip()
-                try:
-                    text = text_path.read_text(encoding="utf-8")
-                except OSError as exc:
-                    raise CorpusFormatError(
-                        f"{metadata_path}: line {lineno}: cannot read sonnet text {text_path}: {exc}"
-                    ) from exc
-            sonnets.append(
-                Sonnet(
-                    sonnet_id=sonnet_id,
-                    author=(row["author"] or "").strip(),
-                    year=(row["year"] or "").strip(),
-                    title=(row["title"] or "").strip(),
-                    text=text,
-                )
+        first_line[sonnet_id] = lineno
+        sonnet_text: str | None = None
+        if corpus_root is not None:
+            text_path = Path(corpus_root) / (row["file_path"] or "").strip()
+            try:
+                sonnet_text = read_input(text_path, "sonnet text")
+            except InputError as exc:
+                raise CorpusFormatError(f"{metadata_path}: line {lineno}: {exc}") from exc
+        sonnets.append(
+            Sonnet(
+                sonnet_id=sonnet_id,
+                author=(row["author"] or "").strip(),
+                year=(row["year"] or "").strip(),
+                title=(row["title"] or "").strip(),
+                text=sonnet_text,
             )
+        )
     if not sonnets:
         raise CorpusFormatError(f"{metadata_path}: no sonnets listed")
     return Corpus(sonnets=tuple(sonnets))
@@ -248,13 +251,8 @@ def load_annotation_set(
     empty.  All violations report row and column coordinates.
     """
     path = Path(path)
-    try:
-        handle = path.open(encoding="utf-8-sig", newline="")
-    except OSError as exc:
-        raise AnnotationFormatError(f"cannot read annotation file {path}: {exc}") from exc
-    with handle:
-        reader = csv.reader(handle)
-        rows = [row for row in reader if any(cell.strip() for cell in row)]
+    reader = csv.reader(io.StringIO(read_input(path, "annotation file"), newline=""))
+    rows = [row for row in reader if any(cell.strip() for cell in row)]
     if not rows:
         raise AnnotationFormatError(f"{path}: file is empty")
     header = [h.strip() for h in rows[0]]

@@ -18,11 +18,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .lexicon import DIMENSIONS, MergedLexicon
 from .stats import spearman
-from .textnorm import NormalizationConfig, normalize
 
 __all__ = [
+    "FEATURE_INDEX",
     "FEATURE_NAMES",
     "MEAN_SD_FEATURES",
     "MEAN_FEATURES",
@@ -30,9 +32,7 @@ __all__ = [
     "GamFeatureVector",
     "WordObservation",
     "compute_corpus_matrix",
-    "compute_features",
     "features_from_observations",
-    "observe_words",
 ]
 
 _DIM_PREFIX = {dim: dim for dim in DIMENSIONS}
@@ -58,6 +58,9 @@ FEATURE_NAMES: tuple[str, ...] = MEAN_SD_FEATURES + (
     "sigma_aro",
     "sigma_val",
 )
+
+# Feature name -> its column in FeatureMatrix.values.
+FEATURE_INDEX: dict[str, int] = {name: j for j, name in enumerate(FEATURE_NAMES)}
 
 
 @dataclass(frozen=True)
@@ -89,18 +92,6 @@ def _observe_keys(keys: Sequence[str], merged: MergedLexicon) -> list[WordObserv
         if entry is not None:
             observations.append(WordObservation(key=key, position=position, dims=entry))
     return observations
-
-
-def observe_words(
-    text: str, merged: MergedLexicon, config: NormalizationConfig
-) -> list[WordObservation]:
-    """Normalize a sonnet and keep the tokens the merged lexicon knows.
-
-    Positions are the post-stopword-removal token positions, so the
-    position sequence of the observations may have gaps where unmatched
-    words sat.
-    """
-    return _observe_keys([token.normalized for token in normalize(text, config)], merged)
 
 
 def _position_correlation(
@@ -172,49 +163,49 @@ def features_from_observations(
     return vec
 
 
-def compute_features(
-    text: str, merged: MergedLexicon, config: NormalizationConfig
-) -> GamFeatureVector:
-    """The 32-feature vector of one sonnet text."""
-    return features_from_observations(observe_words(text, merged, config))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureMatrix:
-    """Feature vectors for a whole corpus, in corpus order."""
+    """The 32 features of a whole corpus, one row per sonnet in corpus order.
+
+    ``values`` is an n x 32 float array whose columns follow
+    ``FEATURE_NAMES`` (``FEATURE_INDEX`` maps a name to its column); an
+    undefined value is NaN.  ``reasons[sonnet_id]`` explains each of
+    that sonnet's undefined values.  No generated ``__eq__``: an array
+    field has no single truth value.
+    """
 
     sonnet_ids: tuple[str, ...]
-    vectors: dict[str, GamFeatureVector]
-    undefined_counts: dict[str, int]
+    values: np.ndarray
+    reasons: dict[str, dict[str, str]]
 
-    def column(self, feature: str) -> list[tuple[str, float]]:
-        """Defined (sonnet_id, value) pairs for one feature, corpus order."""
-        out = []
-        for sid in self.sonnet_ids:
-            value = self.vectors[sid].values[feature]
-            if value is not None:
-                out.append((sid, value))
-        return out
+    def column(self, feature: str) -> np.ndarray:
+        """One feature's values in corpus order (a view; NaN where undefined)."""
+        return self.values[:, FEATURE_INDEX[feature]]
+
+    @property
+    def undefined_counts(self) -> dict[str, int]:
+        """Number of sonnets with each feature undefined."""
+        counts = np.isnan(self.values).sum(axis=0)
+        return {name: int(count) for name, count in zip(FEATURE_NAMES, counts)}
 
 
 def compute_corpus_matrix(
     keys: Mapping[str, Sequence[str]], merged: MergedLexicon
 ) -> FeatureMatrix:
-    """Feature vectors for every sonnet plus per-feature undefined counts.
+    """The feature matrix of every sonnet.
 
     ``keys`` holds each sonnet's normalized keys in corpus order; a key's
-    position is its index + 1.
+    position is its index + 1.  Positions are the post-stopword-removal
+    token positions, so the observations' positions may have gaps where
+    unmatched words sat.
     """
-    vectors: dict[str, GamFeatureVector] = {}
-    undefined = {name: 0 for name in FEATURE_NAMES}
-    for sonnet_id, sonnet_keys in keys.items():
-        vec = features_from_observations(_observe_keys(sonnet_keys, merged))
-        vectors[sonnet_id] = vec
-        for name in FEATURE_NAMES:
-            if vec.values[name] is None:
-                undefined[name] += 1
+    vectors = [features_from_observations(_observe_keys(k, merged)) for k in keys.values()]
+    # dtype=float turns an undefined (None) value into NaN
+    values = np.array(
+        [[vec.values[name] for name in FEATURE_NAMES] for vec in vectors], dtype=float
+    ).reshape(len(vectors), len(FEATURE_NAMES))
     return FeatureMatrix(
         sonnet_ids=tuple(keys),
-        vectors=vectors,
-        undefined_counts=undefined,
+        values=values,
+        reasons={sid: vec.reasons for sid, vec in zip(keys, vectors)},
     )

@@ -16,15 +16,17 @@ and the mean/sd columns per dimension.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
+import math
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .corpus import DEFAULT_CATALOG, AnnotationSet, FeatureCatalog, subset_by_tag
-from .textnorm import InputError, NormalizationConfig, lemmatize, stem
+from .textnorm import InputError, NormalizationConfig, lemmatize, read_input, stem
 
 __all__ = [
     "CANONICAL_SCALES",
@@ -129,9 +131,33 @@ def _rescale_sd(sd: float | None, from_scale, to_scale) -> float | None:
 
 def _parse_float(cell: str, where: str) -> float:
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         raise LexiconFormatError(f"{where}: not a number: {cell!r}") from None
+    # NaN marks an undefined feature downstream, so no input may carry one
+    if not math.isfinite(value):
+        raise LexiconFormatError(f"{where}: not a finite number: {cell!r}")
+    return value
+
+
+def _read_rows(path: Path, delimiter: str = ",") -> csv.DictReader:
+    text = read_input(path, "lexicon file")
+    return csv.DictReader(io.StringIO(text, newline=""), delimiter=delimiter)
+
+
+def _check_width(reader: csv.DictReader, row: dict, where: str) -> None:
+    """Reject a row with more or fewer cells than the header.
+
+    DictReader files surplus cells under the key None and fills missing
+    ones with None.
+    """
+    if None in row or None in row.values():
+        n = len(reader.fieldnames or ())
+        surplus = len(row.get(None, ()))
+        missing = sum(1 for key, cell in row.items() if key is not None and cell is None)
+        raise LexiconFormatError(
+            f"{where}: {n + surplus - missing} cells, but the header has {n}"
+        )
 
 
 def _finish_source(
@@ -158,129 +184,120 @@ def _finish_source(
 
 
 def _load_canonical(path: Path, source_id: str) -> SourceLexicon:
-    with path.open(encoding="utf-8-sig", newline="") as handle:
-        reader = csv.DictReader(handle)
-        required = {"word", "dimension", "mean", "sd", "scale_min", "scale_max"}
-        have = set(reader.fieldnames or [])
-        if not required <= have:
+    reader = _read_rows(path)
+    required = {"word", "dimension", "mean", "sd", "scale_min", "scale_max"}
+    have = set(reader.fieldnames or [])
+    if not required <= have:
+        raise LexiconFormatError(
+            f"{path}: missing columns: {', '.join(sorted(required - have))}"
+        )
+    scales: dict[str, tuple[float, float]] = {}
+    raw: dict[str, dict[str, list[tuple[float, float | None]]]] = {}
+    for row in reader:
+        where = f"{path}: line {reader.line_num}"
+        _check_width(reader, row, where)
+        word = row["word"].strip().lower()
+        dim = row["dimension"].strip()
+        if not word:
+            raise LexiconFormatError(f"{where}: empty word")
+        if dim not in CANONICAL_SCALES:
+            raise LexiconFormatError(f"{where}: unknown dimension {dim!r}")
+        lo = _parse_float(row["scale_min"], where)
+        hi = _parse_float(row["scale_max"], where)
+        if hi <= lo:
+            raise LexiconFormatError(f"{where}: scale_min must be below scale_max")
+        if dim in scales and scales[dim] != (lo, hi):
             raise LexiconFormatError(
-                f"{path}: missing columns: {', '.join(sorted(required - have))}"
+                f"{where}: conflicting scale for {dim}: {scales[dim]} vs {(lo, hi)}"
             )
-        scales: dict[str, tuple[float, float]] = {}
-        raw: dict[str, dict[str, list[tuple[float, float | None]]]] = {}
-        for lineno, row in enumerate(reader, start=2):
-            where = f"{path}: line {lineno}"
-            word = (row["word"] or "").strip().lower()
-            dim = (row["dimension"] or "").strip()
-            if not word:
-                raise LexiconFormatError(f"{where}: empty word")
-            if dim not in CANONICAL_SCALES:
-                raise LexiconFormatError(f"{where}: unknown dimension {dim!r}")
-            lo = _parse_float(row["scale_min"], where)
-            hi = _parse_float(row["scale_max"], where)
-            if hi <= lo:
-                raise LexiconFormatError(f"{where}: scale_min must be below scale_max")
-            if dim in scales and scales[dim] != (lo, hi):
-                raise LexiconFormatError(
-                    f"{where}: conflicting scale for {dim}: {scales[dim]} vs {(lo, hi)}"
-                )
-            scales.setdefault(dim, (lo, hi))
-            mean = _parse_float(row["mean"], where)
-            if not lo <= mean <= hi:
-                raise LexiconFormatError(
-                    f"{where}: mean {mean} outside declared scale [{lo}, {hi}]"
-                )
-            sd_cell = (row["sd"] or "").strip()
-            sd = None
-            if sd_cell:
-                sd = _parse_float(sd_cell, where)
-                if sd < 0:
-                    raise LexiconFormatError(f"{where}: negative sd {sd}")
-            raw.setdefault(word, {}).setdefault(dim, []).append((mean, sd))
+        scales.setdefault(dim, (lo, hi))
+        mean = _parse_float(row["mean"], where)
+        if not lo <= mean <= hi:
+            raise LexiconFormatError(
+                f"{where}: mean {mean} outside declared scale [{lo}, {hi}]"
+            )
+        sd_cell = row["sd"].strip()
+        sd = None
+        if sd_cell:
+            sd = _parse_float(sd_cell, where)
+            if sd < 0:
+                raise LexiconFormatError(f"{where}: negative sd {sd}")
+        raw.setdefault(word, {}).setdefault(dim, []).append((mean, sd))
     if not raw:
         raise LexiconFormatError(f"{path}: no entries")
     return _finish_source(source_id, scales, raw)
 
 
-def _load_descriptor(descriptor: Mapping | str | Path) -> Mapping:
-    if isinstance(descriptor, (str, Path)):
-        desc_path = Path(descriptor)
-        try:
-            return json.loads(desc_path.read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise LexiconFormatError(f"cannot read descriptor {desc_path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise LexiconFormatError(f"{desc_path}: invalid JSON: {exc}") from exc
-    return descriptor
-
-
-def _load_described(path: Path, descriptor: Mapping, source_id: str) -> SourceLexicon:
+def _load_described(path: Path, descriptor: Mapping, source_id: str, label: str) -> SourceLexicon:
+    """Read a published layout through its descriptor; ``label`` names the descriptor."""
     word_column = descriptor.get("word_column")
+    if not isinstance(word_column, str) or not word_column:
+        raise LexiconFormatError(f"{label}: 'word_column' must be a column name")
     dims_spec = descriptor.get("dimensions")
-    if not word_column or not isinstance(dims_spec, Mapping) or not dims_spec:
-        raise LexiconFormatError(
-            f"descriptor for {source_id}: needs word_column and a dimensions mapping"
-        )
+    if not isinstance(dims_spec, Mapping) or not dims_spec:
+        raise LexiconFormatError(f"{label}: 'dimensions' must be a non-empty mapping")
     delimiter = descriptor.get("delimiter", ",")
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise LexiconFormatError(f"{label}: 'delimiter' must be one character, not {delimiter!r}")
     scales: dict[str, tuple[float, float]] = {}
     for dim, spec in dims_spec.items():
+        where = f"{label}: dimension {dim}"
         if dim not in CANONICAL_SCALES:
-            raise LexiconFormatError(f"descriptor for {source_id}: unknown dimension {dim!r}")
+            raise LexiconFormatError(f"{label}: unknown dimension {dim!r}")
+        if not isinstance(spec, Mapping):
+            raise LexiconFormatError(f"{where}: must map 'mean', 'sd' and 'scale'")
         scale = spec.get("scale")
         if (
             not isinstance(scale, Sequence)
             or len(scale) != 2
             or not all(isinstance(v, (int, float)) for v in scale)
         ):
-            raise LexiconFormatError(
-                f"descriptor for {source_id}: dimension {dim}: scale must be [low, high]"
-            )
+            raise LexiconFormatError(f"{where}: scale must be [low, high]")
         lo, hi = float(scale[0]), float(scale[1])
         if hi <= lo:
-            raise LexiconFormatError(
-                f"descriptor for {source_id}: dimension {dim}: scale low must be below high"
-            )
+            raise LexiconFormatError(f"{where}: scale low must be below high")
         if "mean" not in spec:
-            raise LexiconFormatError(
-                f"descriptor for {source_id}: dimension {dim}: needs a mean column"
-            )
+            raise LexiconFormatError(f"{where}: needs a mean column")
+        for key in ("mean", "sd"):
+            if spec.get(key) and not isinstance(spec[key], str):
+                raise LexiconFormatError(f"{where}: '{key}' must be a column name")
         scales[dim] = (lo, hi)
 
-    with path.open(encoding="utf-8-sig", newline="") as handle:
-        reader = csv.DictReader(handle, delimiter=delimiter)
-        header = set(reader.fieldnames or [])
-        needed = {word_column} | {spec["mean"] for spec in dims_spec.values()}
-        needed |= {spec["sd"] for spec in dims_spec.values() if spec.get("sd")}
-        missing = needed - header
-        if missing:
-            raise LexiconFormatError(
-                f"{path}: columns named by descriptor are absent: {', '.join(sorted(missing))}"
-            )
-        raw: dict[str, dict[str, list[tuple[float, float | None]]]] = {}
-        for lineno, row in enumerate(reader, start=2):
-            where = f"{path}: line {lineno}"
-            word = (row[word_column] or "").strip().lower()
-            if not word:
-                raise LexiconFormatError(f"{where}: empty word")
-            for dim, spec in dims_spec.items():
-                cell = (row[spec["mean"]] or "").strip()
-                if not cell:
-                    continue
-                mean = _parse_float(cell, where)
-                lo, hi = scales[dim]
-                if not lo <= mean <= hi:
-                    raise LexiconFormatError(
-                        f"{where}: {dim} mean {mean} outside declared scale [{lo}, {hi}]"
-                    )
-                sd = None
-                sd_col = spec.get("sd")
-                if sd_col:
-                    sd_cell = (row[sd_col] or "").strip()
-                    if sd_cell:
-                        sd = _parse_float(sd_cell, where)
-                        if sd < 0:
-                            raise LexiconFormatError(f"{where}: negative sd {sd}")
-                raw.setdefault(word, {}).setdefault(dim, []).append((mean, sd))
+    reader = _read_rows(path, delimiter)
+    header = set(reader.fieldnames or [])
+    needed = {word_column} | {spec["mean"] for spec in dims_spec.values()}
+    needed |= {spec["sd"] for spec in dims_spec.values() if spec.get("sd")}
+    missing = needed - header
+    if missing:
+        raise LexiconFormatError(
+            f"{path}: columns named by descriptor are absent: {', '.join(sorted(missing))}"
+        )
+    raw: dict[str, dict[str, list[tuple[float, float | None]]]] = {}
+    for row in reader:
+        where = f"{path}: line {reader.line_num}"
+        _check_width(reader, row, where)
+        word = row[word_column].strip().lower()
+        if not word:
+            raise LexiconFormatError(f"{where}: empty word")
+        for dim, spec in dims_spec.items():
+            cell = row[spec["mean"]].strip()
+            if not cell:
+                continue
+            mean = _parse_float(cell, where)
+            lo, hi = scales[dim]
+            if not lo <= mean <= hi:
+                raise LexiconFormatError(
+                    f"{where}: {dim} mean {mean} outside declared scale [{lo}, {hi}]"
+                )
+            sd = None
+            sd_col = spec.get("sd")
+            if sd_col:
+                sd_cell = row[sd_col].strip()
+                if sd_cell:
+                    sd = _parse_float(sd_cell, where)
+                    if sd < 0:
+                        raise LexiconFormatError(f"{where}: negative sd {sd}")
+            raw.setdefault(word, {}).setdefault(dim, []).append((mean, sd))
     if not raw:
         raise LexiconFormatError(f"{path}: no entries")
     return _finish_source(source_id, scales, raw)
@@ -304,9 +321,20 @@ def load_lexicon(
         raise LexiconFormatError(f"lexicon file not found: {path}")
     if descriptor is None:
         return _load_canonical(path, source_id or path.stem)
-    desc = _load_descriptor(descriptor)
-    sid = source_id or desc.get("source_id") or path.stem
-    return _load_described(path, desc, sid)
+    if isinstance(descriptor, Mapping):
+        label = f"descriptor of {path}"
+    else:
+        label = str(descriptor)
+        try:
+            descriptor = json.loads(read_input(descriptor, "lexicon descriptor"))
+        except json.JSONDecodeError as exc:
+            raise LexiconFormatError(f"{label}: invalid JSON: {exc}") from exc
+        if not isinstance(descriptor, Mapping):
+            raise LexiconFormatError(f"{label}: descriptor must be a JSON object")
+    sid = source_id or descriptor.get("source_id") or path.stem
+    if not isinstance(sid, str):
+        raise LexiconFormatError(f"{label}: 'source_id' must be a string")
+    return _load_described(path, descriptor, sid, label)
 
 
 def _normalize_key(word: str, config: NormalizationConfig) -> str:

@@ -36,6 +36,7 @@ from .textnorm import (
     load_lemma_table,
     load_stopwords,
     normalize,
+    read_input,
 )
 
 __all__ = ["COMMANDS", "FORMATS", "REPORTS", "ReportWriter", "Session"]
@@ -58,16 +59,14 @@ def _load_config(
     config_path: Path, mode: str | None, out_dir: str | None, fmt: str | None
 ) -> dict[str, Any]:
     try:
-        raw = json.loads(config_path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise InputError(f"cannot read config {config_path}: {exc}") from exc
+        raw = json.loads(read_input(config_path, "config"))
     except json.JSONDecodeError as exc:
         raise InputError(f"{config_path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise InputError(f"{config_path}: config must be a JSON object")
     cfg = dict(_CONFIG_DEFAULTS)
     cfg.update(raw)
-    cfg["_dir"] = config_path.parent
+    cfg["_path"] = config_path
     for key, override in (("mode", mode), ("out_dir", out_dir), ("format", fmt)):
         if override:
             cfg[key] = override
@@ -75,18 +74,27 @@ def _load_config(
         raise InputError(f"unknown mode {cfg['mode']!r}; expected one of {MODES}")
     if cfg["format"] not in FORMATS:
         raise InputError(f"unknown format {cfg['format']!r}")
+    if not isinstance(cfg["out_dir"], str):
+        raise InputError(f"{config_path}: 'out_dir' must be a path, not {cfg['out_dir']!r}")
     return cfg
 
 
 def _resolve(cfg: dict[str, Any], value: str) -> Path:
     path = Path(value)
-    return path if path.is_absolute() else cfg["_dir"] / path
+    return path if path.is_absolute() else cfg["_path"].parent / path
 
 
-def _require_file(cfg: dict[str, Any], key_path: str, label: str) -> Path:
-    path = _resolve(cfg, key_path)
+def _require_path(cfg: dict[str, Any], key: str, value: Any) -> Path:
+    """Config entry ``key`` resolved as a path; a non-string value is an input error."""
+    if not isinstance(value, str):
+        raise InputError(f"{cfg['_path']}: '{key}' must be a path, not {value!r}")
+    return _resolve(cfg, value)
+
+
+def _require_file(cfg: dict[str, Any], key: str, value: Any, label: str) -> Path:
+    path = _require_path(cfg, key, value)
     if not path.is_file():
-        raise InputError(f"{label} not found: {path}")
+        raise InputError(f"{cfg['_path']}: {label} not found: {path}")
     return path
 
 
@@ -94,45 +102,52 @@ def _check_inputs(cfg: dict[str, Any], needs: set[str]) -> None:
     """Fail on missing inputs before any computation starts."""
     if "metadata" not in cfg:
         raise InputError("config is missing 'metadata'")
-    _require_file(cfg, cfg["metadata"], "metadata file")
+    _require_file(cfg, "metadata", cfg["metadata"], "metadata file")
     annotations = cfg.get("annotations")
     if not isinstance(annotations, list) or len(annotations) < 2:
         raise InputError("config needs an 'annotations' list with at least two files")
     for entry in annotations:
-        _require_file(cfg, entry, "annotation file")
+        _require_file(cfg, "annotations", entry, "annotation file")
     if "median" in needs and len(annotations) != 3:
         raise InputError(
             f"this command needs exactly three annotation sets to build the median "
             f"annotator; config lists {len(annotations)}"
         )
-    for rid in cfg.get("reversed_valence_annotators") or []:
-        if rid not in range(1, len(annotations) + 1):
+    reversed_valence = cfg.get("reversed_valence_annotators") or []
+    if not isinstance(reversed_valence, list):
+        raise InputError(
+            f"{cfg['_path']}: 'reversed_valence_annotators' must be a list of annotator numbers"
+        )
+    for rid in reversed_valence:
+        if not isinstance(rid, int) or rid not in range(1, len(annotations) + 1):
             raise InputError(f"reversed_valence_annotators names unknown annotator {rid}")
     if "texts" in needs:
         if not cfg.get("corpus_root"):
             raise InputError("config is missing 'corpus_root' (needed to read sonnet texts)")
-        root = _resolve(cfg, cfg["corpus_root"])
+        root = _require_path(cfg, "corpus_root", cfg["corpus_root"])
         if not root.is_dir():
-            raise InputError(f"corpus_root is not a directory: {root}")
+            raise InputError(f"{cfg['_path']}: corpus_root is not a directory: {root}")
     if "lexicons" in needs:
         lexicons = cfg.get("lexicons")
         if not isinstance(lexicons, list) or not lexicons:
             raise InputError("config needs a non-empty 'lexicons' list")
         for entry in lexicons:
             if isinstance(entry, str):
-                _require_file(cfg, entry, "lexicon file")
+                _require_file(cfg, "lexicons", entry, "lexicon file")
             elif isinstance(entry, dict) and "path" in entry:
-                _require_file(cfg, entry["path"], "lexicon file")
+                _require_file(cfg, "path", entry["path"], "lexicon file")
                 if entry.get("descriptor"):
-                    _require_file(cfg, entry["descriptor"], "lexicon descriptor")
+                    _require_file(cfg, "descriptor", entry["descriptor"], "lexicon descriptor")
+                if not isinstance(entry.get("source_id", ""), str):
+                    raise InputError(f"{cfg['_path']}: 'source_id' must be a string")
             else:
                 raise InputError(
                     "each lexicons entry must be a path or an object with a 'path'"
                 )
     if cfg.get("stopwords"):
-        _require_file(cfg, cfg["stopwords"], "stopword list")
+        _require_file(cfg, "stopwords", cfg["stopwords"], "stopword list")
     if cfg.get("lemma_table"):
-        _require_file(cfg, cfg["lemma_table"], "lemma table")
+        _require_file(cfg, "lemma_table", cfg["lemma_table"], "lemma table")
     if cfg["mode"] == "lemma" and not cfg.get("lemma_table"):
         raise InputError("lemma mode requires a 'lemma_table' in the config")
 
@@ -342,14 +357,14 @@ def _features(session: Session) -> _Table:
     names = list(features_mod.FEATURE_NAMES)
     rows = []
     mirror = []
-    for sid in matrix.sonnet_ids:
-        vec = matrix.vectors[sid]
-        rows.append([sid] + [vec.values[n] for n in names])
+    for sid, line in zip(matrix.sonnet_ids, matrix.values.tolist()):
+        values = [None if value != value else value for value in line]  # NaN -> None
+        rows.append([sid, *values])
         mirror.append(
             {
                 "sonnet_id": sid,
-                "values": {n: vec.values[n] for n in names},
-                "reasons": dict(vec.reasons),
+                "values": dict(zip(names, values)),
+                "reasons": dict(matrix.reasons[sid]),
             }
         )
     return _Table(

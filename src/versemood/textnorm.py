@@ -29,6 +29,7 @@ __all__ = [
     "load_lemma_table",
     "load_stopwords",
     "normalize",
+    "read_input",
     "remove_stopwords",
     "stem",
     "tokenize",
@@ -41,6 +42,27 @@ MODES = ("raw", "stem", "lemma")
 
 class InputError(ValueError):
     """Malformed or missing input; the message names the file (and line)."""
+
+
+def read_input(path: str | Path, what: str) -> str:
+    """The text of one input file, read as UTF-8 with an optional byte order mark.
+
+    ``what`` says what the file is ("metadata file", "config", ...); an
+    unreadable file or a byte that is not UTF-8 raises InputError naming
+    it and the path (and for a decoding error, the byte offset).
+    """
+    path = Path(path)
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise InputError(
+            f"{path}: {what} is not UTF-8 text: byte {exc.start} ({exc.reason})"
+        ) from None
+
 
 _stem_cached = functools.lru_cache(maxsize=None)(snowball_es.stem)
 
@@ -59,7 +81,7 @@ def default_stopwords() -> frozenset[str]:
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Read a stopword list, one word per line, blank lines ignored."""
-    words = Path(path).read_text(encoding="utf-8-sig").split()
+    words = read_input(path, "stopword list").split()
     return frozenset(w.lower() for w in words)
 
 
@@ -70,8 +92,7 @@ def load_lemma_table(path: str | Path) -> dict[str, str]:
     comma.  Surfaces and lemmas are lowercased; duplicate surfaces keep
     the first entry.
     """
-    path = Path(path)
-    raw = path.read_text(encoding="utf-8-sig").splitlines()
+    raw = read_input(path, "lemma table").splitlines()
     rows = [line for line in raw if line.strip()]
     if not rows:
         raise InputError(f"{path}: lemma table is empty")
@@ -100,8 +121,6 @@ class NormalizationConfig:
     mode: str = "stem"
     stopwords: frozenset[str] = field(default_factory=default_stopwords)
     lemma_table: dict[str, str] | None = None
-    lowercase: bool = True
-    strip_punctuation: bool = True
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -119,8 +138,8 @@ class Token:
     normalized: str
 
 
-def tokenize(text: str, lowercase: bool = True, strip_punctuation: bool = True) -> list[str]:
-    """Split text on whitespace and trim punctuation off token edges.
+def tokenize(text: str) -> list[str]:
+    """Split text on whitespace, trim punctuation off token edges, lowercase.
 
     Trimming removes leading and trailing non-alphanumeric characters
     (quotes, dashes, inverted exclamation marks and the like) while
@@ -129,16 +148,15 @@ def tokenize(text: str, lowercase: bool = True, strip_punctuation: bool = True) 
     """
     tokens = []
     for chunk in text.split():
-        if strip_punctuation:
-            start, end = 0, len(chunk)
-            while start < end and not chunk[start].isalnum():
-                start += 1
-            while end > start and not chunk[end - 1].isalnum():
-                end -= 1
-            chunk = chunk[start:end]
+        start, end = 0, len(chunk)
+        while start < end and not chunk[start].isalnum():
+            start += 1
+        while end > start and not chunk[end - 1].isalnum():
+            end -= 1
+        chunk = chunk[start:end]
         if not chunk:
             continue
-        tokens.append(chunk.lower() if lowercase else chunk)
+        tokens.append(chunk.lower())
     return tokens
 
 
@@ -163,8 +181,7 @@ def lemmatize(word: str, table: dict[str, str]) -> str:
 
 def normalize(text: str, config: NormalizationConfig) -> list[Token]:
     """Full pipeline: tokenize, drop stopwords, apply the key transform."""
-    tokens = tokenize(text, lowercase=config.lowercase, strip_punctuation=config.strip_punctuation)
-    survivors = remove_stopwords(tokens, config.stopwords)
+    survivors = remove_stopwords(tokenize(text), config.stopwords)
     if config.mode == "raw":
         return survivors
     if config.mode == "stem":

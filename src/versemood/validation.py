@@ -22,7 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import DEFAULT_CATALOG, AnnotationSet, FeatureCatalog, subset_by_tag
-from .features import FEATURE_NAMES, MEAN_FEATURES, MEAN_SD_FEATURES, FeatureMatrix
+from .features import (
+    FEATURE_INDEX,
+    FEATURE_NAMES,
+    MEAN_FEATURES,
+    MEAN_SD_FEATURES,
+    FeatureMatrix,
+)
 from .stats import LinearDesign, RankDeficiencyError, one_way_anova, spearman
 
 __all__ = [
@@ -82,16 +88,16 @@ def bivariate_report(
     """
     cells = []
     for annotated in catalog.ordinal:
+        # dtype=float turns a missing median cell (None) into NaN
+        annotated_values = np.array(
+            [median.values.get((sid, annotated)) for sid in matrix.sonnet_ids], dtype=float
+        )
+        annotated_defined = ~np.isnan(annotated_values)
         for gam_feature in FEATURE_NAMES:
-            xs = []
-            ys = []
-            for sid in matrix.sonnet_ids:
-                gam_value = matrix.vectors[sid].values[gam_feature]
-                annotated_value = median.values.get((sid, annotated))
-                if gam_value is None or annotated_value is None:
-                    continue
-                xs.append(annotated_value)
-                ys.append(gam_value)
+            column = matrix.column(gam_feature)
+            paired = annotated_defined & ~np.isnan(column)
+            xs = annotated_values[paired]
+            ys = column[paired]
             if len(xs) < 2:
                 cells.append(
                     BivariateCell(
@@ -159,9 +165,6 @@ def _not_computable(
     )
 
 
-_FEATURE_COLUMN = {name: j for j, name in enumerate(FEATURE_NAMES)}
-
-
 def _category_rows(
     values: np.ndarray,
     ids: tuple[str, ...],
@@ -186,7 +189,7 @@ def _category_rows(
     if keep.sum() <= len(predictors) + 1:
         predictors = MEAN_SD_FEATURES
         pruned = True
-        keep = ~np.isnan(sub[:, [_FEATURE_COLUMN[p] for p in predictors]]).any(axis=1)
+        keep = ~np.isnan(sub[:, [FEATURE_INDEX[p] for p in predictors]]).any(axis=1)
     rows = [ids[i] for i in np.flatnonzero(keep)]
     sub = sub[keep]
     insufficient = len(rows) <= len(predictors) + 1
@@ -196,7 +199,7 @@ def _category_rows(
     design = None
     active = list(predictors)
     while not insufficient:
-        X = np.ascontiguousarray(sub[:, [_FEATURE_COLUMN[p] for p in active]])
+        X = np.ascontiguousarray(sub[:, [FEATURE_INDEX[p] for p in active]])
         try:
             design = LinearDesign(X, column_names=active)
             break
@@ -277,21 +280,13 @@ def partial_dependence_report(
     subset.  Sonnets with any undefined value among the active
     predictors are dropped listwise per category.
     """
-    # dtype=float turns an undefined (None) value into NaN
-    values = np.array(
-        [
-            [matrix.vectors[sid].values[name] for name in FEATURE_NAMES]
-            for sid in matrix.sonnet_ids
-        ],
-        dtype=float,
-    ).reshape(len(matrix.sonnet_ids), len(FEATURE_NAMES))
     row_of = {sid: i for i, sid in enumerate(matrix.sonnet_ids)}
     categories: list[tuple[str, tuple[str, ...]]] = [(ALL_CATEGORY, matrix.sonnet_ids)]
     for tag in catalog.psychological:
         categories.append((tag, subset_by_tag(median, tag, catalog)[0]))
     rows = []
     for category, ids in categories:
-        rows.extend(_category_rows(values, ids, row_of, median, category))
+        rows.extend(_category_rows(matrix.values, ids, row_of, median, category))
     return rows
 
 
@@ -334,14 +329,14 @@ def anova_report(
     skipped: list[tuple[str, str, str]] = []
     n_total = 0
     for tag in catalog.psychological:
-        in_ids, out_ids = subset_by_tag(median, tag, catalog)
-        in_set = set(in_ids)
+        in_set = set(subset_by_tag(median, tag, catalog)[0])
+        tagged = np.array([sid in in_set for sid in matrix.sonnet_ids], dtype=bool)
         for feature in MEAN_FEATURES:
             n_total += 1
-            in_vals = []
-            out_vals = []
-            for sid, value in matrix.column(feature):
-                (in_vals if sid in in_set else out_vals).append(value)
+            column = matrix.column(feature)
+            defined = ~np.isnan(column)
+            in_vals = column[defined & tagged]
+            out_vals = column[defined & ~tagged]
             if len(in_vals) < 2 or len(out_vals) < 2:
                 skipped.append((tag, feature, "a group has fewer than two values"))
                 continue

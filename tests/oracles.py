@@ -193,7 +193,7 @@ def partial_dependence(matrix, median, catalog):
     the pruned/dropped decision messages in emission order.
     """
     from versemood.corpus import subset_by_tag
-    from versemood.features import FEATURE_NAMES, MEAN_SD_FEATURES
+    from versemood.features import FEATURE_INDEX, FEATURE_NAMES, MEAN_SD_FEATURES
     from versemood.stats import RankDeficiencyError, ols
     from versemood.validation import (
         ALL_CATEGORY,
@@ -203,6 +203,10 @@ def partial_dependence(matrix, median, catalog):
     )
 
     messages = []
+    row_of = {sid: i for i, sid in enumerate(matrix.sonnet_ids)}
+
+    def value(sid, feature):
+        return float(matrix.values[row_of[sid], FEATURE_INDEX[feature]])
 
     def not_computable(category, annotated, gam_feature, n, reason):
         return PartialDependenceRow(
@@ -213,7 +217,7 @@ def partial_dependence(matrix, median, catalog):
     def listwise(ids, predictors):
         return [
             sid for sid in ids
-            if all(matrix.vectors[sid].values[p] is not None for p in predictors)
+            if not any(math.isnan(value(sid, p)) for p in predictors)
         ]
 
     def fit_pairing(category, ids, annotated, gam_feature):
@@ -238,7 +242,7 @@ def partial_dependence(matrix, median, catalog):
         dropped = []
         active = list(predictors)
         while True:
-            X = [[matrix.vectors[sid].values[p] for p in active] for sid in rows]
+            X = [[value(sid, p) for p in active] for sid in rows]
             try:
                 fit = ols(X, y, column_names=active)
                 break

@@ -3,6 +3,7 @@
 import csv
 import json
 import logging
+import re
 import shutil
 from pathlib import Path
 
@@ -357,6 +358,60 @@ def test_utf8_bom_inputs_give_identical_reports(all_run, workspace, tmp_path, ca
         assert (tmp_path / "out" / report.name).read_bytes() == report.read_bytes(), report.name
 
 
+def _edit_line_2(data, edit):
+    lines = data.split(b"\n")
+    lines[1] = edit(lines[1])
+    return b"\n".join(lines)
+
+
+def _bad_cell(data):
+    head, newline, rest = data.partition(b"\n")
+    return head + newline + re.sub(rb"[0-9]", b"x", rest, count=1)
+
+
+# Byte-level corruptions of one input file; "line 2" is the first data row
+# of a CSV file and the first key of an indented JSON file.
+CORRUPTIONS = {
+    "bom": lambda data: b"\xef\xbb\xbf" + data,
+    "crlf": lambda data: data.replace(b"\n", b"\r\n"),
+    "truncated row": lambda data: _edit_line_2(data, lambda line: line[: len(line) // 2]),
+    "bad cell": _bad_cell,
+    "duplicated row": lambda data: _edit_line_2(data, lambda line: line + b"\n" + line),
+    "empty file": lambda data: b"",
+    "wrong delimiter": lambda data: data.replace(b",", b";").replace(b"\t", b";"),
+    "non-UTF-8 byte": lambda data: _edit_line_2(data, lambda line: b"\xe9" + line),
+}
+STRUCTURED_INPUTS = (
+    "metadata.csv", "annotator2.csv", "lex_a.csv", "lex_b.tsv",
+    "lex_b_descriptor.json", "config.json",
+)
+CORRUPT_CASES = [
+    (name, corruption) for name in STRUCTURED_INPUTS for corruption in CORRUPTIONS
+] + [("texts/s001.txt", corruption) for corruption in ("bom", "crlf", "non-UTF-8 byte")]
+
+
+@pytest.mark.parametrize("name, corruption", CORRUPT_CASES)
+def test_corrupt_input_gives_same_reports_or_exit_1_naming_it(
+    all_run, workspace, tmp_path, capsys, name, corruption
+):
+    copy = tmp_path / "workspace"
+    shutil.copytree(workspace, copy)
+    path = copy / name
+    path.write_bytes(CORRUPTIONS[corruption](path.read_bytes()))
+    out = tmp_path / "out"
+    code, _, err = run(
+        capsys, "all", "--config", str(copy / "config.json"),
+        "--out", str(out), "--missing-words",
+    )
+    assert code in (0, 1), err
+    if code == 1:
+        assert path.name in err
+    elif not name.startswith("texts/"):
+        # free text may tokenize differently; a structured input may not
+        for report in sorted(all_run.iterdir()):
+            assert (out / report.name).read_bytes() == report.read_bytes(), report.name
+
+
 @pytest.mark.parametrize(
     "case", ["empty lemma table", "one-column lemma table", "duplicate lexicon stem"]
 )
@@ -382,6 +437,43 @@ def test_bad_input_file_exits_1_naming_it(workspace, tmp_path, capsys, case):
     for path in named:
         assert path in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("where, key, value, named", [
+    ("config", "metadata", 5, "'metadata'"),
+    ("config", "annotations", [5, "annotator2.csv", "annotator3.csv"], "'annotations'"),
+    ("lexicon", "path", 5, "'path'"),
+    ("config", "corpus_root", 5, "'corpus_root'"),
+    ("config", "stopwords", 5, "'stopwords'"),
+    ("config", "reversed_valence_annotators", 5, "'reversed_valence_annotators'"),
+    ("descriptor", None, ["Word"], "JSON object"),
+    ("descriptor", "dimensions", {"valence": ["Val_Mn", "Val_SD"]}, "valence"),
+    ("descriptor", "word_column", ["Word"], "'word_column'"),
+    ("descriptor", "delimiter", "\t\t", "'delimiter'"),
+])
+def test_value_of_wrong_type_exits_1_naming_file_and_key(
+    workspace, tmp_path, capsys, where, key, value, named
+):
+    cfg = absolute_config(workspace)
+    descriptor = read_json(workspace / "lex_b_descriptor.json")
+    if where == "config":
+        cfg[key] = value
+    elif where == "lexicon":
+        cfg["lexicons"][1][key] = value
+    elif key is None:
+        descriptor = value
+    else:
+        descriptor[key] = value
+    descriptor_path = tmp_path / "descriptor.json"
+    descriptor_path.write_text(json.dumps(descriptor), encoding="utf-8")
+    cfg["lexicons"][1]["descriptor"] = str(descriptor_path)
+    config = dump_config(cfg, tmp_path)
+    code, _, err = run(
+        capsys, "all", "--config", str(config), "--out", str(tmp_path / "out")
+    )
+    assert code == 1
+    assert str(descriptor_path if where == "descriptor" else config) in err
+    assert named in err
 
 
 def test_unreadable_config_exits_1(tmp_path, capsys):

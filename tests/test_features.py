@@ -10,13 +10,11 @@ from versemood.features import (
     MEAN_SD_FEATURES,
     WordObservation,
     compute_corpus_matrix,
-    compute_features,
     features_from_observations,
-    observe_words,
 )
 from versemood.lexicon import CANONICAL_SCALES, SourceLexicon, merge_lexicons
 from versemood.pipeline import Session
-from versemood.textnorm import NormalizationConfig
+from versemood.textnorm import NormalizationConfig, normalize
 
 ORDER_FREE = tuple(n for n in FEATURE_NAMES if not n.startswith(("cor_", "abs_cor_")))
 
@@ -209,19 +207,30 @@ def small_merged():
     return merge_lexicons([src], NormalizationConfig(mode="raw", stopwords=frozenset()))
 
 
-def test_observe_words_skips_unknown_tokens():
+def matrix_of(text, merged, config):
+    keys = tuple(token.normalized for token in normalize(text, config))
+    return compute_corpus_matrix({"s1": keys}, merged)
+
+
+def test_corpus_matrix_skips_unknown_tokens():
     merged = small_merged()
     config = NormalizationConfig(mode="raw", stopwords=frozenset({"el"}))
-    observations = observe_words("el amor desconocido muert", merged, config)
-    assert [(o.key, o.position) for o in observations] == [("amor", 1), ("muert", 3)]
+    matrix = matrix_of("el amor desconocido muert", merged, config)
+    expected = features_from_observations([
+        WordObservation(key, position, merged.lookup(key))
+        for key, position in [("amor", 1), ("muert", 3)]
+    ])
+    row = [None if np.isnan(v) else v for v in matrix.values[0].tolist()]
+    assert dict(zip(FEATURE_NAMES, row)) == expected.values
+    assert matrix.reasons["s1"] == expected.reasons
 
 
-def test_compute_features_end_to_end():
+def test_corpus_matrix_end_to_end():
     merged = small_merged()
     config = NormalizationConfig(mode="raw", stopwords=frozenset())
-    vec = compute_features("amor muert ceniz", merged, config)
-    assert vec.values["valence_mean"] == pytest.approx(13.0 / 3.0)
-    assert vec.values["cor_val"] == pytest.approx(-0.5)
+    matrix = matrix_of("amor muert ceniz", merged, config)
+    assert matrix.column("valence_mean")[0] == pytest.approx(13.0 / 3.0)
+    assert matrix.column("cor_val")[0] == pytest.approx(-0.5)
 
 
 def test_compute_corpus_matrix_order_and_undefined_counts():
@@ -230,8 +239,7 @@ def test_compute_corpus_matrix_order_and_undefined_counts():
     matrix = compute_corpus_matrix(keys, merged)
     assert matrix.sonnet_ids == ("s1", "s2")
     assert matrix.undefined_counts["valence_mean"] == 1  # s2 matched nothing
-    column = matrix.column("valence_mean")
-    assert [sid for sid, _ in column] == ["s1"]
+    assert np.isnan(matrix.column("valence_mean")).tolist() == [False, True]
 
 
 def test_compute_corpus_matrix_requires_texts(workspace_config):

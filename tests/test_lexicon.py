@@ -138,6 +138,18 @@ def test_load_canonical_negative_sd(tmp_path):
         load_lexicon(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("amor,valence,5,1,1,9\n\nodio,valence,x,1,1,9\n", "line 4: not a number"),
+    ("amor,valence,5,1,1,9\nodio,valence,5,nan,1,9\n", "line 3: not a finite number"),
+    ("amor,valence,5,1,1,9\nodio,valence,5\n", "line 3: 3 cells, but the header has 6"),
+], ids=["after a blank line", "nan sd", "short row"])
+def test_load_canonical_bad_row_names_its_physical_line(tmp_path, text, message):
+    path = tmp_path / "norms.csv"
+    path.write_text("word,dimension,mean,sd,scale_min,scale_max\n" + text, encoding="utf-8")
+    with pytest.raises(LexiconFormatError, match=message):
+        load_lexicon(path)
+
+
 def test_load_canonical_missing_columns(tmp_path):
     path = tmp_path / "norms.csv"
     path.write_text("word,mean\namor,8.0\n", encoding="utf-8")

@@ -140,8 +140,7 @@ def test_tokenize_empty_input():
 
 
 def test_tokenize_case_switch():
-    assert tokenize("Amor", lowercase=False) == ["Amor"]
-    assert tokenize("Amor", lowercase=True) == ["amor"]
+    assert tokenize("Amor") == ["amor"]
 
 
 def test_remove_stopwords_renumbers():

@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from versemood.corpus import DEFAULT_CATALOG, AnnotationSet
-from versemood.features import FEATURE_NAMES, FeatureMatrix, GamFeatureVector
+from versemood.features import FEATURE_NAMES, FeatureMatrix
 from versemood.stats import spearman
 from versemood.validation import (
     FEATURE_PAIRINGS,
@@ -29,7 +29,7 @@ def synthetic_matrix(rng, n_sonnets, pair_signal=None):
     or correlation structure.
     """
     ids = tuple(f"s{i:03d}" for i in range(1, n_sonnets + 1))
-    vectors = {}
+    rows = []
     for sid in ids:
         values = {}
         for name in FEATURE_NAMES:
@@ -44,11 +44,10 @@ def synthetic_matrix(rng, n_sonnets, pair_signal=None):
             rho = float(rng.uniform(-1, 1))
             values[f"cor_{short}"] = rho
             values[f"abs_cor_{short}"] = abs(rho)
-        vectors[sid] = GamFeatureVector(
-            values=values, reasons={}
-        )
-    undefined = {name: 0 for name in FEATURE_NAMES}
-    return FeatureMatrix(sonnet_ids=ids, vectors=vectors, undefined_counts=undefined)
+        rows.append([values[name] for name in FEATURE_NAMES])
+    return FeatureMatrix(
+        sonnet_ids=ids, values=np.array(rows), reasons={sid: {} for sid in ids}
+    )
 
 
 def median_for(matrix, rng, tag_members=None, annotated_from=None):
@@ -56,11 +55,11 @@ def median_for(matrix, rng, tag_members=None, annotated_from=None):
     values = {}
     tag_members = tag_members or {}
     annotated_from = annotated_from or {}
-    for sid in matrix.sonnet_ids:
+    for sid, row in zip(matrix.sonnet_ids, matrix.values):
         for feature in CATALOG.ordinal:
             if feature in annotated_from:
                 values[(sid, feature)] = annotated_from[feature](
-                    matrix.vectors[sid].values
+                    dict(zip(FEATURE_NAMES, row))
                 )
             else:
                 values[(sid, feature)] = float(rng.integers(1, 5))
@@ -108,7 +107,7 @@ def test_bivariate_matches_direct_spearman():
         (c.annotated_feature, c.gam_feature): c for c in bivariate_report(matrix, median)
     }
     cell = cells[("valence", "arousal_mean")]
-    xs = [matrix.vectors[sid].values["arousal_mean"] for sid in matrix.sonnet_ids]
+    xs = list(matrix.column("arousal_mean"))
     ys = [median.values[(sid, "valence")] for sid in matrix.sonnet_ids]
     assert cell.rho == pytest.approx(spearman(xs, ys).rho, abs=1e-12)
 
@@ -117,9 +116,9 @@ def test_bivariate_pairwise_deletion_counts_shared_rows():
     rng = np.random.default_rng(92)
     matrix = synthetic_matrix(rng, 10)
     # knock one feature out on three sonnets
+    matrix.column("fear_mean")[:3] = np.nan
     for sid in matrix.sonnet_ids[:3]:
-        matrix.vectors[sid].values["fear_mean"] = None
-        matrix.vectors[sid].reasons["fear_mean"] = "no matched words with fear"
+        matrix.reasons[sid]["fear_mean"] = "no matched words with fear"
     median = median_for(matrix, rng)
     cells = {
         (c.annotated_feature, c.gam_feature): c for c in bivariate_report(matrix, median)
@@ -131,8 +130,7 @@ def test_bivariate_pairwise_deletion_counts_shared_rows():
 def test_bivariate_constant_series_noted():
     rng = np.random.default_rng(93)
     matrix = synthetic_matrix(rng, 8)
-    for sid in matrix.sonnet_ids:
-        matrix.vectors[sid].values["anger_mean"] = 3.0
+    matrix.column("anger_mean")[:] = 3.0
     median = median_for(matrix, rng)
     cells = {
         (c.annotated_feature, c.gam_feature): c for c in bivariate_report(matrix, median)
@@ -232,8 +230,7 @@ def test_category_rows_cover_all_plus_tags():
 def test_listwise_deletion_drops_incomplete_sonnets():
     rng = np.random.default_rng(100)
     matrix = synthetic_matrix(rng, 60)
-    for sid in matrix.sonnet_ids[:5]:
-        matrix.vectors[sid].values["disgust_sd"] = None
+    matrix.column("disgust_sd")[:5] = np.nan
     median = median_for(matrix, rng)
     rows = partial_dependence_report(matrix, median)
     row = next(
@@ -259,9 +256,7 @@ def _pruned():
 def _paired_feature_collinear():
     rng = np.random.default_rng(105)
     matrix = synthetic_matrix(rng, 60)
-    for sid in matrix.sonnet_ids:
-        values = matrix.vectors[sid].values
-        values["arousal_mean"] = 2.0 * values["valence_mean"] - 1.0
+    matrix.column("arousal_mean")[:] = 2.0 * matrix.column("valence_mean") - 1.0
     return matrix, median_for(matrix, rng)
 
 
@@ -281,8 +276,7 @@ def _category_too_small():
 def _listwise_incomplete():
     rng = np.random.default_rng(100)
     matrix = synthetic_matrix(rng, 60)
-    for sid in matrix.sonnet_ids[:5]:
-        matrix.vectors[sid].values["disgust_sd"] = None
+    matrix.column("disgust_sd")[:5] = np.nan
     return matrix, median_for(matrix, rng)
 
 
@@ -324,9 +318,9 @@ def test_anova_detects_planted_group_difference():
     rng = np.random.default_rng(102)
     matrix = synthetic_matrix(rng, 30)
     members = set(matrix.sonnet_ids[:15])
-    for sid in matrix.sonnet_ids:
+    for i, sid in enumerate(matrix.sonnet_ids):
         base = 6.0 if sid in members else 2.0
-        matrix.vectors[sid].values["sadness_mean"] = base + float(rng.normal(scale=0.2))
+        matrix.column("sadness_mean")[i] = base + float(rng.normal(scale=0.2))
     median = median_for(matrix, rng, tag_members={"Depression": members})
     report = anova_report(matrix, median)
     row = next(
@@ -354,9 +348,8 @@ def test_anova_means_are_group_means():
     rng = np.random.default_rng(104)
     matrix = synthetic_matrix(rng, 20)
     members = set(matrix.sonnet_ids[:8])
-    for sid in matrix.sonnet_ids:
-        value = 5.5 if sid in members else 1.5
-        matrix.vectors[sid].values["anger_mean"] = value
+    for i, sid in enumerate(matrix.sonnet_ids):
+        matrix.column("anger_mean")[i] = 5.5 if sid in members else 1.5
     median = median_for(matrix, rng, tag_members={"Anger": members})
     report = anova_report(matrix, median)
     row = next(
