@@ -42,18 +42,28 @@ class AgreementError(ValueError):
     """Alpha is not computable (no unit carries two or more values)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReliabilityMatrix:
-    """Units-by-raters value table with missing cells simply absent."""
+    """Units-by-raters value table.
+
+    ``values`` is a len(units) x len(raters) float array: rows follow
+    ``units``, columns follow ``raters``, and NaN marks a missing value.
+    No generated ``__eq__``: an array field has no single truth value.
+    """
 
     level: str
     raters: tuple[int, ...]
     units: tuple[str, ...]
-    values: dict[tuple[str, int], float]
+    values: np.ndarray
 
     def __post_init__(self) -> None:
         if self.level not in LEVELS:
             raise ValueError(f"unknown level {self.level!r}; expected one of {LEVELS}")
+        if self.values.shape != (len(self.units), len(self.raters)):
+            raise ValueError(
+                f"values must be {len(self.units)} x {len(self.raters)} "
+                f"(units x raters), got {self.values.shape}"
+            )
 
 
 @dataclass(frozen=True)
@@ -94,27 +104,28 @@ def agreement_band(alpha: float) -> str:
 def reliability_from_sets(
     sets: Sequence[AnnotationSet], feature: str, level: str
 ) -> ReliabilityMatrix:
-    """Collect one feature across annotation sets into a reliability matrix."""
+    """Collect one feature across annotation sets into a reliability matrix.
+
+    Units are the sets' sonnets: the first set's in order, then any
+    sonnet only a later set covers.  A sonnet a set does not cover is
+    missing for that rater.
+    """
     if not sets:
         raise ValueError("need at least one annotation set")
     raters = tuple(s.annotator_id for s in sets)
     if len(set(raters)) != len(raters):
         raise ValueError("annotator ids are not unique")
     units = sets[0].sonnet_ids
-    values: dict[tuple[str, int], float] = {}
-    for s in sets:
-        for sid in s.sonnet_ids:
-            v = s.values.get((sid, feature))
-            if v is not None:
-                values[(sid, s.annotator_id)] = v
-    all_units: list[str] = list(units)
-    seen = set(units)
-    for s in sets[1:]:
-        for sid in s.sonnet_ids:
-            if sid not in seen:
-                seen.add(sid)
-                all_units.append(sid)
-    return ReliabilityMatrix(level=level, raters=raters, units=tuple(all_units), values=values)
+    if all(s.sonnet_ids == units for s in sets[1:]):
+        values = np.column_stack([s.column(feature) for s in sets])
+    else:
+        # sets covering different sonnets: the union, in order of first appearance
+        units = tuple(dict.fromkeys(sid for s in sets for sid in s.sonnet_ids))
+        row_of = {sid: i for i, sid in enumerate(units)}
+        values = np.full((len(units), len(sets)), np.nan)
+        for col, s in enumerate(sets):
+            values[[row_of[sid] for sid in s.sonnet_ids], col] = s.column(feature)
+    return ReliabilityMatrix(level=level, raters=raters, units=units, values=values)
 
 
 def krippendorff_alpha(matrix: ReliabilityMatrix) -> AlphaResult:
@@ -128,12 +139,7 @@ def krippendorff_alpha(matrix: ReliabilityMatrix) -> AlphaResult:
     marginal and product below is an exact binary fraction for up to
     three raters, so the sums do not depend on their order.
     """
-    # units x raters, NaN where a rater gave no value
-    table = np.array(
-        [[matrix.values.get((unit, rater), np.nan) for rater in matrix.raters]
-         for unit in matrix.units],
-        dtype=float,
-    ).reshape(len(matrix.units), len(matrix.raters))
+    table = matrix.values
     present = ~np.isnan(table)
     m = present.sum(axis=1)
     pairable = m >= 2

@@ -15,8 +15,11 @@ import io
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .textnorm import InputError, read_input
 
@@ -140,20 +143,39 @@ class Corpus:
         return self._by_id[sonnet_id]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnnotationSet:
     """One annotator's matrix of sonnet-by-feature values.
 
-    ``values`` maps (sonnet_id, feature) to a number; absent keys are
-    missing cells.  The median annotator produced by fusion reuses this
-    type with ``annotator_id`` 0 and may hold half-integer values where
-    an even count had to be averaged.
+    ``values`` is an n x len(features) float array: rows follow
+    ``sonnet_ids``, columns follow ``features``, and NaN marks a missing
+    cell.  The median annotator produced by fusion reuses this type with
+    ``annotator_id`` 0 and may hold half-integer values where an even
+    count had to be averaged.  No generated ``__eq__``: an array field
+    has no single truth value.
     """
 
     annotator_id: int
     sonnet_ids: tuple[str, ...]
     features: tuple[str, ...]
-    values: dict[tuple[str, str], float]
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.values.shape != (len(self.sonnet_ids), len(self.features)):
+            raise ValueError(
+                f"values must be {len(self.sonnet_ids)} x {len(self.features)} "
+                f"(sonnets x features), got {self.values.shape}"
+            )
+
+    def column(self, feature: str) -> np.ndarray:
+        """One feature's values in ``sonnet_ids`` order, NaN where missing.
+
+        A view into ``values``.  A feature the set does not carry reads
+        as missing everywhere (a new array).
+        """
+        if feature not in self.features:
+            return np.full(len(self.sonnet_ids), np.nan)
+        return self.values[:, self.features.index(feature)]
 
 
 class UnfilledCell(NamedTuple):
@@ -252,15 +274,16 @@ def load_annotation_set(
     """
     path = Path(path)
     reader = csv.reader(io.StringIO(read_input(path, "annotation file"), newline=""))
-    rows = [row for row in reader if any(cell.strip() for cell in row)]
+    # (physical line, cells) of every row that is not blank
+    rows = [(reader.line_num, row) for row in reader if any(cell.strip() for cell in row)]
     if not rows:
         raise AnnotationFormatError(f"{path}: file is empty")
-    header = [h.strip() for h in rows[0]]
+    header_line, header = rows[0][0], [h.strip() for h in rows[0][1]]
     known = set(catalog.all_features)
     for col, name in enumerate(header, start=1):
         if name not in known:
             raise AnnotationFormatError(
-                f"{path}: row 1, column {col}: unknown feature name {name!r}"
+                f"{path}: row {header_line}, column {col}: unknown feature name {name!r}"
             )
     if len(set(header)) != len(header):
         raise AnnotationFormatError(f"{path}: duplicate feature columns in header")
@@ -278,48 +301,51 @@ def load_annotation_set(
     else:
         ids = tuple(f"s{i:04d}" for i in range(1, len(data_rows) + 1))
 
-    ordinal = set(catalog.ordinal)
-    values: dict[tuple[str, str], float] = {}
-    for row_idx, row in enumerate(data_rows, start=2):
+    ordinal = [feature in catalog.ordinal for feature in header]
+    parsed = []
+    for lineno, row in data_rows:
         if len(row) != len(header):
             raise AnnotationFormatError(
-                f"{path}: row {row_idx}: expected {len(header)} cells, found {len(row)}"
+                f"{path}: row {lineno}: expected {len(header)} cells, found {len(row)}"
             )
-        sid = ids[row_idx - 2]
-        for col_idx, (feature, cell) in enumerate(zip(header, row), start=1):
-            cell = cell.strip()
-            if not cell:
-                if feature in ordinal:
-                    raise AnnotationFormatError(
-                        f"{path}: row {row_idx}, column {col_idx} ({feature}): "
-                        "ordinal features may not be missing"
-                    )
-                continue
+        cells = []
+        for col, (feature, is_ordinal, cell) in enumerate(zip(header, ordinal, row), start=1):
             try:
-                value = int(cell)
-            except ValueError:
+                cells.append(_annotation_cell(cell, is_ordinal))
+            except ValueError as exc:
                 raise AnnotationFormatError(
-                    f"{path}: row {row_idx}, column {col_idx} ({feature}): "
-                    f"not an integer: {cell!r}"
+                    f"{path}: row {lineno}, column {col} ({feature}): {exc}"
                 ) from None
-            if feature in ordinal:
-                if not ORDINAL_MIN <= value <= ORDINAL_MAX:
-                    raise AnnotationFormatError(
-                        f"{path}: row {row_idx}, column {col_idx} ({feature}): "
-                        f"value {value} outside {ORDINAL_MIN}..{ORDINAL_MAX}"
-                    )
-            elif value not in (0, 1):
-                raise AnnotationFormatError(
-                    f"{path}: row {row_idx}, column {col_idx} ({feature}): "
-                    f"binary tag value must be 0 or 1, found {value}"
-                )
-            values[(sid, feature)] = float(value)
+        parsed.append(cells)
+    values = np.array(parsed, dtype=float).reshape(len(ids), len(header))
     return AnnotationSet(
         annotator_id=annotator_id,
         sonnet_ids=ids,
         features=tuple(catalog.all_features),
-        values=values,
+        values=values[:, [header.index(f) for f in catalog.all_features]],
     )
+
+
+def _annotation_cell(cell: str, is_ordinal: bool) -> float:
+    """One annotation cell as a number; a blank binary cell is NaN (missing).
+
+    Raises ValueError naming the problem; the caller adds the coordinates.
+    """
+    cell = cell.strip()
+    if not cell:
+        if is_ordinal:
+            raise ValueError("ordinal features may not be missing")
+        return math.nan
+    try:
+        value = int(cell)
+    except ValueError:
+        raise ValueError(f"not an integer: {cell!r}") from None
+    if is_ordinal:
+        if not ORDINAL_MIN <= value <= ORDINAL_MAX:
+            raise ValueError(f"value {value} outside {ORDINAL_MIN}..{ORDINAL_MAX}")
+    elif value not in (0, 1):
+        raise ValueError(f"binary tag value must be 0 or 1, found {value}")
+    return float(value)
 
 
 def reverse_ordinal_scale(
@@ -334,11 +360,10 @@ def reverse_ordinal_scale(
     """
     if feature not in catalog.ordinal:
         raise ValueError(f"{feature!r} is not an ordinal feature")
-    values = dict(annotation_set.values)
-    for sid in annotation_set.sonnet_ids:
-        key = (sid, feature)
-        if key in values:
-            values[key] = float(ORDINAL_MIN + ORDINAL_MAX) - values[key]
+    values = annotation_set.values.copy()
+    if feature in annotation_set.features:
+        col = annotation_set.features.index(feature)
+        values[:, col] = float(ORDINAL_MIN + ORDINAL_MAX) - values[:, col]
     return AnnotationSet(
         annotator_id=annotation_set.annotator_id,
         sonnet_ids=annotation_set.sonnet_ids,
@@ -347,12 +372,23 @@ def reverse_ordinal_scale(
     )
 
 
-def _require_aligned_sets(sets: Sequence[AnnotationSet]) -> None:
+def _stacked(sets: Sequence[AnnotationSet], catalog: FeatureCatalog) -> np.ndarray:
+    """Three aligned sets as one new sets x sonnets x catalog-features cube.
+
+    Columns follow ``catalog.all_features``; a feature a set does not
+    carry is missing (NaN) throughout.
+    """
     if len(sets) != 3:
         raise ValueError(f"expected exactly 3 annotation sets, got {len(sets)}")
     first = sets[0].sonnet_ids
     if any(s.sonnet_ids != first for s in sets[1:]):
         raise ValueError("annotation sets cover different sonnets")
+    features = catalog.all_features
+    return np.stack([
+        s.values if s.features == features
+        else np.column_stack([s.column(f) for f in features])
+        for s in sets
+    ])
 
 
 def fill_missing_psych(
@@ -363,30 +399,28 @@ def fill_missing_psych(
 
     A tag left blank by a single annotator is read as 'not confirmed'
     rather than unknown.  Cells missing in two or all three sets are
-    left missing and returned for reporting.
+    left missing and returned for reporting, sonnet by sonnet.  The
+    filled sets carry the catalog's features in catalog order.
     """
-    _require_aligned_sets(sets)
-    filled = [dict(s.values) for s in sets]
-    unfilled: list[UnfilledCell] = []
-    for sid in sets[0].sonnet_ids:
-        for tag in catalog.psychological:
-            key = (sid, tag)
-            present = [key in s.values for s in sets]
-            n_present = sum(present)
-            if n_present == 2:
-                for pos, has in enumerate(present):
-                    if not has:
-                        filled[pos][key] = 0.0
-            elif n_present < 2:
-                unfilled.append(UnfilledCell(sid, tag, n_present))
+    cube = _stacked(sets, catalog)
+    # psychological tags are the catalog's last columns (a view)
+    tags = cube[:, :, len(catalog.ordinal):]
+    present = ~np.isnan(tags)
+    n_present = present.sum(axis=0)
+    tags[~present & (n_present == 2)] = 0.0
+    ids = sets[0].sonnet_ids
+    unfilled = [
+        UnfilledCell(ids[row], catalog.psychological[col], int(n_present[row, col]))
+        for row, col in zip(*np.nonzero(n_present < 2))
+    ]
     result = [
         AnnotationSet(
             annotator_id=s.annotator_id,
             sonnet_ids=s.sonnet_ids,
-            features=s.features,
-            values=vals,
+            features=catalog.all_features,
+            values=values,
         )
-        for s, vals in zip(sets, filled)
+        for s, values in zip(sets, cube)
     ]
     if unfilled:
         logger.info("%d psychological cells unfillable (missing in 2+ sets)", len(unfilled))
@@ -406,32 +440,31 @@ def build_median_annotator(
     missing.  Scale reversal and the missing fill are expected to have
     been applied already.
     """
-    _require_aligned_sets(sets)
-    binary = set(catalog.psychological)
-    values: dict[tuple[str, str], float] = {}
-    for sid in sets[0].sonnet_ids:
-        for feature in catalog.all_features:
-            key = (sid, feature)
-            avail = sorted(s.values[key] for s in sets if key in s.values)
-            if len(avail) == 3:
-                values[key] = avail[1]
-            elif len(avail) == 2:
-                if feature in binary and avail[0] != avail[1]:
-                    logger.info(
-                        "median %s/%s: 0/1 split over two values resolved to 0", sid, feature
-                    )
-                    values[key] = 0.0
-                else:
-                    if avail[0] != avail[1]:
-                        logger.info(
-                            "median %s/%s: averaging two ordinal values %s", sid, feature, avail
-                        )
-                    values[key] = 0.5 * (avail[0] + avail[1])
-            # 0 or 1 available values: cell stays missing
+    # NaN sorts last, so a cell's present values come first, in order
+    cube = np.sort(_stacked(sets, catalog), axis=0)
+    n_present = (~np.isnan(cube)).sum(axis=0)
+    low, middle = cube[0], cube[1]
+    two = n_present == 2
+    split = two & (low != middle)
+    features = catalog.all_features
+    binary = np.arange(len(features)) >= len(catalog.ordinal)
+    values = np.where(n_present == 3, middle, np.nan)
+    values[two] = 0.5 * (low[two] + middle[two])
+    values[split & binary] = 0.0
+    ids = sets[0].sonnet_ids
+    for row, col in zip(*np.nonzero(split)):
+        sid, feature = ids[row], features[col]
+        if binary[col]:
+            logger.info("median %s/%s: 0/1 split over two values resolved to 0", sid, feature)
+        else:
+            logger.info(
+                "median %s/%s: averaging two ordinal values %s",
+                sid, feature, [float(low[row, col]), float(middle[row, col])],
+            )
     return AnnotationSet(
         annotator_id=MEDIAN_ANNOTATOR_ID,
-        sonnet_ids=sets[0].sonnet_ids,
-        features=tuple(catalog.all_features),
+        sonnet_ids=ids,
+        features=features,
         values=values,
     )
 
@@ -448,14 +481,11 @@ def subset_by_tag(
     """
     if tag not in catalog.psychological:
         raise ValueError(f"{tag!r} is not a psychological tag")
-    in_group = []
-    out_group = []
-    for sid in median.sonnet_ids:
-        if median.values.get((sid, tag)) == 1.0:
-            in_group.append(sid)
-        else:
-            out_group.append(sid)
-    return tuple(in_group), tuple(out_group)
+    tagged = (median.column(tag) == 1.0).tolist()
+    return (
+        tuple(compress(median.sonnet_ids, tagged)),
+        tuple(compress(median.sonnet_ids, [not t for t in tagged])),
+    )
 
 
 def corpus_statistics(

@@ -93,12 +93,15 @@ def load_lemma_table(path: str | Path) -> dict[str, str]:
     the first entry.
     """
     raw = read_input(path, "lemma table").splitlines()
-    rows = [line for line in raw if line.strip()]
-    if not rows:
+    # physical line numbers of the lines that are not blank
+    numbers = [n for n, line in enumerate(raw, start=1) if line.strip()]
+    if not numbers:
         raise InputError(f"{path}: lemma table is empty")
-    delim = "\t" if "\t" in rows[0] else ","
+    delim = "\t" if "\t" in raw[numbers[0] - 1] else ","
     table: dict[str, str] = {}
-    for lineno, row in enumerate(csv.reader(rows, delimiter=delim), start=1):
+    reader = csv.reader((raw[n - 1] for n in numbers), delimiter=delim)
+    for row in reader:
+        lineno = numbers[reader.line_num - 1]
         if len(row) < 2:
             raise InputError(f"{path}: line {lineno}: expected two columns")
         surface = row[0].strip().lower()

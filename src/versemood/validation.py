@@ -76,6 +76,11 @@ class BivariateCell:
     note: str | None = None
 
 
+def _require_aligned(matrix: FeatureMatrix, median: AnnotationSet) -> None:
+    if median.sonnet_ids != matrix.sonnet_ids:
+        raise ValueError("the median annotator and the feature matrix cover different sonnets")
+
+
 def bivariate_report(
     matrix: FeatureMatrix,
     median: AnnotationSet,
@@ -83,15 +88,14 @@ def bivariate_report(
 ) -> list[BivariateCell]:
     """Spearman rho for every annotated feature against all 32 features.
 
-    Sonnets where the lexical feature is undefined are dropped pairwise,
-    cell by cell.
+    The median covers the matrix's sonnets in the same order.  Sonnets
+    where the lexical feature is undefined are dropped pairwise, cell by
+    cell.
     """
+    _require_aligned(matrix, median)
     cells = []
     for annotated in catalog.ordinal:
-        # dtype=float turns a missing median cell (None) into NaN
-        annotated_values = np.array(
-            [median.values.get((sid, annotated)) for sid in matrix.sonnet_ids], dtype=float
-        )
+        annotated_values = median.column(annotated)
         annotated_defined = ~np.isnan(annotated_values)
         for gam_feature in FEATURE_NAMES:
             column = matrix.column(gam_feature)
@@ -167,8 +171,7 @@ def _not_computable(
 
 def _category_rows(
     values: np.ndarray,
-    ids: tuple[str, ...],
-    row_of: dict[str, int],
+    index: np.ndarray,
     median: AnnotationSet,
     category: str,
 ) -> list[PartialDependenceRow]:
@@ -181,7 +184,7 @@ def _category_rows(
     feature dropped as collinear, then an unusable design, then a
     failing fit.
     """
-    sub = values[[row_of[sid] for sid in ids]]
+    sub = values[index]
     predictors = FEATURE_NAMES
     # undefined feature values are NaN, so one mask drops sonnets listwise
     keep = ~np.isnan(sub).any(axis=1)
@@ -190,7 +193,7 @@ def _category_rows(
         predictors = MEAN_SD_FEATURES
         pruned = True
         keep = ~np.isnan(sub[:, [FEATURE_INDEX[p] for p in predictors]]).any(axis=1)
-    rows = [ids[i] for i in np.flatnonzero(keep)]
+    rows = index[keep]
     sub = sub[keep]
     insufficient = len(rows) <= len(predictors) + 1
 
@@ -228,7 +231,7 @@ def _category_rows(
                 f"{len(predictors)} predictors)",
             ))
             continue
-        y = [median.values[(sid, annotated)] for sid in rows]
+        y = median.column(annotated)[rows]
         dropped: list[str] = []
         note = failure
         for bad in steps:
@@ -276,17 +279,18 @@ def partial_dependence_report(
 ) -> list[PartialDependenceRow]:
     """Per-category regressions of each annotated feature on the profile.
 
+    The median covers the matrix's sonnets in the same order.
     Categories are the whole corpus and every psychological tag's tagged
     subset.  Sonnets with any undefined value among the active
     predictors are dropped listwise per category.
     """
-    row_of = {sid: i for i, sid in enumerate(matrix.sonnet_ids)}
-    categories: list[tuple[str, tuple[str, ...]]] = [(ALL_CATEGORY, matrix.sonnet_ids)]
+    _require_aligned(matrix, median)
+    categories = [(ALL_CATEGORY, np.arange(len(matrix.sonnet_ids)))]
     for tag in catalog.psychological:
-        categories.append((tag, subset_by_tag(median, tag, catalog)[0]))
+        categories.append((tag, np.flatnonzero(median.column(tag) == 1.0)))
     rows = []
-    for category, ids in categories:
-        rows.extend(_category_rows(matrix.values, ids, row_of, median, category))
+    for category, index in categories:
+        rows.extend(_category_rows(matrix.values, index, median, category))
     return rows
 
 

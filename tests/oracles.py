@@ -157,6 +157,63 @@ def krippendorff_alpha(units: list[list[float]], level: str) -> float:
     return 1.0 - d_obs / d_exp
 
 
+def fill_missing_psych(cells, sonnet_ids, catalog):
+    """The missing-tag fill the literal way: one dict lookup per cell.
+
+    ``cells`` holds each of the three sets' present cells as
+    {(sonnet_id, feature): value}.  Returns the filled cells per set, the
+    unfilled (sonnet_id, tag, n_present) triples in emission order, and
+    the log messages.
+    """
+    filled = [dict(c) for c in cells]
+    unfilled = []
+    for sid in sonnet_ids:
+        for tag in catalog.psychological:
+            key = (sid, tag)
+            present = [key in c for c in cells]
+            n_present = sum(present)
+            if n_present == 2:
+                for pos, has in enumerate(present):
+                    if not has:
+                        filled[pos][key] = 0.0
+            elif n_present < 2:
+                unfilled.append((sid, tag, n_present))
+    messages = []
+    if unfilled:
+        messages.append(f"{len(unfilled)} psychological cells unfillable (missing in 2+ sets)")
+    return filled, unfilled, messages
+
+
+def build_median_annotator(cells, sonnet_ids, catalog):
+    """The median annotator the literal way: sort each cell's present values.
+
+    ``cells`` is as in ``fill_missing_psych``.  Returns the median's
+    present cells and the log messages in emission order.
+    """
+    binary = set(catalog.psychological)
+    values = {}
+    messages = []
+    for sid in sonnet_ids:
+        for feature in catalog.all_features:
+            key = (sid, feature)
+            avail = sorted(c[key] for c in cells if key in c)
+            if len(avail) == 3:
+                values[key] = avail[1]
+            elif len(avail) == 2:
+                if feature in binary and avail[0] != avail[1]:
+                    messages.append(
+                        f"median {sid}/{feature}: 0/1 split over two values resolved to 0"
+                    )
+                    values[key] = 0.0
+                else:
+                    if avail[0] != avail[1]:
+                        messages.append(
+                            f"median {sid}/{feature}: averaging two ordinal values {avail}"
+                        )
+                    values[key] = 0.5 * (avail[0] + avail[1])
+    return values, messages
+
+
 def _t_cdf(t, df):
     return mp.quad(lambda u: _t_pdf(u, df), [-mp.inf, t])
 
@@ -208,6 +265,11 @@ def partial_dependence(matrix, median, catalog):
     def value(sid, feature):
         return float(matrix.values[row_of[sid], FEATURE_INDEX[feature]])
 
+    median_row = {sid: i for i, sid in enumerate(median.sonnet_ids)}
+
+    def target(sid, feature):
+        return float(median.values[median_row[sid], median.features.index(feature)])
+
     def not_computable(category, annotated, gam_feature, n, reason):
         return PartialDependenceRow(
             category, annotated, gam_feature, n, 0, None, None, None, None,
@@ -238,7 +300,7 @@ def partial_dependence(matrix, median, catalog):
                 f"insufficient rows for regression ({len(rows)} sonnets, "
                 f"{len(predictors)} predictors)",
             )
-        y = [median.values[(sid, annotated)] for sid in rows]
+        y = [target(sid, annotated) for sid in rows]
         dropped = []
         active = list(predictors)
         while True:

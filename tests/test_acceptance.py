@@ -24,14 +24,10 @@ import numpy as np
 import pytest
 
 import oracles
-from versemood.agreement import (
-    ReliabilityMatrix,
-    agreement_report,
-    krippendorff_alpha,
-)
+from cell_tables import annotation_set, cells_of, reliability_matrix
+from versemood.agreement import agreement_report, krippendorff_alpha
 from versemood.corpus import (
     DEFAULT_CATALOG,
-    AnnotationSet,
     build_median_annotator,
     corpus_statistics,
     fill_missing_psych,
@@ -259,7 +255,7 @@ def _reliability(rows, level):
         for r, v in zip(raters, row)
         if v is not None
     }
-    return ReliabilityMatrix(level=level, raters=raters, units=units, values=values)
+    return reliability_matrix(level, raters, units, values)
 
 
 def _random_observations(rng):
@@ -416,36 +412,29 @@ def test_median_fusion_and_scale_reversal_properties():
         ordinal = [int(v) for v in rng.integers(1, 5, 3)]
         binary = [int(v) for v in rng.integers(0, 2, 3)]
         sets = [
-            AnnotationSet(
-                annotator_id=i + 1,
-                sonnet_ids=("s1",),
-                features=features,
-                values={
-                    ("s1", "valence"): float(ordinal[i]),
-                    ("s1", "Anxiety"): float(binary[i]),
-                },
-            )
+            annotation_set(i + 1, ("s1",), features, {
+                ("s1", "valence"): float(ordinal[i]),
+                ("s1", "Anxiety"): float(binary[i]),
+            })
             for i in range(3)
         ]
         filled, unfilled = fill_missing_psych(sets)
         assert not [c for c in unfilled if c.feature == "Anxiety"]
         median = build_median_annotator(filled)
-        assert median.values[("s1", "valence")] in {float(v) for v in ordinal}
-        assert median.values[("s1", "valence")] == float(sorted(ordinal)[1])
+        assert cells_of(median)[("s1", "valence")] in {float(v) for v in ordinal}
+        assert cells_of(median)[("s1", "valence")] == float(sorted(ordinal)[1])
         majority = 1.0 if sum(binary) >= 2 else 0.0
-        assert median.values[("s1", "Anxiety")] == majority
+        assert cells_of(median)[("s1", "Anxiety")] == majority
 
     for _ in range(1000):
         n = int(rng.integers(1, 6))
         sids = tuple(f"s{i}" for i in range(n))
         values = {(sid, "valence"): float(rng.integers(1, 5)) for sid in sids}
-        original = AnnotationSet(
-            annotator_id=1, sonnet_ids=sids, features=("valence",), values=values
-        )
+        original = annotation_set(1, sids, ("valence",), values)
         twice = reverse_ordinal_scale(
             reverse_ordinal_scale(original, "valence"), "valence"
         )
-        assert twice.values == original.values
+        assert cells_of(twice) == cells_of(original)
 
 
 # ---------------------------------------------------------------------------

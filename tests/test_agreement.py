@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 import oracles
+from cell_tables import annotation_set, cells_of, reliability_matrix
 from versemood.agreement import (
     AGREEMENT_THRESHOLD,
     AgreementError,
-    ReliabilityMatrix,
     agreement_band,
     agreement_report,
     krippendorff_alpha,
     reliability_from_sets,
 )
-from versemood.corpus import DEFAULT_CATALOG, AnnotationSet
+from versemood.corpus import DEFAULT_CATALOG, build_median_annotator, fill_missing_psych
 
 
 def matrix_from_rows(rows, level="nominal"):
@@ -25,9 +25,7 @@ def matrix_from_rows(rows, level="nominal"):
         for j, cell in enumerate(row):
             if cell is not None:
                 values[(f"u{i}", j + 1)] = float(cell)
-    return ReliabilityMatrix(
-        level=level, raters=tuple(range(1, n_raters + 1)), units=units, values=values
-    )
+    return reliability_matrix(level, range(1, n_raters + 1), units, values)
 
 
 def test_perfect_agreement_is_one():
@@ -179,14 +177,7 @@ def small_sets(values_by_annotator, feature="valence", ids=("s1", "s2", "s3", "s
             for sid, v in zip(ids, values)
             if v is not None
         }
-        sets.append(
-            AnnotationSet(
-                annotator_id=annotator_id,
-                sonnet_ids=tuple(ids),
-                features=(feature,),
-                values=cells,
-            )
-        )
+        sets.append(annotation_set(annotator_id, ids, (feature,), cells))
     return sets
 
 
@@ -195,8 +186,71 @@ def test_reliability_from_sets_collects_cells():
     matrix = reliability_from_sets(sets, "valence", "ordinal")
     assert matrix.units == ("s1", "s2", "s3", "s4")
     assert matrix.raters == (1, 2)
-    assert ("s4", 2) not in matrix.values
-    assert matrix.values[("s2", 1)] == 2.0
+    assert ("s4", 2) not in cells_of(matrix)
+    assert cells_of(matrix)[("s2", 1)] == 2.0
+
+
+def test_reliability_from_sets_covering_different_sonnets():
+    sets = [
+        small_sets({1: [1, 2, 3]}, ids=("s1", "s2", "s3"))[0],
+        small_sets({2: [4, None]}, ids=("s4", "s2"))[0],
+        small_sets({3: [2, 1]}, ids=("s5", "s1"))[0],
+    ]
+    matrix = reliability_from_sets(sets, "valence", "ordinal")
+    assert matrix.units == ("s1", "s2", "s3", "s4", "s5")
+    assert matrix.raters == (1, 2, 3)
+    nan = np.nan
+    np.testing.assert_array_equal(matrix.values, [
+        [1.0, nan, 1.0],
+        [2.0, nan, nan],
+        [3.0, nan, nan],
+        [nan, 4.0, nan],
+        [nan, nan, 2.0],
+    ])
+
+
+def test_agreement_report_matches_pair_enumeration_oracle():
+    catalog = DEFAULT_CATALOG
+    rng = np.random.default_rng(57)
+    outcomes = set()
+    for _ in range(20):
+        ids = tuple(f"s{i}" for i in range(int(rng.integers(2, 9))))
+        sets = []
+        for annotator_id in (1, 2, 3):
+            values = {}
+            for sid in ids:
+                for feat in catalog.ordinal:
+                    values[(sid, feat)] = float(rng.integers(1, 5))
+                for feat in catalog.psychological:
+                    if rng.random() < 0.3:
+                        continue
+                    values[(sid, feat)] = float(rng.integers(0, 2))
+            sets.append(annotation_set(annotator_id, ids, catalog.all_features, values))
+        median = build_median_annotator(fill_missing_psych(sets)[0])
+        raters = {f"a{s.annotator_id}": cells_of(s) for s in sets}
+        raters["m"] = cells_of(median)
+        for row in agreement_report(sets, median):
+            assert len(row.cells) == 7
+            for label, result in row.cells.items():
+                names = ("a1", "a2", "a3") if label == "all" else label.split("-")
+                units = [
+                    [raters[name][(sid, row.feature)] for name in names
+                     if (sid, row.feature) in raters[name]]
+                    for sid in ids
+                ]
+                pooled = [v for unit in units if len(unit) >= 2 for v in unit]
+                if not pooled:
+                    outcomes.add("not computable")
+                    assert result is None
+                elif len(set(pooled)) == 1:
+                    outcomes.add("degenerate")
+                    assert result.alpha == 1.0 and result.degenerate
+                else:
+                    outcomes.add("alpha")
+                    assert result.alpha == pytest.approx(
+                        oracles.krippendorff_alpha(units, row.level), abs=1e-12
+                    )
+    assert outcomes == {"not computable", "degenerate", "alpha"}
 
 
 def test_pairwise_alpha_keys_and_all():
@@ -220,14 +274,7 @@ def test_agreement_report_levels_and_columns():
                 values[(sid, feat)] = float(rng.integers(1, 5))
             for feat in catalog.psychological:
                 values[(sid, feat)] = float(rng.integers(0, 2))
-        sets.append(
-            AnnotationSet(
-                annotator_id=annotator_id,
-                sonnet_ids=ids,
-                features=tuple(catalog.all_features),
-                values=values,
-            )
-        )
+        sets.append(annotation_set(annotator_id, ids, catalog.all_features, values))
     rows = agreement_report(sets)
     assert len(rows) == len(catalog.all_features)
     by_feature = {r.feature: r for r in rows}
@@ -250,25 +297,13 @@ def test_agreement_report_median_columns():
                 values[(sid, feat)] = float(1 + (sid_idx + annotator_id) % 4)
             for feat in catalog.psychological:
                 values[(sid, feat)] = float((sid_idx + annotator_id) % 2)
-        sets.append(
-            AnnotationSet(
-                annotator_id=annotator_id,
-                sonnet_ids=ids,
-                features=tuple(catalog.all_features),
-                values=values,
-            )
-        )
+        sets.append(annotation_set(annotator_id, ids, catalog.all_features, values))
     median_values = {}
     for sid_idx, sid in enumerate(ids):
         for feat in catalog.all_features:
-            triple = sorted(sets[k].values[(sid, feat)] for k in range(3))
+            triple = sorted(cells_of(sets[k])[(sid, feat)] for k in range(3))
             median_values[(sid, feat)] = triple[1]
-    median = AnnotationSet(
-        annotator_id=0,
-        sonnet_ids=ids,
-        features=tuple(catalog.all_features),
-        values=median_values,
-    )
+    median = annotation_set(0, ids, catalog.all_features, median_values)
     rows = agreement_report(sets, median)
     for row in rows:
         assert set(row.cells) == {

@@ -1,15 +1,17 @@
 """Corpus loading, annotation validation, and median fusion."""
 
 import csv
+import logging
 
 import numpy as np
 import pytest
 
+import oracles
+from cell_tables import annotation_set, cells_of
 from versemood.corpus import (
     DEFAULT_CATALOG,
     MEDIAN_ANNOTATOR_ID,
     AnnotationFormatError,
-    AnnotationSet,
     Corpus,
     CorpusFormatError,
     Sonnet,
@@ -101,8 +103,8 @@ def test_load_annotation_set_happy_path(tmp_path):
     write_annotations(path, [full_row(ordinal=3, binary=0), full_row(ordinal=1, binary=1)])
     aset = load_annotation_set(path, annotator_id=1, sonnet_ids=["s1", "s2"])
     assert aset.annotator_id == 1
-    assert aset.values[("s1", "valence")] == 3.0
-    assert aset.values[("s2", "Anxiety")] == 1.0
+    assert cells_of(aset)[("s1", "valence")] == 3.0
+    assert cells_of(aset)[("s2", "Anxiety")] == 1.0
 
 
 def test_load_annotation_set_synthetic_ids(tmp_path):
@@ -137,6 +139,16 @@ def test_load_annotation_set_cell_errors_carry_coordinates(tmp_path):
         load_annotation_set(path, annotator_id=1)
 
 
+def test_load_annotation_set_error_names_the_physical_line(tmp_path):
+    path = tmp_path / "a.csv"
+    bad = full_row()
+    bad[2] = "often"
+    write_annotations(path, [full_row(), [], bad])
+    assert path.read_text(encoding="utf-8").splitlines()[2] == ""
+    with pytest.raises(AnnotationFormatError, match="row 4, column 3"):
+        load_annotation_set(path, annotator_id=1)
+
+
 def test_load_annotation_set_ordinal_range(tmp_path):
     path = tmp_path / "a.csv"
     bad = full_row()
@@ -162,7 +174,7 @@ def test_load_annotation_set_binary_cells(tmp_path):
     write_annotations(path, [row])
     aset = load_annotation_set(path, annotator_id=1, sonnet_ids=["s1"])
     first_tag = CATALOG.psychological[0]
-    assert ("s1", first_tag) not in aset.values
+    assert ("s1", first_tag) not in cells_of(aset)
 
     bad = full_row()
     bad[len(CATALOG.ordinal)] = 3
@@ -176,20 +188,15 @@ def test_load_annotation_set_binary_cells(tmp_path):
 
 
 def make_set(annotator_id, values, ids=("s1", "s2", "s3")):
-    return AnnotationSet(
-        annotator_id=annotator_id,
-        sonnet_ids=tuple(ids),
-        features=tuple(CATALOG.all_features),
-        values=values,
-    )
+    return annotation_set(annotator_id, ids, CATALOG.all_features, values)
 
 
 def test_reverse_ordinal_scale_maps_endpoints():
     values = {("s1", "valence"): 1.0, ("s2", "valence"): 4.0, ("s3", "valence"): 2.0}
     reversed_set = reverse_ordinal_scale(make_set(1, values), "valence")
-    assert reversed_set.values[("s1", "valence")] == 4.0
-    assert reversed_set.values[("s2", "valence")] == 1.0
-    assert reversed_set.values[("s3", "valence")] == 3.0
+    assert cells_of(reversed_set)[("s1", "valence")] == 4.0
+    assert cells_of(reversed_set)[("s2", "valence")] == 1.0
+    assert cells_of(reversed_set)[("s3", "valence")] == 3.0
 
 
 def test_reverse_ordinal_scale_is_involution():
@@ -200,7 +207,7 @@ def test_reverse_ordinal_scale_is_involution():
         }
         original = make_set(1, dict(values))
         twice = reverse_ordinal_scale(reverse_ordinal_scale(original, "arousal"), "arousal")
-        assert twice.values == original.values
+        assert cells_of(twice) == cells_of(original)
 
 
 def test_reverse_ordinal_scale_rejects_tags():
@@ -215,7 +222,7 @@ def test_reverse_ordinal_scale_rejects_tags():
 
 def aligned_triple(overrides=None):
     """Three aligned sets over two sonnets with every cell present."""
-    sets = []
+    cells = []
     for annotator_id in (1, 2, 3):
         values = {}
         for sid in ("s1", "s2"):
@@ -223,27 +230,30 @@ def aligned_triple(overrides=None):
                 values[(sid, feat)] = 2.0
             for feat in CATALOG.psychological:
                 values[(sid, feat)] = 1.0
-        sets.append(make_set(annotator_id, values, ids=("s1", "s2")))
+        cells.append(values)
     for (annotator_id, sid, feat), value in (overrides or {}).items():
-        target = sets[annotator_id - 1]
+        target = cells[annotator_id - 1]
         if value is None:
-            target.values.pop((sid, feat), None)
+            target.pop((sid, feat), None)
         else:
-            target.values[(sid, feat)] = value
-    return sets
+            target[(sid, feat)] = value
+    return [
+        make_set(annotator_id, values, ids=("s1", "s2"))
+        for annotator_id, values in zip((1, 2, 3), cells)
+    ]
 
 
 def test_fill_missing_in_one_set_becomes_zero():
     sets = aligned_triple({(2, "s1", "Anxiety"): None})
     filled, unfilled = fill_missing_psych(sets)
-    assert filled[1].values[("s1", "Anxiety")] == 0.0
+    assert cells_of(filled[1])[("s1", "Anxiety")] == 0.0
     assert unfilled == []
 
 
 def test_fill_missing_in_two_sets_is_reported():
     sets = aligned_triple({(1, "s1", "Pride"): None, (3, "s1", "Pride"): None})
     filled, unfilled = fill_missing_psych(sets)
-    assert ("s1", "Pride") not in filled[0].values
+    assert ("s1", "Pride") not in cells_of(filled[0])
     assert len(unfilled) == 1
     assert unfilled[0].sonnet_id == "s1"
     assert unfilled[0].feature == "Pride"
@@ -258,7 +268,7 @@ def test_median_of_three_takes_middle():
     })
     median = build_median_annotator(sets)
     assert median.annotator_id == MEDIAN_ANNOTATOR_ID
-    assert median.values[("s1", "valence")] == 3.0
+    assert cells_of(median)[("s1", "valence")] == 3.0
 
 
 def test_median_of_three_membership_randomized():
@@ -269,8 +279,8 @@ def test_median_of_three_membership_randomized():
             (k + 1, "s2", "sadness"): triple[k] for k in range(3)
         })
         median = build_median_annotator(sets)
-        assert median.values[("s2", "sadness")] in triple
-        assert median.values[("s2", "sadness")] == sorted(triple)[1]
+        assert cells_of(median)[("s2", "sadness")] in triple
+        assert cells_of(median)[("s2", "sadness")] == sorted(triple)[1]
 
 
 def test_median_binary_split_resolves_to_zero():
@@ -281,14 +291,14 @@ def test_median_binary_split_resolves_to_zero():
     })
     # leave the cell genuinely two-valued: fill would set the missing one to 0
     median = build_median_annotator(sets)
-    assert median.values[("s1", "Solitude")] == 0.0
+    assert cells_of(median)[("s1", "Solitude")] == 0.0
 
 
 def test_median_two_ordinals_average():
     sets = aligned_triple({(2, "s1", "fear"): None, (1, "s1", "fear"): 3.0})
     # remaining values are 3 and 2: the fused cell lands between them
     median = build_median_annotator(sets)
-    assert median.values[("s1", "fear")] == 2.5
+    assert cells_of(median)[("s1", "fear")] == 2.5
 
 
 def test_median_under_two_values_stays_missing():
@@ -297,7 +307,77 @@ def test_median_under_two_values_stays_missing():
         (2, "s1", "Irritability"): None,
     })
     median = build_median_annotator(sets)
-    assert ("s1", "Irritability") not in median.values
+    assert ("s1", "Irritability") not in cells_of(median)
+
+
+def random_triple(rng, n_sonnets):
+    """Three sets over the catalog with each cell missing at rate 0.3.
+
+    Ordinal cells go missing too, which only the library API allows, so
+    two-valued cells reach both median branches.  Each set's columns are
+    in catalog order or shuffled, at random.
+    """
+    ids = tuple(f"s{i}" for i in range(1, n_sonnets + 1))
+    sets = []
+    for annotator_id in (1, 2, 3):
+        cells = {}
+        for sid in ids:
+            for feat in CATALOG.all_features:
+                if rng.random() < 0.3:
+                    continue
+                low, high = (1, 5) if feat in CATALOG.ordinal else (0, 2)
+                cells[(sid, feat)] = float(rng.integers(low, high))
+        features = list(CATALOG.all_features)
+        if rng.random() < 0.5:
+            rng.shuffle(features)
+        sets.append(annotation_set(annotator_id, ids, features, cells))
+    return ids, sets
+
+
+def decisions(caplog):
+    return [r.getMessage() for r in caplog.records if r.name == "versemood.corpus"]
+
+
+def test_fill_missing_psych_matches_dict_loop_oracle(caplog):
+    rng = np.random.default_rng(64)
+    caplog.set_level(logging.INFO, logger="versemood.corpus")
+    missing_in = set()
+    for _ in range(300):
+        ids, sets = random_triple(rng, int(rng.integers(1, 6)))
+        cells = [cells_of(s) for s in sets]
+        ref_cells, ref_unfilled, ref_messages = oracles.fill_missing_psych(cells, ids, CATALOG)
+        caplog.clear()
+        filled, unfilled = fill_missing_psych(sets)
+        assert [cells_of(s) for s in filled] == ref_cells
+        assert unfilled == ref_unfilled
+        assert decisions(caplog) == ref_messages
+        missing_in.update(
+            sum((sid, tag) not in c for c in cells)
+            for sid in ids for tag in CATALOG.psychological
+        )
+    assert missing_in == {0, 1, 2, 3}
+
+
+def test_median_annotator_matches_dict_loop_oracle(caplog):
+    rng = np.random.default_rng(65)
+    caplog.set_level(logging.INFO, logger="versemood.corpus")
+    branches = set()
+    for _ in range(300):
+        ids, sets = random_triple(rng, int(rng.integers(1, 6)))
+        cells = [cells_of(s) for s in sets]
+        ref_values, ref_messages = oracles.build_median_annotator(cells, ids, CATALOG)
+        caplog.clear()
+        median = build_median_annotator(sets)
+        assert median.features == CATALOG.all_features
+        assert cells_of(median) == ref_values
+        assert decisions(caplog) == ref_messages
+        branches.update(m.split(": ", 1)[1].split(" ", 1)[0] for m in ref_messages)
+        branches.update(
+            len([c for c in cells if (sid, feat) in c])
+            for sid in ids for feat in CATALOG.all_features
+        )
+    # every present-count, and both two-value messages
+    assert branches == {0, 1, 2, 3, "0/1", "averaging"}
 
 
 # ---------------------------------------------------------------------------

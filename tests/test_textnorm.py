@@ -4,6 +4,7 @@ import pytest
 
 from versemood.snowball_es import stem
 from versemood.textnorm import (
+    InputError,
     NormalizationConfig,
     default_stopwords,
     load_lemma_table,
@@ -222,6 +223,13 @@ def test_load_lemma_table_formats(tmp_path):
     comma = tmp_path / "lemmas.csv"
     comma.write_text("cenizas,ceniza\n", encoding="utf-8")
     assert load_lemma_table(comma) == {"cenizas": "ceniza"}
+
+
+def test_load_lemma_table_error_names_the_physical_line(tmp_path):
+    path = tmp_path / "lemmas.tsv"
+    path.write_text("cenizas\tceniza\n\nllamas\t\n", encoding="utf-8")
+    with pytest.raises(InputError, match="line 3: empty surface or lemma"):
+        load_lemma_table(path)
 
 
 def test_byte_order_mark_is_not_part_of_the_first_entry(tmp_path):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import oracles
-from versemood.corpus import DEFAULT_CATALOG, AnnotationSet
+from cell_tables import annotation_set, cells_of
+from versemood.corpus import DEFAULT_CATALOG
 from versemood.features import FEATURE_NAMES, FeatureMatrix
 from versemood.stats import spearman
 from versemood.validation import (
@@ -69,12 +70,7 @@ def median_for(matrix, rng, tag_members=None, annotated_from=None):
                 values[(sid, tag)] = float(rng.integers(0, 2))
             else:
                 values[(sid, tag)] = 1.0 if sid in members else 0.0
-    return AnnotationSet(
-        annotator_id=0,
-        sonnet_ids=matrix.sonnet_ids,
-        features=tuple(CATALOG.all_features),
-        values=values,
-    )
+    return annotation_set(0, matrix.sonnet_ids, CATALOG.all_features, values)
 
 
 def test_feature_pairings_inventory():
@@ -108,7 +104,7 @@ def test_bivariate_matches_direct_spearman():
     }
     cell = cells[("valence", "arousal_mean")]
     xs = list(matrix.column("arousal_mean"))
-    ys = [median.values[(sid, "valence")] for sid in matrix.sonnet_ids]
+    ys = [cells_of(median)[(sid, "valence")] for sid in matrix.sonnet_ids]
     assert cell.rho == pytest.approx(spearman(xs, ys).rho, abs=1e-12)
 
 
