@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .corpus import DEFAULT_CATALOG, AnnotationSet, FeatureCatalog, subset_by_tag
-from .textnorm import InputError, NormalizationConfig, lemmatize, read_input, stem
+from .textnorm import InputError, NormalizationConfig, read_input
 
 __all__ = [
     "CANONICAL_SCALES",
@@ -88,8 +88,6 @@ class SourceLexicon:
 class MergedLexicon:
     """Sources fused onto canonical scales and keyed by normalized form."""
 
-    mode: str
-    source_ids: tuple[str, ...]
     entries: dict[str, dict[str, tuple[float, float | None]]]
 
     def lookup(self, key: str) -> dict[str, tuple[float, float | None]] | None:
@@ -337,15 +335,6 @@ def load_lexicon(
     return _load_described(path, descriptor, sid, label)
 
 
-def _normalize_key(word: str, config: NormalizationConfig) -> str:
-    if config.mode == "raw":
-        return word
-    if config.mode == "stem":
-        return stem(word)
-    assert config.lemma_table is not None
-    return lemmatize(word, config.lemma_table)
-
-
 def merge_lexicons(
     sources: Sequence[SourceLexicon], config: NormalizationConfig
 ) -> MergedLexicon:
@@ -379,7 +368,7 @@ def merge_lexicons(
     by_key: dict[str, dict[str, tuple[list[float], list[float]]]] = {}
     n_collisions = 0
     for word in sorted(by_surface):
-        key = _normalize_key(word, config)
+        key = config.key(word)
         slot = by_key.setdefault(key, {})
         if slot:
             n_collisions += 1
@@ -403,7 +392,7 @@ def merge_lexicons(
             sd = sum(sds) / len(sds) if sds else None
             entry[dim] = (mean, sd)
         entries[key] = entry
-    return MergedLexicon(mode=config.mode, source_ids=tuple(ids), entries=entries)
+    return MergedLexicon(entries=entries)
 
 
 @dataclass(frozen=True)
@@ -445,9 +434,7 @@ def coverage_report(
     fractions check the same keys against each source's words normalized
     under the same mode.
     """
-    source_keys = {
-        s.source_id: {_normalize_key(w, config) for w in s.entries} for s in sources
-    }
+    source_keys = {s.source_id: {config.key(w) for w in s.entries} for s in sources}
     rows = []
     for category, ids in _categories(tuple(keys), median, catalog):
         distinct = {k for sid in ids for k in keys[sid]}

@@ -2,9 +2,10 @@
 
 A :class:`Session` reads the JSON run config and, before any computation
 starts, checks the inputs that its reports need.  It then loads each
-input on first use and computes each derived artifact once: the key
-tuples per normalization mode, the filled annotation sets and the median
-annotator, the merged lexicon, and the feature matrix.
+input on first use and computes each derived artifact once: each
+sonnet's words, their key tuples per normalization mode, the filled
+annotation sets and the median annotator, the merged lexicon, and the
+feature matrix.
 
 ``REPORTS`` defines every report once, with the inputs it needs;
 ``COMMANDS`` names the reports of each subcommand.  A report made of
@@ -483,26 +484,41 @@ class Session:
         root = self._path(self.config["corpus_root"]) if "texts" in self._needs else None
         return corpus_mod.load_corpus(self._path(self.config["metadata"]), root)
 
-    def keys(self, mode: str) -> dict[str, tuple[str, ...]]:
-        """Each sonnet's normalized keys under ``mode``, in corpus order.
+    @cached_property
+    def words(self) -> dict[str, tuple[str, ...]]:
+        """Each sonnet's words, stopwords dropped, in corpus order.
 
-        A key's token position is its index + 1.  Every (sonnet, mode)
-        is normalized once per session.
+        A word's token position is its index + 1.  Each sonnet is
+        normalized once per session, in raw mode; every mode keys these.
         """
+        raw = dataclasses.replace(self.norm, mode="raw")
+        # Tokens of one word share one string object; the memoized tuples
+        # then cost a pointer per token instead of a string per token.
+        distinct: dict[str, str] = {}
+        words = {}
+        for sonnet in self.corpus.sonnets:
+            if sonnet.text is None:
+                raise ValueError(f"sonnet {sonnet.sonnet_id} was loaded without text")
+            words[sonnet.sonnet_id] = tuple(
+                distinct.setdefault(word, word) for word in normalize(sonnet.text, raw)
+            )
+        return words
+
+    def keys(self, mode: str) -> dict[str, tuple[str, ...]]:
+        """Each sonnet's keys under ``mode``, position for position with ``words``."""
+        if mode == "raw":
+            return self.words
         if mode not in self._keys:
-            config = dataclasses.replace(self.norm, mode=mode)
-            # Tokens of one word share one string object; the memoized tuples
-            # then cost a pointer per token instead of a string per token.
+            key = dataclasses.replace(self.norm, mode=mode).key
+            # Each distinct word is keyed once; words sharing a key share its string.
             distinct: dict[str, str] = {}
-            by_sonnet = {}
-            for sonnet in self.corpus.sonnets:
-                if sonnet.text is None:
-                    raise ValueError(f"sonnet {sonnet.sonnet_id} was loaded without text")
-                by_sonnet[sonnet.sonnet_id] = tuple(
-                    distinct.setdefault(token.normalized, token.normalized)
-                    for token in normalize(sonnet.text, config)
-                )
-            self._keys[mode] = by_sonnet
+            key_of: dict[str, str] = {}
+            for word in dict.fromkeys(w for ws in self.words.values() for w in ws):
+                k = key(word)
+                key_of[word] = distinct.setdefault(k, k)
+            self._keys[mode] = {
+                sid: tuple(map(key_of.__getitem__, ws)) for sid, ws in self.words.items()
+            }
         return self._keys[mode]
 
     @cached_property

@@ -1,18 +1,16 @@
 """Normalization pipeline for Spanish verse.
 
-Turns raw sonnet text into a list of positioned tokens under one of
-three key modes: the surface word itself (raw), its Snowball stem, or a
-lemma looked up in a user-supplied table.  Stopword removal happens
-before the mode transform, and token positions are recomputed over the
-surviving tokens so later position-based statistics see a gap-free
-sequence.
+Turns raw sonnet text into a list of lookup keys under one of three key
+modes: the surface word itself (raw), its Snowball stem, or a lemma
+looked up in a user-supplied table.  Stopwords are dropped before the
+mode transform, and a key's token position is its index + 1 in that
+list, so position-based statistics see a gap-free sequence.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
-import logging
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -23,19 +21,14 @@ __all__ = [
     "MODES",
     "InputError",
     "NormalizationConfig",
-    "Token",
     "default_stopwords",
-    "lemmatize",
     "load_lemma_table",
     "load_stopwords",
     "normalize",
     "read_input",
-    "remove_stopwords",
     "stem",
     "tokenize",
 ]
-
-logger = logging.getLogger(__name__)
 
 MODES = ("raw", "stem", "lemma")
 
@@ -131,14 +124,14 @@ class NormalizationConfig:
         if self.mode == "lemma" and not self.lemma_table:
             raise ValueError("lemma mode requires a non-empty lemma table")
 
-
-@dataclass(frozen=True)
-class Token:
-    """A surviving token: surface form, 1-based position, and its key."""
-
-    surface: str
-    position: int
-    normalized: str
+    def key(self, word: str) -> str:
+        """The lookup key of one word; a word the lemma table lacks keeps its form."""
+        if self.mode == "raw":
+            return word
+        if self.mode == "stem":
+            return stem(word)
+        assert self.lemma_table is not None
+        return self.lemma_table.get(word, word)
 
 
 def tokenize(text: str) -> list[str]:
@@ -163,36 +156,6 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
-def remove_stopwords(tokens: list[str], stopwords: frozenset[str]) -> list[Token]:
-    """Drop stopwords and renumber the survivors from position 1."""
-    survivors = []
-    for tok in tokens:
-        if tok in stopwords:
-            continue
-        survivors.append(Token(surface=tok, position=len(survivors) + 1, normalized=tok))
-    return survivors
-
-
-def lemmatize(word: str, table: dict[str, str]) -> str:
-    """Look a word up in the lemma table, falling back to the word itself."""
-    lemma = table.get(word)
-    if lemma is None:
-        logger.debug("no lemma for %r, keeping surface form", word)
-        return word
-    return lemma
-
-
-def normalize(text: str, config: NormalizationConfig) -> list[Token]:
-    """Full pipeline: tokenize, drop stopwords, apply the key transform."""
-    survivors = remove_stopwords(tokenize(text), config.stopwords)
-    if config.mode == "raw":
-        return survivors
-    if config.mode == "stem":
-        return [
-            Token(t.surface, t.position, stem(t.surface)) for t in survivors
-        ]
-    assert config.lemma_table is not None
-    return [
-        Token(t.surface, t.position, lemmatize(t.surface, config.lemma_table))
-        for t in survivors
-    ]
+def normalize(text: str, config: NormalizationConfig) -> list[str]:
+    """Full pipeline: tokenize, drop stopwords, key each surviving word."""
+    return [config.key(word) for word in tokenize(text) if word not in config.stopwords]

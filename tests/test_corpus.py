@@ -423,7 +423,7 @@ def test_corpus_statistics_counts_and_histogram(tmp_path):
     sets = aligned_triple()
     median = build_median_annotator(sets)
     raw = NormalizationConfig(mode="raw")
-    keys = {s.sonnet_id: [t.normalized for t in normalize(s.text, raw)] for s in corp.sonnets}
+    keys = {s.sonnet_id: normalize(s.text, raw) for s in corp.sonnets}
     stats = corpus_statistics(keys, median, n_bins=2)
     assert stats.n_sonnets == 2
     assert stats.word_mean == pytest.approx(2.5)

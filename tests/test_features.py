@@ -208,7 +208,7 @@ def small_merged():
 
 
 def matrix_of(text, merged, config):
-    keys = tuple(token.normalized for token in normalize(text, config))
+    keys = tuple(normalize(text, config))
     return compute_corpus_matrix({"s1": keys}, merged)
 
 

@@ -28,7 +28,7 @@ STEMMED = NormalizationConfig(mode="stem", stopwords=frozenset())
 def keys_of(corp, config):
     """Each sonnet's normalized keys, as a pipeline session holds them."""
     return {
-        s.sonnet_id: tuple(t.normalized for t in normalize(s.text, config))
+        s.sonnet_id: tuple(normalize(s.text, config))
         for s in corp.sonnets
     }
 

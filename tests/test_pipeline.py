@@ -3,15 +3,19 @@
 import importlib
 import json
 import pkgutil
+import shutil
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import versemood
 from versemood import stats, textnorm
 from versemood.cli import main
+from versemood.pipeline import Session
+from versemood.textnorm import MODES, NormalizationConfig, normalize
 
 
-def test_all_normalizes_each_sonnet_once_per_mode(workspace_config, tmp_path, monkeypatch):
+def test_all_normalizes_each_sonnet_once(workspace_config, tmp_path, monkeypatch):
     original = textnorm.normalize
     calls = Counter()
 
@@ -25,9 +29,58 @@ def test_all_normalizes_each_sonnet_once_per_mode(workspace_config, tmp_path, mo
             monkeypatch.setattr(module, "normalize", counting)
     argv = ["all", "--config", str(workspace_config), "--out", str(tmp_path), "--missing-words"]
     assert main(argv) == 0
-    # 40 sonnets under raw (word counts) and stem (everything else); no lemma table.
-    assert len(calls) == 40 * 2
+    # 40 sonnets, each once and in raw mode: every key mode keys those words.
+    assert len(calls) == 40
     assert max(calls.values()) == 1
+    assert {mode for _, mode in calls} == {"raw"}
+
+
+def _lemma_workspace(workspace, tmp_path):
+    """The test workspace with a stopword list and a lemma table added."""
+    root = shutil.copytree(workspace, tmp_path / "workspace")
+    # "amor" is a corpus word made a stopword; "el" has a lemma but is dropped first.
+    (root / "stopwords.txt").write_text("el\nla\nde\namor\n", encoding="utf-8")
+    (root / "lemmas.tsv").write_text(
+        "cenizas\tceniza\nllamas\tllama\nsombras\tsombra\nel\tél\n", encoding="utf-8"
+    )
+    config = json.loads((root / "config.json").read_text(encoding="utf-8"))
+    config.update(stopwords="stopwords.txt", lemma_table="lemmas.tsv")
+    (root / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    return root / "config.json"
+
+
+def test_session_keys_equal_normalize_in_every_mode(workspace, tmp_path):
+    session = Session(_lemma_workspace(workspace, tmp_path))
+    for mode in MODES:
+        config = replace(session.norm, mode=mode)
+        expected = {s.sonnet_id: tuple(normalize(s.text, config)) for s in session.corpus.sonnets}
+        assert session.keys(mode) == expected, mode
+    words = {w for ws in session.words.values() for w in ws}
+    # the stopwords are dropped; words in the table and words that fall back both occur
+    assert not words & {"el", "la", "de", "amor"}
+    assert {"cenizas", "llamas", "fuego", "muerte"} <= words
+    lemmas = {k for ks in session.keys("lemma").values() for k in ks}
+    assert {"ceniza", "llama", "fuego"} <= lemmas and "cenizas" not in lemmas
+
+
+def test_session_keys_each_distinct_word_once(workspace, tmp_path, monkeypatch):
+    session = Session(_lemma_workspace(workspace, tmp_path))
+    distinct = {w for ws in session.words.values() for w in ws}
+    original = NormalizationConfig.key
+    calls = Counter()
+
+    def counting(self, word):
+        calls[word] += 1
+        return original(self, word)
+
+    monkeypatch.setattr(NormalizationConfig, "key", counting)
+    keys = session.keys("stem")
+    assert set(calls) == distinct
+    assert sum(calls.values()) == len(distinct)
+    # one string object per distinct word and per distinct key
+    for by_sonnet in (session.words, keys):
+        tokens = [k for ks in by_sonnet.values() for k in ks]
+        assert len({id(k) for k in tokens}) == len(set(tokens))
 
 
 def test_partial_dependence_checks_each_category_design_once(

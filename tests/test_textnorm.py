@@ -10,7 +10,6 @@ from versemood.textnorm import (
     load_lemma_table,
     load_stopwords,
     normalize,
-    remove_stopwords,
     tokenize,
 )
 
@@ -145,17 +144,16 @@ def test_tokenize_case_switch():
 
 
 def test_remove_stopwords_renumbers():
-    stopwords = frozenset({"el", "la", "de"})
-    tokens = remove_stopwords(["el", "amor", "de", "la", "muerte"], stopwords)
-    assert [t.surface for t in tokens] == ["amor", "muerte"]
-    assert [t.position for t in tokens] == [1, 2]
+    # A key's position is its index + 1 among the words that survive.
+    config = NormalizationConfig(mode="raw", stopwords=frozenset({"el", "la", "de"}))
+    keys = normalize("el amor de la muerte", config)
+    assert list(enumerate(keys, start=1)) == [(1, "amor"), (2, "muerte")]
 
 
 def test_positions_strictly_increasing():
     text = "el amor y la muerte en el corazón de la noche"
-    tokens = normalize(text, NormalizationConfig(mode="raw"))
-    positions = [t.position for t in tokens]
-    assert positions == list(range(1, len(tokens) + 1))
+    keys = normalize(text, NormalizationConfig(mode="raw"))
+    assert keys == ["amor", "muerte", "corazón", "noche"]
 
 
 def test_default_stopwords_content():
@@ -167,23 +165,25 @@ def test_default_stopwords_content():
 
 
 def test_normalize_stem_mode():
-    tokens = normalize("las cenizas del amor", NormalizationConfig(mode="stem"))
-    assert [(t.surface, t.normalized) for t in tokens] == [
+    text = "las cenizas del amor"
+    surfaces = normalize(text, NormalizationConfig(mode="raw"))
+    keys = normalize(text, NormalizationConfig(mode="stem"))
+    assert list(zip(surfaces, keys)) == [
         ("cenizas", "ceniz"), ("amor", "amor"),
     ]
 
 
 def test_normalize_raw_mode_key_equals_surface():
-    tokens = normalize("Las Cenizas arden", NormalizationConfig(mode="raw"))
-    for token in tokens:
-        assert token.normalized == token.surface
+    text = "Las Cenizas arden"
+    keys = normalize(text, NormalizationConfig(mode="raw"))
+    assert keys == [w for w in tokenize(text) if w not in default_stopwords()]
 
 
 def test_normalize_lemma_mode_with_fallback():
     table = {"cenizas": "ceniza", "arden": "arder"}
     config = NormalizationConfig(mode="lemma", lemma_table=table)
-    tokens = normalize("las cenizas arden lentamente", config)
-    assert [t.normalized for t in tokens] == ["ceniza", "arder", "lentamente"]
+    keys = normalize("las cenizas arden lentamente", config)
+    assert keys == ["ceniza", "arder", "lentamente"]
 
 
 def test_lemma_mode_requires_table():
