@@ -1,27 +1,30 @@
 """Per-sonnet affective profile: the 32-feature vector.
 
 Each sonnet is reduced to the tokens that survive normalization and are
-found in the merged lexicon.  From those word observations come, per
+found in the merged lexicon.  From those matched words come, per
 dimension, the mean of the word means and the mean of the word standard
 deviations, then arousal and valence extremes and spans, rank
 correlations of arousal and valence against token position (how feeling
 moves across the poem), and a dispersion term scaling the mean by the
-square root of the number of matched observations.
+square root of the number of matched words.
 
-Any feature whose inputs are absent is carried as undefined with a
-reason rather than silently zeroed.
+The corpus is computed at once: every token is looked up in one pass
+(its row of the merged lexicon's arrays, -1 when unmatched), and the
+per-sonnet means, extremes and spans are reductions over the gathered
+rows.  Any feature whose inputs are absent is carried as undefined (NaN)
+with a reason rather than silently zeroed.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .lexicon import DIMENSIONS, MergedLexicon
-from .stats import spearman
+from .stats import group_mean, spearman
 
 __all__ = [
     "FEATURE_INDEX",
@@ -29,10 +32,7 @@ __all__ = [
     "MEAN_SD_FEATURES",
     "MEAN_FEATURES",
     "FeatureMatrix",
-    "GamFeatureVector",
-    "WordObservation",
     "compute_corpus_matrix",
-    "features_from_observations",
 ]
 
 _DIM_PREFIX = {dim: dim for dim in DIMENSIONS}
@@ -62,105 +62,26 @@ FEATURE_NAMES: tuple[str, ...] = MEAN_SD_FEATURES + (
 # Feature name -> its column in FeatureMatrix.values.
 FEATURE_INDEX: dict[str, int] = {name: j for j, name in enumerate(FEATURE_NAMES)}
 
-
-@dataclass(frozen=True)
-class WordObservation:
-    """One lexicon-matched token: its key, where it sits and what the norms say."""
-
-    key: str
-    position: int
-    dims: dict[str, tuple[float, float | None]]
+# The dimensions with extremes, spans, position correlations and sigma.
+_TRACKED = (("arousal", "aro"), ("valence", "val"))
 
 
-@dataclass
-class GamFeatureVector:
-    """The 32 features of one sonnet.
-
-    ``values`` holds a float (or None) per feature name; ``reasons``
-    explains every None.  Every feature name is always present in
-    ``values``.
-    """
-
-    values: dict[str, float | None] = field(default_factory=dict)
-    reasons: dict[str, str] = field(default_factory=dict)
-
-
-def _observe_keys(keys: Sequence[str], merged: MergedLexicon) -> list[WordObservation]:
-    observations = []
-    for position, key in enumerate(keys, start=1):
-        entry = merged.lookup(key)
-        if entry is not None:
-            observations.append(WordObservation(key=key, position=position, dims=entry))
-    return observations
-
-
-def _position_correlation(
-    observations: Sequence[WordObservation], dim: str
-) -> tuple[float | None, str | None]:
-    pairs = [
-        (float(o.position), o.dims[dim][0]) for o in observations if dim in o.dims
-    ]
-    if len(pairs) < 2:
-        return None, f"fewer than two matched words with {dim}"
-    positions = [p for p, _ in pairs]
-    means = [m for _, m in pairs]
-    result = spearman(means, positions)
-    if result.rho is None:
-        return None, f"{dim} values are constant across the sonnet"
-    return result.rho, None
-
-
-def features_from_observations(
-    observations: Sequence[WordObservation],
-) -> GamFeatureVector:
-    """Fold word observations into the 32-feature vector."""
-    vec = GamFeatureVector()
-
-    def set_value(name: str, value: float | None, reason: str | None = None) -> None:
-        vec.values[name] = value
-        if value is None:
-            vec.reasons[name] = reason or "undefined"
-
+def _undefined_reasons() -> dict[str, str]:
+    reasons = {}
     for dim in DIMENSIONS:
-        prefix = _DIM_PREFIX[dim]
-        means = [o.dims[dim][0] for o in observations if dim in o.dims]
-        sds = [
-            o.dims[dim][1]
-            for o in observations
-            if dim in o.dims and o.dims[dim][1] is not None
-        ]
-        if means:
-            set_value(f"{prefix}_mean", sum(means) / len(means))
-        else:
-            set_value(f"{prefix}_mean", None, f"no matched words with {dim}")
-        if sds:
-            set_value(f"{prefix}_sd", sum(sds) / len(sds))
-        else:
-            set_value(f"{prefix}_sd", None, f"no word standard deviations for {dim}")
+        reasons[f"{_DIM_PREFIX[dim]}_mean"] = f"no matched words with {dim}"
+        reasons[f"{_DIM_PREFIX[dim]}_sd"] = f"no word standard deviations for {dim}"
+    for dim, short in _TRACKED:
+        none, few = f"no matched words with {dim}", f"fewer than two matched words with {dim}"
+        reasons.update({f"max_{dim}": none, f"min_{dim}": none, f"{dim}_span": none})
+        reasons.update({f"cor_{short}": few, f"abs_cor_{short}": few, f"sigma_{short}": none})
+    return reasons
 
-    for dim, label in (("arousal", "arousal"), ("valence", "valence")):
-        means = [o.dims[dim][0] for o in observations if dim in o.dims]
-        count = len(means)
-        if means:
-            set_value(f"max_{label}", max(means))
-            set_value(f"min_{label}", min(means))
-            set_value(f"{label}_span", max(means) - min(means))
-        else:
-            reason = f"no matched words with {dim}"
-            set_value(f"max_{label}", None, reason)
-            set_value(f"min_{label}", None, reason)
-            set_value(f"{label}_span", None, reason)
-        short = "aro" if dim == "arousal" else "val"
-        rho, reason = _position_correlation(observations, dim)
-        set_value(f"cor_{short}", rho, reason)
-        set_value(f"abs_cor_{short}", abs(rho) if rho is not None else None, reason)
-        mean_value = vec.values[f"{_DIM_PREFIX[dim]}_mean"]
-        if mean_value is not None:
-            set_value(f"sigma_{short}", mean_value * math.sqrt(count))
-        else:
-            set_value(f"sigma_{short}", None, f"no matched words with {dim}")
 
-    return vec
+# Feature name -> why it is undefined, in the order a sonnet's reasons are
+# listed.  A position correlation over two or more words that is undefined
+# has the other reason: the values are constant.
+_REASONS: dict[str, str] = _undefined_reasons()
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,16 +117,62 @@ def compute_corpus_matrix(
 
     ``keys`` holds each sonnet's normalized keys in corpus order; a key's
     position is its index + 1.  Positions are the post-stopword-removal
-    token positions, so the observations' positions may have gaps where
-    unmatched words sat.
+    token positions, so the matched words' positions may have gaps where
+    unmatched words sat.  Means are summed word by word in position order.
     """
-    vectors = [features_from_observations(_observe_keys(k, merged)) for k in keys.values()]
-    # dtype=float turns an undefined (None) value into NaN
-    values = np.array(
-        [[vec.values[name] for name in FEATURE_NAMES] for vec in vectors], dtype=float
-    ).reshape(len(vectors), len(FEATURE_NAMES))
-    return FeatureMatrix(
-        sonnet_ids=tuple(keys),
-        values=values,
-        reasons={sid: vec.reasons for sid, vec in zip(keys, vectors)},
+    n, n_dims = len(keys), len(DIMENSIONS)
+    lengths = np.fromiter(map(len, keys.values()), np.intp, n)
+    rows = np.fromiter(
+        map(merged.rows.get, chain.from_iterable(keys.values()), repeat(-1)),
+        np.intp,
+        int(lengths.sum()),
     )
+    sonnet = np.repeat(np.arange(n), lengths)
+    position = np.arange(1, len(rows) + 1) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    matched = rows >= 0
+    sonnet, position, rows = sonnet[matched], position[matched].astype(float), rows[matched]
+    word_means = merged.mean[rows]
+
+    cells = (sonnet[:, None] * n_dims + np.arange(n_dims)).ravel()
+    mean, count = group_mean(cells, word_means.ravel(), n * n_dims)
+    sd, _ = group_mean(cells, merged.sd[rows].ravel(), n * n_dims)
+    count = count.reshape(n, n_dims)
+    values = np.full((n, len(FEATURE_NAMES)), np.nan)
+    values[:, 0 : 2 * n_dims : 2] = mean.reshape(n, n_dims)
+    values[:, 1 : 2 * n_dims : 2] = sd.reshape(n, n_dims)
+
+    def column(name: str) -> np.ndarray:
+        return values[:, FEATURE_INDEX[name]]  # a view: writing it fills ``values``
+
+    constant: dict[int, dict[str, str]] = {}  # sonnet -> reasons of its constant correlations
+    for dim, short in _TRACKED:
+        j = DIMENSIONS.index(dim)
+        # this dimension's words, sonnet by sonnet and in position order
+        has = ~np.isnan(word_means[:, j])
+        dim_values, dim_positions = word_means[has, j], position[has]
+        starts = np.concatenate(([0], np.cumsum(count[:, j])))
+        some = count[:, j] > 0
+        if some.any():
+            column(f"max_{dim}")[some] = np.maximum.reduceat(dim_values, starts[:-1][some])
+            column(f"min_{dim}")[some] = np.minimum.reduceat(dim_values, starts[:-1][some])
+        column(f"{dim}_span")[:] = column(f"max_{dim}") - column(f"min_{dim}")
+        column(f"sigma_{short}")[:] = column(f"{dim}_mean") * np.sqrt(count[:, j])
+        cor = column(f"cor_{short}")
+        for i in np.flatnonzero(count[:, j] >= 2).tolist():
+            words = slice(starts[i], starts[i + 1])
+            rho = spearman(dim_values[words], dim_positions[words]).rho
+            if rho is None:
+                reason = f"{dim} values are constant across the sonnet"
+                overrides = constant.setdefault(i, {})
+                overrides[f"cor_{short}"] = overrides[f"abs_cor_{short}"] = reason
+            else:
+                cor[i] = rho
+        column(f"abs_cor_{short}")[:] = np.abs(cor)
+
+    names = tuple(_REASONS)
+    undefined = np.isnan(values[:, [FEATURE_INDEX[name] for name in names]]).tolist()
+    reasons = {}
+    for i, (sid, flags) in enumerate(zip(keys, undefined)):
+        reasons[sid] = {name: _REASONS[name] for name, flag in zip(names, flags) if flag}
+        reasons[sid].update(constant.get(i, {}))
+    return FeatureMatrix(sonnet_ids=tuple(keys), values=values, reasons=reasons)

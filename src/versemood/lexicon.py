@@ -11,21 +11,29 @@ Two input shapes are supported: a canonical long format (one row per
 word and dimension, scale declared inline) and arbitrary published
 layouts adapted through a small descriptor that names the word column
 and the mean/sd columns per dimension.
+
+A lexicon is held as arrays, one row per word and one column per
+dimension, NaN where a word has no value.  Loaders parse and check whole
+columns, and read the rows again only to name the first bad line.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import logging
 import math
-import statistics
+import operator
+import re
 from dataclasses import dataclass
+from itertools import compress, islice, repeat
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .corpus import DEFAULT_CATALOG, AnnotationSet, FeatureCatalog, subset_by_tag
+from .stats import group_mean
 from .textnorm import InputError, NormalizationConfig, read_input
 
 __all__ = [
@@ -62,50 +70,65 @@ CANONICAL_SCALES: dict[str, tuple[float, float]] = {
 
 DIMENSIONS: tuple[str, ...] = tuple(CANONICAL_SCALES)
 
+# Dimension name -> its column in the lexicon arrays.
+_COLUMN: dict[str, int] = {dim: j for j, dim in enumerate(DIMENSIONS)}
+
 
 class LexiconFormatError(InputError):
     """Malformed lexicon file or descriptor (coordinates in the message)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SourceLexicon:
     """One published lexicon on its native scales.
 
-    ``entries`` maps surface word to a per-dimension (mean, sd) pair; sd
-    may be None when the source does not publish it.  ``scales`` holds
-    the declared native range per dimension.
+    ``entries`` holds the distinct surface words in the order the file
+    first gives them.  ``mean`` and ``sd`` are len(entries) x
+    len(DIMENSIONS) arrays, row i for ``entries[i]`` and columns in
+    ``DIMENSIONS`` order; NaN marks a dimension the source gives no value
+    for, and in ``sd`` also a standard deviation it does not publish.
+    ``scales`` holds the declared native range per dimension.  No
+    generated ``__eq__``: an array field has no single truth value.
     """
 
     source_id: str
     scales: dict[str, tuple[float, float]]
-    entries: dict[str, dict[str, tuple[float, float | None]]]
+    entries: tuple[str, ...]
+    mean: np.ndarray
+    sd: np.ndarray
 
     def __len__(self) -> int:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MergedLexicon:
-    """Sources fused onto canonical scales and keyed by normalized form."""
+    """Sources fused onto canonical scales and keyed by normalized form.
 
-    entries: dict[str, dict[str, tuple[float, float | None]]]
+    ``rows`` maps each key to its row of ``mean`` and ``sd``, which are
+    len(rows) x len(DIMENSIONS) arrays on the canonical scales (NaN
+    where no source word of the key has a value).  ``surface_rows`` maps
+    every surface word of the merged sources to the row of its key.
+    """
 
-    def lookup(self, key: str) -> dict[str, tuple[float, float | None]] | None:
-        return self.entries.get(key)
+    rows: dict[str, int]
+    mean: np.ndarray
+    sd: np.ndarray
+    surface_rows: dict[str, int]
 
     def __contains__(self, key: str) -> bool:
-        return key in self.entries
+        return key in self.rows
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
 
 
 def rescale_value(
-    value: float,
+    value: float | np.ndarray,
     from_scale: tuple[float, float],
     to_scale: tuple[float, float],
-) -> float:
-    """Affinely map a value between two declared scales.
+) -> float | np.ndarray:
+    """Affinely map a value, or an array of values, between two declared scales.
 
     Equal scales pass the value through untouched so canonical-scale
     sources stay bit-identical across a merge.
@@ -119,111 +142,183 @@ def rescale_value(
     return new_lo + (value - lo) * (new_hi - new_lo) / (hi - lo)
 
 
-def _rescale_sd(sd: float | None, from_scale, to_scale) -> float | None:
-    if sd is None:
-        return None
-    lo, hi = from_scale
-    new_lo, new_hi = to_scale
-    return sd * (new_hi - new_lo) / (hi - lo)
+# ---------------------------------------------------------------------------
+# loading
+
+# One physical line with its end: only "\n", "\r\n" and a lone "\r" end a
+# line, as in io.StringIO(text, newline="") (str.splitlines also splits at
+# "\x0c", "\x85", "\u2028" and more).
+_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 
 
-def _parse_float(cell: str, where: str) -> float:
+def _lines(text: str) -> Iterator[str]:
+    """The physical lines of ``text``, each with its end, one at a time."""
+    return map(re.Match.group, _LINE.finditer(text))
+
+
+class _Table:
+    """One delimited lexicon file: its header and its non-blank rows.
+
+    The rows end at the first that cannot be used: ``stop`` is then a
+    csv reader error, or the message for a row whose width differs from
+    the header's; it is None when every row was read.  A blank line is
+    no row, as csv.DictReader skips it.  ``cells[j]`` holds column j.
+    """
+
+    def __init__(self, path: Path, delimiter: str):
+        self.path, self.delimiter = path, delimiter
+        self.text = read_input(path, "lexicon file")
+        reader = csv.reader(_lines(self.text), delimiter=delimiter)
+        header = next(reader, [])
+        self.column = {name: j for j, name in enumerate(header)}  # a repeated name: its last
+        self.rows: list[list[str]] = []
+        self.stop: str | csv.Error | None = None
+        try:
+            self.rows.extend(filter(None, reader))
+        except csv.Error as exc:
+            self.stop = exc
+        widths = np.fromiter(map(len, self.rows), np.intp, len(self.rows))
+        wrong = np.flatnonzero(widths != len(header))
+        if wrong.size:
+            self.stop = f"{widths[wrong[0]]} cells, but the header has {len(header)}"
+            del self.rows[wrong[0] :]
+        self.cells = list(zip(*self.rows)) or [()] * len(header)
+
+    def raise_first(self, checks: list[tuple[np.ndarray, Callable[[int], str]]]) -> None:
+        """Raise the error of the first bad row, naming its physical line, if there is one.
+
+        Each check pairs the mask of the rows that fail it with the
+        message for row i, in the order the checks apply within a row;
+        ``stop`` comes after every row.
+        """
+        failing = [(int(bad.argmax()), k) for k, (bad, _) in enumerate(checks) if bad.any()]
+        if failing:
+            row, k = min(failing)
+            message = checks[k][1](row)
+        elif isinstance(self.stop, str):
+            row, message = len(self.rows), self.stop
+        elif self.stop is not None:
+            raise self.stop
+        else:
+            return
+        reader = csv.reader(_lines(self.text), delimiter=self.delimiter)
+        next(reader, None)
+        next(islice(filter(None, reader), row, None))
+        raise LexiconFormatError(f"{self.path}: line {reader.line_num}: {message}")
+
+
+def _parse(cell: str) -> float | str:
+    """The cell's value by float(), or what is wrong with it."""
     try:
         value = float(cell)
     except ValueError:
-        raise LexiconFormatError(f"{where}: not a number: {cell!r}") from None
+        return f"not a number: {cell!r}"
     # NaN marks an undefined feature downstream, so no input may carry one
-    if not math.isfinite(value):
-        raise LexiconFormatError(f"{where}: not a finite number: {cell!r}")
-    return value
+    return value if math.isfinite(value) else f"not a finite number: {cell!r}"
 
 
-def _read_rows(path: Path, delimiter: str = ",") -> csv.DictReader:
-    text = read_input(path, "lexicon file")
-    return csv.DictReader(io.StringIO(text, newline=""), delimiter=delimiter)
+def _numbers(
+    cells: Sequence[str], wanted: np.ndarray | bool | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cells as floats (NaN where not a number), and the mask of those not finite numbers.
 
-
-def _check_width(reader: csv.DictReader, row: dict, where: str) -> None:
-    """Reject a row with more or fewer cells than the header.
-
-    DictReader files surplus cells under the key None and fills missing
-    ones with None.
+    With ``wanted`` (a mask, or True for every cell) the cells are
+    optional: each is stripped, and a blank or unwanted one is NaN
+    without being bad.
     """
-    if None in row or None in row.values():
-        n = len(reader.fieldnames or ())
-        surplus = len(row.get(None, ()))
-        missing = sum(1 for key, cell in row.items() if key is not None and cell is None)
-        raise LexiconFormatError(
-            f"{where}: {n + surplus - missing} cells, but the header has {n}"
-        )
+    if wanted is None:
+        wanted = np.ones(len(cells), bool)
+    else:
+        cells = list(map(str.strip, cells))
+        wanted = wanted & np.fromiter(map(bool, cells), bool, len(cells))
+    picked = list(compress(cells, wanted))
+    values = np.full(len(cells), np.nan)
+    try:
+        values[wanted] = np.fromiter(map(float, picked), float, len(picked))
+    except ValueError:
+        values[wanted] = [v if isinstance(v, float) else math.nan for v in map(_parse, picked)]
+    return values, wanted & ~np.isfinite(values)
 
 
-def _finish_source(
+def _collapse(
+    path: Path,
     source_id: str,
     scales: dict[str, tuple[float, float]],
-    raw: dict[str, dict[str, list[tuple[float, float | None]]]],
+    words: list[str],
+    columns: np.ndarray,
+    means: np.ndarray,
+    sds: np.ndarray,
 ) -> SourceLexicon:
-    """Collapse duplicate rows (same word and dimension) by averaging."""
-    entries: dict[str, dict[str, tuple[float, float | None]]] = {}
-    n_dupes = 0
-    for word, dims in raw.items():
-        out: dict[str, tuple[float, float | None]] = {}
-        for dim, pairs in dims.items():
-            if len(pairs) > 1:
-                n_dupes += 1
-            mean = sum(p[0] for p in pairs) / len(pairs)
-            sds = [p[1] for p in pairs if p[1] is not None]
-            sd = sum(sds) / len(sds) if sds else None
-            out[dim] = (mean, sd)
-        entries[word] = out
+    """One source from its values, in file order: value i gives ``words[i]``
+    the mean ``means[i]`` and sd ``sds[i]`` (NaN: none) in array column
+    ``columns[i]``.  Duplicates (same word and dimension) are averaged.
+    """
+    index = {word: i for i, word in enumerate(dict.fromkeys(words))}
+    if not index:
+        raise LexiconFormatError(f"{path}: no entries")
+    cells = np.fromiter(map(index.__getitem__, words), np.intp, len(words)) * len(DIMENSIONS)
+    cells += columns
+    size = len(index) * len(DIMENSIONS)
+    mean, count = group_mean(cells, means, size)
+    sd, _ = group_mean(cells, sds, size)
+    n_dupes = int((count > 1).sum())
     if n_dupes:
         logger.info("%s: averaged %d duplicate word/dimension rows", source_id, n_dupes)
-    return SourceLexicon(source_id=source_id, scales=scales, entries=entries)
+    shape = (len(index), len(DIMENSIONS))
+    return SourceLexicon(source_id, scales, tuple(index), mean.reshape(shape), sd.reshape(shape))
+
+
+_CANONICAL_COLUMNS = ("word", "dimension", "mean", "sd", "scale_min", "scale_max")
 
 
 def _load_canonical(path: Path, source_id: str) -> SourceLexicon:
-    reader = _read_rows(path)
-    required = {"word", "dimension", "mean", "sd", "scale_min", "scale_max"}
-    have = set(reader.fieldnames or [])
-    if not required <= have:
-        raise LexiconFormatError(
-            f"{path}: missing columns: {', '.join(sorted(required - have))}"
-        )
-    scales: dict[str, tuple[float, float]] = {}
-    raw: dict[str, dict[str, list[tuple[float, float | None]]]] = {}
-    for row in reader:
-        where = f"{path}: line {reader.line_num}"
-        _check_width(reader, row, where)
-        word = row["word"].strip().lower()
-        dim = row["dimension"].strip()
-        if not word:
-            raise LexiconFormatError(f"{where}: empty word")
-        if dim not in CANONICAL_SCALES:
-            raise LexiconFormatError(f"{where}: unknown dimension {dim!r}")
-        lo = _parse_float(row["scale_min"], where)
-        hi = _parse_float(row["scale_max"], where)
-        if hi <= lo:
-            raise LexiconFormatError(f"{where}: scale_min must be below scale_max")
-        if dim in scales and scales[dim] != (lo, hi):
-            raise LexiconFormatError(
-                f"{where}: conflicting scale for {dim}: {scales[dim]} vs {(lo, hi)}"
-            )
-        scales.setdefault(dim, (lo, hi))
-        mean = _parse_float(row["mean"], where)
-        if not lo <= mean <= hi:
-            raise LexiconFormatError(
-                f"{where}: mean {mean} outside declared scale [{lo}, {hi}]"
-            )
-        sd_cell = row["sd"].strip()
-        sd = None
-        if sd_cell:
-            sd = _parse_float(sd_cell, where)
-            if sd < 0:
-                raise LexiconFormatError(f"{where}: negative sd {sd}")
-        raw.setdefault(word, {}).setdefault(dim, []).append((mean, sd))
-    if not raw:
-        raise LexiconFormatError(f"{path}: no entries")
-    return _finish_source(source_id, scales, raw)
+    table = _Table(path, ",")
+    missing = set(_CANONICAL_COLUMNS) - table.column.keys()
+    if missing:
+        raise LexiconFormatError(f"{path}: missing columns: {', '.join(sorted(missing))}")
+    n = len(table.rows)
+    word_cells, dim_cells, mean_cells, sd_cells, lo_cells, hi_cells = (
+        table.cells[table.column[name]] for name in _CANONICAL_COLUMNS
+    )
+    words = list(map(str.lower, map(str.strip, word_cells)))
+    dim_names = list(map(str.strip, dim_cells))
+    dims = np.fromiter(map(_COLUMN.get, dim_names, repeat(-1)), np.intp, n)
+    lo, lo_bad = _numbers(lo_cells)
+    hi, hi_bad = _numbers(hi_cells)
+    mean, mean_bad = _numbers(mean_cells)
+    sd, sd_bad = _numbers(sd_cells, True)
+    # each row's dimension's first row, whose scale the row must repeat (an
+    # unknown dimension, -1, reads the spare last slot)
+    present, first = np.unique(dims, return_index=True)
+    first_row = np.zeros(len(DIMENSIONS) + 1, np.intp)
+    first_row[present] = first
+    first_row = first_row[dims]
+
+    def scale(i: int) -> tuple[float, float]:
+        return float(lo[i]), float(hi[i])
+
+    table.raise_first([
+        (np.fromiter(map(operator.not_, words), bool, n), lambda i: "empty word"),
+        (dims < 0, lambda i: f"unknown dimension {dim_names[i]!r}"),
+        (lo_bad, lambda i: _parse(lo_cells[i])),
+        (hi_bad, lambda i: _parse(hi_cells[i])),
+        (~(lo < hi), lambda i: "scale_min must be below scale_max"),
+        (
+            (lo != lo[first_row]) | (hi != hi[first_row]),
+            lambda i: (
+                f"conflicting scale for {DIMENSIONS[dims[i]]}: {scale(first_row[i])} vs {scale(i)}"
+            ),
+        ),
+        (mean_bad, lambda i: _parse(mean_cells[i])),
+        (
+            (mean < lo) | (mean > hi),
+            lambda i: "mean {} outside declared scale [{}, {}]".format(float(mean[i]), *scale(i)),
+        ),
+        (sd_bad, lambda i: _parse(sd_cells[i].strip())),
+        (sd < 0, lambda i: f"negative sd {float(sd[i])}"),
+    ])
+    scales = {DIMENSIONS[dims[i]]: scale(i) for i in sorted(first)}
+    return _collapse(path, source_id, scales, words, dims, mean, sd)
 
 
 def _load_described(path: Path, descriptor: Mapping, source_id: str, label: str) -> SourceLexicon:
@@ -261,44 +356,53 @@ def _load_described(path: Path, descriptor: Mapping, source_id: str, label: str)
                 raise LexiconFormatError(f"{where}: '{key}' must be a column name")
         scales[dim] = (lo, hi)
 
-    reader = _read_rows(path, delimiter)
-    header = set(reader.fieldnames or [])
+    table = _Table(path, delimiter)
     needed = {word_column} | {spec["mean"] for spec in dims_spec.values()}
     needed |= {spec["sd"] for spec in dims_spec.values() if spec.get("sd")}
-    missing = needed - header
+    missing = needed - table.column.keys()
     if missing:
         raise LexiconFormatError(
             f"{path}: columns named by descriptor are absent: {', '.join(sorted(missing))}"
         )
-    raw: dict[str, dict[str, list[tuple[float, float | None]]]] = {}
-    for row in reader:
-        where = f"{path}: line {reader.line_num}"
-        _check_width(reader, row, where)
-        word = row[word_column].strip().lower()
-        if not word:
-            raise LexiconFormatError(f"{where}: empty word")
-        for dim, spec in dims_spec.items():
-            cell = row[spec["mean"]].strip()
-            if not cell:
-                continue
-            mean = _parse_float(cell, where)
-            lo, hi = scales[dim]
-            if not lo <= mean <= hi:
-                raise LexiconFormatError(
-                    f"{where}: {dim} mean {mean} outside declared scale [{lo}, {hi}]"
-                )
-            sd = None
-            sd_col = spec.get("sd")
-            if sd_col:
-                sd_cell = row[sd_col].strip()
-                if sd_cell:
-                    sd = _parse_float(sd_cell, where)
-                    if sd < 0:
-                        raise LexiconFormatError(f"{where}: negative sd {sd}")
-            raw.setdefault(word, {}).setdefault(dim, []).append((mean, sd))
-    if not raw:
-        raise LexiconFormatError(f"{path}: no entries")
-    return _finish_source(source_id, scales, raw)
+    n = len(table.rows)
+    cells, column = table.cells, table.column
+    words = list(map(str.lower, map(str.strip, cells[column[word_column]])))
+    checks = [(np.fromiter(map(operator.not_, words), bool, n), lambda i: "empty word")]
+
+    def dimension(dim: str, spec: Mapping) -> tuple[np.ndarray, np.ndarray]:
+        """The dimension's means and sds (NaN where blank); its checks join ``checks``."""
+        lo, hi = scales[dim]
+        mean_cells = cells[column[spec["mean"]]]
+        sd_cells = cells[column[spec["sd"]]] if spec.get("sd") else [""] * n
+        mean, mean_bad = _numbers(mean_cells, True)
+        sd, sd_bad = _numbers(sd_cells, ~np.isnan(mean))
+        checks.extend([
+            (mean_bad, lambda i: _parse(mean_cells[i].strip())),
+            (
+                (mean < lo) | (mean > hi),
+                lambda i: f"{dim} mean {float(mean[i])} outside declared scale [{lo}, {hi}]",
+            ),
+            (sd_bad, lambda i: _parse(sd_cells[i].strip())),
+            (sd < 0, lambda i: f"negative sd {float(sd[i])}"),
+        ])
+        return mean, sd
+
+    means, sds = zip(*(dimension(dim, spec) for dim, spec in dims_spec.items()))
+    means, sds = np.column_stack(means), np.column_stack(sds)
+    table.raise_first(checks)
+    # A word enters at its first row with a mean; a row with none adds nothing.
+    given = ~np.isnan(means)
+    value_rows, value_dims = np.nonzero(given)
+    dim_columns = np.array([_COLUMN[dim] for dim in dims_spec], np.intp)
+    return _collapse(
+        path,
+        source_id,
+        scales,
+        list(map(words.__getitem__, value_rows.tolist())),
+        dim_columns[value_dims],
+        means[given],
+        sds[given],
+    )
 
 
 def load_lexicon(
@@ -335,6 +439,24 @@ def load_lexicon(
     return _load_described(path, descriptor, sid, label)
 
 
+# ---------------------------------------------------------------------------
+# merging
+
+
+def _median(cube: np.ndarray) -> np.ndarray:
+    """Median over axis 1 of the values that are not NaN; NaN where there are none.
+
+    As statistics.median takes it: the middle value, or the mean of the
+    two middle ones.  NaN sorts last, so with k values the two middle
+    ones sit at (k - 1) // 2 and k // 2, one place when k is odd.
+    """
+    ordered = np.sort(cube, axis=1)
+    count = (~np.isnan(cube)).sum(axis=1, keepdims=True)
+    lower = np.take_along_axis(ordered, np.maximum(count - 1, 0) // 2, axis=1)
+    upper = np.take_along_axis(ordered, count // 2, axis=1)
+    return np.where(count % 2 == 1, upper, (lower + upper) / 2)[:, 0]
+
+
 def merge_lexicons(
     sources: Sequence[SourceLexicon], config: NormalizationConfig
 ) -> MergedLexicon:
@@ -343,8 +465,9 @@ def merge_lexicons(
     Per surface word and dimension the merged value is the median of the
     rescaled source values (mean of the two middle ones when the count
     is even); standard deviations are combined the same way over the
-    sources that publish them.  Surface words whose normalized keys
-    collide are averaged per dimension.
+    sources that publish them.  Each distinct surface word is keyed
+    once, in sorted order, and surface words whose keys collide are
+    averaged per dimension in that order.
     """
     if not sources:
         raise ValueError("need at least one source lexicon")
@@ -352,47 +475,43 @@ def merge_lexicons(
     if len(set(ids)) != len(ids):
         raise ValueError("source ids are not unique")
 
-    by_surface: dict[str, dict[str, tuple[list[float], list[float]]]] = {}
-    for source in sources:
-        for word, dims in source.entries.items():
-            slot = by_surface.setdefault(word, {})
-            for dim, (mean, sd) in dims.items():
-                native = source.scales[dim]
-                canonical = CANONICAL_SCALES[dim]
-                means, sds = slot.setdefault(dim, ([], []))
-                means.append(rescale_value(mean, native, canonical))
-                rescaled_sd = _rescale_sd(sd, native, canonical)
-                if rescaled_sd is not None:
-                    sds.append(rescaled_sd)
+    surfaces = sorted(set().union(*(s.entries for s in sources)))
+    at = {word: i for i, word in enumerate(surfaces)}
+    # surface word x source x dimension, on the canonical scales
+    means = np.full((len(surfaces), len(sources), len(DIMENSIONS)), np.nan)
+    sds = np.full_like(means, np.nan)
+    for k, source in enumerate(sources):
+        rows = np.fromiter(map(at.__getitem__, source.entries), np.intp, len(source))
+        for dim, native in source.scales.items():
+            j = _COLUMN[dim]
+            lo, hi = CANONICAL_SCALES[dim]
+            means[rows, k, j] = rescale_value(source.mean[:, j], native, (lo, hi))
+            sds[rows, k, j] = source.sd[:, j] * (hi - lo) / (native[1] - native[0])
 
-    by_key: dict[str, dict[str, tuple[list[float], list[float]]]] = {}
-    n_collisions = 0
-    for word in sorted(by_surface):
-        key = config.key(word)
-        slot = by_key.setdefault(key, {})
-        if slot:
-            n_collisions += 1
-        for dim, (means, sds) in by_surface[word].items():
-            key_means, key_sds = slot.setdefault(dim, ([], []))
-            key_means.append(statistics.median(means))
-            if sds:
-                key_sds.append(statistics.median(sds))
+    key_rows: dict[str, int] = {}
+    codes = np.fromiter(
+        (key_rows.setdefault(config.key(w), len(key_rows)) for w in surfaces),
+        np.intp,
+        len(surfaces),
+    )
+    n_collisions = len(surfaces) - len(key_rows)
     if n_collisions:
         logger.info(
             "merge: %d surface words collapsed onto existing keys (%s mode)",
             n_collisions,
             config.mode,
         )
-
-    entries: dict[str, dict[str, tuple[float, float | None]]] = {}
-    for key, dims in by_key.items():
-        entry: dict[str, tuple[float, float | None]] = {}
-        for dim, (means, sds) in dims.items():
-            mean = sum(means) / len(means)
-            sd = sum(sds) / len(sds) if sds else None
-            entry[dim] = (mean, sd)
-        entries[key] = entry
-    return MergedLexicon(entries=entries)
+    cells = (codes[:, None] * len(DIMENSIONS) + np.arange(len(DIMENSIONS))).ravel()
+    size = len(key_rows) * len(DIMENSIONS)
+    shape = (len(key_rows), len(DIMENSIONS))
+    mean, _ = group_mean(cells, _median(means).ravel(), size)
+    sd, _ = group_mean(cells, _median(sds).ravel(), size)
+    return MergedLexicon(
+        rows=key_rows,
+        mean=mean.reshape(shape),
+        sd=sd.reshape(shape),
+        surface_rows=dict(zip(surfaces, codes.tolist())),
+    )
 
 
 @dataclass(frozen=True)
@@ -432,28 +551,32 @@ def coverage_report(
     for the whole corpus and, when a median annotation set is given, one
     per psychological tag (over its tagged sonnets only).  Per-source
     fractions check the same keys against each source's words normalized
-    under the same mode.
+    under the same mode.  ``merged`` is the merge of ``sources`` under
+    ``config``, and its keys of the source words are the ones read here.
     """
-    source_keys = {s.source_id: {config.key(w) for w in s.entries} for s in sources}
+    # each source's words as rows of their keys in the merge
+    source_rows = {
+        s.source_id: set(map(merged.surface_rows.__getitem__, s.entries)) for s in sources
+    }
     rows = []
     for category, ids in _categories(tuple(keys), median, catalog):
         distinct = {k for sid in ids for k in keys[sid]}
         if not distinct:
             rows.append(
-                CoverageRow(category, config.mode, 0, 0.0, {s: 0.0 for s in source_keys})
+                CoverageRow(category, config.mode, 0, 0.0, {s: 0.0 for s in source_rows})
             )
             continue
-        hit = sum(1 for k in distinct if k in merged)
+        hit = [merged.rows[k] for k in distinct if k in merged.rows]
         per_source = {
-            sid: sum(1 for k in distinct if k in sk) / len(distinct)
-            for sid, sk in source_keys.items()
+            sid: sum(1 for r in hit if r in sr) / len(distinct)
+            for sid, sr in source_rows.items()
         }
         rows.append(
             CoverageRow(
                 category=category,
                 mode=config.mode,
                 n_keys=len(distinct),
-                merged=hit / len(distinct),
+                merged=len(hit) / len(distinct),
                 per_source=per_source,
             )
         )

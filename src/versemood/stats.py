@@ -23,6 +23,7 @@ __all__ = [
     "RankDeficiencyError",
     "RegressionResult",
     "correlation_band",
+    "group_mean",
     "min_sample_size",
     "ols",
     "one_way_anova",
@@ -170,6 +171,20 @@ def correlation_band(rho: float) -> str:
         if r < edge:
             return label
     return "very strong"
+
+
+def group_mean(groups: np.ndarray, values: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per group 0..size-1, the mean of its values that are not NaN, and their count.
+
+    ``groups[i]`` is the group of ``values[i]``.  A group's values are
+    added in array order from 0.0, as a left-to-right ``sum`` adds them;
+    a group with no value has mean NaN.
+    """
+    given = ~np.isnan(values)
+    groups, values = groups[given], values[given]
+    count = np.bincount(groups, minlength=size)
+    with np.errstate(invalid="ignore"):
+        return np.bincount(groups, values, size) / count, count
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:

@@ -347,3 +347,269 @@ def partial_dependence(matrix, median, catalog):
         for annotated, gam_feature in FEATURE_PAIRINGS
     ]
     return rows, messages
+
+
+# ---------------------------------------------------------------------------
+# lexicons and the feature fold, as dicts of dicts
+#
+# A lexicon here is {word: {dimension: (mean, sd or None)}}.  The loaders
+# read rows through csv.DictReader over an io.StringIO copy of the text and
+# check each cell as they go; the merge takes statistics.median per surface
+# word and dimension; the fold computes one sonnet's features from its word
+# observations with Python sums.  This is how the package computed all
+# three before its lexicons became arrays.
+
+
+def _lexicon_error(message):
+    from versemood.lexicon import LexiconFormatError
+
+    return LexiconFormatError(message)
+
+
+def _parse_float(cell, where):
+    try:
+        value = float(cell)
+    except ValueError:
+        raise _lexicon_error(f"{where}: not a number: {cell!r}") from None
+    if not math.isfinite(value):
+        raise _lexicon_error(f"{where}: not a finite number: {cell!r}")
+    return value
+
+
+def _dict_rows(path, delimiter=","):
+    import csv
+    import io
+
+    from versemood.textnorm import read_input
+
+    text = read_input(path, "lexicon file")
+    return csv.DictReader(io.StringIO(text, newline=""), delimiter=delimiter)
+
+
+def _check_width(reader, row, where):
+    if None in row or None in row.values():
+        n = len(reader.fieldnames or ())
+        surplus = len(row.get(None, ()))
+        missing = sum(1 for key, cell in row.items() if key is not None and cell is None)
+        raise _lexicon_error(f"{where}: {n + surplus - missing} cells, but the header has {n}")
+
+
+def _finish_source(raw):
+    """Average duplicate rows; returns the entries and the number of duplicated cells."""
+    entries = {}
+    n_dupes = 0
+    for word, dims in raw.items():
+        out = {}
+        for dim, pairs in dims.items():
+            if len(pairs) > 1:
+                n_dupes += 1
+            mean = sum(p[0] for p in pairs) / len(pairs)
+            sds = [p[1] for p in pairs if p[1] is not None]
+            sd = sum(sds) / len(sds) if sds else None
+            out[dim] = (mean, sd)
+        entries[word] = out
+    return entries, n_dupes
+
+
+def load_canonical(path):
+    """A canonical long-format file: (scales, entries, n_dupes)."""
+    from versemood.lexicon import CANONICAL_SCALES
+
+    reader = _dict_rows(path)
+    required = {"word", "dimension", "mean", "sd", "scale_min", "scale_max"}
+    have = set(reader.fieldnames or [])
+    if not required <= have:
+        raise _lexicon_error(f"{path}: missing columns: {', '.join(sorted(required - have))}")
+    scales = {}
+    raw = {}
+    for row in reader:
+        where = f"{path}: line {reader.line_num}"
+        _check_width(reader, row, where)
+        word = row["word"].strip().lower()
+        dim = row["dimension"].strip()
+        if not word:
+            raise _lexicon_error(f"{where}: empty word")
+        if dim not in CANONICAL_SCALES:
+            raise _lexicon_error(f"{where}: unknown dimension {dim!r}")
+        lo = _parse_float(row["scale_min"], where)
+        hi = _parse_float(row["scale_max"], where)
+        if hi <= lo:
+            raise _lexicon_error(f"{where}: scale_min must be below scale_max")
+        if dim in scales and scales[dim] != (lo, hi):
+            raise _lexicon_error(
+                f"{where}: conflicting scale for {dim}: {scales[dim]} vs {(lo, hi)}"
+            )
+        scales.setdefault(dim, (lo, hi))
+        mean = _parse_float(row["mean"], where)
+        if not lo <= mean <= hi:
+            raise _lexicon_error(f"{where}: mean {mean} outside declared scale [{lo}, {hi}]")
+        sd_cell = row["sd"].strip()
+        sd = None
+        if sd_cell:
+            sd = _parse_float(sd_cell, where)
+            if sd < 0:
+                raise _lexicon_error(f"{where}: negative sd {sd}")
+        raw.setdefault(word, {}).setdefault(dim, []).append((mean, sd))
+    if not raw:
+        raise _lexicon_error(f"{path}: no entries")
+    return (scales, *_finish_source(raw))
+
+
+def load_described(path, descriptor):
+    """A published layout through a valid descriptor mapping: (scales, entries, n_dupes)."""
+    word_column = descriptor["word_column"]
+    dims_spec = descriptor["dimensions"]
+    scales = {dim: tuple(map(float, spec["scale"])) for dim, spec in dims_spec.items()}
+    reader = _dict_rows(path, descriptor.get("delimiter", ","))
+    header = set(reader.fieldnames or [])
+    needed = {word_column} | {spec["mean"] for spec in dims_spec.values()}
+    needed |= {spec["sd"] for spec in dims_spec.values() if spec.get("sd")}
+    missing = needed - header
+    if missing:
+        raise _lexicon_error(
+            f"{path}: columns named by descriptor are absent: {', '.join(sorted(missing))}"
+        )
+    raw = {}
+    for row in reader:
+        where = f"{path}: line {reader.line_num}"
+        _check_width(reader, row, where)
+        word = row[word_column].strip().lower()
+        if not word:
+            raise _lexicon_error(f"{where}: empty word")
+        for dim, spec in dims_spec.items():
+            cell = row[spec["mean"]].strip()
+            if not cell:
+                continue
+            mean = _parse_float(cell, where)
+            lo, hi = scales[dim]
+            if not lo <= mean <= hi:
+                raise _lexicon_error(
+                    f"{where}: {dim} mean {mean} outside declared scale [{lo}, {hi}]"
+                )
+            sd = None
+            sd_col = spec.get("sd")
+            if sd_col:
+                sd_cell = row[sd_col].strip()
+                if sd_cell:
+                    sd = _parse_float(sd_cell, where)
+                    if sd < 0:
+                        raise _lexicon_error(f"{where}: negative sd {sd}")
+            raw.setdefault(word, {}).setdefault(dim, []).append((mean, sd))
+    if not raw:
+        raise _lexicon_error(f"{path}: no entries")
+    return (scales, *_finish_source(raw))
+
+
+def _rescale(value, from_scale, to_scale):
+    lo, hi = from_scale
+    new_lo, new_hi = to_scale
+    if (lo, hi) == (new_lo, new_hi):
+        return value
+    return new_lo + (value - lo) * (new_hi - new_lo) / (hi - lo)
+
+
+def merge_lexicons(sources, config):
+    """Merge [(scales, entries)] onto keys: (entries by key, number of key collisions)."""
+    import statistics
+
+    from versemood.lexicon import CANONICAL_SCALES
+
+    by_surface = {}
+    for scales, entries in sources:
+        for word, dims in entries.items():
+            slot = by_surface.setdefault(word, {})
+            for dim, (mean, sd) in dims.items():
+                native, canonical = scales[dim], CANONICAL_SCALES[dim]
+                means, sds = slot.setdefault(dim, ([], []))
+                means.append(_rescale(mean, native, canonical))
+                if sd is not None:
+                    sds.append(sd * (canonical[1] - canonical[0]) / (native[1] - native[0]))
+    by_key = {}
+    n_collisions = 0
+    for word in sorted(by_surface):
+        slot = by_key.setdefault(config.key(word), {})
+        if slot:
+            n_collisions += 1
+        for dim, (means, sds) in by_surface[word].items():
+            key_means, key_sds = slot.setdefault(dim, ([], []))
+            key_means.append(statistics.median(means))
+            if sds:
+                key_sds.append(statistics.median(sds))
+    entries = {}
+    for key, dims in by_key.items():
+        entries[key] = {
+            dim: (sum(means) / len(means), sum(sds) / len(sds) if sds else None)
+            for dim, (means, sds) in dims.items()
+        }
+    return entries, n_collisions
+
+
+class WordObservation:
+    """One lexicon-matched token: its key, its position and its norms by dimension."""
+
+    def __init__(self, key, position, dims):
+        self.key, self.position, self.dims = key, position, dims
+
+
+def _position_correlation(observations, dim):
+    from versemood.stats import spearman
+
+    pairs = [(float(o.position), o.dims[dim][0]) for o in observations if dim in o.dims]
+    if len(pairs) < 2:
+        return None, f"fewer than two matched words with {dim}"
+    result = spearman([m for _, m in pairs], [p for p, _ in pairs])
+    if result.rho is None:
+        return None, f"{dim} values are constant across the sonnet"
+    return result.rho, None
+
+
+def features_from_observations(observations):
+    """One sonnet's 32 features: ``values`` {name: value or None} and their ``reasons``."""
+    from types import SimpleNamespace
+
+    from versemood.features import _DIM_PREFIX
+    from versemood.lexicon import DIMENSIONS
+
+    values, reasons = {}, {}
+
+    def set_value(name, value, reason=None):
+        values[name] = value
+        if value is None:
+            reasons[name] = reason or "undefined"
+
+    for dim in DIMENSIONS:
+        prefix = _DIM_PREFIX[dim]
+        means = [o.dims[dim][0] for o in observations if dim in o.dims]
+        sds = [
+            o.dims[dim][1]
+            for o in observations
+            if dim in o.dims and o.dims[dim][1] is not None
+        ]
+        if means:
+            set_value(f"{prefix}_mean", sum(means) / len(means))
+        else:
+            set_value(f"{prefix}_mean", None, f"no matched words with {dim}")
+        if sds:
+            set_value(f"{prefix}_sd", sum(sds) / len(sds))
+        else:
+            set_value(f"{prefix}_sd", None, f"no word standard deviations for {dim}")
+    for dim, short in (("arousal", "aro"), ("valence", "val")):
+        means = [o.dims[dim][0] for o in observations if dim in o.dims]
+        if means:
+            set_value(f"max_{dim}", max(means))
+            set_value(f"min_{dim}", min(means))
+            set_value(f"{dim}_span", max(means) - min(means))
+        else:
+            reason = f"no matched words with {dim}"
+            set_value(f"max_{dim}", None, reason)
+            set_value(f"min_{dim}", None, reason)
+            set_value(f"{dim}_span", None, reason)
+        rho, reason = _position_correlation(observations, dim)
+        set_value(f"cor_{short}", rho, reason)
+        set_value(f"abs_cor_{short}", abs(rho) if rho is not None else None, reason)
+        mean_value = values[f"{dim}_mean"]
+        if mean_value is not None:
+            set_value(f"sigma_{short}", mean_value * math.sqrt(len(means)))
+        else:
+            set_value(f"sigma_{short}", None, f"no matched words with {dim}")
+    return SimpleNamespace(values=values, reasons=reasons)

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 import oracles
-from cell_tables import annotation_set, cells_of, reliability_matrix
+from cell_tables import annotation_set, cells_of, profile, reliability_matrix
 from versemood.agreement import agreement_report, krippendorff_alpha
 from versemood.corpus import (
     DEFAULT_CATALOG,
@@ -33,11 +33,8 @@ from versemood.corpus import (
     fill_missing_psych,
     reverse_ordinal_scale,
 )
-from versemood.features import (
-    FEATURE_NAMES,
-    WordObservation,
-    features_from_observations,
-)
+from oracles import WordObservation
+from versemood.features import FEATURE_NAMES
 from versemood.lexicon import DIMENSIONS, coverage_report, word_count_report
 from versemood.pipeline import Session
 from versemood.stats import (
@@ -287,7 +284,7 @@ def test_profile_features_hold_order_and_scale_properties():
     cases = [_random_observations(rng) for _ in range(1000)]
 
     for observations in cases:
-        base = features_from_observations(observations)
+        base = profile(observations)
         positions = [o.position for o in observations]
 
         shuffled_positions = list(positions)
@@ -299,7 +296,7 @@ def test_profile_features_hold_order_and_scale_properties():
             ),
             key=lambda o: o.position,
         )
-        permuted = features_from_observations(shuffled)
+        permuted = profile(shuffled)
         for name in FEATURE_NAMES:
             if name in _ORDER_SENSITIVE:
                 continue
@@ -317,7 +314,7 @@ def test_profile_features_hold_order_and_scale_properties():
             ),
             key=lambda o: o.position,
         )
-        reversed_vec = features_from_observations(reflected)
+        reversed_vec = profile(reflected)
         for cor, abs_cor in (("cor_aro", "abs_cor_aro"), ("cor_val", "abs_cor_val")):
             left, right = base.values[cor], reversed_vec.values[cor]
             if left is None or right is None:

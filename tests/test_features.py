@@ -5,14 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from versemood.features import (
-    FEATURE_NAMES,
-    MEAN_SD_FEATURES,
-    WordObservation,
-    compute_corpus_matrix,
-    features_from_observations,
-)
-from versemood.lexicon import CANONICAL_SCALES, SourceLexicon, merge_lexicons
+import oracles
+from cell_tables import entries_of, merged_lexicon, profile, source_lexicon
+from oracles import WordObservation
+from versemood.features import FEATURE_NAMES, MEAN_SD_FEATURES, compute_corpus_matrix
+from versemood.lexicon import CANONICAL_SCALES, merge_lexicons
 from versemood.pipeline import Session
 from versemood.textnorm import NormalizationConfig, normalize
 
@@ -65,7 +62,7 @@ def test_hand_computed_vector():
         obs(2, valence=(2.0, 0.5), arousal=(4.0, None)),
         obs(3, valence=(3.0, None), arousal=(5.0, 1.5)),
     ]
-    vec = features_from_observations(observations)
+    vec = profile(observations)
     v = vec.values
     assert v["valence_mean"] == pytest.approx(13.0 / 3.0)
     assert v["valence_sd"] == pytest.approx(0.75)
@@ -90,13 +87,13 @@ def test_hand_computed_vector():
 
 
 def test_empty_observations_all_undefined():
-    vec = features_from_observations([])
+    vec = profile([])
     assert all(value is None for value in vec.values.values())
     assert set(vec.reasons) == set(FEATURE_NAMES)
 
 
 def test_single_word_correlation_undefined():
-    vec = features_from_observations([obs(1, arousal=(5.0, 0.2))])
+    vec = profile([obs(1, arousal=(5.0, 0.2))])
     assert vec.values["cor_aro"] is None
     assert "fewer than two" in vec.reasons["cor_aro"]
     assert vec.values["sigma_aro"] == pytest.approx(5.0)
@@ -104,7 +101,7 @@ def test_single_word_correlation_undefined():
 
 
 def test_constant_values_correlation_undefined():
-    vec = features_from_observations([
+    vec = profile([
         obs(1, valence=(4.0, None)),
         obs(2, valence=(4.0, None)),
         obs(3, valence=(4.0, None)),
@@ -118,10 +115,10 @@ def test_order_permutation_moves_only_correlations():
     rng = np.random.default_rng(80)
     for _ in range(100):
         observations = random_observations(rng)
-        base = features_from_observations(observations).values
+        base = profile(observations).values
         order = rng.permutation(len(observations))
         shuffled = renumbered([observations[i] for i in order])
-        permuted = features_from_observations(shuffled).values
+        permuted = profile(shuffled).values
         for name in ORDER_FREE:
             if base[name] is None:
                 assert permuted[name] is None
@@ -133,8 +130,8 @@ def test_reversal_negates_position_correlations():
     rng = np.random.default_rng(81)
     for _ in range(100):
         observations = random_observations(rng)
-        base = features_from_observations(observations).values
-        flipped = features_from_observations(
+        base = profile(observations).values
+        flipped = profile(
             renumbered(list(reversed(observations)))
         ).values
         for short in ("aro", "val"):
@@ -151,7 +148,7 @@ def test_reversal_negates_position_correlations():
 def test_extrema_sandwich_means():
     rng = np.random.default_rng(82)
     for _ in range(100):
-        vec = features_from_observations(random_observations(rng)).values
+        vec = profile(random_observations(rng)).values
         for dim, short in (("arousal", "arousal"), ("valence", "valence")):
             mean = vec[f"{dim}_mean"]
             if mean is None:
@@ -164,7 +161,7 @@ def test_sigma_is_mean_times_root_count():
     rng = np.random.default_rng(83)
     for _ in range(100):
         observations = random_observations(rng)
-        vec = features_from_observations(observations).values
+        vec = profile(observations).values
         for dim, short in (("arousal", "aro"), ("valence", "val")):
             count = sum(1 for o in observations if dim in o.dims)
             mean = vec[f"{'arousal' if dim == 'arousal' else 'valence'}_mean"]
@@ -178,8 +175,8 @@ def test_duplicating_observations_preserves_means_and_extrema():
     rng = np.random.default_rng(84)
     for _ in range(50):
         observations = random_observations(rng)
-        base = features_from_observations(observations).values
-        doubled = features_from_observations(
+        base = profile(observations).values
+        doubled = profile(
             renumbered(observations + observations)
         ).values
         for name in MEAN_SD_FEATURES + (
@@ -202,8 +199,7 @@ def small_merged():
         "muert": {"valence": (2.0, 0.5), "arousal": (4.0, 1.0)},
         "ceniz": {"valence": (3.0, None), "arousal": (5.0, 1.5)},
     }
-    scales = {dim: CANONICAL_SCALES[dim] for dim in CANONICAL_SCALES}
-    src = SourceLexicon(source_id="mini", scales=scales, entries=entries)
+    src = source_lexicon("mini", entries)
     return merge_lexicons([src], NormalizationConfig(mode="raw", stopwords=frozenset()))
 
 
@@ -216,8 +212,8 @@ def test_corpus_matrix_skips_unknown_tokens():
     merged = small_merged()
     config = NormalizationConfig(mode="raw", stopwords=frozenset({"el"}))
     matrix = matrix_of("el amor desconocido muert", merged, config)
-    expected = features_from_observations([
-        WordObservation(key, position, merged.lookup(key))
+    expected = oracles.features_from_observations([
+        WordObservation(key, position, entries_of(merged)[key])
         for key, position in [("amor", 1), ("muert", 3)]
     ])
     row = [None if np.isnan(v) else v for v in matrix.values[0].tolist()]
@@ -247,3 +243,45 @@ def test_compute_corpus_matrix_requires_texts(workspace_config):
     session = Session(workspace_config, ["agreement"])
     with pytest.raises(ValueError, match="without text"):
         session.matrix
+
+
+def random_lexicon(rng):
+    """Up to 12 keys with random dimensions; few distinct values, so some sonnets are constant."""
+    entries = {}
+    for i in range(int(rng.integers(1, 13))):
+        dims = {}
+        n_dims = int(rng.integers(1, 11))
+        for dim in rng.choice(list(CANONICAL_SCALES), size=n_dims, replace=False):
+            lo, hi = CANONICAL_SCALES[dim]
+            tied = rng.random() < 0.3
+            mean = float(rng.choice([lo, (lo + hi) / 2]) if tied else rng.uniform(lo, hi))
+            dims[str(dim)] = (mean, float(rng.uniform(0.1, 2)) if rng.random() < 0.7 else None)
+        entries[f"k{i}"] = dims
+    return entries
+
+
+def test_corpus_matrix_matches_fold_oracle():
+    rng = np.random.default_rng(85)
+    reached = set()
+    for _ in range(300):
+        entries = random_lexicon(rng)
+        vocabulary = list(entries) + ["unknown", "otro"]
+        keys = {
+            f"s{i}": tuple(rng.choice(vocabulary, size=int(rng.integers(0, 25))).tolist())
+            for i in range(int(rng.integers(1, 8)))
+        }
+        matrix = compute_corpus_matrix(keys, merged_lexicon(entries))
+        assert matrix.sonnet_ids == tuple(keys)
+        for i, (sid, sonnet_keys) in enumerate(keys.items()):
+            expected = oracles.features_from_observations([
+                WordObservation(key, position, entries[key])
+                for position, key in enumerate(sonnet_keys, start=1)
+                if key in entries
+            ])
+            row = [None if np.isnan(v) else v for v in matrix.values[i].tolist()]
+            assert dict(zip(FEATURE_NAMES, row)) == expected.values
+            assert list(matrix.reasons[sid].items()) == list(expected.reasons.items())
+            reached.update(reason.split(" ")[0] for reason in expected.reasons.values())
+            reached.add("defined" if expected.values["cor_val"] is not None else "undefined")
+    # every kind of reason, and defined correlations
+    assert reached == {"no", "fewer", "valence", "arousal", "defined", "undefined"}

@@ -1,17 +1,23 @@
 """Lexicon loading, rescaling, merging, and coverage accounting."""
 
 import csv
+import io
 import json
 import statistics
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import oracles
+from cell_tables import entries_of
+from cell_tables import source_lexicon as source
 from versemood.corpus import Corpus, Sonnet
 from versemood.lexicon import (
     CANONICAL_SCALES,
     LexiconFormatError,
     SourceLexicon,
+    _lines,
     coverage_report,
     load_lexicon,
     merge_lexicons,
@@ -31,13 +37,6 @@ def keys_of(corp, config):
         s.sonnet_id: tuple(normalize(s.text, config))
         for s in corp.sonnets
     }
-
-
-def source(source_id, entries, scales=None):
-    base = {dim: CANONICAL_SCALES[dim] for dim in CANONICAL_SCALES}
-    if scales:
-        base.update(scales)
-    return SourceLexicon(source_id=source_id, scales=base, entries=entries)
 
 
 # ---------------------------------------------------------------------------
@@ -90,8 +89,8 @@ def test_load_canonical_lexicon(tmp_path):
     ])
     lex = load_lexicon(path)
     assert lex.source_id == "norms"
-    assert lex.entries["amor"]["valence"] == (8.2, 1.1)
-    assert lex.entries["amor"]["arousal"] == (6.0, None)
+    assert entries_of(lex)["amor"]["valence"] == (8.2, 1.1)
+    assert entries_of(lex)["amor"]["arousal"] == (6.0, None)
     assert len(lex) == 2
 
 
@@ -103,7 +102,7 @@ def test_load_canonical_duplicates_average(tmp_path, caplog):
     ])
     with caplog.at_level("INFO"):
         lex = load_lexicon(path)
-    assert lex.entries["amor"]["valence"] == (7.0, 1.5)
+    assert entries_of(lex)["amor"]["valence"] == (7.0, 1.5)
     assert any("duplicate" in r.message for r in caplog.records)
 
 
@@ -180,9 +179,9 @@ def test_load_with_descriptor(tmp_path):
     lex = load_lexicon(data, descriptor=descriptor)
     assert lex.source_id == "pub"
     assert lex.scales["valence"] == (1.0, 7.0)
-    assert lex.entries["amor"]["valence"] == (6.5, 0.8)
-    assert lex.entries["amor"]["arousal"] == (4.0, None)
-    assert "arousal" not in lex.entries["odio"]  # empty mean cell skipped
+    assert entries_of(lex)["amor"]["valence"] == (6.5, 0.8)
+    assert entries_of(lex)["amor"]["arousal"] == (4.0, None)
+    assert "arousal" not in entries_of(lex)["odio"]  # empty mean cell skipped
 
 
 def test_load_with_descriptor_file(tmp_path):
@@ -196,7 +195,7 @@ def test_load_with_descriptor_file(tmp_path):
     }), encoding="utf-8")
     lex = load_lexicon(data, descriptor=desc_path)
     assert lex.source_id == "pub2"
-    assert lex.entries["amor"]["valence"] == (6.0, None)
+    assert entries_of(lex)["amor"]["valence"] == (6.0, None)
 
 
 def test_descriptor_names_absent_column(tmp_path):
@@ -221,7 +220,7 @@ def test_merge_takes_median_across_sources():
         source("c", {"amor": {"valence": (7.5, None)}}),
     ]
     merged = merge_lexicons(sources, RAW)
-    mean, sd = merged.lookup("amor")["valence"]
+    mean, sd = entries_of(merged)["amor"]["valence"]
     assert mean == pytest.approx(7.5)
     assert sd == pytest.approx(0.75)  # median of the two published sds
 
@@ -232,7 +231,7 @@ def test_merge_even_count_averages_middle_pair():
         source("b", {"mar": {"arousal": (4.0, None)}}),
     ]
     merged = merge_lexicons(sources, RAW)
-    assert merged.lookup("mar")["arousal"][0] == pytest.approx(3.0)
+    assert entries_of(merged)["mar"]["arousal"][0] == pytest.approx(3.0)
 
 
 def test_merge_rescales_before_fusing():
@@ -240,7 +239,7 @@ def test_merge_rescales_before_fusing():
         source("narrow", {"amor": {"valence": (5.0, None)}}, scales={"valence": (1.0, 5.0)}),
     ]
     merged = merge_lexicons(sources, RAW)
-    assert merged.lookup("amor")["valence"][0] == pytest.approx(9.0)
+    assert entries_of(merged)["amor"]["valence"][0] == pytest.approx(9.0)
 
 
 def test_merge_stem_collision_averages(caplog):
@@ -252,7 +251,7 @@ def test_merge_stem_collision_averages(caplog):
     ]
     with caplog.at_level("INFO"):
         merged = merge_lexicons(sources, STEMMED)
-    assert merged.lookup("ceniz")["valence"][0] == pytest.approx(3.0)
+    assert entries_of(merged)["ceniz"]["valence"][0] == pytest.approx(3.0)
     assert any("collapsed" in r.message for r in caplog.records)
 
 
@@ -266,10 +265,10 @@ def test_merge_is_idempotent_on_canonical_entries():
             for dim in list(CANONICAL_SCALES)[: int(rng.integers(1, 10))]
         }
     merged_once = merge_lexicons([source("x", entries)], RAW)
-    again = merge_lexicons([source("x2", merged_once.entries)], RAW)
-    for word, dims in merged_once.entries.items():
+    again = merge_lexicons([source("x2", entries_of(merged_once))], RAW)
+    for word, dims in entries_of(merged_once).items():
         for dim, (mean, sd) in dims.items():
-            mean2, sd2 = again.entries[word][dim]
+            mean2, sd2 = entries_of(again)[word][dim]
             assert mean2 == pytest.approx(mean, abs=1e-12)
             if sd is None:
                 assert sd2 is None
@@ -346,3 +345,318 @@ def test_missing_word_report_sorted():
     missing = missing_word_report(keys_of(corp, STEMMED), merged)
     assert (missing[0].key, missing[0].occurrences) == ("ceniz", 2)
     assert [m.key for m in missing] == ["ceniz", "muert"]
+
+
+# ---------------------------------------------------------------------------
+# the array loaders and merge against the dict-of-dict oracles
+
+VOCAB = (
+    "amor", "amores", "amoroso", "ceniza", "cenizas", "muerte", "muertes", "muerto",
+    "vida", "vidas", "sol", "soles", "flor", "flores", "llanto", "llantos", "fuego",
+)
+LEMMAS = {
+    "amores": "amor", "cenizas": "ceniza", "muertes": "muerte", "muerto": "morir",
+    "vidas": "vida", "soles": "sol", "flores": "flor", "llantos": "llanto",
+}
+CONFIGS = (
+    RAW,
+    STEMMED,
+    NormalizationConfig(mode="lemma", stopwords=frozenset(), lemma_table=LEMMAS),
+)
+DIMS = tuple(CANONICAL_SCALES)
+NATIVE_SCALES = ((0.0, 10.0), (1.0, 7.0), (-3.0, 3.0), (1.0, 5.0), (1.0, 9.0))
+
+
+def random_scales(rng):
+    """A scale per dimension: the canonical one, or a native one in half the cases."""
+    return {
+        dim: NATIVE_SCALES[int(rng.integers(len(NATIVE_SCALES)))]
+        if rng.random() < 0.5 else CANONICAL_SCALES[dim]
+        for dim in DIMS
+    }
+
+
+def random_cell(rng, lo, hi):
+    """A mean within [lo, hi]: few distinct values, so ties and equal medians occur."""
+    if rng.random() < 0.4:
+        value = lo + (hi - lo) * int(rng.integers(0, 9)) / 8
+    else:
+        value = rng.uniform(lo, hi)
+    return repr(float(value)) if rng.random() < 0.5 else f"{value:.3f}"
+
+
+def random_word(rng):
+    word = VOCAB[int(rng.integers(len(VOCAB)))]
+    return f" {word.upper()}" if rng.random() < 0.1 else word
+
+
+def write_lines(path, rows, delimiter, rng):
+    """Rows as delimited text, with CRLF or LF ends and a blank line here and there."""
+    end = "\r\n" if rng.random() < 0.3 else "\n"
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, delimiter=delimiter, lineterminator=end)
+        for i, row in enumerate(rows):
+            if i and rng.random() < 0.05:
+                fh.write(end)
+            writer.writerow(row)
+
+
+def random_canonical(rng, path):
+    scales = random_scales(rng)
+    dims = rng.choice(DIMS, size=int(rng.integers(1, 5)), replace=False).tolist()
+    rows = [["word", "dimension", "mean", "sd", "scale_min", "scale_max"]]
+    for _ in range(int(rng.integers(1, 25))):
+        dim = dims[int(rng.integers(len(dims)))]
+        lo, hi = scales[dim]
+        sd = "" if rng.random() < 0.3 else random_cell(rng, 0.0, 2.0)
+        rows.append([random_word(rng), dim, random_cell(rng, lo, hi), sd, lo, hi])
+    write_lines(path, rows, ",", rng)
+    return None, False
+
+
+def random_described(rng, path):
+    scales = random_scales(rng)
+    dims = rng.choice(DIMS, size=int(rng.integers(1, 4)), replace=False).tolist()
+    spec = {
+        dim: {"mean": f"{dim}_m", "scale": list(scales[dim])}
+        | ({"sd": f"{dim}_s"} if rng.random() < 0.7 else {})
+        for dim in dims
+    }
+    delimiter = ("\t", ",", ";")[int(rng.integers(3))]
+    header = ["Word"] + [col for s in spec.values() for col in (s["mean"], s.get("sd")) if col]
+    rows = [header]
+    for i in range(int(rng.integers(1, 25))):
+        row = [random_word(rng)]
+        for dim, s in spec.items():
+            blank = rng.random() < 0.3
+            row.append("" if blank else random_cell(rng, *scales[dim]))
+            if "sd" in s:
+                row.append("" if rng.random() < 0.3 else random_cell(rng, 0.0, 2.0))
+        rows.append(row)
+    # a row of some valid word, so that the file has an entry
+    rows.append([random_word(rng), random_cell(rng, *scales[dims[0]])] + [""] * (len(header) - 2))
+    write_lines(path, rows, delimiter, rng)
+    means = [header.index(s["mean"]) for s in spec.values()]
+    all_blank = any(not any(row[j] for j in means) for row in rows[1:])
+    descriptor = {"source_id": path.stem, "word_column": "Word", "delimiter": delimiter}
+    return descriptor | {"dimensions": spec}, all_blank
+
+
+def load_both(rng, path, caplog):
+    """One random file loaded by the package and by the oracle.
+
+    Returns the source, the oracle's scales, entries and duplicate count,
+    and whether a described row left every mean blank.
+    """
+    described = rng.random() < 0.5
+    descriptor, all_blank = (random_described if described else random_canonical)(rng, path)
+    caplog.clear()
+    source = load_lexicon(path, descriptor=descriptor)
+    logged = [r.getMessage() for r in caplog.records if "duplicate" in r.getMessage()]
+    if described:
+        scales, entries, n_dupes = oracles.load_described(path, descriptor)
+    else:
+        scales, entries, n_dupes = oracles.load_canonical(path)
+    expected = f"{path.stem}: averaged {n_dupes} duplicate word/dimension rows"
+    assert logged == ([expected] if n_dupes else [])
+    return source, scales, entries, n_dupes, all_blank
+
+
+def test_loaders_match_dict_oracle(tmp_path, caplog):
+    rng = np.random.default_rng(90)
+    caplog.set_level("INFO", logger="versemood.lexicon")
+    reached = set()
+    for case in range(300):
+        path = tmp_path / f"src{case}.csv"
+        source, scales, entries, n_dupes, all_blank = load_both(rng, path, caplog)
+        assert source.source_id == path.stem
+        assert source.scales == scales
+        assert list(source.entries) == list(entries)
+        assert entries_of(source) == entries
+        assert source.mean.shape == source.sd.shape == (len(entries), len(DIMS))
+        reached.add("duplicates" if n_dupes else "no duplicates")
+        if any(sd is None for dims in entries.values() for _, sd in dims.values()):
+            reached.add("missing sd")
+        if all_blank:
+            reached.add("all means blank")
+    assert reached == {"duplicates", "no duplicates", "missing sd", "all means blank"}
+
+
+def test_merge_matches_dict_oracle(tmp_path, caplog):
+    rng = np.random.default_rng(91)
+    caplog.set_level("INFO", logger="versemood.lexicon")
+    reached = set()
+    for case in range(300):
+        loaded = [
+            load_both(rng, tmp_path / f"c{case}s{k}.csv", caplog)
+            for k in range(int(rng.integers(1, 5)))
+        ]
+        config = CONFIGS[case % len(CONFIGS)]
+        caplog.clear()
+        merged = merge_lexicons([source for source, *_ in loaded], config)
+        logged = [r.getMessage() for r in caplog.records if "collapsed" in r.getMessage()]
+        entries, n_collisions = oracles.merge_lexicons(
+            [(scales, entries) for _, scales, entries, *_ in loaded], config
+        )
+        assert list(merged.rows) == list(entries)
+        assert entries_of(merged) == entries
+        expected = f"merge: {n_collisions} surface words collapsed onto existing keys"
+        assert logged == ([f"{expected} ({config.mode} mode)"] if n_collisions else [])
+        surfaces = set().union(*(source.entries for source, *_ in loaded))
+        assert merged.surface_rows == {w: merged.rows[config.key(w)] for w in surfaces}
+        if n_collisions:
+            reached.add(f"collisions in {config.mode} mode")
+        # sources per surface word and dimension
+        per_cell = Counter(
+            (word, dim)
+            for _, _, entries, *_ in loaded
+            for word, dims in entries.items()
+            for dim in dims
+        )
+        if any(n % 2 == 0 for n in per_cell.values()):
+            reached.add("even-count median")
+        if any(n > 2 for n in per_cell.values()):
+            reached.add("median of three or more")
+    assert reached == {
+        "collisions in stem mode",
+        "collisions in lemma mode",
+        "even-count median",
+        "median of three or more",
+    }
+
+
+BAD_CELLS = ("x", "nan", "-inf", "1e999", "-1", "99", "", " ", "valence", "dominance")
+ROW_ERRORS = (
+    "cells, but the header has", "empty word", "unknown dimension", "not a number",
+    "not a finite number", "scale_min must be below", "conflicting scale",
+    "outside declared scale", "negative sd",
+)
+
+
+def corrupt(rng, path, delimiter):
+    """Damage one to four cells or row widths of a written file, at random,
+    in one row half the time, so one row often fails several checks."""
+    lines = list(io.StringIO(path.read_text(encoding="utf-8"), newline=""))
+    row = int(rng.integers(1, len(lines))) if len(lines) > 1 else 0
+    one_row = rng.random() < 0.5
+    for _ in range(int(rng.integers(1, 5))):
+        at = row if one_row else int(rng.integers(1, len(lines))) if len(lines) > 1 else 0
+        body = lines[at].rstrip("\r\n")
+        cells = body.split(delimiter)
+        kind = rng.random()
+        if kind < 0.1:
+            cells.pop()
+        elif kind < 0.2:
+            cells.append("7")
+        else:
+            cells[int(rng.integers(len(cells)))] = BAD_CELLS[int(rng.integers(len(BAD_CELLS)))]
+        lines[at] = delimiter.join(cells) + lines[at][len(body):]
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+def outcome(load):
+    """What a loader gives: its scales and entries, or its error message."""
+    try:
+        result = load()
+    except LexiconFormatError as exc:
+        return str(exc)
+    if isinstance(result, SourceLexicon):
+        return result.scales, entries_of(result)
+    return result[:2]
+
+
+def test_damaged_files_give_the_row_by_row_loaders_message(tmp_path):
+    rng = np.random.default_rng(92)
+    reached = set()
+    for case in range(300):
+        path = tmp_path / f"bad{case}.csv"
+        if rng.random() < 0.5:
+            descriptor, _ = random_described(rng, path)
+            corrupt(rng, path, descriptor["delimiter"])
+            expected = outcome(lambda: oracles.load_described(path, descriptor))
+        else:
+            descriptor, _ = random_canonical(rng, path)
+            corrupt(rng, path, ",")
+            expected = outcome(lambda: oracles.load_canonical(path))
+        assert outcome(lambda: load_lexicon(path, descriptor=descriptor)) == expected
+        reached.update(kind for kind in ROW_ERRORS if kind in expected)
+    assert reached == set(ROW_ERRORS)
+
+
+def test_lexicon_sizes_count_what_the_tracer_reads(tmp_path):
+    """len(source) counts distinct surface words, len(merged) distinct keys;
+    the surface words the merge loses are its key collisions."""
+    path = tmp_path / "norms.csv"
+    write_canonical(path, [
+        ["ceniza", "valence", "2.0", "", "1", "9"],
+        ["cenizas", "valence", "4.0", "", "1", "9"],
+        ["ceniza", "arousal", "5.0", "1", "1", "9"],
+        ["amor", "valence", "8.0", "", "1", "9"],
+    ])
+    lex = load_lexicon(path)
+    assert len(lex) == 3
+    assert set(lex.entries) == {"ceniza", "cenizas", "amor"}
+    merged = merge_lexicons([lex], STEMMED)
+    assert len(merged) == 2  # ceniz, amor
+    assert len(set(lex.entries)) - len(merged) == 1
+
+
+@pytest.mark.parametrize("text", [
+    "a,b\nc,d\n",
+    "a,b\r\nc,d\r\n",
+    "a,b\rc,d\r",
+    "a,b\r\r\nc\n\rd",
+    "a\x0cb,c\nd\x85e,f\ng\u2028h,i \n",
+    'w,"two\nlines",x\r\n"three\r\nmore\rlines",y,z\n',
+    "no trailing newline",
+    "",
+], ids=["lf", "crlf", "cr", "mixed", "other separators", "quoted newlines", "no end", "empty"])
+def test_lines_split_as_stringio_splits(text):
+    assert list(_lines(text)) == list(io.StringIO(text, newline=""))
+    assert list(csv.reader(_lines(text))) == list(csv.reader(io.StringIO(text, newline="")))
+
+
+CANONICAL_HEADER = "word,dimension,mean,sd,scale_min,scale_max\n"
+
+
+@pytest.mark.parametrize("text, descriptor, message", [
+    (
+        CANONICAL_HEADER + '"amor\nmio",valence,5,1,1,9\nodio,valence,x,1,1,9\n',
+        None,
+        "line 4: not a number: 'x'",
+    ),
+    (
+        CANONICAL_HEADER + "amor,valence,5,1,1,9\nodio,valence,5,1,1,9\nsol,arousal,5,-0.5,1,9\n",
+        None,
+        "line 4: negative sd -0.5",
+    ),
+    (
+        "w\tv\ta\namor\t5\t4\nodio\t3\t8\n",
+        {"word_column": "w", "delimiter": "\t", "dimensions": {
+            "valence": {"mean": "v", "scale": [1, 7]},
+            "arousal": {"mean": "a", "scale": [1, 7]},
+        }},
+        "line 3: arousal mean 8.0 outside declared scale [1.0, 7.0]",
+    ),
+    (CANONICAL_HEADER + "amor,valence,5,1,1,9\nodio,valence,5,1\n", None, "line 3: 4 cells"),
+    (CANONICAL_HEADER + "amor,valence,5,1,1,9,7\n", None, "line 2: 7 cells"),
+    (
+        CANONICAL_HEADER + "amor,valence,x,1,1,9\n" + '"' + "a" * 140_000 + "\n",
+        None,
+        "line 2: not a number: 'x'",
+    ),
+], ids=["after a quoted multi-line field", "negative sd in the last row",
+        "second dimension out of range", "short row", "long row",
+        "before a field the csv reader rejects"])
+def test_bad_row_message_equals_the_row_by_row_loader(tmp_path, text, descriptor, message):
+    path = tmp_path / "norms.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(LexiconFormatError) as new:
+        load_lexicon(path, descriptor=descriptor)
+    with pytest.raises(LexiconFormatError) as old:
+        if descriptor is None:
+            oracles.load_canonical(path)
+        else:
+            oracles.load_described(path, descriptor)
+    assert str(new.value) == str(old.value)
+    assert message in str(new.value)
