@@ -19,9 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import DEFAULT_CATALOG, AnnotationSet, FeatureCatalog
+from .corpus import ANNOTATED_FEATURES, ORDINAL_FEATURES, AnnotationSet
 
 __all__ = [
+    "AGREEMENT_THRESHOLD",
     "AgreementError",
     "AgreementRow",
     "AlphaResult",
@@ -106,9 +107,7 @@ def reliability_from_sets(
 ) -> ReliabilityMatrix:
     """Collect one feature across annotation sets into a reliability matrix.
 
-    Units are the sets' sonnets: the first set's in order, then any
-    sonnet only a later set covers.  A sonnet a set does not cover is
-    missing for that rater.
+    Units are the sets' sonnets, which every set covers in the same order.
     """
     if not sets:
         raise ValueError("need at least one annotation set")
@@ -116,15 +115,9 @@ def reliability_from_sets(
     if len(set(raters)) != len(raters):
         raise ValueError("annotator ids are not unique")
     units = sets[0].sonnet_ids
-    if all(s.sonnet_ids == units for s in sets[1:]):
-        values = np.column_stack([s.column(feature) for s in sets])
-    else:
-        # sets covering different sonnets: the union, in order of first appearance
-        units = tuple(dict.fromkeys(sid for s in sets for sid in s.sonnet_ids))
-        row_of = {sid: i for i, sid in enumerate(units)}
-        values = np.full((len(units), len(sets)), np.nan)
-        for col, s in enumerate(sets):
-            values[[row_of[sid] for sid in s.sonnet_ids], col] = s.column(feature)
+    if any(s.sonnet_ids != units for s in sets[1:]):
+        raise ValueError("annotation sets cover different sonnets")
+    values = np.column_stack([s.column(feature) for s in sets])
     return ReliabilityMatrix(level=level, raters=raters, units=units, values=values)
 
 
@@ -211,7 +204,6 @@ def _alpha_cell(sets: Sequence[AnnotationSet], feature: str, level: str) -> Alph
 def agreement_report(
     sets: Sequence[AnnotationSet],
     median: AnnotationSet | None = None,
-    catalog: FeatureCatalog = DEFAULT_CATALOG,
 ) -> list[AgreementRow]:
     """Alpha table over every annotated feature.
 
@@ -222,8 +214,8 @@ def agreement_report(
     if len(sets) < 2:
         raise ValueError("need at least two annotation sets")
     rows = []
-    for feature in catalog.all_features:
-        level = "ordinal" if feature in catalog.ordinal else "nominal"
+    for feature in ANNOTATED_FEATURES:
+        level = "ordinal" if feature in ORDINAL_FEATURES else "nominal"
         cells: dict[str, AlphaResult | None] = {}
         cells["all"] = _alpha_cell(sets, feature, level)
         for i in range(len(sets)):

@@ -11,36 +11,37 @@ psychological tags missing in exactly one of the three sets.
 from __future__ import annotations
 
 import csv
-import io
 import logging
 import math
 from dataclasses import dataclass, field
-from itertools import compress
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .textnorm import InputError, read_input
+from .textnorm import InputError, csv_rows, read_input, split_lines
 
 __all__ = [
+    "ALL_CATEGORY",
+    "ANNOTATED_FEATURES",
     "AnnotationFormatError",
     "AnnotationSet",
     "Corpus",
     "CorpusFormatError",
     "CorpusStats",
-    "DEFAULT_CATALOG",
-    "FeatureCatalog",
     "HistogramBin",
+    "MEDIAN_ANNOTATOR_ID",
+    "ORDINAL_FEATURES",
+    "PSYCHOLOGICAL_TAGS",
     "Sonnet",
     "UnfilledCell",
     "build_median_annotator",
+    "categories",
     "corpus_statistics",
     "fill_missing_psych",
     "load_annotation_set",
     "load_corpus",
     "reverse_ordinal_scale",
-    "subset_by_tag",
 ]
 
 logger = logging.getLogger(__name__)
@@ -59,56 +60,44 @@ class CorpusFormatError(InputError):
     """Malformed corpus metadata or unreadable sonnet text."""
 
 
-@dataclass(frozen=True)
-class FeatureCatalog:
-    """Names and kinds of the annotated features.
-
-    Affective and lexico-semantic features are ordinal on a 1..4 scale
-    and are never missing; psychological tags are binary 0/1 and may be
-    missing.  Names are case-sensitive: the ordinal 'fear' and 'anger'
-    are distinct from the capitalized psychological tags.
-    """
-
-    affective: tuple[str, ...]
-    lexico_semantic: tuple[str, ...]
-    psychological: tuple[str, ...]
-
-    @property
-    def ordinal(self) -> tuple[str, ...]:
-        return self.affective + self.lexico_semantic
-
-    @property
-    def all_features(self) -> tuple[str, ...]:
-        return self.affective + self.lexico_semantic + self.psychological
-
-
-DEFAULT_CATALOG = FeatureCatalog(
-    affective=("valence", "arousal", "happiness", "anger", "sadness", "fear", "disgust"),
-    lexico_semantic=("concreteness", "imageability", "context availability"),
-    psychological=(
-        "Anxiety",
-        "Aversion",
-        "Depression",
-        "Disappointment",
-        "Dramatisation",
-        "Illusion",
-        "Helplessness",
-        "Instability",
-        "Insecurity",
-        "Anger",
-        "Obsession",
-        "Pride",
-        "Prejudice",
-        "Fear (binary)",
-        "Vulnerability",
-        "Compulsion",
-        "Daydream",
-        "Grandeur",
-        "Idealization",
-        "Irritability",
-        "Solitude",
-    ),
+# The annotated features.  The seven affective and three lexico-semantic
+# features are ordinal on a 1..4 scale and are never missing; the
+# psychological tags are binary 0/1 and may be missing.  Names are
+# case-sensitive: the ordinal 'fear' and 'anger' are distinct from the
+# capitalized tags 'Fear (binary)' and 'Anger'.
+ORDINAL_FEATURES: tuple[str, ...] = (
+    "valence", "arousal", "happiness", "anger", "sadness", "fear", "disgust",
+    "concreteness", "imageability", "context availability",
 )
+PSYCHOLOGICAL_TAGS: tuple[str, ...] = (
+    "Anxiety",
+    "Aversion",
+    "Depression",
+    "Disappointment",
+    "Dramatisation",
+    "Illusion",
+    "Helplessness",
+    "Instability",
+    "Insecurity",
+    "Anger",
+    "Obsession",
+    "Pride",
+    "Prejudice",
+    "Fear (binary)",
+    "Vulnerability",
+    "Compulsion",
+    "Daydream",
+    "Grandeur",
+    "Idealization",
+    "Irritability",
+    "Solitude",
+)
+# The columns of every annotation set: ordinal features, then tags.
+ANNOTATED_FEATURES = ORDINAL_FEATURES + PSYCHOLOGICAL_TAGS
+_COLUMN = {feature: j for j, feature in enumerate(ANNOTATED_FEATURES)}
+
+# The category of the whole corpus, beside one per psychological tag.
+ALL_CATEGORY = "all"
 
 
 @dataclass(frozen=True)
@@ -147,35 +136,28 @@ class Corpus:
 class AnnotationSet:
     """One annotator's matrix of sonnet-by-feature values.
 
-    ``values`` is an n x len(features) float array: rows follow
-    ``sonnet_ids``, columns follow ``features``, and NaN marks a missing
-    cell.  The median annotator produced by fusion reuses this type with
-    ``annotator_id`` 0 and may hold half-integer values where an even
-    count had to be averaged.  No generated ``__eq__``: an array field
-    has no single truth value.
+    ``values`` is an n x len(ANNOTATED_FEATURES) float array: rows follow
+    ``sonnet_ids``, columns follow ``ANNOTATED_FEATURES``, and NaN marks a
+    missing cell.  The median annotator produced by fusion reuses this
+    type with ``annotator_id`` 0 and may hold half-integer values where an
+    even count had to be averaged.  No generated ``__eq__``: an array
+    field has no single truth value.
     """
 
     annotator_id: int
     sonnet_ids: tuple[str, ...]
-    features: tuple[str, ...]
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.values.shape != (len(self.sonnet_ids), len(self.features)):
+        if self.values.shape != (len(self.sonnet_ids), len(ANNOTATED_FEATURES)):
             raise ValueError(
-                f"values must be {len(self.sonnet_ids)} x {len(self.features)} "
+                f"values must be {len(self.sonnet_ids)} x {len(ANNOTATED_FEATURES)} "
                 f"(sonnets x features), got {self.values.shape}"
             )
 
     def column(self, feature: str) -> np.ndarray:
-        """One feature's values in ``sonnet_ids`` order, NaN where missing.
-
-        A view into ``values``.  A feature the set does not carry reads
-        as missing everywhere (a new array).
-        """
-        if feature not in self.features:
-            return np.full(len(self.sonnet_ids), np.nan)
-        return self.values[:, self.features.index(feature)]
+        """One feature's values in ``sonnet_ids`` order, NaN where missing (a view)."""
+        return self.values[:, _COLUMN[feature]]
 
 
 class UnfilledCell(NamedTuple):
@@ -215,9 +197,9 @@ def load_corpus(metadata_path: str | Path, corpus_root: str | Path | None) -> Co
     loading for commands that only need identities.
     """
     metadata_path = Path(metadata_path)
-    text = read_input(metadata_path, "metadata file")
-    reader = csv.DictReader(io.StringIO(text, newline=""))
-    header = reader.fieldnames or []
+    reader = csv.reader(split_lines(read_input(metadata_path, "metadata file")))
+    rows = csv_rows(reader, metadata_path, CorpusFormatError)
+    header = next(rows, [])
     missing = [c for c in _METADATA_COLUMNS if c not in header]
     if missing:
         raise CorpusFormatError(
@@ -225,9 +207,10 @@ def load_corpus(metadata_path: str | Path, corpus_root: str | Path | None) -> Co
         )
     sonnets = []
     first_line: dict[str, int] = {}
-    for row in reader:
+    for cells in filter(None, rows):  # a blank line is no row
         lineno = reader.line_num
-        sonnet_id = (row["id_sonnet"] or "").strip()
+        row = dict(zip(header, cells))  # a short row's last columns are blank
+        sonnet_id = row.get("id_sonnet", "").strip()
         if not sonnet_id:
             raise CorpusFormatError(f"{metadata_path}: line {lineno}: empty id_sonnet")
         if sonnet_id in first_line:
@@ -238,7 +221,7 @@ def load_corpus(metadata_path: str | Path, corpus_root: str | Path | None) -> Co
         first_line[sonnet_id] = lineno
         sonnet_text: str | None = None
         if corpus_root is not None:
-            text_path = Path(corpus_root) / (row["file_path"] or "").strip()
+            text_path = Path(corpus_root) / row.get("file_path", "").strip()
             try:
                 sonnet_text = read_input(text_path, "sonnet text")
             except InputError as exc:
@@ -246,9 +229,9 @@ def load_corpus(metadata_path: str | Path, corpus_root: str | Path | None) -> Co
         sonnets.append(
             Sonnet(
                 sonnet_id=sonnet_id,
-                author=(row["author"] or "").strip(),
-                year=(row["year"] or "").strip(),
-                title=(row["title"] or "").strip(),
+                author=row.get("author", "").strip(),
+                year=row.get("year", "").strip(),
+                title=row.get("title", "").strip(),
                 text=sonnet_text,
             )
         )
@@ -260,12 +243,11 @@ def load_corpus(metadata_path: str | Path, corpus_root: str | Path | None) -> Co
 def load_annotation_set(
     path: str | Path,
     annotator_id: int,
-    catalog: FeatureCatalog = DEFAULT_CATALOG,
     sonnet_ids: Sequence[str] | None = None,
 ) -> AnnotationSet:
     """Read one annotator's delimited file and validate every cell.
 
-    The header must name exactly the catalog features (any order).  Rows
+    The header must name exactly the annotated features (any order).  Rows
     follow metadata order; when ``sonnet_ids`` is given the row count
     must match and rows are keyed by those ids, otherwise synthetic ids
     s0001, s0002, ... are assigned.  Ordinal cells must be integers in
@@ -273,21 +255,21 @@ def load_annotation_set(
     empty.  All violations report row and column coordinates.
     """
     path = Path(path)
-    reader = csv.reader(io.StringIO(read_input(path, "annotation file"), newline=""))
+    reader = csv.reader(split_lines(read_input(path, "annotation file")))
+    lines = csv_rows(reader, path, AnnotationFormatError)
     # (physical line, cells) of every row that is not blank
-    rows = [(reader.line_num, row) for row in reader if any(cell.strip() for cell in row)]
+    rows = [(reader.line_num, row) for row in lines if any(cell.strip() for cell in row)]
     if not rows:
         raise AnnotationFormatError(f"{path}: file is empty")
     header_line, header = rows[0][0], [h.strip() for h in rows[0][1]]
-    known = set(catalog.all_features)
     for col, name in enumerate(header, start=1):
-        if name not in known:
+        if name not in _COLUMN:
             raise AnnotationFormatError(
                 f"{path}: row {header_line}, column {col}: unknown feature name {name!r}"
             )
     if len(set(header)) != len(header):
         raise AnnotationFormatError(f"{path}: duplicate feature columns in header")
-    absent = [f for f in catalog.all_features if f not in header]
+    absent = [f for f in ANNOTATED_FEATURES if f not in header]
     if absent:
         raise AnnotationFormatError(f"{path}: missing feature columns: {', '.join(absent)}")
 
@@ -301,7 +283,7 @@ def load_annotation_set(
     else:
         ids = tuple(f"s{i:04d}" for i in range(1, len(data_rows) + 1))
 
-    ordinal = [feature in catalog.ordinal for feature in header]
+    ordinal = [feature in ORDINAL_FEATURES for feature in header]
     parsed = []
     for lineno, row in data_rows:
         if len(row) != len(header):
@@ -321,8 +303,7 @@ def load_annotation_set(
     return AnnotationSet(
         annotator_id=annotator_id,
         sonnet_ids=ids,
-        features=tuple(catalog.all_features),
-        values=values[:, [header.index(f) for f in catalog.all_features]],
+        values=values[:, [header.index(f) for f in ANNOTATED_FEATURES]],
     )
 
 
@@ -348,76 +329,58 @@ def _annotation_cell(cell: str, is_ordinal: bool) -> float:
     return float(value)
 
 
-def reverse_ordinal_scale(
-    annotation_set: AnnotationSet,
-    feature: str,
-    catalog: FeatureCatalog = DEFAULT_CATALOG,
-) -> AnnotationSet:
+def reverse_ordinal_scale(annotation_set: AnnotationSet, feature: str) -> AnnotationSet:
     """Map an ordinal feature through x -> 5 - x (1..4 scale flip).
 
     Used for annotators who applied the scale in the opposite direction.
     Applying it twice is the identity.
     """
-    if feature not in catalog.ordinal:
+    if feature not in ORDINAL_FEATURES:
         raise ValueError(f"{feature!r} is not an ordinal feature")
     values = annotation_set.values.copy()
-    if feature in annotation_set.features:
-        col = annotation_set.features.index(feature)
-        values[:, col] = float(ORDINAL_MIN + ORDINAL_MAX) - values[:, col]
+    col = _COLUMN[feature]
+    values[:, col] = float(ORDINAL_MIN + ORDINAL_MAX) - values[:, col]
     return AnnotationSet(
         annotator_id=annotation_set.annotator_id,
         sonnet_ids=annotation_set.sonnet_ids,
-        features=annotation_set.features,
         values=values,
     )
 
 
-def _stacked(sets: Sequence[AnnotationSet], catalog: FeatureCatalog) -> np.ndarray:
-    """Three aligned sets as one new sets x sonnets x catalog-features cube.
-
-    Columns follow ``catalog.all_features``; a feature a set does not
-    carry is missing (NaN) throughout.
-    """
+def _stacked(sets: Sequence[AnnotationSet]) -> np.ndarray:
+    """Three aligned sets as one new sets x sonnets x features cube."""
     if len(sets) != 3:
         raise ValueError(f"expected exactly 3 annotation sets, got {len(sets)}")
     first = sets[0].sonnet_ids
     if any(s.sonnet_ids != first for s in sets[1:]):
         raise ValueError("annotation sets cover different sonnets")
-    features = catalog.all_features
-    return np.stack([
-        s.values if s.features == features
-        else np.column_stack([s.column(f) for f in features])
-        for s in sets
-    ])
+    return np.stack([s.values for s in sets])
 
 
 def fill_missing_psych(
     sets: Sequence[AnnotationSet],
-    catalog: FeatureCatalog = DEFAULT_CATALOG,
 ) -> tuple[list[AnnotationSet], list[UnfilledCell]]:
     """Fill psychological cells missing in exactly one of three sets with 0.
 
     A tag left blank by a single annotator is read as 'not confirmed'
     rather than unknown.  Cells missing in two or all three sets are
-    left missing and returned for reporting, sonnet by sonnet.  The
-    filled sets carry the catalog's features in catalog order.
+    left missing and returned for reporting, sonnet by sonnet.
     """
-    cube = _stacked(sets, catalog)
-    # psychological tags are the catalog's last columns (a view)
-    tags = cube[:, :, len(catalog.ordinal):]
+    cube = _stacked(sets)
+    # psychological tags are the last columns (a view)
+    tags = cube[:, :, len(ORDINAL_FEATURES):]
     present = ~np.isnan(tags)
     n_present = present.sum(axis=0)
     tags[~present & (n_present == 2)] = 0.0
     ids = sets[0].sonnet_ids
     unfilled = [
-        UnfilledCell(ids[row], catalog.psychological[col], int(n_present[row, col]))
+        UnfilledCell(ids[row], PSYCHOLOGICAL_TAGS[col], int(n_present[row, col]))
         for row, col in zip(*np.nonzero(n_present < 2))
     ]
     result = [
         AnnotationSet(
             annotator_id=s.annotator_id,
             sonnet_ids=s.sonnet_ids,
-            features=catalog.all_features,
             values=values,
         )
         for s, values in zip(sets, cube)
@@ -427,10 +390,7 @@ def fill_missing_psych(
     return result, unfilled
 
 
-def build_median_annotator(
-    sets: Sequence[AnnotationSet],
-    catalog: FeatureCatalog = DEFAULT_CATALOG,
-) -> AnnotationSet:
+def build_median_annotator(sets: Sequence[AnnotationSet]) -> AnnotationSet:
     """Fuse three aligned annotation sets into a median annotator.
 
     Cells with three values take the middle one; the median of a binary
@@ -441,19 +401,18 @@ def build_median_annotator(
     been applied already.
     """
     # NaN sorts last, so a cell's present values come first, in order
-    cube = np.sort(_stacked(sets, catalog), axis=0)
+    cube = np.sort(_stacked(sets), axis=0)
     n_present = (~np.isnan(cube)).sum(axis=0)
     low, middle = cube[0], cube[1]
     two = n_present == 2
     split = two & (low != middle)
-    features = catalog.all_features
-    binary = np.arange(len(features)) >= len(catalog.ordinal)
+    binary = np.arange(len(ANNOTATED_FEATURES)) >= len(ORDINAL_FEATURES)
     values = np.where(n_present == 3, middle, np.nan)
     values[two] = 0.5 * (low[two] + middle[two])
     values[split & binary] = 0.0
     ids = sets[0].sonnet_ids
     for row, col in zip(*np.nonzero(split)):
-        sid, feature = ids[row], features[col]
+        sid, feature = ids[row], ANNOTATED_FEATURES[col]
         if binary[col]:
             logger.info("median %s/%s: 0/1 split over two values resolved to 0", sid, feature)
         else:
@@ -464,34 +423,26 @@ def build_median_annotator(
     return AnnotationSet(
         annotator_id=MEDIAN_ANNOTATOR_ID,
         sonnet_ids=ids,
-        features=features,
         values=values,
     )
 
 
-def subset_by_tag(
-    median: AnnotationSet,
-    tag: str,
-    catalog: FeatureCatalog = DEFAULT_CATALOG,
-) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Split sonnet ids into (tagged, untagged) by the median tag value.
+def categories(median: AnnotationSet) -> list[tuple[str, np.ndarray]]:
+    """The corpus categories, each with the mask of its rows of ``median``.
 
-    A missing median cell counts as untagged, so the two groups always
-    partition the full corpus.
+    First ALL_CATEGORY with every row, then each psychological tag in
+    ``PSYCHOLOGICAL_TAGS`` order with the rows whose median tag value is
+    1.  A missing median cell counts as untagged.
     """
-    if tag not in catalog.psychological:
-        raise ValueError(f"{tag!r} is not a psychological tag")
-    tagged = (median.column(tag) == 1.0).tolist()
-    return (
-        tuple(compress(median.sonnet_ids, tagged)),
-        tuple(compress(median.sonnet_ids, [not t for t in tagged])),
-    )
+    tagged = median.values[:, len(ORDINAL_FEATURES):] == 1.0
+    return [(ALL_CATEGORY, np.ones(len(median.sonnet_ids), bool))] + [
+        (tag, tagged[:, j]) for j, tag in enumerate(PSYCHOLOGICAL_TAGS)
+    ]
 
 
 def corpus_statistics(
     keys: Mapping[str, Sequence[str]],
     median: AnnotationSet,
-    catalog: FeatureCatalog = DEFAULT_CATALOG,
     n_bins: int = 10,
 ) -> CorpusStats:
     """Word-count distribution and per-tag counts.
@@ -522,9 +473,7 @@ def corpus_statistics(
             HistogramBin(lo + i * width, lo + (i + 1) * width, tallies[i])
             for i in range(n_bins)
         ]
-    tag_counts = {
-        tag: len(subset_by_tag(median, tag, catalog)[0]) for tag in catalog.psychological
-    }
+    tag_counts = {tag: int(rows.sum()) for tag, rows in categories(median)[1:]}
     return CorpusStats(
         n_sonnets=n,
         word_mean=mean,

@@ -24,17 +24,16 @@ import json
 import logging
 import math
 import operator
-import re
 from dataclasses import dataclass
 from itertools import compress, islice, repeat
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import DEFAULT_CATALOG, AnnotationSet, FeatureCatalog, subset_by_tag
+from .corpus import ALL_CATEGORY, AnnotationSet, categories
 from .stats import group_mean
-from .textnorm import InputError, NormalizationConfig, read_input
+from .textnorm import InputError, NormalizationConfig, csv_rows, read_input, split_lines
 
 __all__ = [
     "CANONICAL_SCALES",
@@ -145,37 +144,29 @@ def rescale_value(
 # ---------------------------------------------------------------------------
 # loading
 
-# One physical line with its end: only "\n", "\r\n" and a lone "\r" end a
-# line, as in io.StringIO(text, newline="") (str.splitlines also splits at
-# "\x0c", "\x85", "\u2028" and more).
-_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
-
-
-def _lines(text: str) -> Iterator[str]:
-    """The physical lines of ``text``, each with its end, one at a time."""
-    return map(re.Match.group, _LINE.finditer(text))
-
 
 class _Table:
     """One delimited lexicon file: its header and its non-blank rows.
 
-    The rows end at the first that cannot be used: ``stop`` is then a
-    csv reader error, or the message for a row whose width differs from
-    the header's; it is None when every row was read.  A blank line is
-    no row, as csv.DictReader skips it.  ``cells[j]`` holds column j.
+    The rows end at the first that cannot be used: ``stop`` is then the
+    error for a line the csv reader cannot parse, or the message for a
+    row whose width differs from the header's; it is None when every row
+    was read.  A blank line is no row, as csv.DictReader skips it.
+    ``cells[j]`` holds column j.
     """
 
     def __init__(self, path: Path, delimiter: str):
         self.path, self.delimiter = path, delimiter
         self.text = read_input(path, "lexicon file")
-        reader = csv.reader(_lines(self.text), delimiter=delimiter)
-        header = next(reader, [])
+        reader = csv.reader(split_lines(self.text), delimiter=delimiter)
+        rows = csv_rows(reader, path, LexiconFormatError)
+        header = next(rows, [])
         self.column = {name: j for j, name in enumerate(header)}  # a repeated name: its last
         self.rows: list[list[str]] = []
-        self.stop: str | csv.Error | None = None
+        self.stop: str | LexiconFormatError | None = None
         try:
-            self.rows.extend(filter(None, reader))
-        except csv.Error as exc:
+            self.rows.extend(filter(None, rows))
+        except LexiconFormatError as exc:
             self.stop = exc
         widths = np.fromiter(map(len, self.rows), np.intp, len(self.rows))
         wrong = np.flatnonzero(widths != len(header))
@@ -201,7 +192,7 @@ class _Table:
             raise self.stop
         else:
             return
-        reader = csv.reader(_lines(self.text), delimiter=self.delimiter)
+        reader = csv.reader(split_lines(self.text), delimiter=self.delimiter)
         next(reader, None)
         next(islice(filter(None, reader), row, None))
         raise LexiconFormatError(f"{self.path}: line {reader.line_num}: {message}")
@@ -526,15 +517,15 @@ class CoverageRow:
 
 
 def _categories(
-    sonnet_ids: Sequence[str],
-    median: AnnotationSet | None,
-    catalog: FeatureCatalog,
-) -> list[tuple[str, Sequence[str]]]:
-    cats: list[tuple[str, Sequence[str]]] = [("all", sonnet_ids)]
-    if median is not None:
-        for tag in catalog.psychological:
-            cats.append((tag, subset_by_tag(median, tag, catalog)[0]))
-    return cats
+    keys: Mapping[str, Sequence[str]], median: AnnotationSet | None
+) -> list[tuple[str, list[str]]]:
+    """Each category's sonnet ids; without a median, all of ``keys``'s sonnets only."""
+    if median is None:
+        return [(ALL_CATEGORY, list(keys))]
+    return [
+        (category, list(compress(median.sonnet_ids, members.tolist())))
+        for category, members in categories(median)
+    ]
 
 
 def coverage_report(
@@ -543,7 +534,6 @@ def coverage_report(
     merged: MergedLexicon,
     config: NormalizationConfig,
     median: AnnotationSet | None = None,
-    catalog: FeatureCatalog = DEFAULT_CATALOG,
 ) -> list[CoverageRow]:
     """Fraction of distinct corpus keys found in the merged lexicon.
 
@@ -559,7 +549,7 @@ def coverage_report(
         s.source_id: set(map(merged.surface_rows.__getitem__, s.entries)) for s in sources
     }
     rows = []
-    for category, ids in _categories(tuple(keys), median, catalog):
+    for category, ids in _categories(keys, median):
         distinct = {k for sid in ids for k in keys[sid]}
         if not distinct:
             rows.append(
@@ -598,7 +588,6 @@ def word_count_report(
     stem: Mapping[str, Sequence[str]],
     lemma: Mapping[str, Sequence[str]] | None = None,
     median: AnnotationSet | None = None,
-    catalog: FeatureCatalog = DEFAULT_CATALOG,
 ) -> list[WordCountRow]:
     """Distinct keys per category under raw, stem, and lemma modes.
 
@@ -607,7 +596,7 @@ def word_count_report(
     keys are given (no lemma table is configured).
     """
     rows = []
-    for category, ids in _categories(tuple(raw), median, catalog):
+    for category, ids in _categories(raw, median):
         raw_n, stem_n, lemma_n = (
             None if keys is None else len({k for sid in ids for k in keys[sid]})
             for keys in (raw, stem, lemma)

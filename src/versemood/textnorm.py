@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import csv
 import functools
+import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from typing import Iterator
 
 from . import snowball_es
 
@@ -21,11 +23,13 @@ __all__ = [
     "MODES",
     "InputError",
     "NormalizationConfig",
+    "csv_rows",
     "default_stopwords",
     "load_lemma_table",
     "load_stopwords",
     "normalize",
     "read_input",
+    "split_lines",
     "stem",
     "tokenize",
 ]
@@ -57,6 +61,31 @@ def read_input(path: str | Path, what: str) -> str:
         ) from None
 
 
+# One physical line with its end: only "\n", "\r\n" and a lone "\r" end a
+# line, as in io.StringIO(text, newline="") (str.splitlines also splits at
+# "\x0c", "\x85", "\u2028" and more).
+_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+
+
+def split_lines(text: str) -> Iterator[str]:
+    """The physical lines of ``text``, each with its end, one at a time."""
+    return map(re.Match.group, _LINE.finditer(text))
+
+
+def csv_rows(
+    reader: Iterator[list[str]], path: str | Path, error: type[InputError]
+) -> Iterator[list[str]]:
+    """The rows of a csv reader over the file ``path``.
+
+    A csv.Error, such as a field past the csv module's size limit,
+    raises ``error`` naming the file and the reader's line.
+    """
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise error(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 _stem_cached = functools.lru_cache(maxsize=None)(snowball_es.stem)
 
 
@@ -85,16 +114,16 @@ def load_lemma_table(path: str | Path) -> dict[str, str]:
     comma.  Surfaces and lemmas are lowercased; duplicate surfaces keep
     the first entry.
     """
-    raw = read_input(path, "lemma table").splitlines()
-    # physical line numbers of the lines that are not blank
-    numbers = [n for n, line in enumerate(raw, start=1) if line.strip()]
-    if not numbers:
+    lines = list(split_lines(read_input(path, "lemma table")))
+    first = next((line for line in lines if line.strip()), None)
+    if first is None:
         raise InputError(f"{path}: lemma table is empty")
-    delim = "\t" if "\t" in raw[numbers[0] - 1] else ","
+    delim = "\t" if "\t" in first else ","
     table: dict[str, str] = {}
-    reader = csv.reader((raw[n - 1] for n in numbers), delimiter=delim)
-    for row in reader:
-        lineno = numbers[reader.line_num - 1]
+    # a blank line reads as an empty row, so line numbers stay physical
+    reader = csv.reader((line if line.strip() else "" for line in lines), delimiter=delim)
+    for row in filter(None, csv_rows(reader, path, InputError)):
+        lineno = reader.line_num
         if len(row) < 2:
             raise InputError(f"{path}: line {lineno}: expected two columns")
         surface = row[0].strip().lower()

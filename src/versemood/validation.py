@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import DEFAULT_CATALOG, AnnotationSet, FeatureCatalog, subset_by_tag
+from .corpus import ORDINAL_FEATURES, AnnotationSet, categories
 from .features import (
     FEATURE_INDEX,
     FEATURE_NAMES,
@@ -32,7 +32,6 @@ from .features import (
 from .stats import LinearDesign, RankDeficiencyError, one_way_anova, spearman
 
 __all__ = [
-    "ALL_CATEGORY",
     "AnovaReport",
     "AnovaRow",
     "BivariateCell",
@@ -45,8 +44,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-ALL_CATEGORY = "all"
 
 SIGNIFICANCE_LEVEL = 0.05
 
@@ -81,11 +78,7 @@ def _require_aligned(matrix: FeatureMatrix, median: AnnotationSet) -> None:
         raise ValueError("the median annotator and the feature matrix cover different sonnets")
 
 
-def bivariate_report(
-    matrix: FeatureMatrix,
-    median: AnnotationSet,
-    catalog: FeatureCatalog = DEFAULT_CATALOG,
-) -> list[BivariateCell]:
+def bivariate_report(matrix: FeatureMatrix, median: AnnotationSet) -> list[BivariateCell]:
     """Spearman rho for every annotated feature against all 32 features.
 
     The median covers the matrix's sonnets in the same order.  Sonnets
@@ -94,7 +87,7 @@ def bivariate_report(
     """
     _require_aligned(matrix, median)
     cells = []
-    for annotated in catalog.ordinal:
+    for annotated in ORDINAL_FEATURES:
         annotated_values = median.column(annotated)
         annotated_defined = ~np.isnan(annotated_values)
         for gam_feature in FEATURE_NAMES:
@@ -273,9 +266,7 @@ def _category_rows(
 
 
 def partial_dependence_report(
-    matrix: FeatureMatrix,
-    median: AnnotationSet,
-    catalog: FeatureCatalog = DEFAULT_CATALOG,
+    matrix: FeatureMatrix, median: AnnotationSet
 ) -> list[PartialDependenceRow]:
     """Per-category regressions of each annotated feature on the profile.
 
@@ -285,12 +276,9 @@ def partial_dependence_report(
     predictors are dropped listwise per category.
     """
     _require_aligned(matrix, median)
-    categories = [(ALL_CATEGORY, np.arange(len(matrix.sonnet_ids)))]
-    for tag in catalog.psychological:
-        categories.append((tag, np.flatnonzero(median.column(tag) == 1.0)))
     rows = []
-    for category, index in categories:
-        rows.extend(_category_rows(matrix.values, index, median, category))
+    for category, members in categories(median):
+        rows.extend(_category_rows(matrix.values, np.flatnonzero(members), median, category))
     return rows
 
 
@@ -318,23 +306,19 @@ class AnovaReport:
     skipped: tuple[tuple[str, str, str], ...]
 
 
-def anova_report(
-    matrix: FeatureMatrix,
-    median: AnnotationSet,
-    catalog: FeatureCatalog = DEFAULT_CATALOG,
-) -> AnovaReport:
+def anova_report(matrix: FeatureMatrix, median: AnnotationSet) -> AnovaReport:
     """One-way ANOVA of every mean feature between tagged and untagged.
 
-    All tag-by-feature combinations are tested; only those significant
-    at the 0.05 level become rows.  Combinations that cannot run (a
-    group with fewer than two defined values) are listed as skipped.
+    The median covers the matrix's sonnets in the same order.  All
+    tag-by-feature combinations are tested; only those significant at
+    the 0.05 level become rows.  Combinations that cannot run (a group
+    with fewer than two defined values) are listed as skipped.
     """
+    _require_aligned(matrix, median)
     rows: list[AnovaRow] = []
     skipped: list[tuple[str, str, str]] = []
     n_total = 0
-    for tag in catalog.psychological:
-        in_set = set(subset_by_tag(median, tag, catalog)[0])
-        tagged = np.array([sid in in_set for sid in matrix.sonnet_ids], dtype=bool)
+    for tag, tagged in categories(median)[1:]:
         for feature in MEAN_FEATURES:
             n_total += 1
             column = matrix.column(feature)

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from versemood.agreement import ReliabilityMatrix
-from versemood.corpus import AnnotationSet
+from versemood.corpus import ANNOTATED_FEATURES, AnnotationSet
 from versemood.features import FEATURE_NAMES, compute_corpus_matrix
 from versemood.lexicon import CANONICAL_SCALES, DIMENSIONS, MergedLexicon, SourceLexicon
 
@@ -27,13 +27,17 @@ def _array(rows, cols, cells):
 
 
 def annotation_set(annotator_id, sonnet_ids, features, cells):
-    """An AnnotationSet holding ``cells[(sonnet_id, feature)]``."""
-    sonnet_ids, features = tuple(sonnet_ids), tuple(features)
+    """An AnnotationSet holding ``cells[(sonnet_id, feature)]``.
+
+    Each of ``features`` sits in its ANNOTATED_FEATURES column; every
+    other cell is missing.
+    """
+    sonnet_ids = tuple(sonnet_ids)
+    assert {feature for _, feature in cells} <= set(features), "a cell of an unnamed feature"
     return AnnotationSet(
         annotator_id=annotator_id,
         sonnet_ids=sonnet_ids,
-        features=features,
-        values=_array(sonnet_ids, features, cells),
+        values=_array(sonnet_ids, ANNOTATED_FEATURES, cells),
     )
 
 
@@ -48,7 +52,7 @@ def reliability_matrix(level, raters, units, cells):
 def cells_of(table):
     """The present cells of an AnnotationSet or a ReliabilityMatrix."""
     if isinstance(table, AnnotationSet):
-        rows, cols = table.sonnet_ids, table.features
+        rows, cols = table.sonnet_ids, ANNOTATED_FEATURES
     else:
         rows, cols = table.units, table.raters
     return {

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from versemood.corpus import DEFAULT_CATALOG
+from versemood.corpus import ANNOTATED_FEATURES, ORDINAL_FEATURES, PSYCHOLOGICAL_TAGS
 
 VOCAB = [
     "amor", "muerte", "cielo", "fuego", "llama", "ceniza", "sombra", "luz",
@@ -36,7 +36,6 @@ CANONICAL_DIMS = {
 
 def build_workspace(root: Path, n_sonnets: int = 40, seed: int = 20260817) -> Path:
     rng = np.random.default_rng(seed)
-    catalog = DEFAULT_CATALOG
     root.mkdir(parents=True, exist_ok=True)
     texts = root / "texts"
     texts.mkdir(exist_ok=True)
@@ -97,20 +96,20 @@ def build_workspace(root: Path, n_sonnets: int = 40, seed: int = 20260817) -> Pa
 
     base = {}
     for sid in ids:
-        for feat in catalog.ordinal:
+        for feat in ORDINAL_FEATURES:
             base[(sid, feat)] = int(rng.integers(1, 5))
-        for feat in catalog.psychological:
+        for feat in PSYCHOLOGICAL_TAGS:
             base[(sid, feat)] = int(rng.integers(0, 2))
     for annotator in (1, 2, 3):
         with (root / f"annotator{annotator}.csv").open("w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            header = list(catalog.all_features)
+            header = list(ANNOTATED_FEATURES)
             writer.writerow(header)
             for sid in ids:
                 row = []
                 for feat in header:
                     value = base[(sid, feat)]
-                    if feat in catalog.ordinal:
+                    if feat in ORDINAL_FEATURES:
                         if rng.random() < 0.35:
                             value = int(np.clip(value + rng.integers(-1, 2), 1, 4))
                         if annotator == 1 and feat == "valence":

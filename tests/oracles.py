@@ -157,7 +157,7 @@ def krippendorff_alpha(units: list[list[float]], level: str) -> float:
     return 1.0 - d_obs / d_exp
 
 
-def fill_missing_psych(cells, sonnet_ids, catalog):
+def fill_missing_psych(cells, sonnet_ids):
     """The missing-tag fill the literal way: one dict lookup per cell.
 
     ``cells`` holds each of the three sets' present cells as
@@ -165,10 +165,12 @@ def fill_missing_psych(cells, sonnet_ids, catalog):
     unfilled (sonnet_id, tag, n_present) triples in emission order, and
     the log messages.
     """
+    from versemood.corpus import PSYCHOLOGICAL_TAGS
+
     filled = [dict(c) for c in cells]
     unfilled = []
     for sid in sonnet_ids:
-        for tag in catalog.psychological:
+        for tag in PSYCHOLOGICAL_TAGS:
             key = (sid, tag)
             present = [key in c for c in cells]
             n_present = sum(present)
@@ -184,17 +186,19 @@ def fill_missing_psych(cells, sonnet_ids, catalog):
     return filled, unfilled, messages
 
 
-def build_median_annotator(cells, sonnet_ids, catalog):
+def build_median_annotator(cells, sonnet_ids):
     """The median annotator the literal way: sort each cell's present values.
 
     ``cells`` is as in ``fill_missing_psych``.  Returns the median's
     present cells and the log messages in emission order.
     """
-    binary = set(catalog.psychological)
+    from versemood.corpus import ANNOTATED_FEATURES, PSYCHOLOGICAL_TAGS
+
+    binary = set(PSYCHOLOGICAL_TAGS)
     values = {}
     messages = []
     for sid in sonnet_ids:
-        for feature in catalog.all_features:
+        for feature in ANNOTATED_FEATURES:
             key = (sid, feature)
             avail = sorted(c[key] for c in cells if key in c)
             if len(avail) == 3:
@@ -241,7 +245,7 @@ def two_sample_power(alpha: float, cohens_d: float, n_per_group: int) -> float:
     return float(mp.quad(integrand, [0, df, mp.inf]))
 
 
-def partial_dependence(matrix, median, catalog):
+def partial_dependence(matrix, median):
     """Partial dependence rows the literal way: one ``ols`` per pairing.
 
     Every pairing lists its rows, prunes, drops dependent columns and
@@ -249,11 +253,10 @@ def partial_dependence(matrix, median, catalog):
     did before its categories shared one design.  Returns the rows and
     the pruned/dropped decision messages in emission order.
     """
-    from versemood.corpus import subset_by_tag
+    from versemood.corpus import ALL_CATEGORY, PSYCHOLOGICAL_TAGS
     from versemood.features import FEATURE_INDEX, FEATURE_NAMES, MEAN_SD_FEATURES
     from versemood.stats import RankDeficiencyError, ols
     from versemood.validation import (
-        ALL_CATEGORY,
         FEATURE_PAIRINGS,
         SIGNIFICANCE_LEVEL,
         PartialDependenceRow,
@@ -268,7 +271,7 @@ def partial_dependence(matrix, median, catalog):
     median_row = {sid: i for i, sid in enumerate(median.sonnet_ids)}
 
     def target(sid, feature):
-        return float(median.values[median_row[sid], median.features.index(feature)])
+        return float(median.column(feature)[median_row[sid]])
 
     def not_computable(category, annotated, gam_feature, n, reason):
         return PartialDependenceRow(
@@ -339,8 +342,9 @@ def partial_dependence(matrix, median, catalog):
         )
 
     categories = [(ALL_CATEGORY, matrix.sonnet_ids)]
-    for tag in catalog.psychological:
-        categories.append((tag, subset_by_tag(median, tag, catalog)[0]))
+    for tag in PSYCHOLOGICAL_TAGS:
+        tagged = (median.column(tag) == 1.0).tolist()
+        categories.append((tag, [sid for sid, t in zip(median.sonnet_ids, tagged) if t]))
     rows = [
         fit_pairing(category, ids, annotated, gam_feature)
         for category, ids in categories

@@ -27,7 +27,6 @@ import oracles
 from cell_tables import annotation_set, cells_of, profile, reliability_matrix
 from versemood.agreement import agreement_report, krippendorff_alpha
 from versemood.corpus import (
-    DEFAULT_CATALOG,
     build_median_annotator,
     corpus_statistics,
     fill_missing_psych,

@@ -13,7 +13,13 @@ from versemood.agreement import (
     krippendorff_alpha,
     reliability_from_sets,
 )
-from versemood.corpus import DEFAULT_CATALOG, build_median_annotator, fill_missing_psych
+from versemood.corpus import (
+    ANNOTATED_FEATURES,
+    ORDINAL_FEATURES,
+    PSYCHOLOGICAL_TAGS,
+    build_median_annotator,
+    fill_missing_psych,
+)
 
 
 def matrix_from_rows(rows, level="nominal"):
@@ -196,21 +202,11 @@ def test_reliability_from_sets_covering_different_sonnets():
         small_sets({2: [4, None]}, ids=("s4", "s2"))[0],
         small_sets({3: [2, 1]}, ids=("s5", "s1"))[0],
     ]
-    matrix = reliability_from_sets(sets, "valence", "ordinal")
-    assert matrix.units == ("s1", "s2", "s3", "s4", "s5")
-    assert matrix.raters == (1, 2, 3)
-    nan = np.nan
-    np.testing.assert_array_equal(matrix.values, [
-        [1.0, nan, 1.0],
-        [2.0, nan, nan],
-        [3.0, nan, nan],
-        [nan, 4.0, nan],
-        [nan, nan, 2.0],
-    ])
+    with pytest.raises(ValueError, match="different sonnets"):
+        reliability_from_sets(sets, "valence", "ordinal")
 
 
 def test_agreement_report_matches_pair_enumeration_oracle():
-    catalog = DEFAULT_CATALOG
     rng = np.random.default_rng(57)
     outcomes = set()
     for _ in range(20):
@@ -219,13 +215,13 @@ def test_agreement_report_matches_pair_enumeration_oracle():
         for annotator_id in (1, 2, 3):
             values = {}
             for sid in ids:
-                for feat in catalog.ordinal:
+                for feat in ORDINAL_FEATURES:
                     values[(sid, feat)] = float(rng.integers(1, 5))
-                for feat in catalog.psychological:
+                for feat in PSYCHOLOGICAL_TAGS:
                     if rng.random() < 0.3:
                         continue
                     values[(sid, feat)] = float(rng.integers(0, 2))
-            sets.append(annotation_set(annotator_id, ids, catalog.all_features, values))
+            sets.append(annotation_set(annotator_id, ids, ANNOTATED_FEATURES, values))
         median = build_median_annotator(fill_missing_psych(sets)[0])
         raters = {f"a{s.annotator_id}": cells_of(s) for s in sets}
         raters["m"] = cells_of(median)
@@ -263,20 +259,19 @@ def test_pairwise_alpha_keys_and_all():
 
 
 def test_agreement_report_levels_and_columns():
-    catalog = DEFAULT_CATALOG
     rng = np.random.default_rng(56)
     ids = tuple(f"s{i}" for i in range(8))
     sets = []
     for annotator_id in (1, 2, 3):
         values = {}
         for sid in ids:
-            for feat in catalog.ordinal:
+            for feat in ORDINAL_FEATURES:
                 values[(sid, feat)] = float(rng.integers(1, 5))
-            for feat in catalog.psychological:
+            for feat in PSYCHOLOGICAL_TAGS:
                 values[(sid, feat)] = float(rng.integers(0, 2))
-        sets.append(annotation_set(annotator_id, ids, catalog.all_features, values))
+        sets.append(annotation_set(annotator_id, ids, ANNOTATED_FEATURES, values))
     rows = agreement_report(sets)
-    assert len(rows) == len(catalog.all_features)
+    assert len(rows) == len(ANNOTATED_FEATURES)
     by_feature = {r.feature: r for r in rows}
     assert by_feature["valence"].level == "ordinal"
     assert by_feature["Anxiety"].level == "nominal"
@@ -287,23 +282,22 @@ def test_agreement_report_levels_and_columns():
 
 
 def test_agreement_report_median_columns():
-    catalog = DEFAULT_CATALOG
     ids = ("s1", "s2", "s3")
     sets = []
     for annotator_id in (1, 2, 3):
         values = {}
         for sid_idx, sid in enumerate(ids):
-            for feat in catalog.ordinal:
+            for feat in ORDINAL_FEATURES:
                 values[(sid, feat)] = float(1 + (sid_idx + annotator_id) % 4)
-            for feat in catalog.psychological:
+            for feat in PSYCHOLOGICAL_TAGS:
                 values[(sid, feat)] = float((sid_idx + annotator_id) % 2)
-        sets.append(annotation_set(annotator_id, ids, catalog.all_features, values))
+        sets.append(annotation_set(annotator_id, ids, ANNOTATED_FEATURES, values))
     median_values = {}
     for sid_idx, sid in enumerate(ids):
-        for feat in catalog.all_features:
+        for feat in ANNOTATED_FEATURES:
             triple = sorted(cells_of(sets[k])[(sid, feat)] for k in range(3))
             median_values[(sid, feat)] = triple[1]
-    median = annotation_set(0, ids, catalog.all_features, median_values)
+    median = annotation_set(0, ids, ANNOTATED_FEATURES, median_values)
     rows = agreement_report(sets, median)
     for row in rows:
         assert set(row.cells) == {

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from versemood.cli import main
-from versemood.corpus import DEFAULT_CATALOG
+from versemood.corpus import ANNOTATED_FEATURES, PSYCHOLOGICAL_TAGS
 from versemood.features import FEATURE_NAMES
 
 from conftest import build_workspace
@@ -174,10 +174,10 @@ def test_agreement_table_shape(all_run):
         "below_threshold",
     ]
     body = rows[1:]
-    assert [r[0] for r in body] == list(DEFAULT_CATALOG.all_features)
+    assert [r[0] for r in body] == list(ANNOTATED_FEATURES)
     levels = {r[0]: r[1] for r in body}
     assert levels["valence"] == "ordinal"
-    assert levels[DEFAULT_CATALOG.psychological[0]] == "nominal"
+    assert levels[PSYCHOLOGICAL_TAGS[0]] == "nominal"
 
 
 def test_agree_with_two_sets_warns_and_drops_median(workspace, tmp_path, capsys):
@@ -281,10 +281,10 @@ def test_json_mirrors_agree_with_csv(all_run):
     assert len(bivariate) == 10 * len(FEATURE_NAMES)
 
     pd_rows = read_json(all_run / "partial_dependence.json")
-    assert len(pd_rows) == 10 * (1 + len(DEFAULT_CATALOG.psychological))
+    assert len(pd_rows) == 10 * (1 + len(PSYCHOLOGICAL_TAGS))
 
     anova = read_json(all_run / "anova.json")
-    assert anova["n_total"] == 10 * len(DEFAULT_CATALOG.psychological)
+    assert anova["n_total"] == 10 * len(PSYCHOLOGICAL_TAGS)
     assert anova["n_significant"] == len(anova["rows"])
     assert all(r["p_value"] < 0.05 for r in anova["rows"])
 
@@ -380,6 +380,8 @@ CORRUPTIONS = {
     "empty file": lambda data: b"",
     "wrong delimiter": lambda data: data.replace(b",", b";").replace(b"\t", b";"),
     "non-UTF-8 byte": lambda data: _edit_line_2(data, lambda line: b"\xe9" + line),
+    # an unterminated quote running past the csv module's field size limit
+    "overlong quoted field": lambda data: data + b'"' + b"x" * 140_000,
 }
 STRUCTURED_INPUTS = (
     "metadata.csv", "annotator2.csv", "lex_a.csv", "lex_b.tsv",
@@ -412,9 +414,10 @@ def test_corrupt_input_gives_same_reports_or_exit_1_naming_it(
             assert (out / report.name).read_bytes() == report.read_bytes(), report.name
 
 
-@pytest.mark.parametrize(
-    "case", ["empty lemma table", "one-column lemma table", "duplicate lexicon stem"]
-)
+@pytest.mark.parametrize("case", [
+    "empty lemma table", "one-column lemma table", "overlong lemma field",
+    "duplicate lexicon stem",
+])
 def test_bad_input_file_exits_1_naming_it(workspace, tmp_path, capsys, case):
     cfg = absolute_config(workspace)
     if case == "duplicate lexicon stem":
@@ -425,7 +428,11 @@ def test_bad_input_file_exits_1_naming_it(workspace, tmp_path, capsys, case):
         named = [str(workspace / "lex_a.csv"), str(other)]
     else:
         table = tmp_path / "lemmas.tsv"
-        table.write_text("" if case == "empty lemma table" else "cenizas\n", encoding="utf-8")
+        table.write_text({
+            "empty lemma table": "",
+            "one-column lemma table": "cenizas\n",
+            "overlong lemma field": "cenizas\tceniza\n\"" + "x" * 140_000,
+        }[case], encoding="utf-8")
         cfg["lemma_table"] = str(table)
         named = [str(table)]
     config = dump_config(cfg, tmp_path)

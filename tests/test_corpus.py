@@ -2,6 +2,7 @@
 
 import csv
 import logging
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -9,23 +10,24 @@ import pytest
 import oracles
 from cell_tables import annotation_set, cells_of
 from versemood.corpus import (
-    DEFAULT_CATALOG,
+    ALL_CATEGORY,
+    ANNOTATED_FEATURES,
     MEDIAN_ANNOTATOR_ID,
+    ORDINAL_FEATURES,
+    PSYCHOLOGICAL_TAGS,
     AnnotationFormatError,
     Corpus,
     CorpusFormatError,
     Sonnet,
     build_median_annotator,
+    categories,
     corpus_statistics,
     fill_missing_psych,
     load_annotation_set,
     load_corpus,
     reverse_ordinal_scale,
-    subset_by_tag,
 )
 from versemood.textnorm import NormalizationConfig, normalize
-
-CATALOG = DEFAULT_CATALOG
 
 
 def write_metadata(path, rows):
@@ -38,12 +40,12 @@ def write_metadata(path, rows):
 def write_annotations(path, rows, header=None):
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header or list(CATALOG.all_features))
+        writer.writerow(header or list(ANNOTATED_FEATURES))
         writer.writerows(rows)
 
 
 def full_row(ordinal=2, binary=1):
-    return [ordinal] * len(CATALOG.ordinal) + [binary] * len(CATALOG.psychological)
+    return [ordinal] * len(ORDINAL_FEATURES) + [binary] * len(PSYCHOLOGICAL_TAGS)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +118,7 @@ def test_load_annotation_set_synthetic_ids(tmp_path):
 
 def test_load_annotation_set_header_must_match(tmp_path):
     path = tmp_path / "a.csv"
-    header = list(CATALOG.all_features)
+    header = list(ANNOTATED_FEATURES)
     header[0] = "valencia"
     write_annotations(path, [full_row()], header=header)
     with pytest.raises(AnnotationFormatError, match="valencia"):
@@ -170,14 +172,14 @@ def test_load_annotation_set_ordinal_may_not_be_missing(tmp_path):
 def test_load_annotation_set_binary_cells(tmp_path):
     path = tmp_path / "a.csv"
     row = full_row()
-    row[len(CATALOG.ordinal)] = ""  # first tag left blank
+    row[len(ORDINAL_FEATURES)] = ""  # first tag left blank
     write_annotations(path, [row])
     aset = load_annotation_set(path, annotator_id=1, sonnet_ids=["s1"])
-    first_tag = CATALOG.psychological[0]
+    first_tag = PSYCHOLOGICAL_TAGS[0]
     assert ("s1", first_tag) not in cells_of(aset)
 
     bad = full_row()
-    bad[len(CATALOG.ordinal)] = 3
+    bad[len(ORDINAL_FEATURES)] = 3
     write_annotations(path, [bad])
     with pytest.raises(AnnotationFormatError, match="0 or 1"):
         load_annotation_set(path, annotator_id=1)
@@ -188,7 +190,7 @@ def test_load_annotation_set_binary_cells(tmp_path):
 
 
 def make_set(annotator_id, values, ids=("s1", "s2", "s3")):
-    return annotation_set(annotator_id, ids, CATALOG.all_features, values)
+    return annotation_set(annotator_id, ids, ANNOTATED_FEATURES, values)
 
 
 def test_reverse_ordinal_scale_maps_endpoints():
@@ -226,9 +228,9 @@ def aligned_triple(overrides=None):
     for annotator_id in (1, 2, 3):
         values = {}
         for sid in ("s1", "s2"):
-            for feat in CATALOG.ordinal:
+            for feat in ORDINAL_FEATURES:
                 values[(sid, feat)] = 2.0
-            for feat in CATALOG.psychological:
+            for feat in PSYCHOLOGICAL_TAGS:
                 values[(sid, feat)] = 1.0
         cells.append(values)
     for (annotator_id, sid, feat), value in (overrides or {}).items():
@@ -311,26 +313,22 @@ def test_median_under_two_values_stays_missing():
 
 
 def random_triple(rng, n_sonnets):
-    """Three sets over the catalog with each cell missing at rate 0.3.
+    """Three sets over every annotated feature with each cell missing at rate 0.3.
 
     Ordinal cells go missing too, which only the library API allows, so
-    two-valued cells reach both median branches.  Each set's columns are
-    in catalog order or shuffled, at random.
+    two-valued cells reach both median branches.
     """
     ids = tuple(f"s{i}" for i in range(1, n_sonnets + 1))
     sets = []
     for annotator_id in (1, 2, 3):
         cells = {}
         for sid in ids:
-            for feat in CATALOG.all_features:
+            for feat in ANNOTATED_FEATURES:
                 if rng.random() < 0.3:
                     continue
-                low, high = (1, 5) if feat in CATALOG.ordinal else (0, 2)
+                low, high = (1, 5) if feat in ORDINAL_FEATURES else (0, 2)
                 cells[(sid, feat)] = float(rng.integers(low, high))
-        features = list(CATALOG.all_features)
-        if rng.random() < 0.5:
-            rng.shuffle(features)
-        sets.append(annotation_set(annotator_id, ids, features, cells))
+        sets.append(annotation_set(annotator_id, ids, ANNOTATED_FEATURES, cells))
     return ids, sets
 
 
@@ -345,7 +343,7 @@ def test_fill_missing_psych_matches_dict_loop_oracle(caplog):
     for _ in range(300):
         ids, sets = random_triple(rng, int(rng.integers(1, 6)))
         cells = [cells_of(s) for s in sets]
-        ref_cells, ref_unfilled, ref_messages = oracles.fill_missing_psych(cells, ids, CATALOG)
+        ref_cells, ref_unfilled, ref_messages = oracles.fill_missing_psych(cells, ids)
         caplog.clear()
         filled, unfilled = fill_missing_psych(sets)
         assert [cells_of(s) for s in filled] == ref_cells
@@ -353,7 +351,7 @@ def test_fill_missing_psych_matches_dict_loop_oracle(caplog):
         assert decisions(caplog) == ref_messages
         missing_in.update(
             sum((sid, tag) not in c for c in cells)
-            for sid in ids for tag in CATALOG.psychological
+            for sid in ids for tag in PSYCHOLOGICAL_TAGS
         )
     assert missing_in == {0, 1, 2, 3}
 
@@ -365,16 +363,16 @@ def test_median_annotator_matches_dict_loop_oracle(caplog):
     for _ in range(300):
         ids, sets = random_triple(rng, int(rng.integers(1, 6)))
         cells = [cells_of(s) for s in sets]
-        ref_values, ref_messages = oracles.build_median_annotator(cells, ids, CATALOG)
+        ref_values, ref_messages = oracles.build_median_annotator(cells, ids)
         caplog.clear()
         median = build_median_annotator(sets)
-        assert median.features == CATALOG.all_features
+        assert median.values.shape == (len(ids), len(ANNOTATED_FEATURES))
         assert cells_of(median) == ref_values
         assert decisions(caplog) == ref_messages
         branches.update(m.split(": ", 1)[1].split(" ", 1)[0] for m in ref_messages)
         branches.update(
             len([c for c in cells if (sid, feat) in c])
-            for sid in ids for feat in CATALOG.all_features
+            for sid in ids for feat in ANNOTATED_FEATURES
         )
     # every present-count, and both two-value messages
     assert branches == {0, 1, 2, 3, "0/1", "averaging"}
@@ -384,26 +382,34 @@ def test_median_annotator_matches_dict_loop_oracle(caplog):
 # tag subsets and corpus statistics
 
 
-def test_subset_by_tag_partitions():
+def tag_split(median, tag):
+    """The (tagged, untagged) sonnet ids of one tag's category."""
+    inside = tuple(compress(median.sonnet_ids, dict(categories(median))[tag]))
+    return inside, tuple(sid for sid in median.sonnet_ids if sid not in inside)
+
+
+def test_categories_partition():
     sets = aligned_triple({
         (1, "s1", "Anxiety"): 0.0,
         (2, "s1", "Anxiety"): 0.0,
         (3, "s1", "Anxiety"): 0.0,
     })
     median = build_median_annotator(sets)
-    inside, outside = subset_by_tag(median, "Anxiety")
+    assert [name for name, _ in categories(median)] == [ALL_CATEGORY, *PSYCHOLOGICAL_TAGS]
+    assert categories(median)[0][1].tolist() == [True, True]
+    inside, outside = tag_split(median, "Anxiety")
     assert set(inside) | set(outside) == {"s1", "s2"}
     assert set(inside) & set(outside) == set()
     assert inside == ("s2",)
 
 
-def test_subset_by_tag_missing_counts_as_outside():
+def test_categories_missing_counts_as_outside():
     sets = aligned_triple({
         (1, "s1", "Obsession"): None,
         (2, "s1", "Obsession"): None,
     })
     median = build_median_annotator(sets)
-    inside, outside = subset_by_tag(median, "Obsession")
+    inside, outside = tag_split(median, "Obsession")
     assert "s1" in outside
 
 

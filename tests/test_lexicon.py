@@ -17,7 +17,6 @@ from versemood.lexicon import (
     CANONICAL_SCALES,
     LexiconFormatError,
     SourceLexicon,
-    _lines,
     coverage_report,
     load_lexicon,
     merge_lexicons,
@@ -25,7 +24,7 @@ from versemood.lexicon import (
     rescale_value,
     word_count_report,
 )
-from versemood.textnorm import NormalizationConfig, normalize
+from versemood.textnorm import NormalizationConfig, normalize, split_lines
 
 RAW = NormalizationConfig(mode="raw", stopwords=frozenset())
 STEMMED = NormalizationConfig(mode="stem", stopwords=frozenset())
@@ -612,8 +611,8 @@ def test_lexicon_sizes_count_what_the_tracer_reads(tmp_path):
     "",
 ], ids=["lf", "crlf", "cr", "mixed", "other separators", "quoted newlines", "no end", "empty"])
 def test_lines_split_as_stringio_splits(text):
-    assert list(_lines(text)) == list(io.StringIO(text, newline=""))
-    assert list(csv.reader(_lines(text))) == list(csv.reader(io.StringIO(text, newline="")))
+    assert list(split_lines(text)) == list(io.StringIO(text, newline=""))
+    assert list(csv.reader(split_lines(text))) == list(csv.reader(io.StringIO(text, newline="")))
 
 
 CANONICAL_HEADER = "word,dimension,mean,sd,scale_min,scale_max\n"

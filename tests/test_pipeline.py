@@ -114,3 +114,6 @@ def test_every_exported_name_resolves():
     for module in modules:
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.__all__ lists missing {name!r}"
+    exported = {name for module in modules[1:] for name in getattr(module, "__all__", ())}
+    for name in versemood.__all__:
+        assert name in exported, f"versemood re-exports {name!r}, which no module lists"

@@ -232,6 +232,19 @@ def test_load_lemma_table_error_names_the_physical_line(tmp_path):
         load_lemma_table(path)
 
 
+def test_load_lemma_table_splits_lines_only_at_line_ends(tmp_path):
+    # str.splitlines would also split at each of these four characters
+    path = tmp_path / "lemmas.tsv"
+    text = "a\x85b\tab\nc\u2028d\tcd\n\ne\x0cf\tef\r\ng\x1ch\tgh\n"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert load_lemma_table(path) == {
+        "a\x85b": "ab", "c\u2028d": "cd", "e\x0cf": "ef", "g\x1ch": "gh",
+    }
+    path.write_text(text + "solo\n", encoding="utf-8", newline="")
+    with pytest.raises(InputError, match="line 6: expected two columns"):
+        load_lemma_table(path)
+
+
 def test_byte_order_mark_is_not_part_of_the_first_entry(tmp_path):
     for name, text, load in (
         ("lemmas.tsv", "cenizas\tceniza\narden\tarder\n", load_lemma_table),

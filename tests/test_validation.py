@@ -8,7 +8,12 @@ import pytest
 
 import oracles
 from cell_tables import annotation_set, cells_of
-from versemood.corpus import DEFAULT_CATALOG
+from versemood.corpus import (
+    ANNOTATED_FEATURES,
+    ORDINAL_FEATURES,
+    PSYCHOLOGICAL_TAGS,
+    AnnotationSet,
+)
 from versemood.features import FEATURE_NAMES, FeatureMatrix
 from versemood.stats import spearman
 from versemood.validation import (
@@ -18,8 +23,6 @@ from versemood.validation import (
     bivariate_report,
     partial_dependence_report,
 )
-
-CATALOG = DEFAULT_CATALOG
 
 
 def synthetic_matrix(rng, n_sonnets, pair_signal=None):
@@ -57,20 +60,20 @@ def median_for(matrix, rng, tag_members=None, annotated_from=None):
     tag_members = tag_members or {}
     annotated_from = annotated_from or {}
     for sid, row in zip(matrix.sonnet_ids, matrix.values):
-        for feature in CATALOG.ordinal:
+        for feature in ORDINAL_FEATURES:
             if feature in annotated_from:
                 values[(sid, feature)] = annotated_from[feature](
                     dict(zip(FEATURE_NAMES, row))
                 )
             else:
                 values[(sid, feature)] = float(rng.integers(1, 5))
-        for tag in CATALOG.psychological:
+        for tag in PSYCHOLOGICAL_TAGS:
             members = tag_members.get(tag)
             if members is None:
                 values[(sid, tag)] = float(rng.integers(0, 2))
             else:
                 values[(sid, tag)] = 1.0 if sid in members else 0.0
-    return annotation_set(0, matrix.sonnet_ids, CATALOG.all_features, values)
+    return annotation_set(0, matrix.sonnet_ids, ANNOTATED_FEATURES, values)
 
 
 def test_feature_pairings_inventory():
@@ -88,7 +91,7 @@ def test_bivariate_grid_shape_and_pairwise_n():
     matrix = synthetic_matrix(rng, 15)
     median = median_for(matrix, rng)
     cells = bivariate_report(matrix, median)
-    assert len(cells) == len(CATALOG.ordinal) * len(FEATURE_NAMES)
+    assert len(cells) == len(ORDINAL_FEATURES) * len(FEATURE_NAMES)
     for cell in cells:
         assert cell.n == 15
         if cell.rho is not None:
@@ -219,8 +222,8 @@ def test_category_rows_cover_all_plus_tags():
     median = median_for(matrix, rng)
     rows = partial_dependence_report(matrix, median)
     categories = {r.category for r in rows}
-    assert categories == {"all", *CATALOG.psychological}
-    assert len(rows) == (1 + len(CATALOG.psychological)) * 10
+    assert categories == {"all", *PSYCHOLOGICAL_TAGS}
+    assert len(rows) == (1 + len(PSYCHOLOGICAL_TAGS)) * 10
 
 
 def test_listwise_deletion_drops_incomplete_sonnets():
@@ -289,7 +292,7 @@ def test_partial_dependence_matches_one_fit_per_pairing(build, shows, caplog):
     caplog.set_level(logging.INFO, logger="versemood.validation")
     rows = partial_dependence_report(matrix, median)
     messages = [r.getMessage() for r in caplog.records if r.name == "versemood.validation"]
-    ref_rows, ref_messages = oracles.partial_dependence(matrix, median, CATALOG)
+    ref_rows, ref_messages = oracles.partial_dependence(matrix, median)
     assert any(shows(row) for row in rows)
     assert rows == ref_rows
     assert messages == ref_messages
@@ -304,7 +307,7 @@ def test_anova_grid_totals_and_significance_filter():
     matrix = synthetic_matrix(rng, 24)
     median = median_for(matrix, rng)
     report = anova_report(matrix, median)
-    assert report.n_total == len(CATALOG.psychological) * 10
+    assert report.n_total == len(PSYCHOLOGICAL_TAGS) * 10
     assert report.n_significant == len(report.rows)
     for row in report.rows:
         assert row.p_value < SIGNIFICANCE_LEVEL
@@ -355,3 +358,16 @@ def test_anova_means_are_group_means():
     assert row.mean_in == pytest.approx(5.5)
     assert row.mean_out == pytest.approx(1.5)
     assert math.isinf(row.f_statistic) or row.f_statistic > 0
+
+
+@pytest.mark.parametrize(
+    "report", [bivariate_report, partial_dependence_report, anova_report],
+    ids=["bivariate", "partial-dependence", "anova"],
+)
+def test_reports_reject_a_misaligned_median(report):
+    rng = np.random.default_rng(105)
+    matrix = synthetic_matrix(rng, 12)
+    median = median_for(matrix, rng)
+    reversed_median = AnnotationSet(0, median.sonnet_ids[::-1], median.values[::-1])
+    with pytest.raises(ValueError, match="cover different sonnets"):
+        report(matrix, reversed_median)
