@@ -451,8 +451,11 @@ def corpus_statistics(
     surviving tokens after stopword removal (repeats included).  The
     standard deviation is the sample one (n-1 in the denominator); the
     histogram uses ``n_bins`` equal-width bins over the observed range
-    with the last bin closed on the right.
+    with the last bin closed on the right.  The median covers ``keys``'s
+    sonnets in the same order.
     """
+    if median.sonnet_ids != tuple(keys):
+        raise ValueError("the median annotator and the corpus keys cover different sonnets")
     counts = [len(sonnet_keys) for sonnet_keys in keys.values()]
     n = len(counts)
     mean = sum(counts) / n

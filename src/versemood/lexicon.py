@@ -519,9 +519,14 @@ class CoverageRow:
 def _categories(
     keys: Mapping[str, Sequence[str]], median: AnnotationSet | None
 ) -> list[tuple[str, list[str]]]:
-    """Each category's sonnet ids; without a median, all of ``keys``'s sonnets only."""
+    """Each category's sonnet ids; without a median, all of ``keys``'s sonnets only.
+
+    A median must cover ``keys``'s sonnets in the same order.
+    """
     if median is None:
         return [(ALL_CATEGORY, list(keys))]
+    if median.sonnet_ids != tuple(keys):
+        raise ValueError("the median annotator and the corpus keys cover different sonnets")
     return [
         (category, list(compress(median.sonnet_ids, members.tolist())))
         for category, members in categories(median)

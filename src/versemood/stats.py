@@ -6,6 +6,14 @@ size search) without runtime dependencies beyond numpy.  Student-t and F
 tail probabilities are both routed through one regularized incomplete
 beta implementation so every p-value in the package shares a single
 numerical core.
+
+Regression computes only what is read.  The rank check factors the
+design once by Householder QR and reads each column's dependence from
+R, with the prefix-SVD rank test as referee for any column R cannot
+settle; a fit keeps coefficients, standard errors, t values and degrees
+of freedom, and a coefficient's t-test p-value is evaluated when it is
+read.  Spearman's rho is one formula over centred ranks, so a caller
+that correlates one column with many ranks that column once.
 """
 
 from __future__ import annotations
@@ -22,11 +30,13 @@ __all__ = [
     "LinearDesign",
     "RankDeficiencyError",
     "RegressionResult",
+    "centred_ranks",
     "correlation_band",
     "group_mean",
     "min_sample_size",
     "ols",
     "one_way_anova",
+    "rank_correlation",
     "regularized_incomplete_beta",
     "spearman",
     "t_tail",
@@ -234,49 +244,185 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
         return CorrelationResult(None, n, None, "x is constant")
     if np.ptp(yv) == 0.0:
         return CorrelationResult(None, n, None, "y is constant")
-    rx = _average_ranks(xv)
-    ry = _average_ranks(yv)
-    rx -= rx.mean()
-    ry -= ry.mean()
-    rho = float(rx @ ry) / math.sqrt(float(rx @ rx) * float(ry @ ry))
-    rho = max(-1.0, min(1.0, rho))
+    rx = centred_ranks(xv)
+    ry = centred_ranks(yv)
+    rho = rank_correlation(rx, ry, float(rx @ rx), float(ry @ ry))
     return CorrelationResult(rho, n, correlation_band(rho))
+
+
+def centred_ranks(values: np.ndarray) -> np.ndarray:
+    """Average ranks of a one-dimensional array, minus their mean."""
+    ranks = _average_ranks(values)
+    ranks -= ranks.mean()
+    return ranks
+
+
+def rank_correlation(rx: np.ndarray, ry: np.ndarray, rx_rx: float, ry_ry: float) -> float:
+    """Spearman's rho of two ``centred_ranks`` vectors, given each one's ``r @ r``.
+
+    Neither vector may be constant; ``spearman`` checks that first.  A
+    caller that pairs one vector with many passes its ``r @ r`` each time.
+    """
+    rho = float(rx @ ry) / math.sqrt(rx_rx * ry_ry)
+    return max(-1.0, min(1.0, rho))
+
+
+def _t_test_p_value(beta: float, se: float, t: float, dof: int) -> float:
+    """Two-sided t-test p-value of one coefficient.
+
+    A zero standard error (an exact fit) gives 0 for a non-zero
+    coefficient and 1 for a zero one.
+    """
+    if se == 0.0:
+        return 0.0 if beta != 0.0 else 1.0
+    return t_tail(t, dof)
 
 
 @dataclass
 class RegressionResult:
-    """OLS fit summary.  Per-predictor vectors exclude the intercept."""
+    """OLS fit summary.  Per-predictor vectors exclude the intercept.
+
+    A fit keeps coefficients, standard errors and t values; the p-values
+    are read-time views that evaluate one coefficient's two-sided t-test
+    (``p_value``) on each read, so a caller that needs one predictor's
+    p-value pays for that one only.
+    """
 
     coefficients: tuple[float, ...]
     intercept: float
     std_errors: tuple[float, ...]
     intercept_std_error: float
     t_values: tuple[float, ...]
-    p_values: tuple[float, ...]
-    intercept_p_value: float
+    intercept_t_value: float
     r_squared: float
     adjusted_r_squared: float
     n: int
     k: int
 
+    @property
+    def dof(self) -> int:
+        """Residual degrees of freedom, n - k - 1."""
+        return self.n - self.k - 1
+
+    def p_value(self, j: int) -> float:
+        """Two-sided t-test p-value of predictor ``j`` (its index in ``coefficients``)."""
+        return _t_test_p_value(
+            self.coefficients[j], self.std_errors[j], self.t_values[j], self.dof
+        )
+
+    @property
+    def p_values(self) -> tuple[float, ...]:
+        return tuple(self.p_value(j) for j in range(self.k))
+
+    @property
+    def intercept_p_value(self) -> float:
+        return _t_test_p_value(
+            self.intercept, self.intercept_std_error, self.intercept_t_value, self.dof
+        )
+
+
+# How far, as a factor, the bounds read from R must clear the rank test's
+# threshold before they decide a column.  It absorbs the rounding of the
+# QR factor and of the SVD whose decision they stand in for.
+_RANK_MARGIN = 100.0
+
+
+def _svd_rank(columns: np.ndarray, rtol: float) -> int:
+    """Numerical rank: the singular values above rtol times the largest."""
+    if columns.shape[1] == 0:
+        return 0
+    s = np.linalg.svd(columns, compute_uv=False)
+    return int(np.sum(s > rtol * s[0])) if s[0] > 0.0 else 0
+
+
+def _triangular_bounds(columns: np.ndarray) -> tuple[list[float], list[float]]:
+    """Two bounds per column p, read from a Householder QR factor R.
+
+    First |R_pp|, the distance of column p from the span of the columns
+    before it.  Then 1 / ||R_p^-1||_F, with R_p the leading (p+1) x (p+1)
+    block, a lower bound on the smallest singular value of the first p + 1
+    columns.  Where R has no such entry or block (more columns than rows,
+    or a zero on the diagonal at or before p) they read inf and 0, which
+    decide nothing.
+    """
+    m = columns.shape[1]
+    r = np.linalg.qr(columns, mode="r")
+    distance = np.abs(np.diagonal(r))
+    zeros = np.flatnonzero(distance == 0.0)
+    size = int(zeros[0]) if len(zeros) else len(distance)
+    with np.errstate(all="ignore"):
+        inverse = np.linalg.inv(r[:size, :size])
+        floor = 1.0 / np.sqrt(np.cumsum(np.einsum("ij,ij->j", inverse, inverse)))
+    return (
+        distance.tolist() + [math.inf] * (m - len(distance)),
+        floor.tolist() + [0.0] * (m - size),
+    )
+
 
 def _dependent_columns(design: np.ndarray, rtol: float = 1e-10) -> list[int]:
     """Indices of design columns linearly dependent on earlier columns.
 
-    Walks the columns left to right comparing prefix ranks (singular
-    values below rtol times the largest are treated as zero), so the
-    first occurrence of each direction is kept and later duplicates are
-    the ones reported.
+    Column j is dependent when the columns up to j have the same
+    numerical rank as the columns before j, a rank counting the singular
+    values above rtol times the largest.  So the first occurrence of each
+    direction is kept and later duplicates are the ones reported.
+
+    One pass in column order over a Householder QR factor R decides most
+    columns without an SVD (Golub & Van Loan, *Matrix Computations*,
+    5.2 and 5.4).  With K the columns kept before j and E the summed
+    squared distances of the columns found dependent from K's span, the
+    prefix ending at j has:
+
+    - a largest singular value between its largest column norm and its
+      Frobenius norm;
+    - at least |K| singular values of 1 / ||R_K^-1||_F or more, and
+      |K| + 1 of 1 / ||R_(K+j)^-1||_F or more, since dropping columns
+      lowers no singular value;
+    - at most |K| singular values above sqrt(E + |R_jj|^2).
+
+    Column j is decided from R when these settle both prefix ranks with
+    the factor ``_RANK_MARGIN`` to spare; a zero column is dependent; any
+    other column goes to the referee, which compares the SVD ranks of
+    the two prefixes and so is the prefix-SVD test itself.  After a
+    dependent column the columns still to decide are factored again,
+    after K and without it, so R always describes K.
     """
-    dependent = []
-    rank = 0
-    for j in range(design.shape[1]):
-        s = np.linalg.svd(design[:, : j + 1], compute_uv=False)
-        new_rank = int(np.sum(s > rtol * s[0])) if s[0] > 0.0 else 0
-        if new_rank == rank:
+    norms = np.sqrt(np.einsum("ij,ij->j", design, design))
+    largest = np.maximum.accumulate(norms).tolist()
+    frobenius = np.sqrt(np.cumsum(norms * norms)).tolist()
+    norms = norms.tolist()
+    kept: list[int] = []
+    dependent: list[int] = []
+    residual2 = 0.0
+    pending = list(range(design.shape[1]))
+    while pending:
+        columns = kept + pending
+        distance, floor = _triangular_bounds(design[:, columns])
+        pending = []
+        for p in range(len(kept), len(columns)):
+            j = columns[p]
+            limit = _RANK_MARGIN * rtol * frobenius[j]
+            settled = (p == 0 or floor[p - 1] > limit) and (
+                residual2 == 0.0 or _RANK_MARGIN * math.sqrt(residual2) <= rtol * largest[j - 1]
+            )
+            if norms[j] == 0.0:
+                independent = False
+            elif settled and floor[p] > limit:
+                independent = True
+            elif settled and (
+                _RANK_MARGIN * math.sqrt(residual2 + distance[p] ** 2) <= rtol * largest[j]
+            ):
+                independent = False
+            else:
+                independent = _svd_rank(design[:, : j + 1], rtol) != _svd_rank(design[:, :j], rtol)
+            if independent:
+                kept.append(j)
+                continue
             dependent.append(j)
-        else:
-            rank = new_rank
+            if norms[j] != 0.0:
+                residual2 += distance[p] ** 2
+            pending = columns[p + 1:]
+            break
     return dependent
 
 
@@ -284,13 +430,14 @@ class LinearDesign:
     """A checked and factored OLS design: an implicit intercept plus X.
 
     The constructor does everything that depends on the predictors only:
-    the shape checks, the rank check, the QR decomposition and the
-    inverse of R.  ``fit`` then solves one response against that
-    factorization, so several responses on one design share the work and
-    each gets the same floats as its own ``ols`` call.  The design is
-    required to have full column rank (relative tolerance 1e-10);
-    dependent columns raise RankDeficiencyError naming them instead of
-    being dropped silently.
+    the shape checks, the rank check (one QR pass, see
+    ``_dependent_columns``), the QR decomposition and the inverse of R.
+    ``fit`` then solves one response against that factorization, so
+    several responses on one design share the work and each gets the same
+    floats as its own ``ols`` call; its p-values are evaluated on read.
+    The design is required to have full column rank (relative tolerance
+    1e-10); dependent columns raise RankDeficiencyError naming them
+    instead of being dropped silently.
     """
 
     def __init__(
@@ -325,7 +472,7 @@ class LinearDesign:
         self._cov_diag = np.diag(r_inv @ r_inv.T)
 
     def fit(self, y: Sequence[float]) -> RegressionResult:
-        """Least-squares fit of one response, with two-sided t-test p-values."""
+        """Least-squares fit of one response; its t-test p-values are read lazily."""
         yv = np.asarray(y, dtype=float)
         n, k = self.n, self.k
         if yv.ndim != 1 or len(yv) != n:
@@ -339,25 +486,20 @@ class LinearDesign:
         dof = n - k - 1
         sigma2 = ssr / dof
         se = np.sqrt(np.maximum(sigma2 * self._cov_diag, 0.0))
-        t_vals = np.empty(k + 1)
-        p_vals = np.empty(k + 1)
-        for j in range(k + 1):
-            if se[j] == 0.0:
-                t_vals[j] = math.copysign(math.inf, beta[j]) if beta[j] != 0.0 else 0.0
-                p_vals[j] = 0.0 if beta[j] != 0.0 else 1.0
-            else:
-                t_vals[j] = beta[j] / se[j]
-                p_vals[j] = t_tail(float(t_vals[j]), dof)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_vals = beta / se
+        # an exact fit: t is infinite with the coefficient's sign, or 0 for a zero one
+        exact = se == 0.0
+        t_vals[exact] = np.where(beta[exact] != 0.0, np.copysign(np.inf, beta[exact]), 0.0)
         r2 = min(1.0, max(0.0, 1.0 - ssr / sst))
         adjusted = 1.0 - (1.0 - r2) * (n - 1) / dof
         return RegressionResult(
-            coefficients=tuple(float(b) for b in beta[1:]),
+            coefficients=tuple(beta[1:].tolist()),
             intercept=float(beta[0]),
-            std_errors=tuple(float(s) for s in se[1:]),
+            std_errors=tuple(se[1:].tolist()),
             intercept_std_error=float(se[0]),
-            t_values=tuple(float(t) for t in t_vals[1:]),
-            p_values=tuple(float(p) for p in p_vals[1:]),
-            intercept_p_value=float(p_vals[0]),
+            t_values=tuple(t_vals[1:].tolist()),
+            intercept_t_value=float(t_vals[0]),
             r_squared=r2,
             adjusted_r_squared=float(adjusted),
             n=n,
@@ -373,8 +515,8 @@ def ols(
     """Ordinary least squares with an implicit intercept.
 
     Fits y = b0 + X @ b through a QR decomposition of the design matrix
-    and reports two-sided t-test p-values per coefficient; see
-    LinearDesign, which does the work.
+    and reports two-sided t-test p-values per coefficient, evaluated on
+    read; see LinearDesign, which does the work.
     """
     return LinearDesign(X, column_names).fit(y)
 

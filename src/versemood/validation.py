@@ -10,8 +10,14 @@ Regressions use all 32 features as predictors.  Two of them are exact
 linear combinations by construction (each span is its max minus its
 min), so the regression layer removes whatever columns the rank check
 reports, keeping the first occurrence of every direction; every removal
-is logged.  Categories too small for the full predictor set fall back
-to the 20 mean/sd features.
+is logged.  The rank check is one QR pass per design, with the
+prefix-SVD test as referee on columns R cannot settle.  Categories too
+small for the full predictor set fall back to the 20 mean/sd features.
+
+Only what the reports read is computed: a row reads its paired
+feature's p-value alone, and the correlation matrix ranks each column
+without undefined values once, re-ranking only the pairs that drop
+sonnets.
 """
 
 from __future__ import annotations
@@ -29,7 +35,15 @@ from .features import (
     MEAN_SD_FEATURES,
     FeatureMatrix,
 )
-from .stats import LinearDesign, RankDeficiencyError, one_way_anova, spearman
+from .stats import (
+    LinearDesign,
+    RankDeficiencyError,
+    centred_ranks,
+    correlation_band,
+    one_way_anova,
+    rank_correlation,
+    spearman,
+)
 
 __all__ = [
     "AnovaReport",
@@ -78,19 +92,42 @@ def _require_aligned(matrix: FeatureMatrix, median: AnnotationSet) -> None:
         raise ValueError("the median annotator and the feature matrix cover different sonnets")
 
 
+def _whole_column_ranks(values: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """Centred ranks r of a column that every pairing it is in uses whole, and r @ r.
+
+    That is a column of two or more values, none undefined and not all
+    equal; for any other column the pairings go through ``spearman``.
+    """
+    if len(values) < 2 or np.isnan(values).any() or np.ptp(values) == 0.0:
+        return None
+    ranks = centred_ranks(values)
+    return ranks, float(ranks @ ranks)
+
+
 def bivariate_report(matrix: FeatureMatrix, median: AnnotationSet) -> list[BivariateCell]:
     """Spearman rho for every annotated feature against all 32 features.
 
     The median covers the matrix's sonnets in the same order.  Sonnets
     where the lexical feature is undefined are dropped pairwise, cell by
-    cell.
+    cell.  A pair of columns with no undefined value and some spread
+    each correlates from ranks taken once per column; any other pair
+    calls ``spearman`` on its paired values.
     """
     _require_aligned(matrix, median)
+    feature_ranks = [_whole_column_ranks(matrix.column(f)) for f in FEATURE_NAMES]
     cells = []
     for annotated in ORDINAL_FEATURES:
         annotated_values = median.column(annotated)
         annotated_defined = ~np.isnan(annotated_values)
-        for gam_feature in FEATURE_NAMES:
+        annotated_ranks = _whole_column_ranks(annotated_values)
+        for gam_feature, ranks in zip(FEATURE_NAMES, feature_ranks):
+            if annotated_ranks is not None and ranks is not None:
+                (rx, rx_rx), (ry, ry_ry) = annotated_ranks, ranks
+                rho = rank_correlation(rx, ry, rx_rx, ry_ry)
+                cells.append(
+                    BivariateCell(annotated, gam_feature, len(rx), rho, correlation_band(rho))
+                )
+                continue
             column = matrix.column(gam_feature)
             paired = annotated_defined & ~np.isnan(column)
             xs = annotated_values[paired]
@@ -246,7 +283,7 @@ def _category_rows(
             continue
         idx = active.index(gam_feature)
         coefficient = fit.coefficients[idx]
-        p_value = fit.p_values[idx]
+        p_value = fit.p_value(idx)
         out.append(PartialDependenceRow(
             category=category,
             annotated_feature=annotated,

@@ -245,6 +245,76 @@ def two_sample_power(alpha: float, cohens_d: float, n_per_group: int) -> float:
     return float(mp.quad(integrand, [0, df, mp.inf]))
 
 
+# ---------------------------------------------------------------------------
+# the regression kernel as it was before its rank check read a QR factor and
+# its p-values were evaluated on read
+
+
+def dependent_columns(design: np.ndarray, rtol: float = 1e-10) -> list[int]:
+    """Dependent design columns by one SVD per prefix.
+
+    A column is dependent when adding it leaves the prefix's numerical
+    rank (singular values above rtol times the largest) unchanged.
+    """
+    dependent = []
+    rank = 0
+    for j in range(design.shape[1]):
+        s = np.linalg.svd(design[:, : j + 1], compute_uv=False)
+        new_rank = int(np.sum(s > rtol * s[0])) if s[0] > 0.0 else 0
+        if new_rank == rank:
+            dependent.append(j)
+        else:
+            rank = new_rank
+    return dependent
+
+
+def ols_eager(X: np.ndarray, y: np.ndarray) -> dict:
+    """Every field of a full-rank ``ols`` fit, each p-value computed up front.
+
+    The same QR arithmetic as ``stats.LinearDesign``; t values and
+    p-values come from one loop over the coefficients, with the package's
+    ``t_tail``.
+    """
+    from versemood.stats import t_tail as package_t_tail
+
+    X = np.asarray(X, dtype=float)
+    yv = np.asarray(y, dtype=float)
+    n, k = X.shape
+    design = np.column_stack([np.ones(n), X])
+    q, r = np.linalg.qr(design)
+    r_inv = np.linalg.solve(r, np.eye(k + 1))
+    cov_diag = np.diag(r_inv @ r_inv.T)
+    beta = np.linalg.solve(r, q.T @ yv)
+    resid = yv - design @ beta
+    ssr = float(resid @ resid)
+    sst = float(np.sum((yv - yv.mean()) ** 2))
+    dof = n - k - 1
+    se = np.sqrt(np.maximum(ssr / dof * cov_diag, 0.0))
+    t_vals = np.empty(k + 1)
+    p_vals = np.empty(k + 1)
+    for j in range(k + 1):
+        if se[j] == 0.0:
+            t_vals[j] = math.copysign(math.inf, beta[j]) if beta[j] != 0.0 else 0.0
+            p_vals[j] = 0.0 if beta[j] != 0.0 else 1.0
+        else:
+            t_vals[j] = beta[j] / se[j]
+            p_vals[j] = package_t_tail(float(t_vals[j]), dof)
+    r2 = min(1.0, max(0.0, 1.0 - ssr / sst))
+    return {
+        "coefficients": tuple(float(b) for b in beta[1:]),
+        "intercept": float(beta[0]),
+        "std_errors": tuple(float(s) for s in se[1:]),
+        "intercept_std_error": float(se[0]),
+        "t_values": tuple(float(t) for t in t_vals[1:]),
+        "p_values": tuple(float(p) for p in p_vals[1:]),
+        "intercept_p_value": float(p_vals[0]),
+        "r_squared": r2,
+        "adjusted_r_squared": float(1.0 - (1.0 - r2) * (n - 1) / dof),
+        "n": n,
+        "k": k,
+    }
+
+
 def partial_dependence(matrix, median):
     """Partial dependence rows the literal way: one ``ols`` per pairing.
 

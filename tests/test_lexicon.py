@@ -12,7 +12,13 @@ import pytest
 import oracles
 from cell_tables import entries_of
 from cell_tables import source_lexicon as source
-from versemood.corpus import Corpus, Sonnet
+from versemood.corpus import (
+    ANNOTATED_FEATURES,
+    AnnotationSet,
+    Corpus,
+    Sonnet,
+    corpus_statistics,
+)
 from versemood.lexicon import (
     CANONICAL_SCALES,
     LexiconFormatError,
@@ -335,6 +341,28 @@ def test_stem_coverage_at_least_raw_coverage():
     # "cenizas" only matches once stemming folds it onto "ceniza"
     assert stem_row.merged >= raw_row.merged
     assert stem_row.merged == pytest.approx(1.0)
+
+
+_ONE_SOURCE = [source("a", {"a": {"valence": (5.0, None)}})]
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        lambda keys, median: coverage_report(
+            keys, _ONE_SOURCE, merge_lexicons(_ONE_SOURCE, RAW), RAW, median
+        ),
+        lambda keys, median: word_count_report(keys, keys, None, median),
+        corpus_statistics,
+    ],
+    ids=["coverage", "word-counts", "corpus-statistics"],
+)
+def test_reports_reject_a_median_over_other_sonnets(report):
+    keys = {"s1": ("a",)}
+    median = AnnotationSet(0, ("s1", "s2"), np.zeros((2, len(ANNOTATED_FEATURES))))
+    with pytest.raises(ValueError, match="cover different sonnets"):
+        report(keys, median)
+    report(keys, AnnotationSet(0, ("s1",), median.values[:1]))
 
 
 def test_missing_word_report_sorted():

@@ -8,11 +8,15 @@ import sys
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
+
+import oracles
 import versemood
 from versemood import stats, textnorm
 from versemood.cli import main
 from versemood.pipeline import Session
 from versemood.textnorm import MODES, NormalizationConfig, normalize
+from versemood.validation import partial_dependence_report
 
 
 def test_all_normalizes_each_sonnet_once(workspace_config, tmp_path, monkeypatch):
@@ -104,6 +108,44 @@ def test_partial_dependence_checks_each_category_design_once(
     assert fitted
     # one scan finds the two spans, one more confirms the rest is full rank
     assert 0 < len(calls) <= 2 * len(fitted)
+
+
+def test_partial_dependence_computes_only_what_its_rows_read(workspace_config, monkeypatch):
+    session = Session(workspace_config)
+    matrix, median = session.matrix, session.median
+    # one fit per pairing, each reading its p-value from all of them
+    expected, _ = oracles.partial_dependence(matrix, median)
+    t_tail_calls = []
+    scan_svd_calls = []
+    scanning = []
+    original_t_tail, original_svd = stats.t_tail, np.linalg.svd
+    original_scan = stats._dependent_columns
+
+    def counting_t_tail(t, df):
+        t_tail_calls.append(t)
+        return original_t_tail(t, df)
+
+    def counting_svd(*args, **kwargs):
+        if scanning:
+            scan_svd_calls.append(args[0].shape)
+        return original_svd(*args, **kwargs)
+
+    def marked_scan(design, *args, **kwargs):
+        scanning.append(design.shape)
+        try:
+            return original_scan(design, *args, **kwargs)
+        finally:
+            scanning.pop()
+
+    monkeypatch.setattr(stats, "t_tail", counting_t_tail)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(stats, "_dependent_columns", marked_scan)
+    rows = partial_dependence_report(matrix, median)
+    assert rows == expected
+    fitted = [r for r in rows if r.note is None]
+    assert fitted
+    assert len(t_tail_calls) <= len(fitted)
+    assert scan_svd_calls == []
 
 
 def test_every_exported_name_resolves():

@@ -8,6 +8,7 @@ import scipy.special
 import scipy.stats
 
 import oracles
+from versemood import stats
 from versemood.stats import (
     LinearDesign,
     RankDeficiencyError,
@@ -304,6 +305,113 @@ def test_linear_design_fits_equal_separate_ols_bit_for_bit():
             design.fit(np.full(n, 2.0))
         with pytest.raises(ValueError):
             design.fit(rng.normal(size=n + 1))
+
+
+def test_lazy_p_values_equal_the_eager_loop():
+    rng = np.random.default_rng(29)
+    exact_fit_coefficients = set()
+    for trial in range(300):
+        if trial % 2:
+            # few rows of small integers: many of these fits are exact, so se is 0
+            n, k = int(rng.integers(4, 9)), int(rng.integers(1, 3))
+            X = rng.integers(-2, 3, size=(n, k)).astype(float)
+            y = rng.integers(-1, 2) + X @ rng.integers(-1, 2, size=k)
+        else:
+            n = int(rng.integers(4, 30))
+            k = int(rng.integers(1, min(7, n - 1)))
+            X = rng.normal(size=(n, k))
+            y = X @ rng.normal(size=k) + rng.normal(size=n)
+        try:
+            fit = ols(X, y)
+        except ValueError:  # rank deficient or constant y
+            continue
+        ref = oracles.ols_eager(X, y)
+        assert {name: getattr(fit, name) for name in ref} == ref
+        betas = (fit.intercept, *fit.coefficients)
+        for beta, se in zip(betas, (fit.intercept_std_error, *fit.std_errors)):
+            if se == 0.0:
+                exact_fit_coefficients.add(beta != 0.0)
+    # the se == 0 rule ran for a non-zero and for a zero coefficient
+    assert exact_fit_coefficients == {True, False}
+
+
+def _rank_scan_cases(seed):
+    """Named designs, intercept first, with the structures the rank scan must tell apart."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(30, 80))
+    x = rng.normal(size=(n, 5)) * rng.uniform(0.1, 10.0, size=5)
+    ones = np.ones(n)
+    high, low = np.abs(x[:, 0]) + 1.0, -np.abs(x[:, 1])
+    cases = [
+        ("full rank", np.column_stack([ones, x])),
+        ("duplicate", np.column_stack([ones, x[:, :2], x[:, 0], x[:, 2]])),
+        ("span", np.column_stack([ones, high, low, high - low, x[:, 2]])),
+        ("constant", np.column_stack([ones, x[:, 0], np.full(n, 3.0), x[:, 1]])),
+        ("zero", np.column_stack([ones, x[:, 0], np.zeros(n), x[:, 1]])),
+        ("scaled 1e-12", np.column_stack([ones, x[:, 0], 1e-12 * x[:, 1], x[:, 2]])),
+    ]
+    # around rtol = 1e-10: a column that is x0 up to a perturbation of relative size 10^-e
+    for e in range(6, 14):
+        near = x[:, 0] + 10.0 ** -e * np.linalg.norm(x[:, 0]) / np.linalg.norm(x[:, 2]) * x[:, 2]
+        cases.append((f"near 1e-{e}", np.column_stack([ones, x[:, :2], near, x[:, 3]])))
+    return cases
+
+
+def test_rank_scan_equals_prefix_svd_oracle(monkeypatch):
+    refereed = set()
+    svd_rank = stats._svd_rank
+
+    def counting(columns, rtol):
+        refereed.add(name)
+        return svd_rank(columns, rtol)
+
+    monkeypatch.setattr(stats, "_svd_rank", counting)
+    for seed in (40, 41, 42):
+        for name, design in _rank_scan_cases(seed):
+            assert stats._dependent_columns(design) == oracles.dependent_columns(design), name
+    # exact structure is read off R; only columns near the threshold need an SVD
+    assert not refereed & {"full rank", "duplicate", "span", "constant", "zero"}
+    assert any(name.startswith("near") for name in refereed)
+
+    # Kahan's matrix: no |R_jj| is below 2% of its column's norm, yet the
+    # prefix SVD finds a dependent column, so R's diagonal alone cannot decide
+    name, k, c = "kahan", 80, 0.3
+    kahan = np.diag(np.sqrt(1 - c * c) ** np.arange(k)) @ (
+        np.eye(k) - c * np.triu(np.ones((k, k)), 1)
+    )
+    design = np.vstack([kahan, np.zeros((5, k))])
+    r = np.linalg.qr(design, mode="r")
+    assert np.min(np.abs(np.diagonal(r)) / np.linalg.norm(design, axis=0)) > 0.02
+    assert oracles.dependent_columns(design) != []
+    assert stats._dependent_columns(design) == oracles.dependent_columns(design)
+    assert "kahan" in refereed
+
+
+def test_rank_scan_equals_prefix_svd_oracle_on_mixed_designs():
+    rng = np.random.default_rng(43)
+    for _ in range(200):
+        n = int(rng.integers(3, 40))
+        columns = [np.ones(n)]
+        for _ in range(int(rng.integers(1, 10))):
+            kind = int(rng.integers(0, 6))
+            a, b = rng.integers(len(columns), size=2)
+            if kind == 0:
+                column = rng.normal(size=n) * 10.0 ** rng.uniform(-6, 6)
+            elif kind == 1:
+                column = columns[a] * rng.normal() - columns[b] * rng.normal()
+            elif kind == 2:
+                column = columns[a] - columns[b] + 10.0 ** rng.uniform(-15, -4) * (
+                    np.linalg.norm(columns[a]) * rng.normal(size=n)
+                )
+            elif kind == 3:
+                column = np.zeros(n)
+            elif kind == 4:
+                column = rng.normal(size=n) * 10.0 ** rng.uniform(-14, -8)
+            else:
+                column = rng.integers(-2, 3, size=n).astype(float)
+            columns.append(column)
+        design = np.column_stack(columns)
+        assert stats._dependent_columns(design) == oracles.dependent_columns(design)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,14 @@
 
 import logging
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import oracles
 from cell_tables import annotation_set, cells_of
+from versemood import validation
 from versemood.corpus import (
     ANNOTATED_FEATURES,
     ORDINAL_FEATURES,
@@ -19,6 +21,7 @@ from versemood.stats import spearman
 from versemood.validation import (
     FEATURE_PAIRINGS,
     SIGNIFICANCE_LEVEL,
+    BivariateCell,
     anova_report,
     bivariate_report,
     partial_dependence_report,
@@ -137,6 +140,55 @@ def test_bivariate_constant_series_noted():
     cell = cells[("anger", "anger_mean")]
     assert cell.rho is None
     assert cell.note is not None
+
+
+def test_bivariate_equals_spearman_on_each_masked_pair(monkeypatch):
+    dropped_rows = []
+
+    def counting(xs, ys):
+        dropped_rows.append(len(xs) < n)
+        return spearman(xs, ys)
+
+    monkeypatch.setattr(validation, "spearman", counting)
+    notes = Counter()
+    cells_seen = 0
+    for seed in range(94, 100):
+        rng = np.random.default_rng(seed)
+        matrix = synthetic_matrix(rng, int(rng.integers(8, 20)))
+        median = median_for(matrix, rng)
+        n = len(matrix.sonnet_ids)
+        features = rng.permutation(len(FEATURE_NAMES))
+        matrix.values[rng.choice(n, 3, replace=False), features[0]] = np.nan
+        matrix.values[:, features[1]] = 4.0
+        matrix.values[1:, features[2]] = np.nan
+        annotated = rng.permutation(len(ORDINAL_FEATURES))
+        median.values[:, annotated[0]] = 2.0
+        median.values[rng.choice(n, 2, replace=False), annotated[1]] = np.nan
+        cells = bivariate_report(matrix, median)
+        cells_seen += len(cells)
+        for cell in cells:
+            xs = median.column(cell.annotated_feature)
+            ys = matrix.column(cell.gam_feature)
+            paired = ~np.isnan(xs) & ~np.isnan(ys)
+            if paired.sum() < 2:
+                expected = BivariateCell(
+                    cell.annotated_feature, cell.gam_feature, int(paired.sum()), None, None,
+                    note="fewer than two paired sonnets",
+                )
+            else:
+                result = spearman(xs[paired], ys[paired])
+                expected = BivariateCell(
+                    cell.annotated_feature, cell.gam_feature, result.n, result.rho,
+                    result.band, result.undefined_reason,
+                )
+            assert cell == expected
+            notes[cell.note] += 1
+    # whole columns ranked once, pairs that drop rows through spearman, and every note
+    assert 0 < len(dropped_rows) < cells_seen
+    assert any(dropped_rows)
+    assert set(notes) == {
+        None, "x is constant", "y is constant", "fewer than two paired sonnets"
+    }
 
 
 # ---------------------------------------------------------------------------
