@@ -283,21 +283,25 @@ def load_annotation_set(
     else:
         ids = tuple(f"s{i:04d}" for i in range(1, len(data_rows) + 1))
 
-    ordinal = [feature in ORDINAL_FEATURES for feature in header]
+    spellings = [
+        _ORDINAL_CELLS if feature in ORDINAL_FEATURES else _BINARY_CELLS for feature in header
+    ]
     parsed = []
     for lineno, row in data_rows:
         if len(row) != len(header):
             raise AnnotationFormatError(
                 f"{path}: row {lineno}: expected {len(header)} cells, found {len(row)}"
             )
-        cells = []
-        for col, (feature, is_ordinal, cell) in enumerate(zip(header, ordinal, row), start=1):
-            try:
-                cells.append(_annotation_cell(cell, is_ordinal))
-            except ValueError as exc:
-                raise AnnotationFormatError(
-                    f"{path}: row {lineno}, column {col} ({feature}): {exc}"
-                ) from None
+        cells = list(map(dict.get, spellings, row))
+        if None in cells:  # a spelling off the tables: check the row cell by cell
+            cells = []
+            for col, (feature, cell) in enumerate(zip(header, row), start=1):
+                try:
+                    cells.append(_annotation_cell(cell, feature in ORDINAL_FEATURES))
+                except ValueError as exc:
+                    raise AnnotationFormatError(
+                        f"{path}: row {lineno}, column {col} ({feature}): {exc}"
+                    ) from None
         parsed.append(cells)
     values = np.array(parsed, dtype=float).reshape(len(ids), len(header))
     return AnnotationSet(
@@ -305,6 +309,11 @@ def load_annotation_set(
         sonnet_ids=ids,
         values=values[:, [header.index(f) for f in ANNOTATED_FEATURES]],
     )
+
+
+# The canonical spelling of every valid cell; _annotation_cell reads any other.
+_ORDINAL_CELLS = {str(v): float(v) for v in range(ORDINAL_MIN, ORDINAL_MAX + 1)}
+_BINARY_CELLS = {"0": 0.0, "1": 1.0, "": math.nan}
 
 
 def _annotation_cell(cell: str, is_ordinal: bool) -> float:

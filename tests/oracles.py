@@ -687,3 +687,231 @@ def features_from_observations(observations):
         else:
             set_value(f"sigma_{short}", None, f"no matched words with {dim}")
     return SimpleNamespace(values=values, reasons=reasons)
+
+
+# ---------------------------------------------------------------------------
+# the Spanish Snowball stemmer as it was before its steps looked suffixes up
+# in tables: NLTK's transcription, which scans each step's suffix tuple in
+# order and takes the first suffix the word (or its RV region) ends with
+
+
+_VOWELS = "aeiou\xe1\xe9\xed\xf3\xfa\xfc"
+
+_STEP0_SUFFIXES = (
+    "selas", "selos", "sela", "selo", "las", "les", "los", "nos",
+    "me", "se", "la", "le", "lo",
+)
+
+_STEP0_PRECEDING = (
+    "ando", "\xe1ndo", "ar", "\xe1r", "er", "\xe9r", "iendo", "i\xe9ndo",
+    "ir", "\xedr",
+)
+
+_STEP1_SUFFIXES = (
+    "amientos", "imientos", "amiento", "imiento", "acion", "aciones",
+    "uciones", "adoras", "adores", "ancias", "log\xedas", "encias",
+    "amente", "idades", "anzas", "ismos", "ables", "ibles", "istas",
+    "adora", "aci\xf3n", "antes", "ancia", "log\xeda", "uci\xf3n",
+    "encia", "mente", "anza", "icos", "icas", "ismo", "able", "ible",
+    "ista", "osos", "osas", "ador", "ante", "idad", "ivas", "ivos",
+    "ico", "ica", "oso", "osa", "iva", "ivo",
+)
+
+_STEP1_AGENT_SUFFIXES = (
+    "adora", "ador", "aci\xf3n", "adoras", "adores", "acion", "aciones",
+    "ante", "antes", "ancia", "ancias",
+)
+
+_STEP2A_SUFFIXES = (
+    "yeron", "yendo", "yamos", "yais", "yan", "yen", "yas", "yes",
+    "ya", "ye", "yo", "y\xf3",
+)
+
+_STEP2B_SUFFIXES = (
+    "ar\xedamos", "er\xedamos", "ir\xedamos", "i\xe9ramos", "i\xe9semos",
+    "ar\xedais", "aremos", "er\xedais", "eremos", "ir\xedais", "iremos",
+    "ierais", "ieseis", "asteis", "isteis", "\xe1bamos", "\xe1ramos",
+    "\xe1semos", "ar\xedan", "ar\xedas", "ar\xe9is", "er\xedan",
+    "er\xedas", "er\xe9is", "ir\xedan", "ir\xedas", "ir\xe9is", "ieran",
+    "iesen", "ieron", "iendo", "ieras", "ieses", "abais", "arais",
+    "aseis", "\xe9amos", "ar\xe1n", "ar\xe1s", "ar\xeda", "er\xe1n",
+    "er\xe1s", "er\xeda", "ir\xe1n", "ir\xe1s", "ir\xeda", "iera",
+    "iese", "aste", "iste", "aban", "aran", "asen", "aron", "ando",
+    "abas", "adas", "idas", "aras", "ases", "\xedais", "ados", "idos",
+    "amos", "imos", "emos", "ar\xe1", "ar\xe9", "er\xe1", "er\xe9",
+    "ir\xe1", "ir\xe9", "aba", "ada", "ida", "ara", "ase", "\xedan",
+    "ado", "ido", "\xedas", "\xe1is", "\xe9is", "\xeda", "ad", "ed",
+    "id", "an", "i\xf3", "ar", "er", "ir", "as", "\xeds", "en", "es",
+)
+
+_STEP3_SUFFIXES = ("os", "a", "e", "o", "\xe1", "\xe9", "\xed", "\xf3")
+
+
+def _replace_accented(word: str) -> str:
+    """Replace accented vowels with their plain counterparts."""
+    return (
+        word.replace("\xe1", "a")
+        .replace("\xe9", "e")
+        .replace("\xed", "i")
+        .replace("\xf3", "o")
+        .replace("\xfa", "u")
+    )
+
+
+def _r1_r2(word: str) -> tuple[str, str]:
+    """Standard R1/R2 regions: after the first non-vowel following a vowel."""
+    r1 = ""
+    r2 = ""
+    for i in range(1, len(word)):
+        if word[i] not in _VOWELS and word[i - 1] in _VOWELS:
+            r1 = word[i + 1 :]
+            break
+    for i in range(1, len(r1)):
+        if r1[i] not in _VOWELS and r1[i - 1] in _VOWELS:
+            r2 = r1[i + 1 :]
+            break
+    return r1, r2
+
+
+def _rv(word: str) -> str:
+    """RV region per the standard Snowball definition for Romance languages."""
+    rv = ""
+    if len(word) >= 2:
+        if word[1] not in _VOWELS:
+            for i in range(2, len(word)):
+                if word[i] in _VOWELS:
+                    rv = word[i + 1 :]
+                    break
+        elif word[0] in _VOWELS and word[1] in _VOWELS:
+            for i in range(2, len(word)):
+                if word[i] not in _VOWELS:
+                    rv = word[i + 1 :]
+                    break
+        else:
+            rv = word[3:]
+    return rv
+
+
+def _suffix_replace(original: str, old: str, new: str) -> str:
+    return original[: -len(old)] + new
+
+
+def stem_scan(word: str) -> str:
+    """Stem one Spanish word by scanning each step's suffix tuple in order."""
+    word = word.lower()
+    step1_success = False
+
+    r1, r2 = _r1_r2(word)
+    rv = _rv(word)
+
+    # Step 0: attached pronoun, removed after a gerund or infinitive.
+    for suffix in _STEP0_SUFFIXES:
+        if not (word.endswith(suffix) and rv.endswith(suffix)):
+            continue
+        if rv[: -len(suffix)].endswith(_STEP0_PRECEDING) or (
+            rv[: -len(suffix)].endswith("yendo")
+            and word[: -len(suffix)].endswith("uyendo")
+        ):
+            word = _replace_accented(word[: -len(suffix)])
+            r1 = _replace_accented(r1[: -len(suffix)])
+            r2 = _replace_accented(r2[: -len(suffix)])
+            rv = _replace_accented(rv[: -len(suffix)])
+        break
+
+    # Step 1: standard suffix removal.
+    for suffix in _STEP1_SUFFIXES:
+        if not word.endswith(suffix):
+            continue
+
+        if suffix == "amente" and r1.endswith(suffix):
+            step1_success = True
+            word = word[:-6]
+            r2 = r2[:-6]
+            rv = rv[:-6]
+            if r2.endswith("iv"):
+                word = word[:-2]
+                r2 = r2[:-2]
+                rv = rv[:-2]
+                if r2.endswith("at"):
+                    word = word[:-2]
+                    rv = rv[:-2]
+            elif r2.endswith(("os", "ic", "ad")):
+                word = word[:-2]
+                rv = rv[:-2]
+
+        elif r2.endswith(suffix):
+            step1_success = True
+            if suffix in _STEP1_AGENT_SUFFIXES:
+                word = word[: -len(suffix)]
+                r2 = r2[: -len(suffix)]
+                rv = rv[: -len(suffix)]
+                if r2.endswith("ic"):
+                    word = word[:-2]
+                    rv = rv[:-2]
+            elif suffix in ("log\xeda", "log\xedas"):
+                word = _suffix_replace(word, suffix, "log")
+                rv = _suffix_replace(rv, suffix, "log")
+            elif suffix in ("uci\xf3n", "uciones"):
+                word = _suffix_replace(word, suffix, "u")
+                rv = _suffix_replace(rv, suffix, "u")
+            elif suffix in ("encia", "encias"):
+                word = _suffix_replace(word, suffix, "ente")
+                rv = _suffix_replace(rv, suffix, "ente")
+            elif suffix == "mente":
+                word = word[: -len(suffix)]
+                r2 = r2[: -len(suffix)]
+                rv = rv[: -len(suffix)]
+                if r2.endswith(("ante", "able", "ible")):
+                    word = word[:-4]
+                    rv = rv[:-4]
+            elif suffix in ("idad", "idades"):
+                word = word[: -len(suffix)]
+                r2 = r2[: -len(suffix)]
+                rv = rv[: -len(suffix)]
+                for pre_suff in ("abil", "ic", "iv"):
+                    if r2.endswith(pre_suff):
+                        word = word[: -len(pre_suff)]
+                        rv = rv[: -len(pre_suff)]
+            elif suffix in ("ivo", "iva", "ivos", "ivas"):
+                word = word[: -len(suffix)]
+                r2 = r2[: -len(suffix)]
+                rv = rv[: -len(suffix)]
+                if r2.endswith("at"):
+                    word = word[:-2]
+                    rv = rv[:-2]
+            else:
+                word = word[: -len(suffix)]
+                rv = rv[: -len(suffix)]
+        break
+
+    # Step 2a: verb suffixes beginning with y, only after u.
+    if not step1_success:
+        for suffix in _STEP2A_SUFFIXES:
+            if rv.endswith(suffix) and word[-len(suffix) - 1 : -len(suffix)] == "u":
+                word = word[: -len(suffix)]
+                rv = rv[: -len(suffix)]
+                break
+
+        # Step 2b: other verb suffixes.
+        for suffix in _STEP2B_SUFFIXES:
+            if rv.endswith(suffix):
+                word = word[: -len(suffix)]
+                rv = rv[: -len(suffix)]
+                if suffix in ("en", "es", "\xe9is", "emos"):
+                    if word.endswith("gu"):
+                        word = word[:-1]
+                    if rv.endswith("gu"):
+                        rv = rv[:-1]
+                break
+
+    # Step 3: residual suffix.
+    for suffix in _STEP3_SUFFIXES:
+        if rv.endswith(suffix):
+            word = word[: -len(suffix)]
+            if suffix in ("e", "\xe9"):
+                rv = rv[: -len(suffix)]
+                if word[-2:] == "gu" and rv.endswith("u"):
+                    word = word[:-1]
+            break
+
+    return _replace_accented(word)

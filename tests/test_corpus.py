@@ -185,6 +185,21 @@ def test_load_annotation_set_binary_cells(tmp_path):
         load_annotation_set(path, annotator_id=1)
 
 
+def test_load_annotation_set_reads_every_spelling_of_a_valid_cell(tmp_path):
+    # canonical cells are looked up; padded or signed ones go the long way
+    canonical = [full_row(ordinal=2, binary=1), full_row(ordinal=4, binary=0)]
+    canonical[1][len(ORDINAL_FEATURES)] = ""
+    padded = [["0" + str(c) if c != "" else " " for c in row] for row in canonical]
+    padded[0][0] = " +2 "
+    expected = tmp_path / "canonical.csv"
+    write_annotations(expected, canonical)
+    path = tmp_path / "padded.csv"
+    write_annotations(path, padded)
+    got = load_annotation_set(path, annotator_id=1).values
+    np.testing.assert_array_equal(got, load_annotation_set(expected, annotator_id=1).values)
+    assert np.isnan(got[1, len(ORDINAL_FEATURES)])
+
+
 # ---------------------------------------------------------------------------
 # scale reversal
 

@@ -12,7 +12,7 @@ import numpy as np
 
 import oracles
 import versemood
-from versemood import stats, textnorm
+from versemood import lexicon, stats, textnorm
 from versemood.cli import main
 from versemood.pipeline import Session
 from versemood.textnorm import MODES, NormalizationConfig, normalize
@@ -85,6 +85,28 @@ def test_session_keys_each_distinct_word_once(workspace, tmp_path, monkeypatch):
     for by_sonnet in (session.words, keys):
         tokens = [k for ks in by_sonnet.values() for k in ks]
         assert len({id(k) for k in tokens}) == len(set(tokens))
+
+
+def test_stem_mode_stems_through_textnorm_stem_once_per_word(workspace_config, monkeypatch):
+    # The benchmark's stem counters read calls to this one module-level entry point.
+    original = textnorm.stem
+    calls = Counter()
+
+    def counting(word):
+        calls[word] += 1
+        return original(word)
+
+    monkeypatch.setattr(textnorm, "stem", counting)
+    session = Session(workspace_config)
+    stem_mode = replace(session.norm, mode="stem")
+    distinct = {w for ws in session.words.values() for w in ws}
+    session.keys("stem")
+    assert set(calls) == distinct and sum(calls.values()) == len(distinct)
+
+    calls.clear()
+    surfaces = set().union(*(source.entries for source in session.sources))
+    lexicon.merge_lexicons(session.sources, stem_mode)
+    assert set(calls) == surfaces and sum(calls.values()) == len(surfaces)
 
 
 def test_partial_dependence_checks_each_category_design_once(

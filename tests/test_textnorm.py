@@ -1,7 +1,11 @@
 """Tokenizer, stopword, and stemmer behavior."""
 
+import random
+
 import pytest
 
+import oracles
+from versemood import snowball_es
 from versemood.snowball_es import stem
 from versemood.textnorm import (
     InputError,
@@ -119,6 +123,67 @@ def test_stemmer_collapses_inflection_families():
     assert stem("ceniza") == stem("cenizas")
     assert stem("canción") == stem("canciones")
     assert stem("viva") == stem("viviríamos")
+
+
+# Roots for the cross product: lengths 0-3, vowel-initial, two leading vowels,
+# u and gu before steps 2a and 3, and ic/iv/at/abil before step-1 suffixes.
+STEM_ROOTS = (
+    "", "a", "b", "ab", "ba", "bra", "amig", "orden", "aer", "oas", "eu",
+    "hu", "constru", "arg", "segu", "distingu", "critic", "format", "activ",
+    "posibil", "creativ", "practic", "cantar", "revolucion",
+)
+
+# each step's suffixes in the scan's order, and the lookup's table of them
+_SCAN_TABLES = {
+    "step 0": (snowball_es._STEP0_SUFFIXES, snowball_es._STEP0),
+    "step 1": (snowball_es._STEP1_SUFFIXES, snowball_es._STEP1),
+    "step 2a": (snowball_es._STEP2A_SUFFIXES, snowball_es._STEP2A),
+    "step 2b": (snowball_es._STEP2B_SUFFIXES, snowball_es._STEP2B),
+    "step 3": (snowball_es._STEP3_SUFFIXES, snowball_es._STEP3),
+}
+
+
+def _stem_test_words() -> list[str]:
+    """Golden words, roots x suffixes, roots x gerund/infinitive x pronoun, and a fuzz."""
+    suffixes = sorted({s for ordered, _ in _SCAN_TABLES.values() for s in ordered})
+    words = list(GOLDEN_STEMS)
+    words += [root + suffix for root in STEM_ROOTS for suffix in suffixes]
+    words += [
+        root + before + pronoun
+        for root in STEM_ROOTS
+        for before in oracles._STEP0_PRECEDING + ("yendo", "uyendo")
+        for pronoun in oracles._STEP0_SUFFIXES
+    ]
+    rng = random.Random(20261018)
+    letters = "abcdefghijlmnopqrstuvxyz\xe1\xe9\xed\xf3\xfa\xfc\xf1"
+    for _ in range(20_000):
+        root = "".join(rng.choices(letters, k=rng.randint(0, 6)))
+        words.append(root + "".join(rng.choices(suffixes, k=rng.randint(1, 2))))
+    return words
+
+
+def test_table_stemmer_equals_the_scan():
+    mismatches = {}
+    for word in _stem_test_words():
+        table, scan = stem(word), oracles.stem_scan(word)
+        if table != scan:
+            mismatches[word] = (table, scan)
+    assert mismatches == {}
+
+
+@pytest.mark.parametrize("step", sorted(_SCAN_TABLES))
+def test_suffix_tables_first_match_is_longest_match(step):
+    ordered, table = _SCAN_TABLES[step]
+    assert len(set(ordered)) == len(ordered)
+    for i, suffix in enumerate(ordered):
+        shadowing = [s for s in ordered[:i] if len(s) < len(suffix) and suffix.endswith(s)]
+        assert shadowing == [], f"{step}: {suffix!r} comes after {shadowing}"
+    # the lookup finds the scan's suffix for every tail of every entry
+    for suffix in ordered:
+        for tail in (suffix[i:] for i in range(len(suffix))):
+            for word in (tail, "x" + tail):
+                scanned = next((s for s in ordered if word.endswith(s)), "")
+                assert snowball_es._longest_suffix(word, table) == scanned, (step, word)
 
 
 def test_tokenize_strips_edge_punctuation():
