@@ -122,24 +122,7 @@ def _run(args: argparse.Namespace) -> int:
     return 0
 
 
-_console_ready = False
-
-
-def _setup_console_logging() -> None:
-    global _console_ready
-    if _console_ready:
-        return
-    console = logging.StreamHandler()
-    console.setLevel(logging.WARNING)
-    console.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-    root = logging.getLogger()
-    root.addHandler(console)
-    root.setLevel(logging.WARNING)
-    _console_ready = True
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    _setup_console_logging()
     parser = _build_parser()
     args = parser.parse_args(argv)
     if not args.command:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
@@ -114,12 +114,6 @@ class Sonnet:
 @dataclass(frozen=True)
 class Corpus:
     sonnets: tuple[Sonnet, ...]
-    _by_id: dict[str, Sonnet] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self) -> None:
-        self._by_id.update({s.sonnet_id: s for s in self.sonnets})
-        if len(self._by_id) != len(self.sonnets):
-            raise CorpusFormatError("duplicate sonnet ids in metadata")
 
     def __len__(self) -> int:
         return len(self.sonnets)
@@ -127,9 +121,6 @@ class Corpus:
     @property
     def sonnet_ids(self) -> tuple[str, ...]:
         return tuple(s.sonnet_id for s in self.sonnets)
-
-    def get(self, sonnet_id: str) -> Sonnet:
-        return self._by_id[sonnet_id]
 
 
 @dataclass(frozen=True, eq=False)

@@ -120,8 +120,11 @@ def _check_inputs(cfg: dict[str, Any], needs: set[str]) -> None:
             f"{cfg['_path']}: 'reversed_valence_annotators' must be a list of annotator numbers"
         )
     for rid in reversed_valence:
-        if not isinstance(rid, int) or rid not in range(1, len(annotations) + 1):
-            raise InputError(f"reversed_valence_annotators names unknown annotator {rid}")
+        # JSON true is a Python int; it names no annotator.
+        if type(rid) is not int or rid not in range(1, len(annotations) + 1):
+            raise InputError(
+                f"{cfg['_path']}: 'reversed_valence_annotators' names unknown annotator {rid!r}"
+            )
     if "texts" in needs:
         if not cfg.get("corpus_root"):
             raise InputError("config is missing 'corpus_root' (needed to read sonnet texts)")
@@ -220,28 +223,44 @@ def _table(row_type: type, rows: Sequence[Any]) -> _Table:
 
 
 class ReportWriter:
-    """Writes csv/json report pairs and remembers what was written."""
+    """Writes csv/json report pairs, each under a temporary name beside its own.
+
+    ``commit`` renames the files emitted so far into place and adds them to
+    ``written``; ``discard`` deletes them.
+    """
 
     def __init__(self, out_dir: Path, fmt: str):
         self.out_dir = out_dir
         self.fmt = fmt
         self.written: list[Path] = []
+        self._staged: list[tuple[Path, Path]] = []
+
+    def _stage(self, filename: str) -> Path:
+        self._staged.append((self.out_dir / f".{filename}.tmp", self.out_dir / filename))
+        return self._staged[-1][0]
 
     def emit(self, name: str, header: list[str], rows: list[list[Any]], mirror: Any) -> None:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         if self.fmt in ("csv", "both"):
-            path = self.out_dir / f"{name}.csv"
-            with path.open("w", encoding="utf-8", newline="") as handle:
+            with self._stage(f"{name}.csv").open("w", encoding="utf-8", newline="") as handle:
                 writer = csv.writer(handle, lineterminator="\n")
                 writer.writerow(header)
                 for row in rows:
                     writer.writerow([_fmt(cell) for cell in row])
-            self.written.append(path)
         if self.fmt in ("json", "both"):
-            path = self.out_dir / f"{name}.json"
             text = json.dumps(_json_safe(mirror), indent=2, ensure_ascii=False, sort_keys=False)
-            path.write_text(text + "\n", encoding="utf-8")
+            self._stage(f"{name}.json").write_text(text + "\n", encoding="utf-8")
+
+    def commit(self) -> None:
+        for staged, path in self._staged:
+            staged.replace(path)
             self.written.append(path)
+        self._staged.clear()
+
+    def discard(self) -> None:
+        for staged, _ in self._staged:
+            staged.unlink(missing_ok=True)
+        self._staged.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -286,50 +305,19 @@ def _agreement(session: Session) -> _Table:
             file=sys.stderr,
         )
     report = agreement_mod.agreement_report(sets, median)
-    columns: list[str] = []
-    for row in report:
-        for label in row.cells:
-            if label not in columns:
-                columns.append(label)
-    rows = []
-    degenerate = 0
-    mirror_rows = []
-    for row in report:
-        csv_row: list[Any] = [row.feature, row.level]
-        cell_mirror: dict[str, Any] = {}
-        for label in columns:
-            result = row.cells.get(label)
-            if result is None:
-                csv_row.append(None)
-                cell_mirror[label] = None
-                degenerate += 1
-                continue
-            csv_row.append(result.alpha)
-            cell_mirror[label] = {
-                "alpha": result.alpha,
-                "n_pairable": result.n_pairable,
-                "band": result.band,
-                "degenerate": result.degenerate,
-                "note": result.note,
-            }
-            if result.degenerate:
-                degenerate += 1
-        csv_row.append(";".join(row.below_threshold))
-        rows.append(csv_row)
-        mirror_rows.append(
-            {
-                "feature": row.feature,
-                "level": row.level,
-                "cells": cell_mirror,
-                "below_threshold": list(row.below_threshold),
-            }
-        )
-    return _Table(
-        ["feature", "level", *columns, "below_threshold"],
-        rows,
-        {"columns": columns, "rows": mirror_rows},
-        degenerate,
+    header, rows, mirror, _ = _table(agreement_mod.AgreementRow, report)
+    # Every row has the same cell labels; a cell not computable is None.
+    for line in rows:
+        line[2:-1] = [None if cell is None else cell.alpha for cell in line[2:-1]]
+    for row in mirror:
+        row["cells"] = {
+            label: None if cell is None else dataclasses.asdict(cell)
+            for label, cell in row["cells"].items()
+        }
+    degenerate = sum(
+        cell is None or cell.degenerate for row in report for cell in row.cells.values()
     )
+    return _Table(header, rows, {"columns": header[2:-1], "rows": mirror}, degenerate)
 
 
 def _word_counts(session: Session) -> _Table:
@@ -583,10 +571,14 @@ class Session:
         return features_mod.compute_corpus_matrix(self.keys(self.norm.mode), self.merged)
 
     def write(self, writer: ReportWriter) -> int:
-        """Write the session's reports; return the degeneracies they counted."""
+        """Write the session's reports once all are built; return the degeneracies counted."""
         degenerate = 0
-        for name in self.reports:
-            header, rows, mirror, count = REPORTS[name].build(self)
-            writer.emit(name, header, rows, mirror)
-            degenerate += count
+        try:
+            for name in self.reports:
+                header, rows, mirror, count = REPORTS[name].build(self)
+                writer.emit(name, header, rows, mirror)
+                degenerate += count
+            writer.commit()
+        finally:
+            writer.discard()  # what a failed build or commit left staged
         return degenerate

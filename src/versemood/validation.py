@@ -160,43 +160,23 @@ class PartialDependenceRow:
 
     The regression fits the annotated feature on the whole predictor
     set; ``coefficient`` and ``p_value`` belong to the paired lexical
-    feature.  ``note`` is set (and the numeric fields are None) when the
-    row was not computable.
+    feature.  ``note`` is set when the row was not computable, and the
+    fields after ``n`` then keep their defaults.
     """
 
     category: str
     annotated_feature: str
     gam_feature: str
     n: int
-    n_predictors: int
-    r_squared: float | None
-    adjusted_r_squared: float | None
-    coefficient: float | None
-    p_value: float | None
-    significant: bool
-    pruned: bool
-    dropped_columns: tuple[str, ...]
+    n_predictors: int = 0
+    r_squared: float | None = None
+    adjusted_r_squared: float | None = None
+    coefficient: float | None = None
+    p_value: float | None = None
+    significant: bool = False
+    pruned: bool = False
+    dropped_columns: tuple[str, ...] = ()
     note: str | None = None
-
-
-def _not_computable(
-    category: str, annotated: str, gam_feature: str, n: int, reason: str
-) -> PartialDependenceRow:
-    return PartialDependenceRow(
-        category=category,
-        annotated_feature=annotated,
-        gam_feature=gam_feature,
-        n=n,
-        n_predictors=0,
-        r_squared=None,
-        adjusted_r_squared=None,
-        coefficient=None,
-        p_value=None,
-        significant=False,
-        pruned=False,
-        dropped_columns=(),
-        note=reason,
-    )
 
 
 def _category_rows(
@@ -237,12 +217,9 @@ def _category_rows(
             design = LinearDesign(X, column_names=active)
             break
         except RankDeficiencyError as exc:
-            bad = [c for c in exc.columns if c != "intercept"]
-            if not bad:
-                failure = "design matrix not usable (intercept degenerate)"
-                break
-            steps.append(bad)
-            active = [p for p in active if p not in bad]
+            # The intercept is column 0, so it is never dependent on earlier columns.
+            steps.append(exc.columns)
+            active = [p for p in active if p not in exc.columns]
         except ValueError as exc:
             failure = str(exc)
             break
@@ -255,9 +232,9 @@ def _category_rows(
                 category, annotated, len(rows),
             )
         if insufficient:
-            out.append(_not_computable(
+            out.append(PartialDependenceRow(
                 category, annotated, gam_feature, len(rows),
-                f"insufficient rows for regression ({len(rows)} sonnets, "
+                note=f"insufficient rows for regression ({len(rows)} sonnets, "
                 f"{len(predictors)} predictors)",
             ))
             continue
@@ -279,7 +256,7 @@ def _category_rows(
             except ValueError as exc:
                 note = str(exc)
         if note is not None:
-            out.append(_not_computable(category, annotated, gam_feature, len(rows), note))
+            out.append(PartialDependenceRow(category, annotated, gam_feature, len(rows), note=note))
             continue
         idx = active.index(gam_feature)
         coefficient = fit.coefficients[idx]
@@ -297,7 +274,6 @@ def _category_rows(
             significant=p_value < SIGNIFICANCE_LEVEL and coefficient > 0.0,
             pruned=pruned,
             dropped_columns=tuple(dropped),
-            note=None,
         ))
     return out
 

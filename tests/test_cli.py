@@ -193,6 +193,74 @@ def test_agree_with_two_sets_warns_and_drops_median(workspace, tmp_path, capsys)
     assert rows[0] == ["feature", "level", "all", "a1-a2", "below_threshold"]
 
 
+def test_agreement_writes_uncomputable_and_degenerate_cells(workspace, tmp_path, capsys):
+    # "Pride" is blank in every set (no alpha); "Solitude" is 0 everywhere (no variation).
+    copy = shutil.copytree(workspace, tmp_path / "workspace")
+    for name in ("annotator1.csv", "annotator2.csv", "annotator3.csv"):
+        rows = read_csv(copy / name)
+        blank, zero = rows[0].index("Pride"), rows[0].index("Solitude")
+        for row in rows[1:]:
+            row[blank], row[zero] = "", "0"
+        with (copy / name).open("w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+    out = tmp_path / "out"
+    code, _, err = run(
+        capsys, "agree", "--config", str(copy / "config.json"), "--out", str(out), "--strict"
+    )
+    assert code == 2
+    assert "14 degenerate or skipped computations" in err
+    columns = ["all", "a1-a2", "a1-a3", "a2-a3", "a1-m", "a2-m", "a3-m"]
+    table = {row[0]: row for row in read_csv(out / "agreement.csv")}
+    assert table["feature"] == ["feature", "level", *columns, "below_threshold"]
+    assert table["Pride"] == ["Pride", "nominal", *[""] * 7, ""]
+    assert table["Solitude"] == ["Solitude", "nominal", *["1"] * 7, ""]
+    mirror = read_json(out / "agreement.json")
+    assert mirror["columns"] == columns
+    rows = {row["feature"]: row for row in mirror["rows"]}
+    assert rows["Pride"] == {
+        "feature": "Pride", "level": "nominal",
+        "cells": dict.fromkeys(columns), "below_threshold": [],
+    }
+    for label, cell in rows["Solitude"]["cells"].items():
+        assert cell == {
+            "alpha": 1.0, "n_pairable": 120 if label == "all" else 80, "band": "Perfect",
+            "degenerate": True, "note": "degenerate: no variation among pairable values",
+        }
+    assert list(rows["valence"]["cells"]["all"]) == [
+        "alpha", "n_pairable", "band", "degenerate", "note"
+    ]
+
+
+@pytest.mark.parametrize("earlier_set", [False, True], ids=["empty", "earlier-set"])
+@pytest.mark.parametrize("command", ["all", "coverage"])
+def test_failed_run_leaves_the_report_files_as_it_found_them(
+    workspace, tmp_path, capsys, command, earlier_set
+):
+    # The lexicons are read only when the coverage report is built, after
+    # corpus_stats, agreement and word_counts.
+    copy = shutil.copytree(workspace, tmp_path / "workspace")
+    with (copy / "lex_a.csv").open("a", encoding="utf-8") as fh:
+        fh.write("amor,valence,notanumber,1,1,9\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    if earlier_set:
+        earlier = build_workspace(tmp_path / "earlier", n_sonnets=12)
+        code, _, _ = run(
+            capsys, "all", "--config", str(earlier / "config.json"),
+            "--out", str(out), "--missing-words",
+        )
+        assert code == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    code, stdout, err = run(
+        capsys, command, "--config", str(copy / "config.json"),
+        "--out", str(out), "--missing-words",
+    )
+    assert code == 1
+    assert "not a number: 'notanumber'" in err
+    assert stdout == ""
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_validate_with_two_sets_is_an_input_error(workspace, tmp_path, capsys):
     cfg = absolute_config(workspace)
     cfg["annotations"] = cfg["annotations"][:2]
@@ -457,6 +525,8 @@ def test_bad_input_file_exits_1_naming_it(workspace, tmp_path, capsys, case):
     ("descriptor", "dimensions", {"valence": ["Val_Mn", "Val_SD"]}, "valence"),
     ("descriptor", "word_column", ["Word"], "'word_column'"),
     ("descriptor", "delimiter", "\t\t", "'delimiter'"),
+    ("config", "reversed_valence_annotators", [True], "'reversed_valence_annotators'"),
+    ("config", "reversed_valence_annotators", [1.0], "'reversed_valence_annotators'"),
 ])
 def test_value_of_wrong_type_exits_1_naming_file_and_key(
     workspace, tmp_path, capsys, where, key, value, named

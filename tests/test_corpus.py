@@ -16,9 +16,7 @@ from versemood.corpus import (
     ORDINAL_FEATURES,
     PSYCHOLOGICAL_TAGS,
     AnnotationFormatError,
-    Corpus,
     CorpusFormatError,
-    Sonnet,
     build_median_annotator,
     categories,
     corpus_statistics,
@@ -62,15 +60,15 @@ def test_load_corpus_reads_texts(tmp_path):
     ])
     corp = load_corpus(meta, tmp_path)
     assert corp.sonnet_ids == ("s1", "s2")
-    assert corp.get("s2").author == "Góngora"
-    assert corp.get("s1").text == "el amor\n"
+    assert corp.sonnets[1].author == "Góngora"
+    assert corp.sonnets[0].text == "el amor\n"
 
 
 def test_load_corpus_without_root_skips_texts(tmp_path):
     meta = tmp_path / "meta.csv"
     write_metadata(meta, [["A", "1600", "T", "s1", "absent.txt"]])
     corp = load_corpus(meta, None)
-    assert corp.get("s1").text is None
+    assert corp.sonnets[0].text is None
 
 
 def test_load_corpus_missing_column(tmp_path):
@@ -87,13 +85,15 @@ def test_load_corpus_missing_text_file(tmp_path):
         load_corpus(meta, tmp_path)
 
 
-def test_duplicate_sonnet_ids_rejected():
-    sonnets = (
-        Sonnet("s1", "A", "1600", "T", None),
-        Sonnet("s1", "B", "1601", "U", None),
-    )
-    with pytest.raises(CorpusFormatError, match="duplicate"):
-        Corpus(sonnets=sonnets)
+def test_duplicate_sonnet_ids_rejected(tmp_path):
+    meta = tmp_path / "meta.csv"
+    write_metadata(meta, [
+        ["A", "1600", "T", "s1", "s1.txt"],
+        ["B", "1601", "U", "s2", "s2.txt"],
+        ["C", "1602", "V", "s1", "s3.txt"],
+    ])
+    with pytest.raises(CorpusFormatError, match=r"line 4: duplicate sonnet id 's1' \(first on line 2\)"):
+        load_corpus(meta, None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,24 @@
 """Pipeline session: derived artifacts computed once, exports that resolve."""
 
 import importlib
+import importlib.util
 import json
 import pkgutil
 import shutil
 import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 import oracles
 import versemood
-from versemood import lexicon, stats, textnorm
+from versemood import lexicon, pipeline, stats, textnorm
 from versemood.cli import main
-from versemood.pipeline import Session
-from versemood.textnorm import MODES, NormalizationConfig, normalize
+from versemood.pipeline import ReportWriter, Session
+from versemood.textnorm import MODES, InputError, NormalizationConfig, normalize
 from versemood.validation import partial_dependence_report
 
 
@@ -181,3 +184,45 @@ def test_every_exported_name_resolves():
     exported = {name for module in modules[1:] for name in getattr(module, "__all__", ())}
     for name in versemood.__all__:
         assert name in exported, f"versemood re-exports {name!r}, which no module lists"
+
+
+def test_writer_spells_non_finite_floats_in_both_formats(workspace_config, tmp_path, monkeypatch):
+    # ANOVA writes F = inf when both groups are constant but differ.
+    nan, inf = float("nan"), float("inf")
+    table = (["a", "b", "c", "d"], [[nan, inf, -inf, 1.5]], {"v": [nan, inf, -inf, 1.5]}, 0)
+    anova = pipeline.REPORTS["anova"]._replace(build=lambda session: table)
+    monkeypatch.setitem(pipeline.REPORTS, "anova", anova)
+    assert Session(workspace_config, ["anova"]).write(ReportWriter(tmp_path, "both")) == 0
+    assert (tmp_path / "anova.csv").read_text(encoding="utf-8") == "a,b,c,d\nnan,inf,-inf,1.5\n"
+    assert json.loads((tmp_path / "anova.json").read_text(encoding="utf-8")) == {
+        "v": ["nan", "inf", "-inf", 1.5]
+    }
+
+
+def test_session_write_that_fails_writes_nothing(workspace, tmp_path):
+    # The lexicons are read only when coverage is built, after word_counts.
+    root = shutil.copytree(workspace, tmp_path / "workspace")
+    with (root / "lex_a.csv").open("a", encoding="utf-8") as fh:
+        fh.write("amor,valence,notanumber,1,1,9\n")
+    session = Session(root / "config.json", ["word_counts", "coverage"])
+    out = tmp_path / "out"
+    writer = ReportWriter(out, "both")
+    with pytest.raises(InputError, match="not a number"):
+        session.write(writer)
+    assert list(out.iterdir()) == []
+    assert writer.written == []
+
+
+def test_every_benchmark_span_target_resolves():
+    # A traced metric whose target no longer resolves is skipped and reads 0.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    targets = [*spans.SPANNED.values(), *spans.COUNTED.values()]
+    assert targets and spans.SPANNED_METHODS
+    for module_name, attr in targets:
+        assert callable(getattr(importlib.import_module(module_name), attr, None)), attr
+    for module_name, cls_name, attr in spans.SPANNED_METHODS.values():
+        cls = getattr(importlib.import_module(module_name), cls_name, None)
+        assert callable(getattr(cls, attr, None)), f"{cls_name}.{attr}"
