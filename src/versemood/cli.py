@@ -17,8 +17,8 @@ JSON mirrors into the output directory:
 This module parses arguments, attaches the decisions log, prints what
 was written, and maps outcomes to exit codes: 0 on success, 1 on input
 errors, 2 when --strict is set and a computation degenerated
-(non-computable regression rows, degenerate agreement cells, skipped
-ANOVA combinations).
+(non-computable regression rows, degenerate agreement cells, undefined
+correlations, ANOVA combinations skipped or without within-group variance).
 """
 
 from __future__ import annotations
@@ -98,8 +98,9 @@ def _run(args: argparse.Namespace) -> int:
     decisions_handler: logging.FileHandler | None = None
     if args.log_decisions:
         out_dir.mkdir(parents=True, exist_ok=True)
+        # staged with the reports: committed with them, or discarded if the run fails
         decisions_handler = logging.FileHandler(
-            out_dir / "decisions.log", mode="w", encoding="utf-8"
+            writer.stage("decisions.log"), mode="w", encoding="utf-8"
         )
         decisions_handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
         decisions_handler.setLevel(logging.INFO)

@@ -9,10 +9,10 @@ moves across the poem), and a dispersion term scaling the mean by the
 square root of the number of matched words.
 
 The corpus is computed at once: every token is looked up in one pass
-(its row of the merged lexicon's arrays, -1 when unmatched), and the
+(its row of the merged lexicon's arrays, -1 when unmatched), the
 per-sonnet means, extremes and spans are reductions over the gathered
-rows.  Any feature whose inputs are absent is carried as undefined (NaN)
-with a reason rather than silently zeroed.
+rows, and one sort ranks every sonnet's words for the correlations.  An
+undefined feature is NaN with a reason rather than silently zeroed.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .lexicon import DIMENSIONS, MergedLexicon
-from .stats import group_mean, spearman
+from .stats import centred_ranks, group_mean
 
 __all__ = [
     "FEATURE_INDEX",
@@ -119,6 +119,8 @@ def compute_corpus_matrix(
     position is its index + 1.  Positions are the post-stopword-removal
     token positions, so the matched words' positions may have gaps where
     unmatched words sat.  Means are summed word by word in position order.
+    Position correlations rank every sonnet at once (``centred_ranks`` by
+    sonnet); their sums are exact, so each is ``spearman``'s, bit for bit.
     """
     n, n_dims = len(keys), len(DIMENSIONS)
     lengths = np.fromiter(map(len, keys.values()), np.intp, n)
@@ -128,9 +130,8 @@ def compute_corpus_matrix(
         int(lengths.sum()),
     )
     sonnet = np.repeat(np.arange(n), lengths)
-    position = np.arange(1, len(rows) + 1) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     matched = rows >= 0
-    sonnet, position, rows = sonnet[matched], position[matched].astype(float), rows[matched]
+    sonnet, rows = sonnet[matched], rows[matched]
     word_means = merged.mean[rows]
 
     cells = (sonnet[:, None] * n_dims + np.arange(n_dims)).ravel()
@@ -149,24 +150,24 @@ def compute_corpus_matrix(
         j = DIMENSIONS.index(dim)
         # this dimension's words, sonnet by sonnet and in position order
         has = ~np.isnan(word_means[:, j])
-        dim_values, dim_positions = word_means[has, j], position[has]
-        starts = np.concatenate(([0], np.cumsum(count[:, j])))
+        dim_values, dim_sonnet = word_means[has, j], sonnet[has]
         some = count[:, j] > 0
         if some.any():
-            column(f"max_{dim}")[some] = np.maximum.reduceat(dim_values, starts[:-1][some])
-            column(f"min_{dim}")[some] = np.minimum.reduceat(dim_values, starts[:-1][some])
+            starts = (np.cumsum(count[:, j]) - count[:, j])[some]
+            column(f"max_{dim}")[some] = np.maximum.reduceat(dim_values, starts)
+            column(f"min_{dim}")[some] = np.minimum.reduceat(dim_values, starts)
         column(f"{dim}_span")[:] = column(f"max_{dim}") - column(f"min_{dim}")
         column(f"sigma_{short}")[:] = column(f"{dim}_mean") * np.sqrt(count[:, j])
+        # Spearman's rho of value ranks against position ranks, every sonnet at once
+        rx = centred_ranks(dim_values, dim_sonnet)
+        ry = centred_ranks(np.arange(len(dim_values)), dim_sonnet)
+        sums = [np.bincount(dim_sonnet, r, n) for r in (rx * ry, rx * rx, ry * ry)]
         cor = column(f"cor_{short}")
-        for i in np.flatnonzero(count[:, j] >= 2).tolist():
-            words = slice(starts[i], starts[i + 1])
-            rho = spearman(dim_values[words], dim_positions[words]).rho
-            if rho is None:
-                reason = f"{dim} values are constant across the sonnet"
-                overrides = constant.setdefault(i, {})
-                overrides[f"cor_{short}"] = overrides[f"abs_cor_{short}"] = reason
-            else:
-                cor[i] = rho
+        with np.errstate(invalid="ignore"):  # 0 / 0 where every rx is 0: NaN
+            cor[:] = np.clip(sums[0] / np.sqrt(sums[1] * sums[2]), -1.0, 1.0)
+        for i in np.flatnonzero((count[:, j] >= 2) & (sums[1] == 0.0)).tolist():
+            reason = f"{dim} values are constant across the sonnet"
+            constant.setdefault(i, {}).update({f"cor_{short}": reason, f"abs_cor_{short}": reason})
         column(f"abs_cor_{short}")[:] = np.abs(cor)
 
     names = tuple(_REASONS)

@@ -72,9 +72,9 @@ def _load_config(
         if override:
             cfg[key] = override
     if cfg["mode"] not in MODES:
-        raise InputError(f"unknown mode {cfg['mode']!r}; expected one of {MODES}")
+        raise InputError(f"{config_path}: unknown mode {cfg['mode']!r}; expected one of {MODES}")
     if cfg["format"] not in FORMATS:
-        raise InputError(f"unknown format {cfg['format']!r}")
+        raise InputError(f"{config_path}: unknown format {cfg['format']!r}")
     if not isinstance(cfg["out_dir"], str):
         raise InputError(f"{config_path}: 'out_dir' must be a path, not {cfg['out_dir']!r}")
     return cfg
@@ -102,16 +102,18 @@ def _require_file(cfg: dict[str, Any], key: str, value: Any, label: str) -> Path
 def _check_inputs(cfg: dict[str, Any], needs: set[str]) -> None:
     """Fail on missing inputs before any computation starts."""
     if "metadata" not in cfg:
-        raise InputError("config is missing 'metadata'")
+        raise InputError(f"{cfg['_path']}: config is missing 'metadata'")
     _require_file(cfg, "metadata", cfg["metadata"], "metadata file")
     annotations = cfg.get("annotations")
     if not isinstance(annotations, list) or len(annotations) < 2:
-        raise InputError("config needs an 'annotations' list with at least two files")
+        raise InputError(
+            f"{cfg['_path']}: config needs an 'annotations' list with at least two files"
+        )
     for entry in annotations:
         _require_file(cfg, "annotations", entry, "annotation file")
     if "median" in needs and len(annotations) != 3:
         raise InputError(
-            f"this command needs exactly three annotation sets to build the median "
+            f"{cfg['_path']}: this command needs exactly three annotation sets to build the median "
             f"annotator; config lists {len(annotations)}"
         )
     reversed_valence = cfg.get("reversed_valence_annotators") or []
@@ -127,14 +129,16 @@ def _check_inputs(cfg: dict[str, Any], needs: set[str]) -> None:
             )
     if "texts" in needs:
         if not cfg.get("corpus_root"):
-            raise InputError("config is missing 'corpus_root' (needed to read sonnet texts)")
+            raise InputError(
+                f"{cfg['_path']}: config is missing 'corpus_root' (needed to read sonnet texts)"
+            )
         root = _require_path(cfg, "corpus_root", cfg["corpus_root"])
         if not root.is_dir():
             raise InputError(f"{cfg['_path']}: corpus_root is not a directory: {root}")
     if "lexicons" in needs:
         lexicons = cfg.get("lexicons")
         if not isinstance(lexicons, list) or not lexicons:
-            raise InputError("config needs a non-empty 'lexicons' list")
+            raise InputError(f"{cfg['_path']}: config needs a non-empty 'lexicons' list")
         for entry in lexicons:
             if isinstance(entry, str):
                 _require_file(cfg, "lexicons", entry, "lexicon file")
@@ -146,14 +150,14 @@ def _check_inputs(cfg: dict[str, Any], needs: set[str]) -> None:
                     raise InputError(f"{cfg['_path']}: 'source_id' must be a string")
             else:
                 raise InputError(
-                    "each lexicons entry must be a path or an object with a 'path'"
+                    f"{cfg['_path']}: each lexicons entry must be a path or an object with a 'path'"
                 )
     if cfg.get("stopwords"):
         _require_file(cfg, "stopwords", cfg["stopwords"], "stopword list")
     if cfg.get("lemma_table"):
         _require_file(cfg, "lemma_table", cfg["lemma_table"], "lemma table")
     if cfg["mode"] == "lemma" and not cfg.get("lemma_table"):
-        raise InputError("lemma mode requires a 'lemma_table' in the config")
+        raise InputError(f"{cfg['_path']}: lemma mode requires a 'lemma_table' in the config")
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +229,8 @@ def _table(row_type: type, rows: Sequence[Any]) -> _Table:
 class ReportWriter:
     """Writes csv/json report pairs, each under a temporary name beside its own.
 
-    ``commit`` renames the files emitted so far into place and adds them to
-    ``written``; ``discard`` deletes them.
+    ``commit`` renames the files emitted or staged so far into place and
+    adds them to ``written``; ``discard`` deletes them.
     """
 
     def __init__(self, out_dir: Path, fmt: str):
@@ -235,21 +239,22 @@ class ReportWriter:
         self.written: list[Path] = []
         self._staged: list[tuple[Path, Path]] = []
 
-    def _stage(self, filename: str) -> Path:
+    def stage(self, filename: str) -> Path:
+        """The temporary path of ``filename``, committed or discarded with the reports."""
         self._staged.append((self.out_dir / f".{filename}.tmp", self.out_dir / filename))
         return self._staged[-1][0]
 
     def emit(self, name: str, header: list[str], rows: list[list[Any]], mirror: Any) -> None:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         if self.fmt in ("csv", "both"):
-            with self._stage(f"{name}.csv").open("w", encoding="utf-8", newline="") as handle:
+            with self.stage(f"{name}.csv").open("w", encoding="utf-8", newline="") as handle:
                 writer = csv.writer(handle, lineterminator="\n")
                 writer.writerow(header)
                 for row in rows:
                     writer.writerow([_fmt(cell) for cell in row])
         if self.fmt in ("json", "both"):
             text = json.dumps(_json_safe(mirror), indent=2, ensure_ascii=False, sort_keys=False)
-            self._stage(f"{name}.json").write_text(text + "\n", encoding="utf-8")
+            self.stage(f"{name}.json").write_text(text + "\n", encoding="utf-8")
 
     def commit(self) -> None:
         for staged, path in self._staged:
@@ -365,7 +370,8 @@ def _features(session: Session) -> _Table:
 
 def _bivariate(session: Session) -> _Table:
     cells = validation_mod.bivariate_report(session.matrix, session.median)
-    return _table(validation_mod.BivariateCell, cells)
+    report = _table(validation_mod.BivariateCell, cells)
+    return report._replace(degenerate=sum(1 for c in cells if c.rho is None))
 
 
 def _partial_dependence(session: Session) -> _Table:
@@ -386,7 +392,7 @@ def _anova(session: Session) -> _Table:
             "skipped": anova.skipped,
             "rows": mirror,
         },
-        len(anova.skipped),
+        len(anova.skipped) + anova.n_degenerate,
     )
 
 

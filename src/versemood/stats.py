@@ -8,12 +8,12 @@ beta implementation so every p-value in the package shares a single
 numerical core.
 
 Regression computes only what is read.  The rank check factors the
-design once by Householder QR and reads each column's dependence from
-R, with the prefix-SVD rank test as referee for any column R cannot
-settle; a fit keeps coefficients, standard errors, t values and degrees
-of freedom, and a coefficient's t-test p-value is evaluated when it is
-read.  Spearman's rho is one formula over centred ranks, so a caller
-that correlates one column with many ranks that column once.
+design by Householder QR, reads each column's dependence from R (the
+prefix-SVD rank test is referee for any column R cannot settle), and
+its last factor is the fit's; a fit keeps coefficients, standard errors,
+t values and degrees of freedom, and a coefficient's t-test p-value is
+evaluated when read.  Spearman's rho is one formula over centred ranks,
+which can be taken within groups (sonnets, say) all in one sort.
 """
 
 from __future__ import annotations
@@ -54,11 +54,12 @@ class RankDeficiencyError(ValueError):
     ``columns`` lists the offending columns by label.  A column is
     offending when it is linearly dependent on the columns to its left,
     the intercept included, so callers can drop exactly those columns
-    and refit.
+    and refit.  ``factor`` is the rank check's QR factor of the design
+    without them, or None.
     """
 
-    def __init__(self, columns: Sequence[str]):
-        self.columns = list(columns)
+    def __init__(self, columns: Sequence[str], factor: tuple | None = None):
+        self.columns, self.factor = list(columns), factor
         super().__init__(
             "design matrix is rank deficient; dependent columns: "
             + ", ".join(str(c) for c in self.columns)
@@ -197,26 +198,6 @@ def group_mean(groups: np.ndarray, values: np.ndarray, size: int) -> tuple[np.nd
         return np.bincount(groups, values, size) / count, count
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """Ranks 1..n where tied values share the average of their positions.
-
-    Ties are the runs of equal values in the stable sort order; NaN
-    equals nothing, so each NaN is a run of its own.
-    """
-    n = len(values)
-    order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
-    # run edges: 0, every position whose value differs from the one before, n
-    is_edge = np.ones(n + 1, dtype=bool)
-    np.not_equal(sorted_vals[1:], sorted_vals[:-1], out=is_edge[1:n])
-    edges = np.flatnonzero(is_edge)
-    starts = edges[:-1]
-    ends = edges[1:] - 1
-    ranks = np.empty(n, dtype=float)
-    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
-    return ranks
-
-
 @dataclass
 class CorrelationResult:
     """Spearman correlation outcome; ``rho`` is None when undefined."""
@@ -250,10 +231,29 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     return CorrelationResult(rho, n, correlation_band(rho))
 
 
-def centred_ranks(values: np.ndarray) -> np.ndarray:
-    """Average ranks of a one-dimensional array, minus their mean."""
-    ranks = _average_ranks(values)
-    ranks -= ranks.mean()
+def centred_ranks(values: np.ndarray, groups: np.ndarray | None = None) -> np.ndarray:
+    """Average ranks within each group, minus the group's mean rank (m + 1) / 2.
+
+    ``groups[i]`` is the group of ``values[i]`` (one group by default).
+    Ties are the runs of equal values in a sort by (group, value); NaN
+    equals nothing, so each NaN is a run of its own.  A centred rank is
+    an exact multiple of 0.5, so sums of their products are exact in any
+    order.
+    """
+    groups = np.zeros(len(values), np.intp) if groups is None else groups
+    order = np.lexsort((values, groups))
+    sorted_vals, sorted_groups = values[order], groups[order]
+    # run edges: 0, every position whose group or value differs from the one before, n
+    is_edge = np.ones(len(values) + 1, dtype=bool)
+    is_edge[1:-1] = (sorted_vals[1:] != sorted_vals[:-1]) | (sorted_groups[1:] != sorted_groups[:-1])
+    edges = np.flatnonzero(is_edge)
+    starts, sizes = edges[:-1], np.diff(edges)
+    counts = np.bincount(groups)
+    group = sorted_groups[starts]
+    # a run at positions p..p+s-1 of its group of m: centred rank p + (s - m) / 2
+    at = starts - (np.cumsum(counts) - counts)[group]
+    ranks = np.empty(len(values), dtype=float)
+    ranks[order] = np.repeat(0.5 * (2 * at + sizes - counts[group]), sizes)
     return ranks
 
 
@@ -335,32 +335,35 @@ def _svd_rank(columns: np.ndarray, rtol: float) -> int:
     return int(np.sum(s > rtol * s[0])) if s[0] > 0.0 else 0
 
 
-def _triangular_bounds(columns: np.ndarray) -> tuple[list[float], list[float]]:
-    """Two bounds per column p, read from a Householder QR factor R.
+def _factor(columns: np.ndarray) -> tuple:
+    """Householder QR of ``columns``: Q, R, R_s^-1 and two bounds per column p.
 
-    First |R_pp|, the distance of column p from the span of the columns
-    before it.  Then 1 / ||R_p^-1||_F, with R_p the leading (p+1) x (p+1)
-    block, a lower bound on the smallest singular value of the first p + 1
-    columns.  Where R has no such entry or block (more columns than rows,
-    or a zero on the diagonal at or before p) they read inf and 0, which
-    decide nothing.
+    R_s is R's leading block up to its first zero on the diagonal, or all
+    of R.  The bounds are first |R_pp|, the distance of column p from the
+    span of the columns before it; then 1 / ||R_p^-1||_F, with R_p the
+    leading (p+1) x (p+1) block, a lower bound on the smallest singular
+    value of the first p + 1 columns.  Where R has no such entry or block
+    (more columns than rows, or a zero on the diagonal at or before p)
+    they read inf and 0, which decide nothing.
     """
     m = columns.shape[1]
-    r = np.linalg.qr(columns, mode="r")
+    q, r = np.linalg.qr(columns)
     distance = np.abs(np.diagonal(r))
     zeros = np.flatnonzero(distance == 0.0)
     size = int(zeros[0]) if len(zeros) else len(distance)
     with np.errstate(all="ignore"):
         inverse = np.linalg.inv(r[:size, :size])
         floor = 1.0 / np.sqrt(np.cumsum(np.einsum("ij,ij->j", inverse, inverse)))
-    return (
+    return q, r, inverse, (
         distance.tolist() + [math.inf] * (m - len(distance)),
         floor.tolist() + [0.0] * (m - size),
     )
 
 
-def _dependent_columns(design: np.ndarray, rtol: float = 1e-10) -> list[int]:
-    """Indices of design columns linearly dependent on earlier columns.
+def _dependent_columns(
+    design: np.ndarray, rtol: float = 1e-10, factor: tuple | None = None
+) -> tuple[list[int], tuple | None]:
+    """Indices of design columns linearly dependent on earlier columns, and a QR factor.
 
     Column j is dependent when the columns up to j have the same
     numerical rank as the columns before j, a rank counting the singular
@@ -385,7 +388,10 @@ def _dependent_columns(design: np.ndarray, rtol: float = 1e-10) -> list[int]:
     other column goes to the referee, which compares the SVD ranks of
     the two prefixes and so is the prefix-SVD test itself.  After a
     dependent column the columns still to decide are factored again,
-    after K and without it, so R always describes K.
+    after K and without it, so R always describes K.  The last pass's
+    ``_factor`` is returned: the design's without its dependent columns,
+    or None if one ended that pass.  A ``factor`` given is the design's
+    own, and the first pass reads it instead of factoring.
     """
     norms = np.sqrt(np.einsum("ij,ij->j", design, design))
     largest = np.maximum.accumulate(norms).tolist()
@@ -397,7 +403,8 @@ def _dependent_columns(design: np.ndarray, rtol: float = 1e-10) -> list[int]:
     pending = list(range(design.shape[1]))
     while pending:
         columns = kept + pending
-        distance, floor = _triangular_bounds(design[:, columns])
+        factor = factor or _factor(design[:, columns])
+        distance, floor = factor[3]
         pending = []
         for p in range(len(kept), len(columns)):
             j = columns[p]
@@ -422,28 +429,31 @@ def _dependent_columns(design: np.ndarray, rtol: float = 1e-10) -> list[int]:
             if norms[j] != 0.0:
                 residual2 += distance[p] ** 2
             pending = columns[p + 1:]
+            factor = None
             break
-    return dependent
+    return dependent, factor
 
 
 class LinearDesign:
     """A checked and factored OLS design: an implicit intercept plus X.
 
     The constructor does everything that depends on the predictors only:
-    the shape checks, the rank check (one QR pass, see
-    ``_dependent_columns``), the QR decomposition and the inverse of R.
+    the shape checks and the rank check (see ``_dependent_columns``),
+    whose last QR pass also factors the design into Q, R and R^-1.
     ``fit`` then solves one response against that factorization, so
     several responses on one design share the work and each gets the same
     floats as its own ``ols`` call; its p-values are evaluated on read.
     The design is required to have full column rank (relative tolerance
     1e-10); dependent columns raise RankDeficiencyError naming them
-    instead of being dropped silently.
+    instead of being dropped silently, with the factor of the design
+    without them: passed back as ``factor``, it spares that design a QR.
     """
 
     def __init__(
         self,
         X: Sequence[Sequence[float]],
         column_names: Sequence[str] | None = None,
+        factor: tuple | None = None,
     ):
         Xm = np.asarray(X, dtype=float)
         if Xm.ndim == 1:
@@ -458,17 +468,18 @@ class LinearDesign:
                 f"need more observations than predictors plus intercept (n={n}, k={k})"
             )
         design = np.column_stack([np.ones(n), Xm])
-        dependent = _dependent_columns(design)
+        dependent, factor = _dependent_columns(design, factor=factor)
         if dependent:
             labels = ["intercept"] + (
                 list(column_names) if column_names is not None else [f"x{j}" for j in range(k)]
             )
-            raise RankDeficiencyError([labels[j] for j in dependent])
+            raise RankDeficiencyError([labels[j] for j in dependent], factor)
         self.n = n
         self.k = k
         self._design = design
-        self._q, self._r = np.linalg.qr(design)
-        r_inv = np.linalg.solve(self._r, np.eye(k + 1))
+        self._q, self._r, r_inv, _ = factor
+        if len(r_inv) <= k:  # a zero on R's diagonal: solve(R, I) raises LinAlgError
+            r_inv = np.linalg.solve(self._r, np.eye(k + 1))
         self._cov_diag = np.diag(r_inv @ r_inv.T)
 
     def fit(self, y: Sequence[float]) -> RegressionResult:

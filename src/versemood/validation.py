@@ -209,17 +209,18 @@ def _category_rows(
 
     steps: list[list[str]] = []
     failure = None
-    design = None
+    design = factor = None
     active = list(predictors)
     while not insufficient:
         X = np.ascontiguousarray(sub[:, [FEATURE_INDEX[p] for p in active]])
         try:
-            design = LinearDesign(X, column_names=active)
+            design = LinearDesign(X, column_names=active, factor=factor)
             break
         except RankDeficiencyError as exc:
             # The intercept is column 0, so it is never dependent on earlier columns.
             steps.append(exc.columns)
             active = [p for p in active if p not in exc.columns]
+            factor = exc.factor  # the factor of the design on ``active``
         except ValueError as exc:
             failure = str(exc)
             break
@@ -317,6 +318,7 @@ class AnovaReport:
     n_total: int
     n_significant: int
     skipped: tuple[tuple[str, str, str], ...]
+    n_degenerate: int
 
 
 def anova_report(matrix: FeatureMatrix, median: AnnotationSet) -> AnovaReport:
@@ -325,12 +327,13 @@ def anova_report(matrix: FeatureMatrix, median: AnnotationSet) -> AnovaReport:
     The median covers the matrix's sonnets in the same order.  All
     tag-by-feature combinations are tested; only those significant at
     the 0.05 level become rows.  Combinations that cannot run (a group
-    with fewer than two defined values) are listed as skipped.
+    with fewer than two defined values) are listed as skipped; those with
+    no within-group variance are counted as degenerate.
     """
     _require_aligned(matrix, median)
     rows: list[AnovaRow] = []
     skipped: list[tuple[str, str, str]] = []
-    n_total = 0
+    n_total = n_degenerate = 0
     for tag, tagged in categories(median)[1:]:
         for feature in MEAN_FEATURES:
             n_total += 1
@@ -342,6 +345,7 @@ def anova_report(matrix: FeatureMatrix, median: AnnotationSet) -> AnovaReport:
                 skipped.append((tag, feature, "a group has fewer than two values"))
                 continue
             result = one_way_anova([in_vals, out_vals])
+            n_degenerate += result.degenerate is not None
             if result.p_value < SIGNIFICANCE_LEVEL:
                 rows.append(
                     AnovaRow(
@@ -360,4 +364,5 @@ def anova_report(matrix: FeatureMatrix, median: AnnotationSet) -> AnovaReport:
         n_total=n_total,
         n_significant=len(rows),
         skipped=tuple(skipped),
+        n_degenerate=n_degenerate,
     )

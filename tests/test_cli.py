@@ -261,6 +261,30 @@ def test_failed_run_leaves_the_report_files_as_it_found_them(
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+def test_failed_run_keeps_the_decisions_log_of_the_complete_set(workspace, tmp_path, capsys):
+    out = tmp_path / "out"
+    earlier = build_workspace(tmp_path / "earlier", n_sonnets=12)
+    code, stdout, _ = run(
+        capsys, "all", "--config", str(earlier / "config.json"),
+        "--out", str(out), "--missing-words", "--log-decisions",
+    )
+    assert code == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert "decisions.log" in before
+    copy = shutil.copytree(workspace, tmp_path / "workspace")
+    with (copy / "lex_a.csv").open("a", encoding="utf-8") as fh:
+        fh.write("amor,valence,notanumber,1,1,9\n")
+    code, _, err = run(
+        capsys, "all", "--config", str(copy / "config.json"),
+        "--out", str(out), "--missing-words", "--log-decisions",
+    )
+    assert code == 1
+    assert "not a number: 'notanumber'" in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    # the log is committed with the reports
+    assert f"wrote {out / 'decisions.log'}" in stdout.splitlines()
+
+
 def test_validate_with_two_sets_is_an_input_error(workspace, tmp_path, capsys):
     cfg = absolute_config(workspace)
     cfg["annotations"] = cfg["annotations"][:2]
@@ -405,6 +429,7 @@ def test_config_problems_exit_1(workspace, tmp_path, capsys, mutate, message):
     assert code == 1
     assert err.startswith("error:") or "error:" in err
     assert message in err
+    assert str(config) in err
     assert not (tmp_path / "out").exists()
 
 

@@ -285,3 +285,49 @@ def test_corpus_matrix_matches_fold_oracle():
             reached.add("defined" if expected.values["cor_val"] is not None else "undefined")
     # every kind of reason, and defined correlations
     assert reached == {"no", "fewer", "valence", "arousal", "defined", "undefined"}
+
+
+def test_position_correlations_equal_spearman_per_sonnet():
+    # 274 sonnets at once: arousal and valence from few levels (ties, and sonnets whose
+    # values are all equal), keys without either dimension (NaN), unknown keys, and
+    # sonnets of zero or one word; each correlation must be the per-sonnet spearman's
+    rng = np.random.default_rng(12)
+    entries = {}
+    for i in range(40):
+        levels = rng.choice([2.0, 3.5, 5.0], size=2) if i < 20 else rng.uniform(1, 9, size=2)
+        entries[f"k{i}"] = {
+            dim: (float(level), None)
+            for dim, level in zip(("arousal", "valence"), levels)
+            if rng.random() < 0.8
+        }
+    # a sonnet drawn from these two alone has constant arousal and valence
+    flat = ["k0", "k1"]
+    entries["k0"] = entries["k1"] = {"arousal": (2.0, 0.5), "valence": (2.0, None)}
+    vocabulary = [*entries, "unknown"]
+    keys = {}
+    for i in range(274):
+        pool = flat if i % 9 == 0 else vocabulary
+        keys[f"s{i}"] = tuple(rng.choice(pool, size=int(rng.integers(0, 40))).tolist())
+    keys["s1"], keys["s2"] = (), ("k3",)
+    matrix = compute_corpus_matrix(keys, merged_lexicon(entries))
+    reached = set()
+    for i, (sid, sonnet_keys) in enumerate(keys.items()):
+        observations = [
+            WordObservation(key, position, entries[key])
+            for position, key in enumerate(sonnet_keys, start=1)
+            if key in entries
+        ]
+        for dim, short in (("arousal", "aro"), ("valence", "val")):
+            rho, reason = oracles._position_correlation(observations, dim)
+            value = matrix.values[i, FEATURE_NAMES.index(f"cor_{short}")]
+            if rho is None:
+                assert math.isnan(value)
+                assert matrix.reasons[sid][f"cor_{short}"] == reason
+                assert matrix.reasons[sid][f"abs_cor_{short}"] == reason
+                reached.add(reason.split(" ")[0])
+            else:
+                assert value == rho
+                assert f"cor_{short}" not in matrix.reasons[sid]
+                values = [o.dims[dim][0] for o in observations if dim in o.dims]
+                reached.add("ties" if len(set(values)) < len(values) else "distinct")
+    assert reached == {"fewer", "arousal", "valence", "ties", "distinct"}

@@ -15,11 +15,15 @@ import pytest
 
 import oracles
 import versemood
-from versemood import lexicon, pipeline, stats, textnorm
+from versemood import features, lexicon, pipeline, stats, textnorm
 from versemood.cli import main
+from versemood.corpus import PSYCHOLOGICAL_TAGS, categories
+from versemood.features import FEATURE_INDEX, MEAN_FEATURES
 from versemood.pipeline import ReportWriter, Session
 from versemood.textnorm import MODES, InputError, NormalizationConfig, normalize
 from versemood.validation import partial_dependence_report
+
+from conftest import build_workspace
 
 
 def test_all_normalizes_each_sonnet_once(workspace_config, tmp_path, monkeypatch):
@@ -171,6 +175,91 @@ def test_partial_dependence_computes_only_what_its_rows_read(workspace_config, m
     assert fitted
     assert len(t_tail_calls) <= len(fitted)
     assert scan_svd_calls == []
+
+
+def test_partial_dependence_factors_each_category_design_three_times(tmp_path, monkeypatch):
+    # All 22 categories of the 120-sonnet workspace are fitted, each design with two
+    # spans: three rank passes factor its 33, 32 and 31 columns, and the last pass's
+    # Q, R and R^-1 serve the reduced design's own rank check and every fit.
+    workspace = build_workspace(tmp_path / "workspace", n_sonnets=120)
+    session = Session(workspace / "config.json")
+    matrix, median = session.matrix, session.median
+    expected, _ = oracles.partial_dependence(matrix, median)
+    calls = Counter()
+    for name in ("qr", "solve"):
+        original = getattr(np.linalg, name)
+
+        def counting(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    rows = partial_dependence_report(matrix, median)
+    monkeypatch.undo()
+    assert rows == expected
+    fitted = [r for r in rows if r.note is None]
+    n_categories = len({r.category for r in fitted})
+    assert n_categories == 22
+    assert calls["qr"] <= 3 * n_categories
+    assert calls["solve"] == len(fitted)
+
+
+def _fill_matrix(monkeypatch, fill):
+    """Sessions build their feature matrix, then apply ``fill`` to its values."""
+    original = features.compute_corpus_matrix
+
+    def patched(keys, merged):
+        matrix = original(keys, merged)
+        fill(matrix.values)
+        return matrix
+
+    monkeypatch.setattr(features, "compute_corpus_matrix", patched)
+
+
+def test_undefined_correlations_count_as_degenerate(workspace_config, tmp_path, monkeypatch):
+    def constant_column(values):
+        values[:, FEATURE_INDEX["concreteness_mean"]] = 4.0
+
+    _fill_matrix(monkeypatch, constant_column)
+    count = Session(workspace_config, ["bivariate"]).write(ReportWriter(tmp_path, "json"))
+    cells = json.loads((tmp_path / "bivariate.json").read_text(encoding="utf-8"))
+    undefined = [c for c in cells if c["rho"] is None]
+    assert [c["note"] for c in undefined if c["gam_feature"] == "concreteness_mean"] == [
+        "y is constant"
+    ] * 10
+    assert count == len(undefined)
+
+
+def test_anova_cells_without_within_group_variance_count_as_degenerate(
+    workspace_config, tmp_path, monkeypatch
+):
+    median = Session(workspace_config, ["anova"]).median
+    tag, tagged = next(
+        (tag, tagged) for tag, tagged in categories(median)[1:]
+        if 2 <= tagged.sum() <= len(tagged) - 2
+    )
+
+    def zero_variance(values):
+        values[:, FEATURE_INDEX["arousal_mean"]] = 3.0  # no variation in any group
+        values[:, FEATURE_INDEX["valence_mean"]] = np.where(tagged, 1.0, 2.0)
+
+    _fill_matrix(monkeypatch, zero_variance)
+    session = Session(workspace_config, ["anova"])
+    count = session.write(ReportWriter(tmp_path, "json"))
+    anova = json.loads((tmp_path / "anova.json").read_text(encoding="utf-8"))
+    # F = inf, p = 0: the cell keeps its row
+    [row] = [r for r in anova["rows"] if (r["category"], r["gam_feature"]) == (tag, "valence_mean")]
+    assert (row["f_statistic"], row["p_value"]) == ("inf", 0.0)
+    # degenerate: a cell not skipped whose two groups are each constant
+    degenerate = 0
+    for _, members in categories(session.median)[1:]:
+        for feature in MEAN_FEATURES:
+            column = session.matrix.column(feature)
+            groups = [column[members & ~np.isnan(column)], column[~members & ~np.isnan(column)]]
+            if min(map(len, groups)) >= 2 and max(map(np.ptp, groups)) == 0.0:
+                degenerate += 1
+    assert degenerate > len(PSYCHOLOGICAL_TAGS) // 2
+    assert count == len(anova["skipped"]) + degenerate
 
 
 def test_every_exported_name_resolves():

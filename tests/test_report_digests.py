@@ -1,0 +1,59 @@
+"""The report set, pinned byte for byte.
+
+``report_digests.json`` holds the SHA-256 of every file that
+``versemood all --missing-words --log-decisions`` writes on the conftest
+workspace at 12, 40 and 120 sonnets, with the numpy version they were
+made with.  The sizes reach the insufficient-rows path, predictor
+pruning and dropped spans.  Reports print floats at full precision, so
+another numpy (another BLAS, other rounding) may change the bytes of a
+correct run: the test then skips, naming both versions.
+
+To record the digests again (only when the reports are meant to change,
+or for a new numpy), run ``PYTHONPATH=src python tests/test_report_digests.py``.
+"""
+
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from versemood.cli import main
+
+from conftest import build_workspace
+
+RECORD = Path(__file__).with_name("report_digests.json")
+SIZES = (12, 40, 120)
+
+
+def report_digests(root: Path, n_sonnets: int) -> dict[str, str]:
+    workspace = build_workspace(root / "workspace", n_sonnets=n_sonnets)
+    out = root / "out"
+    argv = [
+        "all", "--config", str(workspace / "config.json"), "--out", str(out),
+        "--missing-words", "--log-decisions",
+    ]
+    assert main(argv) == 0
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.iterdir())
+    }
+
+
+@pytest.mark.parametrize("n_sonnets", SIZES)
+def test_report_set_is_byte_identical_to_the_record(n_sonnets, tmp_path, capsys):
+    record = json.loads(RECORD.read_text(encoding="utf-8"))
+    if record["numpy"] != np.__version__:
+        pytest.skip(f"digests recorded with numpy {record['numpy']}, this is {np.__version__}")
+    assert report_digests(tmp_path, n_sonnets) == record["digests"][str(n_sonnets)]
+
+
+if __name__ == "__main__":
+    digests = {}
+    for size in SIZES:
+        with tempfile.TemporaryDirectory() as tmp:
+            digests[str(size)] = report_digests(Path(tmp), size)
+    record = {"numpy": np.__version__, "digests": digests}
+    RECORD.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")

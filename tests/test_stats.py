@@ -12,7 +12,6 @@ from versemood import stats
 from versemood.stats import (
     LinearDesign,
     RankDeficiencyError,
-    _average_ranks,
     correlation_band,
     min_sample_size,
     ols,
@@ -169,7 +168,15 @@ def test_average_ranks_equal_brute_force_ranks_exactly():
     for _ in range(300):
         n = int(rng.integers(1, 40))
         x = rng.integers(0, int(rng.integers(1, 6)), size=n).astype(float)
-        assert _average_ranks(x).tolist() == oracles._brute_ranks(x.tolist())
+        ranks = stats.centred_ranks(x) + (n + 1) / 2
+        assert ranks.tolist() == oracles._brute_ranks(x.tolist())
+        # within groups, in any order: each group ranked on its own
+        groups = rng.integers(0, 4, size=n)
+        ranks = stats.centred_ranks(x, groups)
+        for g in np.unique(groups).tolist():
+            members = groups == g
+            centre = (members.sum() + 1) / 2
+            assert (ranks[members] + centre).tolist() == oracles._brute_ranks(x[members].tolist())
 
 
 def test_spearman_matches_brute_force_and_scipy():
@@ -368,7 +375,7 @@ def test_rank_scan_equals_prefix_svd_oracle(monkeypatch):
     monkeypatch.setattr(stats, "_svd_rank", counting)
     for seed in (40, 41, 42):
         for name, design in _rank_scan_cases(seed):
-            assert stats._dependent_columns(design) == oracles.dependent_columns(design), name
+            assert stats._dependent_columns(design)[0] == oracles.dependent_columns(design), name
     # exact structure is read off R; only columns near the threshold need an SVD
     assert not refereed & {"full rank", "duplicate", "span", "constant", "zero"}
     assert any(name.startswith("near") for name in refereed)
@@ -383,7 +390,7 @@ def test_rank_scan_equals_prefix_svd_oracle(monkeypatch):
     r = np.linalg.qr(design, mode="r")
     assert np.min(np.abs(np.diagonal(r)) / np.linalg.norm(design, axis=0)) > 0.02
     assert oracles.dependent_columns(design) != []
-    assert stats._dependent_columns(design) == oracles.dependent_columns(design)
+    assert stats._dependent_columns(design)[0] == oracles.dependent_columns(design)
     assert "kahan" in refereed
 
 
@@ -411,7 +418,18 @@ def test_rank_scan_equals_prefix_svd_oracle_on_mixed_designs():
                 column = rng.integers(-2, 3, size=n).astype(float)
             columns.append(column)
         design = np.column_stack(columns)
-        assert stats._dependent_columns(design) == oracles.dependent_columns(design)
+        dependent, factor = stats._dependent_columns(design)
+        assert dependent == oracles.dependent_columns(design)
+        if factor is None:
+            continue
+        # the factor handed on is the remaining columns' own, and a scan started from it
+        # decides as one that factors them afresh
+        reduced = np.delete(design, dependent, axis=1)
+        fresh = stats._factor(reduced)
+        assert all(np.array_equal(a, b) for a, b in zip(factor[:3], fresh[:3]))
+        assert factor[3] == fresh[3]
+        rescan = stats._dependent_columns(reduced, factor=factor)[0]
+        assert rescan == stats._dependent_columns(reduced)[0]
 
 
 # ---------------------------------------------------------------------------
