@@ -10,11 +10,17 @@ marginals for ordinal data.
 
 Alpha can legitimately fall below zero when annotators disagree more than
 chance would; values are reported as computed, without clamping.
+
+A feature is coded once: ``ReliabilityMatrix.counts`` holds every rater's
+unit-by-category counts, and each alpha over some of the raters (all, a
+pair, an annotator against the median) sums its raters' slices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -22,21 +28,17 @@ import numpy as np
 from .corpus import ANNOTATED_FEATURES, ORDINAL_FEATURES, AnnotationSet
 
 __all__ = [
-    "AGREEMENT_THRESHOLD",
-    "AgreementError",
-    "AgreementRow",
-    "AlphaResult",
-    "LEVELS",
-    "ReliabilityMatrix",
-    "agreement_band",
-    "agreement_report",
-    "krippendorff_alpha",
+    "AGREEMENT_THRESHOLD", "AgreementError", "AgreementRow", "AlphaResult", "LEVELS",
+    "ReliabilityMatrix", "agreement_band", "agreement_report", "krippendorff_alpha",
     "reliability_from_sets",
 ]
 
 LEVELS = ("nominal", "ordinal", "interval")
 
 AGREEMENT_THRESHOLD = 0.21
+
+_BANDS = ((0.0, "Very low"), (0.21, "Light"), (0.41, "Acceptable"), (0.61, "Moderate"),
+          (0.81, "Substantial"))
 
 
 class AgreementError(ValueError):
@@ -66,6 +68,16 @@ class ReliabilityMatrix:
                 f"(units x raters), got {self.values.shape}"
             )
 
+    @cached_property
+    def counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted distinct values, and N[r, c, u]: 1.0 where rater r gave unit u category c."""
+        present = ~np.isnan(self.values)
+        units, raters = np.nonzero(present)
+        categories, codes = np.unique(self.values[present], return_inverse=True)
+        shape = (len(self.raters), len(categories), len(self.units))
+        flat = (raters * shape[1] + codes) * shape[2] + units
+        return categories, np.bincount(flat, minlength=np.prod(shape)).reshape(shape).astype(float)
+
 
 @dataclass(frozen=True)
 class AlphaResult:
@@ -89,17 +101,7 @@ def agreement_band(alpha: float) -> str:
     Below zero is worse than chance; from there the scale steps at 0.21,
     0.41, 0.61 and 0.81, each boundary belonging to the higher band.
     """
-    if alpha < 0.0:
-        return "Very low"
-    if alpha < 0.21:
-        return "Light"
-    if alpha < 0.41:
-        return "Acceptable"
-    if alpha < 0.61:
-        return "Moderate"
-    if alpha < 0.81:
-        return "Substantial"
-    return "Perfect"
+    return next((band for bound, band in _BANDS if alpha < bound), "Perfect")
 
 
 def reliability_from_sets(
@@ -121,31 +123,36 @@ def reliability_from_sets(
     return ReliabilityMatrix(level=level, raters=raters, units=units, values=values)
 
 
-def krippendorff_alpha(matrix: ReliabilityMatrix) -> AlphaResult:
-    """Krippendorff's alpha for the matrix's measurement level.
+def krippendorff_alpha(
+    matrix: ReliabilityMatrix, raters: Sequence[int] | None = None
+) -> AlphaResult:
+    """Krippendorff's alpha over the named raters' columns (all when None).
 
-    Units with fewer than two values are excluded.  When the pairable
-    values show no variation at all, expected disagreement is zero and
-    the result is alpha = 1 flagged as degenerate.
+    Units with fewer than two of those values are excluded.  When the
+    pairable values show no variation at all, expected disagreement is
+    zero and the result is alpha = 1 flagged as degenerate.  A rater id
+    not in ``matrix.raters`` raises ValueError.
 
-    With m values in a unit weighted 1/(m - 1), every coincidence,
-    marginal and product below is an exact binary fraction for up to
-    three raters, so the sums do not depend on their order.
+    Summing the raters' slices of ``matrix.counts`` on the pairable units
+    and dropping the categories they leave empty gives the very arrays
+    (values, shape, memory order) that coding these columns alone gives,
+    so the result is bit for bit that of a matrix of just these columns.
     """
-    table = matrix.values
-    present = ~np.isnan(table)
-    m = present.sum(axis=1)
+    raters = matrix.raters if raters is None else tuple(raters)
+    if not set(raters) <= set(matrix.raters):
+        raise ValueError(f"raters {raters} are not all among {matrix.raters}")
+    cols = [matrix.raters.index(r) for r in raters]
+    m = (~np.isnan(matrix.values[:, cols])).sum(axis=1)
     pairable = m >= 2
     if not pairable.any():
         raise AgreementError("no unit has two or more values; alpha is not computable")
-    table, present, m = table[pairable], present[pairable], m[pairable]
-
-    units, _ = np.nonzero(present)
-    categories, codes = np.unique(table[present], return_inverse=True)
-    n = int(m.sum())
+    m = m[pairable]
+    categories, counts = matrix.counts
+    counts = counts[cols].sum(axis=0).compress(pairable, axis=1)
+    used = counts.any(axis=1)
     # N[u, c]: values of category c in unit u
-    counts = np.zeros((len(table), len(categories)))
-    np.add.at(counts, (units, codes), 1.0)
+    categories, counts = categories[used], np.ascontiguousarray(counts[used].T)
+    n = int(m.sum())
     weighted = counts / (m - 1)[:, None]
     coincidence = weighted.T @ counts - np.diag(weighted.sum(axis=0))
     marginals = coincidence.sum(axis=1)
@@ -168,13 +175,8 @@ def krippendorff_alpha(matrix: ReliabilityMatrix) -> AlphaResult:
     expected = float((np.outer(marginals, marginals) * delta_sq).sum()) / (n * (n - 1))
 
     if expected == 0.0:
-        return AlphaResult(
-            alpha=1.0,
-            n_pairable=n,
-            band=agreement_band(1.0),
-            degenerate=True,
-            note="degenerate: no variation among pairable values",
-        )
+        note = "degenerate: no variation among pairable values"
+        return AlphaResult(1.0, n, agreement_band(1.0), degenerate=True, note=note)
     alpha = 1.0 - observed / expected
     return AlphaResult(alpha=alpha, n_pairable=n, band=agreement_band(alpha))
 
@@ -194,44 +196,37 @@ class AgreementRow:
     below_threshold: tuple[str, ...]
 
 
-def _alpha_cell(sets: Sequence[AnnotationSet], feature: str, level: str) -> AlphaResult | None:
-    try:
-        return krippendorff_alpha(reliability_from_sets(sets, feature, level))
-    except AgreementError:
-        return None
-
-
 def agreement_report(
-    sets: Sequence[AnnotationSet],
-    median: AnnotationSet | None = None,
+    sets: Sequence[AnnotationSet], median: AnnotationSet | None = None
 ) -> list[AgreementRow]:
     """Alpha table over every annotated feature.
 
     Ordinal features use the ordinal metric, binary tags the nominal
     one.  Columns cover the joint coefficient, every annotator pair, and,
-    when a median set is supplied, each annotator against it.
+    when a median set is supplied, each annotator against it, all from
+    one reliability matrix per feature.
     """
     if len(sets) < 2:
         raise ValueError("need at least two annotation sets")
+    ids = [s.annotator_id for s in sets]
+    columns = {"all": ids, **{f"a{i}-a{j}": [i, j] for i, j in combinations(ids, 2)}}
+    raters = list(sets)
+    if median is not None:
+        columns.update({f"a{i}-m": [i, median.annotator_id] for i in ids})
+        raters.append(median)
     rows = []
     for feature in ANNOTATED_FEATURES:
         level = "ordinal" if feature in ORDINAL_FEATURES else "nominal"
+        matrix = reliability_from_sets(raters, feature, level)
         cells: dict[str, AlphaResult | None] = {}
-        cells["all"] = _alpha_cell(sets, feature, level)
-        for i in range(len(sets)):
-            for j in range(i + 1, len(sets)):
-                label = f"a{sets[i].annotator_id}-a{sets[j].annotator_id}"
-                cells[label] = _alpha_cell([sets[i], sets[j]], feature, level)
-        if median is not None:
-            for s in sets:
-                label = f"a{s.annotator_id}-m"
-                cells[label] = _alpha_cell([s, median], feature, level)
+        for label, cols in columns.items():
+            try:
+                cells[label] = krippendorff_alpha(matrix, cols)
+            except AgreementError:
+                cells[label] = None
         below = tuple(
-            label
-            for label, result in cells.items()
-            if result is not None and result.alpha < AGREEMENT_THRESHOLD
+            label for label, cell in cells.items()
+            if cell is not None and cell.alpha < AGREEMENT_THRESHOLD
         )
-        rows.append(
-            AgreementRow(feature=feature, level=level, cells=cells, below_threshold=below)
-        )
+        rows.append(AgreementRow(feature, level, cells, below))
     return rows

@@ -71,7 +71,7 @@ def _build_parser() -> _Parser:
         p.add_argument(
             "--log-decisions",
             action="store_true",
-            help="write fallback decisions to decisions.log in the output directory",
+            help="write fallbacks and degenerate cells to decisions.log in the output directory",
         )
         p.add_argument(
             "--strict",

@@ -312,16 +312,18 @@ def _agreement(session: Session) -> _Table:
     report = agreement_mod.agreement_report(sets, median)
     header, rows, mirror, _ = _table(agreement_mod.AgreementRow, report)
     # Every row has the same cell labels; a cell not computable is None.
-    for line in rows:
+    degenerate = 0
+    for line, row in zip(rows, mirror):
         line[2:-1] = [None if cell is None else cell.alpha for cell in line[2:-1]]
-    for row in mirror:
+        for label, cell in row["cells"].items():
+            if cell is None or cell.degenerate:
+                degenerate += 1
+                reason = cell.note if cell else "not computable: no unit has two or more values"
+                logger.info("agreement %s/%s: %s", row["feature"], label, reason)
         row["cells"] = {
             label: None if cell is None else dataclasses.asdict(cell)
             for label, cell in row["cells"].items()
         }
-    degenerate = sum(
-        cell is None or cell.degenerate for row in report for cell in row.cells.values()
-    )
     return _Table(header, rows, {"columns": header[2:-1], "rows": mirror}, degenerate)
 
 
@@ -370,8 +372,12 @@ def _features(session: Session) -> _Table:
 
 def _bivariate(session: Session) -> _Table:
     cells = validation_mod.bivariate_report(session.matrix, session.median)
-    report = _table(validation_mod.BivariateCell, cells)
-    return report._replace(degenerate=sum(1 for c in cells if c.rho is None))
+    undefined = [c for c in cells if c.rho is None]
+    for c in undefined:
+        logger.info(
+            "bivariate %s/%s: rho undefined: %s", c.annotated_feature, c.gam_feature, c.note
+        )
+    return _table(validation_mod.BivariateCell, cells)._replace(degenerate=len(undefined))
 
 
 def _partial_dependence(session: Session) -> _Table:

@@ -345,20 +345,14 @@ def anova_report(matrix: FeatureMatrix, median: AnnotationSet) -> AnovaReport:
                 skipped.append((tag, feature, "a group has fewer than two values"))
                 continue
             result = one_way_anova([in_vals, out_vals])
-            n_degenerate += result.degenerate is not None
+            if result.degenerate is not None:
+                n_degenerate += 1
+                logger.info("anova %s/%s: %s", tag, feature, result.degenerate)
             if result.p_value < SIGNIFICANCE_LEVEL:
-                rows.append(
-                    AnovaRow(
-                        category=tag,
-                        gam_feature=feature,
-                        n_in=len(in_vals),
-                        n_out=len(out_vals),
-                        mean_in=result.group_means[0],
-                        mean_out=result.group_means[1],
-                        f_statistic=result.f_statistic,
-                        p_value=result.p_value,
-                    )
-                )
+                rows.append(AnovaRow(
+                    tag, feature, len(in_vals), len(out_vals), *result.group_means,
+                    result.f_statistic, result.p_value,
+                ))
     return AnovaReport(
         rows=tuple(rows),
         n_total=n_total,

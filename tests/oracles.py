@@ -157,6 +157,60 @@ def krippendorff_alpha(units: list[list[float]], level: str) -> float:
     return 1.0 - d_obs / d_exp
 
 
+def alpha_per_cell(matrix):
+    """``agreement.krippendorff_alpha`` as it was before a feature's cells
+    shared one count table: every call codes its own values with
+    ``np.unique`` and scatters them with ``np.add.at``.
+
+    Raises ``AgreementError`` when no unit has two or more values.
+    """
+    from versemood.agreement import AgreementError, AlphaResult, agreement_band
+
+    table = matrix.values
+    present = ~np.isnan(table)
+    m = present.sum(axis=1)
+    pairable = m >= 2
+    if not pairable.any():
+        raise AgreementError("no unit has two or more values; alpha is not computable")
+    table, present, m = table[pairable], present[pairable], m[pairable]
+
+    units, _ = np.nonzero(present)
+    categories, codes = np.unique(table[present], return_inverse=True)
+    n = int(m.sum())
+    # N[u, c]: values of category c in unit u
+    counts = np.zeros((len(table), len(categories)))
+    np.add.at(counts, (units, codes), 1.0)
+    weighted = counts / (m - 1)[:, None]
+    coincidence = weighted.T @ counts - np.diag(weighted.sum(axis=0))
+    marginals = coincidence.sum(axis=1)
+
+    if matrix.level == "nominal":
+        delta_sq = 1.0 - np.eye(len(categories))
+    elif matrix.level == "interval":
+        delta_sq = np.subtract.outer(categories, categories) ** 2
+    else:
+        index = np.arange(len(categories))
+        lo = np.minimum.outer(index, index)
+        hi = np.maximum.outer(index, index)
+        cumulative = np.concatenate(([0.0], np.cumsum(marginals)))
+        between = cumulative[hi + 1] - cumulative[lo]
+        delta_sq = (between - 0.5 * (marginals[lo] + marginals[hi])) ** 2
+
+    observed = float((coincidence * delta_sq).sum()) / n
+    expected = float((np.outer(marginals, marginals) * delta_sq).sum()) / (n * (n - 1))
+
+    if expected == 0.0:
+        return AlphaResult(
+            alpha=1.0,
+            n_pairable=n,
+            band=agreement_band(1.0),
+            degenerate=True,
+            note="degenerate: no variation among pairable values",
+        )
+    alpha = 1.0 - observed / expected
+    return AlphaResult(alpha=alpha, n_pairable=n, band=agreement_band(alpha))
+
+
 def fill_missing_psych(cells, sonnet_ids):
     """The missing-tag fill the literal way: one dict lookup per cell.
 

@@ -205,11 +205,24 @@ def test_agreement_writes_uncomputable_and_degenerate_cells(workspace, tmp_path,
             csv.writer(fh, lineterminator="\n").writerows(rows)
     out = tmp_path / "out"
     code, _, err = run(
-        capsys, "agree", "--config", str(copy / "config.json"), "--out", str(out), "--strict"
+        capsys, "agree", "--config", str(copy / "config.json"), "--out", str(out), "--strict",
+        "--log-decisions",
     )
     assert code == 2
     assert "14 degenerate or skipped computations" in err
     columns = ["all", "a1-a2", "a1-a3", "a2-a3", "a1-m", "a2-m", "a3-m"]
+    # decisions.log names each of the 14 cells, with its reason
+    logged = [
+        line for line in (out / "decisions.log").read_text(encoding="utf-8").splitlines()
+        if line.startswith("versemood.pipeline: agreement ")
+    ]
+    assert logged == [
+        f"versemood.pipeline: agreement Pride/{label}: not computable: "
+        "no unit has two or more values" for label in columns
+    ] + [
+        f"versemood.pipeline: agreement Solitude/{label}: degenerate: "
+        "no variation among pairable values" for label in columns
+    ]
     table = {row[0]: row for row in read_csv(out / "agreement.csv")}
     assert table["feature"] == ["feature", "level", *columns, "below_threshold"]
     assert table["Pride"] == ["Pride", "nominal", *[""] * 7, ""]

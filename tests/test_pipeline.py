@@ -3,6 +3,7 @@
 import importlib
 import importlib.util
 import json
+import logging
 import pkgutil
 import shutil
 import sys
@@ -216,11 +217,21 @@ def _fill_matrix(monkeypatch, fill):
     monkeypatch.setattr(features, "compute_corpus_matrix", patched)
 
 
-def test_undefined_correlations_count_as_degenerate(workspace_config, tmp_path, monkeypatch):
+def _logged(caplog, module, prefix):
+    return [
+        r.getMessage() for r in caplog.records
+        if r.name == f"versemood.{module}" and r.getMessage().startswith(prefix)
+    ]
+
+
+def test_undefined_correlations_count_as_degenerate(
+    workspace_config, tmp_path, monkeypatch, caplog
+):
     def constant_column(values):
         values[:, FEATURE_INDEX["concreteness_mean"]] = 4.0
 
     _fill_matrix(monkeypatch, constant_column)
+    caplog.set_level(logging.INFO, logger="versemood")
     count = Session(workspace_config, ["bivariate"]).write(ReportWriter(tmp_path, "json"))
     cells = json.loads((tmp_path / "bivariate.json").read_text(encoding="utf-8"))
     undefined = [c for c in cells if c["rho"] is None]
@@ -228,10 +239,15 @@ def test_undefined_correlations_count_as_degenerate(workspace_config, tmp_path, 
         "y is constant"
     ] * 10
     assert count == len(undefined)
+    # the decisions log names each cell counted, with its reason
+    assert _logged(caplog, "pipeline", "bivariate ") == [
+        f"bivariate {c['annotated_feature']}/{c['gam_feature']}: rho undefined: {c['note']}"
+        for c in undefined
+    ]
 
 
 def test_anova_cells_without_within_group_variance_count_as_degenerate(
-    workspace_config, tmp_path, monkeypatch
+    workspace_config, tmp_path, monkeypatch, caplog
 ):
     median = Session(workspace_config, ["anova"]).median
     tag, tagged = next(
@@ -245,21 +261,26 @@ def test_anova_cells_without_within_group_variance_count_as_degenerate(
 
     _fill_matrix(monkeypatch, zero_variance)
     session = Session(workspace_config, ["anova"])
+    caplog.set_level(logging.INFO, logger="versemood")
     count = session.write(ReportWriter(tmp_path, "json"))
     anova = json.loads((tmp_path / "anova.json").read_text(encoding="utf-8"))
     # F = inf, p = 0: the cell keeps its row
     [row] = [r for r in anova["rows"] if (r["category"], r["gam_feature"]) == (tag, "valence_mean")]
     assert (row["f_statistic"], row["p_value"]) == ("inf", 0.0)
     # degenerate: a cell not skipped whose two groups are each constant
-    degenerate = 0
-    for _, members in categories(session.median)[1:]:
+    degenerate = []
+    for category, members in categories(session.median)[1:]:
         for feature in MEAN_FEATURES:
             column = session.matrix.column(feature)
             groups = [column[members & ~np.isnan(column)], column[~members & ~np.isnan(column)]]
             if min(map(len, groups)) >= 2 and max(map(np.ptp, groups)) == 0.0:
-                degenerate += 1
-    assert degenerate > len(PSYCHOLOGICAL_TAGS) // 2
-    assert count == len(anova["skipped"]) + degenerate
+                constant = np.ptp(np.concatenate(groups)) == 0.0
+                reason = "no variation in any group" if constant else "zero within-group variance"
+                degenerate.append(f"anova {category}/{feature}: {reason}")
+    assert len(degenerate) > len(PSYCHOLOGICAL_TAGS) // 2
+    assert count == len(anova["skipped"]) + len(degenerate)
+    # the decisions log names each degenerate cell, with its reason
+    assert _logged(caplog, "validation", "anova ") == degenerate
 
 
 def test_every_exported_name_resolves():

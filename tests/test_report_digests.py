@@ -4,7 +4,10 @@
 ``versemood all --missing-words --log-decisions`` writes on the conftest
 workspace at 12, 40 and 120 sonnets, with the numpy version they were
 made with.  The sizes reach the insufficient-rows path, predictor
-pruning and dropped spans.  Reports print floats at full precision, so
+pruning and dropped spans.  One more entry, ``PAIRWISE``, pins
+``versemood agree --log-decisions`` on the 40-sonnet workspace with a
+config that lists only two annotation files: the agreement report
+without a median column.  Reports print floats at full precision, so
 another numpy (another BLAS, other rounding) may change the bytes of a
 correct run: the test then skips, naming both versions.
 
@@ -26,28 +29,46 @@ from conftest import build_workspace
 
 RECORD = Path(__file__).with_name("report_digests.json")
 SIZES = (12, 40, 120)
+PAIRWISE = "agree-40-two-sets"
 
 
-def report_digests(root: Path, n_sonnets: int) -> dict[str, str]:
-    workspace = build_workspace(root / "workspace", n_sonnets=n_sonnets)
-    out = root / "out"
-    argv = [
-        "all", "--config", str(workspace / "config.json"), "--out", str(out),
-        "--missing-words", "--log-decisions",
-    ]
-    assert main(argv) == 0
+def _digests(out: Path, argv: list[str]) -> dict[str, str]:
+    assert main([*argv, "--out", str(out), "--log-decisions"]) == 0
     return {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(out.iterdir())
     }
 
 
-@pytest.mark.parametrize("n_sonnets", SIZES)
-def test_report_set_is_byte_identical_to_the_record(n_sonnets, tmp_path, capsys):
+def report_digests(root: Path, n_sonnets: int) -> dict[str, str]:
+    workspace = build_workspace(root / "workspace", n_sonnets=n_sonnets)
+    argv = ["all", "--config", str(workspace / "config.json"), "--missing-words"]
+    return _digests(root / "out", argv)
+
+
+def pairwise_digests(root: Path) -> dict[str, str]:
+    workspace = build_workspace(root / "workspace", n_sonnets=40)
+    config = json.loads((workspace / "config.json").read_text(encoding="utf-8"))
+    config["annotations"] = config["annotations"][:2]
+    path = workspace / "pairwise.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return _digests(root / "out", ["agree", "--config", str(path)])
+
+
+def _record() -> dict:
     record = json.loads(RECORD.read_text(encoding="utf-8"))
     if record["numpy"] != np.__version__:
         pytest.skip(f"digests recorded with numpy {record['numpy']}, this is {np.__version__}")
-    assert report_digests(tmp_path, n_sonnets) == record["digests"][str(n_sonnets)]
+    return record["digests"]
+
+
+@pytest.mark.parametrize("n_sonnets", SIZES)
+def test_report_set_is_byte_identical_to_the_record(n_sonnets, tmp_path, capsys):
+    assert report_digests(tmp_path, n_sonnets) == _record()[str(n_sonnets)]
+
+
+def test_pairwise_agreement_is_byte_identical_to_the_record(tmp_path, capsys):
+    assert pairwise_digests(tmp_path) == _record()[PAIRWISE]
 
 
 if __name__ == "__main__":
@@ -55,5 +76,7 @@ if __name__ == "__main__":
     for size in SIZES:
         with tempfile.TemporaryDirectory() as tmp:
             digests[str(size)] = report_digests(Path(tmp), size)
+    with tempfile.TemporaryDirectory() as tmp:
+        digests[PAIRWISE] = pairwise_digests(Path(tmp))
     record = {"numpy": np.__version__, "digests": digests}
     RECORD.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
