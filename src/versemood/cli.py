@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from pathlib import Path
 from typing import Sequence
 
 from .pipeline import COMMANDS, FORMATS, ReportWriter, Session
@@ -89,15 +88,12 @@ def _run(args: argparse.Namespace) -> int:
     session = Session(
         args.config, reports, mode=args.mode, out_dir=args.out, fmt=args.format
     )
-    out_dir = Path(session.config["out_dir"])
-    if not out_dir.is_absolute():
-        out_dir = Path.cwd() / out_dir
-    writer = ReportWriter(out_dir, session.config["format"])
+    writer = ReportWriter(session.config.out_dir, session.config.format)
     package_logger = logging.getLogger(__package__)
     package_level = package_logger.level
     decisions_handler: logging.FileHandler | None = None
     if args.log_decisions:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        session.config.out_dir.mkdir(parents=True, exist_ok=True)
         # staged with the reports: committed with them, or discarded if the run fails
         decisions_handler = logging.FileHandler(
             writer.stage("decisions.log"), mode="w", encoding="utf-8"

@@ -40,124 +40,129 @@ from .textnorm import (
     read_input,
 )
 
-__all__ = ["COMMANDS", "FORMATS", "REPORTS", "ReportWriter", "Session"]
+__all__ = ["COMMANDS", "FORMATS", "REPORTS", "ReportWriter", "RunConfig", "Session"]
 
 logger = logging.getLogger(__name__)
 
 FORMATS = ("csv", "json", "both")
 
-_CONFIG_DEFAULTS: dict[str, Any] = {
-    "reversed_valence_annotators": [],
-    "stopwords": None,
-    "lemma_table": None,
-    "mode": "stem",
-    "out_dir": "reports",
-    "format": "both",
-}
+
+class RunConfig(NamedTuple):
+    """A run config as checked, each path resolved.
+
+    Input paths resolve against the config's directory, ``out_dir``
+    against the working directory.  ``corpus_root`` is None and
+    ``lexicons`` empty unless a report reads them; a lexicon is its
+    file, its descriptor or None, and its source id or None.
+    """
+
+    metadata: Path
+    corpus_root: Path | None
+    annotations: tuple[Path, ...]
+    reversed_valence_annotators: tuple[int, ...]
+    lexicons: tuple[tuple[Path, Path | None, str | None], ...]
+    stopwords: Path | None
+    lemma_table: Path | None
+    mode: str
+    out_dir: Path
+    format: str
 
 
-def _load_config(
-    config_path: Path, mode: str | None, out_dir: str | None, fmt: str | None
-) -> dict[str, Any]:
+def _read_config(
+    config_path: Path, needs: set[str], mode: str | None, out_dir: str | None, fmt: str | None
+) -> RunConfig:
+    """The config at ``config_path``, with the inputs ``needs`` names checked.
+
+    ``mode``, ``out_dir`` and ``fmt`` override the config's entries.  A
+    problem is an InputError naming the config, before any computation
+    starts.
+    """
     try:
         raw = json.loads(read_input(config_path, "config"))
     except json.JSONDecodeError as exc:
         raise InputError(f"{config_path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise InputError(f"{config_path}: config must be a JSON object")
-    cfg = dict(_CONFIG_DEFAULTS)
-    cfg.update(raw)
-    cfg["_path"] = config_path
-    for key, override in (("mode", mode), ("out_dir", out_dir), ("format", fmt)):
-        if override:
-            cfg[key] = override
-    if cfg["mode"] not in MODES:
-        raise InputError(f"{config_path}: unknown mode {cfg['mode']!r}; expected one of {MODES}")
-    if cfg["format"] not in FORMATS:
-        raise InputError(f"{config_path}: unknown format {cfg['format']!r}")
-    if not isinstance(cfg["out_dir"], str):
-        raise InputError(f"{config_path}: 'out_dir' must be a path, not {cfg['out_dir']!r}")
-    return cfg
 
+    def fail(message: str) -> InputError:
+        return InputError(f"{config_path}: {message}")
 
-def _resolve(cfg: dict[str, Any], value: str) -> Path:
-    path = Path(value)
-    return path if path.is_absolute() else cfg["_path"].parent / path
+    def path(key: str, value: Any, label: str | None = None) -> Path:
+        """``value`` resolved as a path; with a ``label``, that of an existing file."""
+        if not isinstance(value, str):
+            raise fail(f"'{key}' must be a path, not {value!r}")
+        resolved = config_path.parent / value
+        if label and not resolved.is_file():
+            raise fail(f"{label} not found: {resolved}")
+        return resolved
 
-
-def _require_path(cfg: dict[str, Any], key: str, value: Any) -> Path:
-    """Config entry ``key`` resolved as a path; a non-string value is an input error."""
-    if not isinstance(value, str):
-        raise InputError(f"{cfg['_path']}: '{key}' must be a path, not {value!r}")
-    return _resolve(cfg, value)
-
-
-def _require_file(cfg: dict[str, Any], key: str, value: Any, label: str) -> Path:
-    path = _require_path(cfg, key, value)
-    if not path.is_file():
-        raise InputError(f"{cfg['_path']}: {label} not found: {path}")
-    return path
-
-
-def _check_inputs(cfg: dict[str, Any], needs: set[str]) -> None:
-    """Fail on missing inputs before any computation starts."""
-    if "metadata" not in cfg:
-        raise InputError(f"{cfg['_path']}: config is missing 'metadata'")
-    _require_file(cfg, "metadata", cfg["metadata"], "metadata file")
-    annotations = cfg.get("annotations")
+    mode = mode or raw.get("mode", "stem")
+    fmt = fmt or raw.get("format", "both")
+    out_dir = out_dir or raw.get("out_dir", "reports")
+    if mode not in MODES:
+        raise fail(f"unknown mode {mode!r}; expected one of {MODES}")
+    if fmt not in FORMATS:
+        raise fail(f"unknown format {fmt!r}")
+    if not isinstance(out_dir, str):
+        raise fail(f"'out_dir' must be a path, not {out_dir!r}")
+    if "metadata" not in raw:
+        raise fail("config is missing 'metadata'")
+    metadata = path("metadata", raw["metadata"], "metadata file")
+    annotations = raw.get("annotations")
     if not isinstance(annotations, list) or len(annotations) < 2:
-        raise InputError(
-            f"{cfg['_path']}: config needs an 'annotations' list with at least two files"
-        )
-    for entry in annotations:
-        _require_file(cfg, "annotations", entry, "annotation file")
+        raise fail("config needs an 'annotations' list with at least two files")
+    annotations = tuple(path("annotations", entry, "annotation file") for entry in annotations)
     if "median" in needs and len(annotations) != 3:
-        raise InputError(
-            f"{cfg['_path']}: this command needs exactly three annotation sets to build the median "
+        raise fail(
+            "this command needs exactly three annotation sets to build the median "
             f"annotator; config lists {len(annotations)}"
         )
-    reversed_valence = cfg.get("reversed_valence_annotators") or []
+    reversed_valence = raw.get("reversed_valence_annotators") or []
     if not isinstance(reversed_valence, list):
-        raise InputError(
-            f"{cfg['_path']}: 'reversed_valence_annotators' must be a list of annotator numbers"
-        )
+        raise fail("'reversed_valence_annotators' must be a list of annotator numbers")
     for rid in reversed_valence:
         # JSON true is a Python int; it names no annotator.
         if type(rid) is not int or rid not in range(1, len(annotations) + 1):
-            raise InputError(
-                f"{cfg['_path']}: 'reversed_valence_annotators' names unknown annotator {rid!r}"
-            )
+            raise fail(f"'reversed_valence_annotators' names unknown annotator {rid!r}")
+    # each listing reverses the scale once, so a repeat would undo the first
+    repeats = [rid for i, rid in enumerate(reversed_valence) if rid in reversed_valence[:i]]
+    if repeats:
+        raise fail(f"'reversed_valence_annotators' lists annotator {repeats[0]} more than once")
+    corpus_root = None
     if "texts" in needs:
-        if not cfg.get("corpus_root"):
-            raise InputError(
-                f"{cfg['_path']}: config is missing 'corpus_root' (needed to read sonnet texts)"
-            )
-        root = _require_path(cfg, "corpus_root", cfg["corpus_root"])
-        if not root.is_dir():
-            raise InputError(f"{cfg['_path']}: corpus_root is not a directory: {root}")
+        if not raw.get("corpus_root"):
+            raise fail("config is missing 'corpus_root' (needed to read sonnet texts)")
+        corpus_root = path("corpus_root", raw["corpus_root"])
+        if not corpus_root.is_dir():
+            raise fail(f"corpus_root is not a directory: {corpus_root}")
+    lexicons = []
     if "lexicons" in needs:
-        lexicons = cfg.get("lexicons")
-        if not isinstance(lexicons, list) or not lexicons:
-            raise InputError(f"{cfg['_path']}: config needs a non-empty 'lexicons' list")
-        for entry in lexicons:
+        entries = raw.get("lexicons")
+        if not isinstance(entries, list) or not entries:
+            raise fail("config needs a non-empty 'lexicons' list")
+        for entry in entries:
             if isinstance(entry, str):
-                _require_file(cfg, "lexicons", entry, "lexicon file")
+                lexicons.append((path("lexicons", entry, "lexicon file"), None, None))
             elif isinstance(entry, dict) and "path" in entry:
-                _require_file(cfg, "path", entry["path"], "lexicon file")
-                if entry.get("descriptor"):
-                    _require_file(cfg, "descriptor", entry["descriptor"], "lexicon descriptor")
+                lexicon = path("path", entry["path"], "lexicon file")
+                descriptor = entry.get("descriptor")
+                if descriptor:
+                    descriptor = path("descriptor", descriptor, "lexicon descriptor")
                 if not isinstance(entry.get("source_id", ""), str):
-                    raise InputError(f"{cfg['_path']}: 'source_id' must be a string")
+                    raise fail("'source_id' must be a string")
+                lexicons.append((lexicon, descriptor or None, entry.get("source_id")))
             else:
-                raise InputError(
-                    f"{cfg['_path']}: each lexicons entry must be a path or an object with a 'path'"
-                )
-    if cfg.get("stopwords"):
-        _require_file(cfg, "stopwords", cfg["stopwords"], "stopword list")
-    if cfg.get("lemma_table"):
-        _require_file(cfg, "lemma_table", cfg["lemma_table"], "lemma table")
-    if cfg["mode"] == "lemma" and not cfg.get("lemma_table"):
-        raise InputError(f"{cfg['_path']}: lemma mode requires a 'lemma_table' in the config")
+                raise fail("each lexicons entry must be a path or an object with a 'path'")
+    stopwords = raw.get("stopwords")
+    stopwords = path("stopwords", stopwords, "stopword list") if stopwords else None
+    lemma_table = raw.get("lemma_table")
+    lemma_table = path("lemma_table", lemma_table, "lemma table") if lemma_table else None
+    if mode == "lemma" and not lemma_table:
+        raise fail("lemma mode requires a 'lemma_table' in the config")
+    return RunConfig(
+        metadata, corpus_root, annotations, tuple(reversed_valence), tuple(lexicons),
+        stopwords, lemma_table, mode, Path.cwd() / out_dir, fmt,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +447,9 @@ class Session:
 
     Constructing a session reads the config (``mode``, ``out_dir`` and
     ``fmt`` override its entries) and checks that the inputs the named
-    reports need exist.  Nothing else is read until first use, and every
-    input and derived artifact is loaded or computed once.
+    reports need exist; ``config`` is the :class:`RunConfig` so checked.
+    Nothing else is read until first use, and every input and derived
+    artifact is loaded or computed once.
     """
 
     def __init__(
@@ -455,34 +461,23 @@ class Session:
         out_dir: str | None = None,
         fmt: str | None = None,
     ):
-        self.config = _load_config(Path(config_path), mode, out_dir, fmt)
         self.reports = tuple(reports)
-        self._needs: set[str] = set().union(*(REPORTS[name].needs for name in self.reports))
-        _check_inputs(self.config, self._needs)
+        needs = set().union(*(REPORTS[name].needs for name in self.reports))
+        self.config = _read_config(Path(config_path), needs, mode, out_dir, fmt)
         self._keys: dict[str, dict[str, tuple[str, ...]]] = {}
-
-    def _path(self, value: str) -> Path:
-        return _resolve(self.config, value)
 
     @cached_property
     def norm(self) -> NormalizationConfig:
         """Normalization settings of the configured key mode."""
         cfg = self.config
-        stopwords = (
-            load_stopwords(self._path(cfg["stopwords"]))
-            if cfg.get("stopwords")
-            else default_stopwords()
-        )
-        lemma_table = (
-            load_lemma_table(self._path(cfg["lemma_table"])) if cfg.get("lemma_table") else None
-        )
-        return NormalizationConfig(mode=cfg["mode"], stopwords=stopwords, lemma_table=lemma_table)
+        stopwords = load_stopwords(cfg.stopwords) if cfg.stopwords else default_stopwords()
+        lemma_table = load_lemma_table(cfg.lemma_table) if cfg.lemma_table else None
+        return NormalizationConfig(mode=cfg.mode, stopwords=stopwords, lemma_table=lemma_table)
 
     @cached_property
     def corpus(self) -> corpus_mod.Corpus:
         """Sonnet metadata, with texts when a report needs them."""
-        root = self._path(self.config["corpus_root"]) if "texts" in self._needs else None
-        return corpus_mod.load_corpus(self._path(self.config["metadata"]), root)
+        return corpus_mod.load_corpus(self.config.metadata, self.config.corpus_root)
 
     @cached_property
     def words(self) -> dict[str, tuple[str, ...]]:
@@ -534,11 +529,11 @@ class Session:
         """
         sets = [
             corpus_mod.load_annotation_set(
-                self._path(entry), annotator_id=idx, sonnet_ids=self.corpus.sonnet_ids
+                path, annotator_id=idx, sonnet_ids=self.corpus.sonnet_ids
             )
-            for idx, entry in enumerate(self.config["annotations"], start=1)
+            for idx, path in enumerate(self.config.annotations, start=1)
         ]
-        for rid in self.config.get("reversed_valence_annotators") or []:
+        for rid in self.config.reversed_valence_annotators:
             sets[rid - 1] = corpus_mod.reverse_ordinal_scale(sets[rid - 1], "valence")
             logger.info("reversed valence scale for annotator %d", rid)
         if len(sets) != 3:
@@ -555,14 +550,8 @@ class Session:
         """The configured lexicons on their native scales, source ids unique."""
         sources = []
         seen: dict[str, Path] = {}
-        for entry in self.config["lexicons"]:
-            if isinstance(entry, str):
-                entry = {"path": entry}
-            path = self._path(entry["path"])
-            descriptor = self._path(entry["descriptor"]) if entry.get("descriptor") else None
-            source = lexicon_mod.load_lexicon(
-                path, descriptor=descriptor, source_id=entry.get("source_id")
-            )
+        for path, descriptor, source_id in self.config.lexicons:
+            source = lexicon_mod.load_lexicon(path, descriptor=descriptor, source_id=source_id)
             if source.source_id in seen:
                 raise InputError(
                     f"lexicons {seen[source.source_id]} and {path} share the source id "

@@ -53,13 +53,12 @@ class RankDeficiencyError(ValueError):
 
     ``columns`` lists the offending columns by label.  A column is
     offending when it is linearly dependent on the columns to its left,
-    the intercept included, so callers can drop exactly those columns
-    and refit.  ``factor`` is the rank check's QR factor of the design
-    without them, or None.
+    the intercept included.  ``ols`` raises it with the columns its
+    design's first rank check dropped (``LinearDesign.dropped[0]``).
     """
 
-    def __init__(self, columns: Sequence[str], factor: tuple | None = None):
-        self.columns, self.factor = list(columns), factor
+    def __init__(self, columns: Sequence[str]):
+        self.columns = list(columns)
         super().__init__(
             "design matrix is rank deficient; dependent columns: "
             + ", ".join(str(c) for c in self.columns)
@@ -438,23 +437,18 @@ class LinearDesign:
     """A checked and factored OLS design: an implicit intercept plus X.
 
     The constructor does everything that depends on the predictors only:
-    the shape checks and the rank check (see ``_dependent_columns``),
-    whose last QR pass also factors the design into Q, R and R^-1.
-    ``fit`` then solves one response against that factorization, so
-    several responses on one design share the work and each gets the same
-    floats as its own ``ols`` call; its p-values are evaluated on read.
-    The design is required to have full column rank (relative tolerance
-    1e-10); dependent columns raise RankDeficiencyError naming them
-    instead of being dropped silently, with the factor of the design
-    without them: passed back as ``factor``, it spares that design a QR.
+    the shape checks and the rank check (see ``_dependent_columns``,
+    relative tolerance 1e-10).  It drops the dependent columns a check
+    finds and checks the rest again, reusing the factor that check handed
+    on, until a check finds none; that last QR pass factors the design
+    into Q, R and R^-1.  ``dropped`` holds each check's labels, in order,
+    and ``columns`` the predictors kept.  ``fit`` then solves one response
+    against that factorization, so several responses on one design share
+    the work and each gets the same floats as an ``ols`` call on the kept
+    columns; its p-values are evaluated on read.
     """
 
-    def __init__(
-        self,
-        X: Sequence[Sequence[float]],
-        column_names: Sequence[str] | None = None,
-        factor: tuple | None = None,
-    ):
+    def __init__(self, X: Sequence[Sequence[float]], column_names: Sequence[str] | None = None):
         Xm = np.asarray(X, dtype=float)
         if Xm.ndim == 1:
             Xm = Xm.reshape(-1, 1)
@@ -467,19 +461,24 @@ class LinearDesign:
             raise ValueError(
                 f"need more observations than predictors plus intercept (n={n}, k={k})"
             )
-        design = np.column_stack([np.ones(n), Xm])
-        dependent, factor = _dependent_columns(design, factor=factor)
-        if dependent:
-            labels = ["intercept"] + (
-                list(column_names) if column_names is not None else [f"x{j}" for j in range(k)]
-            )
-            raise RankDeficiencyError([labels[j] for j in dependent], factor)
+        # C-ordered whatever X's layout: ``design @ beta`` rounds by the layout
+        design = np.ascontiguousarray(np.column_stack([np.ones(n), Xm]))
+        labels = ["intercept"] + (
+            list(column_names) if column_names is not None else [f"x{j}" for j in range(k)]
+        )
+        self.dropped: list[list[str]] = []
+        dependent, factor = _dependent_columns(design)
+        while dependent:
+            self.dropped.append([labels[j] for j in dependent])
+            keep = [j for j in range(len(labels)) if j not in dependent]
+            design = np.ascontiguousarray(design[:, keep])
+            labels = [labels[j] for j in keep]
+            dependent, factor = _dependent_columns(design, factor=factor)
+        self.columns = labels[1:]
         self.n = n
-        self.k = k
+        self.k = len(self.columns)
         self._design = design
         self._q, self._r, r_inv, _ = factor
-        if len(r_inv) <= k:  # a zero on R's diagonal: solve(R, I) raises LinAlgError
-            r_inv = np.linalg.solve(self._r, np.eye(k + 1))
         self._cov_diag = np.diag(r_inv @ r_inv.T)
 
     def fit(self, y: Sequence[float]) -> RegressionResult:
@@ -527,9 +526,14 @@ def ols(
 
     Fits y = b0 + X @ b through a QR decomposition of the design matrix
     and reports two-sided t-test p-values per coefficient, evaluated on
-    read; see LinearDesign, which does the work.
+    read; see LinearDesign, which does the work.  The design must have
+    full column rank: dependent columns raise RankDeficiencyError naming
+    those the first rank check found.
     """
-    return LinearDesign(X, column_names).fit(y)
+    design = LinearDesign(X, column_names)
+    if design.dropped:
+        raise RankDeficiencyError(design.dropped[0])
+    return design.fit(y)
 
 
 @dataclass

@@ -8,7 +8,7 @@ untagged sonnets.
 
 Regressions use all 32 features as predictors.  Two of them are exact
 linear combinations by construction (each span is its max minus its
-min), so the regression layer removes whatever columns the rank check
+min), so the regression design drops whatever columns the rank check
 reports, keeping the first occurrence of every direction; every removal
 is logged.  The rank check is one QR pass per design, with the
 prefix-SVD test as referee on columns R cannot settle.  Categories too
@@ -37,7 +37,6 @@ from .features import (
 )
 from .stats import (
     LinearDesign,
-    RankDeficiencyError,
     centred_ranks,
     correlation_band,
     one_way_anova,
@@ -188,11 +187,11 @@ def _category_rows(
     """The 10 pairing rows of one category, all fitted on one design.
 
     The rows, predictors and dropped columns depend on the category
-    only, so the prune / drop-dependent-columns loop runs once; each
-    pairing then replays its steps and stops at its first terminal
-    event, exactly as a separate fit per pairing would: its paired
-    feature dropped as collinear, then an unusable design, then a
-    failing fit.
+    only, so the pruning and the design (which drops its own dependent
+    columns) are built once; each pairing then replays the design's
+    drops and stops at its first terminal event, exactly as a separate
+    fit per pairing would: its paired feature dropped as collinear, then
+    a failing fit.
     """
     sub = values[index]
     predictors = FEATURE_NAMES
@@ -207,23 +206,8 @@ def _category_rows(
     sub = sub[keep]
     insufficient = len(rows) <= len(predictors) + 1
 
-    steps: list[list[str]] = []
-    failure = None
-    design = factor = None
-    active = list(predictors)
-    while not insufficient:
-        X = np.ascontiguousarray(sub[:, [FEATURE_INDEX[p] for p in active]])
-        try:
-            design = LinearDesign(X, column_names=active, factor=factor)
-            break
-        except RankDeficiencyError as exc:
-            # The intercept is column 0, so it is never dependent on earlier columns.
-            steps.append(exc.columns)
-            active = [p for p in active if p not in exc.columns]
-            factor = exc.factor  # the factor of the design on ``active``
-        except ValueError as exc:
-            failure = str(exc)
-            break
+    if not insufficient:
+        design = LinearDesign(sub[:, [FEATURE_INDEX[p] for p in predictors]], predictors)
 
     out = []
     for annotated, gam_feature in FEATURE_PAIRINGS:
@@ -241,8 +225,8 @@ def _category_rows(
             continue
         y = median.column(annotated)[rows]
         dropped: list[str] = []
-        note = failure
-        for bad in steps:
+        note = None
+        for bad in design.dropped:
             logger.info(
                 "partial dependence %s/%s: dropped dependent columns %s",
                 category, annotated, ", ".join(bad),
@@ -259,7 +243,7 @@ def _category_rows(
         if note is not None:
             out.append(PartialDependenceRow(category, annotated, gam_feature, len(rows), note=note))
             continue
-        idx = active.index(gam_feature)
+        idx = design.columns.index(gam_feature)
         coefficient = fit.coefficients[idx]
         p_value = fit.p_value(idx)
         out.append(PartialDependenceRow(

@@ -322,6 +322,28 @@ def dependent_columns(design: np.ndarray, rtol: float = 1e-10) -> list[int]:
     return dependent
 
 
+def drop_dependent_columns(X: np.ndarray, column_names: list[str]):
+    """The regression layer's drop loop from before ``LinearDesign`` dropped its own columns.
+
+    Each pass builds the design (an intercept plus the active predictors)
+    afresh, scans it with ``stats._dependent_columns`` from a fresh QR
+    and drops what the scan names, until a scan finds nothing.  Returns
+    the labels each scan dropped, the predictors kept, and X on those.
+    """
+    from versemood.stats import _dependent_columns
+
+    steps = []
+    active = list(column_names)
+    while True:
+        reduced = np.ascontiguousarray(X[:, [column_names.index(p) for p in active]])
+        dependent = _dependent_columns(np.column_stack([np.ones(len(X)), reduced]))[0]
+        if not dependent:
+            return steps, active, reduced
+        # The intercept is column 0, so it is never dependent on earlier columns.
+        steps.append([active[j - 1] for j in dependent])
+        active = [p for p in active if p not in steps[-1]]
+
+
 def ols_eager(X: np.ndarray, y: np.ndarray) -> dict:
     """Every field of a full-rank ``ols`` fit, each p-value computed up front.
 

@@ -474,7 +474,7 @@ def test_published_lexicon_tables_reproduce():
 
     session = Session(config)
     median = session.median
-    assert session.config.get("lemma_table"), "the published lemma table is required here"
+    assert session.config.lemma_table, "the published lemma table is required here"
 
     word_counts = word_count_report(
         session.keys("raw"), session.keys("stem"), session.keys("lemma"), median

@@ -424,6 +424,7 @@ def test_agree_without_corpus_root(workspace, tmp_path, capsys):
         (lambda c: c.update(annotations=c["annotations"][:1]), "at least two"),
         (lambda c: c.update(annotations=[c["annotations"][0], "/nowhere.csv"]), "not found"),
         (lambda c: c.pop("corpus_root"), "corpus_root"),
+        (lambda c: c.update(corpus_root=c["metadata"]), "corpus_root is not a directory"),
         (lambda c: c.update(lexicons=[]), "lexicons"),
         (lambda c: c.update(lexicons=[{"descriptor": "x"}]), "path"),
         (lambda c: c.update(mode="porter"), "unknown mode"),
@@ -522,11 +523,28 @@ def test_corrupt_input_gives_same_reports_or_exit_1_naming_it(
 
 @pytest.mark.parametrize("case", [
     "empty lemma table", "one-column lemma table", "overlong lemma field",
-    "duplicate lexicon stem",
+    "duplicate lexicon stem", "duplicate annotation column", "missing annotation column",
+    "metadata without sonnets",
 ])
 def test_bad_input_file_exits_1_naming_it(workspace, tmp_path, capsys, case):
     cfg = absolute_config(workspace)
-    if case == "duplicate lexicon stem":
+    if case.endswith("annotation column"):
+        rows = read_csv(workspace / "annotator2.csv")
+        if case.startswith("missing"):
+            rows = [row[:-1] for row in rows]
+        else:
+            rows = [row + row[-1:] for row in rows]
+        table = tmp_path / "annotator2.csv"
+        table.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+        cfg["annotations"][1] = str(table)
+        named = [str(table)]
+    elif case == "metadata without sonnets":
+        table = tmp_path / "metadata.csv"
+        header = (workspace / "metadata.csv").read_text(encoding="utf-8").split("\n")[0]
+        table.write_text(header + "\n", encoding="utf-8")
+        cfg["metadata"] = str(table)
+        named = [str(table)]
+    elif case == "duplicate lexicon stem":
         other = tmp_path / "other" / "lex_a.csv"
         other.parent.mkdir()
         shutil.copy(workspace / "lex_a.csv", other)
@@ -565,6 +583,16 @@ def test_bad_input_file_exits_1_naming_it(workspace, tmp_path, capsys, case):
     ("descriptor", "delimiter", "\t\t", "'delimiter'"),
     ("config", "reversed_valence_annotators", [True], "'reversed_valence_annotators'"),
     ("config", "reversed_valence_annotators", [1.0], "'reversed_valence_annotators'"),
+    ("descriptor", "dimensions", [], "'dimensions'"),
+    ("descriptor", "dimensions", {"joy": {"mean": "Val_Mn", "scale": [1, 7]}}, "'joy'"),
+    ("descriptor", "dimensions", {"valence": {"mean": "Val_Mn", "scale": [1]}}, "[low, high]"),
+    ("descriptor", "dimensions", {"valence": {"mean": "Val_Mn", "scale": [7, 1]}}, "below high"),
+    ("descriptor", "dimensions", {"valence": {"sd": "Val_SD", "scale": [1, 7]}}, "mean column"),
+    ("descriptor", "dimensions", {"valence": {"mean": 5, "scale": [1, 7]}}, "'mean'"),
+    ("descriptor", "source_id", 5, "'source_id'"),
+    ("config", "reversed_valence_annotators", [1, 1],
+     "'reversed_valence_annotators' lists annotator 1 more than once"),
+    ("lexicon", "source_id", 5, "'source_id'"),
 ])
 def test_value_of_wrong_type_exits_1_naming_file_and_key(
     workspace, tmp_path, capsys, where, key, value, named
@@ -587,8 +615,19 @@ def test_value_of_wrong_type_exits_1_naming_file_and_key(
         capsys, "all", "--config", str(config), "--out", str(tmp_path / "out")
     )
     assert code == 1
+    assert "Traceback" not in err
     assert str(descriptor_path if where == "descriptor" else config) in err
     assert named in err
+
+
+def test_out_dir_of_wrong_type_exits_1_naming_file_and_key(workspace, tmp_path, capsys):
+    # --out would override the entry, so this run goes without it
+    cfg = absolute_config(workspace)
+    cfg["out_dir"] = 5
+    config = dump_config(cfg, tmp_path)
+    code, _, err = run(capsys, "agree", "--config", str(config))
+    assert code == 1
+    assert f"{config}: 'out_dir' must be a path" in err
 
 
 def test_unreadable_config_exits_1(tmp_path, capsys):

@@ -75,6 +75,36 @@ def test_session_keys_equal_normalize_in_every_mode(workspace, tmp_path):
     assert {"ceniza", "llama", "fuego"} <= lemmas and "cenizas" not in lemmas
 
 
+def test_session_config_is_resolved_and_holds_only_what_its_reports_read(
+    workspace, tmp_path, monkeypatch
+):
+    config = _lemma_workspace(workspace, tmp_path)
+    root = config.parent
+    monkeypatch.chdir(tmp_path)
+    session = Session(config)
+    # inputs resolve against the config's directory, out_dir against the working one
+    assert session.config == pipeline.RunConfig(
+        metadata=root / "metadata.csv",
+        corpus_root=root / "texts",
+        annotations=tuple(root / f"annotator{i}.csv" for i in (1, 2, 3)),
+        reversed_valence_annotators=(1,),
+        lexicons=(
+            (root / "lex_a.csv", None, None),
+            (root / "lex_b.tsv", root / "lex_b_descriptor.json", None),
+        ),
+        stopwords=root / "stopwords.txt",
+        lemma_table=root / "lemmas.tsv",
+        mode="stem",
+        out_dir=tmp_path / "reports",
+        format="both",
+    )
+    agree = Session(config, ["agreement"], mode="raw", out_dir="elsewhere", fmt="csv")
+    assert agree.config == session.config._replace(
+        corpus_root=None, lexicons=(), mode="raw", out_dir=tmp_path / "elsewhere", format="csv"
+    )
+    assert all(sonnet.text is None for sonnet in agree.corpus.sonnets)
+
+
 def test_session_keys_each_distinct_word_once(workspace, tmp_path, monkeypatch):
     session = Session(_lemma_workspace(workspace, tmp_path))
     distinct = {w for ws in session.words.values() for w in ws}

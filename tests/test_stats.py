@@ -1,6 +1,7 @@
 """Statistical kernel tests against frozen values, oracles, and scipy."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -394,30 +395,36 @@ def test_rank_scan_equals_prefix_svd_oracle(monkeypatch):
     assert "kahan" in refereed
 
 
+def _mixed_design(rng):
+    """An intercept, then 1-9 columns: random, combinations of earlier ones, near such
+    combinations, zero, tiny, or small integers."""
+    n = int(rng.integers(3, 40))
+    columns = [np.ones(n)]
+    for _ in range(int(rng.integers(1, 10))):
+        kind = int(rng.integers(0, 6))
+        a, b = rng.integers(len(columns), size=2)
+        if kind == 0:
+            column = rng.normal(size=n) * 10.0 ** rng.uniform(-6, 6)
+        elif kind == 1:
+            column = columns[a] * rng.normal() - columns[b] * rng.normal()
+        elif kind == 2:
+            column = columns[a] - columns[b] + 10.0 ** rng.uniform(-15, -4) * (
+                np.linalg.norm(columns[a]) * rng.normal(size=n)
+            )
+        elif kind == 3:
+            column = np.zeros(n)
+        elif kind == 4:
+            column = rng.normal(size=n) * 10.0 ** rng.uniform(-14, -8)
+        else:
+            column = rng.integers(-2, 3, size=n).astype(float)
+        columns.append(column)
+    return np.column_stack(columns)
+
+
 def test_rank_scan_equals_prefix_svd_oracle_on_mixed_designs():
     rng = np.random.default_rng(43)
     for _ in range(200):
-        n = int(rng.integers(3, 40))
-        columns = [np.ones(n)]
-        for _ in range(int(rng.integers(1, 10))):
-            kind = int(rng.integers(0, 6))
-            a, b = rng.integers(len(columns), size=2)
-            if kind == 0:
-                column = rng.normal(size=n) * 10.0 ** rng.uniform(-6, 6)
-            elif kind == 1:
-                column = columns[a] * rng.normal() - columns[b] * rng.normal()
-            elif kind == 2:
-                column = columns[a] - columns[b] + 10.0 ** rng.uniform(-15, -4) * (
-                    np.linalg.norm(columns[a]) * rng.normal(size=n)
-                )
-            elif kind == 3:
-                column = np.zeros(n)
-            elif kind == 4:
-                column = rng.normal(size=n) * 10.0 ** rng.uniform(-14, -8)
-            else:
-                column = rng.integers(-2, 3, size=n).astype(float)
-            columns.append(column)
-        design = np.column_stack(columns)
+        design = _mixed_design(rng)
         dependent, factor = stats._dependent_columns(design)
         assert dependent == oracles.dependent_columns(design)
         if factor is None:
@@ -430,6 +437,29 @@ def test_rank_scan_equals_prefix_svd_oracle_on_mixed_designs():
         assert factor[3] == fresh[3]
         rescan = stats._dependent_columns(reduced, factor=factor)[0]
         assert rescan == stats._dependent_columns(reduced)[0]
+
+
+def test_linear_design_drops_what_the_drop_loop_dropped():
+    rng = np.random.default_rng(44)
+    shapes = Counter()
+    for _ in range(400):
+        X = _mixed_design(rng)[:, 1:]
+        n, k = X.shape
+        if n < k + 2:
+            continue
+        names = [f"c{j}" for j in range(k)]
+        steps, kept, reduced = oracles.drop_dependent_columns(X, names)
+        design = LinearDesign(X, names)
+        assert design.dropped == steps
+        assert design.columns == kept
+        y = rng.normal(size=n)
+        assert design.fit(y) == ols(reduced, y, column_names=kept)
+        dropped = [name for step in steps for name in step]
+        shapes["dropped"] += bool(dropped)
+        # a dropped column before a kept one: the kept columns are no leading block
+        shapes["not last"] += any(names.index(c) < names.index(kept[-1]) for c in dropped if kept)
+        shapes["two checks"] += len(steps) > 1
+    assert min(shapes.values()) > 0, shapes
 
 
 # ---------------------------------------------------------------------------
