@@ -15,11 +15,11 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .textnorm import InputError, csv_rows, read_input, split_lines
+from .textnorm import InputError, TokenTable, csv_rows, read_input, split_lines
 
 __all__ = [
     "ALL_CATEGORY",
@@ -440,47 +440,29 @@ def categories(median: AnnotationSet) -> list[tuple[str, np.ndarray]]:
     ]
 
 
-def corpus_statistics(
-    keys: Mapping[str, Sequence[str]],
-    median: AnnotationSet,
-    n_bins: int = 10,
-) -> CorpusStats:
+def corpus_statistics(keys: TokenTable, median: AnnotationSet, n_bins: int = 10) -> CorpusStats:
     """Word-count distribution and per-tag counts.
 
-    ``keys`` holds each sonnet's normalized keys.  Word counts are
+    ``keys`` holds the corpus's normalized keys.  Word counts are
     surviving tokens after stopword removal (repeats included).  The
     standard deviation is the sample one (n-1 in the denominator); the
     histogram uses ``n_bins`` equal-width bins over the observed range
     with the last bin closed on the right.  The median covers ``keys``'s
     sonnets in the same order.
     """
-    if median.sonnet_ids != tuple(keys):
+    if median.sonnet_ids != keys.sonnet_ids:
         raise ValueError("the median annotator and the corpus keys cover different sonnets")
-    counts = [len(sonnet_keys) for sonnet_keys in keys.values()]
+    counts = keys.lengths.tolist()
     n = len(counts)
     mean = sum(counts) / n
-    if n > 1:
-        sd = math.sqrt(sum((c - mean) ** 2 for c in counts) / (n - 1))
-    else:
-        sd = 0.0
+    sd = math.sqrt(sum((c - mean) ** 2 for c in counts) / (n - 1)) if n > 1 else 0.0
     lo, hi = float(min(counts)), float(max(counts))
     if hi == lo:
         bins = [HistogramBin(lo, hi, n)]
     else:
         width = (hi - lo) / n_bins
-        tallies = [0] * n_bins
-        for c in counts:
-            idx = min(int((c - lo) / width), n_bins - 1)
-            tallies[idx] += 1
-        bins = [
-            HistogramBin(lo + i * width, lo + (i + 1) * width, tallies[i])
-            for i in range(n_bins)
-        ]
+        at = np.minimum(((keys.lengths - lo) / width).astype(np.intp), n_bins - 1)
+        tally = np.bincount(at, minlength=n_bins).tolist()
+        bins = [HistogramBin(lo + i * width, lo + (i + 1) * width, k) for i, k in enumerate(tally)]
     tag_counts = {tag: int(rows.sum()) for tag, rows in categories(median)[1:]}
-    return CorpusStats(
-        n_sonnets=n,
-        word_mean=mean,
-        word_sd=sd,
-        histogram=tuple(bins),
-        tag_counts=tag_counts,
-    )
+    return CorpusStats(n, mean, sd, tuple(bins), tag_counts)

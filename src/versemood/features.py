@@ -8,23 +8,23 @@ correlations of arousal and valence against token position (how feeling
 moves across the poem), and a dispersion term scaling the mean by the
 square root of the number of matched words.
 
-The corpus is computed at once: every token is looked up in one pass
-(its row of the merged lexicon's arrays, -1 when unmatched), the
-per-sonnet means, extremes and spans are reductions over the gathered
-rows, and one sort ranks every sonnet's words for the correlations.  An
-undefined feature is NaN with a reason rather than silently zeroed.
+The corpus is computed at once: each distinct key is looked up once,
+every token gathers its key's row of the merged lexicon's arrays (-1
+when unmatched), the per-sonnet means, extremes and spans are reductions
+over the gathered rows, and one sort ranks every sonnet's words for the
+correlations.  An undefined feature is NaN with a reason rather than
+silently zeroed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
-from typing import Mapping, Sequence
 
 import numpy as np
 
 from .lexicon import DIMENSIONS, MergedLexicon
 from .stats import centred_ranks, group_mean
+from .textnorm import TokenTable
 
 __all__ = [
     "FEATURE_INDEX",
@@ -110,26 +110,19 @@ class FeatureMatrix:
         return {name: int(count) for name, count in zip(FEATURE_NAMES, counts)}
 
 
-def compute_corpus_matrix(
-    keys: Mapping[str, Sequence[str]], merged: MergedLexicon
-) -> FeatureMatrix:
+def compute_corpus_matrix(keys: TokenTable, merged: MergedLexicon) -> FeatureMatrix:
     """The feature matrix of every sonnet.
 
-    ``keys`` holds each sonnet's normalized keys in corpus order; a key's
-    position is its index + 1.  Positions are the post-stopword-removal
+    ``keys`` holds the corpus's normalized keys; a key's position is its
+    index in its sonnet + 1.  Positions are the post-stopword-removal
     token positions, so the matched words' positions may have gaps where
     unmatched words sat.  Means are summed word by word in position order.
     Position correlations rank every sonnet at once (``centred_ranks`` by
     sonnet); their sums are exact, so each is ``spearman``'s, bit for bit.
     """
-    n, n_dims = len(keys), len(DIMENSIONS)
-    lengths = np.fromiter(map(len, keys.values()), np.intp, n)
-    rows = np.fromiter(
-        map(merged.rows.get, chain.from_iterable(keys.values()), repeat(-1)),
-        np.intp,
-        int(lengths.sum()),
-    )
-    sonnet = np.repeat(np.arange(n), lengths)
+    n, n_dims = len(keys.sonnet_ids), len(DIMENSIONS)
+    rows = merged.rows_of(keys.words)[keys.codes]
+    sonnet = keys.sonnets()
     matched = rows >= 0
     sonnet, rows = sonnet[matched], rows[matched]
     word_means = merged.mean[rows]
@@ -173,7 +166,7 @@ def compute_corpus_matrix(
     names = tuple(_REASONS)
     undefined = np.isnan(values[:, [FEATURE_INDEX[name] for name in names]]).tolist()
     reasons = {}
-    for i, (sid, flags) in enumerate(zip(keys, undefined)):
+    for i, (sid, flags) in enumerate(zip(keys.sonnet_ids, undefined)):
         reasons[sid] = {name: _REASONS[name] for name, flag in zip(names, flags) if flag}
         reasons[sid].update(constant.get(i, {}))
-    return FeatureMatrix(sonnet_ids=tuple(keys), values=values, reasons=reasons)
+    return FeatureMatrix(sonnet_ids=keys.sonnet_ids, values=values, reasons=reasons)

@@ -33,7 +33,7 @@ import numpy as np
 
 from .corpus import ALL_CATEGORY, AnnotationSet, categories
 from .stats import group_mean
-from .textnorm import InputError, NormalizationConfig, csv_rows, read_input, split_lines
+from .textnorm import InputError, NormalizationConfig, TokenTable, csv_rows, read_input, split_lines
 
 __all__ = [
     "CANONICAL_SCALES",
@@ -115,11 +115,12 @@ class MergedLexicon:
     sd: np.ndarray
     surface_rows: dict[str, int]
 
-    def __contains__(self, key: str) -> bool:
-        return key in self.rows
-
     def __len__(self) -> int:
         return len(self.rows)
+
+    def rows_of(self, keys: Sequence[str]) -> np.ndarray:
+        """The row of each of ``keys``, -1 for a key the merge lacks."""
+        return np.fromiter(map(self.rows.get, keys, repeat(-1)), np.intp, len(keys))
 
 
 def rescale_value(
@@ -516,25 +517,25 @@ class CoverageRow:
     per_source: dict[str, float]
 
 
-def _categories(
-    keys: Mapping[str, Sequence[str]], median: AnnotationSet | None
-) -> list[tuple[str, list[str]]]:
-    """Each category's sonnet ids; without a median, all of ``keys``'s sonnets only.
+def _category_keys(keys: TokenTable, median: AnnotationSet | None) -> tuple[list[str], np.ndarray]:
+    """The categories, and per category the mask over ``keys.words`` of the keys its sonnets use.
 
-    A median must cover ``keys``'s sonnets in the same order.
+    Without a median, all of ``keys``'s sonnets only; a median must cover
+    them in the same order.
     """
-    if median is None:
-        return [(ALL_CATEGORY, list(keys))]
-    if median.sonnet_ids != tuple(keys):
+    if median is not None and median.sonnet_ids != keys.sonnet_ids:
         raise ValueError("the median annotator and the corpus keys cover different sonnets")
-    return [
-        (category, list(compress(median.sonnet_ids, members.tolist())))
-        for category, members in categories(median)
-    ]
+    everything = [(ALL_CATEGORY, np.ones(len(keys.lengths), bool))]
+    members = everything if median is None else categories(median)
+    used = np.zeros((len(members), len(keys.words)), bool)
+    sonnet = keys.sonnets()
+    for j, (_, rows) in enumerate(members):
+        used[j, keys.codes[rows[sonnet]]] = True
+    return [category for category, _ in members], used
 
 
 def coverage_report(
-    keys: Mapping[str, Sequence[str]],
+    keys: TokenTable,
     sources: Sequence[SourceLexicon],
     merged: MergedLexicon,
     config: NormalizationConfig,
@@ -542,39 +543,27 @@ def coverage_report(
 ) -> list[CoverageRow]:
     """Fraction of distinct corpus keys found in the merged lexicon.
 
-    ``keys`` holds each sonnet's keys under ``config.mode``.  One row
+    ``keys`` holds the corpus's keys under ``config.mode``.  One row
     for the whole corpus and, when a median annotation set is given, one
     per psychological tag (over its tagged sonnets only).  Per-source
     fractions check the same keys against each source's words normalized
     under the same mode.  ``merged`` is the merge of ``sources`` under
     ``config``, and its keys of the source words are the ones read here.
     """
-    # each source's words as rows of their keys in the merge
-    source_rows = {
-        s.source_id: set(map(merged.surface_rows.__getitem__, s.entries)) for s in sources
-    }
+    # each source's words, marked on the rows of their keys in the merge
+    in_source = np.zeros((len(sources), len(merged)), bool)
+    for j, source in enumerate(sources):
+        in_source[j, list(map(merged.surface_rows.__getitem__, source.entries))] = True
+    row_of_key = merged.rows_of(keys.words)
     rows = []
-    for category, ids in _categories(keys, median):
-        distinct = {k for sid in ids for k in keys[sid]}
-        if not distinct:
-            rows.append(
-                CoverageRow(category, config.mode, 0, 0.0, {s: 0.0 for s in source_rows})
-            )
-            continue
-        hit = [merged.rows[k] for k in distinct if k in merged.rows]
-        per_source = {
-            sid: sum(1 for r in hit if r in sr) / len(distinct)
-            for sid, sr in source_rows.items()
-        }
-        rows.append(
-            CoverageRow(
-                category=category,
-                mode=config.mode,
-                n_keys=len(distinct),
-                merged=len(hit) / len(distinct),
-                per_source=per_source,
-            )
-        )
+    for category, used in zip(*_category_keys(keys, median)):
+        hit = row_of_key[used]
+        hit = hit[hit >= 0]
+        n_keys = int(used.sum())
+        share = max(n_keys, 1)  # a category without keys has no hit: every fraction is 0.0
+        counts = in_source[:, hit].sum(axis=1).tolist()
+        per_source = {s.source_id: n / share for s, n in zip(sources, counts)}
+        rows.append(CoverageRow(category, config.mode, n_keys, len(hit) / share, per_source))
     return rows
 
 
@@ -589,25 +578,23 @@ class WordCountRow:
 
 
 def word_count_report(
-    raw: Mapping[str, Sequence[str]],
-    stem: Mapping[str, Sequence[str]],
-    lemma: Mapping[str, Sequence[str]] | None = None,
+    raw: TokenTable,
+    stem: TokenTable,
+    lemma: TokenTable | None = None,
     median: AnnotationSet | None = None,
 ) -> list[WordCountRow]:
     """Distinct keys per category under raw, stem, and lemma modes.
 
-    Each mapping holds every sonnet's keys under that mode, normalized
-    with the same stopword list.  The lemma column is None when no lemma
-    keys are given (no lemma table is configured).
+    Each table holds the corpus's keys under that mode, normalized with
+    the same stopword list.  The lemma column is None when no lemma keys
+    are given (no lemma table is configured).
     """
-    rows = []
-    for category, ids in _categories(raw, median):
-        raw_n, stem_n, lemma_n = (
-            None if keys is None else len({k for sid in ids for k in keys[sid]})
-            for keys in (raw, stem, lemma)
-        )
-        rows.append(WordCountRow(category, raw_n, stem_n, lemma_n))
-    return rows
+    names, raw_used = _category_keys(raw, median)
+    stem_n, lemma_n = (
+        repeat(None) if keys is None else _category_keys(keys, median)[1].sum(axis=1).tolist()
+        for keys in (stem, lemma)
+    )
+    return list(map(WordCountRow, names, raw_used.sum(axis=1).tolist(), stem_n, lemma_n))
 
 
 @dataclass(frozen=True)
@@ -618,19 +605,18 @@ class MissingWordRow:
     occurrences: int
 
 
-def missing_word_report(
-    keys: Mapping[str, Sequence[str]], merged: MergedLexicon
-) -> list[MissingWordRow]:
+def missing_word_report(keys: TokenTable, merged: MergedLexicon) -> list[MissingWordRow]:
     """Corpus keys absent from the merged lexicon, with occurrence counts.
 
     Counts are token occurrences (not distinct sonnets), stopwords
     already removed by normalization.  Sorted by count descending, then
     alphabetically.
     """
-    counts: dict[str, int] = {}
-    for sonnet_keys in keys.values():
-        for key in sonnet_keys:
-            if key not in merged:
-                counts[key] = counts.get(key, 0) + 1
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    codes = keys.codes[merged.rows_of(keys.words)[keys.codes] < 0]
+    counts = np.bincount(codes, minlength=len(keys.words))
+    missing = np.flatnonzero(counts).tolist()
+    ranked = sorted(
+        zip(map(keys.words.__getitem__, missing), counts[missing].tolist()),
+        key=lambda kv: (-kv[1], kv[0]),
+    )
     return [MissingWordRow(key, n) for key, n in ranked]

@@ -2,10 +2,10 @@
 
 A :class:`Session` reads the JSON run config and, before any computation
 starts, checks the inputs that its reports need.  It then loads each
-input on first use and computes each derived artifact once: each
-sonnet's words, their key tuples per normalization mode, the filled
-annotation sets and the median annotator, the merged lexicon, and the
-feature matrix.
+input on first use and computes each derived artifact once: the
+corpus's words and their keys per normalization mode (token tables),
+the filled annotation sets and the median annotator, the merged lexicon,
+and the feature matrix.
 
 ``REPORTS`` defines every report once, with the inputs it needs;
 ``COMMANDS`` names the reports of each subcommand.  A report made of
@@ -33,6 +33,7 @@ from .textnorm import (
     MODES,
     InputError,
     NormalizationConfig,
+    TokenTable,
     default_stopwords,
     load_lemma_table,
     load_stopwords,
@@ -83,6 +84,7 @@ def _read_config(
         raise InputError(f"{config_path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise InputError(f"{config_path}: config must be a JSON object")
+    raw = {key: value for key, value in raw.items() if value is not None}  # null: absent
 
     def fail(message: str) -> InputError:
         return InputError(f"{config_path}: {message}")
@@ -117,7 +119,7 @@ def _read_config(
             "this command needs exactly three annotation sets to build the median "
             f"annotator; config lists {len(annotations)}"
         )
-    reversed_valence = raw.get("reversed_valence_annotators") or []
+    reversed_valence = raw.get("reversed_valence_annotators", [])
     if not isinstance(reversed_valence, list):
         raise fail("'reversed_valence_annotators' must be a list of annotator numbers")
     for rid in reversed_valence:
@@ -130,7 +132,7 @@ def _read_config(
         raise fail(f"'reversed_valence_annotators' lists annotator {repeats[0]} more than once")
     corpus_root = None
     if "texts" in needs:
-        if not raw.get("corpus_root"):
+        if "corpus_root" not in raw:
             raise fail("config is missing 'corpus_root' (needed to read sonnet texts)")
         corpus_root = path("corpus_root", raw["corpus_root"])
         if not corpus_root.is_dir():
@@ -144,19 +146,20 @@ def _read_config(
             if isinstance(entry, str):
                 lexicons.append((path("lexicons", entry, "lexicon file"), None, None))
             elif isinstance(entry, dict) and "path" in entry:
-                lexicon = path("path", entry["path"], "lexicon file")
+                entry = {key: value for key, value in entry.items() if value is not None}
+                lexicon = path("path", entry.get("path"), "lexicon file")
                 descriptor = entry.get("descriptor")
-                if descriptor:
+                if descriptor is not None:
                     descriptor = path("descriptor", descriptor, "lexicon descriptor")
                 if not isinstance(entry.get("source_id", ""), str):
                     raise fail("'source_id' must be a string")
-                lexicons.append((lexicon, descriptor or None, entry.get("source_id")))
+                lexicons.append((lexicon, descriptor, entry.get("source_id")))
             else:
                 raise fail("each lexicons entry must be a path or an object with a 'path'")
-    stopwords = raw.get("stopwords")
-    stopwords = path("stopwords", stopwords, "stopword list") if stopwords else None
-    lemma_table = raw.get("lemma_table")
-    lemma_table = path("lemma_table", lemma_table, "lemma table") if lemma_table else None
+    stopwords, lemma_table = (
+        path(key, raw[key], label) if key in raw else None
+        for key, label in (("stopwords", "stopword list"), ("lemma_table", "lemma table"))
+    )
     if mode == "lemma" and not lemma_table:
         raise fail("lemma mode requires a 'lemma_table' in the config")
     return RunConfig(
@@ -464,7 +467,7 @@ class Session:
         self.reports = tuple(reports)
         needs = set().union(*(REPORTS[name].needs for name in self.reports))
         self.config = _read_config(Path(config_path), needs, mode, out_dir, fmt)
-        self._keys: dict[str, dict[str, tuple[str, ...]]] = {}
+        self._keys: dict[str, TokenTable] = {}
 
     @cached_property
     def norm(self) -> NormalizationConfig:
@@ -480,40 +483,25 @@ class Session:
         return corpus_mod.load_corpus(self.config.metadata, self.config.corpus_root)
 
     @cached_property
-    def words(self) -> dict[str, tuple[str, ...]]:
+    def words(self) -> TokenTable:
         """Each sonnet's words, stopwords dropped, in corpus order.
 
-        A word's token position is its index + 1.  Each sonnet is
-        normalized once per session, in raw mode; every mode keys these.
+        Each sonnet is normalized once per session, in raw mode; every
+        mode keys these.
         """
         raw = dataclasses.replace(self.norm, mode="raw")
-        # Tokens of one word share one string object; the memoized tuples
-        # then cost a pointer per token instead of a string per token.
-        distinct: dict[str, str] = {}
-        words = {}
-        for sonnet in self.corpus.sonnets:
+        sonnets = self.corpus.sonnets
+        for sonnet in sonnets:
             if sonnet.text is None:
                 raise ValueError(f"sonnet {sonnet.sonnet_id} was loaded without text")
-            words[sonnet.sonnet_id] = tuple(
-                distinct.setdefault(word, word) for word in normalize(sonnet.text, raw)
-            )
-        return words
+        return TokenTable.of((s.sonnet_id, normalize(s.text, raw)) for s in sonnets)
 
-    def keys(self, mode: str) -> dict[str, tuple[str, ...]]:
-        """Each sonnet's keys under ``mode``, position for position with ``words``."""
+    def keys(self, mode: str) -> TokenTable:
+        """The tokens of ``words`` under ``mode``: each distinct word is keyed once."""
         if mode == "raw":
             return self.words
         if mode not in self._keys:
-            key = dataclasses.replace(self.norm, mode=mode).key
-            # Each distinct word is keyed once; words sharing a key share its string.
-            distinct: dict[str, str] = {}
-            key_of: dict[str, str] = {}
-            for word in dict.fromkeys(w for ws in self.words.values() for w in ws):
-                k = key(word)
-                key_of[word] = distinct.setdefault(k, k)
-            self._keys[mode] = {
-                sid: tuple(map(key_of.__getitem__, ws)) for sid, ws in self.words.items()
-            }
+            self._keys[mode] = self.words.keyed(dataclasses.replace(self.norm, mode=mode).key)
         return self._keys[mode]
 
     @cached_property

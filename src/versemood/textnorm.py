@@ -5,6 +5,10 @@ modes: the surface word itself (raw), its Snowball stem, or a lemma
 looked up in a user-supplied table.  Stopwords are dropped before the
 mode transform, and a key's token position is its index + 1 in that
 list, so position-based statistics see a gap-free sequence.
+
+A corpus's tokens are held as a :class:`TokenTable`, an integer code per
+token into the distinct words: each word is keyed once, and reports count
+codes instead of strings.
 """
 
 from __future__ import annotations
@@ -14,8 +18,11 @@ import functools
 import re
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import count
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 from . import snowball_es
 
@@ -23,6 +30,7 @@ __all__ = [
     "MODES",
     "InputError",
     "NormalizationConfig",
+    "TokenTable",
     "csv_rows",
     "default_stopwords",
     "load_lemma_table",
@@ -188,3 +196,47 @@ def tokenize(text: str) -> list[str]:
 def normalize(text: str, config: NormalizationConfig) -> list[str]:
     """Full pipeline: tokenize, drop stopwords, key each surviving word."""
     return [config.key(word) for word in tokenize(text) if word not in config.stopwords]
+
+
+class TokenTable(NamedTuple):
+    """Every sonnet's tokens, as integer codes into one list of distinct words.
+
+    ``words`` holds the distinct words (surface words, or the keys of one
+    mode) in the order the corpus first gives them; ``codes`` holds one
+    int32 index into ``words`` per token, sonnet after sonnet (half the
+    memory of a pointer per token), and ``lengths`` the number of tokens
+    of each sonnet of ``sonnet_ids``.  A token's position in its sonnet
+    is its index there + 1.
+    """
+
+    sonnet_ids: tuple[str, ...]
+    words: tuple[str, ...]
+    codes: np.ndarray
+    lengths: np.ndarray
+
+    @classmethod
+    def of(cls, tokens: Iterable[tuple[str, list[str] | tuple[str, ...]]]) -> TokenTable:
+        """The table of (sonnet id, its tokens) pairs, coded one sonnet at a time."""
+        index: dict[str, int] = {}
+        ids, lengths = [], []
+
+        def codes() -> Iterator[int]:
+            for sonnet_id, words in tokens:
+                ids.append(sonnet_id)
+                lengths.append(len(words))
+                for word in words:
+                    yield index.setdefault(word, len(index))
+
+        coded = np.fromiter(codes(), np.int32)
+        return cls(tuple(ids), tuple(index), coded, np.array(lengths, np.intp))
+
+    def keyed(self, key: Callable[[str], str]) -> TokenTable:
+        """The same tokens, each word replaced by its ``key``; each word is keyed once."""
+        keys = list(map(key, self.words))
+        index = dict(zip(dict.fromkeys(keys), count()))
+        key_of_word = np.fromiter(map(index.__getitem__, keys), np.int32, len(keys))
+        return self._replace(words=tuple(index), codes=key_of_word[self.codes])
+
+    def sonnets(self) -> np.ndarray:
+        """Each token's sonnet, as its index in ``sonnet_ids``."""
+        return np.repeat(np.arange(len(self.lengths)), self.lengths)

@@ -15,6 +15,7 @@ from versemood.agreement import ReliabilityMatrix
 from versemood.corpus import ANNOTATED_FEATURES, AnnotationSet
 from versemood.features import FEATURE_NAMES, compute_corpus_matrix
 from versemood.lexicon import CANONICAL_SCALES, DIMENSIONS, MergedLexicon, SourceLexicon
+from versemood.textnorm import TokenTable
 
 
 def _array(rows, cols, cells):
@@ -120,6 +121,6 @@ def profile(observations):
     for i, o in enumerate(ordered):
         keys[o.position - first] = f"obs{i}"
         entries[f"obs{i}"] = o.dims
-    matrix = compute_corpus_matrix({"s": tuple(keys)}, merged_lexicon(entries))
+    matrix = compute_corpus_matrix(TokenTable.of([("s", keys)]), merged_lexicon(entries))
     values = [None if math.isnan(v) else v for v in matrix.values[0].tolist()]
     return SimpleNamespace(values=dict(zip(FEATURE_NAMES, values)), reasons=matrix.reasons["s"])

@@ -766,6 +766,90 @@ def features_from_observations(observations):
 
 
 # ---------------------------------------------------------------------------
+# word counts, coverage and missing words over key tuples
+#
+# Each sonnet's keys are a tuple of strings; every category builds the set
+# of its sonnets' keys, and missing words count tokens in a dict.  This is
+# how the package computed the three reports before its tokens became
+# integer codes.
+
+
+def _categories(keys, median):
+    """Each category's sonnet ids; without a median, all of ``keys``'s sonnets only."""
+    from itertools import compress
+
+    from versemood.corpus import ALL_CATEGORY, categories
+
+    if median is None:
+        return [(ALL_CATEGORY, list(keys))]
+    if median.sonnet_ids != tuple(keys):
+        raise ValueError("the median annotator and the corpus keys cover different sonnets")
+    return [
+        (category, list(compress(median.sonnet_ids, members.tolist())))
+        for category, members in categories(median)
+    ]
+
+
+def coverage_report(keys, sources, merged, config, median=None):
+    """Coverage rows from {sonnet_id: keys}, as ``lexicon.coverage_report`` gives them."""
+    from versemood.lexicon import CoverageRow
+
+    source_rows = {
+        s.source_id: set(map(merged.surface_rows.__getitem__, s.entries)) for s in sources
+    }
+    rows = []
+    for category, ids in _categories(keys, median):
+        distinct = {k for sid in ids for k in keys[sid]}
+        if not distinct:
+            rows.append(
+                CoverageRow(category, config.mode, 0, 0.0, {s: 0.0 for s in source_rows})
+            )
+            continue
+        hit = [merged.rows[k] for k in distinct if k in merged.rows]
+        per_source = {
+            sid: sum(1 for r in hit if r in sr) / len(distinct)
+            for sid, sr in source_rows.items()
+        }
+        rows.append(
+            CoverageRow(
+                category=category,
+                mode=config.mode,
+                n_keys=len(distinct),
+                merged=len(hit) / len(distinct),
+                per_source=per_source,
+            )
+        )
+    return rows
+
+
+def word_count_report(raw, stem, lemma=None, median=None):
+    """Word-count rows from {sonnet_id: keys} per mode, as ``lexicon.word_count_report``."""
+    from versemood.lexicon import WordCountRow
+
+    rows = []
+    for category, ids in _categories(raw, median):
+        raw_n, stem_n, lemma_n = (
+            None if keys is None else len({k for sid in ids for k in keys[sid]})
+            for keys in (raw, stem, lemma)
+        )
+        rows.append(WordCountRow(category, raw_n, stem_n, lemma_n))
+    return rows
+
+
+def missing_word_report(keys, merged):
+    """Missing-word rows from {sonnet_id: keys}, as ``lexicon.missing_word_report``."""
+    from versemood.lexicon import MissingWordRow
+
+    counts = {}
+    for sonnet_keys in keys.values():
+        for key in sonnet_keys:
+            if key not in merged.rows:
+                counts[key] = counts.get(key, 0) + 1
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    return [MissingWordRow(key, n) for key, n in ranked]
+
+
+# ---------------------------------------------------------------------------
 # the Spanish Snowball stemmer as it was before its steps looked suffixes up
 # in tables: NLTK's transcription, which scans each step's suffix tuple in
 # order and takes the first suffix the word (or its RV region) ends with

@@ -12,6 +12,7 @@ import pytest
 from versemood.cli import main
 from versemood.corpus import ANNOTATED_FEATURES, PSYCHOLOGICAL_TAGS
 from versemood.features import FEATURE_NAMES
+from versemood.pipeline import Session
 
 from conftest import build_workspace
 
@@ -593,6 +594,18 @@ def test_bad_input_file_exits_1_naming_it(workspace, tmp_path, capsys, case):
     ("config", "reversed_valence_annotators", [1, 1],
      "'reversed_valence_annotators' lists annotator 1 more than once"),
     ("lexicon", "source_id", 5, "'source_id'"),
+    # falsy values are no defaults: only an absent or null entry is
+    ("config", "reversed_valence_annotators", 0, "'reversed_valence_annotators' must be a list"),
+    ("config", "reversed_valence_annotators", False, "'reversed_valence_annotators' must be"),
+    ("config", "reversed_valence_annotators", "", "'reversed_valence_annotators' must be"),
+    ("config", "stopwords", 0, "'stopwords' must be a path, not 0"),
+    ("config", "stopwords", False, "'stopwords' must be a path, not False"),
+    ("config", "stopwords", "", "stopword list not found"),
+    ("config", "lemma_table", 0, "'lemma_table' must be a path, not 0"),
+    ("config", "lemma_table", False, "'lemma_table' must be a path, not False"),
+    ("config", "lemma_table", "", "lemma table not found"),
+    ("config", "corpus_root", 0, "'corpus_root' must be a path, not 0"),
+    ("lexicon", "descriptor", 0, "'descriptor' must be a path, not 0"),
 ])
 def test_value_of_wrong_type_exits_1_naming_file_and_key(
     workspace, tmp_path, capsys, where, key, value, named
@@ -609,7 +622,8 @@ def test_value_of_wrong_type_exits_1_naming_file_and_key(
         descriptor[key] = value
     descriptor_path = tmp_path / "descriptor.json"
     descriptor_path.write_text(json.dumps(descriptor), encoding="utf-8")
-    cfg["lexicons"][1]["descriptor"] = str(descriptor_path)
+    if key != "descriptor":
+        cfg["lexicons"][1]["descriptor"] = str(descriptor_path)
     config = dump_config(cfg, tmp_path)
     code, _, err = run(
         capsys, "all", "--config", str(config), "--out", str(tmp_path / "out")
@@ -618,6 +632,18 @@ def test_value_of_wrong_type_exits_1_naming_file_and_key(
     assert "Traceback" not in err
     assert str(descriptor_path if where == "descriptor" else config) in err
     assert named in err
+
+
+def test_null_entries_keep_their_defaults(workspace, tmp_path):
+    cfg = absolute_config(workspace)
+    cfg.update(reversed_valence_annotators=None, stopwords=None, lemma_table=None)
+    cfg.update(mode=None, format=None, out_dir=None)
+    cfg["lexicons"][0] = {"path": cfg["lexicons"][0], "descriptor": None, "source_id": None}
+    config = Session(dump_config(cfg, tmp_path)).config
+    assert config.reversed_valence_annotators == ()
+    assert (config.stopwords, config.lemma_table) == (None, None)
+    assert (config.mode, config.format, config.out_dir.name) == ("stem", "both", "reports")
+    assert config.lexicons[0] == (Path(cfg["lexicons"][0]["path"]), None, None)
 
 
 def test_out_dir_of_wrong_type_exits_1_naming_file_and_key(workspace, tmp_path, capsys):

@@ -25,7 +25,7 @@ from versemood.corpus import (
     load_corpus,
     reverse_ordinal_scale,
 )
-from versemood.textnorm import NormalizationConfig, normalize
+from versemood.textnorm import NormalizationConfig, TokenTable, normalize
 
 
 def write_metadata(path, rows):
@@ -444,7 +444,7 @@ def test_corpus_statistics_counts_and_histogram(tmp_path):
     sets = aligned_triple()
     median = build_median_annotator(sets)
     raw = NormalizationConfig(mode="raw")
-    keys = {s.sonnet_id: normalize(s.text, raw) for s in corp.sonnets}
+    keys = TokenTable.of((s.sonnet_id, normalize(s.text, raw)) for s in corp.sonnets)
     stats = corpus_statistics(keys, median, n_bins=2)
     assert stats.n_sonnets == 2
     assert stats.word_mean == pytest.approx(2.5)

@@ -11,7 +11,7 @@ from oracles import WordObservation
 from versemood.features import FEATURE_NAMES, MEAN_SD_FEATURES, compute_corpus_matrix
 from versemood.lexicon import CANONICAL_SCALES, merge_lexicons
 from versemood.pipeline import Session
-from versemood.textnorm import NormalizationConfig, normalize
+from versemood.textnorm import NormalizationConfig, TokenTable, normalize
 
 ORDER_FREE = tuple(n for n in FEATURE_NAMES if not n.startswith(("cor_", "abs_cor_")))
 
@@ -204,8 +204,7 @@ def small_merged():
 
 
 def matrix_of(text, merged, config):
-    keys = tuple(normalize(text, config))
-    return compute_corpus_matrix({"s1": keys}, merged)
+    return compute_corpus_matrix(TokenTable.of([("s1", normalize(text, config))]), merged)
 
 
 def test_corpus_matrix_skips_unknown_tokens():
@@ -232,7 +231,7 @@ def test_corpus_matrix_end_to_end():
 def test_compute_corpus_matrix_order_and_undefined_counts():
     merged = small_merged()
     keys = {"s1": ("amor", "muert"), "s2": ("sin", "palabras", "conocidas")}
-    matrix = compute_corpus_matrix(keys, merged)
+    matrix = compute_corpus_matrix(TokenTable.of(keys.items()), merged)
     assert matrix.sonnet_ids == ("s1", "s2")
     assert matrix.undefined_counts["valence_mean"] == 1  # s2 matched nothing
     assert np.isnan(matrix.column("valence_mean")).tolist() == [False, True]
@@ -270,7 +269,7 @@ def test_corpus_matrix_matches_fold_oracle():
             f"s{i}": tuple(rng.choice(vocabulary, size=int(rng.integers(0, 25))).tolist())
             for i in range(int(rng.integers(1, 8)))
         }
-        matrix = compute_corpus_matrix(keys, merged_lexicon(entries))
+        matrix = compute_corpus_matrix(TokenTable.of(keys.items()), merged_lexicon(entries))
         assert matrix.sonnet_ids == tuple(keys)
         for i, (sid, sonnet_keys) in enumerate(keys.items()):
             expected = oracles.features_from_observations([
@@ -309,7 +308,7 @@ def test_position_correlations_equal_spearman_per_sonnet():
         pool = flat if i % 9 == 0 else vocabulary
         keys[f"s{i}"] = tuple(rng.choice(pool, size=int(rng.integers(0, 40))).tolist())
     keys["s1"], keys["s2"] = (), ("k3",)
-    matrix = compute_corpus_matrix(keys, merged_lexicon(entries))
+    matrix = compute_corpus_matrix(TokenTable.of(keys.items()), merged_lexicon(entries))
     reached = set()
     for i, (sid, sonnet_keys) in enumerate(keys.items()):
         observations = [

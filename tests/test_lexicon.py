@@ -14,9 +14,11 @@ from cell_tables import entries_of
 from cell_tables import source_lexicon as source
 from versemood.corpus import (
     ANNOTATED_FEATURES,
+    PSYCHOLOGICAL_TAGS,
     AnnotationSet,
     Corpus,
     Sonnet,
+    categories,
     corpus_statistics,
 )
 from versemood.lexicon import (
@@ -30,18 +32,15 @@ from versemood.lexicon import (
     rescale_value,
     word_count_report,
 )
-from versemood.textnorm import NormalizationConfig, normalize, split_lines
+from versemood.textnorm import NormalizationConfig, TokenTable, normalize, split_lines
 
 RAW = NormalizationConfig(mode="raw", stopwords=frozenset())
 STEMMED = NormalizationConfig(mode="stem", stopwords=frozenset())
 
 
 def keys_of(corp, config):
-    """Each sonnet's normalized keys, as a pipeline session holds them."""
-    return {
-        s.sonnet_id: tuple(normalize(s.text, config))
-        for s in corp.sonnets
-    }
+    """The corpus's normalized keys, as a pipeline session holds them."""
+    return TokenTable.of((s.sonnet_id, normalize(s.text, config)) for s in corp.sonnets)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +357,7 @@ _ONE_SOURCE = [source("a", {"a": {"valence": (5.0, None)}})]
     ids=["coverage", "word-counts", "corpus-statistics"],
 )
 def test_reports_reject_a_median_over_other_sonnets(report):
-    keys = {"s1": ("a",)}
+    keys = TokenTable.of([("s1", ("a",))])
     median = AnnotationSet(0, ("s1", "s2"), np.zeros((2, len(ANNOTATED_FEATURES))))
     with pytest.raises(ValueError, match="cover different sonnets"):
         report(keys, median)
@@ -372,6 +371,112 @@ def test_missing_word_report_sorted():
     missing = missing_word_report(keys_of(corp, STEMMED), merged)
     assert (missing[0].key, missing[0].occurrences) == ("ceniz", 2)
     assert [m.key for m in missing] == ["ceniz", "muert"]
+
+
+# ---------------------------------------------------------------------------
+# the coded reports against the key-tuple oracles
+
+# Plural and feminine forms collide with their singulars under stemming and
+# lemmas; "él", "corazón" and "pasión" give non-ASCII keys.
+CORPUS_VOCAB = (
+    "amor", "amores", "ceniza", "cenizas", "corazón", "corazones", "pasión", "pasiones",
+    "niño", "niña", "niños", "sueño", "sueños", "él", "fuego", "fuegos", "llanto", "muerto",
+)
+CORPUS_LEMMAS = {
+    "amores": "amor", "cenizas": "ceniza", "corazones": "corazón", "pasiones": "pasión",
+    "niña": "niño", "niños": "niño", "sueños": "sueño", "fuegos": "fuego", "muerto": "morir",
+}
+STOP = frozenset({"el", "la", "de"})
+
+
+def random_texts(rng):
+    """Sonnet texts: some only stopwords, some of one word, the rest random."""
+    texts = {}
+    for i in range(int(rng.integers(1, 9))):
+        kind = rng.random()
+        if kind < 0.15:
+            words = rng.choice(sorted(STOP), size=int(rng.integers(0, 4))).tolist()
+        elif kind < 0.3:
+            words = [CORPUS_VOCAB[int(rng.integers(len(CORPUS_VOCAB)))]]
+        else:
+            words = rng.choice([*CORPUS_VOCAB, *STOP], size=int(rng.integers(2, 15))).tolist()
+        texts[f"s{i}"] = " ".join(words)
+    return texts
+
+
+def random_median(rng, sonnet_ids):
+    """A median over ``sonnet_ids`` with random tags, one tag left with no sonnets at times."""
+    values = np.full((len(sonnet_ids), len(ANNOTATED_FEATURES)), 3.0)
+    tags = values[:, len(ANNOTATED_FEATURES) - len(PSYCHOLOGICAL_TAGS):]
+    tags[:] = (rng.random(tags.shape) < 0.4).astype(float)
+    tags[rng.random(tags.shape) < 0.1] = np.nan
+    if rng.random() < 0.5:
+        tags[:, int(rng.integers(tags.shape[1]))] = 0.0
+    return AnnotationSet(0, tuple(sonnet_ids), values)
+
+
+def random_sources(rng):
+    """One to three sources over part of the corpus words and words it lacks."""
+    pool = [*CORPUS_VOCAB, "sol", "flor", "mar"]
+    return [
+        source(f"src{k}", {
+            word: {"valence": (float(rng.uniform(1, 9)), None)}
+            for word in rng.choice(pool, size=int(rng.integers(1, 10)), replace=False).tolist()
+        })
+        for k in range(int(rng.integers(1, 4)))
+    ]
+
+
+def test_coded_reports_equal_the_key_tuple_oracles():
+    rng = np.random.default_rng(93)
+    reached = set()
+    for case in range(300):
+        texts = random_texts(rng)
+        lemmas = CORPUS_LEMMAS if rng.random() < 0.7 else None
+        configs = {
+            mode: NormalizationConfig(mode=mode, stopwords=STOP, lemma_table=lemmas)
+            for mode in ("raw", "stem", "lemma")
+            if lemmas or mode != "lemma"
+        }
+        # as a session holds them: normalized once in raw mode, each word keyed once
+        raw = TokenTable.of((sid, normalize(text, configs["raw"])) for sid, text in texts.items())
+        tables = {mode: raw.keyed(config.key) for mode, config in configs.items()}
+        tuples = {
+            mode: {sid: tuple(normalize(text, config)) for sid, text in texts.items()}
+            for mode, config in configs.items()
+        }
+        median = random_median(rng, texts) if rng.random() < 0.8 else None
+        assert word_count_report(
+            tables["raw"], tables["stem"], tables.get("lemma"), median
+        ) == oracles.word_count_report(
+            tuples["raw"], tuples["stem"], tuples.get("lemma"), median
+        )
+        mode = list(configs)[case % len(configs)]
+        sources = random_sources(rng)
+        merged = merge_lexicons(sources, configs[mode])
+        assert coverage_report(
+            tables[mode], sources, merged, configs[mode], median
+        ) == oracles.coverage_report(tuples[mode], sources, merged, configs[mode], median)
+        missing = missing_word_report(tables[mode], merged)
+        assert missing == oracles.missing_word_report(tuples[mode], merged)
+
+        lengths = raw.lengths.tolist()
+        reached.add("stopwords only" if 0 in lengths else "")
+        reached.add("one token" if 1 in lengths else "")
+        reached.add("no lemma table" if lemmas is None else "")
+        reached.add("no median" if median is None else "")
+        if median is not None:
+            reached.add("empty tag" if any(not rows.any() for _, rows in categories(median)) else "")
+        on_one_key = [Counter(map(config.key, raw.words)) for config in configs.values()]
+        reached.add("three words on one key" if any(3 in c.values() for c in on_one_key) else "")
+        reached.add("absent keys" if missing else "")
+        reached.add("non-ASCII key" if any(not m.key.isascii() for m in missing) else "")
+        counts = [m.occurrences for m in missing]
+        reached.add("count ties" if len(set(counts)) < len(counts) else "")
+    assert reached - {""} == {
+        "stopwords only", "one token", "no lemma table", "no median", "empty tag",
+        "three words on one key", "absent keys", "non-ASCII key", "count ties",
+    }
 
 
 # ---------------------------------------------------------------------------

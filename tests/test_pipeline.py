@@ -61,17 +61,32 @@ def _lemma_workspace(workspace, tmp_path):
     return root / "config.json"
 
 
+def by_sonnet(table):
+    """Each sonnet's tokens as strings, read back from a token table."""
+    parts = np.split(table.codes, np.cumsum(table.lengths)[:-1])
+    return {
+        sid: tuple(map(table.words.__getitem__, part.tolist()))
+        for sid, part in zip(table.sonnet_ids, parts)
+    }
+
+
 def test_session_keys_equal_normalize_in_every_mode(workspace, tmp_path):
     session = Session(_lemma_workspace(workspace, tmp_path))
     for mode in MODES:
         config = replace(session.norm, mode=mode)
         expected = {s.sonnet_id: tuple(normalize(s.text, config)) for s in session.corpus.sonnets}
-        assert session.keys(mode) == expected, mode
-    words = {w for ws in session.words.values() for w in ws}
+        table = session.keys(mode)
+        assert by_sonnet(table) == expected, mode
+        # distinct words in first-appearance order, every one of them used
+        tokens = [k for ks in expected.values() for k in ks]
+        assert table.words == tuple(dict.fromkeys(tokens)), mode
+        assert table.codes.dtype == np.int32 and table.lengths.dtype == np.intp
+    assert session.keys("raw") is session.words
+    words = set(session.words.words)
     # the stopwords are dropped; words in the table and words that fall back both occur
     assert not words & {"el", "la", "de", "amor"}
     assert {"cenizas", "llamas", "fuego", "muerte"} <= words
-    lemmas = {k for ks in session.keys("lemma").values() for k in ks}
+    lemmas = set(session.keys("lemma").words)
     assert {"ceniza", "llama", "fuego"} <= lemmas and "cenizas" not in lemmas
 
 
@@ -107,7 +122,7 @@ def test_session_config_is_resolved_and_holds_only_what_its_reports_read(
 
 def test_session_keys_each_distinct_word_once(workspace, tmp_path, monkeypatch):
     session = Session(_lemma_workspace(workspace, tmp_path))
-    distinct = {w for ws in session.words.values() for w in ws}
+    distinct = set(session.words.words)
     original = NormalizationConfig.key
     calls = Counter()
 
@@ -119,10 +134,9 @@ def test_session_keys_each_distinct_word_once(workspace, tmp_path, monkeypatch):
     keys = session.keys("stem")
     assert set(calls) == distinct
     assert sum(calls.values()) == len(distinct)
-    # one string object per distinct word and per distinct key
-    for by_sonnet in (session.words, keys):
-        tokens = [k for ks in by_sonnet.values() for k in ks]
-        assert len({id(k) for k in tokens}) == len(set(tokens))
+    # the table is kept: asking again keys nothing
+    assert session.keys("stem") is keys
+    assert sum(calls.values()) == len(distinct)
 
 
 def test_stem_mode_stems_through_textnorm_stem_once_per_word(workspace_config, monkeypatch):
@@ -137,7 +151,7 @@ def test_stem_mode_stems_through_textnorm_stem_once_per_word(workspace_config, m
     monkeypatch.setattr(textnorm, "stem", counting)
     session = Session(workspace_config)
     stem_mode = replace(session.norm, mode="stem")
-    distinct = {w for ws in session.words.values() for w in ws}
+    distinct = set(session.words.words)
     session.keys("stem")
     assert set(calls) == distinct and sum(calls.values()) == len(distinct)
 
@@ -145,6 +159,29 @@ def test_stem_mode_stems_through_textnorm_stem_once_per_word(workspace_config, m
     surfaces = set().union(*(source.entries for source in session.sources))
     lexicon.merge_lexicons(session.sources, stem_mode)
     assert set(calls) == surfaces and sum(calls.values()) == len(surfaces)
+
+
+def test_a_coverage_run_stems_each_corpus_and_lexicon_word_once(
+    workspace_config, tmp_path, monkeypatch
+):
+    # The word counts, coverage and missing words of stem mode all read one keying of
+    # the corpus words, and the merge keys each lexicon word once.
+    session = Session(workspace_config)
+    raw = replace(session.norm, mode="raw")
+    corpus_words = {w for s in session.corpus.sonnets for w in normalize(s.text, raw)}
+    surfaces = set().union(*(source.entries for source in session.sources))
+    original = textnorm.stem
+    calls = Counter()
+
+    def counting(word):
+        calls[word] += 1
+        return original(word)
+
+    monkeypatch.setattr(textnorm, "stem", counting)
+    argv = ["coverage", "--config", str(workspace_config), "--out", str(tmp_path)]
+    assert main([*argv, "--missing-words"]) == 0
+    assert sum(calls.values()) == len(corpus_words) + len(surfaces)
+    assert set(calls) == corpus_words | surfaces
 
 
 def test_partial_dependence_checks_each_category_design_once(
