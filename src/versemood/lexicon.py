@@ -24,10 +24,12 @@ import json
 import logging
 import math
 import operator
+import sys
 from dataclasses import dataclass
+from functools import partial
 from itertools import compress, islice, repeat
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -106,14 +108,14 @@ class MergedLexicon:
 
     ``rows`` maps each key to its row of ``mean`` and ``sd``, which are
     len(rows) x len(DIMENSIONS) arrays on the canonical scales (NaN
-    where no source word of the key has a value).  ``surface_rows`` maps
-    every surface word of the merged sources to the row of its key.
+    where no source word of the key has a value).  ``source_rows[k][i]``
+    is the row of the key of entry i of the k-th merged source.
     """
 
     rows: dict[str, int]
     mean: np.ndarray
     sd: np.ndarray
-    surface_rows: dict[str, int]
+    source_rows: tuple[np.ndarray, ...]
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -147,19 +149,17 @@ def rescale_value(
 
 
 class _Table:
-    """One delimited lexicon file: its header and its non-blank rows.
+    """One delimited lexicon file by the csv reader: the referee of ``_Columns``.
 
     The rows end at the first that cannot be used: ``stop`` is then the
     error for a line the csv reader cannot parse, or the message for a
     row whose width differs from the header's; it is None when every row
     was read.  A blank line is no row, as csv.DictReader skips it.
-    ``cells[j]`` holds column j.
     """
 
-    def __init__(self, path: Path, delimiter: str):
-        self.path, self.delimiter = path, delimiter
-        self.text = read_input(path, "lexicon file")
-        reader = csv.reader(split_lines(self.text), delimiter=delimiter)
+    def __init__(self, path: Path, text: str, delimiter: str):
+        self.path, self.text, self.delimiter = path, text, delimiter
+        reader = csv.reader(split_lines(text), delimiter=delimiter)
         rows = csv_rows(reader, path, LexiconFormatError)
         header = next(rows, [])
         self.column = {name: j for j, name in enumerate(header)}  # a repeated name: its last
@@ -175,6 +175,31 @@ class _Table:
             self.stop = f"{widths[wrong[0]]} cells, but the header has {len(header)}"
             del self.rows[wrong[0] :]
         self.cells = list(zip(*self.rows)) or [()] * len(header)
+
+    def strings(self, j: int) -> Sequence[str]:
+        return self.cells[j]
+
+    def numbers(
+        self, j: int, wanted: np.ndarray | bool | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Column j as floats (NaN where not a number), and the mask of those not finite numbers.
+
+        With ``wanted`` (a mask, or True for every cell) the cells are optional:
+        each is stripped, and a blank or unwanted one is NaN without being bad.
+        """
+        cells = self.strings(j)
+        if wanted is None:
+            wanted = np.ones(len(cells), bool)
+        else:
+            cells = list(map(str.strip, cells))
+            wanted = wanted & np.fromiter(map(bool, cells), bool, len(cells))
+        picked = list(compress(cells, wanted))
+        values = np.full(len(cells), np.nan)
+        try:
+            values[wanted] = np.fromiter(map(float, picked), float, len(picked))
+        except ValueError:
+            values[wanted] = [v if isinstance(v, float) else math.nan for v in map(_parse, picked)]
+        return values, wanted & ~np.isfinite(values)
 
     def raise_first(self, checks: list[tuple[np.ndarray, Callable[[int], str]]]) -> None:
         """Raise the error of the first bad row, naming its physical line, if there is one.
@@ -199,6 +224,53 @@ class _Table:
         raise LexiconFormatError(f"{self.path}: line {reader.line_num}: {message}")
 
 
+class _Columns:
+    """A lexicon file split at its delimiter, where the csv reader would split it the same way.
+
+    np.loadtxt parses the ``numeric`` columns as float() does, but takes
+    no blank (so ``wanted`` changes nothing) and less else.  A ValueError,
+    from here, loadtxt or ``raise_first``, sends the file to ``_Table``.
+    """
+
+    def __init__(self, text: str, delimiter: str, numeric: Sequence[str]):
+        header, *rows = text.split("\n")
+        self.column = {name: j for j, name in enumerate(header.split(delimiter))}
+        self.rows = rows = list(filter(None, rows))
+        self.delimiter = delimiter
+        if (
+            '"' in text or "\r" in text or not header or not rows
+            or not self.column.keys() >= set(numeric)
+            or any(map(header.count(delimiter).__ne__, map(str.count, rows, repeat(delimiter))))
+            or max(map(len, rows)) > csv.field_size_limit()
+        ):
+            raise ValueError("not a plain delimited file")
+        usecols = sorted({self.column[name] for name in numeric})
+        values = np.loadtxt(rows, delimiter=delimiter, usecols=usecols, comments=None, ndmin=2)
+        if len(values) != len(rows):
+            raise ValueError("loadtxt skipped a row")
+        self.values = dict(zip(usecols, values.T))
+
+    def strings(self, j: int) -> Iterable[str]:
+        cells = map(str.split, self.rows, repeat(self.delimiter), repeat(j + 1))
+        return map(operator.itemgetter(j), cells)
+
+    def numbers(self, j: int, wanted: object = None) -> tuple[np.ndarray, np.ndarray]:
+        return self.values[j], ~np.isfinite(self.values[j])
+
+    def raise_first(self, checks: list[tuple[np.ndarray, Callable[[int], str]]]) -> None:
+        if any(bad.any() for bad, _ in checks):
+            raise ValueError("a row fails a check")
+
+
+def _read(path: Path, delimiter: str, numeric: Sequence[str], load: Callable) -> SourceLexicon:
+    """``load`` applied to the file column-wise, or failing that to its ``_Table``."""
+    text = read_input(path, "lexicon file")
+    try:
+        return load(_Columns(text, delimiter, numeric))
+    except ValueError:  # LexiconFormatError too: only the referee reports errors
+        return load(_Table(path, text, delimiter))
+
+
 def _parse(cell: str) -> float | str:
     """The cell's value by float(), or what is wrong with it."""
     try:
@@ -207,29 +279,6 @@ def _parse(cell: str) -> float | str:
         return f"not a number: {cell!r}"
     # NaN marks an undefined feature downstream, so no input may carry one
     return value if math.isfinite(value) else f"not a finite number: {cell!r}"
-
-
-def _numbers(
-    cells: Sequence[str], wanted: np.ndarray | bool | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cells as floats (NaN where not a number), and the mask of those not finite numbers.
-
-    With ``wanted`` (a mask, or True for every cell) the cells are
-    optional: each is stripped, and a blank or unwanted one is NaN
-    without being bad.
-    """
-    if wanted is None:
-        wanted = np.ones(len(cells), bool)
-    else:
-        cells = list(map(str.strip, cells))
-        wanted = wanted & np.fromiter(map(bool, cells), bool, len(cells))
-    picked = list(compress(cells, wanted))
-    values = np.full(len(cells), np.nan)
-    try:
-        values[wanted] = np.fromiter(map(float, picked), float, len(picked))
-    except ValueError:
-        values[wanted] = [v if isinstance(v, float) else math.nan for v in map(_parse, picked)]
-    return values, wanted & ~np.isfinite(values)
 
 
 def _collapse(
@@ -263,22 +312,19 @@ def _collapse(
 _CANONICAL_COLUMNS = ("word", "dimension", "mean", "sd", "scale_min", "scale_max")
 
 
-def _load_canonical(path: Path, source_id: str) -> SourceLexicon:
-    table = _Table(path, ",")
+def _canonical(path: Path, source_id: str, table: _Table | _Columns) -> SourceLexicon:
     missing = set(_CANONICAL_COLUMNS) - table.column.keys()
     if missing:
         raise LexiconFormatError(f"{path}: missing columns: {', '.join(sorted(missing))}")
     n = len(table.rows)
-    word_cells, dim_cells, mean_cells, sd_cells, lo_cells, hi_cells = (
-        table.cells[table.column[name]] for name in _CANONICAL_COLUMNS
-    )
-    words = list(map(str.lower, map(str.strip, word_cells)))
-    dim_names = list(map(str.strip, dim_cells))
+    word_j, dim_j, mean_j, sd_j, lo_j, hi_j = map(table.column.__getitem__, _CANONICAL_COLUMNS)
+    words = list(map(sys.intern, map(str.lower, map(str.strip, table.strings(word_j)))))
+    dim_names = map(str.strip, table.strings(dim_j))
     dims = np.fromiter(map(_COLUMN.get, dim_names, repeat(-1)), np.intp, n)
-    lo, lo_bad = _numbers(lo_cells)
-    hi, hi_bad = _numbers(hi_cells)
-    mean, mean_bad = _numbers(mean_cells)
-    sd, sd_bad = _numbers(sd_cells, True)
+    lo, lo_bad = table.numbers(lo_j)
+    hi, hi_bad = table.numbers(hi_j)
+    mean, mean_bad = table.numbers(mean_j)
+    sd, sd_bad = table.numbers(sd_j, True)
     # each row's dimension's first row, whose scale the row must repeat (an
     # unknown dimension, -1, reads the spare last slot)
     present, first = np.unique(dims, return_index=True)
@@ -291,9 +337,9 @@ def _load_canonical(path: Path, source_id: str) -> SourceLexicon:
 
     table.raise_first([
         (np.fromiter(map(operator.not_, words), bool, n), lambda i: "empty word"),
-        (dims < 0, lambda i: f"unknown dimension {dim_names[i]!r}"),
-        (lo_bad, lambda i: _parse(lo_cells[i])),
-        (hi_bad, lambda i: _parse(hi_cells[i])),
+        (dims < 0, lambda i: f"unknown dimension {table.strings(dim_j)[i].strip()!r}"),
+        (lo_bad, lambda i: _parse(table.strings(lo_j)[i])),
+        (hi_bad, lambda i: _parse(table.strings(hi_j)[i])),
         (~(lo < hi), lambda i: "scale_min must be below scale_max"),
         (
             (lo != lo[first_row]) | (hi != hi[first_row]),
@@ -301,12 +347,12 @@ def _load_canonical(path: Path, source_id: str) -> SourceLexicon:
                 f"conflicting scale for {DIMENSIONS[dims[i]]}: {scale(first_row[i])} vs {scale(i)}"
             ),
         ),
-        (mean_bad, lambda i: _parse(mean_cells[i])),
+        (mean_bad, lambda i: _parse(table.strings(mean_j)[i])),
         (
             (mean < lo) | (mean > hi),
             lambda i: "mean {} outside declared scale [{}, {}]".format(float(mean[i]), *scale(i)),
         ),
-        (sd_bad, lambda i: _parse(sd_cells[i].strip())),
+        (sd_bad, lambda i: _parse(table.strings(sd_j)[i].strip())),
         (sd < 0, lambda i: f"negative sd {float(sd[i])}"),
     ])
     scales = {DIMENSIONS[dims[i]]: scale(i) for i in sorted(first)}
@@ -348,53 +394,57 @@ def _load_described(path: Path, descriptor: Mapping, source_id: str, label: str)
                 raise LexiconFormatError(f"{where}: '{key}' must be a column name")
         scales[dim] = (lo, hi)
 
-    table = _Table(path, delimiter)
-    needed = {word_column} | {spec["mean"] for spec in dims_spec.values()}
-    needed |= {spec["sd"] for spec in dims_spec.values() if spec.get("sd")}
-    missing = needed - table.column.keys()
-    if missing:
-        raise LexiconFormatError(
-            f"{path}: columns named by descriptor are absent: {', '.join(sorted(missing))}"
+    means = [spec["mean"] for spec in dims_spec.values()]
+    sds = [spec["sd"] for spec in dims_spec.values() if spec.get("sd")]
+
+    def load(table: _Table | _Columns) -> SourceLexicon:
+        missing = {word_column, *means, *sds} - table.column.keys()
+        if missing:
+            raise LexiconFormatError(
+                f"{path}: columns named by descriptor are absent: {', '.join(sorted(missing))}"
+            )
+        n, column = len(table.rows), table.column
+        word_cells = map(str.strip, table.strings(column[word_column]))
+        words = list(map(sys.intern, map(str.lower, word_cells)))
+        checks = [(np.fromiter(map(operator.not_, words), bool, n), lambda i: "empty word")]
+
+        def dimension(dim: str, spec: Mapping) -> tuple[np.ndarray, np.ndarray]:
+            """The dimension's means and sds (NaN where blank); its checks join ``checks``."""
+            lo, hi = scales[dim]
+            mean_j = column[spec["mean"]]
+            mean, mean_bad = table.numbers(mean_j, True)
+            sd_j = column[spec["sd"]] if spec.get("sd") else None
+            sd, sd_bad = np.full(n, np.nan), np.zeros(n, bool)  # no sd column: all blank
+            if sd_j is not None:
+                sd, sd_bad = table.numbers(sd_j, ~np.isnan(mean))
+            checks.extend([
+                (mean_bad, lambda i: _parse(table.strings(mean_j)[i].strip())),
+                (
+                    (mean < lo) | (mean > hi),
+                    lambda i: f"{dim} mean {float(mean[i])} outside declared scale [{lo}, {hi}]",
+                ),
+                (sd_bad, lambda i: _parse(table.strings(sd_j)[i].strip())),
+                (sd < 0, lambda i: f"negative sd {float(sd[i])}"),
+            ])
+            return mean, sd
+
+        mean, sd = map(np.column_stack, zip(*(dimension(d, s) for d, s in dims_spec.items())))
+        table.raise_first(checks)
+        # A word enters at its first row with a mean; a row with none adds nothing.
+        given = ~np.isnan(mean)
+        value_rows, value_dims = np.nonzero(given)
+        dim_columns = np.array([_COLUMN[dim] for dim in dims_spec], np.intp)
+        return _collapse(
+            path,
+            source_id,
+            scales,
+            list(map(words.__getitem__, value_rows.tolist())),
+            dim_columns[value_dims],
+            mean[given],
+            sd[given],
         )
-    n = len(table.rows)
-    cells, column = table.cells, table.column
-    words = list(map(str.lower, map(str.strip, cells[column[word_column]])))
-    checks = [(np.fromiter(map(operator.not_, words), bool, n), lambda i: "empty word")]
 
-    def dimension(dim: str, spec: Mapping) -> tuple[np.ndarray, np.ndarray]:
-        """The dimension's means and sds (NaN where blank); its checks join ``checks``."""
-        lo, hi = scales[dim]
-        mean_cells = cells[column[spec["mean"]]]
-        sd_cells = cells[column[spec["sd"]]] if spec.get("sd") else [""] * n
-        mean, mean_bad = _numbers(mean_cells, True)
-        sd, sd_bad = _numbers(sd_cells, ~np.isnan(mean))
-        checks.extend([
-            (mean_bad, lambda i: _parse(mean_cells[i].strip())),
-            (
-                (mean < lo) | (mean > hi),
-                lambda i: f"{dim} mean {float(mean[i])} outside declared scale [{lo}, {hi}]",
-            ),
-            (sd_bad, lambda i: _parse(sd_cells[i].strip())),
-            (sd < 0, lambda i: f"negative sd {float(sd[i])}"),
-        ])
-        return mean, sd
-
-    means, sds = zip(*(dimension(dim, spec) for dim, spec in dims_spec.items()))
-    means, sds = np.column_stack(means), np.column_stack(sds)
-    table.raise_first(checks)
-    # A word enters at its first row with a mean; a row with none adds nothing.
-    given = ~np.isnan(means)
-    value_rows, value_dims = np.nonzero(given)
-    dim_columns = np.array([_COLUMN[dim] for dim in dims_spec], np.intp)
-    return _collapse(
-        path,
-        source_id,
-        scales,
-        list(map(words.__getitem__, value_rows.tolist())),
-        dim_columns[value_dims],
-        means[given],
-        sds[given],
-    )
+    return _read(path, delimiter, means + sds, load)
 
 
 def load_lexicon(
@@ -414,7 +464,8 @@ def load_lexicon(
     if not path.exists():
         raise LexiconFormatError(f"lexicon file not found: {path}")
     if descriptor is None:
-        return _load_canonical(path, source_id or path.stem)
+        load = partial(_canonical, path, source_id or path.stem)
+        return _read(path, ",", _CANONICAL_COLUMNS[2:], load)
     if isinstance(descriptor, Mapping):
         label = f"descriptor of {path}"
     else:
@@ -469,17 +520,7 @@ def merge_lexicons(
 
     surfaces = sorted(set().union(*(s.entries for s in sources)))
     at = {word: i for i, word in enumerate(surfaces)}
-    # surface word x source x dimension, on the canonical scales
-    means = np.full((len(surfaces), len(sources), len(DIMENSIONS)), np.nan)
-    sds = np.full_like(means, np.nan)
-    for k, source in enumerate(sources):
-        rows = np.fromiter(map(at.__getitem__, source.entries), np.intp, len(source))
-        for dim, native in source.scales.items():
-            j = _COLUMN[dim]
-            lo, hi = CANONICAL_SCALES[dim]
-            means[rows, k, j] = rescale_value(source.mean[:, j], native, (lo, hi))
-            sds[rows, k, j] = source.sd[:, j] * (hi - lo) / (native[1] - native[0])
-
+    rows = [np.fromiter(map(at.__getitem__, s.entries), np.intp, len(s)) for s in sources]
     key_rows: dict[str, int] = {}
     codes = np.fromiter(
         (key_rows.setdefault(config.key(w), len(key_rows)) for w in surfaces),
@@ -493,17 +534,18 @@ def merge_lexicons(
             n_collisions,
             config.mode,
         )
-    cells = (codes[:, None] * len(DIMENSIONS) + np.arange(len(DIMENSIONS))).ravel()
-    size = len(key_rows) * len(DIMENSIONS)
-    shape = (len(key_rows), len(DIMENSIONS))
-    mean, _ = group_mean(cells, _median(means).ravel(), size)
-    sd, _ = group_mean(cells, _median(sds).ravel(), size)
-    return MergedLexicon(
-        rows=key_rows,
-        mean=mean.reshape(shape),
-        sd=sd.reshape(shape),
-        surface_rows=dict(zip(surfaces, codes.tolist())),
-    )
+    mean, sd = np.empty((2, len(key_rows), len(DIMENSIONS)))
+    # one dimension at a time: surface word x source, on the canonical scale
+    means, sds = planes = np.empty((2, len(surfaces), len(sources)))
+    for j, (dim, (lo, hi)) in enumerate(CANONICAL_SCALES.items()):
+        planes.fill(np.nan)
+        for k, source in enumerate(sources):
+            if native := source.scales.get(dim):
+                means[rows[k], k] = rescale_value(source.mean[:, j], native, (lo, hi))
+                sds[rows[k], k] = source.sd[:, j] * (hi - lo) / (native[1] - native[0])
+        mean[:, j] = group_mean(codes, _median(means), len(key_rows))[0]
+        sd[:, j] = group_mean(codes, _median(sds), len(key_rows))[0]
+    return MergedLexicon(key_rows, mean, sd, tuple(codes[r] for r in rows))
 
 
 @dataclass(frozen=True)
@@ -548,12 +590,12 @@ def coverage_report(
     per psychological tag (over its tagged sonnets only).  Per-source
     fractions check the same keys against each source's words normalized
     under the same mode.  ``merged`` is the merge of ``sources`` under
-    ``config``, and its keys of the source words are the ones read here.
+    ``config``, and its ``source_rows`` are the keys of the source words.
     """
     # each source's words, marked on the rows of their keys in the merge
     in_source = np.zeros((len(sources), len(merged)), bool)
-    for j, source in enumerate(sources):
-        in_source[j, list(map(merged.surface_rows.__getitem__, source.entries))] = True
+    for j, source_rows in enumerate(merged.source_rows):
+        in_source[j, source_rows] = True
     row_of_key = merged.rows_of(keys.words)
     rows = []
     for category, used in zip(*_category_keys(keys, median)):

@@ -202,6 +202,9 @@ def _category_rows(
         predictors = MEAN_SD_FEATURES
         pruned = True
         keep = ~np.isnan(sub[:, [FEATURE_INDEX[p] for p in predictors]]).any(axis=1)
+        logger.info(
+            "partial dependence %s: pruned predictors to mean/sd set (n=%d)", category, keep.sum()
+        )
     rows = index[keep]
     sub = sub[keep]
     insufficient = len(rows) <= len(predictors) + 1
@@ -211,11 +214,6 @@ def _category_rows(
 
     out = []
     for annotated, gam_feature in FEATURE_PAIRINGS:
-        if pruned:
-            logger.info(
-                "partial dependence %s/%s: pruned predictors to mean/sd set (n=%d)",
-                category, annotated, len(rows),
-            )
         if insufficient:
             out.append(PartialDependenceRow(
                 category, annotated, gam_feature, len(rows),

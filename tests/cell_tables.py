@@ -85,7 +85,7 @@ def merged_lexicon(entries):
     """A MergedLexicon holding ``entries`` by key, each key its own surface word."""
     keys, mean, sd = _lexicon_arrays(entries)
     rows = {key: i for i, key in enumerate(keys)}
-    return MergedLexicon(rows=rows, mean=mean, sd=sd, surface_rows=dict(rows))
+    return MergedLexicon(rows=rows, mean=mean, sd=sd, source_rows=(np.arange(len(rows)),))
 
 
 def entries_of(lexicon):

@@ -694,6 +694,46 @@ def merge_lexicons(sources, config):
     return entries, n_collisions
 
 
+def _median(cube):
+    """Median over axis 1 of the values that are not NaN; NaN where there are none."""
+    ordered = np.sort(cube, axis=1)
+    count = (~np.isnan(cube)).sum(axis=1, keepdims=True)
+    lower = np.take_along_axis(ordered, np.maximum(count - 1, 0) // 2, axis=1)
+    upper = np.take_along_axis(ordered, count // 2, axis=1)
+    return np.where(count % 2 == 1, upper, (lower + upper) / 2)[:, 0]
+
+
+def merge_cubes(sources, config):
+    """``lexicon.merge_lexicons`` as it was before it merged one dimension at a time.
+
+    Two dense surface word x source x dimension cubes on the canonical
+    scales, a median over the sources, then one ``group_mean`` over every
+    (key, dimension) cell.  Returns (rows by key, mean, sd).
+    """
+    from versemood.lexicon import CANONICAL_SCALES, DIMENSIONS, rescale_value
+    from versemood.stats import group_mean
+
+    surfaces = sorted(set().union(*(s.entries for s in sources)))
+    at = {word: i for i, word in enumerate(surfaces)}
+    means = np.full((len(surfaces), len(sources), len(DIMENSIONS)), np.nan)
+    sds = np.full_like(means, np.nan)
+    for k, source in enumerate(sources):
+        rows = np.fromiter(map(at.__getitem__, source.entries), np.intp, len(source))
+        for dim, native in source.scales.items():
+            j = DIMENSIONS.index(dim)
+            lo, hi = CANONICAL_SCALES[dim]
+            means[rows, k, j] = rescale_value(source.mean[:, j], native, (lo, hi))
+            sds[rows, k, j] = source.sd[:, j] * (hi - lo) / (native[1] - native[0])
+    key_rows = {}
+    codes = np.array([key_rows.setdefault(config.key(w), len(key_rows)) for w in surfaces], np.intp)
+    cells = (codes[:, None] * len(DIMENSIONS) + np.arange(len(DIMENSIONS))).ravel()
+    size = len(key_rows) * len(DIMENSIONS)
+    shape = (len(key_rows), len(DIMENSIONS))
+    mean, _ = group_mean(cells, _median(means).ravel(), size)
+    sd, _ = group_mean(cells, _median(sds).ravel(), size)
+    return key_rows, mean.reshape(shape), sd.reshape(shape)
+
+
 class WordObservation:
     """One lexicon-matched token: its key, its position and its norms by dimension."""
 
@@ -794,9 +834,7 @@ def coverage_report(keys, sources, merged, config, median=None):
     """Coverage rows from {sonnet_id: keys}, as ``lexicon.coverage_report`` gives them."""
     from versemood.lexicon import CoverageRow
 
-    source_rows = {
-        s.source_id: set(map(merged.surface_rows.__getitem__, s.entries)) for s in sources
-    }
+    source_rows = {s.source_id: set(rows.tolist()) for s, rows in zip(sources, merged.source_rows)}
     rows = []
     for category, ids in _categories(keys, median):
         distinct = {k for sid in ids for k in keys[sid]}

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import statistics
 from collections import Counter
 
@@ -634,8 +635,9 @@ def test_merge_matches_dict_oracle(tmp_path, caplog):
         assert entries_of(merged) == entries
         expected = f"merge: {n_collisions} surface words collapsed onto existing keys"
         assert logged == ([f"{expected} ({config.mode} mode)"] if n_collisions else [])
-        surfaces = set().union(*(source.entries for source, *_ in loaded))
-        assert merged.surface_rows == {w: merged.rows[config.key(w)] for w in surfaces}
+        assert len(merged.source_rows) == len(loaded)
+        for (source, *_), rows in zip(loaded, merged.source_rows):
+            assert rows.tolist() == [merged.rows[config.key(w)] for w in source.entries]
         if n_collisions:
             reached.add(f"collisions in {config.mode} mode")
         # sources per surface word and dimension
@@ -654,6 +656,56 @@ def test_merge_matches_dict_oracle(tmp_path, caplog):
         "collisions in lemma mode",
         "even-count median",
         "median of three or more",
+    }
+
+
+def random_array_source(rng, source_id):
+    """A SourceLexicon straight from arrays: gaps in ``mean``, and no sd at all at times."""
+    dims = rng.choice(DIMS, size=int(rng.integers(1, len(DIMS) + 1)), replace=False).tolist()
+    scales = {dim: scale for dim, scale in random_scales(rng).items() if dim in dims}
+    words = tuple(rng.choice(VOCAB, size=int(rng.integers(1, len(VOCAB) + 1)), replace=False))
+    mean = np.full((len(words), len(DIMS)), np.nan)
+    for dim in dims:
+        j = DIMS.index(dim)
+        lo, hi = scales[dim]
+        mean[:, j] = [float(random_cell(rng, lo, hi)) for _ in words]
+    mean[rng.random(mean.shape) < 0.3] = np.nan
+    sd = np.where(np.isnan(mean), np.nan, rng.uniform(0.0, 2.0, mean.shape).round(2))
+    if rng.random() < 0.25:
+        sd[:] = np.nan
+    sd[rng.random(sd.shape) < 0.2] = np.nan
+    return SourceLexicon(source_id, scales, words, mean, sd)
+
+
+def test_merge_equals_the_cube_oracle_bit_for_bit():
+    rng = np.random.default_rng(94)
+    reached = set()
+    for case in range(300):
+        sources = [random_array_source(rng, f"s{k}") for k in range(int(rng.integers(1, 5)))]
+        config = CONFIGS[case % len(CONFIGS)]
+        merged = merge_lexicons(sources, config)
+        rows, mean, sd = oracles.merge_cubes(sources, config)
+        assert list(merged.rows.items()) == list(rows.items())
+        assert merged.mean.tobytes() == mean.tobytes()
+        assert merged.sd.tobytes() == sd.tobytes()
+        reached.add(f"{len(sources)} sources")
+        if any(np.isnan(s.sd).all() for s in sources):
+            reached.add("a source with no sd")
+        if len(merged) < len(set().union(*(s.entries for s in sources))):
+            reached.add(f"collisions in {config.mode} mode")
+        # sources per surface word and dimension
+        per_cell = Counter(
+            (word, j)
+            for s in sources
+            for word, row in zip(s.entries, s.mean.tolist())
+            for j, value in enumerate(row)
+            if not math.isnan(value)
+        )
+        if any(n % 2 == 0 for n in per_cell.values()):
+            reached.add("even-count median")
+    assert reached == {
+        "1 sources", "2 sources", "3 sources", "4 sources", "a source with no sd",
+        "collisions in stem mode", "collisions in lemma mode", "even-count median",
     }
 
 

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -347,7 +348,23 @@ def test_partial_dependence_matches_one_fit_per_pairing(build, shows, caplog):
     ref_rows, ref_messages = oracles.partial_dependence(matrix, median)
     assert any(shows(row) for row in rows)
     assert rows == ref_rows
-    assert messages == ref_messages
+    assert messages == pruning_once_per_category(ref_messages)
+
+
+def pruning_once_per_category(messages):
+    """The oracle's messages with its pruning line, written per pairing, written per category.
+
+    The category's first pairing keeps the line, without the pairing's name.
+    """
+    out, seen = [], set()
+    for message in messages:
+        pruning = re.fullmatch(r"partial dependence ([^/]+)/[^/]+: (pruned predictors .*)", message)
+        if pruning is None:
+            out.append(message)
+        elif pruning[1] not in seen:
+            seen.add(pruning[1])
+            out.append(f"partial dependence {pruning[1]}: {pruning[2]}")
+    return out
 
 
 # ---------------------------------------------------------------------------
