@@ -241,7 +241,7 @@ class _Columns:
             '"' in text or "\r" in text or not header or not rows
             or not self.column.keys() >= set(numeric)
             or any(map(header.count(delimiter).__ne__, map(str.count, rows, repeat(delimiter))))
-            or max(map(len, rows)) > csv.field_size_limit()
+            or max(len(header), *map(len, rows)) > csv.field_size_limit()
         ):
             raise ValueError("not a plain delimited file")
         usecols = sorted({self.column[name] for name in numeric})

@@ -96,6 +96,13 @@ def _long_field(rng, rows, d):
     rows[i][j] = "x" * (csv.field_size_limit() + 1)
 
 
+def _long_header_name(rng, rows, d):
+    # an extra column no loader reads, under a name past the csv limit
+    rows[0].append("x" * (csv.field_size_limit() + 1))
+    for row in rows[1:]:
+        row.append(str(int(rng.integers(10))))
+
+
 def _repeated_header(rng, rows, d):
     # a last column under the name of a number column, which both readers then take
     i, j = _numeric_cell(rng, rows)
@@ -133,6 +140,7 @@ MUTATIONS = {
     "nul": _nul,
     "# inside a word": _in_word("#"),
     "field past the csv limit": _long_field,
+    "header name past the csv limit": _long_header_name,
     "repeated header name": _repeated_header,
     "header only": _header_only,
     "empty file": _empty,
