@@ -25,6 +25,7 @@ import logging
 import math
 import operator
 import sys
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 from itertools import compress, islice, repeat
@@ -227,9 +228,9 @@ class _Table:
 class _Columns:
     """A lexicon file split at its delimiter, where the csv reader would split it the same way.
 
-    np.loadtxt parses the ``numeric`` columns as float() does, but takes
-    no blank (so ``wanted`` changes nothing) and less else.  A ValueError,
-    from here, loadtxt or ``raise_first``, sends the file to ``_Table``.
+    Its text has no quote and no CR.  np.loadtxt parses the ``numeric``
+    columns as float() does but takes less, no blank cell among it, so
+    ``wanted`` changes nothing.  Any ValueError sends the file to ``_Table``.
     """
 
     def __init__(self, text: str, delimiter: str, numeric: Sequence[str]):
@@ -238,8 +239,7 @@ class _Columns:
         self.rows = rows = list(filter(None, rows))
         self.delimiter = delimiter
         if (
-            '"' in text or "\r" in text or not header or not rows
-            or not self.column.keys() >= set(numeric)
+            not header or not rows or not self.column.keys() >= set(numeric)
             or any(map(header.count(delimiter).__ne__, map(str.count, rows, repeat(delimiter))))
             or max(len(header), *map(len, rows)) > csv.field_size_limit()
         ):
@@ -265,10 +265,10 @@ class _Columns:
 def _read(path: Path, delimiter: str, numeric: Sequence[str], load: Callable) -> SourceLexicon:
     """``load`` applied to the file column-wise, or failing that to its ``_Table``."""
     text = read_input(path, "lexicon file")
-    try:
-        return load(_Columns(text, delimiter, numeric))
-    except ValueError:  # LexiconFormatError too: only the referee reports errors
-        return load(_Table(path, text, delimiter))
+    if '"' not in text and "\r" not in text:  # else csv quoting and line ends apply
+        with suppress(ValueError):  # LexiconFormatError too: only the referee reports errors
+            return load(_Columns(text, delimiter, numeric))
+    return load(_Table(path, text, delimiter))
 
 
 def _parse(cell: str) -> float | str:
