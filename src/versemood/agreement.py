@@ -12,16 +12,16 @@ Alpha can legitimately fall below zero when annotators disagree more than
 chance would; values are reported as computed, without clamping.
 
 A feature is coded once: ``ReliabilityMatrix.counts`` holds every rater's
-unit-by-category counts, and each alpha over some of the raters (all, a
-pair, an annotator against the median) sums its raters' slices.
+unit-by-category counts, and every alpha over some of the raters (all, a
+pair, an annotator against the median) takes its coincidences from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
-from typing import Sequence
+from itertools import combinations, permutations
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -131,54 +131,80 @@ def krippendorff_alpha(
     Units with fewer than two of those values are excluded.  When the
     pairable values show no variation at all, expected disagreement is
     zero and the result is alpha = 1 flagged as degenerate.  A rater id
-    not in ``matrix.raters`` raises ValueError.
-
-    Summing the raters' slices of ``matrix.counts`` on the pairable units
-    and dropping the categories they leave empty gives the very arrays
-    (values, shape, memory order) that coding these columns alone gives,
-    so the result is bit for bit that of a matrix of just these columns.
+    not in ``matrix.raters`` raises ValueError.  The result is bit for
+    bit that of a matrix of just these columns (see ``_alphas``).
     """
     raters = matrix.raters if raters is None else tuple(raters)
     if not set(raters) <= set(matrix.raters):
         raise ValueError(f"raters {raters} are not all among {matrix.raters}")
-    cols = [matrix.raters.index(r) for r in raters]
-    m = (~np.isnan(matrix.values[:, cols])).sum(axis=1)
-    pairable = m >= 2
-    if not pairable.any():
+    result = next(_alphas(matrix, [raters]))
+    if result is None:
         raise AgreementError("no unit has two or more values; alpha is not computable")
-    m = m[pairable]
+    return result
+
+
+def _alphas(
+    matrix: ReliabilityMatrix, cells: Sequence[Sequence[int]]
+) -> Iterator[AlphaResult | None]:
+    """Alpha over each cell's raters of ``matrix``, None where no unit has two values.
+
+    Up to three raters each weight 1/(m - 1) is 1 or 1/2: the coincidences,
+    multiples of 1/2, are exact in any order, so a cell sums its rater
+    pairs' blocks of the count table's product with itself.  More raters
+    weight their slices unit by unit.  Either way the cell's arrays are
+    those of its columns coded alone, bit for bit.
+    """
     categories, counts = matrix.counts
-    counts = counts[cols].sum(axis=0).compress(pairable, axis=1)
-    used = counts.any(axis=1)
-    # N[u, c]: values of category c in unit u
-    categories, counts = categories[used], np.ascontiguousarray(counts[used].T)
-    n = int(m.sum())
-    weighted = counts / (m - 1)[:, None]
-    coincidence = weighted.T @ counts - np.diag(weighted.sum(axis=0))
-    marginals = coincidence.sum(axis=1)
+    n_raters, k, n_units = counts.shape
+    flat = counts.reshape(n_raters * k, n_units)
+    pairs = (flat @ flat.T).reshape(n_raters, k, n_raters, k)
+    present = ~np.isnan(matrix.values)
+    for raters in cells:
+        cols = [matrix.raters.index(r) for r in raters]
+        if len(cols) <= 3:
+            coincidence = sum(pairs[r, :, s] for r, s in permutations(cols, 2)) + np.zeros((k, k))
+            if len(cols) == 3:
+                rows = counts[cols].reshape(3 * k, n_units) * present[:, cols].all(axis=1)
+                triples = (rows @ rows.T).reshape(3, k, 3, k)
+                coincidence -= 0.5 * sum(triples[r, :, s] for r, s in permutations(range(3), 2))
+            used = coincidence.any(axis=1)
+            n = int(coincidence.sum())
+            coincidence = coincidence[np.ix_(used, used)]
+        else:
+            m = present[:, cols].sum(axis=1)
+            pairable = m >= 2
+            cell_counts = counts[cols].sum(axis=0).compress(pairable, axis=1)
+            used = cell_counts.any(axis=1)
+            cell_counts = np.ascontiguousarray(cell_counts[used].T)  # N[u, c]
+            n = int(m[pairable].sum())
+            weighted = cell_counts / (m[pairable] - 1)[:, None]
+            coincidence = weighted.T @ cell_counts - np.diag(weighted.sum(axis=0))
+        if not n:
+            yield None
+            continue
+        marginals = coincidence.sum(axis=1)
+        if matrix.level == "nominal":
+            delta_sq = 1.0 - np.eye(len(marginals))
+        elif matrix.level == "interval":
+            delta_sq = np.subtract.outer(categories[used], categories[used]) ** 2
+        else:
+            # the marginal mass from category i through j, less half the mass
+            # at both ends; identical categories are at distance zero
+            index = np.arange(len(marginals))
+            lo = np.minimum.outer(index, index)
+            hi = np.maximum.outer(index, index)
+            cumulative = np.concatenate(([0.0], np.cumsum(marginals)))
+            between = cumulative[hi + 1] - cumulative[lo]
+            delta_sq = (between - 0.5 * (marginals[lo] + marginals[hi])) ** 2
 
-    if matrix.level == "nominal":
-        delta_sq = 1.0 - np.eye(len(categories))
-    elif matrix.level == "interval":
-        delta_sq = np.subtract.outer(categories, categories) ** 2
-    else:
-        # the marginal mass from category i through j, less half the mass
-        # at both ends; identical categories are at distance zero
-        index = np.arange(len(categories))
-        lo = np.minimum.outer(index, index)
-        hi = np.maximum.outer(index, index)
-        cumulative = np.concatenate(([0.0], np.cumsum(marginals)))
-        between = cumulative[hi + 1] - cumulative[lo]
-        delta_sq = (between - 0.5 * (marginals[lo] + marginals[hi])) ** 2
-
-    observed = float((coincidence * delta_sq).sum()) / n
-    expected = float((np.outer(marginals, marginals) * delta_sq).sum()) / (n * (n - 1))
-
-    if expected == 0.0:
-        note = "degenerate: no variation among pairable values"
-        return AlphaResult(1.0, n, agreement_band(1.0), degenerate=True, note=note)
-    alpha = 1.0 - observed / expected
-    return AlphaResult(alpha=alpha, n_pairable=n, band=agreement_band(alpha))
+        observed = float((coincidence * delta_sq).sum()) / n
+        expected = float((np.outer(marginals, marginals) * delta_sq).sum()) / (n * (n - 1))
+        if expected == 0.0:
+            note = "degenerate: no variation among pairable values"
+            yield AlphaResult(1.0, n, agreement_band(1.0), degenerate=True, note=note)
+        else:
+            alpha = 1.0 - observed / expected
+            yield AlphaResult(alpha=alpha, n_pairable=n, band=agreement_band(alpha))
 
 
 @dataclass(frozen=True)
@@ -218,12 +244,7 @@ def agreement_report(
     for feature in ANNOTATED_FEATURES:
         level = "ordinal" if feature in ORDINAL_FEATURES else "nominal"
         matrix = reliability_from_sets(raters, feature, level)
-        cells: dict[str, AlphaResult | None] = {}
-        for label, cols in columns.items():
-            try:
-                cells[label] = krippendorff_alpha(matrix, cols)
-            except AgreementError:
-                cells[label] = None
+        cells = dict(zip(columns, _alphas(matrix, list(columns.values()))))
         below = tuple(
             label for label, cell in cells.items()
             if cell is not None and cell.alpha < AGREEMENT_THRESHOLD

@@ -14,6 +14,7 @@ import csv
 import logging
 import math
 from dataclasses import dataclass
+from itertools import islice, zip_longest
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -100,8 +101,7 @@ _COLUMN = {feature: j for j, feature in enumerate(ANNOTATED_FEATURES)}
 ALL_CATEGORY = "all"
 
 
-@dataclass(frozen=True)
-class Sonnet:
+class Sonnet(NamedTuple):
     """One poem: identity, bibliographic fields, and (optionally) text."""
 
     sonnet_id: str
@@ -188,47 +188,50 @@ def load_corpus(metadata_path: str | Path, corpus_root: str | Path | None) -> Co
     loading for commands that only need identities.
     """
     metadata_path = Path(metadata_path)
-    reader = csv.reader(split_lines(read_input(metadata_path, "metadata file")))
-    rows = csv_rows(reader, metadata_path, CorpusFormatError)
+    text = read_input(metadata_path, "metadata file")
+    rows = csv_rows(csv.reader(split_lines(text)), metadata_path, CorpusFormatError)
     header = next(rows, [])
     missing = [c for c in _METADATA_COLUMNS if c not in header]
     if missing:
         raise CorpusFormatError(
             f"{metadata_path}: missing metadata columns: {', '.join(missing)}"
         )
-    sonnets = []
-    first_line: dict[str, int] = {}
-    for cells in filter(None, rows):  # a blank line is no row
-        lineno = reader.line_num
-        row = dict(zip(header, cells))  # a short row's last columns are blank
-        sonnet_id = row.get("id_sonnet", "").strip()
-        if not sonnet_id:
-            raise CorpusFormatError(f"{metadata_path}: line {lineno}: empty id_sonnet")
-        if sonnet_id in first_line:
-            raise CorpusFormatError(
-                f"{metadata_path}: line {lineno}: duplicate sonnet id {sonnet_id!r} "
-                f"(first on line {first_line[sonnet_id]})"
-            )
-        first_line[sonnet_id] = lineno
-        sonnet_text: str | None = None
-        if corpus_root is not None:
-            text_path = Path(corpus_root) / row.get("file_path", "").strip()
-            try:
-                sonnet_text = read_input(text_path, "sonnet text")
-            except InputError as exc:
-                raise CorpusFormatError(f"{metadata_path}: line {lineno}: {exc}") from exc
-        sonnets.append(
-            Sonnet(
-                sonnet_id=sonnet_id,
-                author=row.get("author", "").strip(),
-                year=row.get("year", "").strip(),
-                title=row.get("title", "").strip(),
-                text=sonnet_text,
-            )
-        )
-    if not sonnets:
-        raise CorpusFormatError(f"{metadata_path}: no sonnets listed")
-    return Corpus(sonnets=tuple(sonnets))
+    table: list[list[str]] = []
+    stop = None  # a line the csv reader cannot read ends the rows
+    try:
+        table.extend(filter(None, rows))  # a blank line is no row
+    except CorpusFormatError as exc:
+        stop = exc
+    if not table:
+        raise stop or CorpusFormatError(f"{metadata_path}: no sonnets listed")
+    cells = zip_longest(*table, fillvalue="")  # a short row's last columns are blank
+    columns = {name: list(map(str.strip, column)) for name, column in zip(header, cells)}
+    ids, first = columns["id_sonnet"], {}  # each id's first row
+    bad = next(  # the first row with an empty or repeated id
+        (i for i, sid in enumerate(ids) if not sid or first.setdefault(sid, i) != i), len(ids)
+    )
+
+    def line(i: int) -> int:
+        reader = csv.reader(split_lines(text))
+        next(islice(filter(None, reader), i + 1, None))  # row i, after the header
+        return reader.line_num
+
+    texts: list[str | None] = [None] * len(ids)
+    for i, name in enumerate(columns["file_path"][:bad] if corpus_root is not None else ()):
+        try:
+            texts[i] = read_input(Path(corpus_root) / name, "sonnet text")
+        except InputError as exc:
+            raise CorpusFormatError(f"{metadata_path}: line {line(i)}: {exc}") from exc
+    if bad < len(ids):
+        sid, at = ids[bad], f"{metadata_path}: line {line(bad)}"
+        if not sid:
+            raise CorpusFormatError(f"{at}: empty id_sonnet")
+        first_line = line(first[sid])
+        raise CorpusFormatError(f"{at}: duplicate sonnet id {sid!r} (first on line {first_line})")
+    if stop is not None:
+        raise stop
+    fields = columns["author"], columns["year"], columns["title"]
+    return Corpus(sonnets=tuple(map(Sonnet, ids, *fields, texts)))
 
 
 def load_annotation_set(
@@ -246,7 +249,45 @@ def load_annotation_set(
     empty.  All violations report row and column coordinates.
     """
     path = Path(path)
-    reader = csv.reader(split_lines(read_input(path, "annotation file")))
+    text = read_input(path, "annotation file")
+    values = _plain_values(text, sonnet_ids)
+    if values is None:  # only the csv reader reports errors
+        values = _csv_values(path, text, sonnet_ids)
+    if sonnet_ids is None:
+        sonnet_ids = [f"s{i:04d}" for i in range(1, len(values) + 1)]
+    return AnnotationSet(annotator_id=annotator_id, sonnet_ids=tuple(sonnet_ids), values=values)
+
+
+def _plain_values(text: str, sonnet_ids: Sequence[str] | None) -> np.ndarray | None:
+    """The values of a plain annotation file, parsed as bytes; None for ``_csv_values``.
+
+    Plain: ASCII without quote or CR, the feature names as header, and a row per
+    sonnet (any number without ids) of cells spelled as in _ORDINAL_CELLS and
+    _BINARY_CELLS, which are one byte or none.
+    """
+    header, _, body = (text if text.endswith("\n") else text + "\n").partition("\n")
+    names = header.split(",")
+    if not body or not text.isascii() or '"' in text or "\r" in text:
+        return None
+    n = len(sonnet_ids) if sonnet_ids is not None else body.count("\n")
+    data = np.frombuffer(body.encode(), np.uint8)
+    ends = (data == ord(",")) | (data == ord("\n"))
+    row_ends = np.frombuffer(b"," * (len(names) - 1) + b"\n", np.uint8)
+    if (
+        sorted(names) != sorted(ANNOTATED_FEATURES)
+        or not np.array_equal(data[ends], np.tile(row_ends, n))  # rows of other width or number
+        or np.count_nonzero(ends[1:] | ends[:-1]) != len(data) - 1  # a cell of two bytes
+    ):
+        return None
+    # each cell's byte, or the comma or line end before it where it is blank
+    cells = np.concatenate(([ord("\n")], data[:-1]))[ends].reshape(n, len(names))
+    values = _CELL_VALUES[_KINDS, cells[:, [names.index(f) for f in ANNOTATED_FEATURES]]]
+    return None if np.isinf(values).any() else values
+
+
+def _csv_values(path: Path, text: str, sonnet_ids: Sequence[str] | None) -> np.ndarray:
+    """The values of any annotation file by the csv reader, checked cell by cell."""
+    reader = csv.reader(split_lines(text))
     lines = csv_rows(reader, path, AnnotationFormatError)
     # (physical line, cells) of every row that is not blank
     rows = [(reader.line_num, row) for row in lines if any(cell.strip() for cell in row)]
@@ -265,14 +306,10 @@ def load_annotation_set(
         raise AnnotationFormatError(f"{path}: missing feature columns: {', '.join(absent)}")
 
     data_rows = rows[1:]
-    if sonnet_ids is not None:
-        if len(data_rows) != len(sonnet_ids):
-            raise AnnotationFormatError(
-                f"{path}: {len(data_rows)} data rows but {len(sonnet_ids)} sonnets in metadata"
-            )
-        ids = tuple(sonnet_ids)
-    else:
-        ids = tuple(f"s{i:04d}" for i in range(1, len(data_rows) + 1))
+    if sonnet_ids is not None and len(data_rows) != len(sonnet_ids):
+        raise AnnotationFormatError(
+            f"{path}: {len(data_rows)} data rows but {len(sonnet_ids)} sonnets in metadata"
+        )
 
     spellings = [
         _ORDINAL_CELLS if feature in ORDINAL_FEATURES else _BINARY_CELLS for feature in header
@@ -294,17 +331,20 @@ def load_annotation_set(
                         f"{path}: row {lineno}, column {col} ({feature}): {exc}"
                     ) from None
         parsed.append(cells)
-    values = np.array(parsed, dtype=float).reshape(len(ids), len(header))
-    return AnnotationSet(
-        annotator_id=annotator_id,
-        sonnet_ids=ids,
-        values=values[:, [header.index(f) for f in ANNOTATED_FEATURES]],
-    )
+    values = np.array(parsed, dtype=float).reshape(len(data_rows), len(header))
+    return values[:, [header.index(f) for f in ANNOTATED_FEATURES]]
 
 
 # The canonical spelling of every valid cell; _annotation_cell reads any other.
 _ORDINAL_CELLS = {str(v): float(v) for v in range(ORDINAL_MIN, ORDINAL_MAX + 1)}
 _BINARY_CELLS = {"0": 0.0, "1": 1.0, "": math.nan}
+# A cell's value by its byte (a blank cell's is the comma or line end before it),
+# in an ordinal column (row 0) and a binary one (row 1); inf: no valid cell
+_CELL_VALUES = np.array([
+    [cells.get("" if chr(b) in ",\n" else chr(b), math.inf) for b in range(256)]
+    for cells in (_ORDINAL_CELLS, _BINARY_CELLS)
+])
+_KINDS = (np.arange(len(ANNOTATED_FEATURES)) >= len(ORDINAL_FEATURES)).astype(np.intp)
 
 
 def _annotation_cell(cell: str, is_ordinal: bool) -> float:

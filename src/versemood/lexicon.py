@@ -389,8 +389,8 @@ def _load_described(path: Path, descriptor: Mapping, source_id: str, label: str)
             raise LexiconFormatError(f"{where}: scale low must be below high")
         if "mean" not in spec:
             raise LexiconFormatError(f"{where}: needs a mean column")
-        for key in ("mean", "sd"):
-            if spec.get(key) and not isinstance(spec[key], str):
+        for key in ("mean", "sd"):  # a falsy sd is none; a mean is required
+            if (key == "mean" or spec.get(key)) and not (spec[key] and isinstance(spec[key], str)):
                 raise LexiconFormatError(f"{where}: '{key}' must be a column name")
         scales[dim] = (lo, hi)
 

@@ -329,7 +329,7 @@ def _agreement(session: Session) -> _Table:
                 reason = cell.note if cell else "not computable: no unit has two or more values"
                 logger.info("agreement %s/%s: %s", row["feature"], label, reason)
         row["cells"] = {
-            label: None if cell is None else dataclasses.asdict(cell)
+            label: None if cell is None else dict(vars(cell))  # its fields, in order
             for label, cell in row["cells"].items()
         }
     return _Table(header, rows, {"columns": header[2:-1], "rows": mirror}, degenerate)

@@ -211,6 +211,52 @@ def alpha_per_cell(matrix):
     return AlphaResult(alpha=alpha, n_pairable=n, band=agreement_band(alpha))
 
 
+def load_corpus_by_rows(metadata_path, corpus_root):
+    """``corpus.load_corpus`` as it was before it read the metadata as
+    columns: one dict per row, checked and loaded row by row.  Returns
+    each sonnet's (id, author, year, title, text).
+    """
+    import csv
+    from pathlib import Path
+
+    from versemood.corpus import _METADATA_COLUMNS, CorpusFormatError
+    from versemood.textnorm import InputError, csv_rows, read_input, split_lines
+
+    reader = csv.reader(split_lines(read_input(metadata_path, "metadata file")))
+    rows = csv_rows(reader, metadata_path, CorpusFormatError)
+    header = next(rows, [])
+    missing = [c for c in _METADATA_COLUMNS if c not in header]
+    if missing:
+        raise CorpusFormatError(
+            f"{metadata_path}: missing metadata columns: {', '.join(missing)}"
+        )
+    sonnets, first_line = [], {}
+    for cells in filter(None, rows):
+        lineno = reader.line_num
+        row = dict(zip(header, cells))
+        sonnet_id = row.get("id_sonnet", "").strip()
+        if not sonnet_id:
+            raise CorpusFormatError(f"{metadata_path}: line {lineno}: empty id_sonnet")
+        if sonnet_id in first_line:
+            raise CorpusFormatError(
+                f"{metadata_path}: line {lineno}: duplicate sonnet id {sonnet_id!r} "
+                f"(first on line {first_line[sonnet_id]})"
+            )
+        first_line[sonnet_id] = lineno
+        text = None
+        if corpus_root is not None:
+            try:
+                text_path = Path(corpus_root) / row.get("file_path", "").strip()
+                text = read_input(text_path, "sonnet text")
+            except InputError as exc:
+                raise CorpusFormatError(f"{metadata_path}: line {lineno}: {exc}") from exc
+        fields = (row.get(name, "").strip() for name in ("author", "year", "title"))
+        sonnets.append((sonnet_id, *fields, text))
+    if not sonnets:
+        raise CorpusFormatError(f"{metadata_path}: no sonnets listed")
+    return sonnets
+
+
 def fill_missing_psych(cells, sonnet_ids):
     """The missing-tag fill the literal way: one dict lookup per cell.
 

@@ -78,7 +78,7 @@ def _oracle(cell_sets, feature, level):
 
 
 @pytest.mark.parametrize("with_median", [False, True], ids=["pairwise", "median"])
-@pytest.mark.parametrize("n_sets", [2, 3])
+@pytest.mark.parametrize("n_sets", [2, 3, 4])
 def test_every_cell_equals_the_per_cell_kernel(n_sets, with_median):
     rng = np.random.default_rng(1300 + 10 * n_sets + with_median)
     outcomes, layouts_seen = set(), set()

@@ -606,6 +606,12 @@ def test_bad_input_file_exits_1_naming_it(workspace, tmp_path, capsys, case):
     ("config", "lemma_table", "", "lemma table not found"),
     ("config", "corpus_root", 0, "'corpus_root' must be a path, not 0"),
     ("lexicon", "descriptor", 0, "'descriptor' must be a path, not 0"),
+    # a mean column is required, so no falsy value stands for none
+    *(
+        ("descriptor", "dimensions", {"valence": {"mean": mean, "scale": [1, 7]}},
+         "dimension valence: 'mean' must be a column name")
+        for mean in (None, 0, False, "")
+    ),
 ])
 def test_value_of_wrong_type_exits_1_naming_file_and_key(
     workspace, tmp_path, capsys, where, key, value, named

@@ -96,6 +96,77 @@ def test_duplicate_sonnet_ids_rejected(tmp_path):
         load_corpus(meta, None)
 
 
+def _metadata_rows(n):
+    return [["Autor", str(1600 + i), f"Soneto {i}", f"s{i}", f"s{i}.txt"] for i in range(n)]
+
+
+def _cut_row(rng, rows):
+    i = int(rng.integers(1, len(rows)))
+    del rows[i][int(rng.integers(len(rows[i]))) :]
+
+
+def _set_cell(value, column=None):
+    def mutate(rng, rows):
+        i = int(rng.integers(1, len(rows)))
+        rows[i][int(rng.integers(5)) if column is None else column] = value
+    return mutate
+
+
+def _long_field_after_a_bad_id(rng, rows):
+    rows[2][3] = rows[1][3] if rng.random() < 0.5 else " "
+    rows[-1][2] = "x" * (csv.field_size_limit() + 1)
+
+
+def _repeated_header(rng, rows):
+    rows[0].append("title")
+    for row in rows[1:]:
+        row.append("Otro")
+
+
+METADATA_MUTATIONS = {
+    "clean": lambda rng, rows: None,
+    "blank line": lambda rng, rows: rows.insert(int(rng.integers(1, len(rows) + 1)), []),
+    "short row": _cut_row,
+    "long row": lambda rng, rows: rows[int(rng.integers(1, len(rows)))].append("extra"),
+    "padded cell": _set_cell("  padded  "),
+    "empty id": _set_cell(" ", column=3),
+    "duplicate id": _set_cell("s1", column=3),
+    "missing text": _set_cell("gone.txt", column=4),
+    "quoted comma": _set_cell("Vega, Lope"),
+    "field past the csv limit": _set_cell("x" * (csv.field_size_limit() + 1)),
+    "long field after a bad id": _long_field_after_a_bad_id,
+    "header only": lambda rng, rows: rows.__delitem__(slice(1, None)),
+    "repeated header name": _repeated_header,
+    "no id column": lambda rng, rows: [row.__delitem__(slice(3, 4)) for row in rows[:1]],
+    "crlf": None,
+}
+
+
+def test_load_corpus_equals_the_row_by_row_loader(tmp_path):
+    """Each mutated metadata file gives the sonnets or the error of the row-by-row loader."""
+    rng = np.random.default_rng(1700)
+    for i in range(6):
+        (tmp_path / f"s{i}.txt").write_text(f"texto {i}\n", encoding="utf-8")
+    for kind, mutate in METADATA_MUTATIONS.items():
+        for case in range(6 if kind != "clean" else 1):
+            rows = [["author", "year", "title", "id_sonnet", "file_path"], *_metadata_rows(6)]
+            if mutate:
+                mutate(rng, rows)
+            meta = tmp_path / f"{kind}-{case}.csv"
+            with meta.open("w", encoding="utf-8", newline="") as fh:
+                csv.writer(fh, lineterminator="\r\n" if kind == "crlf" else "\n").writerows(rows)
+            root = tmp_path if case % 2 == 0 else None
+            try:
+                expected = oracles.load_corpus_by_rows(meta, root)
+            except CorpusFormatError as exc:
+                expected = str(exc)
+            try:
+                got = [tuple(s) for s in load_corpus(meta, root).sonnets]
+            except CorpusFormatError as exc:
+                got = str(exc)
+            assert got == expected, (kind, case)
+
+
 # ---------------------------------------------------------------------------
 # annotation loading
 
