@@ -204,8 +204,9 @@ def load_corpus(metadata_path: str | Path, corpus_root: str | Path | None) -> Co
         stop = exc
     if not table:
         raise stop or CorpusFormatError(f"{metadata_path}: no sonnets listed")
-    cells = zip_longest(*table, fillvalue="")  # a short row's last columns are blank
-    columns = {name: list(map(str.strip, column)) for name, column in zip(header, cells)}
+    # each header name's column (a repeated name's last); a short row's last cells are blank
+    named_columns = zip_longest(header, *table, fillvalue="")
+    columns = {name: list(map(str.strip, cells)) for name, *cells in named_columns}
     ids, first = columns["id_sonnet"], {}  # each id's first row
     bad = next(  # the first row with an empty or repeated id
         (i for i, sid in enumerate(ids) if not sid or first.setdefault(sid, i) != i), len(ids)

@@ -59,7 +59,7 @@ def read_input(path: str | Path, what: str) -> str:
     path = Path(path)
     try:
         data = path.read_bytes()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise InputError(f"cannot read {what} {path}: {exc}") from exc
     try:
         return data.decode("utf-8-sig")

@@ -127,11 +127,13 @@ METADATA_MUTATIONS = {
     "clean": lambda rng, rows: None,
     "blank line": lambda rng, rows: rows.insert(int(rng.integers(1, len(rows) + 1)), []),
     "short row": _cut_row,
+    "every row short": lambda rng, rows: [row.__delitem__(slice(2, None)) for row in rows[1:]],
     "long row": lambda rng, rows: rows[int(rng.integers(1, len(rows)))].append("extra"),
     "padded cell": _set_cell("  padded  "),
     "empty id": _set_cell(" ", column=3),
     "duplicate id": _set_cell("s1", column=3),
     "missing text": _set_cell("gone.txt", column=4),
+    "nul in a text path": _set_cell("s1\x00.txt", column=4),
     "quoted comma": _set_cell("Vega, Lope"),
     "field past the csv limit": _set_cell("x" * (csv.field_size_limit() + 1)),
     "long field after a bad id": _long_field_after_a_bad_id,
