@@ -163,7 +163,7 @@ def _alphas(
         cols = [matrix.raters.index(r) for r in raters]
         if len(cols) <= 3:
             coincidence = sum(pairs[r, :, s] for r, s in permutations(cols, 2)) + np.zeros((k, k))
-            if len(cols) == 3:
+            if len(cols) == 3:  # a unit all three rated weighs 1/2, not 1
                 rows = counts[cols].reshape(3 * k, n_units) * present[:, cols].all(axis=1)
                 triples = (rows @ rows.T).reshape(3, k, 3, k)
                 coincidence -= 0.5 * sum(triples[r, :, s] for r, s in permutations(range(3), 2))

@@ -123,11 +123,25 @@ def _repeated_header(rng, rows):
         row.append("Otro")
 
 
+def _every_row_short(rng, rows):
+    width = int(rng.integers(2, 5))
+    for row in rows[1:]:
+        del row[width:]
+
+
+def _header_only(rng, rows):
+    del rows[1:]
+
+
+def _no_id_column(rng, rows):
+    del rows[0][3]
+
+
 METADATA_MUTATIONS = {
     "clean": lambda rng, rows: None,
     "blank line": lambda rng, rows: rows.insert(int(rng.integers(1, len(rows) + 1)), []),
     "short row": _cut_row,
-    "every row short": lambda rng, rows: [row.__delitem__(slice(2, None)) for row in rows[1:]],
+    "every row short": _every_row_short,
     "long row": lambda rng, rows: rows[int(rng.integers(1, len(rows)))].append("extra"),
     "padded cell": _set_cell("  padded  "),
     "empty id": _set_cell(" ", column=3),
@@ -137,9 +151,9 @@ METADATA_MUTATIONS = {
     "quoted comma": _set_cell("Vega, Lope"),
     "field past the csv limit": _set_cell("x" * (csv.field_size_limit() + 1)),
     "long field after a bad id": _long_field_after_a_bad_id,
-    "header only": lambda rng, rows: rows.__delitem__(slice(1, None)),
+    "header only": _header_only,
     "repeated header name": _repeated_header,
-    "no id column": lambda rng, rows: [row.__delitem__(slice(3, 4)) for row in rows[:1]],
+    "no id column": _no_id_column,
     "crlf": None,
 }
 
