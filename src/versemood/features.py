@@ -116,24 +116,20 @@ def compute_corpus_matrix(keys: TokenTable, merged: MergedLexicon) -> FeatureMat
     ``keys`` holds the corpus's normalized keys; a key's position is its
     index in its sonnet + 1.  Positions are the post-stopword-removal
     token positions, so the matched words' positions may have gaps where
-    unmatched words sat.  Means are summed word by word in position order.
-    Position correlations rank every sonnet at once (``centred_ranks`` by
-    sonnet); their sums are exact, so each is ``spearman``'s, bit for bit.
+    unmatched words sat.  Means are summed word by word in position order,
+    one dimension at a time.  Position correlations rank every sonnet at
+    once (``centred_ranks`` by sonnet); their sums are exact, so each is
+    ``spearman``'s, bit for bit.
     """
     n, n_dims = len(keys.sonnet_ids), len(DIMENSIONS)
     rows = merged.rows_of(keys.words)[keys.codes]
-    sonnet = keys.sonnets()
     matched = rows >= 0
-    sonnet, rows = sonnet[matched], rows[matched]
-    word_means = merged.mean[rows]
-
-    cells = (sonnet[:, None] * n_dims + np.arange(n_dims)).ravel()
-    mean, count = group_mean(cells, word_means.ravel(), n * n_dims)
-    sd, _ = group_mean(cells, merged.sd[rows].ravel(), n * n_dims)
-    count = count.reshape(n, n_dims)
+    sonnet, rows = keys.sonnets()[matched], rows[matched]
     values = np.full((n, len(FEATURE_NAMES)), np.nan)
-    values[:, 0 : 2 * n_dims : 2] = mean.reshape(n, n_dims)
-    values[:, 1 : 2 * n_dims : 2] = sd.reshape(n, n_dims)
+    count = np.empty((n, n_dims), np.intp)
+    for j in range(n_dims):
+        values[:, 2 * j], count[:, j] = group_mean(sonnet, merged.mean[rows, j], n)
+        values[:, 2 * j + 1] = group_mean(sonnet, merged.sd[rows, j], n)[0]
 
     def column(name: str) -> np.ndarray:
         return values[:, FEATURE_INDEX[name]]  # a view: writing it fills ``values``
@@ -142,23 +138,25 @@ def compute_corpus_matrix(keys: TokenTable, merged: MergedLexicon) -> FeatureMat
     for dim, short in _TRACKED:
         j = DIMENSIONS.index(dim)
         # this dimension's words, sonnet by sonnet and in position order
-        has = ~np.isnan(word_means[:, j])
-        dim_values, dim_sonnet = word_means[has, j], sonnet[has]
-        some = count[:, j] > 0
+        has = ~np.isnan(merged.mean[rows, j])
+        dim_values, dim_sonnet = merged.mean[rows[has], j], sonnet[has]
+        m = count[:, j]
+        starts = np.cumsum(m) - m
+        some = m > 0
         if some.any():
-            starts = (np.cumsum(count[:, j]) - count[:, j])[some]
-            column(f"max_{dim}")[some] = np.maximum.reduceat(dim_values, starts)
-            column(f"min_{dim}")[some] = np.minimum.reduceat(dim_values, starts)
+            column(f"max_{dim}")[some] = np.maximum.reduceat(dim_values, starts[some])
+            column(f"min_{dim}")[some] = np.minimum.reduceat(dim_values, starts[some])
         column(f"{dim}_span")[:] = column(f"max_{dim}") - column(f"min_{dim}")
-        column(f"sigma_{short}")[:] = column(f"{dim}_mean") * np.sqrt(count[:, j])
-        # Spearman's rho of value ranks against position ranks, every sonnet at once
+        column(f"sigma_{short}")[:] = column(f"{dim}_mean") * np.sqrt(m)
+        # Spearman's rho of value ranks against position ranks, every sonnet at once;
+        # positions are in order, so the i-th of a sonnet's m words ranks i - (m - 1) / 2
         rx = centred_ranks(dim_values, dim_sonnet)
-        ry = centred_ranks(np.arange(len(dim_values)), dim_sonnet)
+        ry = np.arange(len(dim_values)) - (starts + (m - 1) / 2)[dim_sonnet]
         sums = [np.bincount(dim_sonnet, r, n) for r in (rx * ry, rx * rx, ry * ry)]
         cor = column(f"cor_{short}")
         with np.errstate(invalid="ignore"):  # 0 / 0 where every rx is 0: NaN
             cor[:] = np.clip(sums[0] / np.sqrt(sums[1] * sums[2]), -1.0, 1.0)
-        for i in np.flatnonzero((count[:, j] >= 2) & (sums[1] == 0.0)).tolist():
+        for i in np.flatnonzero((m >= 2) & (sums[1] == 0.0)).tolist():
             reason = f"{dim} values are constant across the sonnet"
             constant.setdefault(i, {}).update({f"cor_{short}": reason, f"abs_cor_{short}": reason})
         column(f"abs_cor_{short}")[:] = np.abs(cor)

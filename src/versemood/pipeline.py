@@ -19,8 +19,10 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import sys
 from functools import cached_property
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
 
@@ -172,26 +174,39 @@ def _read_config(
 # report serialization
 
 
-def _fmt(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.10g}"
-    return str(value)
+class _ByType(dict):
+    """Text formatters by exact type; another type takes its first listed base's."""
+    def __missing__(self, kind: type) -> Callable[[Any], str]:
+        return self[next(base for base in self if issubclass(kind, base))]
 
 
-def _json_safe(value: Any) -> Any:
-    if isinstance(value, float):
-        if value != value or value in (float("inf"), float("-inf")):
-            return str(value)
-        return value
+# A non-finite JSON float is the string "nan", "inf" or "-inf"; bool comes before int.
+_BOOL = {True: "true", False: "false"}.__getitem__
+_JSON_LEAF = _ByType({
+    type(None): lambda _: "null", bool: _BOOL, str: encode_basestring, int: int.__repr__,
+    float: lambda v: float.__repr__(v) if math.isfinite(v) else f'"{v}"',
+    object: json.JSONEncoder().default,  # raises TypeError
+})
+_CSV_CELL = _ByType({
+    type(None): lambda _: "", bool: _BOOL, str: str, int: str, float: "{:.10g}".format, object: str,
+})
+
+
+def _write_json(write: Callable[[str], Any], value: Any, indent: str = "\n") -> None:
+    """Write ``value`` item by item, laid out as by ``json.dumps(..., indent=2)``."""
     if isinstance(value, dict):
-        return {str(k): _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    return value
+        items, brackets = ((encode_basestring(str(k)) + ": ", v) for k, v in value.items()), "{}"
+    elif isinstance(value, (list, tuple)):
+        items, brackets = (("", v) for v in value), "[]"
+    else:
+        write(_JSON_LEAF[type(value)](value))
+        return
+    sep, inner = brackets[0], indent + "  "
+    for prefix, item in items:
+        write(sep + inner + prefix)
+        _write_json(write, item, inner)
+        sep = ","
+    write(indent + brackets[1] if sep == "," else brackets)
 
 
 class _Table(NamedTuple):
@@ -226,7 +241,7 @@ def _table(row_type: type, rows: Sequence[Any]) -> _Table:
             if name in columns:
                 line.extend(value[key] for key in columns[name])
             elif isinstance(value, tuple):
-                line.append(";".join(_fmt(v) for v in value))
+                line.append(";".join(_CSV_CELL[type(v)](v) for v in value))
             else:
                 line.append(value)
         cells.append(line)
@@ -258,11 +273,11 @@ class ReportWriter:
             with self.stage(f"{name}.csv").open("w", encoding="utf-8", newline="") as handle:
                 writer = csv.writer(handle, lineterminator="\n")
                 writer.writerow(header)
-                for row in rows:
-                    writer.writerow([_fmt(cell) for cell in row])
+                writer.writerows([_CSV_CELL[type(cell)](cell) for cell in row] for row in rows)
         if self.fmt in ("json", "both"):
-            text = json.dumps(_json_safe(mirror), indent=2, ensure_ascii=False, sort_keys=False)
-            self.stage(f"{name}.json").write_text(text + "\n", encoding="utf-8")
+            with self.stage(f"{name}.json").open("w", encoding="utf-8") as handle:
+                _write_json(handle.write, mirror)
+                handle.write("\n")
 
     def commit(self) -> None:
         for staged, path in self._staged:
@@ -567,6 +582,7 @@ class Session:
                 header, rows, mirror, count = REPORTS[name].build(self)
                 writer.emit(name, header, rows, mirror)
                 degenerate += count
+                del rows, mirror  # freed before the next report is built
             writer.commit()
         finally:
             writer.discard()  # what a failed build or commit left staged

@@ -181,14 +181,15 @@ def tokenize(text: str) -> list[str]:
     """
     tokens = []
     for chunk in text.split():
-        start, end = 0, len(chunk)
-        while start < end and not chunk[start].isalnum():
-            start += 1
-        while end > start and not chunk[end - 1].isalnum():
-            end -= 1
-        chunk = chunk[start:end]
-        if not chunk:
-            continue
+        if not chunk.isalnum():  # most chunks have nothing to trim
+            start, end = 0, len(chunk)
+            while start < end and not chunk[start].isalnum():
+                start += 1
+            while end > start and not chunk[end - 1].isalnum():
+                end -= 1
+            chunk = chunk[start:end]
+            if not chunk:
+                continue
         tokens.append(chunk.lower())
     return tokens
 

@@ -191,7 +191,8 @@ def _category_rows(
     columns) are built once; each pairing then replays the design's
     drops and stops at its first terminal event, exactly as a separate
     fit per pairing would: its paired feature dropped as collinear, then
-    a failing fit.
+    a failing fit.  A category's decisions are logged once, a pairing's
+    note once per pairing.
     """
     sub = values[index]
     predictors = FEATURE_NAMES
@@ -207,28 +208,25 @@ def _category_rows(
         )
     rows = index[keep]
     sub = sub[keep]
-    insufficient = len(rows) <= len(predictors) + 1
-
-    if not insufficient:
-        design = LinearDesign(sub[:, [FEATURE_INDEX[p] for p in predictors]], predictors)
+    if len(rows) <= len(predictors) + 1:
+        note = (
+            f"insufficient rows for regression ({len(rows)} sonnets, {len(predictors)} predictors)"
+        )
+        logger.info("partial dependence %s: %s", category, note)
+        return [
+            PartialDependenceRow(category, annotated, gam_feature, len(rows), note=note)
+            for annotated, gam_feature in FEATURE_PAIRINGS
+        ]
+    design = LinearDesign(sub[:, [FEATURE_INDEX[p] for p in predictors]], predictors)
+    for bad in design.dropped:
+        logger.info("partial dependence %s: dropped dependent columns %s", category, ", ".join(bad))
 
     out = []
     for annotated, gam_feature in FEATURE_PAIRINGS:
-        if insufficient:
-            out.append(PartialDependenceRow(
-                category, annotated, gam_feature, len(rows),
-                note=f"insufficient rows for regression ({len(rows)} sonnets, "
-                f"{len(predictors)} predictors)",
-            ))
-            continue
         y = median.column(annotated)[rows]
         dropped: list[str] = []
         note = None
         for bad in design.dropped:
-            logger.info(
-                "partial dependence %s/%s: dropped dependent columns %s",
-                category, annotated, ", ".join(bad),
-            )
             dropped.extend(bad)
             if gam_feature in bad:
                 note = f"paired feature {gam_feature} is collinear in this category"
@@ -239,6 +237,7 @@ def _category_rows(
             except ValueError as exc:
                 note = str(exc)
         if note is not None:
+            logger.info("partial dependence %s/%s: %s", category, annotated, note)
             out.append(PartialDependenceRow(category, annotated, gam_feature, len(rows), note=note))
             continue
         idx = design.columns.index(gam_feature)
@@ -325,6 +324,7 @@ def anova_report(matrix: FeatureMatrix, median: AnnotationSet) -> AnovaReport:
             out_vals = column[defined & ~tagged]
             if len(in_vals) < 2 or len(out_vals) < 2:
                 skipped.append((tag, feature, "a group has fewer than two values"))
+                logger.info("anova %s/%s: skipped: %s", *skipped[-1])
                 continue
             result = one_way_anova([in_vals, out_vals])
             if result.degenerate is not None:

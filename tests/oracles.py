@@ -9,6 +9,7 @@ is the evidence the fast paths are right.
 
 from __future__ import annotations
 
+import json
 import math
 
 import mpmath as mp
@@ -1159,3 +1160,52 @@ def stem_scan(word: str) -> str:
             break
 
     return _replace_accented(word)
+
+
+# ---------------------------------------------------------------------------
+# tokens and report text as the package made them before tokenizing took a
+# fast path for chunks with nothing to trim and reports were streamed: the
+# trim loops for every chunk, a CSV cell by isinstance checks, and each JSON
+# mirror converted whole, then encoded by one indented ``json.dumps``
+
+
+def tokenize(text):
+    tokens = []
+    for chunk in text.split():
+        start, end = 0, len(chunk)
+        while start < end and not chunk[start].isalnum():
+            start += 1
+        while end > start and not chunk[end - 1].isalnum():
+            end -= 1
+        chunk = chunk[start:end]
+        if not chunk:
+            continue
+        tokens.append(chunk.lower())
+    return tokens
+
+
+def csv_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.10g}"
+    return str(value)
+
+
+def json_safe(value):
+    if isinstance(value, float):
+        if value != value or value in (float("inf"), float("-inf")):
+            return str(value)
+        return value
+    if isinstance(value, dict):
+        return {str(k): json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_safe(v) for v in value]
+    return value
+
+
+def report_json(mirror):
+    """The text of a report's JSON file."""
+    return json.dumps(json_safe(mirror), indent=2, ensure_ascii=False) + "\n"

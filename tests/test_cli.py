@@ -340,6 +340,34 @@ def test_strict_exit_on_degenerate_regressions(tmp_path, capsys):
     assert any("insufficient rows" in (r["note"] or "") for r in rows)
 
 
+@pytest.mark.parametrize("n_sonnets", (12, 40))
+def test_decisions_log_names_every_skipped_regression_and_anova_cell(
+    n_sonnets, tmp_path, capsys
+):
+    workspace = build_workspace(tmp_path / "ws", n_sonnets=n_sonnets)
+    out = tmp_path / "out"
+    code, _, _ = run(
+        capsys, "validate", "--config", str(workspace / "config.json"),
+        "--out", str(out), "--log-decisions",
+    )
+    assert code == 0
+    log = (out / "decisions.log").read_text(encoding="utf-8").splitlines()
+    noted = [r for r in read_json(out / "partial_dependence.json") if r["note"]]
+    skipped = read_json(out / "anova.json")["skipped"]
+    assert noted or skipped
+    prefix = "versemood.validation: "
+    for row in noted:
+        # a category's too few rows are named once, any other note per pairing
+        category = row["category"]
+        if not row["note"].startswith("insufficient rows"):
+            category += "/" + row["annotated_feature"]
+        assert f"{prefix}partial dependence {category}: {row['note']}" in log
+    for tag, feature, reason in skipped:
+        assert f"{prefix}anova {tag}/{feature}: skipped: {reason}" in log
+    # one line per category for each decision that the category's design takes
+    assert len(log) == len(set(log))
+
+
 def test_relative_out_dir_resolves_against_cwd(workspace_config, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, _, _ = run(

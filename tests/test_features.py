@@ -1,6 +1,7 @@
 """Feature vector computation: hand-checked values and structural invariants."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from versemood.features import FEATURE_NAMES, MEAN_SD_FEATURES, compute_corpus_m
 from versemood.lexicon import CANONICAL_SCALES, merge_lexicons
 from versemood.pipeline import Session
 from versemood.textnorm import NormalizationConfig, TokenTable, normalize
+
+from conftest import build_workspace
 
 ORDER_FREE = tuple(n for n in FEATURE_NAMES if not n.startswith(("cor_", "abs_cor_")))
 
@@ -242,6 +245,23 @@ def test_compute_corpus_matrix_requires_texts(workspace_config):
     session = Session(workspace_config, ["agreement"])
     with pytest.raises(ValueError, match="without text"):
         session.matrix
+
+
+def test_corpus_matrix_holds_less_than_three_token_by_dimension_arrays(tmp_path):
+    # Summing one dimension at a time holds a few matched-token arrays at once,
+    # never a matched-token x 10 float array (80 bytes per token) or its copies.
+    workspace = build_workspace(tmp_path / "workspace", n_sonnets=120)
+    session = Session(workspace / "config.json")
+    keys, merged = session.keys(session.norm.mode), session.merged
+    matched = int((merged.rows_of(keys.words)[keys.codes] >= 0).sum())
+    tracemalloc.start()
+    try:
+        compute_corpus_matrix(keys, merged)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matched > 2000
+    assert peak < 3 * matched * 80
 
 
 def random_lexicon(rng):

@@ -17,6 +17,8 @@ from versemood.textnorm import (
     tokenize,
 )
 
+from conftest import build_workspace
+
 # Golden input/output pairs for the stemmer.  The expectations were frozen
 # from a reference implementation of the Spanish Snowball algorithm after a
 # differential run over a few hundred forms showed full agreement.
@@ -206,6 +208,32 @@ def test_tokenize_empty_input():
 
 def test_tokenize_case_switch():
     assert tokenize("Amor") == ["amor"]
+
+
+# Chunks for the tokenizer's referee: edge punctuation, inverted marks and
+# dashes, interior hyphens and apostrophes, digits, combining marks (a
+# trailing one is not alphanumeric, so it is trimmed), and "İ", which
+# lowercases to two code points.
+TOKENIZER_EDGES = (
+    "—¡Viva!— «amor», (dolor)... ¿quién? ¡ay! — – - ' \" d'amor l'alma vete-y-vuelve "
+    "1605 3º ½ x² Ⅻ \u0301 cafe\u0301 e\u0301l \u0301ojo İstanbul İ ÀLMA SEÑOR "
+    "ﬁn ß ǅ «»  \t\n\u00a0\u2003 a\u200bb ‘ay’ “voz” 'quizá' -1 +2 ¡¡¡ ...!"
+)
+
+
+def test_tokenize_equals_the_trim_loop_on_every_chunk(tmp_path):
+    assert tokenize(TOKENIZER_EDGES) == oracles.tokenize(TOKENIZER_EDGES)
+    for chunk in TOKENIZER_EDGES.split():
+        assert tokenize(chunk) == oracles.tokenize(chunk), chunk
+    rng = random.Random(19)
+    alphabet = "aé\u0301İ1½-'¡!—. "
+    for _ in range(2000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(12)))
+        assert tokenize(text) == oracles.tokenize(text), text
+    texts = build_workspace(tmp_path, n_sonnets=120) / "texts"
+    for path in sorted(texts.iterdir()):
+        text = path.read_text(encoding="utf-8")
+        assert tokenize(text) == oracles.tokenize(text), path.name
 
 
 def test_remove_stopwords_renumbers():

@@ -348,22 +348,30 @@ def test_partial_dependence_matches_one_fit_per_pairing(build, shows, caplog):
     ref_rows, ref_messages = oracles.partial_dependence(matrix, median)
     assert any(shows(row) for row in rows)
     assert rows == ref_rows
-    assert messages == pruning_once_per_category(ref_messages)
+    assert messages == logged_decisions(ref_rows, ref_messages)
 
 
-def pruning_once_per_category(messages):
-    """The oracle's messages with its pruning line, written per pairing, written per category.
+def logged_decisions(rows, messages):
+    """What the report logs, from the oracle's rows and its per-pairing messages.
 
-    The category's first pairing keeps the line, without the pairing's name.
+    A category's pruning and dropped columns are logged once, without a
+    pairing's name; then its insufficient-rows note once, or else the
+    note of each pairing that has one.
     """
-    out, seen = [], set()
-    for message in messages:
-        pruning = re.fullmatch(r"partial dependence ([^/]+)/[^/]+: (pruned predictors .*)", message)
-        if pruning is None:
-            out.append(message)
-        elif pruning[1] not in seen:
-            seen.add(pruning[1])
-            out.append(f"partial dependence {pruning[1]}: {pruning[2]}")
+    decisions = [re.fullmatch(r"partial dependence ([^/]+)/[^/]+: (.*)", m).groups() for m in messages]
+    out = []
+    for category in dict.fromkeys(row.category for row in rows):
+        out.extend(dict.fromkeys(
+            f"partial dependence {category}: {decision}"
+            for named, decision in decisions if named == category
+        ))
+        noted = [row for row in rows if row.category == category and row.note]
+        if noted and noted[0].note.startswith("insufficient rows"):
+            out.append(f"partial dependence {category}: {noted[0].note}")
+        else:
+            out.extend(
+                f"partial dependence {category}/{row.annotated_feature}: {row.note}" for row in noted
+            )
     return out
 
 
@@ -402,14 +410,19 @@ def test_anova_detects_planted_group_difference():
     assert row.p_value < 1e-6
 
 
-def test_anova_skips_underfilled_groups():
+def test_anova_skips_underfilled_groups(caplog):
     rng = np.random.default_rng(103)
     matrix = synthetic_matrix(rng, 12)
     median = median_for(matrix, rng, tag_members={"Grandeur": {matrix.sonnet_ids[0]}})
+    caplog.set_level(logging.INFO, logger="versemood.validation")
     report = anova_report(matrix, median)
     skipped_combos = {(s[0], s[1]) for s in report.skipped}
     assert ("Grandeur", "valence_mean") in skipped_combos
     assert all(r.category != "Grandeur" for r in report.rows)
+    # each skipped cell is named in the decisions log, with its reason
+    assert [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()] == [
+        f"anova {tag}/{feature}: skipped: {reason}" for tag, feature, reason in report.skipped
+    ]
 
 
 def test_anova_means_are_group_means():
