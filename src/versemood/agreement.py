@@ -11,17 +11,20 @@ marginals for ordinal data.
 Alpha can legitimately fall below zero when annotators disagree more than
 chance would; values are reported as computed, without clamping.
 
-A feature is coded once: ``ReliabilityMatrix.counts`` holds every rater's
-unit-by-category counts, and every alpha over some of the raters (all, a
-pair, an annotator against the median) takes its coincidences from it.
+A report is one pass (``_alphas``): each rater's table is coded once,
+and each rater pair's coincidences, every feature at once, are one
+``np.bincount`` of their code pairs.  The disagreement sums are taken
+over cells grouped by the categories they use, each over its own
+contiguous square, so every alpha is bit for bit that of its columns
+computed alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations, permutations
-from typing import Iterator, Sequence
+from functools import cache
+from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 
@@ -68,16 +71,6 @@ class ReliabilityMatrix:
                 f"(units x raters), got {self.values.shape}"
             )
 
-    @cached_property
-    def counts(self) -> tuple[np.ndarray, np.ndarray]:
-        """The sorted distinct values, and N[r, c, u]: 1.0 where rater r gave unit u category c."""
-        present = ~np.isnan(self.values)
-        units, raters = np.nonzero(present)
-        categories, codes = np.unique(self.values[present], return_inverse=True)
-        shape = (len(self.raters), len(categories), len(self.units))
-        flat = (raters * shape[1] + codes) * shape[2] + units
-        return categories, np.bincount(flat, minlength=np.prod(shape)).reshape(shape).astype(float)
-
 
 @dataclass(frozen=True)
 class AlphaResult:
@@ -104,6 +97,16 @@ def agreement_band(alpha: float) -> str:
     return next((band for bound, band in _BANDS if alpha < bound), "Perfect")
 
 
+def _rater_ids(sets: Sequence[AnnotationSet]) -> tuple[int, ...]:
+    """The sets' annotator ids, once checked unique and the sets' sonnets the same."""
+    raters = tuple(s.annotator_id for s in sets)
+    if len(set(raters)) != len(raters):
+        raise ValueError("annotator ids are not unique")
+    if any(s.sonnet_ids != sets[0].sonnet_ids for s in sets[1:]):
+        raise ValueError("annotation sets cover different sonnets")
+    return raters
+
+
 def reliability_from_sets(
     sets: Sequence[AnnotationSet], feature: str, level: str
 ) -> ReliabilityMatrix:
@@ -113,14 +116,9 @@ def reliability_from_sets(
     """
     if not sets:
         raise ValueError("need at least one annotation set")
-    raters = tuple(s.annotator_id for s in sets)
-    if len(set(raters)) != len(raters):
-        raise ValueError("annotator ids are not unique")
-    units = sets[0].sonnet_ids
-    if any(s.sonnet_ids != units for s in sets[1:]):
-        raise ValueError("annotation sets cover different sonnets")
+    raters = _rater_ids(sets)
     values = np.column_stack([s.column(feature) for s in sets])
-    return ReliabilityMatrix(level=level, raters=raters, units=units, values=values)
+    return ReliabilityMatrix(level=level, raters=raters, units=sets[0].sonnet_ids, values=values)
 
 
 def krippendorff_alpha(
@@ -137,74 +135,127 @@ def krippendorff_alpha(
     raters = matrix.raters if raters is None else tuple(raters)
     if not set(raters) <= set(matrix.raters):
         raise ValueError(f"raters {raters} are not all among {matrix.raters}")
-    result = next(_alphas(matrix, [raters]))
+    columns = [matrix.values[:, [matrix.raters.index(r)]] for r in raters]
+    result = _alphas(columns, [matrix.level], [range(len(columns))])[0][0]
     if result is None:
         raise AgreementError("no unit has two or more values; alpha is not computable")
     return result
 
 
-def _alphas(
-    matrix: ReliabilityMatrix, cells: Sequence[Sequence[int]]
-) -> Iterator[AlphaResult | None]:
-    """Alpha over each cell's raters of ``matrix``, None where no unit has two values.
+# Units per block of the kernel's temporaries (127 KiB of intp at 31 features),
+# so that they do not grow with the corpus.
+_BLOCK = 512
 
-    Up to three raters each weight 1/(m - 1) is 1 or 1/2: the coincidences,
-    multiples of 1/2, are exact in any order, so a cell sums its rater
-    pairs' blocks of the count table's product with itself.  More raters
-    weight their slices unit by unit.  Either way the cell's arrays are
-    those of its columns coded alone, bit for bit.
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values present (not NaN), sorted."""
+    values = np.sort(values, axis=None)
+    values = values[:np.searchsorted(values, np.nan)]  # NaN sorts last
+    return np.concatenate((values[:1], values[1:][values[1:] != values[:-1]]))
+
+
+def _code(table: np.ndarray, categories: np.ndarray) -> np.ndarray:
+    """Each value's index in the sorted ``categories``; len(categories) where it is missing."""
+    codes = np.zeros(table.shape, np.min_scalar_type(len(categories)))
+    for category in categories[:-1]:
+        codes += table > category
+    codes[np.isnan(table)] = len(categories)
+    return codes
+
+
+def _alphas(
+    tables: Sequence[np.ndarray], levels: Sequence[str], cells: Sequence[Sequence[int]]
+) -> list[list[AlphaResult | None]]:
+    """Alpha of each feature over each cell's raters, None where no unit has two values.
+
+    ``tables[r]`` is rater r's units x features values (NaN: missing),
+    ``levels[f]`` the level of feature f, and a cell lists the indices of
+    its raters' tables; the result is indexed [feature][cell].  Up to
+    three raters a cell sums its pairs' code tables, less half of them
+    over the units all three rated.  More raters weight their units one
+    by one.  Either way a cell's arrays are those of its columns alone,
+    bit for bit, and so are its sums: the cells of a level that use the
+    same categories are reduced together, each over its own k x k block.
     """
-    categories, counts = matrix.counts
-    n_raters, k, n_units = counts.shape
-    flat = counts.reshape(n_raters * k, n_units)
-    pairs = (flat @ flat.T).reshape(n_raters, k, n_raters, k)
-    present = ~np.isnan(matrix.values)
-    for raters in cells:
-        cols = [matrix.raters.index(r) for r in raters]
-        if len(cols) <= 3:
-            coincidence = sum(pairs[r, :, s] for r, s in permutations(cols, 2)) + np.zeros((k, k))
-            if len(cols) == 3:  # a unit all three rated weighs 1/2, not 1
-                rows = counts[cols].reshape(3 * k, n_units) * present[:, cols].all(axis=1)
-                triples = (rows @ rows.T).reshape(3, k, 3, k)
-                coincidence -= 0.5 * sum(triples[r, :, s] for r, s in permutations(range(3), 2))
-            used = coincidence.any(axis=1)
-            n = int(coincidence.sum())
-            coincidence = coincidence[np.ix_(used, used)]
-        else:
-            m = present[:, cols].sum(axis=1)
-            pairable = m >= 2
-            cell_counts = counts[cols].sum(axis=0).compress(pairable, axis=1)
-            used = cell_counts.any(axis=1)
-            cell_counts = np.ascontiguousarray(cell_counts[used].T)  # N[u, c]
-            n = int(m[pairable].sum())
-            weighted = cell_counts / (m[pairable] - 1)[:, None]
-            coincidence = weighted.T @ cell_counts - np.diag(weighted.sum(axis=0))
-        if not n:
-            yield None
+    n_units, n_features = tables[0].shape
+    blocks = range(0, max(n_units, 1), _BLOCK)  # one empty block when there is no unit
+    distinct = [_distinct(t[u:u + _BLOCK]) for t in tables for u in blocks]
+    categories = _distinct(np.concatenate(distinct))
+    k = len(categories)
+    codes = [_code(t, categories) for t in tables]
+
+    def tally(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+        """[f, i, j]: units where one gave feature f category i and the other j, both ways."""
+        counts = np.zeros(n_features * (k + 1) ** 2, np.intp)
+        for u in blocks:
+            at = np.arange(n_features) * (k + 1) + first[u:u + _BLOCK]  # built in place
+            at *= k + 1
+            at += second[u:u + _BLOCK]
+            counts += np.bincount(at.ravel(), minlength=len(counts))
+        counts = counts.reshape(n_features, k + 1, k + 1)[:, :k, :k]  # less the missing code
+        return counts + counts.transpose(0, 2, 1)
+
+    pair = cache(lambda a, b: tally(codes[a], codes[b]))
+    coincidence = np.zeros((n_features, len(cells), k, k))
+    n = np.zeros((n_features, len(cells)), np.intp)
+    for c, cell in enumerate(cells):
+        if len(cell) <= 3:
+            block = coincidence[:, c]
+            for a, b in combinations(cell, 2):
+                block += pair(a, b)
+            if len(cell) == 3:  # a unit all three rated weighs 1/2, not 1
+                rated = np.logical_and.reduce([codes[r] < k for r in cell])
+                for a, b in combinations(cell, 2):
+                    block -= 0.5 * tally(np.where(rated, codes[a], k), codes[b])
+            n[:, c] = block.sum(axis=(1, 2))
             continue
-        marginals = coincidence.sum(axis=1)
-        if matrix.level == "nominal":
-            delta_sq = 1.0 - np.eye(len(marginals))
-        elif matrix.level == "interval":
-            delta_sq = np.subtract.outer(categories[used], categories[used]) ** 2
+        for f in range(n_features):
+            counts = sum(codes[r][:, f, None] == np.arange(k) for r in cell)  # N[u, c]
+            m = counts.sum(axis=1)
+            pairable = m >= 2
+            used = counts[pairable].any(axis=0)
+            counts = np.ascontiguousarray(counts[pairable][:, used], dtype=float)
+            weighted = counts / (m[pairable] - 1)[:, None]
+            coincidence[f, c][np.ix_(used, used)] = (
+                weighted.T @ counts - np.diag(weighted.sum(axis=0))
+            )
+            n[f, c] = m[pairable].sum()
+
+    flat, n = coincidence.reshape(n.size, k, k), n.ravel().tolist()
+    used = flat.any(axis=2)
+    groups: dict[tuple[str, bytes], list[int]] = {}
+    for i in np.flatnonzero(n).tolist():
+        groups.setdefault((levels[i // len(cells)], used[i].tobytes()), []).append(i)
+    results: list[AlphaResult | None] = [None] * len(n)
+    for (level, key), members in groups.items():
+        kept = np.flatnonzero(np.frombuffer(key, bool))
+        block = flat[np.ix_(members, kept, kept)]
+        marginals = block.sum(axis=2)
+        if level == "nominal":
+            delta_sq = 1.0 - np.eye(len(kept))
+        elif level == "interval":
+            delta_sq = np.subtract.outer(categories[kept], categories[kept]) ** 2
         else:
             # the marginal mass from category i through j, less half the mass
             # at both ends; identical categories are at distance zero
-            index = np.arange(len(marginals))
-            lo = np.minimum.outer(index, index)
-            hi = np.maximum.outer(index, index)
-            cumulative = np.concatenate(([0.0], np.cumsum(marginals)))
-            between = cumulative[hi + 1] - cumulative[lo]
-            delta_sq = (between - 0.5 * (marginals[lo] + marginals[hi])) ** 2
-
-        observed = float((coincidence * delta_sq).sum()) / n
-        expected = float((np.outer(marginals, marginals) * delta_sq).sum()) / (n * (n - 1))
-        if expected == 0.0:
-            note = "degenerate: no variation among pairable values"
-            yield AlphaResult(1.0, n, agreement_band(1.0), degenerate=True, note=note)
-        else:
-            alpha = 1.0 - observed / expected
-            yield AlphaResult(alpha=alpha, n_pairable=n, band=agreement_band(alpha))
+            order = np.arange(len(kept))
+            lo = np.minimum.outer(order, order)
+            hi = np.maximum.outer(order, order)
+            cumulative = np.zeros((len(members), len(kept) + 1))
+            np.cumsum(marginals, axis=1, out=cumulative[:, 1:])
+            between = cumulative[:, hi + 1] - cumulative[:, lo]
+            delta_sq = (between - 0.5 * (marginals[:, lo] + marginals[:, hi])) ** 2
+        observed = (block * delta_sq).sum(axis=(1, 2)).tolist()
+        expected = (marginals[:, :, None] * marginals[:, None, :] * delta_sq).sum(axis=(1, 2))
+        for i, d_o, d_e in zip(members, observed, expected.tolist()):
+            d_o, d_e = d_o / n[i], d_e / (n[i] * (n[i] - 1))
+            if d_e == 0.0:
+                note = "degenerate: no variation among pairable values"
+                results[i] = AlphaResult(1.0, n[i], agreement_band(1.0), degenerate=True, note=note)
+            else:
+                alpha = 1.0 - d_o / d_e
+                results[i] = AlphaResult(alpha=alpha, n_pairable=n[i], band=agreement_band(alpha))
+    return [results[f * len(cells):(f + 1) * len(cells)] for f in range(n_features)]
 
 
 @dataclass(frozen=True)
@@ -229,8 +280,8 @@ def agreement_report(
 
     Ordinal features use the ordinal metric, binary tags the nominal
     one.  Columns cover the joint coefficient, every annotator pair, and,
-    when a median set is supplied, each annotator against it, all from
-    one reliability matrix per feature.
+    when a median set is supplied, each annotator against it, all in
+    one pass over the raters' tables.
     """
     if len(sets) < 2:
         raise ValueError("need at least two annotation sets")
@@ -240,11 +291,14 @@ def agreement_report(
     if median is not None:
         columns.update({f"a{i}-m": [i, median.annotator_id] for i in ids})
         raters.append(median)
+    position = {r: i for i, r in enumerate(_rater_ids(raters))}
+    levels = ["ordinal" if f in ORDINAL_FEATURES else "nominal" for f in ANNOTATED_FEATURES]
+    members = [tuple(map(position.get, cell)) for cell in columns.values()]
     rows = []
-    for feature in ANNOTATED_FEATURES:
-        level = "ordinal" if feature in ORDINAL_FEATURES else "nominal"
-        matrix = reliability_from_sets(raters, feature, level)
-        cells = dict(zip(columns, _alphas(matrix, list(columns.values()))))
+    for feature, level, alphas in zip(
+        ANNOTATED_FEATURES, levels, _alphas([r.values for r in raters], levels, members)
+    ):
+        cells = dict(zip(columns, alphas))
         below = tuple(
             label for label, cell in cells.items()
             if cell is not None and cell.alpha < AGREEMENT_THRESHOLD

@@ -14,6 +14,7 @@ import csv
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice, zip_longest
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -118,8 +119,9 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.sonnets)
 
-    @property
+    @cached_property
     def sonnet_ids(self) -> tuple[str, ...]:
+        """The sonnets' ids in order, one tuple for every reader."""
         return tuple(s.sonnet_id for s in self.sonnets)
 
 
@@ -388,14 +390,14 @@ def reverse_ordinal_scale(annotation_set: AnnotationSet, feature: str) -> Annota
     )
 
 
-def _stacked(sets: Sequence[AnnotationSet]) -> np.ndarray:
-    """Three aligned sets as one new sets x sonnets x features cube."""
+def _aligned(sets: Sequence[AnnotationSet]) -> tuple[str, ...]:
+    """The sonnet ids of three sets that cover the same sonnets."""
     if len(sets) != 3:
         raise ValueError(f"expected exactly 3 annotation sets, got {len(sets)}")
     first = sets[0].sonnet_ids
     if any(s.sonnet_ids != first for s in sets[1:]):
         raise ValueError("annotation sets cover different sonnets")
-    return np.stack([s.values for s in sets])
+    return first
 
 
 def fill_missing_psych(
@@ -407,13 +409,13 @@ def fill_missing_psych(
     rather than unknown.  Cells missing in two or all three sets are
     left missing and returned for reporting, sonnet by sonnet.
     """
-    cube = _stacked(sets)
+    ids = _aligned(sets)
+    cube = np.stack([s.values for s in sets])
     # psychological tags are the last columns (a view)
     tags = cube[:, :, len(ORDINAL_FEATURES):]
     present = ~np.isnan(tags)
     n_present = present.sum(axis=0)
     tags[~present & (n_present == 2)] = 0.0
-    ids = sets[0].sonnet_ids
     unfilled = [
         UnfilledCell(ids[row], PSYCHOLOGICAL_TAGS[col], int(n_present[row, col]))
         for row, col in zip(*np.nonzero(n_present < 2))
@@ -441,17 +443,20 @@ def build_median_annotator(sets: Sequence[AnnotationSet]) -> AnnotationSet:
     missing.  Scale reversal and the missing fill are expected to have
     been applied already.
     """
-    # NaN sorts last, so a cell's present values come first, in order
-    cube = np.sort(_stacked(sets), axis=0)
-    n_present = (~np.isnan(cube)).sum(axis=0)
-    low, middle = cube[0], cube[1]
+    ids = _aligned(sets)
+    a, b, c = (s.values for s in sets)
+    # the lowest and middle present values, a missing one ranking above all
+    # (fmin passes over NaN, maximum keeps it), as np.sort puts NaN last
+    low, middle = np.fmin(a, b), np.maximum(a, b)
+    np.maximum(low, np.fmin(middle, c, out=middle), out=middle)
+    np.fmin(low, c, out=low)
+    n_present = 3 - (np.isnan(a).astype(np.int8) + np.isnan(b) + np.isnan(c))
     two = n_present == 2
     split = two & (low != middle)
     binary = np.arange(len(ANNOTATED_FEATURES)) >= len(ORDINAL_FEATURES)
     values = np.where(n_present == 3, middle, np.nan)
     values[two] = 0.5 * (low[two] + middle[two])
     values[split & binary] = 0.0
-    ids = sets[0].sonnet_ids
     for row, col in zip(*np.nonzero(split)):
         sid, feature = ids[row], ANNOTATED_FEATURES[col]
         if binary[col]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import permutations
 
 import mpmath as mp
 import numpy as np
@@ -212,6 +213,70 @@ def alpha_per_cell(matrix):
     return AlphaResult(alpha=alpha, n_pairable=n, band=agreement_band(alpha))
 
 
+def count_table_alphas(matrix, cells):
+    """``agreement``'s kernel as it was when each feature had a count table
+    of its own: N[r, c, u], 1.0 where rater r gave unit u category c, and
+    every cell's coincidences from the table's product with itself.
+
+    ``cells`` lists rater ids of ``matrix``; yields each cell's
+    AlphaResult, or None where no unit has two values.
+    """
+    from versemood.agreement import AlphaResult, agreement_band
+
+    present = ~np.isnan(matrix.values)
+    units, raters = np.nonzero(present)
+    categories, codes = np.unique(matrix.values[present], return_inverse=True)
+    shape = (len(matrix.raters), len(categories), len(matrix.units))
+    flat = (raters * shape[1] + codes) * shape[2] + units
+    counts = np.bincount(flat, minlength=np.prod(shape)).reshape(shape).astype(float)
+    n_raters, k, n_units = counts.shape
+    flat = counts.reshape(n_raters * k, n_units)
+    pairs = (flat @ flat.T).reshape(n_raters, k, n_raters, k)
+    for raters in cells:
+        cols = [matrix.raters.index(r) for r in raters]
+        if len(cols) <= 3:
+            coincidence = sum(pairs[r, :, s] for r, s in permutations(cols, 2)) + np.zeros((k, k))
+            if len(cols) == 3:  # a unit all three rated weighs 1/2, not 1
+                rows = counts[cols].reshape(3 * k, n_units) * present[:, cols].all(axis=1)
+                triples = (rows @ rows.T).reshape(3, k, 3, k)
+                coincidence -= 0.5 * sum(triples[r, :, s] for r, s in permutations(range(3), 2))
+            used = coincidence.any(axis=1)
+            n = int(coincidence.sum())
+            coincidence = coincidence[np.ix_(used, used)]
+        else:
+            m = present[:, cols].sum(axis=1)
+            pairable = m >= 2
+            cell_counts = counts[cols].sum(axis=0).compress(pairable, axis=1)
+            used = cell_counts.any(axis=1)
+            cell_counts = np.ascontiguousarray(cell_counts[used].T)  # N[u, c]
+            n = int(m[pairable].sum())
+            weighted = cell_counts / (m[pairable] - 1)[:, None]
+            coincidence = weighted.T @ cell_counts - np.diag(weighted.sum(axis=0))
+        if not n:
+            yield None
+            continue
+        marginals = coincidence.sum(axis=1)
+        if matrix.level == "nominal":
+            delta_sq = 1.0 - np.eye(len(marginals))
+        elif matrix.level == "interval":
+            delta_sq = np.subtract.outer(categories[used], categories[used]) ** 2
+        else:
+            index = np.arange(len(marginals))
+            lo = np.minimum.outer(index, index)
+            hi = np.maximum.outer(index, index)
+            cumulative = np.concatenate(([0.0], np.cumsum(marginals)))
+            between = cumulative[hi + 1] - cumulative[lo]
+            delta_sq = (between - 0.5 * (marginals[lo] + marginals[hi])) ** 2
+        observed = float((coincidence * delta_sq).sum()) / n
+        expected = float((np.outer(marginals, marginals) * delta_sq).sum()) / (n * (n - 1))
+        if expected == 0.0:
+            note = "degenerate: no variation among pairable values"
+            yield AlphaResult(1.0, n, agreement_band(1.0), degenerate=True, note=note)
+        else:
+            alpha = 1.0 - observed / expected
+            yield AlphaResult(alpha=alpha, n_pairable=n, band=agreement_band(alpha))
+
+
 def load_corpus_by_rows(metadata_path, corpus_root):
     """``corpus.load_corpus`` as it was before it read the metadata as
     columns: one dict per row, checked and loaded row by row.  Returns
@@ -316,6 +381,34 @@ def build_median_annotator(cells, sonnet_ids):
                             f"median {sid}/{feature}: averaging two ordinal values {avail}"
                         )
                     values[key] = 0.5 * (avail[0] + avail[1])
+    return values, messages
+
+
+def median_by_sort(sets):
+    """``corpus.build_median_annotator`` as it was when it sorted a stacked
+    3 x sonnets x features cube (NaN last) to take each cell's lowest and
+    middle values.  Returns the median's values and its log messages.
+    """
+    from versemood.corpus import ANNOTATED_FEATURES, ORDINAL_FEATURES
+
+    cube = np.sort(np.stack([s.values for s in sets]), axis=0)
+    n_present = (~np.isnan(cube)).sum(axis=0)
+    low, middle = cube[0], cube[1]
+    two = n_present == 2
+    split = two & (low != middle)
+    binary = np.arange(len(ANNOTATED_FEATURES)) >= len(ORDINAL_FEATURES)
+    values = np.where(n_present == 3, middle, np.nan)
+    values[two] = 0.5 * (low[two] + middle[two])
+    values[split & binary] = 0.0
+    ids = sets[0].sonnet_ids
+    messages = []
+    for row, col in zip(*np.nonzero(split)):
+        sid, feature = ids[row], ANNOTATED_FEATURES[col]
+        if binary[col]:
+            messages.append(f"median {sid}/{feature}: 0/1 split over two values resolved to 0")
+        else:
+            pair = [float(low[row, col]), float(middle[row, col])]
+            messages.append(f"median {sid}/{feature}: averaging two ordinal values {pair}")
     return values, messages
 
 

@@ -1,9 +1,10 @@
-"""Agreement cells from one count table per feature.
+"""Agreement cells from one pass over the raters' code tables.
 
-``agreement_report`` codes each feature once and gives every cell its
-counts by summing raters' slices.  The per-cell kernel it replaced, one
-``np.unique`` and one ``np.add.at`` per cell, is kept as
-``oracles.alpha_per_cell``; every cell must equal it exactly.
+``agreement_report`` codes each rater's table once and takes every
+cell's coincidences from rater-pair code tables.  Two earlier kernels
+are kept as references, and every cell must equal both exactly:
+``oracles.alpha_per_cell``, one ``np.unique`` and one ``np.add.at`` per
+cell, and ``oracles.count_table_alphas``, one count table per feature.
 """
 
 import numpy as np
@@ -70,6 +71,14 @@ def _cell_sets(label, sets, median):
     return [by_id[first], median if second == "m" else by_id[second]]
 
 
+def _count_table_cells(sets, median, row):
+    """A row's cells by the count-table kernel, over a matrix of every rater."""
+    raters = [*sets, median] if median is not None else list(sets)
+    matrix = reliability_from_sets(raters, row.feature, row.level)
+    cells = [[s.annotator_id for s in _cell_sets(label, sets, median)] for label in row.cells]
+    return dict(zip(row.cells, oracles.count_table_alphas(matrix, cells)))
+
+
 def _oracle(cell_sets, feature, level):
     try:
         return oracles.alpha_per_cell(reliability_from_sets(cell_sets, feature, level))
@@ -94,6 +103,7 @@ def test_every_cell_equals_the_per_cell_kernel(n_sets, with_median):
                 outcomes.add(
                     "none" if result is None else "degenerate" if result.degenerate else "alpha"
                 )
+            assert row.cells == _count_table_cells(sets, median, row), row.feature
             # the whole matrix of the sets alone, raters=None
             matrix = reliability_from_sets(sets, row.feature, row.level)
             try:
@@ -105,28 +115,53 @@ def test_every_cell_equals_the_per_cell_kernel(n_sets, with_median):
     assert layouts_seen == {"ordinary", "empty column", "one category", "unpairable"}
 
 
+@pytest.mark.parametrize("n_units", [2000, 10000])
+def test_a_large_report_equals_the_count_table_kernel(n_units):
+    """Ordinal features fully rated, as annotation files hold them, tags 20%
+    missing, and a median with half-integer values.
+
+    Up to three raters a cell's disagreement sums are multiples of 1/4 of
+    at most n**4 for n pairable values, so below about 6,900 values they
+    are exact in any order: 2000 units are the stress size of the
+    benchmark.  The 'all' cell of 10,000 units holds 30,000 values; there
+    only each cell's own summation order gives the reference's bits.
+    """
+    rng = np.random.default_rng(n_units)
+    ids = tuple(f"s{i}" for i in range(n_units))
+    shape = (4, n_units, len(ANNOTATED_FEATURES))
+    values = np.where(ORDINAL, rng.integers(1, 5, shape), rng.integers(0, 2, shape)).astype(float)
+    values[-1][:, ORDINAL] = rng.integers(2, 9, (n_units, ORDINAL.sum())) / 2
+    values[(rng.random(shape) < 0.2) & ~ORDINAL] = np.nan
+    sets = [AnnotationSet(i + 1, ids, values[i]) for i in range(3)]
+    median = AnnotationSet(MEDIAN_ANNOTATOR_ID, ids, values[-1])
+    for row in agreement_report(sets, median):
+        assert row.cells == _count_table_cells(sets, median, row), row.feature
+
+
 def test_each_feature_is_coded_once(workspace_config, monkeypatch):
+    """No matrix per feature: each rater's whole table is coded once."""
     session = Session(workspace_config, ["agreement"])
     sets, median = session.annotations[0], session.median
     expected = agreement_report(sets, median)
-    calls = {"unique": 0, "matrices": 0}
-    unique, from_sets = np.unique, agreement.reliability_from_sets
+    coded, matrices = [], []
+    code, check = agreement._code, agreement.ReliabilityMatrix.__post_init__
 
-    def counted_unique(*args, **kwargs):
-        calls["unique"] += 1
-        return unique(*args, **kwargs)
+    def counted_code(table, categories):
+        coded.append(table)
+        return code(table, categories)
 
-    def counted_from_sets(*args, **kwargs):
-        calls["matrices"] += 1
-        return from_sets(*args, **kwargs)
+    def counted_matrix(matrix):
+        matrices.append(matrix)
+        check(matrix)
 
-    monkeypatch.setattr(np, "unique", counted_unique)
-    monkeypatch.setattr(agreement, "reliability_from_sets", counted_from_sets)
+    monkeypatch.setattr(agreement, "_code", counted_code)
+    monkeypatch.setattr(agreement.ReliabilityMatrix, "__post_init__", counted_matrix)
     report = agreement_report(sets, median)
     assert [(r.feature, r.cells) for r in report] == [(r.feature, r.cells) for r in expected]
     assert sum(len(r.cells) for r in report) == 7 * len(ANNOTATED_FEATURES)
-    assert calls["matrices"] == len(ANNOTATED_FEATURES) == 31
-    assert calls["unique"] <= len(ANNOTATED_FEATURES)
+    assert matrices == []
+    assert len(coded) == 4
+    assert all(table is s.values for table, s in zip(coded, [*sets, median]))
 
 
 def test_unknown_rater_raises_value_error(workspace_config):

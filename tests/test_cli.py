@@ -5,10 +5,13 @@ import json
 import logging
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import versemood
 from versemood.cli import main
 from versemood.corpus import ANNOTATED_FEATURES, PSYCHOLOGICAL_TAGS
 from versemood.features import FEATURE_NAMES
@@ -90,6 +93,21 @@ def test_all_prints_wrote_lines(workspace_config, tmp_path, capsys):
     assert len(wrote) == 2 * len(ALL_REPORTS)
     for line in wrote:
         assert Path(line.removeprefix("wrote ")).is_file()
+
+
+def test_a_run_does_not_import_numpy_ma(workspace_config, tmp_path):
+    """``numpy.ma`` adds about 17 ms to a run's first call that imports it,
+    as ``np.unique`` without a ``return_*`` flag does (numpy 2.4)."""
+    src = str(Path(versemood.__file__).parent.parent)
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); from versemood.cli import main; "
+        "code = main(sys.argv[2:]); print(code, 'numpy.ma' in sys.modules)"
+    )
+    argv = ["all", "--config", str(workspace_config), "--out", str(tmp_path), "--missing-words"]
+    done = subprocess.run(
+        [sys.executable, "-c", script, src, *argv], capture_output=True, text=True, timeout=120
+    )
+    assert done.stdout.split()[-2:] == ["0", "False"], done.stderr
 
 
 def test_rerun_is_byte_identical(all_run, workspace_config, tmp_path, capsys):

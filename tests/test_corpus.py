@@ -16,6 +16,7 @@ from versemood.corpus import (
     ORDINAL_FEATURES,
     PSYCHOLOGICAL_TAGS,
     AnnotationFormatError,
+    AnnotationSet,
     CorpusFormatError,
     build_median_annotator,
     categories,
@@ -25,6 +26,7 @@ from versemood.corpus import (
     load_corpus,
     reverse_ordinal_scale,
 )
+from versemood.pipeline import Session
 from versemood.textnorm import NormalizationConfig, TokenTable, normalize
 
 
@@ -478,6 +480,32 @@ def test_median_annotator_matches_dict_loop_oracle(caplog):
         )
     # every present-count, and both two-value messages
     assert branches == {0, 1, 2, 3, "0/1", "averaging"}
+
+
+def test_median_by_selection_equals_the_sorted_cube(caplog):
+    """Bit for bit, and log line for log line, the median of sorting a
+    stacked cube: NaN, ties and half-integers in every feature."""
+    rng = np.random.default_rng(66)
+    caplog.set_level(logging.INFO, logger="versemood.corpus")
+    for _ in range(100):
+        n = int(rng.integers(1, 60))
+        ids = tuple(f"s{i}" for i in range(n))
+        grid = [[0.0, 1.0], [1.0, 1.5, 2.0], [1.0, 2.0, 2.5, 3.5, 4.0]][rng.integers(3)]
+        values = rng.choice(grid, (3, n, len(ANNOTATED_FEATURES)))
+        values[rng.random(values.shape) < rng.uniform(0.0, 0.7)] = np.nan
+        sets = [AnnotationSet(i + 1, ids, values[i]) for i in range(3)]
+        ref_values, ref_messages = oracles.median_by_sort(sets)
+        caplog.clear()
+        median = build_median_annotator(sets)
+        assert median.values.tobytes() == ref_values.tobytes()
+        assert decisions(caplog) == ref_messages
+
+
+def test_sets_share_the_corpus_sonnet_ids(workspace_config):
+    session = Session(workspace_config, ["agreement"])
+    ids = session.corpus.sonnet_ids
+    assert session.corpus.sonnet_ids is ids
+    assert all(s.sonnet_ids is ids for s in [*session.annotations[0], session.median])
 
 
 # ---------------------------------------------------------------------------
