@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -72,8 +72,7 @@ class ReliabilityMatrix:
             )
 
 
-@dataclass(frozen=True)
-class AlphaResult:
+class AlphaResult(NamedTuple):
     """Alpha plus the context needed to read it.
 
     ``n_pairable`` counts the values inside units with at least two of
@@ -258,8 +257,7 @@ def _alphas(
     return [results[f * len(cells):(f + 1) * len(cells)] for f in range(n_features)]
 
 
-@dataclass(frozen=True)
-class AgreementRow:
+class AgreementRow(NamedTuple):
     """One annotated feature's agreement cells.
 
     ``cells`` maps a column label ('all', 'a1-a2', 'a1-m', ...) to an

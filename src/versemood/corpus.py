@@ -167,8 +167,7 @@ class HistogramBin(NamedTuple):
     count: int
 
 
-@dataclass(frozen=True)
-class CorpusStats:
+class CorpusStats(NamedTuple):
     """Word-count summary plus per-tag sonnet counts from the median set."""
 
     n_sonnets: int

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import compress, islice, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -548,8 +548,7 @@ def merge_lexicons(
     return MergedLexicon(key_rows, mean, sd, tuple(codes[r] for r in rows))
 
 
-@dataclass(frozen=True)
-class CoverageRow:
+class CoverageRow(NamedTuple):
     """Coverage of one corpus category's distinct keys."""
 
     category: str
@@ -609,8 +608,7 @@ def coverage_report(
     return rows
 
 
-@dataclass(frozen=True)
-class WordCountRow:
+class WordCountRow(NamedTuple):
     """Distinct-key counts per normalization mode for one category."""
 
     category: str
@@ -639,8 +637,7 @@ def word_count_report(
     return list(map(WordCountRow, names, raw_used.sum(axis=1).tolist(), stem_n, lemma_n))
 
 
-@dataclass(frozen=True)
-class MissingWordRow:
+class MissingWordRow(NamedTuple):
     """A corpus key absent from the merged lexicon."""
 
     key: str

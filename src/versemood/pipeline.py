@@ -7,10 +7,12 @@ corpus's words and their keys per normalization mode (token tables),
 the filled annotation sets and the median annotator, the merged lexicon,
 and the feature matrix.
 
-``REPORTS`` defines every report once, with the inputs it needs;
-``COMMANDS`` names the reports of each subcommand.  A report made of
-row dataclasses goes through one helper, ``_table``, which derives the
-CSV header and cells and the JSON rows from the fields by one rule.
+``REPORTS`` defines every report once: the inputs it needs, its row
+type (a named tuple) and a builder of its rows, with the JSON wrapper
+and the degeneracies counted where it has them.  ``COMMANDS`` names the
+reports of each subcommand.  ``ReportWriter.emit`` derives a report's
+CSV header and cells and its JSON rows from the row type's fields by
+one rule, and writes each row to both files as it arrives.
 """
 
 from __future__ import annotations
@@ -21,10 +23,12 @@ import json
 import logging
 import math
 import sys
+from contextlib import ExitStack
 from functools import cached_property
+from itertools import chain
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import agreement as agreement_mod
 from . import corpus as corpus_mod
@@ -185,68 +189,38 @@ _BOOL = {True: "true", False: "false"}.__getitem__
 _JSON_LEAF = _ByType({
     type(None): lambda _: "null", bool: _BOOL, str: encode_basestring, int: int.__repr__,
     float: lambda v: float.__repr__(v) if math.isfinite(v) else f'"{v}"',
+    type(...): lambda _: "[\0]",  # a wrapper's rows: no JSON text holds a NUL
     object: json.JSONEncoder().default,  # raises TypeError
 })
+# A tuple is one ';'-joined cell; an agreement cell shows its alpha.
 _CSV_CELL = _ByType({
-    type(None): lambda _: "", bool: _BOOL, str: str, int: str, float: "{:.10g}".format, object: str,
+    type(None): lambda _: "", bool: _BOOL, str: str, int: str, float: "{:.10g}".format,
+    agreement_mod.AlphaResult: lambda cell: f"{cell.alpha:.10g}",
+    tuple: lambda items: ";".join([_CSV_CELL[type(v)](v) for v in items]),
+    object: str,
 })
 
 
-def _write_json(write: Callable[[str], Any], value: Any, indent: str = "\n") -> None:
-    """Write ``value`` item by item, laid out as by ``json.dumps(..., indent=2)``."""
-    if isinstance(value, dict):
-        items, brackets = ((encode_basestring(str(k)) + ": ", v) for k, v in value.items()), "{}"
-    elif isinstance(value, (list, tuple)):
-        items, brackets = (("", v) for v in value), "[]"
-    else:
-        write(_JSON_LEAF[type(value)](value))
-        return
-    sep, inner = brackets[0], indent + "  "
-    for prefix, item in items:
-        write(sep + inner + prefix)
-        _write_json(write, item, inner)
-        sep = ","
-    write(indent + brackets[1] if sep == "," else brackets)
+def _json(value: Any, indent: str) -> str:
+    """``value`` as JSON text at ``indent``, laid out as by ``json.dumps(..., indent=2)``.
 
-
-class _Table(NamedTuple):
-    """One report ready to write, with the degeneracies it counted."""
-
-    header: list[str]
-    rows: list[list[Any]]
-    mirror: Any
-    degenerate: int = 0
-
-
-def _table(row_type: type, rows: Sequence[Any]) -> _Table:
-    """CSV header and cells and JSON rows of a list of row dataclasses.
-
-    Fields go in declaration order.  A tuple becomes one ';'-joined cell
-    and a JSON list; a dict becomes one column per key (the keys of the
-    first row) and a nested object.
+    A dict or named tuple (keyed by its fields) is an object; a list or other tuple an array.
     """
-    names = [f.name for f in dataclasses.fields(row_type)]
-    columns: dict[str, list[str]] = {}
-    if rows:
-        for name in names:
-            value = getattr(rows[0], name)
-            if isinstance(value, dict):
-                columns[name] = list(value)
-    header = [col for name in names for col in columns.get(name, [name])]
-    cells = []
-    for row in rows:
-        line: list[Any] = []
-        for name in names:
-            value = getattr(row, name)
-            if name in columns:
-                line.extend(value[key] for key in columns[name])
-            elif isinstance(value, tuple):
-                line.append(";".join(_CSV_CELL[type(v)](v) for v in value))
-            else:
-                line.append(value)
-        cells.append(line)
-    mirror = [{name: getattr(row, name) for name in names} for row in rows]
-    return _Table(header, cells, mirror)
+    leaf = _JSON_LEAF.get(type(value))
+    if leaf:
+        return leaf(value)
+    inner = indent + "  "
+    if isinstance(value, dict) or hasattr(value, "_fields"):
+        items = value.items() if isinstance(value, dict) else zip(value._fields, value)
+        texts = [f"{encode_basestring(str(k))}: {_json(v, inner)}" for k, v in items]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        texts, brackets = [_json(v, inner) for v in value], "[]"
+    else:
+        return _JSON_LEAF[type(value)](value)  # a leaf type's subclass, or a TypeError
+    if not texts:
+        return brackets
+    return brackets[0] + inner + f",{inner}".join(texts) + indent + brackets[1]
 
 
 class ReportWriter:
@@ -267,17 +241,54 @@ class ReportWriter:
         self._staged.append((self.out_dir / f".{filename}.tmp", self.out_dir / filename))
         return self._staged[-1][0]
 
-    def emit(self, name: str, header: list[str], rows: list[list[Any]], mirror: Any) -> None:
+    def emit(
+        self, name: str, row_type: type, rows: Iterable[tuple], wrapper: dict | None = None
+    ) -> None:
+        """Write ``rows``, named tuples of ``row_type``, to ``name``'s files as they arrive.
+
+        The CSV has a column per field, in order, and none for a field
+        that the row type lists in ``json_only``: a dict field is a
+        column per key (the first row's keys), a tuple one ';'-joined
+        cell.  The JSON is the list of the rows, each the object of its
+        fields, or else ``wrapper`` with that list at its top-level
+        ``...``; a wrapper without one is all of the JSON.
+        """
+        rows = iter(rows)
+        first = next(rows, None)
+        fields, json_only = row_type._fields, getattr(row_type, "json_only", ())
+        columns = [  # (field index, dict key or None for the whole field)
+            (i, key) for i, field in enumerate(fields) if field not in json_only
+            for key in (first[i] if first and isinstance(first[i], dict) else [None])
+        ]
+        # the JSON text before and after the list of rows, and the list's indent
+        before, in_json, after = (_json(wrapper, "\n") if wrapper else "[\0]").partition("\0")
+        indent = "\n  " if wrapper else "\n"
+        at = indent + "    "  # a row's fields
+        prefixes = [f"{at}{encode_basestring(field)}: " for field in fields]
+        prefixes = ["{" + prefixes[0], *("," + prefix for prefix in prefixes[1:])]
+
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        if self.fmt in ("csv", "both"):
-            with self.stage(f"{name}.csv").open("w", encoding="utf-8", newline="") as handle:
-                writer = csv.writer(handle, lineterminator="\n")
-                writer.writerow(header)
-                writer.writerows([_CSV_CELL[type(cell)](cell) for cell in row] for row in rows)
-        if self.fmt in ("json", "both"):
-            with self.stage(f"{name}.json").open("w", encoding="utf-8") as handle:
-                _write_json(handle.write, mirror)
-                handle.write("\n")
+        with ExitStack() as files:
+            write_csv = write_json = None
+            if self.fmt in ("csv", "both"):
+                handle = self.stage(f"{name}.csv").open("w", encoding="utf-8", newline="")
+                write_csv = csv.writer(files.enter_context(handle), lineterminator="\n").writerow
+                write_csv([fields[i] if key is None else key for i, key in columns])
+            if self.fmt in ("json", "both"):
+                handle = self.stage(f"{name}.json").open("w", encoding="utf-8")
+                write_json = files.enter_context(handle).write
+                write_json(before)
+            sep = ""
+            for row in chain([first], rows) if first else ():
+                if write_csv:
+                    cells = (row[i] if key is None else row[i][key] for i, key in columns)
+                    write_csv([_CSV_CELL[type(cell)](cell) for cell in cells])
+                if write_json and in_json:
+                    item = "".join([pre + _json(value, at) for pre, value in zip(prefixes, row)])
+                    write_json(f"{sep}{indent}  {item}{indent}  }}")
+                    sep = ","
+            if write_json:
+                write_json((indent if sep else "") + after + "\n")
 
     def commit(self) -> None:
         for staged, path in self._staged:
@@ -295,158 +306,139 @@ class ReportWriter:
 # report definitions
 
 
-def _corpus_stats(session: Session) -> _Table:
+class _Built(NamedTuple):
+    """A report ready to write: its rows, its JSON wrapper, and the degeneracies it counted."""
+
+    rows: Iterable[tuple]
+    wrapper: dict[str, Any] | None = None
+    degenerate: int = 0
+
+
+class _StatRow(NamedTuple):
+    """A corpus statistic: a summary value, a histogram bin's count or a tag's count."""
+
+    record: str
+    name: str
+    value: float
+
+
+def _corpus_stats(session: Session) -> _Built:
     stats = corpus_mod.corpus_statistics(session.keys(session.norm.mode), session.median)
-    rows: list[list[Any]] = [
-        ["summary", "n_sonnets", stats.n_sonnets],
-        ["summary", "word_mean", stats.word_mean],
-        ["summary", "word_sd", stats.word_sd],
+    rows = [
+        *(_StatRow("summary", name, value) for name, value in zip(stats._fields[:3], stats)),
+        *(_StatRow("histogram", f"{b.low:.10g}-{b.high:.10g}", b.count) for b in stats.histogram),
+        *(_StatRow("tag_count", tag, count) for tag, count in stats.tag_counts.items()),
     ]
-    for bin_ in stats.histogram:
-        rows.append(["histogram", f"{bin_.low:.10g}-{bin_.high:.10g}", bin_.count])
-    for tag, count in stats.tag_counts.items():
-        rows.append(["tag_count", tag, count])
-    mirror = {
-        "n_sonnets": stats.n_sonnets,
-        "word_mean": stats.word_mean,
-        "word_sd": stats.word_sd,
-        "histogram": [
-            {"low": b.low, "high": b.high, "count": b.count} for b in stats.histogram
-        ],
-        "tag_counts": stats.tag_counts,
-        "unfilled_cells": [
-            {"sonnet_id": c.sonnet_id, "feature": c.feature, "n_present": c.n_present}
-            for c in session.annotations[1]
-        ],
-    }
-    return _Table(["record", "name", "value"], rows, mirror)
+    return _Built(rows, {**stats._asdict(), "unfilled_cells": session.annotations[1]})
 
 
-def _agreement(session: Session) -> _Table:
+def _agreement(session: Session) -> _Built:
     sets, median = session.annotations[0], None
     if len(sets) == 3:
         median = session.median
     else:
-        print(
-            "warning: the median column requires three annotation sets; "
-            "emitting a pairwise-only report",
-            file=sys.stderr,
-        )
-    report = agreement_mod.agreement_report(sets, median)
-    header, rows, mirror, _ = _table(agreement_mod.AgreementRow, report)
+        print("warning: the median column requires three annotation sets; "
+              "emitting a pairwise-only report", file=sys.stderr)
+    rows = agreement_mod.agreement_report(sets, median)
     # Every row has the same cell labels; a cell not computable is None.
     degenerate = 0
-    for line, row in zip(rows, mirror):
-        line[2:-1] = [None if cell is None else cell.alpha for cell in line[2:-1]]
-        for label, cell in row["cells"].items():
+    for row in rows:
+        for label, cell in row.cells.items():
             if cell is None or cell.degenerate:
                 degenerate += 1
                 reason = cell.note if cell else "not computable: no unit has two or more values"
-                logger.info("agreement %s/%s: %s", row["feature"], label, reason)
-        row["cells"] = {
-            label: None if cell is None else dict(vars(cell))  # its fields, in order
-            for label, cell in row["cells"].items()
-        }
-    return _Table(header, rows, {"columns": header[2:-1], "rows": mirror}, degenerate)
+                logger.info("agreement %s/%s: %s", row.feature, label, reason)
+    return _Built(rows, {"columns": list(rows[0].cells), "rows": ...}, degenerate)
 
 
-def _word_counts(session: Session) -> _Table:
+def _word_counts(session: Session) -> _Built:
     lemma = session.keys("lemma") if session.norm.lemma_table else None
-    rows = lexicon_mod.word_count_report(
+    return _Built(lexicon_mod.word_count_report(
         session.keys("raw"), session.keys("stem"), lemma, session.median
-    )
-    return _table(lexicon_mod.WordCountRow, rows)
+    ))
 
 
-def _coverage(session: Session) -> _Table:
+def _coverage(session: Session) -> _Built:
     norm = session.norm
-    rows = lexicon_mod.coverage_report(
+    return _Built(lexicon_mod.coverage_report(
         session.keys(norm.mode), session.sources, session.merged, norm, session.median
-    )
-    return _table(lexicon_mod.CoverageRow, rows)
+    ))
 
 
-def _missing_words(session: Session) -> _Table:
-    rows = lexicon_mod.missing_word_report(session.keys(session.norm.mode), session.merged)
-    return _table(lexicon_mod.MissingWordRow, rows)
+def _missing_words(session: Session) -> _Built:
+    return _Built(lexicon_mod.missing_word_report(session.keys(session.norm.mode), session.merged))
 
 
-def _features(session: Session) -> _Table:
-    matrix = session.matrix
-    names = list(features_mod.FEATURE_NAMES)
-    rows = []
-    mirror = []
-    for sid, line in zip(matrix.sonnet_ids, matrix.values.tolist()):
-        values = [None if value != value else value for value in line]  # NaN -> None
-        rows.append([sid, *values])
-        mirror.append(
-            {
-                "sonnet_id": sid,
-                "values": dict(zip(names, values)),
-                "reasons": dict(matrix.reasons[sid]),
-            }
-        )
-    return _Table(
-        ["sonnet_id", *names],
-        rows,
-        {"features": names, "undefined_counts": matrix.undefined_counts, "rows": mirror},
-    )
+class _FeatureRow(NamedTuple):
+    """One sonnet's features, and why each undefined one is (in the JSON only)."""
+
+    sonnet_id: str
+    values: dict[str, float | None]
+    reasons: dict[str, str]
+
+    json_only = ("reasons",)
 
 
-def _bivariate(session: Session) -> _Table:
+def _features(session: Session) -> _Built:
+    matrix, names = session.matrix, features_mod.FEATURE_NAMES
+
+    def rows() -> Iterator[_FeatureRow]:
+        for sid, line in zip(matrix.sonnet_ids, matrix.values):
+            values = [None if value != value else value for value in line.tolist()]  # NaN -> None
+            yield _FeatureRow(sid, dict(zip(names, values)), matrix.reasons[sid])
+
+    counts = matrix.undefined_counts
+    return _Built(rows(), {"features": names, "undefined_counts": counts, "rows": ...})
+
+
+def _bivariate(session: Session) -> _Built:
     cells = validation_mod.bivariate_report(session.matrix, session.median)
     undefined = [c for c in cells if c.rho is None]
     for c in undefined:
         logger.info(
             "bivariate %s/%s: rho undefined: %s", c.annotated_feature, c.gam_feature, c.note
         )
-    return _table(validation_mod.BivariateCell, cells)._replace(degenerate=len(undefined))
+    return _Built(cells, degenerate=len(undefined))
 
 
-def _partial_dependence(session: Session) -> _Table:
+def _partial_dependence(session: Session) -> _Built:
     rows = validation_mod.partial_dependence_report(session.matrix, session.median)
-    report = _table(validation_mod.PartialDependenceRow, rows)
-    return report._replace(degenerate=sum(1 for r in rows if r.note is not None))
+    return _Built(rows, degenerate=sum(1 for r in rows if r.note is not None))
 
 
-def _anova(session: Session) -> _Table:
+def _anova(session: Session) -> _Built:
     anova = validation_mod.anova_report(session.matrix, session.median)
-    header, rows, mirror, _ = _table(validation_mod.AnovaRow, anova.rows)
-    return _Table(
-        header,
-        rows,
-        {
-            "n_total": anova.n_total,
-            "n_significant": anova.n_significant,
-            "skipped": anova.skipped,
-            "rows": mirror,
-        },
-        len(anova.skipped) + anova.n_degenerate,
-    )
+    wrapper = {"n_total": anova.n_total, "n_significant": anova.n_significant,
+               "skipped": anova.skipped, "rows": ...}
+    return _Built(anova.rows, wrapper, len(anova.skipped) + anova.n_degenerate)
 
 
 class _Report(NamedTuple):
-    """A report: the inputs it needs and how a session builds it."""
+    """A report: the inputs it needs, its row type, and how a session builds it."""
 
     needs: frozenset[str]
-    build: Callable[[Session], _Table]
+    row_type: type
+    build: Callable[[Session], _Built]
 
 
 _TEXTS = frozenset({"texts"})
 _MEDIAN = frozenset({"median"})
 _LEXICONS = frozenset({"lexicons"})
+_ALL = _TEXTS | _LEXICONS | _MEDIAN
 
 # Report name -> definition, in the order `all` writes them.
 REPORTS: dict[str, _Report] = {
-    "corpus_stats": _Report(_TEXTS | _MEDIAN, _corpus_stats),
-    "agreement": _Report(frozenset(), _agreement),
-    "word_counts": _Report(_TEXTS | _MEDIAN, _word_counts),
-    "coverage": _Report(_TEXTS | _LEXICONS | _MEDIAN, _coverage),
-    "missing_words": _Report(_TEXTS | _LEXICONS, _missing_words),
-    "features": _Report(_TEXTS | _LEXICONS, _features),
-    "bivariate": _Report(_TEXTS | _LEXICONS | _MEDIAN, _bivariate),
-    "partial_dependence": _Report(_TEXTS | _LEXICONS | _MEDIAN, _partial_dependence),
-    "anova": _Report(_TEXTS | _LEXICONS | _MEDIAN, _anova),
+    "corpus_stats": _Report(_TEXTS | _MEDIAN, _StatRow, _corpus_stats),
+    "agreement": _Report(frozenset(), agreement_mod.AgreementRow, _agreement),
+    "word_counts": _Report(_TEXTS | _MEDIAN, lexicon_mod.WordCountRow, _word_counts),
+    "coverage": _Report(_ALL, lexicon_mod.CoverageRow, _coverage),
+    "missing_words": _Report(_TEXTS | _LEXICONS, lexicon_mod.MissingWordRow, _missing_words),
+    "features": _Report(_TEXTS | _LEXICONS, _FeatureRow, _features),
+    "bivariate": _Report(_ALL, validation_mod.BivariateCell, _bivariate),
+    "partial_dependence": _Report(
+        _ALL, validation_mod.PartialDependenceRow, _partial_dependence
+    ),
+    "anova": _Report(_ALL, validation_mod.AnovaRow, _anova),
 }
 
 # Subcommand -> its reports; missing_words is written only when asked for.
@@ -560,6 +552,11 @@ class Session:
                     f"lexicons {seen[source.source_id]} and {path} share the source id "
                     f"{source.source_id!r}; set a distinct 'source_id' for one of them"
                 )
+            if source.source_id in lexicon_mod.CoverageRow._fields:  # a coverage column
+                raise InputError(
+                    f"lexicon {path}: source id {source.source_id!r} names a coverage column; "
+                    "set a distinct 'source_id'"
+                )
             seen[source.source_id] = path
             sources.append(source)
         return sources
@@ -575,14 +572,15 @@ class Session:
         return features_mod.compute_corpus_matrix(self.keys(self.norm.mode), self.merged)
 
     def write(self, writer: ReportWriter) -> int:
-        """Write the session's reports once all are built; return the degeneracies counted."""
+        """Write the session's reports, each row as it comes; return the degeneracies counted."""
         degenerate = 0
         try:
             for name in self.reports:
-                header, rows, mirror, count = REPORTS[name].build(self)
-                writer.emit(name, header, rows, mirror)
+                report = REPORTS[name]
+                rows, wrapper, count = report.build(self)
+                writer.emit(name, report.row_type, rows, wrapper)
                 degenerate += count
-                del rows, mirror  # freed before the next report is built
+                del rows, wrapper  # freed before the next report is built
             writer.commit()
         finally:
             writer.discard()  # what a failed build or commit left staged

@@ -23,7 +23,7 @@ sonnets.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,8 +74,7 @@ FEATURE_PAIRINGS: tuple[tuple[str, str], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class BivariateCell:
+class BivariateCell(NamedTuple):
     """Rank correlation of one annotated feature with one lexical feature."""
 
     annotated_feature: str
@@ -153,8 +152,7 @@ def bivariate_report(matrix: FeatureMatrix, median: AnnotationSet) -> list[Bivar
     return cells
 
 
-@dataclass(frozen=True)
-class PartialDependenceRow:
+class PartialDependenceRow(NamedTuple):
     """One category-by-pairing regression outcome.
 
     The regression fits the annotated feature on the whole predictor
@@ -277,8 +275,7 @@ def partial_dependence_report(
     return rows
 
 
-@dataclass(frozen=True)
-class AnovaRow:
+class AnovaRow(NamedTuple):
     """A tag/feature combination whose group difference is significant."""
 
     category: str
@@ -291,8 +288,7 @@ class AnovaRow:
     p_value: float
 
 
-@dataclass(frozen=True)
-class AnovaReport:
+class AnovaReport(NamedTuple):
     """Significant rows plus the size of the grid they were drawn from."""
 
     rows: tuple[AnovaRow, ...]

@@ -1292,6 +1292,8 @@ def json_safe(value):
         if value != value or value in (float("inf"), float("-inf")):
             return str(value)
         return value
+    if isinstance(value, tuple) and hasattr(value, "_fields"):  # a named tuple
+        return {name: json_safe(v) for name, v in zip(value._fields, value)}
     if isinstance(value, dict):
         return {str(k): json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -1302,3 +1304,46 @@ def json_safe(value):
 def report_json(mirror):
     """The text of a report's JSON file."""
     return json.dumps(json_safe(mirror), indent=2, ensure_ascii=False) + "\n"
+
+
+def report_table(row_type, rows):
+    """A report's CSV header and cells and its JSON rows, as one helper
+    derived them from a list of rows before the writer took them from the
+    row type: fields in order; a dict field one column per key of the
+    first row's, a tuple one ';'-joined cell, and no column for a field
+    the row type lists in ``json_only``; an agreement cell shows its alpha.
+    """
+    from versemood.agreement import AlphaResult
+
+    names = row_type._fields
+    csv_names = [name for name in names if name not in getattr(row_type, "json_only", ())]
+    columns = {}
+    if rows:
+        for name in csv_names:
+            value = getattr(rows[0], name)
+            if isinstance(value, dict):
+                columns[name] = list(value)
+    header = [col for name in csv_names for col in columns.get(name, [name])]
+    cells = []
+    for row in rows:
+        line = []
+        for name in csv_names:
+            value = getattr(row, name)
+            if name in columns:
+                line.extend(value[key] for key in columns[name])
+            elif isinstance(value, tuple):
+                line.append(";".join(csv_cell(v) for v in value))
+            else:
+                line.append(value)
+        cells.append([cell.alpha if isinstance(cell, AlphaResult) else cell for cell in line])
+    mirror = [{name: getattr(row, name) for name in names} for row in rows]
+    return header, cells, mirror
+
+
+def report_mirror(rows, wrapper):
+    """A report's JSON document: its JSON rows, or ``wrapper`` with them in
+    place of its ``...`` value (a wrapper without one is the whole document).
+    """
+    if wrapper is None:
+        return rows
+    return {key: rows if value is ... else value for key, value in wrapper.items()}

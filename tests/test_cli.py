@@ -356,6 +356,18 @@ def test_strict_exit_on_degenerate_regressions(tmp_path, capsys):
     assert "degenerate or skipped" in err
     rows = read_json(tmp_path / "out" / "partial_dependence.json")
     assert any("insufficient rows" in (r["note"] or "") for r in rows)
+    # every count is a noted regression row: no bivariate cell or ANOVA cell is degenerate here
+    noted = sum(1 for r in rows if r["note"] is not None)
+    assert noted == 220
+    assert err.splitlines()[-1] == f"{noted} degenerate or skipped computations"
+    workspace = build_workspace(tmp_path / "forty", n_sonnets=40)
+    argv[2], argv[4] = str(workspace / "config.json"), str(tmp_path / "forty-out")
+    code, _, err = run(capsys, *argv, "--strict")
+    assert code == 2
+    rows = read_json(tmp_path / "forty-out" / "partial_dependence.json")
+    noted = sum(1 for r in rows if r["note"] is not None)
+    assert noted == 170
+    assert err.splitlines()[-1] == f"{noted} degenerate or skipped computations"
 
 
 @pytest.mark.parametrize("n_sonnets", (12, 40))
@@ -452,6 +464,26 @@ def test_stats_without_lexicons_section(workspace, tmp_path, capsys):
     config = dump_config(cfg, tmp_path)
     code, _, _ = run(capsys, "stats", "--config", str(config), "--out", str(tmp_path / "out"))
     assert code == 0
+
+
+@pytest.mark.parametrize("named_by", ["config", "file stem"])
+def test_a_source_id_that_names_a_coverage_column_exits_1(named_by, workspace, tmp_path, capsys):
+    # coverage.csv would carry two "merged" columns: a reader by name takes the wrong one
+    cfg = absolute_config(workspace)
+    if named_by == "config":
+        cfg["lexicons"][1]["source_id"] = "merged"
+        lexicon = cfg["lexicons"][1]["path"]
+    else:
+        lexicon = str(shutil.copy(workspace / "lex_a.csv", tmp_path / "merged.csv"))
+        cfg["lexicons"][0] = lexicon
+    config = dump_config(cfg, tmp_path)
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "coverage", "--config", str(config), "--out", str(out))
+    assert code == 1
+    assert f"lexicon {lexicon}: source id 'merged' names a coverage column" in err
+    assert "set a distinct 'source_id'" in err
+    assert "Traceback" not in err
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 def test_agree_without_corpus_root(workspace, tmp_path, capsys):

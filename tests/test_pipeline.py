@@ -10,6 +10,7 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -366,8 +367,9 @@ def test_every_exported_name_resolves():
 def test_writer_spells_non_finite_floats_in_both_formats(workspace_config, tmp_path, monkeypatch):
     # ANOVA writes F = inf when both groups are constant but differ.
     nan, inf = float("nan"), float("inf")
-    table = (["a", "b", "c", "d"], [[nan, inf, -inf, 1.5]], {"v": [nan, inf, -inf, 1.5]}, 0)
-    anova = pipeline.REPORTS["anova"]._replace(build=lambda session: table)
+    row_type = NamedTuple("Row", [("a", float), ("b", float), ("c", float), ("d", float)])
+    table = ([row_type(nan, inf, -inf, 1.5)], {"v": [nan, inf, -inf, 1.5]}, 0)
+    anova = pipeline.REPORTS["anova"]._replace(row_type=row_type, build=lambda session: table)
     monkeypatch.setitem(pipeline.REPORTS, "anova", anova)
     assert Session(workspace_config, ["anova"]).write(ReportWriter(tmp_path, "both")) == 0
     assert (tmp_path / "anova.csv").read_text(encoding="utf-8") == "a,b,c,d\nnan,inf,-inf,1.5\n"

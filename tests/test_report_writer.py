@@ -1,16 +1,21 @@
 """The report writer against the one-shot reference, and its working set.
 
-``ReportWriter.emit`` writes each CSV row and each JSON item to its file
-as it goes.  ``oracles.report_json`` (the whole mirror made JSON-safe,
-then one indented ``json.dumps``) and ``oracles.csv_cell`` are how every
-report was written before: the writer must give their bytes exactly.
+``ReportWriter.emit`` derives a report's CSV and JSON layout from its
+row type and writes each row to both files as it arrives.
+``oracles.report_table`` (the header, cells and JSON rows of a whole list
+of rows), ``oracles.report_mirror``, ``oracles.report_json`` (the whole
+mirror made JSON-safe, then one indented ``json.dumps``) and
+``oracles.csv_cell`` are how every report was written before: the
+writer must give their bytes exactly.
 """
 
 import csv
 import enum
 import io
+import json
 import math
 import tracemalloc
+from typing import Any, NamedTuple
 
 import numpy as np
 import pytest
@@ -22,10 +27,10 @@ from versemood.pipeline import REPORTS, ReportWriter, Session
 from conftest import build_workspace
 
 
-def written(tmp_path, header, rows, mirror, fmt="both"):
+def written(tmp_path, row_type, rows, wrapper=None, fmt="both"):
     """The bytes of the CSV and JSON files that ``emit`` writes."""
     writer = ReportWriter(tmp_path, fmt)
-    writer.emit("report", header, rows, mirror)
+    writer.emit("report", row_type, rows, wrapper)
     writer.commit()
     return {path.suffix: path.read_bytes() for path in writer.written}
 
@@ -43,15 +48,28 @@ def reference_csv(header, rows):
 def test_every_report_is_the_reference_bytes(n_sonnets, tmp_path):
     workspace = build_workspace(tmp_path / "workspace", n_sonnets=n_sonnets)
     session = Session(workspace / "config.json")
-    for name in REPORTS:
-        header, rows, mirror, _ = REPORTS[name].build(session)
-        files = written(tmp_path / name, header, rows, mirror)
+    for name, report in REPORTS.items():
+        rows, wrapper, _ = report.build(session)
+        rows = list(rows)
+        files = written(tmp_path / name, report.row_type, rows, wrapper)
+        header, cells, mirror = oracles.report_table(report.row_type, rows)
+        mirror = oracles.report_mirror(mirror, wrapper)
         assert files[".json"] == oracles.report_json(mirror).encode("utf-8"), name
-        assert files[".csv"] == reference_csv(header, rows), name
+        assert files[".csv"] == reference_csv(header, cells), name
 
 
 class Level(enum.IntEnum):
     LOW = 1
+
+
+class Case(NamedTuple):
+    x: Any
+    y: Any
+    z: Any
+
+
+class Value(NamedTuple):
+    value: Any
 
 
 LEAVES = (
@@ -90,16 +108,25 @@ def test_random_mirrors_are_the_reference_bytes(tmp_path):
     depths = []
     for case in range(300):
         mirror = [random_value(rng, 4) for _ in range(rng.integers(1, 5))]
-        rows = [[random_value(rng, 0) for _ in range(3)] for _ in range(2)]
-        files = written(tmp_path / str(case), ["x", "y", "z"], rows, mirror)
-        assert files[".json"] == oracles.report_json(mirror).encode("utf-8"), mirror
-        assert files[".csv"] == reference_csv(["x", "y", "z"], rows), rows
+        rows = [Case(*(random_value(rng, 0) for _ in range(3))) for _ in range(2)]
+        # the nested values as a wrapper's, and as the fields of rows
+        files = written(tmp_path / str(case), Case, rows, {"mirror": mirror, "rows": ...})
+        header, cells, listed = oracles.report_table(Case, rows)
+        reference = oracles.report_json({"mirror": mirror, "rows": listed})
+        assert files[".json"] == reference.encode("utf-8"), mirror
+        assert files[".csv"] == reference_csv(header, cells), rows
+        files = written(tmp_path / f"{case}-rows", Value, map(Value, mirror), fmt="json")
+        reference = oracles.report_json([{"value": value} for value in mirror])
+        assert files[".json"] == reference.encode("utf-8"), mirror
         depths.append(nesting(mirror))
     assert depths.count(5) > 10  # containers four levels below the top list
     for leaf in LEAVES:
         for mirror in (leaf, [leaf], {"k": (leaf, [leaf])}):
-            files = written(tmp_path / "leaf", [], [], mirror, "json")
-            assert files[".json"] == oracles.report_json(mirror).encode("utf-8"), mirror
+            files = written(tmp_path / "leaf", Value, [Value(mirror)], fmt="json")
+            reference = oracles.report_json([{"value": mirror}])
+            assert files[".json"] == reference.encode("utf-8"), mirror
+            files = written(tmp_path / "leaf", Value, [], {"value": mirror}, "json")
+            assert files[".json"] == oracles.report_json({"value": mirror}).encode("utf-8"), mirror
 
 
 @pytest.mark.parametrize("value", [object(), np.int64(3), {1, 2}], ids=["object", "int64", "set"])
@@ -107,22 +134,56 @@ def test_a_value_json_cannot_hold_is_a_type_error(value, tmp_path):
     with pytest.raises(TypeError):
         oracles.report_json([value])
     with pytest.raises(TypeError, match="not JSON serializable"):
-        written(tmp_path, [], [], {"rows": [value]}, "json")
+        written(tmp_path, Value, [], {"rows": [value]}, "json")
 
 
 def test_writing_the_feature_report_holds_less_than_its_json(tmp_path):
     workspace = build_workspace(tmp_path / "workspace", n_sonnets=120)
-    header, rows, mirror, _ = REPORTS["features"].build(Session(workspace / "config.json"))
+    report = REPORTS["features"]
+    rows, wrapper, _ = report.build(Session(workspace / "config.json"))
     writer = ReportWriter(tmp_path / "out", "json")
     tracemalloc.start()
     try:
-        writer.emit("features", header, rows, mirror)
+        writer.emit("features", report.row_type, rows, wrapper)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     writer.commit()
     # a writer that built the text whole would hold several times its size
     assert peak < (tmp_path / "out" / "features.json").stat().st_size
+
+
+def test_building_and_writing_the_feature_report_holds_under_half_its_json(tmp_path):
+    # Each sonnet's row is built as it is written, so the report's working
+    # set is a row, not the report: about a fifth of the JSON at 120 sonnets.
+    workspace = build_workspace(tmp_path / "workspace", n_sonnets=120)
+    session = Session(workspace / "config.json", ["features"])
+    session.matrix  # the session's, computed before the report is built
+    report = REPORTS["features"]
+    writer = ReportWriter(tmp_path / "out", "json")
+    tracemalloc.start()
+    try:
+        rows, wrapper, _ = report.build(session)
+        writer.emit("features", report.row_type, rows, wrapper)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    writer.commit()
+    assert peak < 0.5 * (tmp_path / "out" / "features.json").stat().st_size
+
+
+def test_every_report_has_unique_columns_and_its_row_type_keys(workspace, tmp_path):
+    # A report's CSV header and JSON rows both come from its row type.
+    Session(workspace / "config.json").write(ReportWriter(tmp_path, "both"))
+    for name, report in REPORTS.items():
+        with (tmp_path / f"{name}.csv").open(encoding="utf-8", newline="") as handle:
+            header = next(csv.reader(handle))
+        assert len(set(header)) == len(header), (name, header)
+        text = (tmp_path / f"{name}.json").read_text(encoding="utf-8")
+        document = json.loads(text, object_pairs_hook=tuple)  # an object's pairs, repeats kept
+        rows = document if isinstance(document, list) else dict(document).get("rows", [])
+        for row in rows:
+            assert [key for key, _ in row] == list(report.row_type._fields), name
 
 
 def test_cells_are_formatted_by_exact_type_then_by_base():
