@@ -103,20 +103,37 @@ class SourceLexicon:
         return len(self.entries)
 
 
-@dataclass(frozen=True, eq=False)
 class MergedLexicon:
     """Sources fused onto canonical scales and keyed by normalized form.
 
     ``rows`` maps each key to its row of ``mean`` and ``sd``, which are
     len(rows) x len(DIMENSIONS) arrays on the canonical scales (NaN
     where no source word of the key has a value).  ``source_rows[k][i]``
-    is the row of the key of entry i of the k-th merged source.
+    is the row of the key of entry i of the k-th merged source.  Given no
+    ``mean`` and ``sd``, both are computed by ``values()`` on the first read
+    of either, once.
     """
 
-    rows: dict[str, int]
-    mean: np.ndarray
-    sd: np.ndarray
-    source_rows: tuple[np.ndarray, ...]
+    __slots__ = ("rows", "source_rows", "_values")
+
+    def __init__(
+        self,
+        rows: dict[str, int],
+        mean: np.ndarray | None = None,
+        sd: np.ndarray | None = None,
+        source_rows: tuple[np.ndarray, ...] = (),
+        values: Callable[[], tuple[np.ndarray, np.ndarray]] | None = None,
+    ):
+        self.rows, self.source_rows = rows, source_rows
+        self._values = values or (mean, sd)
+
+    def _planes(self) -> tuple[np.ndarray, np.ndarray]:
+        if callable(self._values):
+            self._values = self._values()  # and drops what computing them held
+        return self._values
+
+    mean = property(lambda self: self._planes()[0])
+    sd = property(lambda self: self._planes()[1])
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -500,6 +517,28 @@ def _median(cube: np.ndarray) -> np.ndarray:
     return np.where(count % 2 == 1, upper, (lower + upper) / 2)[:, 0]
 
 
+def _merge_values(
+    sources: Sequence[SourceLexicon], rows: list[np.ndarray], codes: np.ndarray, n_keys: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The merged mean and sd, n_keys x len(DIMENSIONS) each.
+
+    Source k's entry i is surface word ``rows[k][i]``, whose key is row
+    ``codes`` of that word.
+    """
+    mean, sd = np.empty((2, n_keys, len(DIMENSIONS)))
+    # one dimension at a time: surface word x source, on the canonical scale
+    means, sds = planes = np.empty((2, len(codes), len(sources)))
+    for j, (dim, (lo, hi)) in enumerate(CANONICAL_SCALES.items()):
+        planes.fill(np.nan)
+        for k, source in enumerate(sources):
+            if native := source.scales.get(dim):
+                means[rows[k], k] = rescale_value(source.mean[:, j], native, (lo, hi))
+                sds[rows[k], k] = source.sd[:, j] * (hi - lo) / (native[1] - native[0])
+        mean[:, j] = group_mean(codes, _median(means), n_keys)[0]
+        sd[:, j] = group_mean(codes, _median(sds), n_keys)[0]
+    return mean, sd
+
+
 def merge_lexicons(
     sources: Sequence[SourceLexicon], config: NormalizationConfig
 ) -> MergedLexicon:
@@ -510,13 +549,17 @@ def merge_lexicons(
     is even); standard deviations are combined the same way over the
     sources that publish them.  Each distinct surface word is keyed
     once, in sorted order, and surface words whose keys collide are
-    averaged per dimension in that order.
+    averaged per dimension in that order.  The keys are merged here; the
+    values when the merge's ``mean`` or ``sd`` is first read.
     """
     if not sources:
         raise ValueError("need at least one source lexicon")
     ids = [s.source_id for s in sources]
     if len(set(ids)) != len(ids):
         raise ValueError("source ids are not unique")
+    for lo, hi in (s.scales[dim] for s in sources for dim in DIMENSIONS if dim in s.scales):
+        if hi <= lo:  # as rescale_value would raise when the values are merged
+            raise ValueError(f"degenerate scale ({lo}, {hi})")
 
     surfaces = sorted(set().union(*(s.entries for s in sources)))
     at = {word: i for i, word in enumerate(surfaces)}
@@ -534,18 +577,8 @@ def merge_lexicons(
             n_collisions,
             config.mode,
         )
-    mean, sd = np.empty((2, len(key_rows), len(DIMENSIONS)))
-    # one dimension at a time: surface word x source, on the canonical scale
-    means, sds = planes = np.empty((2, len(surfaces), len(sources)))
-    for j, (dim, (lo, hi)) in enumerate(CANONICAL_SCALES.items()):
-        planes.fill(np.nan)
-        for k, source in enumerate(sources):
-            if native := source.scales.get(dim):
-                means[rows[k], k] = rescale_value(source.mean[:, j], native, (lo, hi))
-                sds[rows[k], k] = source.sd[:, j] * (hi - lo) / (native[1] - native[0])
-        mean[:, j] = group_mean(codes, _median(means), len(key_rows))[0]
-        sd[:, j] = group_mean(codes, _median(sds), len(key_rows))[0]
-    return MergedLexicon(key_rows, mean, sd, tuple(codes[r] for r in rows))
+    values = partial(_merge_values, tuple(sources), rows, codes, len(key_rows))
+    return MergedLexicon(key_rows, source_rows=tuple(codes[r] for r in rows), values=values)
 
 
 class CoverageRow(NamedTuple):

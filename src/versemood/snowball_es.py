@@ -9,13 +9,25 @@ suffixes (step 1), verb suffixes (steps 2a and 2b) and residual vowels
 
 Regions R1, R2 and RV follow the standard Snowball definitions over the
 Spanish vowel set (a e i o u plus their accented forms and u-dieresis).
+They are held as offsets into the word, not as substrings: one regex
+match gives where R1 and R2 start, another where RV starts, and a suffix
+lies in a region when the word's length less the suffix's is at least the
+region's offset.  Every step only cuts the word's end, so the offsets stay
+valid; where step 1 puts a replacement back, it replaces a suffix inside
+R2, which lies inside RV.
 
-Each step finds its suffix by lookup, not by scan: it slices the word's
-tail (RV's tail in steps 0, 2a, 2b and 3) once per suffix length of its
-table, longest first, and probes the table's frozenset.  NLTK scans each
-suffix tuple in order and takes the first match; no tuple lists a shorter
-suffix before a longer one that ends with it, so that first match is the
-longest match, which is the one the lookup finds.
+Each step finds its suffix by lookup, not by scan.  Its ending table maps
+each two-letter ending to the lengths of the step's suffixes that end in
+it, longest first, with 1 last when the step has one-letter suffixes.  A
+word's last two letters select the lengths to probe: each probe slices the
+word's tail once and looks it up in the step's frozenset.  A suffix of two
+letters or more ends in the word's last two letters, and a one-letter
+suffix is shorter than all of those, so no suffix the word ends with is
+missed and the first probe that hits is the longest match.  NLTK scans
+each suffix tuple in order and takes the first match; no tuple lists a
+shorter suffix before a longer one that ends with it, and any two suffixes
+a word ends with end one with the other, so that first match is the
+longest match too.
 """
 
 from __future__ import annotations
@@ -25,9 +37,14 @@ import re
 __all__ = ["stem"]
 
 _VOWELS = "aeiou\xe1\xe9\xed\xf3\xfa\xfc"
-_VOWEL = re.compile(f"[{_VOWELS}]")
-_NON_VOWEL = re.compile(f"[^{_VOWELS}]")
-_VOWEL_NON_VOWEL = re.compile(f"[{_VOWELS}][^{_VOWELS}]")
+_V, _C = f"[{_VOWELS}]", f"[^{_VOWELS}]"
+# R1 ends at group 1's end, R2 at group 2's: each after the first non-vowel
+# that follows a vowel (in the word, then in R1), or at the word's end.
+_R1_R2 = re.compile(f"(.*?{_V}{_C}|.*)(.*?{_V}{_C}|.*)", re.DOTALL)
+# RV starts after: the next vowel, when the second letter is not a vowel; the
+# next non-vowel, when the first two letters are vowels; else the third
+# letter.  A word that matches none has RV empty.
+_RV = re.compile(f".{_C}.*?{_V}|{_V}{_V}.*?{_C}|{_C}{_V}.", re.DOTALL)
 
 # Each step's suffixes in NLTK's scan order (tests/test_textnorm.py checks
 # that no suffix comes after a shorter suffix it ends with).
@@ -87,9 +104,23 @@ _STEP2B_SUFFIXES = (
 _STEP3_SUFFIXES = ("os", "a", "e", "o", "\xe1", "\xe9", "\xed", "\xf3")
 
 
-def _table(suffixes: tuple[str, ...]) -> tuple[frozenset[str], tuple[int, ...]]:
-    """A suffix tuple as (the set of its suffixes, their lengths longest first)."""
-    return frozenset(suffixes), tuple(sorted({len(s) for s in suffixes}, reverse=True))
+_Table = tuple[dict[str, tuple[int, ...]], tuple[int, ...], frozenset[str]]
+
+
+def _table(suffixes: tuple[str, ...]) -> _Table:
+    """A suffix tuple as its ending table.
+
+    That is: per two-letter ending, the lengths of the suffixes of two
+    letters or more with that ending, longest first, then 1 if a suffix has
+    one letter; the lengths for any other ending, (1,) or (); and the suffixes.
+    """
+    short = (1,) if any(len(s) == 1 for s in suffixes) else ()
+    lengths: dict[str, set[int]] = {}
+    for s in suffixes:
+        if len(s) > 1:
+            lengths.setdefault(s[-2:], set()).add(len(s))
+    by_ending = {end: tuple(sorted(ns, reverse=True)) + short for end, ns in lengths.items()}
+    return by_ending, short, frozenset(suffixes)
 
 
 _STEP0 = _table(_STEP0_SUFFIXES)
@@ -97,15 +128,6 @@ _STEP1 = _table(_STEP1_SUFFIXES)
 _STEP2A = _table(_STEP2A_SUFFIXES)
 _STEP2B = _table(_STEP2B_SUFFIXES)
 _STEP3 = _table(_STEP3_SUFFIXES)
-
-
-def _longest_suffix(tail: str, table: tuple[frozenset[str], tuple[int, ...]]) -> str:
-    """The longest suffix of ``tail`` in ``table``; "" when there is none."""
-    suffixes, lengths = table
-    for n in lengths:
-        if tail[-n:] in suffixes:
-            return tail[-n:]
-    return ""
 
 
 def _replace_accented(word: str) -> str:
@@ -119,21 +141,14 @@ def _replace_accented(word: str) -> str:
     )
 
 
-def _after(pattern: re.Pattern[str], text: str, pos: int = 0) -> str:
-    """The part of ``text`` after the first match of ``pattern`` at or past ``pos``."""
-    match = pattern.search(text, pos)
-    return text[match.end() :] if match else ""
-
-
-def _rv(word: str) -> str:
-    """RV region per the standard Snowball definition for Romance languages."""
-    if len(word) < 2:
-        return ""
-    if word[1] not in _VOWELS:
-        return _after(_VOWEL, word, 2)
-    if word[0] in _VOWELS:
-        return _after(_NON_VOWEL, word, 2)
-    return word[3:]
+def _suffix(word: str, start: int, table: _Table) -> str:
+    """The longest suffix of ``word[start:]`` in ``table``; "" when there is none."""
+    by_ending, short, suffixes = table
+    room = len(word) - start
+    for n in by_ending.get(word[-2:], short):
+        if n <= room and word[-n:] in suffixes:
+            return word[-n:]
+    return ""
 
 
 def stem(word: str) -> str:
@@ -143,80 +158,63 @@ def stem(word: str) -> str:
     already lowercased from the normalization pipeline.
     """
     word = word.lower()
-    step1_success = False
-
-    # R1 and R2: after the first non-vowel following a vowel, in word and in R1
-    r1 = _after(_VOWEL_NON_VOWEL, word)
-    r2 = _after(_VOWEL_NON_VOWEL, r1)
-    rv = _rv(word)
+    regions = _R1_R2.match(word)
+    r1, r2 = regions.end(1), regions.end(2)
+    rv = _RV.match(word)
+    rv = rv.end() if rv else len(word)
 
     # Step 0: attached pronoun, removed after a gerund or infinitive.
-    suffix = _longest_suffix(rv, _STEP0)  # rv is a tail of word
-    n = len(suffix)
+    end = len(word) - len(suffix := _suffix(word, rv, _STEP0))
     if suffix and (
-        rv[:-n].endswith(_STEP0_PRECEDING)
-        or (rv[:-n].endswith("yendo") and word[:-n].endswith("uyendo"))
+        word.endswith(_STEP0_PRECEDING, rv, end)
+        or (word.endswith("yendo", rv, end) and word.endswith("uyendo", 0, end))
     ):
-        word, r1, r2, rv = (_replace_accented(part[:-n]) for part in (word, r1, r2, rv))
+        word = _replace_accented(word[:end])
 
     # Step 1: standard suffix removal.
-    suffix = _longest_suffix(word, _STEP1)
-    if suffix == "amente" and r1.endswith(suffix):
-        step1_success = True
-        word, r2, rv = word[:-6], r2[:-6], rv[:-6]
-        if r2.endswith("iv"):
-            word, r2, rv = word[:-2], r2[:-2], rv[:-2]
-            if r2.endswith("at"):
-                word, rv = word[:-2], rv[:-2]
-        elif r2.endswith(("os", "ic", "ad")):
-            word, rv = word[:-2], rv[:-2]
-    elif suffix and r2.endswith(suffix):
-        step1_success = True
-        n = len(suffix)
-        word, r2, rv = word[:-n], r2[:-n], rv[:-n]
+    end = len(word) - len(suffix := _suffix(word, 0, _STEP1))
+    if suffix == "amente" and end >= r1:
+        word = word[:end]
+        if word.endswith("iv", r2):
+            word = word[:-2]
+            if word.endswith("at", r2):
+                word = word[:-2]
+        elif word.endswith(("os", "ic", "ad"), r2):
+            word = word[:-2]
+    elif suffix and end >= r2:
+        word = word[:end]
         if suffix in _STEP1_REPLACEMENTS:
             word += _STEP1_REPLACEMENTS[suffix]
-            rv += _STEP1_REPLACEMENTS[suffix]
-        elif suffix in _STEP1_AGENT_SUFFIXES and r2.endswith("ic"):
-            word, rv = word[:-2], rv[:-2]
-        elif suffix == "mente" and r2.endswith(("ante", "able", "ible")):
-            word, rv = word[:-4], rv[:-4]
+        elif suffix in _STEP1_AGENT_SUFFIXES and word.endswith("ic", r2):
+            word = word[:-2]
+        elif suffix == "mente" and word.endswith(("ante", "able", "ible"), r2):
+            word = word[:-4]
         elif suffix in ("idad", "idades"):
-            for pre_suff in ("abil", "ic", "iv"):
-                if r2.endswith(pre_suff):
-                    word, rv = word[: -len(pre_suff)], rv[: -len(pre_suff)]
-        elif suffix in ("ivo", "iva", "ivos", "ivas") and r2.endswith("at"):
-            word, rv = word[:-2], rv[:-2]
-
-    if not step1_success:
+            for pre_suff in ("abil", "ic", "iv"):  # at most one: they end differently
+                if word.endswith(pre_suff, r2):
+                    word = word[: -len(pre_suff)]
+                    break
+        elif suffix in ("ivo", "iva", "ivos", "ivas") and word.endswith("at", r2):
+            word = word[:-2]
+    else:
         # Step 2a: verb suffixes beginning with y, only after u; the longest
-        # suffix that has a u before it.
-        suffixes, lengths = _STEP2A
-        for n in lengths:
-            suffix = rv[-n:]
-            if suffix in suffixes and word[-len(suffix) - 1 : -len(suffix)] == "u":
-                word = word[: -len(suffix)]
-                rv = rv[: -len(suffix)]
+        # suffix in RV that has a u before it.
+        by_ending, short, suffixes = _STEP2A
+        for n in by_ending.get(word[-2:], short):
+            if n <= len(word) - rv and word[-n:] in suffixes and word[-n - 1] == "u":
+                word = word[:-n]
                 break
 
         # Step 2b: other verb suffixes.
-        suffix = _longest_suffix(rv, _STEP2B)
-        if suffix:
+        if suffix := _suffix(word, rv, _STEP2B):
             word = word[: -len(suffix)]
-            rv = rv[: -len(suffix)]
-            if suffix in ("en", "es", "\xe9is", "emos"):
-                if word.endswith("gu"):
-                    word = word[:-1]
-                if rv.endswith("gu"):
-                    rv = rv[:-1]
+            if suffix in ("en", "es", "\xe9is", "emos") and word.endswith("gu"):
+                word = word[:-1]
 
     # Step 3: residual suffix.
-    suffix = _longest_suffix(rv, _STEP3)
-    if suffix:
+    if suffix := _suffix(word, rv, _STEP3):
         word = word[: -len(suffix)]
-        if suffix in ("e", "\xe9"):
-            rv = rv[: -len(suffix)]
-            if word[-2:] == "gu" and rv.endswith("u"):
-                word = word[:-1]
+        if suffix in ("e", "\xe9") and word.endswith("gu", rv - 1):
+            word = word[:-1]
 
     return _replace_accented(word)

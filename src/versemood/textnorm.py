@@ -195,8 +195,9 @@ def tokenize(text: str) -> list[str]:
 
 
 def normalize(text: str, config: NormalizationConfig) -> list[str]:
-    """Full pipeline: tokenize, drop stopwords, key each surviving word."""
-    return [config.key(word) for word in tokenize(text) if word not in config.stopwords]
+    """Full pipeline: tokenize, drop stopwords, key each surviving word (raw keys are the words)."""
+    words = [word for word in tokenize(text) if word not in config.stopwords]
+    return words if config.mode == "raw" else list(map(config.key, words))
 
 
 class TokenTable(NamedTuple):

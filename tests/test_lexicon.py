@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import oracles
-from cell_tables import entries_of
+from cell_tables import entries_of, merged_lexicon
 from cell_tables import source_lexicon as source
+from versemood import lexicon
 from versemood.corpus import (
     ANNOTATED_FEATURES,
     PSYCHOLOGICAL_TAGS,
@@ -24,7 +25,9 @@ from versemood.corpus import (
 )
 from versemood.lexicon import (
     CANONICAL_SCALES,
+    DIMENSIONS,
     LexiconFormatError,
+    MergedLexicon,
     SourceLexicon,
     coverage_report,
     load_lexicon,
@@ -284,6 +287,50 @@ def test_merge_is_idempotent_on_canonical_entries():
 def test_merge_requires_unique_ids():
     with pytest.raises(ValueError, match="unique"):
         merge_lexicons([source("a", {}), source("a", {})], RAW)
+
+
+def test_merge_rejects_a_degenerate_scale_before_its_values_are_read():
+    narrow = source("a", {"amor": {"valence": (5.0, None)}}, scales={"valence": (5.0, 5.0)})
+    with pytest.raises(ValueError, match="degenerate scale"):
+        merge_lexicons([narrow], RAW)
+
+
+def test_merged_values_are_computed_once_on_first_read(monkeypatch):
+    original = lexicon._merge_values
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(lexicon, "_merge_values", counting)
+    sources = [
+        source("a", {"ceniza": {"valence": (2.0, 1.0)}, "cenizas": {"valence": (4.0, None)}}),
+        source("b", {"amor": {"arousal": (3.0, 0.5)}, "ceniza": {"valence": (6.0, 2.0)}}),
+    ]
+    merged = merge_lexicons(sources, STEMMED)
+    # what coverage and missing words read needs no values
+    assert len(merged) == 2 and merged.rows_of(["amor", "ceniz", "mar"]).tolist() == [0, 1, -1]
+    assert [rows.tolist() for rows in merged.source_rows] == [[1, 1], [0, 1]]
+    assert calls == []
+    sd, mean = merged.sd, merged.mean
+    assert len(calls) == 1
+    assert merged.mean is mean and merged.sd is sd and len(calls) == 1
+    rows, want_mean, want_sd = oracles.merge_cubes(sources, STEMMED)
+    assert list(merged.rows.items()) == list(rows.items())
+    assert mean.tobytes() == want_mean.tobytes() and sd.tobytes() == want_sd.tobytes()
+
+
+def test_a_merged_lexicon_built_with_its_values_keeps_them(monkeypatch):
+    monkeypatch.setattr(lexicon, "_merge_values", None)  # never called
+    mean, sd = np.full((2, len(DIMENSIONS)), 4.0), np.full((2, len(DIMENSIONS)), np.nan)
+    rows = {"amor": 0, "mar": 1}
+    merged = MergedLexicon(rows=rows, mean=mean, sd=sd, source_rows=(np.arange(2),))
+    assert merged.mean is mean and merged.sd is sd and merged.rows is rows
+    assert len(merged) == 2 and merged.rows_of(["mar", "sol"]).tolist() == [1, -1]
+    assert entries_of(merged_lexicon({"sol": {"fear": (2.0, None)}}))["sol"] == {
+        "fear": (2.0, None)
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,32 @@ def test_a_coverage_run_stems_each_corpus_and_lexicon_word_once(
     assert set(calls) == corpus_words | surfaces
 
 
+def test_only_a_report_that_reads_the_merged_values_computes_them(
+    workspace_config, tmp_path, monkeypatch
+):
+    # Coverage and missing words read the merge's keys; the feature matrix reads its
+    # values, computed once per session.
+    original = lexicon._merge_values
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(lexicon, "_merge_values", counting)
+    for mode in MODES[:2]:
+        argv = ["--config", str(workspace_config), "--mode", mode, "--missing-words"]
+        assert main(["coverage", *argv, "--out", str(tmp_path / mode)]) == 0
+    assert calls == []
+    argv = ["all", "--config", str(workspace_config), "--missing-words"]
+    assert main([*argv, "--out", str(tmp_path / "all")]) == 0
+    assert len(calls) == 1
+    session = Session(workspace_config, ("features", "coverage"))
+    session.write(ReportWriter(tmp_path / "session", "both"))
+    merged = session.merged
+    assert merged.mean.shape == merged.sd.shape and len(calls) == 2
+
+
 def test_partial_dependence_checks_each_category_design_once(
     workspace_config, tmp_path, monkeypatch
 ):

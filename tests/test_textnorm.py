@@ -145,11 +145,24 @@ _SCAN_TABLES = {
 }
 
 
+# What step 1 removes before a suffix it removed, stacked two deep before each
+# step-1 suffix, so that a removal cannot repeat.
+STEP1_BEFORE = ("", "ic", "iv", "at", "os", "ad", "abil", "ante", "able", "ible")
+
+
 def _stem_test_words() -> list[str]:
-    """Golden words, roots x suffixes, roots x gerund/infinitive x pronoun, and a fuzz."""
+    """Golden words, roots x suffixes, roots x gerund/infinitive x pronoun, roots x
+    stacked step-1 removals, and a fuzz."""
     suffixes = sorted({s for ordered, _ in _SCAN_TABLES.values() for s in ordered})
     words = list(GOLDEN_STEMS)
     words += [root + suffix for root in STEM_ROOTS for suffix in suffixes]
+    words += [
+        root + first + second + suffix
+        for root in ("", "a", "amig", "orden", "constru", "revolucion")
+        for first in STEP1_BEFORE
+        for second in STEP1_BEFORE
+        for suffix in oracles._STEP1_SUFFIXES
+    ]
     words += [
         root + before + pronoun
         for root in STEM_ROOTS
@@ -173,6 +186,26 @@ def test_table_stemmer_equals_the_scan():
     assert mismatches == {}
 
 
+def test_stemmer_equals_the_scan_on_random_words():
+    # Random strings over the Spanish letters, and a share with letters that change
+    # length or stay put when lowercased, a non-Latin letter and a NUL.
+    rng = random.Random(20261020)
+    letters = "abcdefghijklmnopqrstuvwxyz\xe1\xe9\xed\xf3\xfa\xfc\xf1"
+    odd = "ABCDEFGHIJKLMNOPQRSTUVWXYZ\xc1\xc9\xd1\xdc\u0130\xdf\u0436\x00"
+    words = ["".join(rng.choices(letters, k=rng.randint(0, 16))) for _ in range(100_000)]
+    for _ in range(20_000):
+        word = rng.choices(letters, k=rng.randint(1, 16))
+        for _ in range(rng.randint(1, 3)):
+            word[rng.randrange(len(word))] = rng.choice(odd)
+        words.append("".join(word))
+    mismatches = {}
+    for word in words:
+        table, scan = stem(word), oracles.stem_scan(word)
+        if table != scan:
+            mismatches[word] = (table, scan)
+    assert mismatches == {}
+
+
 @pytest.mark.parametrize("step", sorted(_SCAN_TABLES))
 def test_suffix_tables_first_match_is_longest_match(step):
     ordered, table = _SCAN_TABLES[step]
@@ -180,12 +213,15 @@ def test_suffix_tables_first_match_is_longest_match(step):
     for i, suffix in enumerate(ordered):
         shadowing = [s for s in ordered[:i] if len(s) < len(suffix) and suffix.endswith(s)]
         assert shadowing == [], f"{step}: {suffix!r} comes after {shadowing}"
-    # the lookup finds the scan's suffix for every tail of every entry
+    # the ending table's lookup finds the scan's suffix for every tail of every
+    # entry, in the whole word and from every start of a region
     for suffix in ordered:
         for tail in (suffix[i:] for i in range(len(suffix))):
             for word in (tail, "x" + tail):
-                scanned = next((s for s in ordered if word.endswith(s)), "")
-                assert snowball_es._longest_suffix(word, table) == scanned, (step, word)
+                for start in range(len(word) + 1):
+                    scanned = next((s for s in ordered if word[start:].endswith(s)), "")
+                    found = snowball_es._suffix(word, start, table)
+                    assert found == scanned, (step, word, start)
 
 
 def test_tokenize_strips_edge_punctuation():
@@ -270,6 +306,25 @@ def test_normalize_raw_mode_key_equals_surface():
     text = "Las Cenizas arden"
     keys = normalize(text, NormalizationConfig(mode="raw"))
     assert keys == [w for w in tokenize(text) if w not in default_stopwords()]
+
+
+def test_normalize_raw_mode_keys_no_word(monkeypatch):
+    # A raw key is its word, so raw mode returns the kept tokens without keying each.
+    text = "Las Cenizas arden, ¡ay! del amor que arde"
+    config = NormalizationConfig(mode="raw")
+    calls = []
+    key = NormalizationConfig.key
+
+    def counting(self, word):
+        calls.append(word)
+        return key(self, word)
+
+    monkeypatch.setattr(NormalizationConfig, "key", counting)
+    assert normalize(text, config) == [w for w in tokenize(text) if w not in default_stopwords()]
+    assert calls == []
+    stemmed = normalize(text, NormalizationConfig(mode="stem"))
+    assert stemmed == ["ceniz", "arden", "ay", "amor", "arde"]
+    assert len(calls) == 5
 
 
 def test_normalize_lemma_mode_with_fallback():
