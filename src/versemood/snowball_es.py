@@ -108,11 +108,11 @@ _Table = tuple[dict[str, tuple[int, ...]], tuple[int, ...], frozenset[str]]
 
 
 def _table(suffixes: tuple[str, ...]) -> _Table:
-    """A suffix tuple as its ending table.
+    """A suffix tuple as its ending table: (lengths by ending, lengths otherwise, suffixes).
 
-    That is: per two-letter ending, the lengths of the suffixes of two
-    letters or more with that ending, longest first, then 1 if a suffix has
-    one letter; the lengths for any other ending, (1,) or (); and the suffixes.
+    Per two-letter ending, the lengths of the suffixes of two letters or
+    more that end in it, longest first, then 1 if the tuple has a one-letter
+    suffix; for any other ending, just that (1,), or ().
     """
     short = (1,) if any(len(s) == 1 for s in suffixes) else ()
     lengths: dict[str, set[int]] = {}
@@ -164,7 +164,8 @@ def stem(word: str) -> str:
     rv = rv.end() if rv else len(word)
 
     # Step 0: attached pronoun, removed after a gerund or infinitive.
-    end = len(word) - len(suffix := _suffix(word, rv, _STEP0))
+    suffix = _suffix(word, rv, _STEP0)
+    end = len(word) - len(suffix)
     if suffix and (
         word.endswith(_STEP0_PRECEDING, rv, end)
         or (word.endswith("yendo", rv, end) and word.endswith("uyendo", 0, end))
@@ -172,7 +173,8 @@ def stem(word: str) -> str:
         word = _replace_accented(word[:end])
 
     # Step 1: standard suffix removal.
-    end = len(word) - len(suffix := _suffix(word, 0, _STEP1))
+    suffix = _suffix(word, 0, _STEP1)
+    end = len(word) - len(suffix)
     if suffix == "amente" and end >= r1:
         word = word[:end]
         if word.endswith("iv", r2):
@@ -208,6 +210,8 @@ def stem(word: str) -> str:
         # Step 2b: other verb suffixes.
         if suffix := _suffix(word, rv, _STEP2B):
             word = word[: -len(suffix)]
+            # this also cuts the u from RV; NLTK leaves an RV of just "u"
+            # there, which no step-3 suffix ends with
             if suffix in ("en", "es", "\xe9is", "emos") and word.endswith("gu"):
                 word = word[:-1]
 

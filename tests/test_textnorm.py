@@ -145,8 +145,8 @@ _SCAN_TABLES = {
 }
 
 
-# What step 1 removes before a suffix it removed, stacked two deep before each
-# step-1 suffix, so that a removal cannot repeat.
+# What step 1 may remove before a suffix it removed, stacked two deep before
+# each step-1 suffix.
 STEP1_BEFORE = ("", "ic", "iv", "at", "os", "ad", "abil", "ante", "able", "ible")
 
 
