@@ -21,7 +21,6 @@ computed alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 from typing import NamedTuple, Sequence
@@ -48,28 +47,27 @@ class AgreementError(ValueError):
     """Alpha is not computable (no unit carries two or more values)."""
 
 
-@dataclass(frozen=True, eq=False)
 class ReliabilityMatrix:
     """Units-by-raters value table.
 
     ``values`` is a len(units) x len(raters) float array: rows follow
     ``units``, columns follow ``raters``, and NaN marks a missing value.
-    No generated ``__eq__``: an array field has no single truth value.
+    Equality is identity: an array field has no single truth value.
     """
 
-    level: str
-    raters: tuple[int, ...]
-    units: tuple[str, ...]
-    values: np.ndarray
+    __slots__ = ("level", "raters", "units", "values")
 
-    def __post_init__(self) -> None:
-        if self.level not in LEVELS:
-            raise ValueError(f"unknown level {self.level!r}; expected one of {LEVELS}")
-        if self.values.shape != (len(self.units), len(self.raters)):
+    def __init__(
+        self, level: str, raters: tuple[int, ...], units: tuple[str, ...], values: np.ndarray
+    ):
+        if level not in LEVELS:
+            raise ValueError(f"unknown level {level!r}; expected one of {LEVELS}")
+        if values.shape != (len(units), len(raters)):
             raise ValueError(
-                f"values must be {len(self.units)} x {len(self.raters)} "
-                f"(units x raters), got {self.values.shape}"
+                f"values must be {len(units)} x {len(raters)} "
+                f"(units x raters), got {values.shape}"
             )
+        self.level, self.raters, self.units, self.values = level, raters, units, values
 
 
 class AlphaResult(NamedTuple):

@@ -13,8 +13,6 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice, zip_longest
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -112,20 +110,18 @@ class Sonnet(NamedTuple):
     text: str | None
 
 
-@dataclass(frozen=True)
 class Corpus:
-    sonnets: tuple[Sonnet, ...]
+    """The sonnets in metadata order; ``sonnet_ids`` holds their ids, one tuple for every reader."""
+
+    __slots__ = ("sonnets", "sonnet_ids")
+
+    def __init__(self, sonnets: tuple[Sonnet, ...]):
+        self.sonnets, self.sonnet_ids = sonnets, tuple(s.sonnet_id for s in sonnets)
 
     def __len__(self) -> int:
         return len(self.sonnets)
 
-    @cached_property
-    def sonnet_ids(self) -> tuple[str, ...]:
-        """The sonnets' ids in order, one tuple for every reader."""
-        return tuple(s.sonnet_id for s in self.sonnets)
 
-
-@dataclass(frozen=True, eq=False)
 class AnnotationSet:
     """One annotator's matrix of sonnet-by-feature values.
 
@@ -133,20 +129,19 @@ class AnnotationSet:
     ``sonnet_ids``, columns follow ``ANNOTATED_FEATURES``, and NaN marks a
     missing cell.  The median annotator produced by fusion reuses this
     type with ``annotator_id`` 0 and may hold half-integer values where an
-    even count had to be averaged.  No generated ``__eq__``: an array
-    field has no single truth value.
+    even count had to be averaged.  Equality is identity: an array field
+    has no single truth value.
     """
 
-    annotator_id: int
-    sonnet_ids: tuple[str, ...]
-    values: np.ndarray
+    __slots__ = ("annotator_id", "sonnet_ids", "values")
 
-    def __post_init__(self) -> None:
-        if self.values.shape != (len(self.sonnet_ids), len(ANNOTATED_FEATURES)):
+    def __init__(self, annotator_id: int, sonnet_ids: tuple[str, ...], values: np.ndarray):
+        if values.shape != (len(sonnet_ids), len(ANNOTATED_FEATURES)):
             raise ValueError(
-                f"values must be {len(self.sonnet_ids)} x {len(ANNOTATED_FEATURES)} "
-                f"(sonnets x features), got {self.values.shape}"
+                f"values must be {len(sonnet_ids)} x {len(ANNOTATED_FEATURES)} "
+                f"(sonnets x features), got {values.shape}"
             )
+        self.annotator_id, self.sonnet_ids, self.values = annotator_id, sonnet_ids, values
 
     def column(self, feature: str) -> np.ndarray:
         """One feature's values in ``sonnet_ids`` order, NaN where missing (a view)."""
@@ -172,7 +167,7 @@ class CorpusStats(NamedTuple):
 
     n_sonnets: int
     word_mean: float
-    word_sd: float
+    word_sd: float | None
     histogram: tuple[HistogramBin, ...]
     tag_counts: dict[str, int]
 
@@ -490,17 +485,17 @@ def corpus_statistics(keys: TokenTable, median: AnnotationSet, n_bins: int = 10)
 
     ``keys`` holds the corpus's normalized keys.  Word counts are
     surviving tokens after stopword removal (repeats included).  The
-    standard deviation is the sample one (n-1 in the denominator); the
-    histogram uses ``n_bins`` equal-width bins over the observed range
-    with the last bin closed on the right.  The median covers ``keys``'s
-    sonnets in the same order.
+    standard deviation is the sample one (n-1 in the denominator), None
+    for a single sonnet; the histogram uses ``n_bins`` equal-width bins
+    over the observed range with the last bin closed on the right.  The
+    median covers ``keys``'s sonnets in the same order.
     """
     if median.sonnet_ids != keys.sonnet_ids:
         raise ValueError("the median annotator and the corpus keys cover different sonnets")
     counts = keys.lengths.tolist()
     n = len(counts)
     mean = sum(counts) / n
-    sd = math.sqrt(sum((c - mean) ** 2 for c in counts) / (n - 1)) if n > 1 else 0.0
+    sd = math.sqrt(sum((c - mean) ** 2 for c in counts) / (n - 1)) if n > 1 else None
     lo, hi = float(min(counts)), float(max(counts))
     if hi == lo:
         bins = [HistogramBin(lo, hi, n)]

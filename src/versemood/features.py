@@ -18,8 +18,6 @@ silently zeroed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .lexicon import DIMENSIONS, MergedLexicon
@@ -84,20 +82,22 @@ def _undefined_reasons() -> dict[str, str]:
 _REASONS: dict[str, str] = _undefined_reasons()
 
 
-@dataclass(frozen=True, eq=False)
 class FeatureMatrix:
     """The 32 features of a whole corpus, one row per sonnet in corpus order.
 
     ``values`` is an n x 32 float array whose columns follow
     ``FEATURE_NAMES`` (``FEATURE_INDEX`` maps a name to its column); an
     undefined value is NaN.  ``reasons[sonnet_id]`` explains each of
-    that sonnet's undefined values.  No generated ``__eq__``: an array
+    that sonnet's undefined values.  Equality is identity: an array
     field has no single truth value.
     """
 
-    sonnet_ids: tuple[str, ...]
-    values: np.ndarray
-    reasons: dict[str, dict[str, str]]
+    __slots__ = ("sonnet_ids", "values", "reasons")
+
+    def __init__(
+        self, sonnet_ids: tuple[str, ...], values: np.ndarray, reasons: dict[str, dict[str, str]]
+    ):
+        self.sonnet_ids, self.values, self.reasons = sonnet_ids, values, reasons
 
     def column(self, feature: str) -> np.ndarray:
         """One feature's values in corpus order (a view; NaN where undefined)."""

@@ -26,7 +26,6 @@ import math
 import operator
 import sys
 from contextlib import suppress
-from dataclasses import dataclass
 from functools import partial
 from itertools import compress, islice, repeat
 from pathlib import Path
@@ -80,7 +79,6 @@ class LexiconFormatError(InputError):
     """Malformed lexicon file or descriptor (coordinates in the message)."""
 
 
-@dataclass(frozen=True, eq=False)
 class SourceLexicon:
     """One published lexicon on its native scales.
 
@@ -89,15 +87,18 @@ class SourceLexicon:
     len(DIMENSIONS) arrays, row i for ``entries[i]`` and columns in
     ``DIMENSIONS`` order; NaN marks a dimension the source gives no value
     for, and in ``sd`` also a standard deviation it does not publish.
-    ``scales`` holds the declared native range per dimension.  No
-    generated ``__eq__``: an array field has no single truth value.
+    ``scales`` holds the declared native range per dimension.  Equality
+    is identity: an array field has no single truth value.
     """
 
-    source_id: str
-    scales: dict[str, tuple[float, float]]
-    entries: tuple[str, ...]
-    mean: np.ndarray
-    sd: np.ndarray
+    __slots__ = ("source_id", "scales", "entries", "mean", "sd")
+
+    def __init__(
+        self, source_id: str, scales: dict[str, tuple[float, float]], entries: tuple[str, ...],
+        mean: np.ndarray, sd: np.ndarray,
+    ):
+        self.source_id, self.scales, self.entries = source_id, scales, entries
+        self.mean, self.sd = mean, sd
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -18,7 +18,6 @@ one rule, and writes each row to both files as it arrives.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 import logging
 import math
@@ -319,17 +318,20 @@ class _StatRow(NamedTuple):
 
     record: str
     name: str
-    value: float
+    value: float | None
 
 
 def _corpus_stats(session: Session) -> _Built:
     stats = corpus_mod.corpus_statistics(session.keys(session.norm.mode), session.median)
+    if stats.word_sd is None:
+        logger.info("corpus_stats summary/word_sd: undefined: one sonnet has no sample sd")
     rows = [
         *(_StatRow("summary", name, value) for name, value in zip(stats._fields[:3], stats)),
         *(_StatRow("histogram", f"{b.low:.10g}-{b.high:.10g}", b.count) for b in stats.histogram),
         *(_StatRow("tag_count", tag, count) for tag, count in stats.tag_counts.items()),
     ]
-    return _Built(rows, {**stats._asdict(), "unfilled_cells": session.annotations[1]})
+    wrapper = {**stats._asdict(), "unfilled_cells": session.annotations[1]}
+    return _Built(rows, wrapper, stats.word_sd is None)
 
 
 def _agreement(session: Session) -> _Built:
@@ -496,7 +498,7 @@ class Session:
         Each sonnet is normalized once per session, in raw mode; every
         mode keys these.
         """
-        raw = dataclasses.replace(self.norm, mode="raw")
+        raw = NormalizationConfig("raw", self.norm.stopwords, self.norm.lemma_table)
         sonnets = self.corpus.sonnets
         for sonnet in sonnets:
             if sonnet.text is None:
@@ -508,7 +510,8 @@ class Session:
         if mode == "raw":
             return self.words
         if mode not in self._keys:
-            self._keys[mode] = self.words.keyed(dataclasses.replace(self.norm, mode=mode).key)
+            config = NormalizationConfig(mode, self.norm.stopwords, self.norm.lemma_table)
+            self._keys[mode] = self.words.keyed(config.key)
         return self._keys[mode]
 
     @cached_property

@@ -19,8 +19,7 @@ which can be taken within groups (sonnets, say) all in one sort.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -197,8 +196,7 @@ def group_mean(groups: np.ndarray, values: np.ndarray, size: int) -> tuple[np.nd
         return np.bincount(groups, values, size) / count, count
 
 
-@dataclass
-class CorrelationResult:
+class CorrelationResult(NamedTuple):
     """Spearman correlation outcome; ``rho`` is None when undefined."""
 
     rho: float | None
@@ -277,8 +275,7 @@ def _t_test_p_value(beta: float, se: float, t: float, dof: int) -> float:
     return t_tail(t, dof)
 
 
-@dataclass
-class RegressionResult:
+class RegressionResult(NamedTuple):
     """OLS fit summary.  Per-predictor vectors exclude the intercept.
 
     A fit keeps coefficients, standard errors and t values; the p-values
@@ -536,8 +533,7 @@ def ols(
     return design.fit(y)
 
 
-@dataclass
-class AnovaResult:
+class AnovaResult(NamedTuple):
     """One-way ANOVA outcome with a note set on degenerate inputs."""
 
     f_statistic: float

@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import functools
 import re
-from dataclasses import dataclass, field
 from importlib import resources
 from itertools import count
 from pathlib import Path
@@ -142,24 +141,27 @@ def load_lemma_table(path: str | Path) -> dict[str, str]:
     return table
 
 
-@dataclass(frozen=True)
 class NormalizationConfig:
     """How text becomes lookup keys.
 
     ``mode`` selects the key transform.  Lemma mode needs a non-empty
-    ``lemma_table``; the other modes ignore it.  An empty stopword set is
-    allowed and simply keeps every token.
+    ``lemma_table``; the other modes ignore it.  ``stopwords`` defaults
+    to the bundled list; an empty set is allowed and simply keeps every
+    token.
     """
 
-    mode: str = "stem"
-    stopwords: frozenset[str] = field(default_factory=default_stopwords)
-    lemma_table: dict[str, str] | None = None
+    __slots__ = ("mode", "stopwords", "lemma_table")
 
-    def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        if self.mode == "lemma" and not self.lemma_table:
+    def __init__(
+        self, mode: str = "stem", stopwords: frozenset[str] | None = None,
+        lemma_table: dict[str, str] | None = None,
+    ):
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+        if mode == "lemma" and not lemma_table:
             raise ValueError("lemma mode requires a non-empty lemma table")
+        self.mode, self.lemma_table = mode, lemma_table
+        self.stopwords = default_stopwords() if stopwords is None else stopwords
 
     def key(self, word: str) -> str:
         """The lookup key of one word; a word the lemma table lacks keeps its form."""

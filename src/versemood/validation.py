@@ -60,18 +60,8 @@ logger = logging.getLogger(__name__)
 
 SIGNIFICANCE_LEVEL = 0.05
 
-FEATURE_PAIRINGS: tuple[tuple[str, str], ...] = (
-    ("valence", "valence_mean"),
-    ("arousal", "arousal_mean"),
-    ("happiness", "happiness_mean"),
-    ("anger", "anger_mean"),
-    ("sadness", "sadness_mean"),
-    ("fear", "fear_mean"),
-    ("disgust", "disgust_mean"),
-    ("concreteness", "concreteness_mean"),
-    ("imageability", "imageability_mean"),
-    ("context availability", "cont_ava_mean"),
-)
+# Each ordinal feature with the mean of its lexicon dimension: the two share one order.
+FEATURE_PAIRINGS: tuple[tuple[str, str], ...] = tuple(zip(ORDINAL_FEATURES, MEAN_FEATURES))
 
 
 class BivariateCell(NamedTuple):

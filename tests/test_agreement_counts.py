@@ -144,18 +144,18 @@ def test_each_feature_is_coded_once(workspace_config, monkeypatch):
     sets, median = session.annotations[0], session.median
     expected = agreement_report(sets, median)
     coded, matrices = [], []
-    code, check = agreement._code, agreement.ReliabilityMatrix.__post_init__
+    code, init = agreement._code, agreement.ReliabilityMatrix.__init__
 
     def counted_code(table, categories):
         coded.append(table)
         return code(table, categories)
 
-    def counted_matrix(matrix):
+    def counted_matrix(matrix, *args, **kwargs):
         matrices.append(matrix)
-        check(matrix)
+        init(matrix, *args, **kwargs)
 
     monkeypatch.setattr(agreement, "_code", counted_code)
-    monkeypatch.setattr(agreement.ReliabilityMatrix, "__post_init__", counted_matrix)
+    monkeypatch.setattr(agreement.ReliabilityMatrix, "__init__", counted_matrix)
     report = agreement_report(sets, median)
     assert [(r.feature, r.cells) for r in report] == [(r.feature, r.cells) for r in expected]
     assert sum(len(r.cells) for r in report) == 7 * len(ANNOTATED_FEATURES)

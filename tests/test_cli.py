@@ -370,6 +370,24 @@ def test_strict_exit_on_degenerate_regressions(tmp_path, capsys):
     assert err.splitlines()[-1] == f"{noted} degenerate or skipped computations"
 
 
+def test_one_sonnet_word_sd_is_undefined_logged_and_strict(tmp_path, capsys):
+    # A sample standard deviation of one value is undefined, not zero.
+    workspace = build_workspace(tmp_path / "one", n_sonnets=1)
+    out = tmp_path / "out"
+    argv = ["stats", "--config", str(workspace / "config.json"), "--out", str(out)]
+    code, _, err = run(capsys, *argv, "--log-decisions", "--strict")
+    assert code == 2
+    assert err.splitlines()[-1] == "1 degenerate or skipped computations"
+    assert ["summary", "word_sd", ""] in read_csv(out / "corpus_stats.csv")
+    report = read_json(out / "corpus_stats.json")
+    assert report["word_sd"] is None and report["n_sonnets"] == 1
+    log = (out / "decisions.log").read_text(encoding="utf-8").splitlines()
+    assert [line for line in log if "word_sd" in line] == [
+        "versemood.pipeline: corpus_stats summary/word_sd: undefined: one sonnet has no sample sd"
+    ]
+    assert run(capsys, *argv)[0] == 0
+
+
 @pytest.mark.parametrize("n_sonnets", (12, 40))
 def test_decisions_log_names_every_skipped_regression_and_anova_cell(
     n_sonnets, tmp_path, capsys

@@ -8,7 +8,6 @@ import pkgutil
 import shutil
 import sys
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -74,7 +73,7 @@ def by_sonnet(table):
 def test_session_keys_equal_normalize_in_every_mode(workspace, tmp_path):
     session = Session(_lemma_workspace(workspace, tmp_path))
     for mode in MODES:
-        config = replace(session.norm, mode=mode)
+        config = NormalizationConfig(mode, session.norm.stopwords, session.norm.lemma_table)
         expected = {s.sonnet_id: tuple(normalize(s.text, config)) for s in session.corpus.sonnets}
         table = session.keys(mode)
         assert by_sonnet(table) == expected, mode
@@ -151,7 +150,7 @@ def test_stem_mode_stems_through_textnorm_stem_once_per_word(workspace_config, m
 
     monkeypatch.setattr(textnorm, "stem", counting)
     session = Session(workspace_config)
-    stem_mode = replace(session.norm, mode="stem")
+    stem_mode = NormalizationConfig("stem", session.norm.stopwords, session.norm.lemma_table)
     distinct = set(session.words.words)
     session.keys("stem")
     assert set(calls) == distinct and sum(calls.values()) == len(distinct)
@@ -168,7 +167,7 @@ def test_a_coverage_run_stems_each_corpus_and_lexicon_word_once(
     # The word counts, coverage and missing words of stem mode all read one keying of
     # the corpus words, and the merge keys each lexicon word once.
     session = Session(workspace_config)
-    raw = replace(session.norm, mode="raw")
+    raw = NormalizationConfig("raw", session.norm.stopwords, session.norm.lemma_table)
     corpus_words = {w for s in session.corpus.sonnets for w in normalize(s.text, raw)}
     surfaces = set().union(*(source.entries for source in session.sources))
     original = textnorm.stem

@@ -17,7 +17,8 @@ from versemood.corpus import (
     PSYCHOLOGICAL_TAGS,
     AnnotationSet,
 )
-from versemood.features import FEATURE_NAMES, FeatureMatrix
+from versemood.features import FEATURE_NAMES, MEAN_FEATURES, FeatureMatrix
+from versemood.lexicon import DIMENSIONS
 from versemood.stats import spearman
 from versemood.validation import (
     FEATURE_PAIRINGS,
@@ -81,6 +82,11 @@ def median_for(matrix, rng, tag_members=None, annotated_from=None):
 
 
 def test_feature_pairings_inventory():
+    # each ordinal feature, in order, with the mean of the lexicon dimension of its name
+    assert [annotated for annotated, _ in FEATURE_PAIRINGS] == list(ORDINAL_FEATURES)
+    for annotated, gam_feature in FEATURE_PAIRINGS:
+        dimension = DIMENSIONS.index(annotated.replace(" ", "_"))
+        assert gam_feature == MEAN_FEATURES[dimension], annotated
     assert len(FEATURE_PAIRINGS) == 10
     assert ("valence", "valence_mean") in FEATURE_PAIRINGS
     assert ("context availability", "cont_ava_mean") in FEATURE_PAIRINGS
