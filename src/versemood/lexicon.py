@@ -13,8 +13,9 @@ layouts adapted through a small descriptor that names the word column
 and the mean/sd columns per dimension.
 
 A lexicon is held as arrays, one row per word and one column per
-dimension, NaN where a word has no value.  Loaders parse and check whole
-columns, and read the rows again only to name the first bad line.
+dimension, NaN where a word has no value.  Loaders read a file a block of
+lines at a time, check whole columns, and read the rows again only to name
+the first bad line.
 """
 
 from __future__ import annotations
@@ -79,54 +80,10 @@ class LexiconFormatError(InputError):
     """Malformed lexicon file or descriptor (coordinates in the message)."""
 
 
-class SourceLexicon:
-    """One published lexicon on its native scales.
+class _Planes:
+    """``mean`` and ``sd`` as given, or by ``values()`` on the first read of either, once."""
 
-    ``entries`` holds the distinct surface words in the order the file
-    first gives them.  ``mean`` and ``sd`` are len(entries) x
-    len(DIMENSIONS) arrays, row i for ``entries[i]`` and columns in
-    ``DIMENSIONS`` order; NaN marks a dimension the source gives no value
-    for, and in ``sd`` also a standard deviation it does not publish.
-    ``scales`` holds the declared native range per dimension.  Equality
-    is identity: an array field has no single truth value.
-    """
-
-    __slots__ = ("source_id", "scales", "entries", "mean", "sd")
-
-    def __init__(
-        self, source_id: str, scales: dict[str, tuple[float, float]], entries: tuple[str, ...],
-        mean: np.ndarray, sd: np.ndarray,
-    ):
-        self.source_id, self.scales, self.entries = source_id, scales, entries
-        self.mean, self.sd = mean, sd
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-class MergedLexicon:
-    """Sources fused onto canonical scales and keyed by normalized form.
-
-    ``rows`` maps each key to its row of ``mean`` and ``sd``, which are
-    len(rows) x len(DIMENSIONS) arrays on the canonical scales (NaN
-    where no source word of the key has a value).  ``source_rows[k][i]``
-    is the row of the key of entry i of the k-th merged source.  Given no
-    ``mean`` and ``sd``, both are computed by ``values()`` on the first read
-    of either, once.
-    """
-
-    __slots__ = ("rows", "source_rows", "_values")
-
-    def __init__(
-        self,
-        rows: dict[str, int],
-        mean: np.ndarray | None = None,
-        sd: np.ndarray | None = None,
-        source_rows: tuple[np.ndarray, ...] = (),
-        values: Callable[[], tuple[np.ndarray, np.ndarray]] | None = None,
-    ):
-        self.rows, self.source_rows = rows, source_rows
-        self._values = values or (mean, sd)
+    __slots__ = ("_values",)
 
     def _planes(self) -> tuple[np.ndarray, np.ndarray]:
         if callable(self._values):
@@ -135,6 +92,53 @@ class MergedLexicon:
 
     mean = property(lambda self: self._planes()[0])
     sd = property(lambda self: self._planes()[1])
+
+
+class SourceLexicon(_Planes):
+    """One published lexicon on its native scales.
+
+    ``entries`` holds the distinct surface words in the order the file
+    first gives them.  ``mean`` and ``sd`` are len(entries) x
+    len(DIMENSIONS) arrays, row i for ``entries[i]`` and columns in
+    ``DIMENSIONS`` order; NaN marks a dimension the source gives no value
+    for, and in ``sd`` also a standard deviation it does not publish.
+    A loaded source computes them on the first read.  ``scales`` holds the
+    declared native range per dimension.  Equality is identity: an array
+    field has no single truth value.
+    """
+
+    __slots__ = ("source_id", "scales", "entries")
+
+    def __init__(
+        self, source_id: str, scales: dict[str, tuple[float, float]], entries: tuple[str, ...],
+        mean: np.ndarray | None = None, sd: np.ndarray | None = None,
+        values: Callable[[], tuple[np.ndarray, np.ndarray]] | None = None,
+    ):
+        self.source_id, self.scales, self.entries = source_id, scales, entries
+        self._values = values or (mean, sd)
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+
+class MergedLexicon(_Planes):
+    """Sources fused onto canonical scales and keyed by normalized form.
+
+    ``rows`` maps each key to its row of ``mean`` and ``sd``, which are
+    len(rows) x len(DIMENSIONS) arrays on the canonical scales (NaN
+    where no source word of the key has a value).  ``source_rows[k][i]``
+    is the row of the key of entry i of the k-th merged source.
+    """
+
+    __slots__ = ("rows", "source_rows")
+
+    def __init__(
+        self, rows: dict[str, int], mean: np.ndarray | None = None, sd: np.ndarray | None = None,
+        source_rows: tuple[np.ndarray, ...] = (),
+        values: Callable[[], tuple[np.ndarray, np.ndarray]] | None = None,
+    ):
+        self.rows, self.source_rows = rows, source_rows
+        self._values = values or (mean, sd)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -176,7 +180,7 @@ class _Table:
     was read.  A blank line is no row, as csv.DictReader skips it.
     """
 
-    def __init__(self, path: Path, text: str, delimiter: str):
+    def __init__(self, path: Path, text: str, delimiter: str, strings: Mapping[str, Callable]):
         self.path, self.text, self.delimiter = path, text, delimiter
         reader = csv.reader(split_lines(text), delimiter=delimiter)
         rows = csv_rows(reader, path, LexiconFormatError)
@@ -194,9 +198,10 @@ class _Table:
             self.stop = f"{widths[wrong[0]]} cells, but the header has {len(header)}"
             del self.rows[wrong[0] :]
         self.cells = list(zip(*self.rows)) or [()] * len(header)
-
-    def strings(self, j: int) -> Sequence[str]:
-        return self.cells[j]
+        self.converted = {
+            self.column[name]: convert(self.cells[self.column[name]])
+            for name, convert in strings.items() if name in self.column
+        }
 
     def numbers(
         self, j: int, wanted: np.ndarray | bool | None = None
@@ -206,7 +211,7 @@ class _Table:
         With ``wanted`` (a mask, or True for every cell) the cells are optional:
         each is stripped, and a blank or unwanted one is NaN without being bad.
         """
-        cells = self.strings(j)
+        cells = self.cells[j]
         if wanted is None:
             wanted = np.ones(len(cells), bool)
         else:
@@ -243,34 +248,49 @@ class _Table:
         raise LexiconFormatError(f"{self.path}: line {reader.line_num}: {message}")
 
 
+# Characters of text a plain file is read by: each block also takes the rest of its last line.
+_BLOCK = 1 << 16
+
+
 class _Columns:
     """A lexicon file split at its delimiter, where the csv reader would split it the same way.
 
-    Its text has no quote and no CR.  np.loadtxt parses the ``numeric``
-    columns as float() does but takes less, no blank cell among it, so
-    ``wanted`` changes nothing.  Any ValueError sends the file to ``_Table``.
+    Its text has no quote and no CR.  It is read a block of lines at a
+    time: np.loadtxt parses the ``numeric`` columns as float() does but
+    takes less, no blank cell among it, so ``wanted`` changes nothing, and
+    each ``strings`` column is converted at once; only these are kept.
+    Any ValueError sends the file to ``_Table``, the only one to name a bad row.
     """
 
-    def __init__(self, text: str, delimiter: str, numeric: Sequence[str]):
-        header, *rows = text.split("\n")
-        self.column = {name: j for j, name in enumerate(header.split(delimiter))}
-        self.rows = rows = list(filter(None, rows))
-        self.delimiter = delimiter
-        if (
-            not header or not rows or not self.column.keys() >= set(numeric)
-            or any(map(header.count(delimiter).__ne__, map(str.count, rows, repeat(delimiter))))
-            or max(len(header), *map(len, rows)) > csv.field_size_limit()
-        ):
+    def __init__(self, text: str, delimiter: str, numeric: Sequence[str], strings: Mapping):
+        end = text.find("\n")
+        self.column = column = {name: j for j, name in enumerate(text[:end].split(delimiter))}
+        if end <= 0 or end > csv.field_size_limit() or not column.keys() >= {*numeric, *strings}:
             raise ValueError("not a plain delimited file")
-        usecols = sorted({self.column[name] for name in numeric})
-        values = np.loadtxt(rows, delimiter=delimiter, usecols=usecols, comments=None, ndmin=2)
-        if len(values) != len(rows):
-            raise ValueError("loadtxt skipped a row")
-        self.values = dict(zip(usecols, values.T))
-
-    def strings(self, j: int) -> Iterable[str]:
-        cells = map(str.split, self.rows, repeat(self.delimiter), repeat(j + 1))
-        return map(operator.itemgetter(j), cells)
+        usecols = sorted({column[name] for name in numeric})
+        converters = {column[name]: convert for name, convert in strings.items()}
+        numbers, converted = {j: [] for j in usecols}, {j: [] for j in converters}
+        width, start = text.count(delimiter, 0, end), end + 1
+        while start < len(text):
+            end = text.find("\n", start + _BLOCK) % (len(text) + 1)  # none: the end of the text
+            rows = list(filter(None, text[start:end].split("\n")))
+            start = end + 1
+            if not rows:
+                continue
+            widths = map(str.count, rows, repeat(delimiter))
+            if any(map(width.__ne__, widths)) or max(map(len, rows)) > csv.field_size_limit():
+                raise ValueError("not a plain delimited file")
+            values = np.loadtxt(rows, delimiter=delimiter, usecols=usecols, comments=None, ndmin=2)
+            if len(values) != len(rows):
+                raise ValueError("loadtxt skipped a row")
+            for j, values_j in zip(usecols, values.T):
+                numbers[j].append(values_j)
+            for j, convert in converters.items():
+                cells = map(str.split, rows, repeat(delimiter), repeat(j + 1))
+                converted[j].append(convert(map(operator.itemgetter(j), cells)))
+        # without a row, np.concatenate raises ValueError
+        self.values = {j: np.concatenate(parts) for j, parts in numbers.items()}
+        self.converted = {j: np.concatenate(parts) for j, parts in converted.items()}
 
     def numbers(self, j: int, wanted: object = None) -> tuple[np.ndarray, np.ndarray]:
         return self.values[j], ~np.isfinite(self.values[j])
@@ -280,13 +300,26 @@ class _Columns:
             raise ValueError("a row fails a check")
 
 
-def _read(path: Path, delimiter: str, numeric: Sequence[str], load: Callable) -> SourceLexicon:
-    """``load`` applied to the file column-wise, or failing that to its ``_Table``."""
+def _read(
+    path: Path, delimiter: str, numeric: Sequence[str], strings: Mapping[str, Callable],
+    load: Callable,
+) -> SourceLexicon:
+    """``load`` of the file by ``_Columns``, or else ``_Table``; ``strings``: name -> converter."""
     text = read_input(path, "lexicon file")
     if '"' not in text and "\r" not in text:  # else csv quoting and line ends apply
         with suppress(ValueError):  # LexiconFormatError too: only the referee reports errors
-            return load(_Columns(text, delimiter, numeric))
-    return load(_Table(path, text, delimiter))
+            return load(_Columns(text, delimiter, numeric, strings))
+    return load(_Table(path, text, delimiter, strings))
+
+
+def _words(cells: Iterable[str]) -> np.ndarray:
+    """Each cell's word, stripped, lowercased and interned."""
+    return np.array(list(map(sys.intern, map(str.lower, map(str.strip, cells)))), object)
+
+
+def _dimensions(cells: Iterable[str]) -> np.ndarray:
+    """Each cell's dimension as its array column, -1 for an unknown one."""
+    return np.array(list(map(_COLUMN.get, map(str.strip, cells), repeat(-1))), np.intp)
 
 
 def _parse(cell: str) -> float | str:
@@ -303,28 +336,31 @@ def _collapse(
     path: Path,
     source_id: str,
     scales: dict[str, tuple[float, float]],
-    words: list[str],
+    words: np.ndarray,
     columns: np.ndarray,
     means: np.ndarray,
     sds: np.ndarray,
 ) -> SourceLexicon:
     """One source from its values, in file order: value i gives ``words[i]``
     the mean ``means[i]`` and sd ``sds[i]`` (NaN: none) in array column
-    ``columns[i]``.  Duplicates (same word and dimension) are averaged.
+    ``columns[i]``.  Duplicates (same word and dimension) are averaged when
+    the source's ``mean`` or ``sd`` is first read.
     """
     index = {word: i for i, word in enumerate(dict.fromkeys(words))}
     if not index:
         raise LexiconFormatError(f"{path}: no entries")
     cells = np.fromiter(map(index.__getitem__, words), np.intp, len(words)) * len(DIMENSIONS)
     cells += columns
-    size = len(index) * len(DIMENSIONS)
-    mean, count = group_mean(cells, means, size)
-    sd, _ = group_mean(cells, sds, size)
-    n_dupes = int((count > 1).sum())
+    n_dupes = int((np.unique(cells, return_counts=True)[1] > 1).sum())
     if n_dupes:
         logger.info("%s: averaged %d duplicate word/dimension rows", source_id, n_dupes)
-    shape = (len(index), len(DIMENSIONS))
-    return SourceLexicon(source_id, scales, tuple(index), mean.reshape(shape), sd.reshape(shape))
+    values = partial(_source_planes, cells, means, sds, len(index))
+    return SourceLexicon(source_id, scales, tuple(index), values=values)
+
+
+def _source_planes(cells: np.ndarray, means: np.ndarray, sds: np.ndarray, n: int) -> tuple:
+    """The n x len(DIMENSIONS) mean and sd planes of ``_collapse``'s values, duplicates averaged."""
+    return tuple(group_mean(cells, v, n * len(DIMENSIONS))[0].reshape(n, -1) for v in (means, sds))
 
 
 _CANONICAL_COLUMNS = ("word", "dimension", "mean", "sd", "scale_min", "scale_max")
@@ -334,11 +370,8 @@ def _canonical(path: Path, source_id: str, table: _Table | _Columns) -> SourceLe
     missing = set(_CANONICAL_COLUMNS) - table.column.keys()
     if missing:
         raise LexiconFormatError(f"{path}: missing columns: {', '.join(sorted(missing))}")
-    n = len(table.rows)
     word_j, dim_j, mean_j, sd_j, lo_j, hi_j = map(table.column.__getitem__, _CANONICAL_COLUMNS)
-    words = list(map(sys.intern, map(str.lower, map(str.strip, table.strings(word_j)))))
-    dim_names = map(str.strip, table.strings(dim_j))
-    dims = np.fromiter(map(_COLUMN.get, dim_names, repeat(-1)), np.intp, n)
+    words, dims = table.converted[word_j], table.converted[dim_j]
     lo, lo_bad = table.numbers(lo_j)
     hi, hi_bad = table.numbers(hi_j)
     mean, mean_bad = table.numbers(mean_j)
@@ -354,10 +387,10 @@ def _canonical(path: Path, source_id: str, table: _Table | _Columns) -> SourceLe
         return float(lo[i]), float(hi[i])
 
     table.raise_first([
-        (np.fromiter(map(operator.not_, words), bool, n), lambda i: "empty word"),
-        (dims < 0, lambda i: f"unknown dimension {table.strings(dim_j)[i].strip()!r}"),
-        (lo_bad, lambda i: _parse(table.strings(lo_j)[i])),
-        (hi_bad, lambda i: _parse(table.strings(hi_j)[i])),
+        (words == "", lambda i: "empty word"),
+        (dims < 0, lambda i: f"unknown dimension {table.cells[dim_j][i].strip()!r}"),
+        (lo_bad, lambda i: _parse(table.cells[lo_j][i])),
+        (hi_bad, lambda i: _parse(table.cells[hi_j][i])),
         (~(lo < hi), lambda i: "scale_min must be below scale_max"),
         (
             (lo != lo[first_row]) | (hi != hi[first_row]),
@@ -365,12 +398,12 @@ def _canonical(path: Path, source_id: str, table: _Table | _Columns) -> SourceLe
                 f"conflicting scale for {DIMENSIONS[dims[i]]}: {scale(first_row[i])} vs {scale(i)}"
             ),
         ),
-        (mean_bad, lambda i: _parse(table.strings(mean_j)[i])),
+        (mean_bad, lambda i: _parse(table.cells[mean_j][i])),
         (
             (mean < lo) | (mean > hi),
             lambda i: "mean {} outside declared scale [{}, {}]".format(float(mean[i]), *scale(i)),
         ),
-        (sd_bad, lambda i: _parse(table.strings(sd_j)[i].strip())),
+        (sd_bad, lambda i: _parse(table.cells[sd_j][i].strip())),
         (sd < 0, lambda i: f"negative sd {float(sd[i])}"),
     ])
     scales = {DIMENSIONS[dims[i]]: scale(i) for i in sorted(first)}
@@ -421,10 +454,9 @@ def _load_described(path: Path, descriptor: Mapping, source_id: str, label: str)
             raise LexiconFormatError(
                 f"{path}: columns named by descriptor are absent: {', '.join(sorted(missing))}"
             )
-        n, column = len(table.rows), table.column
-        word_cells = map(str.strip, table.strings(column[word_column]))
-        words = list(map(sys.intern, map(str.lower, word_cells)))
-        checks = [(np.fromiter(map(operator.not_, words), bool, n), lambda i: "empty word")]
+        column = table.column
+        words = table.converted[column[word_column]]
+        n, checks = len(words), [(words == "", lambda i: "empty word")]
 
         def dimension(dim: str, spec: Mapping) -> tuple[np.ndarray, np.ndarray]:
             """The dimension's means and sds (NaN where blank); its checks join ``checks``."""
@@ -436,12 +468,12 @@ def _load_described(path: Path, descriptor: Mapping, source_id: str, label: str)
             if sd_j is not None:
                 sd, sd_bad = table.numbers(sd_j, ~np.isnan(mean))
             checks.extend([
-                (mean_bad, lambda i: _parse(table.strings(mean_j)[i].strip())),
+                (mean_bad, lambda i: _parse(table.cells[mean_j][i].strip())),
                 (
                     (mean < lo) | (mean > hi),
                     lambda i: f"{dim} mean {float(mean[i])} outside declared scale [{lo}, {hi}]",
                 ),
-                (sd_bad, lambda i: _parse(table.strings(sd_j)[i].strip())),
+                (sd_bad, lambda i: _parse(table.cells[sd_j][i].strip())),
                 (sd < 0, lambda i: f"negative sd {float(sd[i])}"),
             ])
             return mean, sd
@@ -456,13 +488,13 @@ def _load_described(path: Path, descriptor: Mapping, source_id: str, label: str)
             path,
             source_id,
             scales,
-            list(map(words.__getitem__, value_rows.tolist())),
+            words[value_rows],
             dim_columns[value_dims],
             mean[given],
             sd[given],
         )
 
-    return _read(path, delimiter, means + sds, load)
+    return _read(path, delimiter, means + sds, {word_column: _words}, load)
 
 
 def load_lexicon(
@@ -483,7 +515,8 @@ def load_lexicon(
         raise LexiconFormatError(f"lexicon file not found: {path}")
     if descriptor is None:
         load = partial(_canonical, path, source_id or path.stem)
-        return _read(path, ",", _CANONICAL_COLUMNS[2:], load)
+        strings = {"word": _words, "dimension": _dimensions}
+        return _read(path, ",", _CANONICAL_COLUMNS[2:], strings, load)
     if isinstance(descriptor, Mapping):
         label = f"descriptor of {path}"
     else:
@@ -588,8 +621,8 @@ class CoverageRow(NamedTuple):
     category: str
     mode: str
     n_keys: int
-    merged: float
-    per_source: dict[str, float]
+    merged: float | None  # None for a category without keys: 0/0
+    per_source: dict[str, float | None]
 
 
 def _category_keys(keys: TokenTable, median: AnnotationSet | None) -> tuple[list[str], np.ndarray]:
@@ -635,10 +668,10 @@ def coverage_report(
         hit = row_of_key[used]
         hit = hit[hit >= 0]
         n_keys = int(used.sum())
-        share = max(n_keys, 1)  # a category without keys has no hit: every fraction is 0.0
-        counts = in_source[:, hit].sum(axis=1).tolist()
-        per_source = {s.source_id: n / share for s, n in zip(sources, counts)}
-        rows.append(CoverageRow(category, config.mode, n_keys, len(hit) / share, per_source))
+        counts = [len(hit), *in_source[:, hit].sum(axis=1).tolist()]
+        share, *shares = [n / n_keys if n_keys else None for n in counts]
+        per_source = dict(zip([s.source_id for s in sources], shares))
+        rows.append(CoverageRow(category, config.mode, n_keys, share, per_source))
     return rows
 
 

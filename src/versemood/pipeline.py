@@ -362,9 +362,13 @@ def _word_counts(session: Session) -> _Built:
 
 def _coverage(session: Session) -> _Built:
     norm = session.norm
-    return _Built(lexicon_mod.coverage_report(
+    rows = lexicon_mod.coverage_report(
         session.keys(norm.mode), session.sources, session.merged, norm, session.median
-    ))
+    )
+    undefined = [row.category for row in rows if row.merged is None]
+    for category in undefined:
+        logger.info("coverage %s: fractions undefined: the category has no keys", category)
+    return _Built(rows, degenerate=len(undefined))
 
 
 def _missing_words(session: Session) -> _Built:

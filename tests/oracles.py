@@ -978,9 +978,9 @@ def coverage_report(keys, sources, merged, config, median=None):
     rows = []
     for category, ids in _categories(keys, median):
         distinct = {k for sid in ids for k in keys[sid]}
-        if not distinct:
+        if not distinct:  # no keys: every fraction is 0/0, undefined
             rows.append(
-                CoverageRow(category, config.mode, 0, 0.0, {s: 0.0 for s in source_rows})
+                CoverageRow(category, config.mode, 0, None, {s: None for s in source_rows})
             )
             continue
         hit = [merged.rows[k] for k in distinct if k in merged.rows]

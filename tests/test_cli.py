@@ -388,6 +388,36 @@ def test_one_sonnet_word_sd_is_undefined_logged_and_strict(tmp_path, capsys):
     assert run(capsys, *argv)[0] == 0
 
 
+def test_coverage_of_a_tag_no_sonnet_carries_is_undefined_logged_and_strict(tmp_path, capsys):
+    # A category without keys has no coverage fraction: 0/0 is undefined, not zero.
+    workspace = build_workspace(tmp_path / "ws", n_sonnets=12)
+    tag = PSYCHOLOGICAL_TAGS[0]
+    for k in (1, 2, 3):
+        rows = read_csv(workspace / f"annotator{k}.csv")
+        j = rows[0].index(tag)
+        with (workspace / f"annotator{k}.csv").open("w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(
+                [rows[0], *([*row[:j], "0", *row[j + 1:]] for row in rows[1:])]
+            )
+    out = tmp_path / "out"
+    argv = ["coverage", "--config", str(workspace / "config.json"), "--out", str(out)]
+    code, _, err = run(capsys, *argv, "--log-decisions", "--strict")
+    assert code == 2
+    assert err.splitlines()[-1] == "1 degenerate or skipped computations"
+    header, *rows = read_csv(out / "coverage.csv")
+    assert header == ["category", "mode", "n_keys", "merged", "lex_a", "norms_b"]
+    assert [row for row in rows if row[0] == tag] == [[tag, "stem", "0", "", "", ""]]
+    assert all(row[3] and row[4] and row[5] for row in rows if row[0] != tag)
+    report = {row["category"]: row for row in read_json(out / "coverage.json")}
+    assert report[tag]["merged"] is None
+    assert report[tag]["per_source"] == {"lex_a": None, "norms_b": None}
+    log = (out / "decisions.log").read_text(encoding="utf-8").splitlines()
+    assert [line for line in log if line.startswith("versemood.pipeline: coverage")] == [
+        f"versemood.pipeline: coverage {tag}: fractions undefined: the category has no keys"
+    ]
+    assert run(capsys, *argv)[0] == 0
+
+
 @pytest.mark.parametrize("n_sonnets", (12, 40))
 def test_decisions_log_names_every_skipped_regression_and_anova_cell(
     n_sonnets, tmp_path, capsys

@@ -662,6 +662,35 @@ def test_loaders_match_dict_oracle(tmp_path, caplog):
     assert reached == {"duplicates", "no duplicates", "missing sd", "all means blank"}
 
 
+def test_source_planes_are_computed_once_on_first_read(tmp_path, caplog, monkeypatch):
+    # A load makes every check and logs its duplicates; the planes wait for a read.
+    original = lexicon._source_planes
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(lexicon, "_source_planes", counting)
+    rng = np.random.default_rng(94)
+    caplog.set_level("INFO", logger="versemood.lexicon")
+    for case in range(60):
+        calls.clear()
+        source, _, entries, _, _ = load_both(rng, tmp_path / f"src{case}.csv", caplog)
+        assert calls == [] and list(source.entries) == list(entries)
+        first = source.sd if case % 2 else source.mean
+        assert len(calls) == 1
+        mean, sd = source.mean, source.sd
+        assert (source.sd if case % 2 else source.mean) is first and len(calls) == 1
+        want = np.full((2, len(entries), len(DIMENSIONS)), np.nan)
+        for i, dims in enumerate(entries.values()):
+            for dim, (m, s) in dims.items():
+                want[:, i, DIMENSIONS.index(dim)] = m, math.nan if s is None else s
+        for got, expected in zip((mean, sd), want):
+            assert (np.isnan(got) == np.isnan(expected)).all()
+            assert got[~np.isnan(got)].tobytes() == expected[~np.isnan(expected)].tobytes()
+
+
 def test_merge_matches_dict_oracle(tmp_path, caplog):
     rng = np.random.default_rng(91)
     caplog.set_level("INFO", logger="versemood.lexicon")

@@ -1,15 +1,19 @@
 """The column reader of the lexicon loaders against the csv reader it stands in for.
 
-``lexicon._Columns`` reads a plain delimited file with ``str.split`` and
-``np.loadtxt``; any file it cannot read exactly as the csv reader would
-goes to ``lexicon._Table``.  Each mutated file below is loaded both ways,
-the second with the column reader switched off, and must give the same
-source (entries, scales, mean and sd bytes, log lines) or the same error.
+``lexicon._Columns`` reads a plain delimited file a block of lines at a
+time with ``str.split`` and ``np.loadtxt``; any file it cannot read
+exactly as the csv reader would goes to ``lexicon._Table``.  Each mutated
+file below is loaded both ways, the second with the column reader switched
+off, and must give the same source (entries, scales, mean and sd bytes,
+log lines) or the same error.  The block size is patched down to a few
+dozen characters too, so that damage lands in later blocks.
 """
 
 import csv
 import json
 import logging
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +123,17 @@ def _empty(rng, rows, d):
     rows.clear()
 
 
+def _long_row(rng, rows, d):
+    # a row longer than a block (when blocks are a few dozen characters)
+    i = int(rng.integers(1, len(rows)))
+    rows[i][0] += "x" * 100
+
+
+def _bad_last_row(rng, rows, d):
+    _, j = _numeric_cell(rng, rows)
+    rows[-1][j] = ["x", "", "-1", "1e309"][int(rng.integers(4))]
+
+
 # Mutations of the rows; None marks a whole-text one, applied in ``write``.
 MUTATIONS = {
     "clean": lambda rng, rows, d: None,
@@ -146,6 +161,23 @@ MUTATIONS = {
     "empty file": _empty,
 }
 
+# Mutations aimed at the block boundaries of the column reader.
+BLOCK_MUTATIONS = {
+    "blank line at a block boundary": None,
+    "no final newline": None,
+    "row longer than a block": _long_row,
+    "bad row in the last block": _bad_last_row,
+}
+
+
+def block_ends(text):
+    """The line ends at which ``_Columns`` ends the blocks of ``text``."""
+    ends, end = [], text.find("\n")
+    while 0 <= end < len(text) - 1:
+        end = text.find("\n", end + 1 + lexicon._BLOCK)
+        ends.append(end)
+    return [end for end in ends if end >= 0]
+
 
 def write(rng, path, rows, d, kind):
     text = "".join(d.join(row) + "\n" for row in rows)
@@ -155,6 +187,12 @@ def write(rng, path, rows, d, kind):
         ends = [i for i, c in enumerate(text) if c == "\n"]
         at = ends[int(rng.integers(len(ends)))]
         text = text[:at] + "\r" + text[at + 1 :]
+    elif kind == "blank line at a block boundary":
+        ends = block_ends(text)
+        at = ends[int(rng.integers(len(ends)))] + int(rng.integers(2))  # the line end, or after it
+        text = text[:at] + "\n" + text[at:]
+    elif kind == "no final newline":
+        text = text.rstrip("\n")
     path.write_text(text, encoding="utf-8")
 
 
@@ -172,8 +210,9 @@ def outcome(path, descriptor, caplog):
     )
 
 
-def test_column_reader_equals_the_csv_reader(clean, tmp_path, caplog, monkeypatch):
-    rng = np.random.default_rng(160)
+def differential(clean, tmp_path, caplog, monkeypatch, rng, mutations):
+    """Load each mutated lexicon both ways; return the (reader, outcome) pairs reached
+    and the mutation kinds whose files the column reader read."""
     caplog.set_level(logging.INFO, logger="versemood.lexicon")
     tables = []
     real_table = lexicon._Table.__init__
@@ -193,7 +232,7 @@ def test_column_reader_equals_the_csv_reader(clean, tmp_path, caplog, monkeypatc
         if descriptor:
             descriptor = clean / descriptor
         lines = (clean / name).read_text(encoding="utf-8").splitlines()
-        for kind, mutate in MUTATIONS.items():
+        for kind, mutate in mutations.items():
             for case in range(4 if kind != "clean" else 1):
                 rows = [line.split(d) for line in lines]
                 if mutate:
@@ -210,6 +249,12 @@ def test_column_reader_equals_the_csv_reader(clean, tmp_path, caplog, monkeypatc
                 reached.add((read_by, result))
                 if read_by == "column reader":
                     plain.add(kind)
+    return reached, plain
+
+
+def test_column_reader_equals_the_csv_reader(clean, tmp_path, caplog, monkeypatch):
+    rng = np.random.default_rng(160)
+    reached, plain = differential(clean, tmp_path, caplog, monkeypatch, rng, MUTATIONS)
     assert reached == {
         ("column reader", "source"),
         ("csv reader", "source"),
@@ -217,6 +262,26 @@ def test_column_reader_equals_the_csv_reader(clean, tmp_path, caplog, monkeypatc
     }
     # a file that stays plain is read column-wise
     assert plain >= {"clean", "blank line", "# inside a word", "repeated header name"}
+
+
+def test_column_reader_equals_the_csv_reader_across_blocks(
+    clean, tmp_path, caplog, monkeypatch
+):
+    # blocks of a line or two: every mutation lands past the first block
+    monkeypatch.setattr(lexicon, "_BLOCK", 40)
+    assert len(block_ends((clean / "lex_a.csv").read_text(encoding="utf-8"))) > 100
+    rng = np.random.default_rng(162)
+    mutations = {**MUTATIONS, **BLOCK_MUTATIONS}
+    reached, plain = differential(clean, tmp_path, caplog, monkeypatch, rng, mutations)
+    assert reached == {
+        ("column reader", "source"),
+        ("csv reader", "source"),
+        ("csv reader", "error"),
+    }
+    assert plain >= {
+        "clean", "blank line", "# inside a word", "repeated header name",
+        "blank line at a block boundary", "no final newline", "row longer than a block",
+    }
 
 
 def plain_lexicon(path, n_rows, rng):
@@ -241,3 +306,25 @@ def test_plain_files_never_reach_the_csv_reader(clean, tmp_path, monkeypatch):
     assert len(load_lexicon(clean / "lex_a.csv")) == 34
     assert len(load_lexicon(clean / "lex_b.tsv", clean / DESCRIPTOR)) == 30
     assert len(load_lexicon(tmp_path / "plain.csv")) == 200
+
+
+def test_a_plain_load_holds_a_small_multiple_of_the_file(tmp_path):
+    """A 20,000-row plain lexicon loads under 5x its size in traced memory.
+
+    The column reader keeps a block of lines at a time, not the file's rows,
+    and the load computes no mean or sd planes (3.8x here; the whole-file
+    reader that computed the planes took 7.0x).
+    """
+    rng = np.random.default_rng(163)
+    plain_lexicon(tmp_path / "warm.csv", 20, rng)
+    load_lexicon(tmp_path / "warm.csv")  # what a first load sets up once
+    path = tmp_path / "plain.csv"
+    plain_lexicon(path, 20_000, rng)
+    tracemalloc.start()
+    try:
+        source = load_lexicon(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(source) == 2000
+    assert peak < 5 * os.path.getsize(path), (peak, os.path.getsize(path))

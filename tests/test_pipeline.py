@@ -210,6 +210,29 @@ def test_only_a_report_that_reads_the_merged_values_computes_them(
     assert merged.mean.shape == merged.sd.shape and len(calls) == 2
 
 
+def test_only_a_report_that_reads_the_merged_values_computes_the_source_planes(
+    workspace_config, tmp_path, monkeypatch
+):
+    # Coverage and missing words read the sources' words; merging the values reads each
+    # source's mean and sd planes, computed once per source.
+    original = lexicon._source_planes
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(lexicon, "_source_planes", counting)
+    for mode in MODES[:2]:
+        argv = ["--config", str(workspace_config), "--mode", mode, "--missing-words"]
+        assert main(["coverage", *argv, "--out", str(tmp_path / mode)]) == 0
+    assert calls == []
+    argv = ["all", "--config", str(workspace_config), "--missing-words"]
+    assert main([*argv, "--out", str(tmp_path / "all")]) == 0
+    # one call per source: the canonical lexicon's 34 words and the described one's 30
+    assert sorted(n_entries for *_, n_entries in calls) == [30, 34]
+
+
 def test_partial_dependence_checks_each_category_design_once(
     workspace_config, tmp_path, monkeypatch
 ):
