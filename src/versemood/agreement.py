@@ -11,8 +11,10 @@ marginals for ordinal data.
 Alpha can legitimately fall below zero when annotators disagree more than
 chance would; values are reported as computed, without clamping.
 
-A report is one pass (``_alphas``): each rater's table is coded once,
-and each rater pair's coincidences, every feature at once, are one
+``krippendorff_alpha`` takes one units x raters array and
+``agreement_report`` the annotation sets; both run one kernel.  A report
+is one pass (``_alphas``): each rater's table is coded once, and each
+rater pair's coincidences, every feature at once, are one
 ``np.bincount`` of their code pairs.  The disagreement sums are taken
 over cells grouped by the categories they use, each over its own
 contiguous square, so every alpha is bit for bit that of its columns
@@ -31,8 +33,7 @@ from .corpus import ANNOTATED_FEATURES, ORDINAL_FEATURES, AnnotationSet
 
 __all__ = [
     "AGREEMENT_THRESHOLD", "AgreementError", "AgreementRow", "AlphaResult", "LEVELS",
-    "ReliabilityMatrix", "agreement_band", "agreement_report", "krippendorff_alpha",
-    "reliability_from_sets",
+    "agreement_band", "agreement_report", "krippendorff_alpha",
 ]
 
 LEVELS = ("nominal", "ordinal", "interval")
@@ -45,29 +46,6 @@ _BANDS = ((0.0, "Very low"), (0.21, "Light"), (0.41, "Acceptable"), (0.61, "Mode
 
 class AgreementError(ValueError):
     """Alpha is not computable (no unit carries two or more values)."""
-
-
-class ReliabilityMatrix:
-    """Units-by-raters value table.
-
-    ``values`` is a len(units) x len(raters) float array: rows follow
-    ``units``, columns follow ``raters``, and NaN marks a missing value.
-    Equality is identity: an array field has no single truth value.
-    """
-
-    __slots__ = ("level", "raters", "units", "values")
-
-    def __init__(
-        self, level: str, raters: tuple[int, ...], units: tuple[str, ...], values: np.ndarray
-    ):
-        if level not in LEVELS:
-            raise ValueError(f"unknown level {level!r}; expected one of {LEVELS}")
-        if values.shape != (len(units), len(raters)):
-            raise ValueError(
-                f"values must be {len(units)} x {len(raters)} "
-                f"(units x raters), got {values.shape}"
-            )
-        self.level, self.raters, self.units, self.values = level, raters, units, values
 
 
 class AlphaResult(NamedTuple):
@@ -94,46 +72,21 @@ def agreement_band(alpha: float) -> str:
     return next((band for bound, band in _BANDS if alpha < bound), "Perfect")
 
 
-def _rater_ids(sets: Sequence[AnnotationSet]) -> tuple[int, ...]:
-    """The sets' annotator ids, once checked unique and the sets' sonnets the same."""
-    raters = tuple(s.annotator_id for s in sets)
-    if len(set(raters)) != len(raters):
-        raise ValueError("annotator ids are not unique")
-    if any(s.sonnet_ids != sets[0].sonnet_ids for s in sets[1:]):
-        raise ValueError("annotation sets cover different sonnets")
-    return raters
+def krippendorff_alpha(values: np.ndarray, level: str) -> AlphaResult:
+    """Krippendorff's alpha of a units x raters float array (NaN: missing).
 
-
-def reliability_from_sets(
-    sets: Sequence[AnnotationSet], feature: str, level: str
-) -> ReliabilityMatrix:
-    """Collect one feature across annotation sets into a reliability matrix.
-
-    Units are the sets' sonnets, which every set covers in the same order.
+    Units with fewer than two values are excluded.  When the pairable
+    values show no variation at all, expected disagreement is zero and
+    the result is alpha = 1 flagged as degenerate.  For some raters
+    only, pass their columns.  The result is bit for bit that of the
+    same columns in an ``agreement_report`` cell (see ``_alphas``).
     """
-    if not sets:
-        raise ValueError("need at least one annotation set")
-    raters = _rater_ids(sets)
-    values = np.column_stack([s.column(feature) for s in sets])
-    return ReliabilityMatrix(level=level, raters=raters, units=sets[0].sonnet_ids, values=values)
-
-
-def krippendorff_alpha(
-    matrix: ReliabilityMatrix, raters: Sequence[int] | None = None
-) -> AlphaResult:
-    """Krippendorff's alpha over the named raters' columns (all when None).
-
-    Units with fewer than two of those values are excluded.  When the
-    pairable values show no variation at all, expected disagreement is
-    zero and the result is alpha = 1 flagged as degenerate.  A rater id
-    not in ``matrix.raters`` raises ValueError.  The result is bit for
-    bit that of a matrix of just these columns (see ``_alphas``).
-    """
-    raters = matrix.raters if raters is None else tuple(raters)
-    if not set(raters) <= set(matrix.raters):
-        raise ValueError(f"raters {raters} are not all among {matrix.raters}")
-    columns = [matrix.values[:, [matrix.raters.index(r)]] for r in raters]
-    result = _alphas(columns, [matrix.level], [range(len(columns))])[0][0]
+    if level not in LEVELS:
+        raise ValueError(f"unknown level {level!r}; expected one of {LEVELS}")
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or not values.shape[1]:
+        raise ValueError(f"values must be units x raters, got shape {values.shape}")
+    result = _alphas(np.hsplit(values, values.shape[1]), [level], [range(values.shape[1])])[0][0]
     if result is None:
         raise AgreementError("no unit has two or more values; alpha is not computable")
     return result
@@ -287,7 +240,11 @@ def agreement_report(
     if median is not None:
         columns.update({f"a{i}-m": [i, median.annotator_id] for i in ids})
         raters.append(median)
-    position = {r: i for i, r in enumerate(_rater_ids(raters))}
+    if len({r.annotator_id for r in raters}) != len(raters):
+        raise ValueError("annotator ids are not unique")
+    if any(r.sonnet_ids != sets[0].sonnet_ids for r in raters[1:]):
+        raise ValueError("annotation sets cover different sonnets")
+    position = {r.annotator_id: i for i, r in enumerate(raters)}
     levels = ["ordinal" if f in ORDINAL_FEATURES else "nominal" for f in ANNOTATED_FEATURES]
     members = [tuple(map(position.get, cell)) for cell in columns.values()]
     rows = []

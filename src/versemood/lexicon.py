@@ -432,7 +432,10 @@ def _load_described(path: Path, descriptor: Mapping, source_id: str, label: str)
         if (
             not isinstance(scale, Sequence)
             or len(scale) != 2
-            or not all(isinstance(v, (int, float)) for v in scale)
+            or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool)
+                and abs(v) <= sys.float_info.max for v in scale  # finite as a float too
+            )
         ):
             raise LexiconFormatError(f"{where}: scale must be [low, high]")
         lo, hi = float(scale[0]), float(scale[1])

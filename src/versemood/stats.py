@@ -1,11 +1,11 @@
 """Self-contained statistical kernel.
 
 Implements the estimators the report pipeline needs (Spearman rank
-correlation, ordinary least squares, one-way ANOVA, a power-based sample
-size search) without runtime dependencies beyond numpy.  Student-t and F
-tail probabilities are both routed through one regularized incomplete
-beta implementation so every p-value in the package shares a single
-numerical core.
+correlation, ordinary least squares through ``LinearDesign``, one-way
+ANOVA, a power-based sample size search) without runtime dependencies
+beyond numpy.  Student-t and F tail probabilities are both routed
+through one regularized incomplete beta implementation so every p-value
+in the package shares a single numerical core.
 
 Regression computes only what is read.  The rank check factors the
 design by Householder QR, reads each column's dependence from R (the
@@ -27,13 +27,11 @@ __all__ = [
     "AnovaResult",
     "CorrelationResult",
     "LinearDesign",
-    "RankDeficiencyError",
     "RegressionResult",
     "centred_ranks",
     "correlation_band",
     "group_mean",
     "min_sample_size",
-    "ols",
     "one_way_anova",
     "rank_correlation",
     "regularized_incomplete_beta",
@@ -45,23 +43,6 @@ __all__ = [
 _BETA_MAX_ITER = 300
 _BETA_EPS = 1e-15
 _BETA_TINY = 1e-300
-
-
-class RankDeficiencyError(ValueError):
-    """Design matrix has linearly dependent columns.
-
-    ``columns`` lists the offending columns by label.  A column is
-    offending when it is linearly dependent on the columns to its left,
-    the intercept included.  ``ols`` raises it with the columns its
-    design's first rank check dropped (``LinearDesign.dropped[0]``).
-    """
-
-    def __init__(self, columns: Sequence[str]):
-        self.columns = list(columns)
-        super().__init__(
-            "design matrix is rank deficient; dependent columns: "
-            + ", ".join(str(c) for c in self.columns)
-        )
 
 
 def _beta_cont_frac(a: float, b: float, x: float) -> float:
@@ -441,8 +422,8 @@ class LinearDesign:
     into Q, R and R^-1.  ``dropped`` holds each check's labels, in order,
     and ``columns`` the predictors kept.  ``fit`` then solves one response
     against that factorization, so several responses on one design share
-    the work and each gets the same floats as an ``ols`` call on the kept
-    columns; its p-values are evaluated on read.
+    the work and each gets the same floats as a design of the kept
+    columns alone; its p-values are evaluated on read.
     """
 
     def __init__(self, X: Sequence[Sequence[float]], column_names: Sequence[str] | None = None):
@@ -512,25 +493,6 @@ class LinearDesign:
             n=n,
             k=k,
         )
-
-
-def ols(
-    X: Sequence[Sequence[float]],
-    y: Sequence[float],
-    column_names: Sequence[str] | None = None,
-) -> RegressionResult:
-    """Ordinary least squares with an implicit intercept.
-
-    Fits y = b0 + X @ b through a QR decomposition of the design matrix
-    and reports two-sided t-test p-values per coefficient, evaluated on
-    read; see LinearDesign, which does the work.  The design must have
-    full column rank: dependent columns raise RankDeficiencyError naming
-    those the first rank check found.
-    """
-    design = LinearDesign(X, column_names)
-    if design.dropped:
-        raise RankDeficiencyError(design.dropped[0])
-    return design.fit(y)
 
 
 class AnovaResult(NamedTuple):

@@ -1,9 +1,9 @@
-"""Annotation sets, reliability matrices and lexicons to and from dicts.
+"""Annotation sets, rater tables and lexicons to and from plain data.
 
-Tests state their data as cells keyed (sonnet_id, feature) or
-(unit, rater), and lexicons as {word: {dimension: (mean, sd or None)}};
-the package stores one float array per table with NaN for a missing
-cell.  An absent key is a missing cell both ways.
+Tests state their data as cells keyed (sonnet_id, feature), rater tables
+as per-unit lists, and lexicons as {word: {dimension: (mean, sd or
+None)}}; the package stores one float array per table with NaN for a
+missing cell.  An absent key, or a None, is a missing cell.
 """
 
 import math
@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from versemood.agreement import ReliabilityMatrix
+from versemood.agreement import krippendorff_alpha
 from versemood.corpus import ANNOTATED_FEATURES, AnnotationSet
 from versemood.features import FEATURE_NAMES, compute_corpus_matrix
 from versemood.lexicon import CANONICAL_SCALES, DIMENSIONS, MergedLexicon, SourceLexicon
@@ -42,24 +42,17 @@ def annotation_set(annotator_id, sonnet_ids, features, cells):
     )
 
 
-def reliability_matrix(level, raters, units, cells):
-    """A ReliabilityMatrix holding ``cells[(unit, rater)]``."""
-    raters, units = tuple(raters), tuple(units)
-    return ReliabilityMatrix(
-        level=level, raters=raters, units=units, values=_array(units, raters, cells)
-    )
+def alpha_of(rows, level="nominal"):
+    """``krippendorff_alpha`` of per-unit lists, a column per rater."""
+    return krippendorff_alpha(np.array(rows, dtype=float), level)  # None becomes NaN
 
 
-def cells_of(table):
-    """The present cells of an AnnotationSet or a ReliabilityMatrix."""
-    if isinstance(table, AnnotationSet):
-        rows, cols = table.sonnet_ids, ANNOTATED_FEATURES
-    else:
-        rows, cols = table.units, table.raters
+def cells_of(aset):
+    """The present cells of an AnnotationSet."""
     return {
-        (r, c): value
-        for r, line in zip(rows, table.values.tolist())
-        for c, value in zip(cols, line)
+        (sid, feature): value
+        for sid, line in zip(aset.sonnet_ids, aset.values.tolist())
+        for feature, value in zip(ANNOTATED_FEATURES, line)
         if not math.isnan(value)
     }
 

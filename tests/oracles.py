@@ -159,16 +159,15 @@ def krippendorff_alpha(units: list[list[float]], level: str) -> float:
     return 1.0 - d_obs / d_exp
 
 
-def alpha_per_cell(matrix):
-    """``agreement.krippendorff_alpha`` as it was before a feature's cells
-    shared one count table: every call codes its own values with
-    ``np.unique`` and scatters them with ``np.add.at``.
+def alpha_per_cell(table, level):
+    """``agreement.krippendorff_alpha`` of a units x raters array as it was
+    before a feature's cells shared one count table: every call codes its
+    own values with ``np.unique`` and scatters them with ``np.add.at``.
 
     Raises ``AgreementError`` when no unit has two or more values.
     """
     from versemood.agreement import AgreementError, AlphaResult, agreement_band
 
-    table = matrix.values
     present = ~np.isnan(table)
     m = present.sum(axis=1)
     pairable = m >= 2
@@ -186,9 +185,9 @@ def alpha_per_cell(matrix):
     coincidence = weighted.T @ counts - np.diag(weighted.sum(axis=0))
     marginals = coincidence.sum(axis=1)
 
-    if matrix.level == "nominal":
+    if level == "nominal":
         delta_sq = 1.0 - np.eye(len(categories))
-    elif matrix.level == "interval":
+    elif level == "interval":
         delta_sq = np.subtract.outer(categories, categories) ** 2
     else:
         index = np.arange(len(categories))
@@ -213,27 +212,27 @@ def alpha_per_cell(matrix):
     return AlphaResult(alpha=alpha, n_pairable=n, band=agreement_band(alpha))
 
 
-def count_table_alphas(matrix, cells):
+def count_table_alphas(table, level, cells):
     """``agreement``'s kernel as it was when each feature had a count table
     of its own: N[r, c, u], 1.0 where rater r gave unit u category c, and
     every cell's coincidences from the table's product with itself.
 
-    ``cells`` lists rater ids of ``matrix``; yields each cell's
-    AlphaResult, or None where no unit has two values.
+    ``table`` is units x raters and ``cells`` lists column indices of
+    it; yields each cell's AlphaResult, or None where no unit has two
+    values.
     """
     from versemood.agreement import AlphaResult, agreement_band
 
-    present = ~np.isnan(matrix.values)
+    present = ~np.isnan(table)
     units, raters = np.nonzero(present)
-    categories, codes = np.unique(matrix.values[present], return_inverse=True)
-    shape = (len(matrix.raters), len(categories), len(matrix.units))
+    categories, codes = np.unique(table[present], return_inverse=True)
+    shape = (table.shape[1], len(categories), table.shape[0])
     flat = (raters * shape[1] + codes) * shape[2] + units
     counts = np.bincount(flat, minlength=np.prod(shape)).reshape(shape).astype(float)
     n_raters, k, n_units = counts.shape
     flat = counts.reshape(n_raters * k, n_units)
     pairs = (flat @ flat.T).reshape(n_raters, k, n_raters, k)
-    for raters in cells:
-        cols = [matrix.raters.index(r) for r in raters]
+    for cols in cells:
         if len(cols) <= 3:
             coincidence = sum(pairs[r, :, s] for r, s in permutations(cols, 2)) + np.zeros((k, k))
             if len(cols) == 3:  # a unit all three rated weighs 1/2, not 1
@@ -256,9 +255,9 @@ def count_table_alphas(matrix, cells):
             yield None
             continue
         marginals = coincidence.sum(axis=1)
-        if matrix.level == "nominal":
+        if level == "nominal":
             delta_sq = 1.0 - np.eye(len(marginals))
-        elif matrix.level == "interval":
+        elif level == "interval":
             delta_sq = np.subtract.outer(categories[used], categories[used]) ** 2
         else:
             index = np.arange(len(marginals))
@@ -485,7 +484,7 @@ def drop_dependent_columns(X: np.ndarray, column_names: list[str]):
 
 
 def ols_eager(X: np.ndarray, y: np.ndarray) -> dict:
-    """Every field of a full-rank ``ols`` fit, each p-value computed up front.
+    """Every field of a full-rank ``LinearDesign`` fit, each p-value computed up front.
 
     The same QR arithmetic as ``stats.LinearDesign``; t values and
     p-values come from one loop over the coefficients, with the package's
@@ -532,7 +531,8 @@ def ols_eager(X: np.ndarray, y: np.ndarray) -> dict:
 
 
 def partial_dependence(matrix, median):
-    """Partial dependence rows the literal way: one ``ols`` per pairing.
+    """Partial dependence rows the literal way: a design per pairing, fitted
+    only at full rank.
 
     Every pairing lists its rows, prunes, drops dependent columns and
     refits on its own, exactly as ``validation.partial_dependence_report``
@@ -541,7 +541,7 @@ def partial_dependence(matrix, median):
     """
     from versemood.corpus import ALL_CATEGORY, PSYCHOLOGICAL_TAGS
     from versemood.features import FEATURE_INDEX, FEATURE_NAMES, MEAN_SD_FEATURES
-    from versemood.stats import RankDeficiencyError, ols
+    from versemood.stats import LinearDesign
     from versemood.validation import (
         FEATURE_PAIRINGS,
         SIGNIFICANCE_LEVEL,
@@ -595,28 +595,30 @@ def partial_dependence(matrix, median):
         while True:
             X = [[value(sid, p) for p in active] for sid in rows]
             try:
-                fit = ols(X, y, column_names=active)
-                break
-            except RankDeficiencyError as exc:
-                bad = [c for c in exc.columns if c != "intercept"]
-                if not bad:
-                    return not_computable(
-                        category, annotated, gam_feature, len(rows),
-                        "design matrix not usable (intercept degenerate)",
-                    )
-                messages.append(
-                    f"partial dependence {category}/{annotated}: "
-                    f"dropped dependent columns {', '.join(bad)}"
-                )
-                dropped.extend(bad)
-                active = [p for p in active if p not in bad]
-                if gam_feature not in active:
-                    return not_computable(
-                        category, annotated, gam_feature, len(rows),
-                        f"paired feature {gam_feature} is collinear in this category",
-                    )
+                design = LinearDesign(X, active)
+                if not design.dropped:
+                    fit = design.fit(y)
+                    break
             except ValueError as exc:
                 return not_computable(category, annotated, gam_feature, len(rows), str(exc))
+            # drop the first rank check's columns and build the design again
+            bad = [c for c in design.dropped[0] if c != "intercept"]
+            if not bad:
+                return not_computable(
+                    category, annotated, gam_feature, len(rows),
+                    "design matrix not usable (intercept degenerate)",
+                )
+            messages.append(
+                f"partial dependence {category}/{annotated}: "
+                f"dropped dependent columns {', '.join(bad)}"
+            )
+            dropped.extend(bad)
+            active = [p for p in active if p not in bad]
+            if gam_feature not in active:
+                return not_computable(
+                    category, annotated, gam_feature, len(rows),
+                    f"paired feature {gam_feature} is collinear in this category",
+                )
         idx = active.index(gam_feature)
         coefficient = fit.coefficients[idx]
         p_value = fit.p_values[idx]

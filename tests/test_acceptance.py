@@ -24,8 +24,8 @@ import numpy as np
 import pytest
 
 import oracles
-from cell_tables import annotation_set, cells_of, profile, reliability_matrix
-from versemood.agreement import agreement_report, krippendorff_alpha
+from cell_tables import alpha_of, annotation_set, cells_of, profile
+from versemood.agreement import agreement_report
 from versemood.corpus import (
     build_median_annotator,
     corpus_statistics,
@@ -37,8 +37,8 @@ from versemood.features import FEATURE_NAMES
 from versemood.lexicon import DIMENSIONS, coverage_report, word_count_report
 from versemood.pipeline import Session
 from versemood.stats import (
+    LinearDesign,
     min_sample_size,
-    ols,
     one_way_anova,
     regularized_incomplete_beta,
     spearman,
@@ -176,7 +176,7 @@ def test_statistical_kernels_match_independent_oracles():
         n = int(rng.integers(k + 4, k + 16))
         X = rng.normal(size=(n, k))
         y = X @ rng.uniform(-2, 2, k) + rng.normal(scale=0.5, size=n)
-        fit = ols(X.tolist(), y.tolist())
+        fit = LinearDesign(X.tolist()).fit(y.tolist())
         ref = oracles.ols(X, y)
         assert abs(fit.intercept - ref["intercept"]) <= 1e-8
         assert np.max(np.abs(np.array(fit.coefficients) - ref["coefficients"])) <= 1e-8
@@ -215,7 +215,7 @@ def test_statistical_kernels_match_independent_oracles():
             units = [[v for v in row if v is not None] for row in rows]
             if sum(1 for u in units if len(u) >= 2) < 2:
                 continue
-            result = krippendorff_alpha(_reliability(rows, level))
+            result = alpha_of(rows, level)
             if result.degenerate:
                 continue
             assert abs(result.alpha - oracles.krippendorff_alpha(units, level)) <= 1e-8
@@ -240,18 +240,6 @@ def test_power_analysis_minimum_group_size_is_26():
 
 # ---------------------------------------------------------------------------
 # criterion: randomized property suites
-
-
-def _reliability(rows, level):
-    raters = tuple(range(1, len(rows[0]) + 1))
-    units = tuple(f"u{i}" for i in range(len(rows)))
-    values = {
-        (f"u{i}", r): float(v)
-        for i, row in enumerate(rows)
-        for r, v in zip(raters, row)
-        if v is not None
-    }
-    return reliability_matrix(level, raters, units, values)
 
 
 def _random_observations(rng):
@@ -366,7 +354,7 @@ def test_alpha_relabeling_and_perfect_agreement_properties():
         ]
         if sum(1 for row in rows if sum(v is not None for v in row) >= 2) < 2:
             continue
-        base = krippendorff_alpha(_reliability(rows, level))
+        base = alpha_of(rows, level)
         if base.degenerate:
             continue
         if level == "nominal":
@@ -376,7 +364,7 @@ def test_alpha_relabeling_and_perfect_agreement_properties():
             steps = np.cumsum(rng.uniform(0.5, 3.0, 4))
             relabel = {c + 1: float(steps[c]) for c in range(4)}
         mapped = [[None if v is None else relabel[v] for v in row] for row in rows]
-        again = krippendorff_alpha(_reliability(mapped, level))
+        again = alpha_of(mapped, level)
         assert abs(base.alpha - again.alpha) <= 1e-12
         checked += 1
 
@@ -392,7 +380,7 @@ def test_alpha_relabeling_and_perfect_agreement_properties():
             if sum(cell is not None for cell in row) < 2:
                 row[0] = row[1] = int(v)
             rows.append(row)
-        result = krippendorff_alpha(_reliability(rows, "ordinal"))
+        result = alpha_of(rows, "ordinal")
         assert result.alpha == 1.0
         checked += 1
 

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 import oracles
-from cell_tables import annotation_set, cells_of, reliability_matrix
+from cell_tables import alpha_of, annotation_set, cells_of
 from versemood.agreement import (
     AGREEMENT_THRESHOLD,
     AgreementError,
     agreement_band,
     agreement_report,
     krippendorff_alpha,
-    reliability_from_sets,
 )
 from versemood.corpus import (
     ANNOTATED_FEATURES,
@@ -22,27 +21,15 @@ from versemood.corpus import (
 )
 
 
-def matrix_from_rows(rows, level="nominal"):
-    """Build a matrix from per-unit row lists; None marks a missing cell."""
-    n_raters = max(len(r) for r in rows)
-    units = tuple(f"u{i}" for i in range(len(rows)))
-    values = {}
-    for i, row in enumerate(rows):
-        for j, cell in enumerate(row):
-            if cell is not None:
-                values[(f"u{i}", j + 1)] = float(cell)
-    return reliability_matrix(level, range(1, n_raters + 1), units, values)
-
-
 def test_perfect_agreement_is_one():
-    result = krippendorff_alpha(matrix_from_rows([[1, 1], [2, 2], [3, 3]]))
+    result = alpha_of([[1, 1], [2, 2], [3, 3]])
     assert result.alpha == 1.0
     assert result.band == "Perfect"
     assert not result.degenerate
 
 
 def test_systematic_swap_goes_negative():
-    result = krippendorff_alpha(matrix_from_rows([[1, 2], [2, 1]]))
+    result = alpha_of([[1, 2], [2, 1]])
     assert result.alpha == pytest.approx(-0.5, abs=1e-12)
     assert result.band == "Very low"
 
@@ -50,7 +37,7 @@ def test_systematic_swap_goes_negative():
 def test_two_category_levels_coincide():
     rows = [[1, 1], [1, 2], [2, 2]]
     alphas = [
-        krippendorff_alpha(matrix_from_rows(rows, level)).alpha
+        alpha_of(rows, level).alpha
         for level in ("nominal", "ordinal", "interval")
     ]
     assert alphas[0] == pytest.approx(alphas[1], abs=1e-12)
@@ -59,21 +46,28 @@ def test_two_category_levels_coincide():
 
 
 def test_short_units_are_excluded():
-    with_short = matrix_from_rows([[1, 1], [2, 2], [3, None]])
-    without = matrix_from_rows([[1, 1], [2, 2]])
-    a = krippendorff_alpha(with_short)
-    b = krippendorff_alpha(without)
+    a = alpha_of([[1, 1], [2, 2], [3, None]])
+    b = alpha_of([[1, 1], [2, 2]])
     assert a.alpha == b.alpha
     assert a.n_pairable == 4
 
 
 def test_no_pairable_units_raises():
     with pytest.raises(AgreementError):
-        krippendorff_alpha(matrix_from_rows([[1, None], [None, 2]]))
+        alpha_of([[1, None], [None, 2]])
+
+
+def test_unknown_level_and_bad_shape_raise_value_error():
+    with pytest.raises(ValueError, match="unknown level 'ratio'; expected one of") as raised:
+        krippendorff_alpha(np.ones((2, 2)), "ratio")
+    assert not isinstance(raised.value, AgreementError)
+    for shape in ((3,), (2, 0), (2, 2, 2)):
+        with pytest.raises(ValueError, match="values must be units x raters, got shape"):
+            krippendorff_alpha(np.ones(shape), "nominal")
 
 
 def test_no_variation_flagged_degenerate():
-    result = krippendorff_alpha(matrix_from_rows([[2, 2], [2, 2]]))
+    result = alpha_of([[2, 2], [2, 2]])
     assert result.alpha == 1.0
     assert result.degenerate
     assert "no variation" in result.note
@@ -83,10 +77,10 @@ def test_nominal_relabeling_invariance():
     rng = np.random.default_rng(50)
     for _ in range(200):
         rows = rng.integers(1, 5, size=(6, 3)).tolist()
-        base = krippendorff_alpha(matrix_from_rows(rows, "nominal")).alpha
+        base = alpha_of(rows, "nominal").alpha
         relabel = {1: 9.0, 2: 3.5, 3: 7.0, 4: 1.0}
         mapped = [[relabel[v] for v in row] for row in rows]
-        again = krippendorff_alpha(matrix_from_rows(mapped, "nominal")).alpha
+        again = alpha_of(mapped, "nominal").alpha
         assert again == pytest.approx(base, abs=1e-12)
 
 
@@ -94,9 +88,9 @@ def test_ordinal_monotone_relabeling_invariance():
     rng = np.random.default_rng(51)
     for _ in range(200):
         rows = rng.integers(1, 5, size=(7, 3)).tolist()
-        base = krippendorff_alpha(matrix_from_rows(rows, "ordinal")).alpha
+        base = alpha_of(rows, "ordinal").alpha
         mapped = [[v**2 + 10 for v in row] for row in rows]
-        again = krippendorff_alpha(matrix_from_rows(mapped, "ordinal")).alpha
+        again = alpha_of(mapped, "ordinal").alpha
         assert again == pytest.approx(base, abs=1e-12)
 
 
@@ -105,11 +99,11 @@ def test_row_and_column_permutation_invariance():
     for _ in range(100):
         rows = rng.integers(1, 4, size=(6, 4)).tolist()
         for level in ("nominal", "ordinal", "interval"):
-            base = krippendorff_alpha(matrix_from_rows(rows, level)).alpha
+            base = alpha_of(rows, level).alpha
             shuffled_units = [rows[i] for i in rng.permutation(6)]
             order = rng.permutation(4)
             shuffled_both = [[row[j] for j in order] for row in shuffled_units]
-            again = krippendorff_alpha(matrix_from_rows(shuffled_both, level)).alpha
+            again = alpha_of(shuffled_both, level).alpha
             assert again == pytest.approx(base, abs=1e-12)
 
 
@@ -117,12 +111,12 @@ def test_added_consensus_unit_never_lowers_alpha():
     rng = np.random.default_rng(53)
     for _ in range(100):
         rows = rng.integers(1, 4, size=(5, 3)).tolist()
-        base = krippendorff_alpha(matrix_from_rows(rows, "nominal"))
+        base = alpha_of(rows, "nominal")
         if base.degenerate:
             continue
         seen = rows[0][0]  # reuse an existing category
         extended = rows + [[seen, seen, seen]]
-        grown = krippendorff_alpha(matrix_from_rows(extended, "nominal"))
+        grown = alpha_of(extended, "nominal")
         assert grown.alpha >= base.alpha - 1e-12
 
 
@@ -143,7 +137,7 @@ def test_matches_pair_enumeration_oracle():
         if len(pooled) < 2 or len(set(pooled)) < 2:
             continue
         level = ("nominal", "ordinal", "interval")[checked % 3]
-        mine = krippendorff_alpha(matrix_from_rows(cells, level))
+        mine = alpha_of(cells, level)
         assert mine.alpha == pytest.approx(
             oracles.krippendorff_alpha(units, level), abs=1e-12
         )
@@ -158,7 +152,7 @@ def test_two_rater_interval_against_oracle_tightly():
         pooled = [v for row in rows for v in row]
         if len(set(pooled)) < 2:
             continue
-        mine = krippendorff_alpha(matrix_from_rows(rows, "interval"))
+        mine = alpha_of(rows, "interval")
         ref = oracles.krippendorff_alpha(rows, "interval")
         assert mine.alpha == pytest.approx(ref, abs=1e-12)
 
@@ -187,23 +181,23 @@ def small_sets(values_by_annotator, feature="valence", ids=("s1", "s2", "s3", "s
     return sets
 
 
-def test_reliability_from_sets_collects_cells():
+def test_agreement_report_leaves_missing_cells_out():
     sets = small_sets({1: [1, 2, 3, 4], 2: [1, 2, 3, None]})
-    matrix = reliability_from_sets(sets, "valence", "ordinal")
-    assert matrix.units == ("s1", "s2", "s3", "s4")
-    assert matrix.raters == (1, 2)
-    assert ("s4", 2) not in cells_of(matrix)
-    assert cells_of(matrix)[("s2", 1)] == 2.0
+    cell = next(r for r in agreement_report(sets) if r.feature == "valence").cells["a1-a2"]
+    assert cell.n_pairable == 6
+    assert cell == krippendorff_alpha(np.array([[1, 1], [2, 2], [3, 3], [4, np.nan]]), "ordinal")
 
 
-def test_reliability_from_sets_covering_different_sonnets():
+def test_agreement_report_of_sets_covering_different_sonnets():
     sets = [
         small_sets({1: [1, 2, 3]}, ids=("s1", "s2", "s3"))[0],
         small_sets({2: [4, None]}, ids=("s4", "s2"))[0],
         small_sets({3: [2, 1]}, ids=("s5", "s1"))[0],
     ]
     with pytest.raises(ValueError, match="different sonnets"):
-        reliability_from_sets(sets, "valence", "ordinal")
+        agreement_report(sets)
+    with pytest.raises(ValueError, match="annotator ids are not unique"):
+        agreement_report(small_sets({1: [1, 2, 3, 4]}) * 2)
 
 
 def test_agreement_report_matches_pair_enumeration_oracle():

@@ -12,12 +12,7 @@ import pytest
 
 import oracles
 from versemood import agreement
-from versemood.agreement import (
-    AgreementError,
-    agreement_report,
-    krippendorff_alpha,
-    reliability_from_sets,
-)
+from versemood.agreement import AgreementError, agreement_report, krippendorff_alpha
 from versemood.corpus import (
     ANNOTATED_FEATURES,
     MEDIAN_ANNOTATOR_ID,
@@ -71,17 +66,22 @@ def _cell_sets(label, sets, median):
     return [by_id[first], median if second == "m" else by_id[second]]
 
 
+def _table(sets, feature):
+    """One feature's units x raters array, a column per set."""
+    return np.column_stack([s.column(feature) for s in sets])
+
+
 def _count_table_cells(sets, median, row):
-    """A row's cells by the count-table kernel, over a matrix of every rater."""
+    """A row's cells by the count-table kernel, over a table of every rater."""
     raters = [*sets, median] if median is not None else list(sets)
-    matrix = reliability_from_sets(raters, row.feature, row.level)
-    cells = [[s.annotator_id for s in _cell_sets(label, sets, median)] for label in row.cells]
-    return dict(zip(row.cells, oracles.count_table_alphas(matrix, cells)))
+    cells = [[raters.index(s) for s in _cell_sets(label, sets, median)] for label in row.cells]
+    table = _table(raters, row.feature)
+    return dict(zip(row.cells, oracles.count_table_alphas(table, row.level, cells)))
 
 
 def _oracle(cell_sets, feature, level):
     try:
-        return oracles.alpha_per_cell(reliability_from_sets(cell_sets, feature, level))
+        return oracles.alpha_per_cell(_table(cell_sets, feature), level)
     except AgreementError:
         return None
 
@@ -104,10 +104,9 @@ def test_every_cell_equals_the_per_cell_kernel(n_sets, with_median):
                     "none" if result is None else "degenerate" if result.degenerate else "alpha"
                 )
             assert row.cells == _count_table_cells(sets, median, row), row.feature
-            # the whole matrix of the sets alone, raters=None
-            matrix = reliability_from_sets(sets, row.feature, row.level)
+            # the whole table of the sets alone
             try:
-                whole = krippendorff_alpha(matrix)
+                whole = krippendorff_alpha(_table(sets, row.feature), row.level)
             except AgreementError:
                 whole = None
             assert whole == row.cells["all"]
@@ -139,37 +138,19 @@ def test_a_large_report_equals_the_count_table_kernel(n_units):
 
 
 def test_each_feature_is_coded_once(workspace_config, monkeypatch):
-    """No matrix per feature: each rater's whole table is coded once."""
+    """No table per feature: each rater's whole table is coded once."""
     session = Session(workspace_config, ["agreement"])
     sets, median = session.annotations[0], session.median
     expected = agreement_report(sets, median)
-    coded, matrices = [], []
-    code, init = agreement._code, agreement.ReliabilityMatrix.__init__
+    coded, code = [], agreement._code
 
     def counted_code(table, categories):
         coded.append(table)
         return code(table, categories)
 
-    def counted_matrix(matrix, *args, **kwargs):
-        matrices.append(matrix)
-        init(matrix, *args, **kwargs)
-
     monkeypatch.setattr(agreement, "_code", counted_code)
-    monkeypatch.setattr(agreement.ReliabilityMatrix, "__init__", counted_matrix)
     report = agreement_report(sets, median)
     assert [(r.feature, r.cells) for r in report] == [(r.feature, r.cells) for r in expected]
     assert sum(len(r.cells) for r in report) == 7 * len(ANNOTATED_FEATURES)
-    assert matrices == []
     assert len(coded) == 4
     assert all(table is s.values for table, s in zip(coded, [*sets, median]))
-
-
-def test_unknown_rater_raises_value_error(workspace_config):
-    sets = Session(workspace_config, ["agreement"]).annotations[0]
-    matrix = reliability_from_sets(sets, "valence", "ordinal")
-    assert krippendorff_alpha(matrix, (1, 2)) == krippendorff_alpha(
-        reliability_from_sets(sets[:2], "valence", "ordinal")
-    )
-    with pytest.raises(ValueError, match="not all among") as raised:
-        krippendorff_alpha(matrix, (1, MEDIAN_ANNOTATOR_ID))
-    assert not isinstance(raised.value, AgreementError)

@@ -3,6 +3,7 @@
 import csv
 import json
 import logging
+import math
 import re
 import shutil
 import subprocess
@@ -737,6 +738,12 @@ def test_bad_input_file_exits_1_naming_it(workspace, tmp_path, capsys, case):
         ("descriptor", "dimensions", {"valence": {"mean": mean, "scale": [1, 7]}},
          "dimension valence: 'mean' must be a column name")
         for mean in (None, 0, False, "")
+    ),
+    # a scale is two finite numbers: no boolean, NaN, infinity or int past the float range
+    *(
+        ("descriptor", "dimensions", {"valence": {"mean": "Val_Mn", "scale": scale}},
+         "dimension valence: scale must be [low, high]")
+        for scale in ([True, 7], [math.nan, 7], [1, math.inf], [1, 10**400])
     ),
 ])
 def test_value_of_wrong_type_exits_1_naming_file_and_key(

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import versemood
-from versemood.agreement import ReliabilityMatrix
 from versemood.corpus import ANNOTATED_FEATURES, AnnotationSet, Corpus, Sonnet
 from versemood.features import FEATURE_NAMES, FeatureMatrix
 from versemood.lexicon import DIMENSIONS, SourceLexicon
@@ -71,9 +70,6 @@ def test_array_holders_build_from_keywords_and_compare_by_identity():
     planes = np.zeros((1, len(DIMENSIONS)))
     keywords = {
         AnnotationSet: {"annotator_id": 1, "sonnet_ids": ids, "values": values},
-        ReliabilityMatrix: {
-            "level": "ordinal", "raters": (1, 2), "units": ids, "values": values[:, :2]
-        },
         FeatureMatrix: {
             "sonnet_ids": ids, "values": np.zeros((2, len(FEATURE_NAMES))), "reasons": {}
         },
@@ -114,10 +110,6 @@ def test_record_checks_keep_their_messages():
     shape = r"values must be 2 x 31 \(sonnets x features\), got \(2, 3\)"
     with pytest.raises(ValueError, match=shape):
         AnnotationSet(annotator_id=1, sonnet_ids=ids, values=np.ones((2, 3)))
-    with pytest.raises(ValueError, match="unknown level 'ratio'; expected one of"):
-        ReliabilityMatrix(level="ratio", raters=(1, 2), units=ids, values=np.ones((2, 2)))
-    with pytest.raises(ValueError, match=r"values must be 2 x 2 \(units x raters\), got \(2, 3\)"):
-        ReliabilityMatrix(level="nominal", raters=(1, 2), units=ids, values=np.ones((2, 3)))
     with pytest.raises(ValueError, match="unknown mode 'porter'; expected one of"):
         NormalizationConfig(mode="porter")
     with pytest.raises(ValueError, match="lemma mode requires a non-empty lemma table"):
