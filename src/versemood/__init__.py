@@ -5,7 +5,12 @@ normalizes sonnet text (tokenization, stopword removal, stemming or
 lemmatization), computes a 32-value affective feature vector per
 sonnet, and validates the features against expert annotations with
 agreement, correlation, regression, and ANOVA reports.
+
+``__all__`` is every name imported below; the submodules those imports
+bind are not in it.
 """
+
+from types import ModuleType as _ModuleType
 
 from .agreement import (
     AGREEMENT_THRESHOLD,
@@ -80,66 +85,7 @@ from .validation import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AGREEMENT_THRESHOLD",
-    "ANNOTATED_FEATURES",
-    "AgreementError",
-    "AlphaResult",
-    "AnnotationFormatError",
-    "AnnotationSet",
-    "AnovaResult",
-    "CANONICAL_SCALES",
-    "Corpus",
-    "CorpusFormatError",
-    "CorrelationResult",
-    "FEATURE_INDEX",
-    "FEATURE_NAMES",
-    "FEATURE_PAIRINGS",
-    "FeatureMatrix",
-    "InputError",
-    "LexiconFormatError",
-    "MEDIAN_ANNOTATOR_ID",
-    "MODES",
-    "MergedLexicon",
-    "NormalizationConfig",
-    "ORDINAL_FEATURES",
-    "PSYCHOLOGICAL_TAGS",
-    "RegressionResult",
-    "SIGNIFICANCE_LEVEL",
-    "Session",
-    "Sonnet",
-    "SourceLexicon",
-    "TokenTable",
-    "agreement_band",
-    "agreement_report",
-    "anova_report",
-    "bivariate_report",
-    "build_median_annotator",
-    "categories",
-    "compute_corpus_matrix",
-    "correlation_band",
-    "corpus_statistics",
-    "coverage_report",
-    "default_stopwords",
-    "fill_missing_psych",
-    "krippendorff_alpha",
-    "load_annotation_set",
-    "load_corpus",
-    "load_lemma_table",
-    "load_lexicon",
-    "load_stopwords",
-    "merge_lexicons",
-    "min_sample_size",
-    "missing_word_report",
-    "normalize",
-    "one_way_anova",
-    "partial_dependence_report",
-    "regularized_incomplete_beta",
-    "rescale_value",
-    "reverse_ordinal_scale",
-    "spearman",
-    "t_tail",
-    "tokenize",
-    "two_sample_power",
-    "word_count_report",
-]
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

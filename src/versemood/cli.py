@@ -14,9 +14,9 @@ JSON mirrors into the output directory:
     validate   bivariate, partial_dependence, anova
     all        everything above
 
-This module parses arguments, attaches the decisions log, prints what
-was written, and maps outcomes to exit codes: 0 on success, 1 on input
-errors, 2 when --strict is set and a computation degenerated
+This module parses arguments, asks the session for the decisions log,
+prints what was written, and maps outcomes to exit codes: 0 on success,
+1 on input errors, 2 when --strict is set and a computation degenerated
 (non-computable regression rows, degenerate agreement cells, undefined
 correlations, ANOVA combinations skipped or without within-group variance).
 """
@@ -24,7 +24,6 @@ correlations, ANOVA combinations skipped or without within-group variance).
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 from typing import Sequence
 
@@ -89,27 +88,7 @@ def _run(args: argparse.Namespace) -> int:
         args.config, reports, mode=args.mode, out_dir=args.out, fmt=args.format
     )
     writer = ReportWriter(session.config.out_dir, session.config.format)
-    package_logger = logging.getLogger(__package__)
-    package_level = package_logger.level
-    decisions_handler: logging.FileHandler | None = None
-    if args.log_decisions:
-        session.config.out_dir.mkdir(parents=True, exist_ok=True)
-        # staged with the reports: committed with them, or discarded if the run fails
-        decisions_handler = logging.FileHandler(
-            writer.stage("decisions.log"), mode="w", encoding="utf-8"
-        )
-        decisions_handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
-        decisions_handler.setLevel(logging.INFO)
-        package_logger.addHandler(decisions_handler)
-        package_logger.setLevel(logging.INFO)
-    try:
-        degenerate = session.write(writer)
-    finally:
-        if decisions_handler is not None:
-            package_logger.removeHandler(decisions_handler)
-            package_logger.setLevel(package_level)
-            decisions_handler.close()
-
+    degenerate = session.write(writer, args.log_decisions)
     for path in writer.written:
         print(f"wrote {path}")
     if degenerate:

@@ -11,7 +11,6 @@ psychological tags missing in exactly one of the three sets.
 from __future__ import annotations
 
 import csv
-import logging
 import math
 from itertools import islice, zip_longest
 from pathlib import Path
@@ -19,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .textnorm import InputError, TokenTable, csv_rows, read_input, split_lines
+from .textnorm import InputError, TokenTable, csv_rows, decide, read_input, split_lines
 
 __all__ = [
     "ALL_CATEGORY",
@@ -43,8 +42,6 @@ __all__ = [
     "load_corpus",
     "reverse_ordinal_scale",
 ]
-
-logger = logging.getLogger(__name__)
 
 MEDIAN_ANNOTATOR_ID = 0
 
@@ -423,7 +420,7 @@ def fill_missing_psych(
         for s, values in zip(sets, cube)
     ]
     if unfilled:
-        logger.info("%d psychological cells unfillable (missing in 2+ sets)", len(unfilled))
+        decide(__name__, f"{len(unfilled)} psychological cells unfillable (missing in 2+ sets)")
     return result, unfilled
 
 
@@ -454,12 +451,10 @@ def build_median_annotator(sets: Sequence[AnnotationSet]) -> AnnotationSet:
     for row, col in zip(*np.nonzero(split)):
         sid, feature = ids[row], ANNOTATED_FEATURES[col]
         if binary[col]:
-            logger.info("median %s/%s: 0/1 split over two values resolved to 0", sid, feature)
+            decide(__name__, f"median {sid}/{feature}: 0/1 split over two values resolved to 0")
         else:
-            logger.info(
-                "median %s/%s: averaging two ordinal values %s",
-                sid, feature, [float(low[row, col]), float(middle[row, col])],
-            )
+            pair = [float(low[row, col]), float(middle[row, col])]
+            decide(__name__, f"median {sid}/{feature}: averaging two ordinal values {pair}")
     return AnnotationSet(
         annotator_id=MEDIAN_ANNOTATOR_ID,
         sonnet_ids=ids,

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import csv
 import json
-import logging
 import math
 import operator
 import sys
@@ -36,7 +35,9 @@ import numpy as np
 
 from .corpus import ALL_CATEGORY, AnnotationSet, categories
 from .stats import group_mean
-from .textnorm import InputError, NormalizationConfig, TokenTable, csv_rows, read_input, split_lines
+from .textnorm import (
+    InputError, NormalizationConfig, TokenTable, csv_rows, decide, read_input, split_lines,
+)
 
 __all__ = [
     "CANONICAL_SCALES",
@@ -54,8 +55,6 @@ __all__ = [
     "rescale_value",
     "word_count_report",
 ]
-
-logger = logging.getLogger(__name__)
 
 CANONICAL_SCALES: dict[str, tuple[float, float]] = {
     "valence": (1.0, 9.0),
@@ -353,7 +352,7 @@ def _collapse(
     cells += columns
     n_dupes = int((np.unique(cells, return_counts=True)[1] > 1).sum())
     if n_dupes:
-        logger.info("%s: averaged %d duplicate word/dimension rows", source_id, n_dupes)
+        decide(__name__, f"{source_id}: averaged {n_dupes} duplicate word/dimension rows")
     values = partial(_source_planes, cells, means, sds, len(index))
     return SourceLexicon(source_id, scales, tuple(index), values=values)
 
@@ -609,11 +608,8 @@ def merge_lexicons(
     )
     n_collisions = len(surfaces) - len(key_rows)
     if n_collisions:
-        logger.info(
-            "merge: %d surface words collapsed onto existing keys (%s mode)",
-            n_collisions,
-            config.mode,
-        )
+        collapsed = f"{n_collisions} surface words collapsed onto existing keys"
+        decide(__name__, f"merge: {collapsed} ({config.mode} mode)")
     values = partial(_merge_values, tuple(sources), rows, codes, len(key_rows))
     return MergedLexicon(key_rows, source_rows=tuple(codes[r] for r in rows), values=values)
 

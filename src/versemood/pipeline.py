@@ -9,17 +9,18 @@ and the feature matrix.
 
 ``REPORTS`` defines every report once: the inputs it needs, its row
 type (a named tuple) and a builder of its rows, with the JSON wrapper
-and the degeneracies counted where it has them.  ``COMMANDS`` names the
-reports of each subcommand.  ``ReportWriter.emit`` derives a report's
-CSV header and cells and its JSON rows from the row type's fields by
-one rule, and writes each row to both files as it arrives.
+where it has one.  ``COMMANDS`` names the reports of each subcommand.
+``ReportWriter.emit`` derives a report's CSV header and cells and its
+JSON rows from the row type's fields by one rule, and writes each row to
+both files as it arrives.  The repairs and fallbacks a run makes on its
+own are recorded as decisions (``textnorm.decide``); ``decisions.log``
+and the ``--strict`` count both read that one record.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import logging
 import math
 import sys
 from contextlib import ExitStack
@@ -39,16 +40,16 @@ from .textnorm import (
     InputError,
     NormalizationConfig,
     TokenTable,
+    decide,
     default_stopwords,
     load_lemma_table,
     load_stopwords,
     normalize,
     read_input,
+    recording,
 )
 
 __all__ = ["COMMANDS", "FORMATS", "REPORTS", "ReportWriter", "RunConfig", "Session"]
-
-logger = logging.getLogger(__name__)
 
 FORMATS = ("csv", "json", "both")
 
@@ -306,11 +307,10 @@ class ReportWriter:
 
 
 class _Built(NamedTuple):
-    """A report ready to write: its rows, its JSON wrapper, and the degeneracies it counted."""
+    """A report ready to write: its rows and its JSON wrapper."""
 
     rows: Iterable[tuple]
     wrapper: dict[str, Any] | None = None
-    degenerate: int = 0
 
 
 class _StatRow(NamedTuple):
@@ -324,14 +324,14 @@ class _StatRow(NamedTuple):
 def _corpus_stats(session: Session) -> _Built:
     stats = corpus_mod.corpus_statistics(session.keys(session.norm.mode), session.median)
     if stats.word_sd is None:
-        logger.info("corpus_stats summary/word_sd: undefined: one sonnet has no sample sd")
+        decide(__name__, "corpus_stats summary/word_sd: undefined: one sonnet has no sample sd", 1)
     rows = [
         *(_StatRow("summary", name, value) for name, value in zip(stats._fields[:3], stats)),
         *(_StatRow("histogram", f"{b.low:.10g}-{b.high:.10g}", b.count) for b in stats.histogram),
         *(_StatRow("tag_count", tag, count) for tag, count in stats.tag_counts.items()),
     ]
     wrapper = {**stats._asdict(), "unfilled_cells": session.annotations[1]}
-    return _Built(rows, wrapper, stats.word_sd is None)
+    return _Built(rows, wrapper)
 
 
 def _agreement(session: Session) -> _Built:
@@ -343,14 +343,12 @@ def _agreement(session: Session) -> _Built:
               "emitting a pairwise-only report", file=sys.stderr)
     rows = agreement_mod.agreement_report(sets, median)
     # Every row has the same cell labels; a cell not computable is None.
-    degenerate = 0
     for row in rows:
         for label, cell in row.cells.items():
             if cell is None or cell.degenerate:
-                degenerate += 1
                 reason = cell.note if cell else "not computable: no unit has two or more values"
-                logger.info("agreement %s/%s: %s", row.feature, label, reason)
-    return _Built(rows, {"columns": list(rows[0].cells), "rows": ...}, degenerate)
+                decide(__name__, f"agreement {row.feature}/{label}: {reason}", 1)
+    return _Built(rows, {"columns": list(rows[0].cells), "rows": ...})
 
 
 def _word_counts(session: Session) -> _Built:
@@ -365,10 +363,11 @@ def _coverage(session: Session) -> _Built:
     rows = lexicon_mod.coverage_report(
         session.keys(norm.mode), session.sources, session.merged, norm, session.median
     )
-    undefined = [row.category for row in rows if row.merged is None]
-    for category in undefined:
-        logger.info("coverage %s: fractions undefined: the category has no keys", category)
-    return _Built(rows, degenerate=len(undefined))
+    for row in rows:
+        if row.merged is None:
+            reason = "fractions undefined: the category has no keys"
+            decide(__name__, f"coverage {row.category}: {reason}", 1)
+    return _Built(rows)
 
 
 def _missing_words(session: Session) -> _Built:
@@ -399,24 +398,22 @@ def _features(session: Session) -> _Built:
 
 def _bivariate(session: Session) -> _Built:
     cells = validation_mod.bivariate_report(session.matrix, session.median)
-    undefined = [c for c in cells if c.rho is None]
-    for c in undefined:
-        logger.info(
-            "bivariate %s/%s: rho undefined: %s", c.annotated_feature, c.gam_feature, c.note
-        )
-    return _Built(cells, degenerate=len(undefined))
+    for c in cells:
+        if c.rho is None:
+            cell = f"{c.annotated_feature}/{c.gam_feature}"
+            decide(__name__, f"bivariate {cell}: rho undefined: {c.note}", 1)
+    return _Built(cells)
 
 
 def _partial_dependence(session: Session) -> _Built:
-    rows = validation_mod.partial_dependence_report(session.matrix, session.median)
-    return _Built(rows, degenerate=sum(1 for r in rows if r.note is not None))
+    return _Built(validation_mod.partial_dependence_report(session.matrix, session.median))
 
 
 def _anova(session: Session) -> _Built:
     anova = validation_mod.anova_report(session.matrix, session.median)
     wrapper = {"n_total": anova.n_total, "n_significant": anova.n_significant,
                "skipped": anova.skipped, "rows": ...}
-    return _Built(anova.rows, wrapper, len(anova.skipped) + anova.n_degenerate)
+    return _Built(anova.rows, wrapper)
 
 
 class _Report(NamedTuple):
@@ -537,7 +534,7 @@ class Session:
         ]
         for rid in self.config.reversed_valence_annotators:
             sets[rid - 1] = corpus_mod.reverse_ordinal_scale(sets[rid - 1], "valence")
-            logger.info("reversed valence scale for annotator %d", rid)
+            decide(__name__, f"reversed valence scale for annotator {rid}")
         if len(sets) != 3:
             return sets, []
         return corpus_mod.fill_missing_psych(sets)
@@ -578,17 +575,23 @@ class Session:
         """The 32-feature matrix of the corpus."""
         return features_mod.compute_corpus_matrix(self.keys(self.norm.mode), self.merged)
 
-    def write(self, writer: ReportWriter) -> int:
-        """Write the session's reports, each row as it comes; return the degeneracies counted."""
-        degenerate = 0
+    def write(self, writer: ReportWriter, log_decisions: bool = False) -> int:
+        """Write the session's reports, each row as it comes, and ``decisions.log`` if asked.
+
+        Returns how many computations the decisions recorded while building
+        the reports left degenerate or skipped; the log has a line per decision.
+        """
+        log = writer.stage("decisions.log") if log_decisions else None
         try:
-            for name in self.reports:
-                report = REPORTS[name]
-                rows, wrapper, count = report.build(self)
-                writer.emit(name, report.row_type, rows, wrapper)
-                degenerate += count
-                del rows, wrapper  # freed before the next report is built
+            with recording() as decisions:
+                for name in self.reports:
+                    report = REPORTS[name]
+                    rows, wrapper = report.build(self)
+                    writer.emit(name, report.row_type, rows, wrapper)
+                    del rows, wrapper  # freed before the next report is built
+            if log:
+                log.write_text("".join(f"{d.module}: {d.text}\n" for d in decisions), "utf-8")
             writer.commit()
         finally:
             writer.discard()  # what a failed build or commit left staged
-        return degenerate
+        return sum(d.degenerate for d in decisions)

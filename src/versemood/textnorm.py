@@ -16,6 +16,8 @@ from __future__ import annotations
 import csv
 import functools
 import re
+from contextlib import contextmanager
+from contextvars import ContextVar
 from importlib import resources
 from itertools import count
 from pathlib import Path
@@ -27,15 +29,18 @@ from . import snowball_es
 
 __all__ = [
     "MODES",
+    "Decision",
     "InputError",
     "NormalizationConfig",
     "TokenTable",
     "csv_rows",
+    "decide",
     "default_stopwords",
     "load_lemma_table",
     "load_stopwords",
     "normalize",
     "read_input",
+    "recording",
     "split_lines",
     "stem",
     "tokenize",
@@ -46,6 +51,41 @@ MODES = ("raw", "stem", "lemma")
 
 class InputError(ValueError):
     """Malformed or missing input; the message names the file (and line)."""
+
+
+class Decision(NamedTuple):
+    """A repair or fallback a run made, and how many computations it left degenerate."""
+
+    module: str
+    text: str
+    degenerate: int = 0
+
+
+_DECISIONS: ContextVar[list[Decision] | None] = ContextVar("decisions", default=None)
+
+
+def decide(module: str, text: str, degenerate: int = 0) -> None:
+    """Record a decision in the current run's list; outside :func:`recording`, do nothing."""
+    decisions = _DECISIONS.get()
+    if decisions is not None:
+        decisions.append(Decision(module, text, degenerate))
+
+
+@contextmanager
+def recording() -> Iterator[list[Decision]]:
+    """Collect the decisions made inside the block, in order, into the list it yields.
+
+    An enclosing block's list gets them too, when the inner block ends.
+    """
+    decisions: list[Decision] = []
+    token = _DECISIONS.set(decisions)
+    try:
+        yield decisions
+    finally:
+        _DECISIONS.reset(token)
+        outer = _DECISIONS.get()
+        if outer is not None:
+            outer.extend(decisions)
 
 
 def read_input(path: str | Path, what: str) -> str:

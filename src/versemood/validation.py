@@ -10,9 +10,10 @@ Regressions use all 32 features as predictors.  Two of them are exact
 linear combinations by construction (each span is its max minus its
 min), so the regression design drops whatever columns the rank check
 reports, keeping the first occurrence of every direction; every removal
-is logged.  The rank check is one QR pass per design, with the
-prefix-SVD test as referee on columns R cannot settle.  Categories too
-small for the full predictor set fall back to the 20 mean/sd features.
+is recorded as a decision.  The rank check is one QR pass per design,
+with the prefix-SVD test as referee on columns R cannot settle.
+Categories too small for the full predictor set fall back to the 20
+mean/sd features.
 
 Only what the reports read is computed: a row reads its paired
 feature's p-value alone, and the correlation matrix ranks each column
@@ -22,7 +23,6 @@ sonnets.
 
 from __future__ import annotations
 
-import logging
 from typing import NamedTuple
 
 import numpy as np
@@ -43,6 +43,7 @@ from .stats import (
     rank_correlation,
     spearman,
 )
+from .textnorm import decide
 
 __all__ = [
     "AnovaReport",
@@ -55,8 +56,6 @@ __all__ = [
     "bivariate_report",
     "partial_dependence_report",
 ]
-
-logger = logging.getLogger(__name__)
 
 SIGNIFICANCE_LEVEL = 0.05
 
@@ -179,7 +178,7 @@ def _category_rows(
     columns) are built once; each pairing then replays the design's
     drops and stops at its first terminal event, exactly as a separate
     fit per pairing would: its paired feature dropped as collinear, then
-    a failing fit.  A category's decisions are logged once, a pairing's
+    a failing fit.  A category's decisions are recorded once, a pairing's
     note once per pairing.
     """
     sub = values[index]
@@ -191,23 +190,23 @@ def _category_rows(
         predictors = MEAN_SD_FEATURES
         pruned = True
         keep = ~np.isnan(sub[:, [FEATURE_INDEX[p] for p in predictors]]).any(axis=1)
-        logger.info(
-            "partial dependence %s: pruned predictors to mean/sd set (n=%d)", category, keep.sum()
-        )
+        n = keep.sum()
+        decide(__name__, f"partial dependence {category}: pruned predictors to mean/sd set (n={n})")
     rows = index[keep]
     sub = sub[keep]
     if len(rows) <= len(predictors) + 1:
         note = (
             f"insufficient rows for regression ({len(rows)} sonnets, {len(predictors)} predictors)"
         )
-        logger.info("partial dependence %s: %s", category, note)
+        decide(__name__, f"partial dependence {category}: {note}", len(FEATURE_PAIRINGS))
         return [
             PartialDependenceRow(category, annotated, gam_feature, len(rows), note=note)
             for annotated, gam_feature in FEATURE_PAIRINGS
         ]
     design = LinearDesign(sub[:, [FEATURE_INDEX[p] for p in predictors]], predictors)
     for bad in design.dropped:
-        logger.info("partial dependence %s: dropped dependent columns %s", category, ", ".join(bad))
+        columns = ", ".join(bad)
+        decide(__name__, f"partial dependence {category}: dropped dependent columns {columns}")
 
     out = []
     for annotated, gam_feature in FEATURE_PAIRINGS:
@@ -225,7 +224,7 @@ def _category_rows(
             except ValueError as exc:
                 note = str(exc)
         if note is not None:
-            logger.info("partial dependence %s/%s: %s", category, annotated, note)
+            decide(__name__, f"partial dependence {category}/{annotated}: {note}", 1)
             out.append(PartialDependenceRow(category, annotated, gam_feature, len(rows), note=note))
             continue
         idx = design.columns.index(gam_feature)
@@ -285,7 +284,6 @@ class AnovaReport(NamedTuple):
     n_total: int
     n_significant: int
     skipped: tuple[tuple[str, str, str], ...]
-    n_degenerate: int
 
 
 def anova_report(matrix: FeatureMatrix, median: AnnotationSet) -> AnovaReport:
@@ -294,13 +292,14 @@ def anova_report(matrix: FeatureMatrix, median: AnnotationSet) -> AnovaReport:
     The median covers the matrix's sonnets in the same order.  All
     tag-by-feature combinations are tested; only those significant at
     the 0.05 level become rows.  Combinations that cannot run (a group
-    with fewer than two defined values) are listed as skipped; those with
-    no within-group variance are counted as degenerate.
+    with fewer than two defined values) are listed as skipped; each skip,
+    and each combination without within-group variance, is a degenerate
+    decision.
     """
     _require_aligned(matrix, median)
     rows: list[AnovaRow] = []
     skipped: list[tuple[str, str, str]] = []
-    n_total = n_degenerate = 0
+    n_total = 0
     for tag, tagged in categories(median)[1:]:
         for feature in MEAN_FEATURES:
             n_total += 1
@@ -309,13 +308,13 @@ def anova_report(matrix: FeatureMatrix, median: AnnotationSet) -> AnovaReport:
             in_vals = column[defined & tagged]
             out_vals = column[defined & ~tagged]
             if len(in_vals) < 2 or len(out_vals) < 2:
-                skipped.append((tag, feature, "a group has fewer than two values"))
-                logger.info("anova %s/%s: skipped: %s", *skipped[-1])
+                reason = "a group has fewer than two values"
+                skipped.append((tag, feature, reason))
+                decide(__name__, f"anova {tag}/{feature}: skipped: {reason}", 1)
                 continue
             result = one_way_anova([in_vals, out_vals])
             if result.degenerate is not None:
-                n_degenerate += 1
-                logger.info("anova %s/%s: %s", tag, feature, result.degenerate)
+                decide(__name__, f"anova {tag}/{feature}: {result.degenerate}", 1)
             if result.p_value < SIGNIFICANCE_LEVEL:
                 rows.append(AnovaRow(
                     tag, feature, len(in_vals), len(out_vals), *result.group_means,
@@ -326,5 +325,4 @@ def anova_report(matrix: FeatureMatrix, median: AnnotationSet) -> AnovaReport:
         n_total=n_total,
         n_significant=len(rows),
         skipped=tuple(skipped),
-        n_degenerate=n_degenerate,
     )

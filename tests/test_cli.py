@@ -2,12 +2,12 @@
 
 import csv
 import json
-import logging
 import math
 import re
 import shutil
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -16,7 +16,9 @@ import versemood
 from versemood.cli import main
 from versemood.corpus import ANNOTATED_FEATURES, PSYCHOLOGICAL_TAGS
 from versemood.features import FEATURE_NAMES
+from versemood import pipeline
 from versemood.pipeline import Session
+from versemood.textnorm import decide
 
 from conftest import build_workspace
 
@@ -467,19 +469,36 @@ def test_log_decisions_writes_fallback_log(workspace_config, tmp_path, capsys):
     assert all(line.startswith("versemood") for line in text.splitlines() if line)
 
 
-def test_log_decisions_restores_the_package_logger_level(workspace_config, tmp_path, capsys):
-    package_logger = logging.getLogger("versemood")
-    saved = package_logger.level
-    package_logger.setLevel(logging.WARNING)
-    try:
+def test_each_run_logs_only_its_own_decisions(tmp_path, capsys, monkeypatch):
+    config = build_workspace(tmp_path / "ws", n_sonnets=12) / "config.json"
+    runs = []  # each run's record list
+    real_recording = pipeline.recording
+
+    @contextmanager
+    def kept():
+        with real_recording() as decisions:
+            runs.append(decisions)
+            yield decisions
+
+    monkeypatch.setattr(pipeline, "recording", kept)
+    logs = []
+    for command in ("validate", "stats"):
+        out = tmp_path / command
         code, _, _ = run(
-            capsys, "stats", "--config", str(workspace_config),
-            "--out", str(tmp_path), "--log-decisions",
+            capsys, command, "--config", str(config), "--out", str(out), "--log-decisions"
         )
         assert code == 0
-        assert package_logger.level == logging.WARNING
-    finally:
-        package_logger.setLevel(saved)
+        logs.append((out / "decisions.log").read_text(encoding="utf-8").splitlines())
+    validate, stats = logs
+    assert len(runs) == 2
+    assert stats == [f"{d.module}: {d.text}" for d in runs[1]]
+    reversal = "versemood.pipeline: reversed valence scale for annotator 1"
+    assert validate.count(reversal) == stats.count(reversal) == 1
+    assert any(line.startswith("versemood.validation: ") for line in validate)
+    assert not any(line.startswith("versemood.validation: ") for line in stats)
+    # outside a run, a decision goes to no list
+    decide("versemood.cli", "outside any run")
+    assert [len(decisions) for decisions in runs] == [len(validate), len(stats)]
 
 
 def test_json_mirrors_agree_with_csv(all_run):

@@ -1,7 +1,6 @@
 """Corpus loading, annotation validation, and median fusion."""
 
 import csv
-import logging
 from itertools import compress
 
 import numpy as np
@@ -27,7 +26,7 @@ from versemood.corpus import (
     reverse_ordinal_scale,
 )
 from versemood.pipeline import Session
-from versemood.textnorm import NormalizationConfig, TokenTable, normalize
+from versemood.textnorm import NormalizationConfig, TokenTable, normalize, recording
 
 
 def write_metadata(path, rows):
@@ -436,23 +435,24 @@ def random_triple(rng, n_sonnets):
     return ids, sets
 
 
-def decisions(caplog):
-    return [r.getMessage() for r in caplog.records if r.name == "versemood.corpus"]
+def recorded(call, *args):
+    """``call(*args)``, and the texts of the corpus decisions it recorded."""
+    with recording() as decisions:
+        result = call(*args)
+    return result, [d.text for d in decisions if d.module == "versemood.corpus"]
 
 
-def test_fill_missing_psych_matches_dict_loop_oracle(caplog):
+def test_fill_missing_psych_matches_dict_loop_oracle():
     rng = np.random.default_rng(64)
-    caplog.set_level(logging.INFO, logger="versemood.corpus")
     missing_in = set()
     for _ in range(300):
         ids, sets = random_triple(rng, int(rng.integers(1, 6)))
         cells = [cells_of(s) for s in sets]
         ref_cells, ref_unfilled, ref_messages = oracles.fill_missing_psych(cells, ids)
-        caplog.clear()
-        filled, unfilled = fill_missing_psych(sets)
+        (filled, unfilled), messages = recorded(fill_missing_psych, sets)
         assert [cells_of(s) for s in filled] == ref_cells
         assert unfilled == ref_unfilled
-        assert decisions(caplog) == ref_messages
+        assert messages == ref_messages
         missing_in.update(
             sum((sid, tag) not in c for c in cells)
             for sid in ids for tag in PSYCHOLOGICAL_TAGS
@@ -460,19 +460,17 @@ def test_fill_missing_psych_matches_dict_loop_oracle(caplog):
     assert missing_in == {0, 1, 2, 3}
 
 
-def test_median_annotator_matches_dict_loop_oracle(caplog):
+def test_median_annotator_matches_dict_loop_oracle():
     rng = np.random.default_rng(65)
-    caplog.set_level(logging.INFO, logger="versemood.corpus")
     branches = set()
     for _ in range(300):
         ids, sets = random_triple(rng, int(rng.integers(1, 6)))
         cells = [cells_of(s) for s in sets]
         ref_values, ref_messages = oracles.build_median_annotator(cells, ids)
-        caplog.clear()
-        median = build_median_annotator(sets)
+        median, messages = recorded(build_median_annotator, sets)
         assert median.values.shape == (len(ids), len(ANNOTATED_FEATURES))
         assert cells_of(median) == ref_values
-        assert decisions(caplog) == ref_messages
+        assert messages == ref_messages
         branches.update(m.split(": ", 1)[1].split(" ", 1)[0] for m in ref_messages)
         branches.update(
             len([c for c in cells if (sid, feat) in c])
@@ -482,11 +480,10 @@ def test_median_annotator_matches_dict_loop_oracle(caplog):
     assert branches == {0, 1, 2, 3, "0/1", "averaging"}
 
 
-def test_median_by_selection_equals_the_sorted_cube(caplog):
-    """Bit for bit, and log line for log line, the median of sorting a
+def test_median_by_selection_equals_the_sorted_cube():
+    """Bit for bit, and decision for decision, the median of sorting a
     stacked cube: NaN, ties and half-integers in every feature."""
     rng = np.random.default_rng(66)
-    caplog.set_level(logging.INFO, logger="versemood.corpus")
     for _ in range(100):
         n = int(rng.integers(1, 60))
         ids = tuple(f"s{i}" for i in range(n))
@@ -495,10 +492,9 @@ def test_median_by_selection_equals_the_sorted_cube(caplog):
         values[rng.random(values.shape) < rng.uniform(0.0, 0.7)] = np.nan
         sets = [AnnotationSet(i + 1, ids, values[i]) for i in range(3)]
         ref_values, ref_messages = oracles.median_by_sort(sets)
-        caplog.clear()
-        median = build_median_annotator(sets)
+        median, messages = recorded(build_median_annotator, sets)
         assert median.values.tobytes() == ref_values.tobytes()
-        assert decisions(caplog) == ref_messages
+        assert messages == ref_messages
 
 
 def test_sets_share_the_corpus_sonnet_ids(workspace_config):

@@ -36,7 +36,7 @@ from versemood.lexicon import (
     rescale_value,
     word_count_report,
 )
-from versemood.textnorm import NormalizationConfig, TokenTable, normalize, split_lines
+from versemood.textnorm import NormalizationConfig, TokenTable, normalize, recording, split_lines
 
 RAW = NormalizationConfig(mode="raw", stopwords=frozenset())
 STEMMED = NormalizationConfig(mode="stem", stopwords=frozenset())
@@ -102,16 +102,16 @@ def test_load_canonical_lexicon(tmp_path):
     assert len(lex) == 2
 
 
-def test_load_canonical_duplicates_average(tmp_path, caplog):
+def test_load_canonical_duplicates_average(tmp_path):
     path = tmp_path / "norms.csv"
     write_canonical(path, [
         ["amor", "valence", "8.0", "1.0", "1", "9"],
         ["amor", "valence", "6.0", "2.0", "1", "9"],
     ])
-    with caplog.at_level("INFO"):
+    with recording() as decisions:
         lex = load_lexicon(path)
     assert entries_of(lex)["amor"]["valence"] == (7.0, 1.5)
-    assert any("duplicate" in r.message for r in caplog.records)
+    assert any("duplicate" in d.text for d in decisions)
 
 
 def test_load_canonical_scale_violation(tmp_path):
@@ -250,17 +250,17 @@ def test_merge_rescales_before_fusing():
     assert entries_of(merged)["amor"]["valence"][0] == pytest.approx(9.0)
 
 
-def test_merge_stem_collision_averages(caplog):
+def test_merge_stem_collision_averages():
     sources = [
         source("a", {
             "ceniza": {"valence": (2.0, None)},
             "cenizas": {"valence": (4.0, None)},
         }),
     ]
-    with caplog.at_level("INFO"):
+    with recording() as decisions:
         merged = merge_lexicons(sources, STEMMED)
     assert entries_of(merged)["ceniz"]["valence"][0] == pytest.approx(3.0)
-    assert any("collapsed" in r.message for r in caplog.records)
+    assert any("collapsed" in d.text for d in decisions)
 
 
 def test_merge_is_idempotent_on_canonical_entries():
@@ -622,7 +622,7 @@ def random_described(rng, path):
     return descriptor | {"dimensions": spec}, all_blank
 
 
-def load_both(rng, path, caplog):
+def load_both(rng, path):
     """One random file loaded by the package and by the oracle.
 
     Returns the source, the oracle's scales, entries and duplicate count,
@@ -630,9 +630,9 @@ def load_both(rng, path, caplog):
     """
     described = rng.random() < 0.5
     descriptor, all_blank = (random_described if described else random_canonical)(rng, path)
-    caplog.clear()
-    source = load_lexicon(path, descriptor=descriptor)
-    logged = [r.getMessage() for r in caplog.records if "duplicate" in r.getMessage()]
+    with recording() as decisions:
+        source = load_lexicon(path, descriptor=descriptor)
+    logged = [d.text for d in decisions if "duplicate" in d.text]
     if described:
         scales, entries, n_dupes = oracles.load_described(path, descriptor)
     else:
@@ -642,13 +642,12 @@ def load_both(rng, path, caplog):
     return source, scales, entries, n_dupes, all_blank
 
 
-def test_loaders_match_dict_oracle(tmp_path, caplog):
+def test_loaders_match_dict_oracle(tmp_path):
     rng = np.random.default_rng(90)
-    caplog.set_level("INFO", logger="versemood.lexicon")
     reached = set()
     for case in range(300):
         path = tmp_path / f"src{case}.csv"
-        source, scales, entries, n_dupes, all_blank = load_both(rng, path, caplog)
+        source, scales, entries, n_dupes, all_blank = load_both(rng, path)
         assert source.source_id == path.stem
         assert source.scales == scales
         assert list(source.entries) == list(entries)
@@ -662,8 +661,8 @@ def test_loaders_match_dict_oracle(tmp_path, caplog):
     assert reached == {"duplicates", "no duplicates", "missing sd", "all means blank"}
 
 
-def test_source_planes_are_computed_once_on_first_read(tmp_path, caplog, monkeypatch):
-    # A load makes every check and logs its duplicates; the planes wait for a read.
+def test_source_planes_are_computed_once_on_first_read(tmp_path, monkeypatch):
+    # A load makes every check and records its duplicates; the planes wait for a read.
     original = lexicon._source_planes
     calls = []
 
@@ -673,10 +672,9 @@ def test_source_planes_are_computed_once_on_first_read(tmp_path, caplog, monkeyp
 
     monkeypatch.setattr(lexicon, "_source_planes", counting)
     rng = np.random.default_rng(94)
-    caplog.set_level("INFO", logger="versemood.lexicon")
     for case in range(60):
         calls.clear()
-        source, _, entries, _, _ = load_both(rng, tmp_path / f"src{case}.csv", caplog)
+        source, _, entries, _, _ = load_both(rng, tmp_path / f"src{case}.csv")
         assert calls == [] and list(source.entries) == list(entries)
         first = source.sd if case % 2 else source.mean
         assert len(calls) == 1
@@ -691,19 +689,18 @@ def test_source_planes_are_computed_once_on_first_read(tmp_path, caplog, monkeyp
             assert got[~np.isnan(got)].tobytes() == expected[~np.isnan(expected)].tobytes()
 
 
-def test_merge_matches_dict_oracle(tmp_path, caplog):
+def test_merge_matches_dict_oracle(tmp_path):
     rng = np.random.default_rng(91)
-    caplog.set_level("INFO", logger="versemood.lexicon")
     reached = set()
     for case in range(300):
         loaded = [
-            load_both(rng, tmp_path / f"c{case}s{k}.csv", caplog)
+            load_both(rng, tmp_path / f"c{case}s{k}.csv")
             for k in range(int(rng.integers(1, 5)))
         ]
         config = CONFIGS[case % len(CONFIGS)]
-        caplog.clear()
-        merged = merge_lexicons([source for source, *_ in loaded], config)
-        logged = [r.getMessage() for r in caplog.records if "collapsed" in r.getMessage()]
+        with recording() as decisions:
+            merged = merge_lexicons([source for source, *_ in loaded], config)
+        logged = [d.text for d in decisions if "collapsed" in d.text]
         entries, n_collisions = oracles.merge_lexicons(
             [(scales, entries) for _, scales, entries, *_ in loaded], config
         )

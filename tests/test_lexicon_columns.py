@@ -11,7 +11,6 @@ dozen characters too, so that damage lands in later blocks.
 
 import csv
 import json
-import logging
 import os
 import tracemalloc
 
@@ -21,6 +20,7 @@ import pytest
 from conftest import build_workspace
 from versemood import lexicon
 from versemood.lexicon import load_lexicon
+from versemood.textnorm import recording
 
 DESCRIPTOR = "lex_b_descriptor.json"
 LEXICONS = (("lex_a.csv", None), ("lex_b.tsv", DESCRIPTOR))
@@ -115,6 +115,11 @@ def _repeated_header(rng, rows, d):
         row.append(row[j][:-1] + "1" if rng.random() < 0.5 else row[j])
 
 
+def _duplicate_row(rng, rows, d):
+    # a word (and dimension) given twice: the load averages the two and records it
+    rows.insert(int(rng.integers(1, len(rows) + 1)), list(rows[int(rng.integers(1, len(rows)))]))
+
+
 def _header_only(rng, rows, d):
     del rows[1:]
 
@@ -159,6 +164,7 @@ MUTATIONS = {
     "repeated header name": _repeated_header,
     "header only": _header_only,
     "empty file": _empty,
+    "duplicate row": _duplicate_row,
 }
 
 # Mutations aimed at the block boundaries of the column reader.
@@ -196,24 +202,23 @@ def write(rng, path, rows, d, kind):
     path.write_text(text, encoding="utf-8")
 
 
-def outcome(path, descriptor, caplog):
-    """The loaded source as bytes and log lines, or the error text."""
-    caplog.clear()
+def outcome(path, descriptor):
+    """The loaded source as bytes and decision texts, or the error text."""
     try:
-        source = load_lexicon(path, descriptor)
+        with recording() as decisions:
+            source = load_lexicon(path, descriptor)
     except lexicon.LexiconFormatError as exc:
         return "error", str(exc)
-    logged = [r.getMessage() for r in caplog.records if r.name == "versemood.lexicon"]
+    logged = [d.text for d in decisions if d.module == "versemood.lexicon"]
     return (
         source.source_id, source.scales, source.entries,
         source.mean.tobytes(), source.sd.tobytes(), logged,
     )
 
 
-def differential(clean, tmp_path, caplog, monkeypatch, rng, mutations):
+def differential(clean, tmp_path, monkeypatch, rng, mutations):
     """Load each mutated lexicon both ways; return the (reader, outcome) pairs reached
     and the mutation kinds whose files the column reader read."""
-    caplog.set_level(logging.INFO, logger="versemood.lexicon")
     tables = []
     real_table = lexicon._Table.__init__
 
@@ -240,11 +245,13 @@ def differential(clean, tmp_path, caplog, monkeypatch, rng, mutations):
                 path = tmp_path / f"{kind}-{case}-{name}"
                 write(rng, path, rows, d, kind)
                 tables.clear()
-                columns = outcome(path, descriptor, caplog)
+                columns = outcome(path, descriptor)
+                if kind == "duplicate row":
+                    assert columns[-1], "the averaged duplicates are recorded"
                 read_by = "csv reader" if tables else "column reader"
                 with monkeypatch.context() as patch:
                     patch.setattr(lexicon, "_Columns", referee)
-                    assert columns == outcome(path, descriptor, caplog), (name, kind, case)
+                    assert columns == outcome(path, descriptor), (name, kind, case)
                 result = "error" if columns[0] == "error" else "source"
                 reached.add((read_by, result))
                 if read_by == "column reader":
@@ -252,9 +259,9 @@ def differential(clean, tmp_path, caplog, monkeypatch, rng, mutations):
     return reached, plain
 
 
-def test_column_reader_equals_the_csv_reader(clean, tmp_path, caplog, monkeypatch):
+def test_column_reader_equals_the_csv_reader(clean, tmp_path, monkeypatch):
     rng = np.random.default_rng(160)
-    reached, plain = differential(clean, tmp_path, caplog, monkeypatch, rng, MUTATIONS)
+    reached, plain = differential(clean, tmp_path, monkeypatch, rng, MUTATIONS)
     assert reached == {
         ("column reader", "source"),
         ("csv reader", "source"),
@@ -264,15 +271,13 @@ def test_column_reader_equals_the_csv_reader(clean, tmp_path, caplog, monkeypatc
     assert plain >= {"clean", "blank line", "# inside a word", "repeated header name"}
 
 
-def test_column_reader_equals_the_csv_reader_across_blocks(
-    clean, tmp_path, caplog, monkeypatch
-):
+def test_column_reader_equals_the_csv_reader_across_blocks(clean, tmp_path, monkeypatch):
     # blocks of a line or two: every mutation lands past the first block
     monkeypatch.setattr(lexicon, "_BLOCK", 40)
     assert len(block_ends((clean / "lex_a.csv").read_text(encoding="utf-8"))) > 100
     rng = np.random.default_rng(162)
     mutations = {**MUTATIONS, **BLOCK_MUTATIONS}
-    reached, plain = differential(clean, tmp_path, caplog, monkeypatch, rng, mutations)
+    reached, plain = differential(clean, tmp_path, monkeypatch, rng, mutations)
     assert reached == {
         ("column reader", "source"),
         ("csv reader", "source"),

@@ -4,7 +4,6 @@ import ast
 import importlib
 import importlib.util
 import json
-import logging
 import pkgutil
 import shutil
 import sys
@@ -22,7 +21,7 @@ from versemood.cli import main
 from versemood.corpus import PSYCHOLOGICAL_TAGS, categories
 from versemood.features import FEATURE_INDEX, MEAN_FEATURES
 from versemood.pipeline import ReportWriter, Session
-from versemood.textnorm import MODES, InputError, NormalizationConfig, normalize
+from versemood.textnorm import MODES, InputError, NormalizationConfig, normalize, recording
 from versemood.validation import partial_dependence_report
 
 from conftest import build_workspace
@@ -334,22 +333,20 @@ def _fill_matrix(monkeypatch, fill):
     monkeypatch.setattr(features, "compute_corpus_matrix", patched)
 
 
-def _logged(caplog, module, prefix):
+def _logged(decisions, module, prefix):
     return [
-        r.getMessage() for r in caplog.records
-        if r.name == f"versemood.{module}" and r.getMessage().startswith(prefix)
+        d.text for d in decisions
+        if d.module == f"versemood.{module}" and d.text.startswith(prefix)
     ]
 
 
-def test_undefined_correlations_count_as_degenerate(
-    workspace_config, tmp_path, monkeypatch, caplog
-):
+def test_undefined_correlations_count_as_degenerate(workspace_config, tmp_path, monkeypatch):
     def constant_column(values):
         values[:, FEATURE_INDEX["concreteness_mean"]] = 4.0
 
     _fill_matrix(monkeypatch, constant_column)
-    caplog.set_level(logging.INFO, logger="versemood")
-    count = Session(workspace_config, ["bivariate"]).write(ReportWriter(tmp_path, "json"))
+    with recording() as decisions:
+        count = Session(workspace_config, ["bivariate"]).write(ReportWriter(tmp_path, "json"))
     cells = json.loads((tmp_path / "bivariate.json").read_text(encoding="utf-8"))
     undefined = [c for c in cells if c["rho"] is None]
     assert [c["note"] for c in undefined if c["gam_feature"] == "concreteness_mean"] == [
@@ -357,14 +354,14 @@ def test_undefined_correlations_count_as_degenerate(
     ] * 10
     assert count == len(undefined)
     # the decisions log names each cell counted, with its reason
-    assert _logged(caplog, "pipeline", "bivariate ") == [
+    assert _logged(decisions, "pipeline", "bivariate ") == [
         f"bivariate {c['annotated_feature']}/{c['gam_feature']}: rho undefined: {c['note']}"
         for c in undefined
     ]
 
 
 def test_anova_cells_without_within_group_variance_count_as_degenerate(
-    workspace_config, tmp_path, monkeypatch, caplog
+    workspace_config, tmp_path, monkeypatch
 ):
     median = Session(workspace_config, ["anova"]).median
     tag, tagged = next(
@@ -378,8 +375,8 @@ def test_anova_cells_without_within_group_variance_count_as_degenerate(
 
     _fill_matrix(monkeypatch, zero_variance)
     session = Session(workspace_config, ["anova"])
-    caplog.set_level(logging.INFO, logger="versemood")
-    count = session.write(ReportWriter(tmp_path, "json"))
+    with recording() as decisions:
+        count = session.write(ReportWriter(tmp_path, "json"))
     anova = json.loads((tmp_path / "anova.json").read_text(encoding="utf-8"))
     # F = inf, p = 0: the cell keeps its row
     [row] = [r for r in anova["rows"] if (r["category"], r["gam_feature"]) == (tag, "valence_mean")]
@@ -397,7 +394,7 @@ def test_anova_cells_without_within_group_variance_count_as_degenerate(
     assert len(degenerate) > len(PSYCHOLOGICAL_TAGS) // 2
     assert count == len(anova["skipped"]) + len(degenerate)
     # the decisions log names each degenerate cell, with its reason
-    assert _logged(caplog, "validation", "anova ") == degenerate
+    assert _logged(decisions, "validation", "anova ") == degenerate
 
 
 def test_every_exported_name_resolves():
@@ -443,7 +440,7 @@ def test_writer_spells_non_finite_floats_in_both_formats(workspace_config, tmp_p
     # ANOVA writes F = inf when both groups are constant but differ.
     nan, inf = float("nan"), float("inf")
     row_type = NamedTuple("Row", [("a", float), ("b", float), ("c", float), ("d", float)])
-    table = ([row_type(nan, inf, -inf, 1.5)], {"v": [nan, inf, -inf, 1.5]}, 0)
+    table = ([row_type(nan, inf, -inf, 1.5)], {"v": [nan, inf, -inf, 1.5]})
     anova = pipeline.REPORTS["anova"]._replace(row_type=row_type, build=lambda session: table)
     monkeypatch.setitem(pipeline.REPORTS, "anova", anova)
     assert Session(workspace_config, ["anova"]).write(ReportWriter(tmp_path, "both")) == 0

@@ -28,14 +28,15 @@ RESULT_FIELDS = {
 }
 
 
-def test_importing_the_command_line_loads_no_dataclasses():
+@pytest.mark.parametrize("module", ["dataclasses", "logging"])
+def test_importing_the_command_line_loads_no_dataclasses(module):
     src = str(Path(versemood.__file__).parent.parent)
     script = (
         "import sys; sys.path.insert(0, sys.argv[1]); import versemood.cli; "
-        "print('dataclasses' in sys.modules)"
+        "print(sys.argv[2] in sys.modules)"
     )
     done = subprocess.run(
-        [sys.executable, "-c", script, src], capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", script, src, module], capture_output=True, text=True, timeout=60
     )
     assert done.stdout.split() == ["False"], done.stderr
 

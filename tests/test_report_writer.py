@@ -49,7 +49,7 @@ def test_every_report_is_the_reference_bytes(n_sonnets, tmp_path):
     workspace = build_workspace(tmp_path / "workspace", n_sonnets=n_sonnets)
     session = Session(workspace / "config.json")
     for name, report in REPORTS.items():
-        rows, wrapper, _ = report.build(session)
+        rows, wrapper = report.build(session)
         rows = list(rows)
         files = written(tmp_path / name, report.row_type, rows, wrapper)
         header, cells, mirror = oracles.report_table(report.row_type, rows)
@@ -140,7 +140,7 @@ def test_a_value_json_cannot_hold_is_a_type_error(value, tmp_path):
 def test_writing_the_feature_report_holds_less_than_its_json(tmp_path):
     workspace = build_workspace(tmp_path / "workspace", n_sonnets=120)
     report = REPORTS["features"]
-    rows, wrapper, _ = report.build(Session(workspace / "config.json"))
+    rows, wrapper = report.build(Session(workspace / "config.json"))
     writer = ReportWriter(tmp_path / "out", "json")
     tracemalloc.start()
     try:
@@ -163,7 +163,7 @@ def test_building_and_writing_the_feature_report_holds_under_half_its_json(tmp_p
     writer = ReportWriter(tmp_path / "out", "json")
     tracemalloc.start()
     try:
-        rows, wrapper, _ = report.build(session)
+        rows, wrapper = report.build(session)
         writer.emit("features", report.row_type, rows, wrapper)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -1,6 +1,5 @@
 """Validation reports: correlation grid, regression table, per-tag ANOVA."""
 
-import logging
 import math
 import re
 from collections import Counter
@@ -20,6 +19,7 @@ from versemood.corpus import (
 from versemood.features import FEATURE_NAMES, MEAN_FEATURES, FeatureMatrix
 from versemood.lexicon import DIMENSIONS
 from versemood.stats import spearman
+from versemood.textnorm import recording
 from versemood.validation import (
     FEATURE_PAIRINGS,
     SIGNIFICANCE_LEVEL,
@@ -346,15 +346,17 @@ def _listwise_incomplete():
     (_category_too_small, lambda r: "insufficient rows" in (r.note or "")),
     (_listwise_incomplete, lambda r: r.n == 55),
 ], ids=["spans", "pruned", "collinear", "zero-variance", "too-small", "listwise"])
-def test_partial_dependence_matches_one_fit_per_pairing(build, shows, caplog):
+def test_partial_dependence_matches_one_fit_per_pairing(build, shows):
     matrix, median = build()
-    caplog.set_level(logging.INFO, logger="versemood.validation")
-    rows = partial_dependence_report(matrix, median)
-    messages = [r.getMessage() for r in caplog.records if r.name == "versemood.validation"]
+    with recording() as decisions:
+        rows = partial_dependence_report(matrix, median)
+    messages = [d.text for d in decisions if d.module == "versemood.validation"]
     ref_rows, ref_messages = oracles.partial_dependence(matrix, median)
     assert any(shows(row) for row in rows)
     assert rows == ref_rows
     assert messages == logged_decisions(ref_rows, ref_messages)
+    # --strict counts each row with a note once
+    assert sum(d.degenerate for d in decisions) == sum(row.note is not None for row in rows)
 
 
 def logged_decisions(rows, messages):
@@ -416,19 +418,21 @@ def test_anova_detects_planted_group_difference():
     assert row.p_value < 1e-6
 
 
-def test_anova_skips_underfilled_groups(caplog):
+def test_anova_skips_underfilled_groups():
     rng = np.random.default_rng(103)
     matrix = synthetic_matrix(rng, 12)
     median = median_for(matrix, rng, tag_members={"Grandeur": {matrix.sonnet_ids[0]}})
-    caplog.set_level(logging.INFO, logger="versemood.validation")
-    report = anova_report(matrix, median)
+    with recording() as decisions:
+        report = anova_report(matrix, median)
     skipped_combos = {(s[0], s[1]) for s in report.skipped}
     assert ("Grandeur", "valence_mean") in skipped_combos
     assert all(r.category != "Grandeur" for r in report.rows)
-    # each skipped cell is named in the decisions log, with its reason
-    assert [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()] == [
+    # each skipped cell is named in the decisions log, with its reason, and counted once
+    skips = [d for d in decisions if "skipped" in d.text]
+    assert [d.text for d in skips] == [
         f"anova {tag}/{feature}: skipped: {reason}" for tag, feature, reason in report.skipped
     ]
+    assert [d.degenerate for d in skips] == [1] * len(report.skipped)
 
 
 def test_anova_means_are_group_means():
