@@ -10,15 +10,14 @@ psychological tags missing in exactly one of the three sets.
 
 from __future__ import annotations
 
-import csv
 import math
-from itertools import islice, zip_longest
+from itertools import zip_longest
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .textnorm import InputError, TokenTable, csv_rows, decide, read_input, split_lines
+from .textnorm import InputError, TokenTable, csv_rows, decide, kept_rows, read_input, split_lines
 
 __all__ = [
     "ALL_CATEGORY",
@@ -182,19 +181,12 @@ def load_corpus(metadata_path: str | Path, corpus_root: str | Path | None) -> Co
     """
     metadata_path = Path(metadata_path)
     text = read_input(metadata_path, "metadata file")
-    rows = csv_rows(csv.reader(split_lines(text)), metadata_path, CorpusFormatError)
-    header = next(rows, [])
+    rows = csv_rows(split_lines(text), metadata_path, CorpusFormatError)
+    header = next(rows, (0, []))[1]
     missing = [c for c in _METADATA_COLUMNS if c not in header]
     if missing:
-        raise CorpusFormatError(
-            f"{metadata_path}: missing metadata columns: {', '.join(missing)}"
-        )
-    table: list[list[str]] = []
-    stop = None  # a line the csv reader cannot read ends the rows
-    try:
-        table.extend(filter(None, rows))  # a blank line is no row
-    except CorpusFormatError as exc:
-        stop = exc
+        raise CorpusFormatError(f"{metadata_path}: missing metadata columns: {', '.join(missing)}")
+    lines, table, stop = kept_rows(rows)  # a blank line is no row
     if not table:
         raise stop or CorpusFormatError(f"{metadata_path}: no sonnets listed")
     # each header name's column (a repeated name's last); a short row's last cells are blank
@@ -204,23 +196,17 @@ def load_corpus(metadata_path: str | Path, corpus_root: str | Path | None) -> Co
     bad = next(  # the first row with an empty or repeated id
         (i for i, sid in enumerate(ids) if not sid or first.setdefault(sid, i) != i), len(ids)
     )
-
-    def line(i: int) -> int:
-        reader = csv.reader(split_lines(text))
-        next(islice(filter(None, reader), i + 1, None))  # row i, after the header
-        return reader.line_num
-
     texts: list[str | None] = [None] * len(ids)
     for i, name in enumerate(columns["file_path"][:bad] if corpus_root is not None else ()):
         try:
             texts[i] = read_input(Path(corpus_root) / name, "sonnet text")
         except InputError as exc:
-            raise CorpusFormatError(f"{metadata_path}: line {line(i)}: {exc}") from exc
+            raise CorpusFormatError(f"{metadata_path}: line {lines[i]}: {exc}") from exc
     if bad < len(ids):
-        sid, at = ids[bad], f"{metadata_path}: line {line(bad)}"
+        sid, at = ids[bad], f"{metadata_path}: line {lines[bad]}"
         if not sid:
             raise CorpusFormatError(f"{at}: empty id_sonnet")
-        first_line = line(first[sid])
+        first_line = lines[first[sid]]
         raise CorpusFormatError(f"{at}: duplicate sonnet id {sid!r} (first on line {first_line})")
     if stop is not None:
         raise stop
@@ -281,13 +267,11 @@ def _plain_values(text: str, sonnet_ids: Sequence[str] | None) -> np.ndarray | N
 
 def _csv_values(path: Path, text: str, sonnet_ids: Sequence[str] | None) -> np.ndarray:
     """The values of any annotation file by the csv reader, checked cell by cell."""
-    reader = csv.reader(split_lines(text))
-    lines = csv_rows(reader, path, AnnotationFormatError)
-    # (physical line, cells) of every row that is not blank
-    rows = [(reader.line_num, row) for row in lines if any(cell.strip() for cell in row)]
-    if not rows:
-        raise AnnotationFormatError(f"{path}: file is empty")
-    header_line, header = rows[0][0], [h.strip() for h in rows[0][1]]
+    rows = csv_rows(split_lines(text), path, AnnotationFormatError)
+    lines, table, stop = kept_rows(rows, lambda row: any(map(str.strip, row)))  # not blank
+    if not table:
+        raise stop or AnnotationFormatError(f"{path}: file is empty")
+    header_line, header = lines[0], [h.strip() for h in table[0]]
     for col, name in enumerate(header, start=1):
         if name not in _COLUMN:
             raise AnnotationFormatError(
@@ -299,8 +283,9 @@ def _csv_values(path: Path, text: str, sonnet_ids: Sequence[str] | None) -> np.n
     if absent:
         raise AnnotationFormatError(f"{path}: missing feature columns: {', '.join(absent)}")
 
-    data_rows = rows[1:]
-    if sonnet_ids is not None and len(data_rows) != len(sonnet_ids):
+    data_rows = list(zip(lines[1:], table[1:]))
+    # a count cut short by an unreadable line is no count
+    if stop is None and sonnet_ids is not None and len(data_rows) != len(sonnet_ids):
         raise AnnotationFormatError(
             f"{path}: {len(data_rows)} data rows but {len(sonnet_ids)} sonnets in metadata"
         )
@@ -325,6 +310,8 @@ def _csv_values(path: Path, text: str, sonnet_ids: Sequence[str] | None) -> np.n
                         f"{path}: row {lineno}, column {col} ({feature}): {exc}"
                     ) from None
         parsed.append(cells)
+    if stop is not None:
+        raise stop
     values = np.array(parsed, dtype=float).reshape(len(data_rows), len(header))
     return values[:, [header.index(f) for f in ANNOTATED_FEATURES]]
 

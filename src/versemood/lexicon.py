@@ -14,8 +14,8 @@ and the mean/sd columns per dimension.
 
 A lexicon is held as arrays, one row per word and one column per
 dimension, NaN where a word has no value.  Loaders read a file a block of
-lines at a time, check whole columns, and read the rows again only to name
-the first bad line.
+lines at a time and check whole columns; a file they cannot take goes to the
+csv reader, which keeps each row's line to name the first bad one.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import operator
 import sys
 from contextlib import suppress
 from functools import partial
-from itertools import compress, islice, repeat
+from itertools import compress, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -36,7 +36,8 @@ import numpy as np
 from .corpus import ALL_CATEGORY, AnnotationSet, categories
 from .stats import group_mean
 from .textnorm import (
-    InputError, NormalizationConfig, TokenTable, csv_rows, decide, read_input, split_lines,
+    InputError, NormalizationConfig, TokenTable, csv_rows, decide, kept_rows, read_input,
+    split_lines,
 )
 
 __all__ = [
@@ -177,20 +178,16 @@ class _Table:
     error for a line the csv reader cannot parse, or the message for a
     row whose width differs from the header's; it is None when every row
     was read.  A blank line is no row, as csv.DictReader skips it.
+    ``lines`` holds the physical line of each row read, the unusable one too.
     """
 
     def __init__(self, path: Path, text: str, delimiter: str, strings: Mapping[str, Callable]):
-        self.path, self.text, self.delimiter = path, text, delimiter
-        reader = csv.reader(split_lines(text), delimiter=delimiter)
-        rows = csv_rows(reader, path, LexiconFormatError)
-        header = next(rows, [])
+        self.path = path
+        rows = csv_rows(split_lines(text), path, LexiconFormatError, delimiter)
+        header = next(rows, (0, []))[1]
         self.column = {name: j for j, name in enumerate(header)}  # a repeated name: its last
-        self.rows: list[list[str]] = []
-        self.stop: str | LexiconFormatError | None = None
-        try:
-            self.rows.extend(filter(None, rows))
-        except LexiconFormatError as exc:
-            self.stop = exc
+        self.stop: str | LexiconFormatError | None
+        self.lines, self.rows, self.stop = kept_rows(rows)
         widths = np.fromiter(map(len, self.rows), np.intp, len(self.rows))
         wrong = np.flatnonzero(widths != len(header))
         if wrong.size:
@@ -241,10 +238,7 @@ class _Table:
             raise self.stop
         else:
             return
-        reader = csv.reader(split_lines(self.text), delimiter=self.delimiter)
-        next(reader, None)
-        next(islice(filter(None, reader), row, None))
-        raise LexiconFormatError(f"{self.path}: line {reader.line_num}: {message}")
+        raise LexiconFormatError(f"{self.path}: line {self.lines[row]}: {message}")
 
 
 # Characters of text a plain file is read by: each block also takes the rest of its last line.

@@ -18,8 +18,9 @@ which can be taken within groups (sonnets, say) all in one sort.
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,25 +59,18 @@ def _beta_cont_frac(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _BETA_MAX_ITER + 1):
         m2 = 2 * m
-        numer = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + numer * d
-        if abs(d) < _BETA_TINY:
-            d = _BETA_TINY
-        c = 1.0 + numer / c
-        if abs(c) < _BETA_TINY:
-            c = _BETA_TINY
-        d = 1.0 / d
-        h *= d * c
-        numer = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + numer * d
-        if abs(d) < _BETA_TINY:
-            d = _BETA_TINY
-        c = 1.0 + numer / c
-        if abs(c) < _BETA_TINY:
-            c = _BETA_TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        even = m * (b - m) * x / ((qam + m2) * (a + m2))
+        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        for numer in (even, odd):
+            d = 1.0 + numer * d
+            if abs(d) < _BETA_TINY:
+                d = _BETA_TINY
+            c = 1.0 + numer / c
+            if abs(c) < _BETA_TINY:
+                c = _BETA_TINY
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _BETA_EPS:
             return h
     raise ArithmeticError(
@@ -302,6 +296,7 @@ class RegressionResult(NamedTuple):
 # threshold before they decide a column.  It absorbs the rounding of the
 # QR factor and of the SVD whose decision they stand in for.
 _RANK_MARGIN = 100.0
+_RTOL = 1e-10  # the rank test's threshold, relative to the largest singular value
 
 
 def _svd_rank(columns: np.ndarray, rtol: float) -> int:
@@ -338,14 +333,14 @@ def _factor(columns: np.ndarray) -> tuple:
 
 
 def _dependent_columns(
-    design: np.ndarray, rtol: float = 1e-10, factor: tuple | None = None
+    design: np.ndarray, factor: tuple | None = None
 ) -> tuple[list[int], tuple | None]:
     """Indices of design columns linearly dependent on earlier columns, and a QR factor.
 
     Column j is dependent when the columns up to j have the same
     numerical rank as the columns before j, a rank counting the singular
-    values above rtol times the largest.  So the first occurrence of each
-    direction is kept and later duplicates are the ones reported.
+    values above ``_RTOL`` times the largest.  So the first occurrence of
+    each direction is kept and later duplicates are the ones reported.
 
     One pass in column order over a Householder QR factor R decides most
     columns without an SVD (Golub & Van Loan, *Matrix Computations*,
@@ -385,20 +380,20 @@ def _dependent_columns(
         pending = []
         for p in range(len(kept), len(columns)):
             j = columns[p]
-            limit = _RANK_MARGIN * rtol * frobenius[j]
+            limit = _RANK_MARGIN * _RTOL * frobenius[j]
             settled = (p == 0 or floor[p - 1] > limit) and (
-                residual2 == 0.0 or _RANK_MARGIN * math.sqrt(residual2) <= rtol * largest[j - 1]
+                residual2 == 0.0 or _RANK_MARGIN * math.sqrt(residual2) <= _RTOL * largest[j - 1]
             )
             if norms[j] == 0.0:
                 independent = False
             elif settled and floor[p] > limit:
                 independent = True
             elif settled and (
-                _RANK_MARGIN * math.sqrt(residual2 + distance[p] ** 2) <= rtol * largest[j]
+                _RANK_MARGIN * math.sqrt(residual2 + distance[p] ** 2) <= _RTOL * largest[j]
             ):
                 independent = False
             else:
-                independent = _svd_rank(design[:, : j + 1], rtol) != _svd_rank(design[:, :j], rtol)
+                independent = _svd_rank(design[:, :j + 1], _RTOL) != _svd_rank(design[:, :j], _RTOL)
             if independent:
                 kept.append(j)
                 continue
@@ -548,18 +543,22 @@ def _normal_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
-def _normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF by bisection (search seed only)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
-    lo, hi = -40.0, 40.0
+def _bisect(below: Callable[[float], bool], lo: float, hi: float) -> float:
+    """The midpoint of [lo, hi] after 200 halvings that keep ``below`` true at lo, false at hi."""
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if _normal_cdf(mid) < p:
+        if below(mid):
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _normal_quantile(p: float) -> float:
+    """Inverse standard normal CDF by bisection (search seed only)."""
+    if not 0.0 < p < 1.0:
+        raise ValueError("p must lie in (0, 1)")
+    return _bisect(lambda z: _normal_cdf(z) < p, -40.0, 40.0)
 
 
 def _t_critical(alpha: float, df: int) -> float:
@@ -569,24 +568,15 @@ def _t_critical(alpha: float, df: int) -> float:
         hi *= 2.0
         if hi > 1e8:
             raise ArithmeticError("t critical value search failed")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if t_tail(mid, df) > alpha:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda t: t_tail(t, df) > alpha, 0.0, hi)
 
 
 _GAUSS_NODES = 400
-_gauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
+@functools.cache
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _gauss_cache:
-        _gauss_cache[n] = np.polynomial.legendre.leggauss(n)
-    return _gauss_cache[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
 def _noncentral_t_both_tails(tcrit: float, df: int, ncp: float) -> float:

@@ -36,6 +36,7 @@ __all__ = [
     "csv_rows",
     "decide",
     "default_stopwords",
+    "kept_rows",
     "load_lemma_table",
     "load_stopwords",
     "normalize",
@@ -120,17 +121,37 @@ def split_lines(text: str) -> Iterator[str]:
 
 
 def csv_rows(
-    reader: Iterator[list[str]], path: str | Path, error: type[InputError]
-) -> Iterator[list[str]]:
-    """The rows of a csv reader over the file ``path``.
+    lines: Iterable[str], path: str | Path, error: type[InputError], delimiter: str = ","
+) -> Iterator[tuple[int, list[str]]]:
+    """Each csv row of the ``lines`` of the file ``path``: (the physical line it ends on, cells).
 
-    A csv.Error, such as a field past the csv module's size limit,
-    raises ``error`` naming the file and the reader's line.
+    A quoted field that spans lines ends on the last of them.  A csv.Error, such as
+    a field past the csv module's size limit, raises ``error`` naming the file and line.
     """
+    reader = csv.reader(lines, delimiter=delimiter)
     try:
-        yield from reader
+        yield from ((reader.line_num, row) for row in reader)
     except csv.Error as exc:
         raise error(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def kept_rows(
+    rows: Iterable[tuple[int, list[str]]], keep: Callable[[list[str]], object] = bool
+) -> tuple[list[int], list[list[str]], InputError | None]:
+    """The lines and cells of the ``csv_rows`` that ``keep`` accepts, and the error that ended them.
+
+    The error is None if none did.  A loader checks the rows before it raises
+    the error, so a file names its first bad line.
+    """
+    lines, cells = [], []
+    try:
+        for line, row in rows:
+            if keep(row):
+                lines.append(line)
+                cells.append(row)
+    except InputError as exc:
+        return lines, cells, exc
+    return lines, cells, None
 
 
 _stem_cached = functools.lru_cache(maxsize=None)(snowball_es.stem)
@@ -168,13 +189,13 @@ def load_lemma_table(path: str | Path) -> dict[str, str]:
     delim = "\t" if "\t" in first else ","
     table: dict[str, str] = {}
     # a blank line reads as an empty row, so line numbers stay physical
-    reader = csv.reader((line if line.strip() else "" for line in lines), delimiter=delim)
-    for row in filter(None, csv_rows(reader, path, InputError)):
-        lineno = reader.line_num
+    blanked = (line if line.strip() else "" for line in lines)
+    for lineno, row in csv_rows(blanked, path, InputError, delim):
+        if not row:
+            continue
         if len(row) < 2:
             raise InputError(f"{path}: line {lineno}: expected two columns")
-        surface = row[0].strip().lower()
-        lemma = row[1].strip().lower()
+        surface, lemma = (cell.strip().lower() for cell in row[:2])
         if not surface or not lemma:
             raise InputError(f"{path}: line {lineno}: empty surface or lemma")
         table.setdefault(surface, lemma)

@@ -23,6 +23,47 @@ def beta_inc(a: float, b: float, x: float) -> float:
     return float(mp.betainc(a, b, 0, x, regularized=True))
 
 
+def beta_cont_frac_two_step(a: float, b: float, x: float) -> float:
+    """``stats._beta_cont_frac`` as it was written before its Lentz update
+    was a loop: the update spelled out once for the even numerator and
+    once for the odd one, so the two can be compared bit for bit.
+    """
+    tiny = 1e-300
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < tiny:
+        d = tiny
+    d = 1.0 / d
+    h = d
+    for m in range(1, 301):
+        m2 = 2 * m
+        numer = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + numer * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + numer / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        h *= d * c
+        numer = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + numer * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + numer / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-15:
+            return h
+    raise ArithmeticError(
+        f"incomplete beta continued fraction did not converge (a={a}, b={b}, x={x})"
+    )
+
+
 def _t_pdf(u, df):
     df = mp.mpf(df)
     c = mp.gamma((df + 1) / 2) / (mp.sqrt(df * mp.pi) * mp.gamma(df / 2))
@@ -282,13 +323,21 @@ def load_corpus_by_rows(metadata_path, corpus_root):
     each sonnet's (id, author, year, title, text).
     """
     import csv
+    import io
     from pathlib import Path
 
     from versemood.corpus import _METADATA_COLUMNS, CorpusFormatError
-    from versemood.textnorm import InputError, csv_rows, read_input, split_lines
+    from versemood.textnorm import InputError, read_input
 
-    reader = csv.reader(split_lines(read_input(metadata_path, "metadata file")))
-    rows = csv_rows(reader, metadata_path, CorpusFormatError)
+    reader = csv.reader(io.StringIO(read_input(metadata_path, "metadata file"), newline=""))
+
+    def read_rows():
+        try:
+            yield from reader
+        except csv.Error as exc:
+            raise CorpusFormatError(f"{metadata_path}: line {reader.line_num}: {exc}") from None
+
+    rows = read_rows()
     header = next(rows, [])
     missing = [c for c in _METADATA_COLUMNS if c not in header]
     if missing:

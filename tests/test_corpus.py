@@ -239,6 +239,21 @@ def test_load_annotation_set_error_names_the_physical_line(tmp_path):
         load_annotation_set(path, annotator_id=1)
 
 
+def test_load_annotation_set_names_a_bad_row_before_an_unreadable_line(tmp_path):
+    path = tmp_path / "a.csv"
+    bad, unreadable = full_row(), full_row()
+    bad[0] = 9
+    unreadable[2] = "x" * (csv.field_size_limit() + 1)
+    write_annotations(path, [bad, full_row(), unreadable])
+    feature = ANNOTATED_FEATURES[0]
+    with pytest.raises(AnnotationFormatError, match=rf"row 2, column 1 \({feature}\): value 9 "):
+        load_annotation_set(path, annotator_id=1, sonnet_ids=["s1", "s2", "s3"])
+    # with the rows before it sound, the unreadable line is named, and no row count
+    write_annotations(path, [full_row(), full_row(), unreadable])
+    with pytest.raises(AnnotationFormatError, match=r"line 4: field larger than field limit"):
+        load_annotation_set(path, annotator_id=1, sonnet_ids=["s1", "s2", "s3"])
+
+
 def test_load_annotation_set_ordinal_range(tmp_path):
     path = tmp_path / "a.csv"
     bad = full_row()

@@ -28,7 +28,7 @@ RESULT_FIELDS = {
 }
 
 
-@pytest.mark.parametrize("module", ["dataclasses", "logging"])
+@pytest.mark.parametrize("module", ["dataclasses", "logging", "numpy.polynomial"])
 def test_importing_the_command_line_loads_no_dataclasses(module):
     src = str(Path(versemood.__file__).parent.parent)
     script = (

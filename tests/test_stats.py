@@ -67,6 +67,31 @@ def test_beta_rejects_bad_arguments():
         regularized_incomplete_beta(1.0, 2.0, 1.5)
 
 
+def _cont_frac_or_error(cont_frac, a, b, x):
+    try:
+        return cont_frac(a, b, x)
+    except ArithmeticError as exc:
+        return str(exc)
+
+
+def test_beta_cont_frac_equals_the_two_step_reference_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(28)
+    n = 5000
+    df1, df2 = rng.integers(1, 600, n) / 2.0, rng.integers(1, 600, n) / 2.0
+    halves = rng.integers(1, 1000, (2, n)) / 2.0
+    a = np.concatenate([rng.uniform(0.05, 500, n), halves[0], df2, df2])
+    b = np.concatenate([rng.uniform(0.05, 500, n), halves[1], np.full(n, 0.5), df1])
+    x = rng.uniform(0, 1, 4 * n)
+    cases = list(zip(a.tolist(), b.tolist(), x.tolist()))
+    for case in cases:  # the t tails use (df/2, 1/2), the F tails (df2/2, df1/2)
+        got = _cont_frac_or_error(stats._beta_cont_frac, *case)
+        assert got == _cont_frac_or_error(oracles.beta_cont_frac_two_step, *case), case
+    sample = cases[::20]
+    ours = [regularized_incomplete_beta(*case) for case in sample]
+    monkeypatch.setattr(stats, "_beta_cont_frac", oracles.beta_cont_frac_two_step)
+    assert ours == [regularized_incomplete_beta(*case) for case in sample]
+
+
 # ---------------------------------------------------------------------------
 # t tail
 
@@ -573,6 +598,23 @@ def test_min_sample_size_other_configurations():
         assert two_sample_power(n, d, alpha) >= target
         if n > 2:
             assert two_sample_power(n - 1, d, alpha) < target
+
+
+def test_power_search_keeps_its_frozen_bits():
+    # float.hex of each value as computed before the two bisections became one
+    powers = {
+        (2, 0.8, 0.05): "0x1.4453e226475dap-4",
+        (26, 0.8, 0.05): "0x1.9d6ee2b8063c1p-1",
+        (100, 0.3, 0.01): "0x1.4603641122216p-2",
+        (13, 1.5, 0.1): "0x1.f61eb5d387d76p-1",
+    }
+    assert {case: two_sample_power(*case).hex() for case in powers} == powers
+    assert stats._t_critical(0.05, 10).hex() == "0x1.1d33a7661d304p+1"
+    assert stats._t_critical(0.01, 50).hex() == "0x1.56c1ee0e11e4ep+1"
+    assert stats._normal_quantile(0.975).hex() == "0x1.f5c0331eeff80p+0"
+    assert stats._normal_quantile(0.2).hex() == "-0x1.aee8fa73a1334p-1"
+    sizes = {(0.05, 0.8, 0.8): 26, (0.01, 0.9, 0.5): 121, (0.1, 0.95, 1.2): 16}
+    assert {case: min_sample_size(*case) for case in sizes} == sizes
 
 
 def test_min_sample_size_input_validation():
