@@ -73,7 +73,7 @@ def agreement_band(alpha: float) -> str:
 
 
 def krippendorff_alpha(values: np.ndarray, level: str) -> AlphaResult:
-    """Krippendorff's alpha of a units x raters float array (NaN: missing).
+    """Krippendorff's alpha of a units x raters float array (NaN: missing, ±inf: ValueError).
 
     Units with fewer than two values are excluded.  When the pairable
     values show no variation at all, expected disagreement is zero and
@@ -86,6 +86,8 @@ def krippendorff_alpha(values: np.ndarray, level: str) -> AlphaResult:
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or not values.shape[1]:
         raise ValueError(f"values must be units x raters, got shape {values.shape}")
+    if np.isinf(values).any():
+        raise ValueError("values must be finite or NaN (missing), not infinite")
     result = _alphas(np.hsplit(values, values.shape[1]), [level], [range(values.shape[1])])[0][0]
     if result is None:
         raise AgreementError("no unit has two or more values; alpha is not computable")

@@ -13,7 +13,8 @@ prefix-SVD rank test is referee for any column R cannot settle), and
 its last factor is the fit's; a fit keeps coefficients, standard errors,
 t values and degrees of freedom, and a coefficient's t-test p-value is
 evaluated when read.  Spearman's rho is one formula over centred ranks,
-which can be taken within groups (sonnets, say) all in one sort.
+which can be taken within groups (sonnets, say) all in one sort; a
+column's ranks r are constant exactly when r @ r == 0.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "min_sample_size",
     "one_way_anova",
     "rank_correlation",
+    "ranking",
     "regularized_incomplete_beta",
     "spearman",
     "t_tail",
@@ -183,24 +185,20 @@ class CorrelationResult(NamedTuple):
 def spearman(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     """Spearman rank correlation with average ranks for ties.
 
-    A constant input vector leaves the coefficient undefined; the result
-    then carries a reason instead of a value.
+    NaN in either input raises ``ValueError``.  A constant input (its
+    centred ranks r have r @ r == 0) leaves the coefficient undefined;
+    the result then carries a reason instead of a value.
     """
     xv = np.asarray(x, dtype=float)
     yv = np.asarray(y, dtype=float)
     if xv.ndim != 1 or yv.ndim != 1 or len(xv) != len(yv):
         raise ValueError("x and y must be one-dimensional and equally long")
-    n = len(xv)
-    if n < 2:
+    if len(xv) < 2:
         raise ValueError("need at least two paired observations")
-    if np.ptp(xv) == 0.0:
-        return CorrelationResult(None, n, None, "x is constant")
-    if np.ptp(yv) == 0.0:
-        return CorrelationResult(None, n, None, "y is constant")
-    rx = centred_ranks(xv)
-    ry = centred_ranks(yv)
-    rho = rank_correlation(rx, ry, float(rx @ rx), float(ry @ ry))
-    return CorrelationResult(rho, n, correlation_band(rho))
+    for name, values in (("x", xv), ("y", yv)):
+        if np.isnan(values).any():
+            raise ValueError(f"{name} holds NaN; drop the unpaired observations first")
+    return rank_correlation(ranking(xv), ranking(yv))
 
 
 def centred_ranks(values: np.ndarray, groups: np.ndarray | None = None) -> np.ndarray:
@@ -229,14 +227,27 @@ def centred_ranks(values: np.ndarray, groups: np.ndarray | None = None) -> np.nd
     return ranks
 
 
-def rank_correlation(rx: np.ndarray, ry: np.ndarray, rx_rx: float, ry_ry: float) -> float:
-    """Spearman's rho of two ``centred_ranks`` vectors, given each one's ``r @ r``.
+def ranking(values: np.ndarray) -> tuple[np.ndarray, float]:
+    """The ``centred_ranks`` r of one column, and r @ r (0 exactly when the column is constant)."""
+    ranks = centred_ranks(values)
+    return ranks, float(ranks @ ranks)
 
-    Neither vector may be constant; ``spearman`` checks that first.  A
-    caller that pairs one vector with many passes its ``r @ r`` each time.
+
+def rank_correlation(x: tuple[np.ndarray, float], y: tuple[np.ndarray, float]) -> CorrelationResult:
+    """Spearman's rho of two equally long ``ranking``s.
+
+    r @ r == 0 means that column is constant: the test is exact, since
+    centred ranks are multiples of 0.5.  The result then says "x is
+    constant" (checked first) or "y is constant" instead of a value.  A
+    caller that pairs one column with many ranks it once.
     """
-    rho = float(rx @ ry) / math.sqrt(rx_rx * ry_ry)
-    return max(-1.0, min(1.0, rho))
+    (rx, rx_rx), (ry, ry_ry) = x, y
+    if rx_rx == 0.0:
+        return CorrelationResult(None, len(rx), None, "x is constant")
+    if ry_ry == 0.0:
+        return CorrelationResult(None, len(rx), None, "y is constant")
+    rho = max(-1.0, min(1.0, float(rx @ ry) / math.sqrt(rx_rx * ry_ry)))
+    return CorrelationResult(rho, len(rx), correlation_band(rho))
 
 
 def _t_test_p_value(beta: float, se: float, t: float, dof: int) -> float:

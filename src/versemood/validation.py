@@ -17,8 +17,7 @@ mean/sd features.
 
 Only what the reports read is computed: a row reads its paired
 feature's p-value alone, and the correlation matrix ranks each column
-without undefined values once, re-ranking only the pairs that drop
-sonnets.
+once per set of paired sonnets it is used with.
 """
 
 from __future__ import annotations
@@ -35,14 +34,7 @@ from .features import (
     MEAN_SD_FEATURES,
     FeatureMatrix,
 )
-from .stats import (
-    LinearDesign,
-    centred_ranks,
-    correlation_band,
-    one_way_anova,
-    rank_correlation,
-    spearman,
-)
+from .stats import LinearDesign, one_way_anova, rank_correlation, ranking
 from .textnorm import decide
 
 __all__ = [
@@ -79,65 +71,43 @@ def _require_aligned(matrix: FeatureMatrix, median: AnnotationSet) -> None:
         raise ValueError("the median annotator and the feature matrix cover different sonnets")
 
 
-def _whole_column_ranks(values: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """Centred ranks r of a column that every pairing it is in uses whole, and r @ r.
-
-    That is a column of two or more values, none undefined and not all
-    equal; for any other column the pairings go through ``spearman``.
-    """
-    if len(values) < 2 or np.isnan(values).any() or np.ptp(values) == 0.0:
-        return None
-    ranks = centred_ranks(values)
-    return ranks, float(ranks @ ranks)
-
-
 def bivariate_report(matrix: FeatureMatrix, median: AnnotationSet) -> list[BivariateCell]:
     """Spearman rho for every annotated feature against all 32 features.
 
-    The median covers the matrix's sonnets in the same order.  Sonnets
-    where the lexical feature is undefined are dropped pairwise, cell by
-    cell.  A pair of columns with no undefined value and some spread
-    each correlates from ranks taken once per column; any other pair
-    calls ``spearman`` on its paired values.
+    The median covers the matrix's sonnets in the same order.  Each cell
+    ranks its two columns over the sonnets where both are defined, so a
+    sonnet is dropped pairwise, cell by cell; a column is ranked once per
+    set of paired sonnets it is used with.
     """
     _require_aligned(matrix, median)
-    feature_ranks = [_whole_column_ranks(matrix.column(f)) for f in FEATURE_NAMES]
+    Ranking = tuple[np.ndarray, float]
+    rankings: dict[tuple[str, bytes | None], Ranking] = {}
+
+    def ranked(name: str, values: np.ndarray, subset: np.ndarray | None) -> Ranking:
+        # keyed by the subset's mask; None (every sonnet) skips the mask's bytes
+        key = (name, None if subset is None else subset.tobytes())
+        if key not in rankings:
+            rankings[key] = ranking(values if subset is None else values[subset])
+        return rankings[key]
+
+    columns = [(f, matrix.column(f)) for f in FEATURE_NAMES]
+    defined = [~np.isnan(values) for _, values in columns]
     cells = []
     for annotated in ORDINAL_FEATURES:
-        annotated_values = median.column(annotated)
-        annotated_defined = ~np.isnan(annotated_values)
-        annotated_ranks = _whole_column_ranks(annotated_values)
-        for gam_feature, ranks in zip(FEATURE_NAMES, feature_ranks):
-            if annotated_ranks is not None and ranks is not None:
-                (rx, rx_rx), (ry, ry_ry) = annotated_ranks, ranks
-                rho = rank_correlation(rx, ry, rx_rx, ry_ry)
-                cells.append(
-                    BivariateCell(annotated, gam_feature, len(rx), rho, correlation_band(rho))
-                )
+        x = median.column(annotated)
+        x_defined = ~np.isnan(x)
+        for (gam_feature, y), y_defined in zip(columns, defined):
+            paired = x_defined & y_defined
+            n = int(np.count_nonzero(paired))
+            if n < 2:
+                note = "fewer than two paired sonnets"
+                cells.append(BivariateCell(annotated, gam_feature, n, None, None, note=note))
                 continue
-            column = matrix.column(gam_feature)
-            paired = annotated_defined & ~np.isnan(column)
-            xs = annotated_values[paired]
-            ys = column[paired]
-            if len(xs) < 2:
-                cells.append(
-                    BivariateCell(
-                        annotated, gam_feature, len(xs), None, None,
-                        note="fewer than two paired sonnets",
-                    )
-                )
-                continue
-            result = spearman(xs, ys)
-            cells.append(
-                BivariateCell(
-                    annotated_feature=annotated,
-                    gam_feature=gam_feature,
-                    rho=result.rho,
-                    n=result.n,
-                    band=result.band,
-                    note=result.undefined_reason,
-                )
-            )
+            subset = None if n == len(x) else paired
+            result = rank_correlation(ranked(annotated, x, subset), ranked(gam_feature, y, subset))
+            cells.append(BivariateCell(
+                annotated, gam_feature, n, result.rho, result.band, result.undefined_reason
+            ))
     return cells
 
 

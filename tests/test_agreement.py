@@ -7,6 +7,7 @@ import oracles
 from cell_tables import alpha_of, annotation_set, cells_of
 from versemood.agreement import (
     AGREEMENT_THRESHOLD,
+    LEVELS,
     AgreementError,
     agreement_band,
     agreement_report,
@@ -64,6 +65,16 @@ def test_unknown_level_and_bad_shape_raise_value_error():
     for shape in ((3,), (2, 0), (2, 2, 2)):
         with pytest.raises(ValueError, match="values must be units x raters, got shape"):
             krippendorff_alpha(np.ones(shape), "nominal")
+
+
+@pytest.mark.parametrize("level", LEVELS)
+@pytest.mark.parametrize("infinite", [np.inf, -np.inf])
+def test_infinite_value_raises_value_error(level, infinite):
+    # NaN still means missing; an infinite value is refused, not read as alpha = nan
+    values = np.array([[1, 1], [2, infinite], [3, np.nan]])
+    with pytest.raises(ValueError, match="not infinite") as raised:
+        krippendorff_alpha(values, level)
+    assert not isinstance(raised.value, AgreementError)
 
 
 def test_no_variation_flagged_degenerate():

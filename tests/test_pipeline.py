@@ -414,6 +414,7 @@ def test_every_exported_name_resolves():
 _ACCEPTANCE_ONLY = {
     "krippendorff_alpha",  # criterion 1 checks it against the pair-enumeration oracle
     "min_sample_size",  # criterion 2 checks the power-analysis minimum group size
+    "spearman",  # criterion 1 checks it against its oracle
 }
 
 

@@ -156,6 +156,23 @@ def test_spearman_constant_input_undefined():
     assert "constant" in result.undefined_reason
 
 
+def test_spearman_refuses_nan_naming_the_argument():
+    # NaN is not ranked as a value above the rest: no rho for an unpaired observation
+    with pytest.raises(ValueError, match="^x holds NaN"):
+        spearman([1.0, math.nan, 3.0], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="^y holds NaN"):
+        spearman([1.0, 2.0, 3.0], [math.nan] * 3)
+
+
+def test_spearman_constant_infinite_column_is_constant():
+    # every value ties, so the centred ranks are all 0 however inf - inf reads
+    for value in (math.inf, -math.inf):
+        result = spearman([value, value], [1.0, 2.0])
+        assert result == stats.CorrelationResult(None, 2, None, "x is constant")
+        result = spearman([1.0, 2.0, 3.0], [value] * 3)
+        assert result == stats.CorrelationResult(None, 3, None, "y is constant")
+
+
 def test_spearman_requires_pairs():
     with pytest.raises(ValueError):
         spearman([1.0], [2.0])

@@ -18,7 +18,7 @@ from versemood.corpus import (
 )
 from versemood.features import FEATURE_NAMES, MEAN_FEATURES, FeatureMatrix
 from versemood.lexicon import DIMENSIONS
-from versemood.stats import spearman
+from versemood.stats import ranking, spearman
 from versemood.textnorm import recording
 from versemood.validation import (
     FEATURE_PAIRINGS,
@@ -150,29 +150,32 @@ def test_bivariate_constant_series_noted():
 
 
 def test_bivariate_equals_spearman_on_each_masked_pair(monkeypatch):
-    dropped_rows = []
+    ranked = []
 
-    def counting(xs, ys):
-        dropped_rows.append(len(xs) < n)
-        return spearman(xs, ys)
+    def counting(values):
+        ranked.append(len(values))
+        return ranking(values)
 
-    monkeypatch.setattr(validation, "spearman", counting)
+    monkeypatch.setattr(validation, "ranking", counting)
     notes = Counter()
-    cells_seen = 0
     for seed in range(94, 100):
         rng = np.random.default_rng(seed)
         matrix = synthetic_matrix(rng, int(rng.integers(8, 20)))
         median = median_for(matrix, rng)
         n = len(matrix.sonnet_ids)
         features = rng.permutation(len(FEATURE_NAMES))
-        matrix.values[rng.choice(n, 3, replace=False), features[0]] = np.nan
+        # two columns each drop three sonnets, not the same three
+        dropped = rng.choice(n, 6, replace=False)
+        matrix.values[dropped[:3], features[0]] = np.nan
+        matrix.values[dropped[3:], features[3]] = np.nan
         matrix.values[:, features[1]] = 4.0
         matrix.values[1:, features[2]] = np.nan
         annotated = rng.permutation(len(ORDINAL_FEATURES))
         median.values[:, annotated[0]] = 2.0
         median.values[rng.choice(n, 2, replace=False), annotated[1]] = np.nan
+        ranked.clear()
         cells = bivariate_report(matrix, median)
-        cells_seen += len(cells)
+        rankings = set()
         for cell in cells:
             xs = median.column(cell.annotated_feature)
             ys = matrix.column(cell.gam_feature)
@@ -183,6 +186,8 @@ def test_bivariate_equals_spearman_on_each_masked_pair(monkeypatch):
                     note="fewer than two paired sonnets",
                 )
             else:
+                rankings.add((cell.annotated_feature, paired.tobytes()))
+                rankings.add((cell.gam_feature, paired.tobytes()))
                 result = spearman(xs[paired], ys[paired])
                 expected = BivariateCell(
                     cell.annotated_feature, cell.gam_feature, result.n, result.rho,
@@ -190,9 +195,10 @@ def test_bivariate_equals_spearman_on_each_masked_pair(monkeypatch):
                 )
             assert cell == expected
             notes[cell.note] += 1
-    # whole columns ranked once, pairs that drop rows through spearman, and every note
-    assert 0 < len(dropped_rows) < cells_seen
-    assert any(dropped_rows)
+        # each column ranked once per set of paired sonnets it is used with
+        assert len(ranked) == len(rankings)
+        assert min(ranked) < n
+    # every note
     assert set(notes) == {
         None, "x is constant", "y is constant", "fewer than two paired sonnets"
     }
