@@ -159,7 +159,7 @@ def rescale_value(
     sources stay bit-identical across a merge.
     """
     lo, hi = from_scale
-    if hi <= lo:
+    if not 0.0 < float(hi) - float(lo) < math.inf:  # empty, or wider than a float holds
         raise ValueError(f"degenerate scale ({lo}, {hi})")
     new_lo, new_hi = to_scale
     if (lo, hi) == (new_lo, new_hi):
@@ -379,12 +379,16 @@ def _canonical(path: Path, source_id: str, table: _Table | _Columns) -> SourceLe
     def scale(i: int) -> tuple[float, float]:
         return float(lo[i]), float(hi[i])
 
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite width is an error below
+        wide = ~np.isfinite(hi - lo)
+
     table.raise_first([
         (words == "", lambda i: "empty word"),
         (dims < 0, lambda i: f"unknown dimension {table.cells[dim_j][i].strip()!r}"),
         (lo_bad, lambda i: _parse(table.cells[lo_j][i])),
         (hi_bad, lambda i: _parse(table.cells[hi_j][i])),
         (~(lo < hi), lambda i: "scale_min must be below scale_max"),
+        (wide, lambda i: "scale [{}, {}] is wider than a float holds".format(*scale(i))),
         (
             (lo != lo[first_row]) | (hi != hi[first_row]),
             lambda i: (
@@ -434,6 +438,8 @@ def _load_described(path: Path, descriptor: Mapping, source_id: str, label: str)
         lo, hi = float(scale[0]), float(scale[1])
         if hi <= lo:
             raise LexiconFormatError(f"{where}: scale low must be below high")
+        if math.isinf(hi - lo):
+            raise LexiconFormatError(f"{where}: scale [{lo}, {hi}] is wider than a float holds")
         if "mean" not in spec:
             raise LexiconFormatError(f"{where}: needs a mean column")
         for key in ("mean", "sd"):  # a falsy sd is none; a mean is required
@@ -519,7 +525,7 @@ def load_lexicon(
         label = str(descriptor)
         try:
             descriptor = json.loads(read_input(descriptor, "lexicon descriptor"))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deeply
             raise LexiconFormatError(f"{label}: invalid JSON: {exc}") from exc
         if not isinstance(descriptor, Mapping):
             raise LexiconFormatError(f"{label}: descriptor must be a JSON object")
@@ -588,7 +594,7 @@ def merge_lexicons(
     if len(set(ids)) != len(ids):
         raise ValueError("source ids are not unique")
     for lo, hi in (s.scales[dim] for s in sources for dim in DIMENSIONS if dim in s.scales):
-        if hi <= lo:  # as rescale_value would raise when the values are merged
+        if not 0.0 < float(hi) - float(lo) < math.inf:  # as rescale_value would raise later
             raise ValueError(f"degenerate scale ({lo}, {hi})")
 
     surfaces = sorted(set().union(*(s.entries for s in sources)))

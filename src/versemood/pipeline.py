@@ -86,7 +86,7 @@ def _read_config(
     """
     try:
         raw = json.loads(read_input(config_path, "config"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deeply
         raise InputError(f"{config_path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise InputError(f"{config_path}: config must be a JSON object")

@@ -116,24 +116,8 @@ def t_tail(t: float, df: float) -> float:
     """
     if df <= 0:
         raise ValueError("df must be positive")
-    if math.isinf(t):
-        return 0.0
-    if t == 0.0:
-        return 1.0
-    x = df / (df + t * t)
-    return regularized_incomplete_beta(df / 2.0, 0.5, x)
-
-
-def _f_tail(f: float, df1: float, df2: float) -> float:
-    """Upper tail P(F >= f) for the F distribution."""
-    if df1 <= 0 or df2 <= 0:
-        raise ValueError("degrees of freedom must be positive")
-    if f <= 0.0:
-        return 1.0
-    if math.isinf(f):
-        return 0.0
-    x = df2 / (df2 + df1 * f)
-    return regularized_incomplete_beta(df2 / 2.0, df1 / 2.0, x)
+    # t = 0 gives x = 1 and an infinite t gives x = 0, where the beta is exact
+    return regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t * t))
 
 
 _CORRELATION_BANDS = (
@@ -250,17 +234,6 @@ def rank_correlation(x: tuple[np.ndarray, float], y: tuple[np.ndarray, float]) -
     return CorrelationResult(rho, len(rx), correlation_band(rho))
 
 
-def _t_test_p_value(beta: float, se: float, t: float, dof: int) -> float:
-    """Two-sided t-test p-value of one coefficient.
-
-    A zero standard error (an exact fit) gives 0 for a non-zero
-    coefficient and 1 for a zero one.
-    """
-    if se == 0.0:
-        return 0.0 if beta != 0.0 else 1.0
-    return t_tail(t, dof)
-
-
 class RegressionResult(NamedTuple):
     """OLS fit summary.  Per-predictor vectors exclude the intercept.
 
@@ -288,9 +261,7 @@ class RegressionResult(NamedTuple):
 
     def p_value(self, j: int) -> float:
         """Two-sided t-test p-value of predictor ``j`` (its index in ``coefficients``)."""
-        return _t_test_p_value(
-            self.coefficients[j], self.std_errors[j], self.t_values[j], self.dof
-        )
+        return t_tail(self.t_values[j], self.dof)
 
     @property
     def p_values(self) -> tuple[float, ...]:
@@ -298,9 +269,7 @@ class RegressionResult(NamedTuple):
 
     @property
     def intercept_p_value(self) -> float:
-        return _t_test_p_value(
-            self.intercept, self.intercept_std_error, self.intercept_t_value, self.dof
-        )
+        return t_tail(self.intercept_t_value, self.dof)
 
 
 # How far, as a factor, the bounds read from R must clear the rank test's
@@ -544,10 +513,10 @@ def one_way_anova(groups: Sequence[Sequence[float]]) -> AnovaResult:
             degenerate="zero within-group variance",
         )
     f = (ss_between / df_between) / (ss_within / df_within)
-    return AnovaResult(
-        float(f), _f_tail(f, df_between, df_within),
-        df_between, df_within, tuple(means), tuple(sizes),
-    )
+    # P(F >= f); f = 0 gives x = 1 and an infinite f x = 0, where the beta is exact
+    x = df_within / (df_within + df_between * f)
+    p = regularized_incomplete_beta(df_within / 2, df_between / 2, x)
+    return AnovaResult(float(f), p, df_between, df_within, tuple(means), tuple(sizes))
 
 
 def _normal_cdf(z: float) -> float:
@@ -566,9 +535,7 @@ def _bisect(below: Callable[[float], bool], lo: float, hi: float) -> float:
 
 
 def _normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF by bisection (search seed only)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
+    """Inverse standard normal CDF by bisection (search seed only), for 0 < p < 1."""
     return _bisect(lambda z: _normal_cdf(z) < p, -40.0, 40.0)
 
 

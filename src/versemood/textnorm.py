@@ -154,12 +154,8 @@ def kept_rows(
     return lines, cells, None
 
 
-_stem_cached = functools.lru_cache(maxsize=None)(snowball_es.stem)
-
-
-def stem(word: str) -> str:
-    """Snowball stem of one word (memoized; corpora repeat words a lot)."""
-    return _stem_cached(word)
+# Snowball stem of one word, memoized: corpora repeat words a lot
+stem = functools.cache(snowball_es.stem)
 
 
 @functools.lru_cache(maxsize=1)

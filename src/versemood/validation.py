@@ -145,11 +145,10 @@ def _category_rows(
 
     The rows, predictors and dropped columns depend on the category
     only, so the pruning and the design (which drops its own dependent
-    columns) are built once; each pairing then replays the design's
-    drops and stops at its first terminal event, exactly as a separate
-    fit per pairing would: its paired feature dropped as collinear, then
-    a failing fit.  A category's decisions are recorded once, a pairing's
-    note once per pairing.
+    columns) are built once; a pairing then gets a note, as a separate
+    fit per pairing would, when its paired feature was dropped as
+    collinear or its fit fails.  A category's decisions are recorded
+    once, a pairing's note once per pairing.
     """
     sub = values[index]
     predictors = FEATURE_NAMES
@@ -177,20 +176,16 @@ def _category_rows(
     for bad in design.dropped:
         columns = ", ".join(bad)
         decide(__name__, f"partial dependence {category}: dropped dependent columns {columns}")
+    dropped = tuple(column for bad in design.dropped for column in bad)
 
     out = []
     for annotated, gam_feature in FEATURE_PAIRINGS:
-        y = median.column(annotated)[rows]
-        dropped: list[str] = []
         note = None
-        for bad in design.dropped:
-            dropped.extend(bad)
-            if gam_feature in bad:
-                note = f"paired feature {gam_feature} is collinear in this category"
-                break
-        if note is None:
+        if gam_feature in dropped:
+            note = f"paired feature {gam_feature} is collinear in this category"
+        else:
             try:
-                fit = design.fit(y)
+                fit = design.fit(median.column(annotated)[rows])
             except ValueError as exc:
                 note = str(exc)
         if note is not None:
@@ -212,7 +207,7 @@ def _category_rows(
             p_value=p_value,
             significant=p_value < SIGNIFICANCE_LEVEL and coefficient > 0.0,
             pruned=pruned,
-            dropped_columns=tuple(dropped),
+            dropped_columns=dropped,
         ))
     return out
 

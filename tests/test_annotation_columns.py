@@ -88,6 +88,14 @@ def _duplicated_header(rng, rows):
     rows[0][j] = rows[0][k]
 
 
+def _repeated_feature_column(rng, rows):
+    # one column wider than the features: a feature named twice, a valid cell in every row
+    j = int(rng.integers(len(rows[0])))
+    rows[0].append(rows[0][j])
+    for row in rows[1:]:
+        row.append(rows[int(rng.integers(1, len(rows)))][j])
+
+
 def _long_field(rng, rows):
     i, j = _cell(rng, rows)
     rows[i][j] = "1" * (csv.field_size_limit() + 1)
@@ -123,6 +131,7 @@ MUTATIONS = {
     "reordered header": _reordered_header,
     "space-padded header": _padded_header,
     "duplicated header name": _duplicated_header,
+    "feature column repeated": _repeated_feature_column,
     "field past the csv limit": _long_field,
     "header only": _header_only,
     "empty file": _empty,

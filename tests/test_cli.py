@@ -764,6 +764,9 @@ def test_bad_input_file_exits_1_naming_it(workspace, tmp_path, capsys, case):
          "dimension valence: scale must be [low, high]")
         for scale in ([True, 7], [math.nan, 7], [1, math.inf], [1, 10**400])
     ),
+    # ... whose width is a finite number too
+    ("descriptor", "dimensions", {"valence": {"mean": "Val_Mn", "scale": [-1e308, 1e308]}},
+     "dimension valence: scale [-1e+308, 1e+308] is wider than a float holds"),
 ])
 def test_value_of_wrong_type_exits_1_naming_file_and_key(
     workspace, tmp_path, capsys, where, key, value, named
@@ -790,6 +793,37 @@ def test_value_of_wrong_type_exits_1_naming_file_and_key(
     assert "Traceback" not in err
     assert str(descriptor_path if where == "descriptor" else config) in err
     assert named in err
+
+
+def test_a_canonical_scale_wider_than_a_float_exits_1_naming_file_and_line(
+    workspace, tmp_path, capsys
+):
+    header, *rows = read_csv(workspace / "lex_a.csv")
+    table = tmp_path / "lex_a.csv"
+    wide = [header, *(row[:4] + ["-1e308", "1e308"] for row in rows)]
+    table.write_text("".join(",".join(row) + "\n" for row in wide), encoding="utf-8")
+    cfg = absolute_config(workspace)
+    cfg["lexicons"][0] = str(table)
+    config = dump_config(cfg, tmp_path)
+    code, _, err = run(capsys, "all", "--config", str(config), "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert "Traceback" not in err
+    assert f"{table}: line 2: scale [-1e+308, 1e+308] is wider than a float holds" in err
+
+
+@pytest.mark.parametrize("where", ["config", "descriptor"])
+def test_json_nested_too_deeply_exits_1_naming_the_file(workspace, tmp_path, capsys, where):
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    config = nested
+    if where == "descriptor":
+        cfg = absolute_config(workspace)
+        cfg["lexicons"][1]["descriptor"] = str(nested)
+        config = dump_config(cfg, tmp_path)
+    code, _, err = run(capsys, "all", "--config", str(config), "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert "Traceback" not in err
+    assert f"{nested}: invalid JSON" in err
 
 
 def test_null_entries_keep_their_defaults(workspace, tmp_path):

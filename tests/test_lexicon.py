@@ -157,6 +157,24 @@ def test_load_canonical_bad_row_names_its_physical_line(tmp_path, text, message)
         load_lexicon(path)
 
 
+def test_load_canonical_rejects_a_scale_wider_than_a_float(tmp_path):
+    path = tmp_path / "norms.csv"
+    write_canonical(path, [
+        ["amor", "valence", "5", "1", "1", "9"],
+        ["sol", "arousal", "0", "1", "-1e308", "1e308"],
+    ])
+    with pytest.raises(LexiconFormatError, match=r"line 3: scale \[-1e\+308, 1e\+308\] is wider"):
+        load_lexicon(path)
+
+
+def test_load_described_rejects_a_scale_wider_than_a_float(tmp_path):
+    data = tmp_path / "published.csv"
+    data.write_text("w,v\namor,6.0\n", encoding="utf-8")
+    scale = {"mean": "v", "scale": [-1e308, 1e308]}
+    with pytest.raises(LexiconFormatError, match="dimension valence: scale .* is wider"):
+        load_lexicon(data, descriptor={"word_column": "w", "dimensions": {"valence": scale}})
+
+
 def test_load_canonical_missing_columns(tmp_path):
     path = tmp_path / "norms.csv"
     path.write_text("word,mean\namor,8.0\n", encoding="utf-8")
@@ -293,6 +311,14 @@ def test_merge_rejects_a_degenerate_scale_before_its_values_are_read():
     narrow = source("a", {"amor": {"valence": (5.0, None)}}, scales={"valence": (5.0, 5.0)})
     with pytest.raises(ValueError, match="degenerate scale"):
         merge_lexicons([narrow], RAW)
+
+
+def test_merge_and_rescale_reject_a_scale_wider_than_a_float():
+    wide = {"valence": (-1e308, 1e308)}
+    with pytest.raises(ValueError, match="degenerate scale"):
+        merge_lexicons([source("a", {"amor": {"valence": (0.0, 1.0)}}, scales=wide)], RAW)
+    with pytest.raises(ValueError, match="degenerate scale"):
+        rescale_value(0.0, wide["valence"], CANONICAL_SCALES["valence"])
 
 
 def test_merged_values_are_computed_once_on_first_read(monkeypatch):

@@ -12,6 +12,11 @@ compares what the two runs wrote.
     report whose sums are exact (counts, coincidences, centred ranks) is
     byte-identical.  Corpus statistics, regressions and ANOVA add floats
     in sonnet order, so they agree to ``REL_TOL`` only.
+(c) The merge maps every source onto the canonical scales before the
+    median, so rescaling one source affinely together with its declared
+    scale keeps the merged means and sds, the feature report and ANOVA to
+    ``AFFINE_REL_TOL``, and the regressions to ``REL_TOL``; the reports
+    built from ranks, counts and annotations are byte-identical.
 """
 
 import csv
@@ -24,6 +29,7 @@ import numpy as np
 import pytest
 
 from versemood.cli import main
+from versemood.pipeline import Session
 
 # Relative tolerance of the reports whose float sums run in sonnet order.  On
 # this workspace a reordering moves ANOVA by 1e-13 and the least well
@@ -31,6 +37,10 @@ from versemood.cli import main
 # digits, so a last digit that rounds the other way is 1e-9.
 REL_TOL = 1e-8
 ABS_TOL = 1e-12
+
+# Relative tolerance of relation (c): the rescaled source's values pass through
+# two affine maps, a few roundings each, where the original passes through none.
+AFFINE_REL_TOL = 1e-12
 
 EXACT = ("agreement", "bivariate", "word_counts", "coverage", "missing_words")
 TOLERANT = ("corpus_stats", "partial_dependence", "anova")
@@ -70,18 +80,18 @@ def _copy(workspace: Path, dest: Path) -> Path:
     return Path(shutil.copytree(workspace, dest, ignore=shutil.ignore_patterns("reports", "out")))
 
 
-def _close(a, b, where: str) -> None:
-    """Equal JSON-like values, numbers within REL_TOL (or ABS_TOL near zero)."""
+def _close(a, b, where: str, rel_tol: float = REL_TOL) -> None:
+    """Equal JSON-like values, numbers within ``rel_tol`` (or ABS_TOL near zero)."""
     if isinstance(a, dict):
         assert isinstance(b, dict) and list(a) == list(b), where
         for key in a:
-            _close(a[key], b[key], f"{where}.{key}")
+            _close(a[key], b[key], f"{where}.{key}", rel_tol)
     elif isinstance(a, list):
         assert isinstance(b, list) and len(a) == len(b), where
         for i, (x, y) in enumerate(zip(a, b)):
-            _close(x, y, f"{where}[{i}]")
+            _close(x, y, f"{where}[{i}]", rel_tol)
     elif isinstance(a, float) and not isinstance(b, bool) and isinstance(b, (int, float)):
-        assert math.isclose(a, b, rel_tol=REL_TOL, abs_tol=ABS_TOL) or a == b, where
+        assert math.isclose(a, b, rel_tol=rel_tol, abs_tol=ABS_TOL) or a == b, where
     else:
         assert a == b, where
 
@@ -155,3 +165,40 @@ def test_permuting_sonnets_keeps_every_report(workspace, original, tmp_path, see
 
     # the same decisions, in the order the reports make them
     assert permuted["decisions.log"].splitlines() == original["decisions.log"].splitlines()
+
+
+@pytest.mark.parametrize("scale, shift", [(2.5, -3.0), (1 / 3, 100.0), (1000.0, -0.5)])
+def test_rescaling_a_source_with_its_scale_keeps_every_report(
+    workspace, original, tmp_path, scale, shift
+):
+    root = _copy(workspace, tmp_path / "affine")
+    header, *rows = _read_rows(root / "lex_a.csv")
+    column = {name: j for j, name in enumerate(header)}
+    for row in rows:
+        for name in ("mean", "scale_min", "scale_max"):
+            row[column[name]] = repr(scale * float(row[column[name]]) + shift)
+        if row[column["sd"]]:
+            row[column["sd"]] = repr(scale * float(row[column["sd"]]))
+    _write_rows(root / "lex_a.csv", [header, *rows])
+    rescaled = _run(root)
+    assert list(rescaled) == list(original)
+
+    before, after = (Session(r / "config.json").merged for r in (workspace, root))
+    assert after.rows == before.rows
+    for name in ("mean", "sd"):
+        np.testing.assert_allclose(
+            getattr(after, name), getattr(before, name), rtol=AFFINE_REL_TOL, atol=0, err_msg=name
+        )
+
+    # the JSON mirrors hold each value at full precision, the CSVs ten digits of it
+    for report in ("features", "anova"):
+        _close(*(json.loads(data[report + ".json"]) for data in (original, rescaled)),
+               report + ".json", AFFINE_REL_TOL)
+    # the least well conditioned regressions move by 1e-11 (relative) on this workspace
+    _close(*(json.loads(data["partial_dependence.json"]) for data in (original, rescaled)),
+           "partial_dependence.json")
+    # ranks, counts and annotations only
+    for report in EXACT + ("corpus_stats",):
+        for suffix in (".csv", ".json"):
+            assert rescaled[report + suffix] == original[report + suffix], report + suffix
+    assert rescaled["decisions.log"] == original["decisions.log"]

@@ -100,6 +100,19 @@ def test_t_tail_at_zero_is_one():
     assert t_tail(0.0, 7.0) == 1.0
 
 
+@pytest.mark.parametrize("t", [math.inf, -math.inf])
+def test_t_tail_at_infinity_is_zero(t):
+    assert t_tail(t, 7.0) == 0.0
+
+
+def test_anova_f_overflowing_to_infinity_has_p_zero_and_no_note():
+    # the within-group sum of squares is subnormal, not zero, so F overflows
+    result = one_way_anova([[0.0, 1e-155], [1.0, 1.0]])
+    assert result.f_statistic == math.inf
+    assert result.p_value == 0.0
+    assert result.degenerate is None
+
+
 def test_t_tail_sign_symmetric():
     assert t_tail(1.7, 9.0) == t_tail(-1.7, 9.0)
 
