@@ -13,12 +13,12 @@ chance would; values are reported as computed, without clamping.
 
 ``krippendorff_alpha`` takes one units x raters array and
 ``agreement_report`` the annotation sets; both run one kernel.  A report
-is one pass (``_alphas``): each rater's table is coded once, and each
-rater pair's coincidences, every feature at once, are one
-``np.bincount`` of their code pairs.  The disagreement sums are taken
-over cells grouped by the categories they use, each over its own
-contiguous square, so every alpha is bit for bit that of its columns
-computed alone.
+is one pass (``_alphas``): each rater's table is coded once, a loaded
+set's uint8 codes by one lookup, and each rater pair's coincidences,
+every feature at once, are one ``np.bincount`` of their code pairs.  The
+disagreement sums are taken over cells grouped by the categories they
+use, each over its own contiguous square, so every alpha is bit for bit
+that of its columns computed alone.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import ANNOTATED_FEATURES, ORDINAL_FEATURES, AnnotationSet
+from .corpus import ANNOTATED_FEATURES, CODE_VALUES, ORDINAL_FEATURES, AnnotationSet
 
 __all__ = [
     "AGREEMENT_THRESHOLD", "AgreementError", "AgreementRow", "AlphaResult", "LEVELS",
@@ -108,7 +108,10 @@ def _distinct(values: np.ndarray) -> np.ndarray:
 
 def _code(table: np.ndarray, categories: np.ndarray) -> np.ndarray:
     """Each value's index in the sorted ``categories``; len(categories) where it is missing."""
-    codes = np.zeros(table.shape, np.min_scalar_type(len(categories)))
+    dtype = np.min_scalar_type(len(categories))
+    if table.dtype == np.uint8:  # codes: one lookup (``categories`` holds their values)
+        return np.searchsorted(categories, CODE_VALUES).astype(dtype)[table]
+    codes = np.zeros(table.shape, dtype)
     for category in categories[:-1]:
         codes += table > category
     codes[np.isnan(table)] = len(categories)
@@ -120,19 +123,20 @@ def _alphas(
 ) -> list[list[AlphaResult | None]]:
     """Alpha of each feature over each cell's raters, None where no unit has two values.
 
-    ``tables[r]`` is rater r's units x features values (NaN: missing),
-    ``levels[f]`` the level of feature f, and a cell lists the indices of
-    its raters' tables; the result is indexed [feature][cell].  Up to
-    three raters a cell sums its pairs' code tables, less half of them
-    over the units all three rated.  More raters weight their units one
-    by one.  Either way a cell's arrays are those of its columns alone,
-    bit for bit, and so are its sums: the cells of a level that use the
-    same categories are reduced together, each over its own k x k block.
+    ``tables[r]`` is rater r's units x features values (NaN: missing) or codes,
+    ``levels[f]`` the level of feature f, and a cell lists the indices of its
+    raters' tables; the result is indexed [feature][cell].  The categories are
+    the code values and the floats' (one no cell uses enters no sum).  Up to
+    three raters a cell sums its pairs' code tables, less half of them over the
+    units all three rated.  More raters weight their units one by one.  Either
+    way a cell's arrays are those of its columns alone, bit for bit, and so are
+    its sums: the cells of a level that use the same categories are reduced
+    together, each over its own k x k block.
     """
     n_units, n_features = tables[0].shape
     blocks = range(0, max(n_units, 1), _BLOCK)  # one empty block when there is no unit
-    distinct = [_distinct(t[u:u + _BLOCK]) for t in tables for u in blocks]
-    categories = _distinct(np.concatenate(distinct))
+    distinct = [_distinct(t[u:u + _BLOCK]) for t in tables if t.dtype != np.uint8 for u in blocks]
+    categories = _distinct(np.concatenate([CODE_VALUES, *distinct]))
     k = len(categories)
     codes = [_code(t, categories) for t in tables]
 
@@ -251,7 +255,7 @@ def agreement_report(
     members = [tuple(map(position.get, cell)) for cell in columns.values()]
     rows = []
     for feature, level, alphas in zip(
-        ANNOTATED_FEATURES, levels, _alphas([r.values for r in raters], levels, members)
+        ANNOTATED_FEATURES, levels, _alphas([r.table for r in raters], levels, members)
     ):
         cells = dict(zip(columns, alphas))
         below = tuple(

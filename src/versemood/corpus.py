@@ -6,6 +6,9 @@ expert sets are fused into a median annotator after two repairs that the
 annotation campaign made necessary: a valence scale reversal for the
 annotators who used the scale upside down, and a zero fill for
 psychological tags missing in exactly one of the three sets.
+
+A loaded set holds uint8 codes (each cell's value, or MISSING) from the reader
+to the agreement kernel; the median annotator, which can hold halves, floats.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ __all__ = [
 ]
 
 MEDIAN_ANNOTATOR_ID = 0
+MISSING = 255  # the code of a missing cell
 
 ORDINAL_MIN = 1
 ORDINAL_MAX = 4
@@ -121,15 +125,16 @@ class Corpus:
 class AnnotationSet:
     """One annotator's matrix of sonnet-by-feature values.
 
-    ``values`` is an n x len(ANNOTATED_FEATURES) float array: rows follow
-    ``sonnet_ids``, columns follow ``ANNOTATED_FEATURES``, and NaN marks a
-    missing cell.  The median annotator produced by fusion reuses this
-    type with ``annotator_id`` 0 and may hold half-integer values where an
-    even count had to be averaged.  Equality is identity: an array field
-    has no single truth value.
+    ``table`` is an n x len(ANNOTATED_FEATURES) array: rows follow
+    ``sonnet_ids``, columns follow ``ANNOTATED_FEATURES``.  The loaders give
+    uint8 codes, a cell's value or MISSING; a table built from floats stays
+    float, NaN where missing; ``values`` reads both as floats.  The median
+    annotator produced by fusion reuses this type with ``annotator_id`` 0
+    and may hold half-integer values where an even count had to be
+    averaged.  Equality is identity: an array field has no single truth value.
     """
 
-    __slots__ = ("annotator_id", "sonnet_ids", "values")
+    __slots__ = ("annotator_id", "sonnet_ids", "table")
 
     def __init__(self, annotator_id: int, sonnet_ids: tuple[str, ...], values: np.ndarray):
         if values.shape != (len(sonnet_ids), len(ANNOTATED_FEATURES)):
@@ -137,11 +142,21 @@ class AnnotationSet:
                 f"values must be {len(sonnet_ids)} x {len(ANNOTATED_FEATURES)} "
                 f"(sonnets x features), got {values.shape}"
             )
-        self.annotator_id, self.sonnet_ids, self.values = annotator_id, sonnet_ids, values
+        self.annotator_id, self.sonnet_ids, self.table = annotator_id, sonnet_ids, values
+
+    @property
+    def values(self) -> np.ndarray:
+        """The values as floats, NaN where missing: a float table itself."""
+        return CODE_VALUES[self.table] if self.table.dtype == np.uint8 else self.table
 
     def column(self, feature: str) -> np.ndarray:
-        """One feature's values in ``sonnet_ids`` order, NaN where missing (a view)."""
+        """One feature's values in ``sonnet_ids`` order, NaN where missing."""
         return self.values[:, _COLUMN[feature]]
+
+
+def _missing(table: np.ndarray) -> np.ndarray:
+    """Where a table of codes (any code above ORDINAL_MAX) or of floats (NaN) is missing."""
+    return table > ORDINAL_MAX if table.dtype == np.uint8 else np.isnan(table)
 
 
 class UnfilledCell(NamedTuple):
@@ -230,27 +245,29 @@ def load_annotation_set(
     """
     path = Path(path)
     text = read_input(path, "annotation file")
-    values = _plain_values(text, sonnet_ids)
-    if values is None:  # only the csv reader reports errors
-        values = _csv_values(path, text, sonnet_ids)
+    codes = _plain_values(text, sonnet_ids)
+    if codes is None:  # only the csv reader reports errors
+        codes = _csv_values(path, text, sonnet_ids)
     if sonnet_ids is None:
-        sonnet_ids = [f"s{i:04d}" for i in range(1, len(values) + 1)]
-    return AnnotationSet(annotator_id=annotator_id, sonnet_ids=tuple(sonnet_ids), values=values)
+        sonnet_ids = [f"s{i:04d}" for i in range(1, len(codes) + 1)]
+    return AnnotationSet(annotator_id=annotator_id, sonnet_ids=tuple(sonnet_ids), values=codes)
 
 
 def _plain_values(text: str, sonnet_ids: Sequence[str] | None) -> np.ndarray | None:
-    """The values of a plain annotation file, parsed as bytes; None for ``_csv_values``.
+    """The codes of a plain annotation file, parsed as bytes; None for ``_csv_values``.
 
     Plain: ASCII without quote or CR, the feature names as header, and a row per
     sonnet (any number without ids) of cells spelled as in _ORDINAL_CELLS and
     _BINARY_CELLS, which are one byte or none.
     """
-    header, _, body = (text if text.endswith("\n") else text + "\n").partition("\n")
+    text = text if text.endswith("\n") else text + "\n"
+    header = text[:text.index("\n")]
     names = header.split(",")
-    if not body or not text.isascii() or '"' in text or "\r" in text:
+    if len(text) == len(header) + 1 or not text.isascii() or '"' in text or "\r" in text:
         return None
-    n = len(sonnet_ids) if sonnet_ids is not None else body.count("\n")
-    data = np.frombuffer(body.encode(), np.uint8)
+    n = len(sonnet_ids) if sonnet_ids is not None else text.count("\n") - 1
+    raw = np.frombuffer(text.encode(), np.uint8)[len(header):]  # the header's line end, the body
+    data = raw[1:]
     ends = (data == ord(",")) | (data == ord("\n"))
     row_ends = np.frombuffer(b"," * (len(names) - 1) + b"\n", np.uint8)
     if (
@@ -260,13 +277,13 @@ def _plain_values(text: str, sonnet_ids: Sequence[str] | None) -> np.ndarray | N
     ):
         return None
     # each cell's byte, or the comma or line end before it where it is blank
-    cells = np.concatenate(([ord("\n")], data[:-1]))[ends].reshape(n, len(names))
-    values = _CELL_VALUES[_KINDS, cells[:, [names.index(f) for f in ANNOTATED_FEATURES]]]
-    return None if np.isinf(values).any() else values
+    cells = raw[:-1][ends].reshape(n, len(names))
+    codes = _CELL_CODES[_KINDS, cells[:, [names.index(f) for f in ANNOTATED_FEATURES]]]
+    return None if (codes == _INVALID).any() else codes
 
 
 def _csv_values(path: Path, text: str, sonnet_ids: Sequence[str] | None) -> np.ndarray:
-    """The values of any annotation file by the csv reader, checked cell by cell."""
+    """The codes of any annotation file by the csv reader, checked cell by cell."""
     rows = csv_rows(split_lines(text), path, AnnotationFormatError)
     lines, table, stop = kept_rows(rows, lambda row: any(map(str.strip, row)))  # not blank
     if not table:
@@ -312,24 +329,27 @@ def _csv_values(path: Path, text: str, sonnet_ids: Sequence[str] | None) -> np.n
         parsed.append(cells)
     if stop is not None:
         raise stop
-    values = np.array(parsed, dtype=float).reshape(len(data_rows), len(header))
-    return values[:, [header.index(f) for f in ANNOTATED_FEATURES]]
+    codes = np.array(parsed, dtype=np.uint8).reshape(len(data_rows), len(header))
+    return codes[:, [header.index(f) for f in ANNOTATED_FEATURES]]
 
 
-# The canonical spelling of every valid cell; _annotation_cell reads any other.
-_ORDINAL_CELLS = {str(v): float(v) for v in range(ORDINAL_MIN, ORDINAL_MAX + 1)}
-_BINARY_CELLS = {"0": 0.0, "1": 1.0, "": math.nan}
-# A cell's value by its byte (a blank cell's is the comma or line end before it),
-# in an ordinal column (row 0) and a binary one (row 1); inf: no valid cell
-_CELL_VALUES = np.array([
-    [cells.get("" if chr(b) in ",\n" else chr(b), math.inf) for b in range(256)]
+# The code of every valid cell's canonical spelling; _annotation_cell reads any other.
+_ORDINAL_CELLS = {str(v): v for v in range(ORDINAL_MIN, ORDINAL_MAX + 1)}
+_BINARY_CELLS = {"0": 0, "1": 1, "": MISSING}
+# A cell's code by its byte (a blank cell's is the comma or line end before it),
+# in an ordinal column (row 0) and a binary one (row 1); _INVALID: no valid cell
+_INVALID = MISSING - 1
+_CELL_CODES = np.array([
+    [cells.get("" if chr(b) in ",\n" else chr(b), _INVALID) for b in range(256)]
     for cells in (_ORDINAL_CELLS, _BINARY_CELLS)
-])
+], np.uint8)
 _KINDS = (np.arange(len(ANNOTATED_FEATURES)) >= len(ORDINAL_FEATURES)).astype(np.intp)
+# Each code's value, NaN where it is missing
+CODE_VALUES = np.where(np.arange(256) <= ORDINAL_MAX, np.arange(256.0), np.nan)
 
 
-def _annotation_cell(cell: str, is_ordinal: bool) -> float:
-    """One annotation cell as a number; a blank binary cell is NaN (missing).
+def _annotation_cell(cell: str, is_ordinal: bool) -> int:
+    """One annotation cell's code; a blank binary cell is MISSING.
 
     Raises ValueError naming the problem; the caller adds the coordinates.
     """
@@ -337,7 +357,7 @@ def _annotation_cell(cell: str, is_ordinal: bool) -> float:
     if not cell:
         if is_ordinal:
             raise ValueError("ordinal features may not be missing")
-        return math.nan
+        return MISSING
     try:
         value = int(cell)
     except ValueError:
@@ -347,7 +367,7 @@ def _annotation_cell(cell: str, is_ordinal: bool) -> float:
             raise ValueError(f"value {value} outside {ORDINAL_MIN}..{ORDINAL_MAX}")
     elif value not in (0, 1):
         raise ValueError(f"binary tag value must be 0 or 1, found {value}")
-    return float(value)
+    return value
 
 
 def reverse_ordinal_scale(annotation_set: AnnotationSet, feature: str) -> AnnotationSet:
@@ -358,24 +378,20 @@ def reverse_ordinal_scale(annotation_set: AnnotationSet, feature: str) -> Annota
     """
     if feature not in ORDINAL_FEATURES:
         raise ValueError(f"{feature!r} is not an ordinal feature")
-    values = annotation_set.values.copy()
-    col = _COLUMN[feature]
-    values[:, col] = float(ORDINAL_MIN + ORDINAL_MAX) - values[:, col]
-    return AnnotationSet(
-        annotator_id=annotation_set.annotator_id,
-        sonnet_ids=annotation_set.sonnet_ids,
-        values=values,
-    )
+    table, col = annotation_set.table.copy(), _COLUMN[feature]
+    table[:, col] = ORDINAL_MIN + ORDINAL_MAX - table[:, col]  # a missing code stays missing
+    return AnnotationSet(annotation_set.annotator_id, annotation_set.sonnet_ids, table)
 
 
-def _aligned(sets: Sequence[AnnotationSet]) -> tuple[str, ...]:
-    """The sonnet ids of three sets that cover the same sonnets."""
+def _aligned(sets: Sequence[AnnotationSet]) -> tuple[tuple[str, ...], list[np.ndarray]]:
+    """The sonnet ids of three sets that cover the same sonnets, and their codes or values."""
     if len(sets) != 3:
         raise ValueError(f"expected exactly 3 annotation sets, got {len(sets)}")
     first = sets[0].sonnet_ids
     if any(s.sonnet_ids != first for s in sets[1:]):
         raise ValueError("annotation sets cover different sonnets")
-    return first
+    codes = all(s.table.dtype == np.uint8 for s in sets)
+    return first, [s.table if codes else s.values for s in sets]
 
 
 def fill_missing_psych(
@@ -387,25 +403,18 @@ def fill_missing_psych(
     rather than unknown.  Cells missing in two or all three sets are
     left missing and returned for reporting, sonnet by sonnet.
     """
-    ids = _aligned(sets)
-    cube = np.stack([s.values for s in sets])
+    ids, tables = _aligned(sets)
+    cube = np.stack(tables)
     # psychological tags are the last columns (a view)
     tags = cube[:, :, len(ORDINAL_FEATURES):]
-    present = ~np.isnan(tags)
-    n_present = present.sum(axis=0)
-    tags[~present & (n_present == 2)] = 0.0
+    present = ~_missing(tags)
+    n_present = present.sum(axis=0, dtype=np.uint8)
+    tags[~present & (n_present == 2)] = 0
     unfilled = [
         UnfilledCell(ids[row], PSYCHOLOGICAL_TAGS[col], int(n_present[row, col]))
         for row, col in zip(*np.nonzero(n_present < 2))
     ]
-    result = [
-        AnnotationSet(
-            annotator_id=s.annotator_id,
-            sonnet_ids=s.sonnet_ids,
-            values=values,
-        )
-        for s, values in zip(sets, cube)
-    ]
+    result = [AnnotationSet(s.annotator_id, s.sonnet_ids, table) for s, table in zip(sets, cube)]
     if unfilled:
         decide(__name__, f"{len(unfilled)} psychological cells unfillable (missing in 2+ sets)")
     return result, unfilled
@@ -421,14 +430,13 @@ def build_median_annotator(sets: Sequence[AnnotationSet]) -> AnnotationSet:
     missing.  Scale reversal and the missing fill are expected to have
     been applied already.
     """
-    ids = _aligned(sets)
-    a, b, c = (s.values for s in sets)
-    # the lowest and middle present values, a missing one ranking above all
-    # (fmin passes over NaN, maximum keeps it), as np.sort puts NaN last
+    ids, (a, b, c) = _aligned(sets)
+    # the lowest and middle present values, a missing one ranking above all (fmin
+    # passes over NaN, maximum keeps it; MISSING is the top code), as np.sort puts NaN last
     low, middle = np.fmin(a, b), np.maximum(a, b)
     np.maximum(low, np.fmin(middle, c, out=middle), out=middle)
     np.fmin(low, c, out=low)
-    n_present = 3 - (np.isnan(a).astype(np.int8) + np.isnan(b) + np.isnan(c))
+    n_present = 3 - (_missing(a).astype(np.int8) + _missing(b) + _missing(c))
     two = n_present == 2
     split = two & (low != middle)
     binary = np.arange(len(ANNOTATED_FEATURES)) >= len(ORDINAL_FEATURES)
@@ -442,11 +450,7 @@ def build_median_annotator(sets: Sequence[AnnotationSet]) -> AnnotationSet:
         else:
             pair = [float(low[row, col]), float(middle[row, col])]
             decide(__name__, f"median {sid}/{feature}: averaging two ordinal values {pair}")
-    return AnnotationSet(
-        annotator_id=MEDIAN_ANNOTATOR_ID,
-        sonnet_ids=ids,
-        values=values,
-    )
+    return AnnotationSet(MEDIAN_ANNOTATOR_ID, ids, values)
 
 
 def categories(median: AnnotationSet) -> list[tuple[str, np.ndarray]]:

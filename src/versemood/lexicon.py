@@ -74,6 +74,7 @@ DIMENSIONS: tuple[str, ...] = tuple(CANONICAL_SCALES)
 
 # Dimension name -> its column in the lexicon arrays.
 _COLUMN: dict[str, int] = {dim: j for j, dim in enumerate(DIMENSIONS)}
+_WIDTHS = np.array([hi - lo for lo, hi in CANONICAL_SCALES.values()])
 
 
 class LexiconFormatError(InputError):
@@ -164,7 +165,14 @@ def rescale_value(
     new_lo, new_hi = to_scale
     if (lo, hi) == (new_lo, new_hi):
         return value
-    return new_lo + (value - lo) * (new_hi - new_lo) / (hi - lo)
+    return new_lo + _scaled(value - lo, new_hi - new_lo, hi - lo)
+
+
+def _scaled(x: float | np.ndarray, to_width: float, from_width: float) -> float | np.ndarray:
+    """x * to_width / from_width, dividing first where the product passes the float range."""
+    with np.errstate(over="ignore"):  # a result no float holds stays infinite
+        scaled = x * to_width / from_width
+        return np.where(np.isinf(scaled), x / from_width * to_width, scaled)
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +387,9 @@ def _canonical(path: Path, source_id: str, table: _Table | _Columns) -> SourceLe
     def scale(i: int) -> tuple[float, float]:
         return float(lo[i]), float(hi[i])
 
-    with np.errstate(over="ignore", invalid="ignore"):  # an infinite width is an error below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # bad rows fail below
         wide = ~np.isfinite(hi - lo)
+        huge_sd = np.isinf(_scaled(sd, _WIDTHS[dims], hi - lo))
 
     table.raise_first([
         (words == "", lambda i: "empty word"),
@@ -402,6 +411,7 @@ def _canonical(path: Path, source_id: str, table: _Table | _Columns) -> SourceLe
         ),
         (sd_bad, lambda i: _parse(table.cells[sd_j][i].strip())),
         (sd < 0, lambda i: f"negative sd {float(sd[i])}"),
+        (huge_sd, lambda i: f"sd {float(sd[i])} exceeds a float on the canonical scale"),
     ])
     scales = {DIMENSIONS[dims[i]]: scale(i) for i in sorted(first)}
     return _collapse(path, source_id, scales, words, dims, mean, sd)
@@ -469,6 +479,7 @@ def _load_described(path: Path, descriptor: Mapping, source_id: str, label: str)
             sd, sd_bad = np.full(n, np.nan), np.zeros(n, bool)  # no sd column: all blank
             if sd_j is not None:
                 sd, sd_bad = table.numbers(sd_j, ~np.isnan(mean))
+            huge_sd = np.isinf(_scaled(sd, _WIDTHS[_COLUMN[dim]], hi - lo))
             checks.extend([
                 (mean_bad, lambda i: _parse(table.cells[mean_j][i].strip())),
                 (
@@ -477,6 +488,7 @@ def _load_described(path: Path, descriptor: Mapping, source_id: str, label: str)
                 ),
                 (sd_bad, lambda i: _parse(table.cells[sd_j][i].strip())),
                 (sd < 0, lambda i: f"negative sd {float(sd[i])}"),
+                (huge_sd, lambda i: f"sd {float(sd[i])} exceeds a float on the canonical scale"),
             ])
             return mean, sd
 
@@ -569,7 +581,7 @@ def _merge_values(
         for k, source in enumerate(sources):
             if native := source.scales.get(dim):
                 means[rows[k], k] = rescale_value(source.mean[:, j], native, (lo, hi))
-                sds[rows[k], k] = source.sd[:, j] * (hi - lo) / (native[1] - native[0])
+                sds[rows[k], k] = _scaled(source.sd[:, j], hi - lo, native[1] - native[0])
         mean[:, j] = group_mean(codes, _median(means), n_keys)[0]
         sd[:, j] = group_mean(codes, _median(sds), n_keys)[0]
     return mean, sd

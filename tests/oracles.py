@@ -717,6 +717,16 @@ def _parse_float(cell, where):
     return value
 
 
+def _check_sd_fits(sd, dim, scale, where):
+    """Reject an sd whose value on its dimension's canonical scale no float holds."""
+    from versemood.lexicon import CANONICAL_SCALES
+
+    width = CANONICAL_SCALES[dim][1] - CANONICAL_SCALES[dim][0]
+    native = scale[1] - scale[0]
+    if math.isinf(sd * width / native) and math.isinf(sd / native * width):
+        raise _lexicon_error(f"{where}: sd {sd} exceeds a float on the canonical scale")
+
+
 def _dict_rows(path, delimiter=","):
     import csv
     import io
@@ -776,6 +786,8 @@ def load_canonical(path):
         hi = _parse_float(row["scale_max"], where)
         if hi <= lo:
             raise _lexicon_error(f"{where}: scale_min must be below scale_max")
+        if math.isinf(hi - lo):
+            raise _lexicon_error(f"{where}: scale [{lo}, {hi}] is wider than a float holds")
         if dim in scales and scales[dim] != (lo, hi):
             raise _lexicon_error(
                 f"{where}: conflicting scale for {dim}: {scales[dim]} vs {(lo, hi)}"
@@ -790,6 +802,7 @@ def load_canonical(path):
             sd = _parse_float(sd_cell, where)
             if sd < 0:
                 raise _lexicon_error(f"{where}: negative sd {sd}")
+            _check_sd_fits(sd, dim, (lo, hi), where)
         raw.setdefault(word, {}).setdefault(dim, []).append((mean, sd))
     if not raw:
         raise _lexicon_error(f"{path}: no entries")
@@ -801,6 +814,11 @@ def load_described(path, descriptor):
     word_column = descriptor["word_column"]
     dims_spec = descriptor["dimensions"]
     scales = {dim: tuple(map(float, spec["scale"])) for dim, spec in dims_spec.items()}
+    for dim, (lo, hi) in scales.items():
+        if math.isinf(hi - lo):
+            raise _lexicon_error(
+                f"descriptor of {path}: dimension {dim}: scale [{lo}, {hi}] is wider than a float holds"
+            )
     reader = _dict_rows(path, descriptor.get("delimiter", ","))
     header = set(reader.fieldnames or [])
     needed = {word_column} | {spec["mean"] for spec in dims_spec.values()}
@@ -835,6 +853,7 @@ def load_described(path, descriptor):
                     sd = _parse_float(sd_cell, where)
                     if sd < 0:
                         raise _lexicon_error(f"{where}: negative sd {sd}")
+                    _check_sd_fits(sd, dim, (lo, hi), where)
             raw.setdefault(word, {}).setdefault(dim, []).append((mean, sd))
     if not raw:
         raise _lexicon_error(f"{path}: no entries")

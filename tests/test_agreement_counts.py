@@ -138,7 +138,8 @@ def test_a_large_report_equals_the_count_table_kernel(n_units):
 
 
 def test_each_feature_is_coded_once(workspace_config, monkeypatch):
-    """No table per feature: each rater's whole table is coded once."""
+    """No table per feature: each rater's whole table is coded once, the
+    loaded sets' value codes as they are held and the median's floats."""
     session = Session(workspace_config, ["agreement"])
     sets, median = session.annotations[0], session.median
     expected = agreement_report(sets, median)
@@ -153,4 +154,5 @@ def test_each_feature_is_coded_once(workspace_config, monkeypatch):
     assert [(r.feature, r.cells) for r in report] == [(r.feature, r.cells) for r in expected]
     assert sum(len(r.cells) for r in report) == 7 * len(ANNOTATED_FEATURES)
     assert len(coded) == 4
-    assert all(table is s.values for table, s in zip(coded, [*sets, median]))
+    assert all(table is s.table for table, s in zip(coded, [*sets, median]))
+    assert [table.dtype for table in coded] == [np.uint8] * 3 + [np.float64]

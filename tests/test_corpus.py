@@ -8,10 +8,12 @@ import pytest
 
 import oracles
 from cell_tables import annotation_set, cells_of
+from versemood.agreement import agreement_report
 from versemood.corpus import (
     ALL_CATEGORY,
     ANNOTATED_FEATURES,
     MEDIAN_ANNOTATOR_ID,
+    MISSING,
     ORDINAL_FEATURES,
     PSYCHOLOGICAL_TAGS,
     AnnotationFormatError,
@@ -510,6 +512,66 @@ def test_median_by_selection_equals_the_sorted_cube():
         median, messages = recorded(build_median_annotator, sets)
         assert median.values.tobytes() == ref_values.tobytes()
         assert messages == ref_messages
+
+
+def random_code_sets(rng, n, n_sets=3):
+    """Sets of uint8 codes as the loaders give them (tags blank at a random
+    rate), and in some draws blank ordinal cells, as only the library allows."""
+    ids = tuple(f"s{i}" for i in range(n))
+    ordinal = np.array([f in ORDINAL_FEATURES for f in ANNOTATED_FEATURES])
+    shape = (n_sets, n, len(ANNOTATED_FEATURES))
+    codes = np.where(ordinal, rng.integers(1, 5, shape), rng.integers(0, 2, shape)).astype(np.uint8)
+    blank = rng.random(shape) < rng.uniform(0.0, 0.6)
+    if rng.random() < 0.7:
+        blank &= ~ordinal
+    codes[blank] = MISSING
+    return ids, [AnnotationSet(i + 1, ids, codes[i]) for i in range(n_sets)]
+
+
+def floats_of(sets):
+    """Each set with its values as a float table."""
+    return [AnnotationSet(s.annotator_id, s.sonnet_ids, s.values) for s in sets]
+
+
+def test_code_sets_give_what_their_float_copies_give():
+    """Reversal, fill, median and every agreement cell, bit for bit and
+    decision for decision, whether a set holds codes or floats."""
+    rng = np.random.default_rng(67)
+    for _ in range(40):
+        n = int(rng.integers(1, 50))
+        ids, sets = random_code_sets(rng, n)
+        copies = floats_of(sets)
+        assert [s.table.dtype for s in sets + copies] == [np.uint8] * 3 + [np.float64] * 3
+        # as a run reverses the sets that used the valence scale upside down,
+        # a blank cell (which only the library allows in an ordinal) included
+        for r in np.flatnonzero(rng.random(3) < 0.5):
+            sets[r], copies[r] = [reverse_ordinal_scale(x[r], "valence") for x in (sets, copies)]
+            assert sets[r].table.dtype == np.uint8
+            assert sets[r].values.tobytes() == copies[r].values.tobytes()
+
+        (filled, unfilled), messages = recorded(fill_missing_psych, sets)
+        (filled_copies, unfilled_copies), copy_messages = recorded(fill_missing_psych, copies)
+        assert [s.table.dtype for s in filled] == [np.uint8] * 3
+        assert [s.values.tobytes() for s in filled] == [s.values.tobytes() for s in filled_copies]
+        assert (unfilled, messages) == (unfilled_copies, copy_messages)
+
+        # unfilled sets too, so that 0/1 splits over two values reach the median
+        for code_sets, float_sets in ((filled, filled_copies), (sets, copies)):
+            median, messages = recorded(build_median_annotator, code_sets)
+            copy, copy_messages = recorded(build_median_annotator, float_sets)
+            assert median.values.tobytes() == copy.values.tobytes()
+            assert messages == copy_messages
+
+        # the built median, and a float median with halves or without
+        halves = rng.random() < 0.5
+        drawn = rng.integers(0, 9 if halves else 5, (n, len(ANNOTATED_FEATURES))).astype(float)
+        drawn /= 2 if halves else 1
+        drawn[rng.random(drawn.shape) < 0.2] = np.nan
+        for median in (build_median_annotator(filled), AnnotationSet(0, ids, drawn), None):
+            for k in (2, 3):
+                assert agreement_report(filled[:k], median) == agreement_report(
+                    filled_copies[:k], median
+                )
 
 
 def test_sets_share_the_corpus_sonnet_ids(workspace_config):

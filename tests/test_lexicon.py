@@ -321,6 +321,62 @@ def test_merge_and_rescale_reject_a_scale_wider_than_a_float():
         rescale_value(0.0, wide["valence"], CANONICAL_SCALES["valence"])
 
 
+def test_rescale_divides_first_only_where_the_product_overflows():
+    """A mean near the float range maps to its value, not inf; every finite
+    product keeps its bits, where dividing first would move them."""
+    wide = (-8e307, 8e307)
+    assert rescale_value(7e307, wide, (1, 9)) == 8.5
+    assert rescale_value(np.array([7e307, -8e307, 0.0]), wide, (1, 9)).tolist() == [8.5, 1.0, 5.0]
+    merged = merge_lexicons([source("a", {"amor": {"valence": (7e307, 5e307)}}, {"valence": wide})], RAW)
+    assert entries_of(merged)["amor"]["valence"] == (8.5, 2.5)
+    values = np.random.default_rng(73).uniform(0.0, 10.0, 1000)
+    product_first = 1.0 + (values - 0.0) * (7.0 - 1.0) / (10.0 - 0.0)
+    assert rescale_value(values, (0.0, 10.0), (1.0, 7.0)).tobytes() == product_first.tobytes()
+    assert (1.0 + (values - 0.0) / (10.0 - 0.0) * (7.0 - 1.0) != product_first).any()
+
+
+NEAR_RANGE_FILES = {
+    "canonical scale": (
+        "word,dimension,mean,sd,scale_min,scale_max\namor,valence,5,1,1,9\n"
+        "sol,arousal,0,1,-1.7e308,1.7e308\n",
+        None,
+        "line 3: scale [-1.7e+308, 1.7e+308] is wider than a float holds",
+    ),
+    "canonical sd": (
+        "word,dimension,mean,sd,scale_min,scale_max\namor,valence,1.5,0.5,1,2\n"
+        "sol,valence,1.5,1e308,1,2\n",
+        None,
+        "line 3: sd 1e+308 exceeds a float on the canonical scale",
+    ),
+    "described sd": (
+        "w,v,s\namor,1.5,\nsol,1.5,1e308\n",
+        {"word_column": "w", "dimensions": {"valence": {"mean": "v", "sd": "s", "scale": [1, 2]}}},
+        "line 3: sd 1e+308 exceeds a float on the canonical scale",
+    ),
+    "descriptor scale": (
+        "w,v\namor,6.0\n",
+        {"word_column": "w", "dimensions": {"valence": {"mean": "v", "scale": [-1e308, 1e308]}}},
+        "dimension valence: scale [-1e+308, 1e+308] is wider than a float holds",
+    ),
+}
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r\n"], ids=["plain", "csv"])
+@pytest.mark.parametrize("case", NEAR_RANGE_FILES)
+def test_near_range_cells_give_the_row_by_row_loaders_message(tmp_path, case, line_end):
+    """Scales and sds that no float holds on the canonical scale exit as input
+    errors naming the file and line, and the row-by-row referees agree."""
+    text, descriptor, message = NEAR_RANGE_FILES[case]
+    path = tmp_path / "norms.csv"
+    path.write_bytes(text.replace("\n", line_end).encode())
+    if descriptor is None:
+        expected = outcome(lambda: oracles.load_canonical(path))
+    else:
+        expected = outcome(lambda: oracles.load_described(path, descriptor))
+    assert str(path) in expected and expected.endswith(message)
+    assert outcome(lambda: load_lexicon(path, descriptor=descriptor)) == expected
+
+
 def test_merged_values_are_computed_once_on_first_read(monkeypatch):
     original = lexicon._merge_values
     calls = []
@@ -808,7 +864,12 @@ def test_merge_equals_the_cube_oracle_bit_for_bit():
     }
 
 
-BAD_CELLS = ("x", "nan", "-inf", "1e999", "-1", "99", "", " ", "valence", "dominance")
+# "1.7e308" and "-1.7e308" make a scale wider than a float, or an sd no float holds on
+# a canonical scale wider than its native one; too rarely for ROW_ERRORS, so
+# test_near_range_cells_give_the_row_by_row_loaders_message writes them on purpose
+BAD_CELLS = (
+    "x", "nan", "-inf", "1e999", "-1", "99", "", " ", "valence", "dominance", "1.7e308", "-1.7e308",
+)
 ROW_ERRORS = (
     "cells, but the header has", "empty word", "unknown dimension", "not a number",
     "not a finite number", "scale_min must be below", "conflicting scale",

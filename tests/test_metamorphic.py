@@ -17,11 +17,17 @@ compares what the two runs wrote.
     scale keeps the merged means and sds, the feature report and ANOVA to
     ``AFFINE_REL_TOL``, and the regressions to ``REL_TOL``; the reports
     built from ranks, counts and annotations are byte-identical.
+(d) An annotator's id is its file's place in the config, and the median
+    of three values does not depend on their order.  So permuting the
+    annotator files, the reversed-valence ids following their files,
+    relabels the agreement cells and changes no value, and the median
+    annotator and every other report are byte-identical.
 """
 
 import csv
 import json
 import math
+import re
 import shutil
 from pathlib import Path
 
@@ -202,3 +208,54 @@ def test_rescaling_a_source_with_its_scale_keeps_every_report(
         for suffix in (".csv", ".json"):
             assert rescaled[report + suffix] == original[report + suffix], report + suffix
     assert rescaled["decisions.log"] == original["decisions.log"]
+
+
+@pytest.mark.parametrize("order", [(1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1)])
+def test_permuting_annotator_files_relabels_the_agreement_cells(
+    workspace, original, tmp_path, order
+):
+    root = _copy(workspace, tmp_path / "annotators")
+    config = json.loads((root / "config.json").read_text(encoding="utf-8"))
+    # the file of id i + 1 moves to place order.index(i), and takes that id
+    new_id = {i + 1: order.index(i) + 1 for i in range(3)}
+    config["annotations"] = [config["annotations"][i] for i in order]
+    config["reversed_valence_annotators"] = [
+        new_id[rid] for rid in config["reversed_valence_annotators"]
+    ]
+    (root / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    permuted = _run(root)
+    assert list(permuted) == list(original)
+
+    def relabel(label: str) -> str:
+        if label == "all":
+            return label
+        first, second = label.split("-")
+        ids = [new_id[int(first[1:])], second if second == "m" else new_id[int(second[1:])]]
+        return "a{}-{}".format(*ids) if second == "m" else "a{}-a{}".format(*sorted(ids))
+
+    before, after = (json.loads(data["agreement.json"]) for data in (original, permuted))
+    assert sorted(after["columns"]) == sorted(map(relabel, before["columns"]))
+    assert len(after["rows"]) == len(before["rows"])
+    for old, new in zip(before["rows"], after["rows"]):
+        assert (new["feature"], new["level"]) == (old["feature"], old["level"])
+        assert {relabel(label): cell for label, cell in old["cells"].items()} == new["cells"]
+        assert sorted(map(relabel, old["below_threshold"])) == sorted(new["below_threshold"])
+    old_csv, new_csv = (
+        list(csv.DictReader(data["agreement.csv"].decode("utf-8").splitlines()))
+        for data in (original, permuted)
+    )
+    for old, new in zip(old_csv, new_csv, strict=True):
+        for label in before["columns"]:
+            assert new[relabel(label)] == old[label], (old["feature"], label)
+
+    medians = [Session(r / "config.json").median for r in (workspace, root)]
+    assert medians[0].values.tobytes() == medians[1].values.tobytes()
+    for name, data in original.items():
+        if not name.startswith(("agreement.", "decisions.")):
+            assert permuted[name] == data, name
+    expected = re.sub(
+        r"(reversed valence scale for annotator )(\d+)",
+        lambda match: f"{match[1]}{new_id[int(match[2])]}",
+        original["decisions.log"].decode("utf-8"),
+    )
+    assert permuted["decisions.log"].decode("utf-8") == expected
