@@ -98,6 +98,7 @@ _COLUMN = {feature: j for j, feature in enumerate(ANNOTATED_FEATURES)}
 
 # The category of the whole corpus, beside one per psychological tag.
 ALL_CATEGORY = "all"
+_BINS = 10  # of the word-count histogram, equal in width
 
 
 class Sonnet(NamedTuple):
@@ -466,13 +467,13 @@ def categories(median: AnnotationSet) -> list[tuple[str, np.ndarray]]:
     ]
 
 
-def corpus_statistics(keys: TokenTable, median: AnnotationSet, n_bins: int = 10) -> CorpusStats:
+def corpus_statistics(keys: TokenTable, median: AnnotationSet) -> CorpusStats:
     """Word-count distribution and per-tag counts.
 
     ``keys`` holds the corpus's normalized keys.  Word counts are
     surviving tokens after stopword removal (repeats included).  The
     standard deviation is the sample one (n-1 in the denominator), None
-    for a single sonnet; the histogram uses ``n_bins`` equal-width bins
+    for a single sonnet; the histogram uses ``_BINS`` equal-width bins
     over the observed range with the last bin closed on the right.  The
     median covers ``keys``'s sonnets in the same order.
     """
@@ -486,9 +487,9 @@ def corpus_statistics(keys: TokenTable, median: AnnotationSet, n_bins: int = 10)
     if hi == lo:
         bins = [HistogramBin(lo, hi, n)]
     else:
-        width = (hi - lo) / n_bins
-        at = np.minimum(((keys.lengths - lo) / width).astype(np.intp), n_bins - 1)
-        tally = np.bincount(at, minlength=n_bins).tolist()
+        width = (hi - lo) / _BINS
+        at = np.minimum(((keys.lengths - lo) / width).astype(np.intp), _BINS - 1)
+        tally = np.bincount(at, minlength=_BINS).tolist()
         bins = [HistogramBin(lo + i * width, lo + (i + 1) * width, k) for i, k in enumerate(tally)]
     tag_counts = {tag: int(rows.sum()) for tag, rows in categories(median)[1:]}
     return CorpusStats(n, mean, sd, tuple(bins), tag_counts)

@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import ALL_CATEGORY, AnnotationSet, categories
+from .corpus import AnnotationSet, categories
 from .stats import group_mean
 from .textnorm import (
     InputError, NormalizationConfig, TokenTable, csv_rows, decide, kept_rows, read_input,
@@ -636,16 +636,14 @@ class CoverageRow(NamedTuple):
     per_source: dict[str, float | None]
 
 
-def _category_keys(keys: TokenTable, median: AnnotationSet | None) -> tuple[list[str], np.ndarray]:
+def _category_keys(keys: TokenTable, median: AnnotationSet) -> tuple[list[str], np.ndarray]:
     """The categories, and per category the mask over ``keys.words`` of the keys its sonnets use.
 
-    Without a median, all of ``keys``'s sonnets only; a median must cover
-    them in the same order.
+    The median covers ``keys``'s sonnets in the same order.
     """
-    if median is not None and median.sonnet_ids != keys.sonnet_ids:
+    if median.sonnet_ids != keys.sonnet_ids:
         raise ValueError("the median annotator and the corpus keys cover different sonnets")
-    everything = [(ALL_CATEGORY, np.ones(len(keys.lengths), bool))]
-    members = everything if median is None else categories(median)
+    members = categories(median)
     used = np.zeros((len(members), len(keys.words)), bool)
     sonnet = keys.sonnets()
     for j, (_, rows) in enumerate(members):
@@ -658,15 +656,15 @@ def coverage_report(
     sources: Sequence[SourceLexicon],
     merged: MergedLexicon,
     config: NormalizationConfig,
-    median: AnnotationSet | None = None,
+    median: AnnotationSet,
 ) -> list[CoverageRow]:
     """Fraction of distinct corpus keys found in the merged lexicon.
 
     ``keys`` holds the corpus's keys under ``config.mode``.  One row
-    for the whole corpus and, when a median annotation set is given, one
-    per psychological tag (over its tagged sonnets only).  Per-source
-    fractions check the same keys against each source's words normalized
-    under the same mode.  ``merged`` is the merge of ``sources`` under
+    for the whole corpus and one per psychological tag of the median
+    annotator (over its tagged sonnets only).  Per-source fractions
+    check the same keys against each source's words normalized under
+    the same mode.  ``merged`` is the merge of ``sources`` under
     ``config``, and its ``source_rows`` are the keys of the source words.
     """
     # each source's words, marked on the rows of their keys in the merge
@@ -698,8 +696,8 @@ class WordCountRow(NamedTuple):
 def word_count_report(
     raw: TokenTable,
     stem: TokenTable,
-    lemma: TokenTable | None = None,
-    median: AnnotationSet | None = None,
+    lemma: TokenTable | None,
+    median: AnnotationSet,
 ) -> list[WordCountRow]:
     """Distinct keys per category under raw, stem, and lemma modes.
 

@@ -13,7 +13,7 @@ where it has one.  ``COMMANDS`` names the reports of each subcommand.
 ``ReportWriter.emit`` derives a report's CSV header and cells and its
 JSON rows from the row type's fields by one rule, and writes each row to
 both files as it arrives.  The repairs and fallbacks a run makes on its
-own are recorded as decisions (``textnorm.decide``); ``decisions.log``
+own go to ``Session.decisions`` (``textnorm.decide``); ``decisions.log``
 and the ``--strict`` count both read that one record.
 """
 
@@ -37,6 +37,7 @@ from . import lexicon as lexicon_mod
 from . import validation as validation_mod
 from .textnorm import (
     MODES,
+    Decision,
     InputError,
     NormalizationConfig,
     TokenTable,
@@ -111,7 +112,7 @@ def _read_config(
         raise fail(f"unknown mode {mode!r}; expected one of {MODES}")
     if fmt not in FORMATS:
         raise fail(f"unknown format {fmt!r}")
-    if not isinstance(out_dir, str):
+    if not isinstance(out_dir, str) or "\0" in out_dir:  # no file system takes a NUL
         raise fail(f"'out_dir' must be a path, not {out_dir!r}")
     if "metadata" not in raw:
         raise fail("config is missing 'metadata'")
@@ -455,6 +456,14 @@ COMMANDS: dict[str, tuple[str, ...]] = {
 }
 
 
+class _artifact(cached_property):
+    """A session's input or derived artifact: computed on first read, its decisions recorded."""
+
+    def __get__(self, session: Session | None, owner: type | None = None) -> Any:
+        with recording(session.decisions if session else []):  # read on the class: self
+            return super().__get__(session, owner)
+
+
 class Session:
     """One run: a resolved config, its inputs, and what is derived from them.
 
@@ -462,7 +471,7 @@ class Session:
     ``fmt`` override its entries) and checks that the inputs the named
     reports need exist; ``config`` is the :class:`RunConfig` so checked.
     Nothing else is read until first use, and every input and derived
-    artifact is loaded or computed once.
+    artifact is loaded or computed once, its decisions kept in ``decisions``.
     """
 
     def __init__(
@@ -477,9 +486,10 @@ class Session:
         self.reports = tuple(reports)
         needs = set().union(*(REPORTS[name].needs for name in self.reports))
         self.config = _read_config(Path(config_path), needs, mode, out_dir, fmt)
+        self.decisions: list[Decision] = []
         self._keys: dict[str, TokenTable] = {}
 
-    @cached_property
+    @_artifact
     def norm(self) -> NormalizationConfig:
         """Normalization settings of the configured key mode."""
         cfg = self.config
@@ -487,12 +497,12 @@ class Session:
         lemma_table = load_lemma_table(cfg.lemma_table) if cfg.lemma_table else None
         return NormalizationConfig(mode=cfg.mode, stopwords=stopwords, lemma_table=lemma_table)
 
-    @cached_property
+    @_artifact
     def corpus(self) -> corpus_mod.Corpus:
         """Sonnet metadata, with texts when a report needs them."""
         return corpus_mod.load_corpus(self.config.metadata, self.config.corpus_root)
 
-    @cached_property
+    @_artifact
     def words(self) -> TokenTable:
         """Each sonnet's words, stopwords dropped, in corpus order.
 
@@ -508,14 +518,13 @@ class Session:
 
     def keys(self, mode: str) -> TokenTable:
         """The tokens of ``words`` under ``mode``: each distinct word is keyed once."""
-        if mode == "raw":
-            return self.words
         if mode not in self._keys:
             config = NormalizationConfig(mode, self.norm.stopwords, self.norm.lemma_table)
-            self._keys[mode] = self.words.keyed(config.key)
+            with recording(self.decisions):
+                self._keys[mode] = self.words if mode == "raw" else self.words.keyed(config.key)
         return self._keys[mode]
 
-    @cached_property
+    @_artifact
     def annotations(
         self,
     ) -> tuple[list[corpus_mod.AnnotationSet], list[corpus_mod.UnfilledCell]]:
@@ -539,12 +548,12 @@ class Session:
             return sets, []
         return corpus_mod.fill_missing_psych(sets)
 
-    @cached_property
+    @_artifact
     def median(self) -> corpus_mod.AnnotationSet:
         """The median annotator over the three filled sets."""
         return corpus_mod.build_median_annotator(self.annotations[0])
 
-    @cached_property
+    @_artifact
     def sources(self) -> list[lexicon_mod.SourceLexicon]:
         """The configured lexicons on their native scales, source ids unique."""
         sources = []
@@ -565,12 +574,12 @@ class Session:
             sources.append(source)
         return sources
 
-    @cached_property
+    @_artifact
     def merged(self) -> lexicon_mod.MergedLexicon:
         """The sources merged onto keys of the configured mode."""
         return lexicon_mod.merge_lexicons(self.sources, self.norm)
 
-    @cached_property
+    @_artifact
     def matrix(self) -> features_mod.FeatureMatrix:
         """The 32-feature matrix of the corpus."""
         return features_mod.compute_corpus_matrix(self.keys(self.norm.mode), self.merged)
@@ -578,20 +587,20 @@ class Session:
     def write(self, writer: ReportWriter, log_decisions: bool = False) -> int:
         """Write the session's reports, each row as it comes, and ``decisions.log`` if asked.
 
-        Returns how many computations the decisions recorded while building
-        the reports left degenerate or skipped; the log has a line per decision.
+        Returns how many computations the session's ``decisions``, made before
+        or here, left degenerate or skipped; the log has a line per decision.
         """
         log = writer.stage("decisions.log") if log_decisions else None
         try:
-            with recording() as decisions:
+            with recording(self.decisions):
                 for name in self.reports:
                     report = REPORTS[name]
                     rows, wrapper = report.build(self)
                     writer.emit(name, report.row_type, rows, wrapper)
                     del rows, wrapper  # freed before the next report is built
             if log:
-                log.write_text("".join(f"{d.module}: {d.text}\n" for d in decisions), "utf-8")
+                log.write_text("".join(f"{d.module}: {d.text}\n" for d in self.decisions), "utf-8")
             writer.commit()
         finally:
             writer.discard()  # what a failed build or commit left staged
-        return sum(d.degenerate for d in decisions)
+        return sum(d.degenerate for d in self.decisions)

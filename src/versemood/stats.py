@@ -403,8 +403,6 @@ class LinearDesign:
 
     def __init__(self, X: Sequence[Sequence[float]], column_names: Sequence[str] | None = None):
         Xm = np.asarray(X, dtype=float)
-        if Xm.ndim == 1:
-            Xm = Xm.reshape(-1, 1)
         if Xm.ndim != 2:
             raise ValueError("X must be n x k")
         n, k = Xm.shape

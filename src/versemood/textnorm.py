@@ -73,20 +73,13 @@ def decide(module: str, text: str, degenerate: int = 0) -> None:
 
 
 @contextmanager
-def recording() -> Iterator[list[Decision]]:
-    """Collect the decisions made inside the block, in order, into the list it yields.
-
-    An enclosing block's list gets them too, when the inner block ends.
-    """
-    decisions: list[Decision] = []
+def recording(decisions: list[Decision]) -> Iterator[list[Decision]]:
+    """Append the decisions made inside the block, in order, to ``decisions``; yields it."""
     token = _DECISIONS.set(decisions)
     try:
         yield decisions
     finally:
         _DECISIONS.reset(token)
-        outer = _DECISIONS.get()
-        if outer is not None:
-            outer.extend(decisions)
 
 
 def read_input(path: str | Path, what: str) -> str:

@@ -1025,13 +1025,11 @@ def features_from_observations(observations):
 
 
 def _categories(keys, median):
-    """Each category's sonnet ids; without a median, all of ``keys``'s sonnets only."""
+    """Each category of the median annotator, with its sonnet ids."""
     from itertools import compress
 
-    from versemood.corpus import ALL_CATEGORY, categories
+    from versemood.corpus import categories
 
-    if median is None:
-        return [(ALL_CATEGORY, list(keys))]
     if median.sonnet_ids != tuple(keys):
         raise ValueError("the median annotator and the corpus keys cover different sonnets")
     return [
@@ -1040,7 +1038,7 @@ def _categories(keys, median):
     ]
 
 
-def coverage_report(keys, sources, merged, config, median=None):
+def coverage_report(keys, sources, merged, config, median):
     """Coverage rows from {sonnet_id: keys}, as ``lexicon.coverage_report`` gives them."""
     from versemood.lexicon import CoverageRow
 
@@ -1070,7 +1068,7 @@ def coverage_report(keys, sources, merged, config, median=None):
     return rows
 
 
-def word_count_report(raw, stem, lemma=None, median=None):
+def word_count_report(raw, stem, lemma, median):
     """Word-count rows from {sonnet_id: keys} per mode, as ``lexicon.word_count_report``."""
     from versemood.lexicon import WordCountRow
 

@@ -7,7 +7,6 @@ import re
 import shutil
 import subprocess
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -471,16 +470,14 @@ def test_log_decisions_writes_fallback_log(workspace_config, tmp_path, capsys):
 
 def test_each_run_logs_only_its_own_decisions(tmp_path, capsys, monkeypatch):
     config = build_workspace(tmp_path / "ws", n_sonnets=12) / "config.json"
-    runs = []  # each run's record list
-    real_recording = pipeline.recording
+    sessions = []  # each run's session
+    real_write = pipeline.Session.write
 
-    @contextmanager
-    def kept():
-        with real_recording() as decisions:
-            runs.append(decisions)
-            yield decisions
+    def kept(session, *args):
+        sessions.append(session)
+        return real_write(session, *args)
 
-    monkeypatch.setattr(pipeline, "recording", kept)
+    monkeypatch.setattr(pipeline.Session, "write", kept)
     logs = []
     for command in ("validate", "stats"):
         out = tmp_path / command
@@ -490,15 +487,15 @@ def test_each_run_logs_only_its_own_decisions(tmp_path, capsys, monkeypatch):
         assert code == 0
         logs.append((out / "decisions.log").read_text(encoding="utf-8").splitlines())
     validate, stats = logs
-    assert len(runs) == 2
-    assert stats == [f"{d.module}: {d.text}" for d in runs[1]]
+    assert len(sessions) == 2
+    assert stats == [f"{d.module}: {d.text}" for d in sessions[1].decisions]
     reversal = "versemood.pipeline: reversed valence scale for annotator 1"
     assert validate.count(reversal) == stats.count(reversal) == 1
     assert any(line.startswith("versemood.validation: ") for line in validate)
     assert not any(line.startswith("versemood.validation: ") for line in stats)
     # outside a run, a decision goes to no list
     decide("versemood.cli", "outside any run")
-    assert [len(decisions) for decisions in runs] == [len(validate), len(stats)]
+    assert [len(session.decisions) for session in sessions] == [len(validate), len(stats)]
 
 
 def test_json_mirrors_agree_with_csv(all_run):
@@ -846,6 +843,21 @@ def test_out_dir_of_wrong_type_exits_1_naming_file_and_key(workspace, tmp_path, 
     code, _, err = run(capsys, "agree", "--config", str(config))
     assert code == 1
     assert f"{config}: 'out_dir' must be a path" in err
+
+
+def test_out_dir_with_a_nul_exits_1_before_any_computation(tmp_path, capsys, monkeypatch):
+    config = build_workspace(tmp_path / "ws", n_sonnets=12) / "config.json"
+    cfg = json.loads(config.read_text(encoding="utf-8"))
+    cfg["out_dir"] = "rep\0orts"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    loaded = []
+    monkeypatch.setattr(pipeline.corpus_mod, "load_corpus", lambda *args: loaded.append(args))
+    code, _, err = run(capsys, "agree", "--config", str(config))
+    assert code == 1
+    assert "Traceback" not in err
+    assert f"{config}: 'out_dir' must be a path, not 'rep\\x00orts'" in err
+    assert loaded == []
 
 
 def test_unreadable_config_exits_1(tmp_path, capsys):

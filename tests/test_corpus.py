@@ -454,7 +454,7 @@ def random_triple(rng, n_sonnets):
 
 def recorded(call, *args):
     """``call(*args)``, and the texts of the corpus decisions it recorded."""
-    with recording() as decisions:
+    with recording([]) as decisions:
         result = call(*args)
     return result, [d.text for d in decisions if d.module == "versemood.corpus"]
 
@@ -633,9 +633,11 @@ def test_corpus_statistics_counts_and_histogram(tmp_path):
     median = build_median_annotator(sets)
     raw = NormalizationConfig(mode="raw")
     keys = TokenTable.of((s.sonnet_id, normalize(s.text, raw)) for s in corp.sonnets)
-    stats = corpus_statistics(keys, median, n_bins=2)
+    stats = corpus_statistics(keys, median)
     assert stats.n_sonnets == 2
     assert stats.word_mean == pytest.approx(2.5)
     assert stats.word_sd == pytest.approx(np.std([2, 3], ddof=1))
-    assert sum(b.count for b in stats.histogram) == 2
+    # ten bins of width 0.1 over [2, 3], the last closed on the right
+    assert [b.count for b in stats.histogram] == [1] + [0] * 8 + [1]
+    assert (stats.histogram[0].low, stats.histogram[-1].high) == (2.0, 3.0)
     assert stats.tag_counts["Anxiety"] == 2

@@ -108,7 +108,7 @@ def test_load_canonical_duplicates_average(tmp_path):
         ["amor", "valence", "8.0", "1.0", "1", "9"],
         ["amor", "valence", "6.0", "2.0", "1", "9"],
     ])
-    with recording() as decisions:
+    with recording([]) as decisions:
         lex = load_lexicon(path)
     assert entries_of(lex)["amor"]["valence"] == (7.0, 1.5)
     assert any("duplicate" in d.text for d in decisions)
@@ -275,7 +275,7 @@ def test_merge_stem_collision_averages():
             "cenizas": {"valence": (4.0, None)},
         }),
     ]
-    with recording() as decisions:
+    with recording([]) as decisions:
         merged = merge_lexicons(sources, STEMMED)
     assert entries_of(merged)["ceniz"]["valence"][0] == pytest.approx(3.0)
     assert any("collapsed" in d.text for d in decisions)
@@ -427,9 +427,16 @@ def tiny_corpus():
     return Corpus(sonnets=sonnets)
 
 
+def untagged(keys):
+    """A median annotator over ``keys``'s sonnets that tags none of them."""
+    values = np.zeros((len(keys.sonnet_ids), len(ANNOTATED_FEATURES)))
+    return AnnotationSet(0, keys.sonnet_ids, values)
+
+
 def test_word_count_report_modes():
     corp = tiny_corpus()
-    rows = word_count_report(keys_of(corp, RAW), keys_of(corp, STEMMED))
+    raw = keys_of(corp, RAW)
+    rows = word_count_report(raw, keys_of(corp, STEMMED), None, untagged(raw))
     all_row = next(r for r in rows if r.category == "all")
     # raw forms: amor, cenizas, ceniza, muerte; stems: amor, ceniz, muert
     assert all_row.raw == 4
@@ -444,7 +451,8 @@ def test_coverage_union_dominates_sources():
         source("b", {"muerte": {"valence": (2.0, None)}}),
     ]
     merged = merge_lexicons(sources, STEMMED)
-    rows = coverage_report(keys_of(corp, STEMMED), sources, merged, STEMMED)
+    keys = keys_of(corp, STEMMED)
+    rows = coverage_report(keys, sources, merged, STEMMED, untagged(keys))
     all_row = next(r for r in rows if r.category == "all")
     assert all_row.merged >= max(all_row.per_source.values())
     assert 0.0 <= all_row.merged <= 1.0
@@ -457,16 +465,14 @@ def test_stem_coverage_at_least_raw_coverage():
         "ceniza": {"valence": (3.0, None)},
         "muerte": {"valence": (2.0, None)},
     })]
-    merged_raw = merge_lexicons(sources, RAW)
-    merged_stem = merge_lexicons(sources, STEMMED)
-    raw_row = next(
-        r for r in coverage_report(keys_of(corp, RAW), sources, merged_raw, RAW)
-        if r.category == "all"
-    )
-    stem_row = next(
-        r for r in coverage_report(keys_of(corp, STEMMED), sources, merged_stem, STEMMED)
-        if r.category == "all"
-    )
+
+    def all_row(config):
+        keys = keys_of(corp, config)
+        merged = merge_lexicons(sources, config)
+        rows = coverage_report(keys, sources, merged, config, untagged(keys))
+        return next(r for r in rows if r.category == "all")
+
+    raw_row, stem_row = all_row(RAW), all_row(STEMMED)
     # "cenizas" only matches once stemming folds it onto "ceniza"
     assert stem_row.merged >= raw_row.merged
     assert stem_row.merged == pytest.approx(1.0)
@@ -575,7 +581,7 @@ def test_coded_reports_equal_the_key_tuple_oracles():
             mode: {sid: tuple(normalize(text, config)) for sid, text in texts.items()}
             for mode, config in configs.items()
         }
-        median = random_median(rng, texts) if rng.random() < 0.8 else None
+        median = random_median(rng, texts)
         assert word_count_report(
             tables["raw"], tables["stem"], tables.get("lemma"), median
         ) == oracles.word_count_report(
@@ -594,9 +600,7 @@ def test_coded_reports_equal_the_key_tuple_oracles():
         reached.add("stopwords only" if 0 in lengths else "")
         reached.add("one token" if 1 in lengths else "")
         reached.add("no lemma table" if lemmas is None else "")
-        reached.add("no median" if median is None else "")
-        if median is not None:
-            reached.add("empty tag" if any(not rows.any() for _, rows in categories(median)) else "")
+        reached.add("empty tag" if any(not rows.any() for _, rows in categories(median)) else "")
         on_one_key = [Counter(map(config.key, raw.words)) for config in configs.values()]
         reached.add("three words on one key" if any(3 in c.values() for c in on_one_key) else "")
         reached.add("absent keys" if missing else "")
@@ -604,7 +608,7 @@ def test_coded_reports_equal_the_key_tuple_oracles():
         counts = [m.occurrences for m in missing]
         reached.add("count ties" if len(set(counts)) < len(counts) else "")
     assert reached - {""} == {
-        "stopwords only", "one token", "no lemma table", "no median", "empty tag",
+        "stopwords only", "one token", "no lemma table", "empty tag",
         "three words on one key", "absent keys", "non-ASCII key", "count ties",
     }
 
@@ -712,7 +716,7 @@ def load_both(rng, path):
     """
     described = rng.random() < 0.5
     descriptor, all_blank = (random_described if described else random_canonical)(rng, path)
-    with recording() as decisions:
+    with recording([]) as decisions:
         source = load_lexicon(path, descriptor=descriptor)
     logged = [d.text for d in decisions if "duplicate" in d.text]
     if described:
@@ -780,7 +784,7 @@ def test_merge_matches_dict_oracle(tmp_path):
             for k in range(int(rng.integers(1, 5)))
         ]
         config = CONFIGS[case % len(CONFIGS)]
-        with recording() as decisions:
+        with recording([]) as decisions:
             merged = merge_lexicons([source for source, *_ in loaded], config)
         logged = [d.text for d in decisions if "collapsed" in d.text]
         entries, n_collisions = oracles.merge_lexicons(

@@ -205,7 +205,7 @@ def write(rng, path, rows, d, kind):
 def outcome(path, descriptor):
     """The loaded source as bytes and decision texts, or the error text."""
     try:
-        with recording() as decisions:
+        with recording([]) as decisions:
             source = load_lexicon(path, descriptor)
     except lexicon.LexiconFormatError as exc:
         return "error", str(exc)

@@ -22,6 +22,14 @@ compares what the two runs wrote.
     annotator files, the reversed-valence ids following their files,
     relabels the agreement cells and changes no value, and the median
     annotator and every other report are byte-identical.
+(e) A lexicon's duplicate rows (one word and dimension, or one word in a
+    descriptor file) are averaged in file order, and the merge sorts the
+    words.  So permuting a lexicon's rows, each duplicate group's rows
+    kept in their order, leaves the merged means and sds bit-identical and
+    every report and ``decisions.log`` byte-identical.
+(f) Words are split on any run of whitespace, so widening the single
+    spaces between the words of the texts into runs of spaces and tabs
+    leaves the keys and every report byte-identical.
 """
 
 import csv
@@ -259,3 +267,97 @@ def test_permuting_annotator_files_relabels_the_agreement_cells(
         original["decisions.log"].decode("utf-8"),
     )
     assert permuted["decisions.log"].decode("utf-8") == expected
+
+
+# Lexicon rows: the group a row averages with, by its cells
+LEXICON_GROUPS = {"lex_a.csv": lambda row: (row[0], row[1]), "lex_b.tsv": lambda row: row[0]}
+
+
+def _lexicon_rows(root: Path, name: str) -> list[list[str]]:
+    with (root / name).open(encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh, delimiter="\t" if name.endswith(".tsv") else ","))
+
+
+def _write_lexicon(root: Path, name: str, rows: list[list[str]]) -> None:
+    with (root / name).open("w", encoding="utf-8", newline="") as fh:
+        delimiter = "\t" if name.endswith(".tsv") else ","
+        csv.writer(fh, delimiter=delimiter, lineterminator="\n").writerows(rows)
+
+
+@pytest.fixture(scope="module")
+def duplicated(workspace, tmp_path_factory):
+    """A copy of the workspace whose lexicons repeat some rows two or three times, and its run.
+
+    A repeat gets a mean moved off the first row's, toward 4 (on every scale of the
+    workspace), and lands anywhere after it in the file.
+    """
+    rng = np.random.default_rng(7)
+    root = _copy(workspace, tmp_path_factory.mktemp("metamorphic") / "duplicated")
+    for name in LEXICON_GROUPS:
+        header, *rows = _lexicon_rows(root, name)
+        means = [j for j, column in enumerate(header) if column in ("mean", "Val_Mn", "Aro_Mn")]
+        for i in rng.choice(len(rows), size=12, replace=False).tolist():
+            for _ in range(int(rng.integers(1, 3))):
+                repeat = list(rows[i])
+                for j in means:
+                    repeat[j] = f"{float(repeat[j]) + (4 - float(repeat[j])) * rng.random():.4f}"
+                rows.insert(int(rng.integers(i + 1, len(rows) + 1)), repeat)
+        _write_lexicon(root, name, [header, *rows])
+    return root, _run(root)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_permuting_lexicon_rows_changes_no_byte(duplicated, tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    base, before = duplicated
+    root = _copy(base, tmp_path / "lexicon_rows")
+    for name, group_of in LEXICON_GROUPS.items():
+        header, *rows = _lexicon_rows(root, name)
+        groups = [group_of(row) for row in rows]
+        assert len(set(groups)) < len(groups), f"{name} repeats no row"
+        order = rng.permutation(len(rows)).tolist()
+        # the places the shuffle gives each group, filled with its rows in file order
+        places: dict = {}
+        for place, i in enumerate(order):
+            places.setdefault(groups[i], []).append(place)
+        shuffled = [None] * len(rows)
+        for i, row in enumerate(rows):
+            shuffled[places[groups[i]].pop(0)] = row
+        assert shuffled != rows
+        _write_lexicon(root, name, [header, *shuffled])
+    after = _run(root)
+    assert list(after) == list(before)
+    for name, data in before.items():
+        assert after[name] == data, name
+    merged = [Session(r / "config.json").merged for r in (base, root)]
+    assert list(merged[0].rows.items()) == list(merged[1].rows.items())
+    for field in ("mean", "sd"):
+        assert getattr(merged[0], field).tobytes() == getattr(merged[1], field).tobytes(), field
+
+
+WHITESPACE_RUNS = ("  ", "\t", " \t", "\t ", "   ", "\t\t", " \t  ")
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_runs_of_spaces_and_tabs_between_words_change_no_byte(workspace, original, tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    root = _copy(workspace, tmp_path / "whitespace")
+    widened = 0
+    for path in sorted((root / "texts").iterdir()):
+        text = path.read_text(encoding="utf-8")
+        runs = rng.choice(WHITESPACE_RUNS, size=text.count(" ")).tolist()
+        parts = text.split(" ")
+        widened_text = parts[0] + "".join(run + part for run, part in zip(runs, parts[1:]))
+        path.write_text(widened_text, encoding="utf-8")
+        widened += len(runs)
+    assert widened
+    after = _run(root)
+    assert list(after) == list(original)
+    for name, data in original.items():
+        assert after[name] == data, name
+    for mode in ("raw", "stem"):
+        tables = [Session(r / "config.json").keys(mode) for r in (workspace, root)]
+        assert tables[0].sonnet_ids == tables[1].sonnet_ids, mode
+        assert tables[0].words == tables[1].words, mode
+        for field in ("codes", "lengths"):
+            assert getattr(tables[0], field).tobytes() == getattr(tables[1], field).tobytes()

@@ -345,8 +345,8 @@ def test_undefined_correlations_count_as_degenerate(workspace_config, tmp_path, 
         values[:, FEATURE_INDEX["concreteness_mean"]] = 4.0
 
     _fill_matrix(monkeypatch, constant_column)
-    with recording() as decisions:
-        count = Session(workspace_config, ["bivariate"]).write(ReportWriter(tmp_path, "json"))
+    session = Session(workspace_config, ["bivariate"])
+    count = session.write(ReportWriter(tmp_path, "json"))
     cells = json.loads((tmp_path / "bivariate.json").read_text(encoding="utf-8"))
     undefined = [c for c in cells if c["rho"] is None]
     assert [c["note"] for c in undefined if c["gam_feature"] == "concreteness_mean"] == [
@@ -354,7 +354,7 @@ def test_undefined_correlations_count_as_degenerate(workspace_config, tmp_path, 
     ] * 10
     assert count == len(undefined)
     # the decisions log names each cell counted, with its reason
-    assert _logged(decisions, "pipeline", "bivariate ") == [
+    assert _logged(session.decisions, "pipeline", "bivariate ") == [
         f"bivariate {c['annotated_feature']}/{c['gam_feature']}: rho undefined: {c['note']}"
         for c in undefined
     ]
@@ -375,8 +375,7 @@ def test_anova_cells_without_within_group_variance_count_as_degenerate(
 
     _fill_matrix(monkeypatch, zero_variance)
     session = Session(workspace_config, ["anova"])
-    with recording() as decisions:
-        count = session.write(ReportWriter(tmp_path, "json"))
+    count = session.write(ReportWriter(tmp_path, "json"))
     anova = json.loads((tmp_path / "anova.json").read_text(encoding="utf-8"))
     # F = inf, p = 0: the cell keeps its row
     [row] = [r for r in anova["rows"] if (r["category"], r["gam_feature"]) == (tag, "valence_mean")]
@@ -394,7 +393,31 @@ def test_anova_cells_without_within_group_variance_count_as_degenerate(
     assert len(degenerate) > len(PSYCHOLOGICAL_TAGS) // 2
     assert count == len(anova["skipped"]) + len(degenerate)
     # the decisions log names each degenerate cell, with its reason
-    assert _logged(decisions, "validation", "anova ") == degenerate
+    assert _logged(session.decisions, "validation", "anova ") == degenerate
+
+
+def test_artifacts_read_before_write_keep_their_decisions(tmp_path, capsys):
+    config = build_workspace(tmp_path / "ws", n_sonnets=12) / "config.json"
+    session = Session(config)
+    with recording([]) as outer:  # a caller's own block takes none of the session's
+        session.median, session.merged
+    assert outer == []
+    early = [f"{d.module}: {d.text}" for d in session.decisions]
+    assert "versemood.pipeline: reversed valence scale for annotator 1" in early
+    assert any(line.endswith("psychological cells unfillable (missing in 2+ sets)")
+               for line in early)
+
+    count = session.write(ReportWriter(tmp_path / "lib", "both"), log_decisions=True)
+    log = (tmp_path / "lib" / "decisions.log").read_text(encoding="utf-8").splitlines()
+    assert log[:len(early)] == early  # in the order the reads made them
+    assert log == [f"{d.module}: {d.text}" for d in session.decisions]
+    assert count == sum(d.degenerate for d in session.decisions) > 0
+    # the command line's run of the same reports, which reads nothing first
+    argv = ["all", "--config", str(config), "--out", str(tmp_path / "cli"), "--log-decisions"]
+    assert main(argv + ["--missing-words"]) == 0
+    assert f"{count} degenerate or skipped computations" in capsys.readouterr().err
+    cli_log = (tmp_path / "cli" / "decisions.log").read_text(encoding="utf-8").splitlines()
+    assert sorted(log) == sorted(cli_log)
 
 
 def test_every_exported_name_resolves():

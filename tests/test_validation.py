@@ -354,7 +354,7 @@ def _listwise_incomplete():
 ], ids=["spans", "pruned", "collinear", "zero-variance", "too-small", "listwise"])
 def test_partial_dependence_matches_one_fit_per_pairing(build, shows):
     matrix, median = build()
-    with recording() as decisions:
+    with recording([]) as decisions:
         rows = partial_dependence_report(matrix, median)
     messages = [d.text for d in decisions if d.module == "versemood.validation"]
     ref_rows, ref_messages = oracles.partial_dependence(matrix, median)
@@ -428,7 +428,7 @@ def test_anova_skips_underfilled_groups():
     rng = np.random.default_rng(103)
     matrix = synthetic_matrix(rng, 12)
     median = median_for(matrix, rng, tag_members={"Grandeur": {matrix.sonnet_ids[0]}})
-    with recording() as decisions:
+    with recording([]) as decisions:
         report = anova_report(matrix, median)
     skipped_combos = {(s[0], s[1]) for s in report.skipped}
     assert ("Grandeur", "valence_mean") in skipped_combos
