@@ -2,17 +2,11 @@
 
 One JSON config file names the inputs (metadata, sonnet texts,
 annotation files, lexicons); flags override the run-level choices (key
-mode, output directory, report format).  Each subcommand runs one
-:class:`~versemood.pipeline.Session` over the reports that
-``pipeline.COMMANDS`` lists for it and writes delimited reports plus
-JSON mirrors into the output directory:
-
-    stats      corpus_stats          word counts and per-tag totals
-    agree      agreement             alpha per feature and annotator pair
-    coverage   word_counts, coverage lexicon coverage of the corpus
-    features   features              the 32-feature matrix
-    validate   bivariate, partial_dependence, anova
-    all        everything above
+mode, output directory, report format), before or after the command.
+Each command runs one :class:`~versemood.pipeline.Session` over the
+reports that ``COMMANDS`` lists for it (``versemood --help`` lists the
+commands) and writes delimited reports plus JSON mirrors into the
+output directory.
 
 This module parses arguments, asks the session for the decisions log,
 prints what was written, and maps outcomes to exit codes: 0 on success,
@@ -27,18 +21,23 @@ import argparse
 import sys
 from typing import Sequence
 
-from .pipeline import COMMANDS, FORMATS, ReportWriter, Session
+from .pipeline import FORMATS, REPORTS, ReportWriter, Session
 from .textnorm import MODES, InputError
 
-__all__ = ["main"]
+__all__ = ["COMMANDS", "main"]
 
-_HELP = {
-    "stats": "corpus word-count statistics and per-tag totals",
-    "coverage": "lexicon coverage of the corpus vocabulary",
-    "agree": "inter-annotator agreement table",
-    "features": "per-sonnet feature matrix",
-    "validate": "bivariate, regression, and ANOVA reports",
-    "all": "every report in one run",
+# Command -> its help line and its reports; missing_words is written only when asked for.
+COMMANDS: dict[str, tuple[str, tuple[str, ...]]] = {
+    "stats": ("corpus word-count statistics and per-tag totals", ("corpus_stats",)),
+    "coverage": (
+        "lexicon coverage of the corpus vocabulary", ("word_counts", "coverage", "missing_words")
+    ),
+    "agree": ("inter-annotator agreement table", ("agreement",)),
+    "features": ("per-sonnet feature matrix", ("features",)),
+    "validate": (
+        "bivariate, regression, and ANOVA reports", ("bivariate", "partial_dependence", "anova")
+    ),
+    "all": ("every report in one run", tuple(REPORTS)),
 }
 
 
@@ -50,38 +49,39 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
+    commands = "".join(f"  {name:<9} {text}\n" for name, (text, _) in COMMANDS.items())
     parser = _Parser(
         prog="versemood",
         description="Affective profiling of Spanish sonnets from lexical norms.",
+        epilog="commands:\n" + commands,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", metavar="|".join(_HELP))
-    for name, help_text in _HELP.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="path to the JSON run config")
-        p.add_argument("--mode", choices=MODES, help="key mode override")
-        p.add_argument("--out", help="output directory override")
-        p.add_argument("--format", choices=FORMATS, help="report format override")
-        p.add_argument(
-            "--missing-words",
-            action="store_true",
-            help="also emit the missing-words report (coverage and all)",
-        )
-        p.add_argument(
-            "--log-decisions",
-            action="store_true",
-            help="write fallbacks and degenerate cells to decisions.log in the output directory",
-        )
-        p.add_argument(
-            "--strict",
-            action="store_true",
-            help="exit 2 when any computation degenerated",
-        )
+    parser.add_argument("command", nargs="?", choices=COMMANDS, help="one of the commands below")
+    parser.add_argument("--config", help="path to the JSON run config (required)")
+    parser.add_argument("--mode", choices=MODES, help="key mode override")
+    parser.add_argument("--out", help="output directory override")
+    parser.add_argument("--format", choices=FORMATS, help="report format override")
+    parser.add_argument(
+        "--missing-words",
+        action="store_true",
+        help="also emit the missing-words report (coverage and all)",
+    )
+    parser.add_argument(
+        "--log-decisions",
+        action="store_true",
+        help="write fallbacks and degenerate cells to decisions.log in the output directory",
+    )
+    parser.add_argument(
+        "--strict",
+        action="store_true",
+        help="exit 2 when any computation degenerated",
+    )
     return parser
 
 
 def _run(args: argparse.Namespace) -> int:
     reports = [
-        name for name in COMMANDS[args.command]
+        name for name in COMMANDS[args.command][1]
         if name != "missing_words" or args.missing_words
     ]
     session = Session(
@@ -104,6 +104,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     if not args.command:
         parser.print_usage(sys.stderr)
         return 1
+    if args.config is None:  # checked here, so that no command at all prints the usage alone
+        parser.error("the following arguments are required: --config")
     try:
         return _run(args)
     except (InputError, OSError) as exc:

@@ -9,7 +9,7 @@ and the feature matrix.
 
 ``REPORTS`` defines every report once: the inputs it needs, its row
 type (a named tuple) and a builder of its rows, with the JSON wrapper
-where it has one.  ``COMMANDS`` names the reports of each subcommand.
+where it has one (``cli.COMMANDS`` names the reports of each command).
 ``ReportWriter.emit`` derives a report's CSV header and cells and its
 JSON rows from the row type's fields by one rule, and writes each row to
 both files as it arrives.  The repairs and fallbacks a run makes on its
@@ -22,7 +22,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import sys
 from contextlib import ExitStack
 from functools import cached_property
 from itertools import chain
@@ -50,7 +49,7 @@ from .textnorm import (
     recording,
 )
 
-__all__ = ["COMMANDS", "FORMATS", "REPORTS", "ReportWriter", "RunConfig", "Session"]
+__all__ = ["FORMATS", "REPORTS", "ReportWriter", "RunConfig", "Session"]
 
 FORMATS = ("csv", "json", "both")
 
@@ -91,10 +90,18 @@ def _read_config(
         raise InputError(f"{config_path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise InputError(f"{config_path}: config must be a JSON object")
-    raw = {key: value for key, value in raw.items() if value is not None}  # null: absent
 
     def fail(message: str) -> InputError:
         return InputError(f"{config_path}: {message}")
+
+    def known(entry: dict, keys: Sequence[str], what: str) -> dict:
+        """``entry`` with its null values dropped (null: absent); a key not in ``keys`` fails."""
+        for key in entry:
+            if key not in keys:
+                raise fail(f"unknown {what} key {key!r}; expected one of {tuple(keys)}")
+        return {key: value for key, value in entry.items() if value is not None}
+
+    raw = known(raw, RunConfig._fields, "config")
 
     def path(key: str, value: Any, label: str | None = None) -> Path:
         """``value`` resolved as a path; with a ``label``, that of an existing file."""
@@ -153,7 +160,7 @@ def _read_config(
             if isinstance(entry, str):
                 lexicons.append((path("lexicons", entry, "lexicon file"), None, None))
             elif isinstance(entry, dict) and "path" in entry:
-                entry = {key: value for key, value in entry.items() if value is not None}
+                entry = known(entry, ("path", "descriptor", "source_id"), "lexicons entry")
                 lexicon = path("path", entry.get("path"), "lexicon file")
                 descriptor = entry.get("descriptor")
                 if descriptor is not None:
@@ -307,13 +314,6 @@ class ReportWriter:
 # report definitions
 
 
-class _Built(NamedTuple):
-    """A report ready to write: its rows and its JSON wrapper."""
-
-    rows: Iterable[tuple]
-    wrapper: dict[str, Any] | None = None
-
-
 class _StatRow(NamedTuple):
     """A corpus statistic: a summary value, a histogram bin's count or a tag's count."""
 
@@ -322,7 +322,7 @@ class _StatRow(NamedTuple):
     value: float | None
 
 
-def _corpus_stats(session: Session) -> _Built:
+def _corpus_stats(session: Session) -> tuple[Iterable[tuple], dict | None]:
     stats = corpus_mod.corpus_statistics(session.keys(session.norm.mode), session.median)
     if stats.word_sd is None:
         decide(__name__, "corpus_stats summary/word_sd: undefined: one sonnet has no sample sd", 1)
@@ -332,16 +332,16 @@ def _corpus_stats(session: Session) -> _Built:
         *(_StatRow("tag_count", tag, count) for tag, count in stats.tag_counts.items()),
     ]
     wrapper = {**stats._asdict(), "unfilled_cells": session.annotations[1]}
-    return _Built(rows, wrapper)
+    return rows, wrapper
 
 
-def _agreement(session: Session) -> _Built:
+def _agreement(session: Session) -> tuple[Iterable[tuple], dict | None]:
     sets, median = session.annotations[0], None
     if len(sets) == 3:
         median = session.median
     else:
-        print("warning: the median column requires three annotation sets; "
-              "emitting a pairwise-only report", file=sys.stderr)
+        decide(__name__, "agreement: the median column requires three annotation sets; "
+               "emitting a pairwise-only report")
     rows = agreement_mod.agreement_report(sets, median)
     # Every row has the same cell labels; a cell not computable is None.
     for row in rows:
@@ -349,17 +349,17 @@ def _agreement(session: Session) -> _Built:
             if cell is None or cell.degenerate:
                 reason = cell.note if cell else "not computable: no unit has two or more values"
                 decide(__name__, f"agreement {row.feature}/{label}: {reason}", 1)
-    return _Built(rows, {"columns": list(rows[0].cells), "rows": ...})
+    return rows, {"columns": list(rows[0].cells), "rows": ...}
 
 
-def _word_counts(session: Session) -> _Built:
+def _word_counts(session: Session) -> tuple[Iterable[tuple], dict | None]:
     lemma = session.keys("lemma") if session.norm.lemma_table else None
-    return _Built(lexicon_mod.word_count_report(
+    return lexicon_mod.word_count_report(
         session.keys("raw"), session.keys("stem"), lemma, session.median
-    ))
+    ), None
 
 
-def _coverage(session: Session) -> _Built:
+def _coverage(session: Session) -> tuple[Iterable[tuple], dict | None]:
     norm = session.norm
     rows = lexicon_mod.coverage_report(
         session.keys(norm.mode), session.sources, session.merged, norm, session.median
@@ -368,11 +368,11 @@ def _coverage(session: Session) -> _Built:
         if row.merged is None:
             reason = "fractions undefined: the category has no keys"
             decide(__name__, f"coverage {row.category}: {reason}", 1)
-    return _Built(rows)
+    return rows, None
 
 
-def _missing_words(session: Session) -> _Built:
-    return _Built(lexicon_mod.missing_word_report(session.keys(session.norm.mode), session.merged))
+def _missing_words(session: Session) -> tuple[Iterable[tuple], dict | None]:
+    return lexicon_mod.missing_word_report(session.keys(session.norm.mode), session.merged), None
 
 
 class _FeatureRow(NamedTuple):
@@ -385,7 +385,7 @@ class _FeatureRow(NamedTuple):
     json_only = ("reasons",)
 
 
-def _features(session: Session) -> _Built:
+def _features(session: Session) -> tuple[Iterable[tuple], dict | None]:
     matrix, names = session.matrix, features_mod.FEATURE_NAMES
 
     def rows() -> Iterator[_FeatureRow]:
@@ -394,27 +394,27 @@ def _features(session: Session) -> _Built:
             yield _FeatureRow(sid, dict(zip(names, values)), matrix.reasons[sid])
 
     counts = matrix.undefined_counts
-    return _Built(rows(), {"features": names, "undefined_counts": counts, "rows": ...})
+    return rows(), {"features": names, "undefined_counts": counts, "rows": ...}
 
 
-def _bivariate(session: Session) -> _Built:
+def _bivariate(session: Session) -> tuple[Iterable[tuple], dict | None]:
     cells = validation_mod.bivariate_report(session.matrix, session.median)
     for c in cells:
         if c.rho is None:
             cell = f"{c.annotated_feature}/{c.gam_feature}"
             decide(__name__, f"bivariate {cell}: rho undefined: {c.note}", 1)
-    return _Built(cells)
+    return cells, None
 
 
-def _partial_dependence(session: Session) -> _Built:
-    return _Built(validation_mod.partial_dependence_report(session.matrix, session.median))
+def _partial_dependence(session: Session) -> tuple[Iterable[tuple], dict | None]:
+    return validation_mod.partial_dependence_report(session.matrix, session.median), None
 
 
-def _anova(session: Session) -> _Built:
+def _anova(session: Session) -> tuple[Iterable[tuple], dict | None]:
     anova = validation_mod.anova_report(session.matrix, session.median)
     wrapper = {"n_total": anova.n_total, "n_significant": anova.n_significant,
                "skipped": anova.skipped, "rows": ...}
-    return _Built(anova.rows, wrapper)
+    return anova.rows, wrapper
 
 
 class _Report(NamedTuple):
@@ -422,7 +422,7 @@ class _Report(NamedTuple):
 
     needs: frozenset[str]
     row_type: type
-    build: Callable[[Session], _Built]
+    build: Callable[[Session], tuple[Iterable[tuple], dict | None]]  # rows, JSON wrapper
 
 
 _TEXTS = frozenset({"texts"})
@@ -443,16 +443,6 @@ REPORTS: dict[str, _Report] = {
         _ALL, validation_mod.PartialDependenceRow, _partial_dependence
     ),
     "anova": _Report(_ALL, validation_mod.AnovaRow, _anova),
-}
-
-# Subcommand -> its reports; missing_words is written only when asked for.
-COMMANDS: dict[str, tuple[str, ...]] = {
-    "stats": ("corpus_stats",),
-    "coverage": ("word_counts", "coverage", "missing_words"),
-    "agree": ("agreement",),
-    "features": ("features",),
-    "validate": ("bivariate", "partial_dependence", "anova"),
-    "all": tuple(REPORTS),
 }
 
 
@@ -488,6 +478,7 @@ class Session:
         self.config = _read_config(Path(config_path), needs, mode, out_dir, fmt)
         self.decisions: list[Decision] = []
         self._keys: dict[str, TokenTable] = {}
+        self._wrote = False
 
     @_artifact
     def norm(self) -> NormalizationConfig:
@@ -589,7 +580,11 @@ class Session:
 
         Returns how many computations the session's ``decisions``, made before
         or here, left degenerate or skipped; the log has a line per decision.
+        A session writes once: a second call raises RuntimeError.
         """
+        if self._wrote:
+            raise RuntimeError("this session has written its reports; a new Session writes again")
+        self._wrote = True
         log = writer.stage("decisions.log") if log_decisions else None
         try:
             with recording(self.decisions):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import versemood
-from versemood.cli import main
+from versemood.cli import COMMANDS, main
 from versemood.corpus import ANNOTATED_FEATURES, PSYCHOLOGICAL_TAGS
 from versemood.features import FEATURE_NAMES
 from versemood import pipeline
@@ -206,10 +206,17 @@ def test_agree_with_two_sets_warns_and_drops_median(workspace, tmp_path, capsys)
     cfg["annotations"] = cfg["annotations"][:2]
     config = dump_config(cfg, tmp_path)
     code, _, err = run(
-        capsys, "agree", "--config", str(config), "--out", str(tmp_path / "out")
+        capsys, "agree", "--config", str(config), "--out", str(tmp_path / "out"),
+        "--log-decisions",
     )
     assert code == 0
-    assert "pairwise-only" in err
+    assert err == ""
+    # the fallback is a decision, recorded like every other, and degenerates nothing
+    logged = (tmp_path / "out" / "decisions.log").read_text(encoding="utf-8").splitlines()
+    assert [line for line in logged if "pairwise-only" in line] == [
+        "versemood.pipeline: agreement: the median column requires three annotation sets; "
+        "emitting a pairwise-only report"
+    ]
     rows = read_csv(tmp_path / "out" / "agreement.csv")
     assert rows[0] == ["feature", "level", "all", "a1-a2", "below_threshold"]
 
@@ -591,6 +598,36 @@ def test_config_problems_exit_1(workspace, tmp_path, capsys, mutate, message):
     assert not (tmp_path / "out").exists()
 
 
+def _rename(mapping, old, new):
+    mapping[new] = mapping.pop(old)
+
+
+@pytest.mark.parametrize(
+    "command,mutate,key",
+    [
+        # misspelt, the key would take its default: annotator 1's valence not reversed
+        ("stats", lambda c: _rename(c, "reversed_valence_annotators", "reversed_valence_annotator"),
+         "reversed_valence_annotator"),
+        ("stats", lambda c: c.update(lemma_tabel=None), "lemma_tabel"),  # null is checked too
+        ("coverage", lambda c: c["lexicons"][1].update(sourceid="X"), "sourceid"),
+        ("coverage", lambda c: c["lexicons"][1].update(sourceid=None), "sourceid"),
+    ],
+    ids=["misspelt", "misspelt-null", "lexicon-entry", "lexicon-entry-null"],
+)
+def test_unknown_config_keys_exit_1(workspace, tmp_path, capsys, command, mutate, key):
+    cfg = absolute_config(workspace)
+    mutate(cfg)
+    config = dump_config(cfg, tmp_path)
+    code, out, err = run(
+        capsys, command, "--config", str(config), "--out", str(tmp_path / "out"),
+        "--log-decisions",
+    )
+    assert code == 1
+    assert out == ""
+    assert str(config) in err and repr(key) in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "name", ["metadata.csv", "annotator1.csv", "lex_a.csv", "lex_b.tsv"]
 )
@@ -896,4 +933,15 @@ def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--help"])
     assert excinfo.value.code == 0
-    assert "usage" in capsys.readouterr().out.lower()
+    out = capsys.readouterr().out
+    assert "usage" in out.lower()
+    for name, (help_line, _) in COMMANDS.items():  # each command with its help line
+        assert re.search(rf"^  {name} +{re.escape(help_line)}$", out, re.M), name
+
+
+def test_flags_may_come_before_the_command(workspace_config, tmp_path, capsys):
+    after = ["stats", "--config", str(workspace_config), "--out", str(tmp_path / "after")]
+    before = ["--out", str(tmp_path / "before"), "--config", str(workspace_config), "stats"]
+    assert run(capsys, *after)[0] == run(capsys, *before)[0] == 0
+    for path in sorted((tmp_path / "after").iterdir()):
+        assert (tmp_path / "before" / path.name).read_bytes() == path.read_bytes(), path.name

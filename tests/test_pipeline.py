@@ -460,6 +460,22 @@ def test_every_exported_name_is_used_by_the_package():
     assert sorted(exported - read - _ACCEPTANCE_ONLY) == []
 
 
+def test_library_modules_do_not_print():
+    """Only the command line writes to stdout or stderr; a library fallback is a decision."""
+    package = Path(versemood.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id == "print":
+                    found.append(f"{path.name}:{node.lineno}: print")
+            elif isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr"):
+                found.append(f"{path.name}:{node.lineno}: {node.attr}")
+    assert found == []
+
+
 def test_writer_spells_non_finite_floats_in_both_formats(workspace_config, tmp_path, monkeypatch):
     # ANOVA writes F = inf when both groups are constant but differ.
     nan, inf = float("nan"), float("inf")
@@ -486,6 +502,18 @@ def test_session_write_that_fails_writes_nothing(workspace, tmp_path):
         session.write(writer)
     assert list(out.iterdir()) == []
     assert writer.written == []
+
+
+def test_a_session_writes_once(workspace_config, tmp_path):
+    session = Session(workspace_config, ["agreement"])
+    assert session.write(ReportWriter(tmp_path / "first", "both"), log_decisions=True) == 0
+    decisions = list(session.decisions)
+    writer = ReportWriter(tmp_path / "second", "both")
+    with pytest.raises(RuntimeError, match="written its reports"):
+        session.write(writer, log_decisions=True)
+    # refused before anything is built: no decision recorded twice, no file written
+    assert session.decisions == decisions
+    assert writer.written == [] and not (tmp_path / "second").exists()
 
 
 # Span targets deleted from the package on purpose.  Nothing in the package
